@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -34,10 +35,17 @@ from .schwinger import schwinger_matrix
 
 
 def _default_tol() -> float:
+    text = os.environ.get("TORUSPHASE_TOL", "1e-10")
     try:
-        return float(os.environ.get("TORUSPHASE_TOL", "1e-10"))
+        return float(text)
     except ValueError:
-        return 1e-10
+        raise click.UsageError(f"TORUSPHASE_TOL={text!r} is not a number")
+
+
+def _refuse(exc: TorusPhaseError) -> NoReturn:
+    """Report a structured construction error and exit 2."""
+    click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
+    sys.exit(2)
 
 
 def _dimension(d: int) -> Dimension:
@@ -178,8 +186,7 @@ def verify(d, suite, tol, seed, samples):
     try:
         rows = verify_mod.run_suite(suite, dim, seed=seed, samples=samples)
     except TorusPhaseError as exc:
-        click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
-        sys.exit(2)
+        _refuse(exc)
     failed = 0
     click.echo(f"suite={suite} D={d} tol={ser.format_float(tol)}")
     for row in rows:
@@ -226,7 +233,10 @@ def wigner(d, state, basis, decompose, out, fmt):
             }), out)
         return
     if basis == "torus":
-        grid = wig_mod.wigner_function(dim, psi, state_ref=state)
+        try:
+            grid = wig_mod.wigner_function(dim, psi, state_ref=state)
+        except TorusPhaseError as exc:
+            _refuse(exc)
         if fmt == "csv":
             _emit(ser.wigner_csv(grid, comments=comments), out)
         else:
@@ -260,8 +270,7 @@ def spectrum(d, m_text, mp_text, out, fmt):
     try:
         osc = build_q_oscillator(dim, m, mp)
     except (CollinearVectorsError, SingularDeformationError) as exc:
-        click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
-        sys.exit(2)
+        _refuse(exc)
     if fmt == "csv":
         _emit(ser.spectrum_csv(osc, comments=[f"D={d}"]), out)
     else:
@@ -340,8 +349,7 @@ def transform(d, r_text, tol, out, fmt):
     try:
         op = tr_mod.build_metaplectic(dim, smap)
     except TorusPhaseError as exc:
-        click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
-        sys.exit(2)
+        _refuse(exc)
     worst, records = tr_mod.covariance_report(op)
     _emit(ser.transform_json(op, worst, records), out)
     ok = op.unitary_residual < tol and worst < max(tol, 1e-9)

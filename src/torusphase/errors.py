@@ -39,3 +39,7 @@ class UnsupportedBasisError(TorusPhaseError):
 
 class NonScalarPowerError(TorusPhaseError):
     """A matrix power expected to be scalar is not proportional to the identity."""
+
+
+class NonRealWignerError(TorusPhaseError, ValueError):
+    """A Wigner grid has an imaginary part above the reality tolerance (even D >= 4)."""

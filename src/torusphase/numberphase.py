@@ -7,6 +7,10 @@ transfers verbatim through the substitution (U, V) -> (E_N, E_phi).  The
 basis elements built on the pair generate the action-angle kernel
 Delta(J, theta) with 1/(2 pi D) normalization, whose expectation value is the
 number-phase Wigner function on the J x theta grid.
+
+The pair is the torus pair itself (E_N = V, E_phi = U^-1), so grids come from
+the torus characteristic function chi(m) = <psi|S_m|psi> in O(D^2 log D);
+the action-angle kernel is built only as an oracle for the small-D suites.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .errors import PhaseMismatchError
 from .deformed import build_q_oscillator
 from .lattice import Dimension, canonical_window, max_abs, window_vectors
 from .schwinger import conjugate_pair_suite, pair_schwinger, schwinger_matrix
-from .wigner import WignerGrid
+from .wigner import WignerGrid, characteristic
 
 ACTION_ANGLE_NORMALIZATION = "action-angle-1/(2piD)"
 
@@ -128,15 +132,13 @@ def theta_grid(dim: Dimension) -> np.ndarray:
 
 
 def _pair_expectations(dim: Dimension, psi: np.ndarray):
-    """<psi| S^np_m |psi> for all window labels, as (m-components, matrix)."""
+    """<psi| S^np_m |psi> for all window labels, as (m-components, matrix).
+
+    S^np_(m1, m2) = S_(-m2, m1) (E_N = V, E_phi = U^-1), so the matrix is the
+    torus characteristic function chi(-m2, m1), O(D^2 log D).
+    """
     mlist = np.array(canonical_window(dim))
-    n = np.arange(dim.d)
-    EV = np.zeros((len(mlist), len(mlist)), dtype=complex)
-    for i1, m1 in enumerate(mlist):
-        row = psi.conj() * np.exp(-1j * dim.gamma0 * n * m1)
-        for i2, m2 in enumerate(mlist):
-            EV[i1, i2] = np.exp(-0.5j * dim.gamma0 * (m1 * m2)) * np.sum(row * psi[(n + m2) % dim.d])
-    return mlist, EV
+    return mlist, characteristic(dim.d, psi, -mlist, mlist).T
 
 
 def action_angle_values(dim: Dimension, state: np.ndarray, j_values,
@@ -145,7 +147,8 @@ def action_angle_values(dim: Dimension, state: np.ndarray, j_values,
 
     parity filters the m2 sum: 0 keeps even m2, 1 keeps odd m2, None keeps all
     (the full Wigner function).  The expectation-value form used here equals
-    the kernel form by linearity and is O(D^2) per row.
+    the kernel form by linearity: the expectations come from the torus
+    characteristic function in O(D^2 log D), then O(D^2) per row.
     """
     psi = np.asarray(state, dtype=complex)
     mlist, EV = _pair_expectations(dim, psi)

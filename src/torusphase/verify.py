@@ -28,8 +28,6 @@ from .schwinger import (
     weyl_commutator_check,
 )
 
-SUITES = ("schwinger", "qosc", "sl2", "wigner", "numberphase", "transforms", "all")
-
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -426,13 +424,15 @@ _DISPATCH = {
     "fock": suite_fock,
 }
 
+SUITES = (*_DISPATCH, "all")
+
 
 def run_suite(name: str, dim: Dimension, seed: int = 0,
               samples: int | None = None) -> list[CheckRow]:
     """Run one named suite (or all of them, prefixed) and return its rows."""
     if name == "all":
         rows = []
-        for sub in ("schwinger", "qosc", "sl2", "wigner", "numberphase", "transforms", "fock"):
+        for sub in _DISPATCH:
             try:
                 sub_rows = run_suite(sub, dim, seed=seed, samples=samples)
             except TorusPhaseError as exc:

@@ -6,6 +6,12 @@ expectation value in a state is the (real) Wigner function on the D x D grid.
 The continuous phase-space integral collapses to the unit-weight sum over grid
 points because every integrand is a finite Fourier series with gamma0-multiple
 frequencies, so the D-point rule is exact.
+
+Every grid is built from one object, the characteristic function
+chi(m) = <psi|S_m|psi> (or Tr(A S_m) for an operator), whose 2-D discrete
+Fourier dual is W(V): one FFT per label row gives chi on the window and one
+2-D FFT gives the grid, O(D^2 log D) time and O(D^2) memory.  The (D,D,D,D)
+kernel grid is kept only as an independent oracle for the small-D suites.
 """
 from __future__ import annotations
 
@@ -14,9 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NonRealWignerError
 from .lattice import (
     Dimension,
     build_fourier_operator,
+    canonical_window,
     max_abs,
     random_state,
     window_vectors,
@@ -26,7 +34,67 @@ from .schwinger import schwinger_matrix
 TORUS_NORMALIZATION = "torus-1/D^2"
 
 
-@lru_cache(maxsize=None)
+def _half_phase(d: int, a, b) -> np.ndarray:
+    """e^{-i pi a b / D} from the exact integer product a*b, taken mod 2D."""
+    a = np.asarray(a, dtype=np.int64) % (2 * d)
+    b = np.asarray(b, dtype=np.int64) % (2 * d)
+    return np.exp(-1j * np.pi * ((a * b) % (2 * d)) / d)
+
+
+def _trace_chi(d: int, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(A S_(a_i, b_k)) from the diagonals rows[i, j] = A[j, (j + a_i) mod D]."""
+    return np.fft.fft(rows, axis=1)[:, b % d] * _half_phase(d, a[:, None], b[None, :])
+
+
+def characteristic(d: int, psi: np.ndarray, a, b) -> np.ndarray:
+    """chi[i, k] = <psi| S_(a_i, b_k) |psi> for integer label arrays a and b.
+
+    Labels may be unreduced; the half-phase uses the exact product a_i b_k,
+    so the sign law S_(m + D n) = +/- S_m is reproduced.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    j = np.arange(d)
+    rows = np.conj(psi[(j + a[:, None]) % d]) * psi
+    return _trace_chi(d, rows, a, b)
+
+
+def _window(dim: Dimension) -> np.ndarray:
+    return np.array(canonical_window(dim), dtype=np.int64)
+
+
+def _window_dft(dim: Dimension, chi: np.ndarray) -> np.ndarray:
+    """(1/D^2) sum_m e^{-i gamma0 m x V} chi[m] on the grid, indexed [V1, V2].
+
+    chi is indexed by window labels; they are distinct mod D, so placing
+    them at their residues gives a full D x D array whose FFT over m1 runs
+    to V2 and whose inverse FFT over m2 runs to V1.
+    """
+    d = dim.d
+    w = _window(dim) % d
+    g = np.empty((d, d), dtype=complex)
+    g[np.ix_(w, w)] = chi
+    return np.fft.ifft(np.fft.fft(g, axis=0), axis=1).T / d
+
+
+def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:
+    """sum_m coeff[m] S_m over window labels m, built diagonal by diagonal.
+
+    S_m has entries e^{-i pi m1 m2 / D} e^{-i gamma0 m2 j} at ((j + m1) mod D, j),
+    so each m1 contributes one FFT over m2 along its diagonal.
+    """
+    d = dim.d
+    w = _window(dim)
+    h = np.empty((d, d), dtype=complex)
+    h[:, w % d] = coeff * _half_phase(d, w[:, None], w[None, :])
+    j = np.arange(d)
+    out = np.empty((d, d), dtype=complex)
+    out[(j + w[:, None]) % d, j] = np.fft.fft(h, axis=1)
+    return out
+
+
+@lru_cache(maxsize=2)
 def _kernel_grid_cached(d: int) -> np.ndarray:
     """All D^2 kernels, indexed K[V1, V2, :, :]."""
     dim = Dimension(d)
@@ -44,7 +112,11 @@ def _kernel_grid_cached(d: int) -> np.ndarray:
 
 
 def kernel_grid(dim: Dimension) -> np.ndarray:
-    """Array of shape (D, D, D, D): the kernel at every grid point."""
+    """Array of shape (D, D, D, D): the kernel at every grid point.
+
+    O(D^6) time and O(D^4) memory: an independent oracle for the small-D
+    verification suites, never used to compute a grid.
+    """
     return _kernel_grid_cached(dim.d)
 
 
@@ -61,15 +133,12 @@ def build_kernel(dim: Dimension, V) -> WignerKernel:
     """Kernel at a phase-space point; off-grid (non-integer) V is diagnostic only."""
     v1, v2 = float(V[0]), float(V[1])
     on_grid = v1 == int(v1) and v2 == int(v2)
-    if on_grid:
-        K = kernel_grid(dim)[int(v1) % dim.d, int(v2) % dim.d]
-        return WignerKernel(dim, (int(v1), int(v2)), K)
-    acc = np.zeros((dim.d, dim.d), dtype=complex)
-    for m in window_vectors(dim):
-        acc += np.exp(-1j * dim.gamma0 * (m[0] * v2 - m[1] * v1)) * schwinger_matrix(dim, m)
-    acc /= dim.d**2
-    acc.flags.writeable = False
-    return WignerKernel(dim, (v1, v2), acc, exact=False)
+    w = _window(dim)
+    u1, u2 = v1 % dim.d, v2 % dim.d          # Delta(V) has period D in each component
+    coeff = np.exp(-1j * dim.gamma0 * (w[:, None] * u2 - w[None, :] * u1)) / dim.d**2
+    K = _displacement_sum(dim, coeff)
+    K.flags.writeable = False
+    return WignerKernel(dim, (int(v1), int(v2)) if on_grid else (v1, v2), K, exact=on_grid)
 
 
 @dataclass(frozen=True)
@@ -85,13 +154,17 @@ class WignerGrid:
 
 def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "",
                     reality_tol: float = 1e-12) -> WignerGrid:
-    """W(V) = <psi| Delta(V) |psi> at every grid point."""
-    psi = np.asarray(state, dtype=complex)
-    K = kernel_grid(dim)
-    W = np.einsum("i,abij,j->ab", psi.conj(), K, psi)
+    """W(V) = <psi| Delta(V) |psi> at every grid point, from chi in O(D^2 log D).
+
+    Raises NonRealWignerError when the grid is not real to reality_tol, as at
+    even D >= 4, where the window {0, ..., D-1} is not closed under m -> -m.
+    """
+    w = _window(dim)
+    W = _window_dft(dim, characteristic(dim.d, state, w, w))
     imag = float(np.max(np.abs(W.imag)))
     if imag > reality_tol:
-        raise ValueError(f"Wigner values not real: imaginary part {imag:.2e}")
+        raise NonRealWignerError(f"Wigner values not real at D={dim.d}: "
+                                 f"imaginary part {imag:.2e}")
     vals = np.ascontiguousarray(W.real)
     vals.flags.writeable = False
     return WignerGrid(dim=dim, values=vals, state_ref=state_ref)
@@ -99,14 +172,18 @@ def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "",
 
 def classical_symbol(dim: Dimension, op: np.ndarray) -> np.ndarray:
     """f(V) = Tr(F Delta(V)) on the grid; pairs with W as sum f W = <F>/D."""
-    K = kernel_grid(dim)
-    return np.einsum("abij,ji->ab", K, np.asarray(op, dtype=complex))
+    A = np.asarray(op, dtype=complex)
+    w = _window(dim)
+    j = np.arange(dim.d)
+    return _window_dft(dim, _trace_chi(dim.d, A[j, (j + w[:, None]) % dim.d], w, w))
 
 
 def symbol_reconstruct(dim: Dimension, symbol: np.ndarray) -> np.ndarray:
-    """Inverse of classical_symbol: F = D sum_V f(V) Delta(V)."""
-    K = kernel_grid(dim)
-    return dim.d * np.einsum("ab,abij->ij", np.asarray(symbol, dtype=complex), K)
+    """Inverse of classical_symbol: F = D sum_V f(V) Delta(V) = sum_m c_m S_m."""
+    f = np.asarray(symbol, dtype=complex)
+    w = _window(dim) % dim.d
+    c = np.fft.ifft(np.fft.fft(f, axis=1), axis=0).T      # c[m1, m2] at residues
+    return _displacement_sum(dim, c[np.ix_(w, w)])
 
 
 def kernel_suite(dim: Dimension) -> dict:
@@ -157,7 +234,9 @@ def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
     U^n1 / V^n2 translations; (iv) time inversion (conjugation) and parity
     (F^2); (v) overlap sum_V W W' = |<psi|psi'>|^2 / D including self-overlap
     1/D; (vi) trace pairing with a random Hermitian operator through its
-    classical symbol.  States default to seeded random ones.
+    classical symbol.  States default to seeded random ones.  Grids come from
+    the kernel-grid oracle; chi_grid is the deviation of the characteristic-
+    function grid that wigner_function returns from that oracle.
     """
     d = dim.d
     if rng is None:
@@ -165,6 +244,7 @@ def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
     K = kernel_grid(dim)
     F = build_fourier_operator(dim)
     ii = np.arange(d)
+    w = _window(dim)
     worst: dict[str, float] = {}
 
     def bump(key, val):
@@ -179,6 +259,7 @@ def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
         phiv = random_state(dim, rng=rng)
         Wc = wig(psi)
         bump("real", np.max(np.abs(Wc.imag)))
+        bump("chi_grid", max_abs(Wc - _window_dft(dim, characteristic(d, psi, w, w))))
         W = Wc.real
         bump("norm", abs(W.sum() - 1.0))
         bump("marginal_u", np.max(np.abs(W.sum(axis=1) - np.abs(psi) ** 2)))

@@ -72,6 +72,20 @@ def test_verify_tolerance_env_override(runner):
     assert res.stdout.rstrip().splitlines()[-1].startswith("FAIL:")
 
 
+def test_verify_malformed_tolerance_env_exits_2(runner):
+    res = invoke(runner, ["verify", "--d", "3", "--suite", "wigner"],
+                 env={"TORUSPHASE_TOL": "1e-1O"})
+    assert res.exit_code == 2
+    assert "TORUSPHASE_TOL='1e-1O'" in res.stderr
+
+
+def test_verify_fock_suite(runner):
+    res = invoke(runner, ["verify", "--d", "7", "--suite", "fock"])
+    assert res.exit_code == 0
+    assert res.stdout.startswith("suite=fock D=7 tol=")
+    assert res.stdout.rstrip().splitlines()[-1] == "PASS: 6 checks, 0 failed"
+
+
 def test_verify_transforms_composite_exits_2(runner):
     res = invoke(runner, ["verify", "--d", "4", "--suite", "transforms"])
     assert res.exit_code == 2
@@ -86,6 +100,13 @@ def test_wigner_fock_state_csv(runner):
     data = [l for l in lines if not l.startswith("#") and not l.startswith("V1")]
     total = sum(float(l.split(",")[2]) for l in data)
     assert abs(total - 1.0) < 1e-10
+
+
+def test_wigner_even_dimension_not_real_exits_2(runner):
+    res = invoke(runner, ["wigner", "--d", "4", "--state", "random:3"])
+    assert res.exit_code == 2
+    assert "error: NonRealWignerError: " in res.stderr
+    assert res.stdout == ""
 
 
 def test_wigner_number_phase_mass(runner):
