@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import PhaseMismatchError
 from .deformed import build_q_oscillator
-from .lattice import Dimension, canonical_window, max_abs, window_vectors
+from .lattice import (
+    Dimension,
+    build_clock_operator,
+    build_fourier_operator,
+    build_shift_operator,
+    canonical_window,
+    max_abs,
+    window_vectors,
+)
 from .schwinger import conjugate_pair_suite, pair_schwinger, schwinger_matrix
 from .wigner import WignerGrid, characteristic
 
@@ -36,12 +44,10 @@ class PhasePair:
 
 
 def build_phase_pair(dim: Dimension) -> PhasePair:
-    d = dim.d
-    e_n = np.diag(np.exp(-1j * dim.gamma0 * np.arange(d)))
-    e_phi = np.zeros((d, d), dtype=complex)
-    for n in range(d):
-        e_phi[(n - 1) % d, n] = 1.0
-    ph = np.exp(1j * dim.gamma0 * np.outer(np.arange(d), np.arange(d))) / np.sqrt(d)
+    """The torus pair itself: E_N = V, E_phi = U^T = U^-1, phase states = conj(F)."""
+    e_n = build_clock_operator(dim)
+    e_phi = build_shift_operator(dim).T
+    ph = build_fourier_operator(dim).conj()
     for a in (e_n, e_phi, ph):
         a.flags.writeable = False
     return PhasePair(dim=dim, e_n=e_n, e_phi=e_phi, phase_states=ph)

@@ -33,19 +33,31 @@ from .lattice import (
 )
 
 
-@lru_cache(maxsize=None)
-def _schwinger_cached(d: int, m1: int, m2: int) -> np.ndarray:
-    # (U^a V^b)[i, j] = delta_{i,(j+a)%d} e^{-i gamma0 b j}; built directly.
-    g0 = 2.0 * np.pi / d
-    S = np.zeros((d, d), dtype=complex)
+def displacement_columns(d: int, m1, m2):
+    """S_m one entry per column: S_m[rows[..., j], j] = vals[..., j], zero elsewhere.
+
+    m1, m2 are integer labels or label arrays (unreduced allowed).  The entry
+    e^{-i pi m1 m2 / D} e^{-i gamma0 m2 j} sits at row (j + m1) mod D; its
+    phase exponent is an exact integer mod 2D.
+    """
+    m1 = np.asarray(m1, dtype=np.int64)[..., None]
+    m2 = np.asarray(m2, dtype=np.int64)[..., None]
     j = np.arange(d)
-    S[(j + m1) % d, j] = np.exp(-0.5j * g0 * (m1 * m2)) * np.exp(-1j * g0 * m2 * j)
+    e = ((m1 % (2 * d)) * (m2 % (2 * d)) + 2 * ((m2 * j) % d)) % (2 * d)
+    return (j + m1) % d, np.exp(-1j * np.pi * e / d)
+
+
+@lru_cache(maxsize=1024)
+def _schwinger_cached(d: int, m1: int, m2: int) -> np.ndarray:
+    rows, vals = displacement_columns(d, m1, m2)
+    S = np.zeros((d, d), dtype=complex)
+    S[rows, np.arange(d)] = vals
     S.flags.writeable = False
     return S
 
 
 def schwinger_matrix(dim: Dimension, m) -> np.ndarray:
-    """Dense matrix of S_m for arbitrary integer labels (read-only, cached)."""
+    """Dense matrix of S_m for arbitrary integer labels (read-only, cached, bounded)."""
     return _schwinger_cached(dim.d, int(m[0]), int(m[1]))
 
 
@@ -126,7 +138,7 @@ class SchwingerEigensystem:
     reducible_warning: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _eigensystem_cached(d: int, m1: int, m2: int):
     g0 = 2.0 * np.pi / d
     lam = np.exp(1j * np.pi * m1 * m2) * np.exp(-2j * np.pi * np.arange(d) / d)
@@ -219,16 +231,11 @@ def sine_commutator_check(dim: Dimension, m, n) -> float:
 
 
 def weyl_matrices(dim: Dimension):
-    """Clock/shift pair (g, h): g = diag(1, w, ..., w^{D-1}), h the cyclic raise.
+    """Clock/shift pair (g, h): g = diag(1, w, ..., w^{D-1}) = conj(V), h = U^T.
 
     h g = w g h with w = e^{i gamma0}; both have order D.
     """
-    d = dim.d
-    g = np.diag(dim.omega ** np.arange(d))
-    h = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        h[j, (j + 1) % d] = 1.0
-    return g, h
+    return build_clock_operator(dim).conj(), build_shift_operator(dim).T
 
 
 def weyl_j_matrix(dim: Dimension, m) -> np.ndarray:

@@ -2,33 +2,37 @@
 
 An integer matrix R acting on lattice labels mod D is symplectic when it
 preserves the cross product (equivalently det R = 1 mod D).  Each such map is
-realized by a unitary G with G S_m G^{-1} = e^{i chi(m)} S_{R m}; G is built
-columnwise by sending the shift-operator eigenbasis onto the eigenbasis of
-S_{R(1,0)}, with the per-column phases fixed by a clock-covariance walk.  For
-odd prime D a further integer translation in a mixed-phase basis makes the
-conjugation exact (all chi trivial on that basis), which is what gives
-scalar-only group closure.
+realized by a unitary G with G S_m G^{-1} = phi(m) S_{R m}, built in closed
+form as the twirl G ~ sum_m phi(m) S_{R m}|0><0|S_m^dag over m in Z_D^2.
+Column 0 of S_m is one entry, at row m1, so each term adds to one entry of
+G and the build is O(D^2).  The phases follow from the generator phases
+phi(1,0) = (-1)^{s1 s2} and phi(0,1) through the composition law.  For odd D,
+phi(0,1) = (-1)^{t1 t2} is the aligned gauge: the mixed-phase basis
+T_m = (-1)^{m1 m2} S_m (m in [0, D)^2) is conjugated exactly,
+T_m -> T_{R m mod D}, which is what gives scalar-only group closure.  At D = 2, phi(0,1) = 1 keeps
+the columnwise gauge, which covaries but does not close.  Covariance is
+checked as G S_m = phi S_{R m} G with S_m applied one entry per column,
+O(D^2) per label, without dense S_m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import matrix_power
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
 from .lattice import (
     Dimension,
-    build_clock_operator,
     build_fourier_operator,
-    build_shift_operator,
     lattice_cross,
     max_abs,
     window_vectors,
 )
-from .schwinger import eigensystem_by_recursion, schwinger_matrix
-from .wigner import kernel_grid
+from .schwinger import displacement_columns
+
+# entries of one (labels, D, D) block of G S_m in the covariance checks: large
+# enough to amortize numpy call overhead at small D, small enough to bound memory
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,67 +108,27 @@ def random_symplectic(dim: Dimension, rng=None, seed=None) -> SymplecticMap:
     return SymplecticMap(dim, (s1, s2), (t1, t2))
 
 
-@lru_cache(maxsize=None)
-def _tmat_cached(d: int, m1: int, m2: int) -> np.ndarray:
-    """Mixed-phase translation basis T_m = omega^{kappa m1 m2} U^{m1} V^{m2}.
-
-    kappa = (D-1)/2 halves the clock phase mod D (odd D only); on this basis
-    the aligned metaplectic conjugation becomes exact, T_m -> T_{R m mod D}.
-    """
-    dim = Dimension(d)
-    kap = (d - 1) // 2
-    m1 %= d
-    m2 %= d
-    T = np.exp(1j * dim.gamma0 * kap * m1 * m2) * (
-        matrix_power(build_shift_operator(dim), m1)
-        @ matrix_power(build_clock_operator(dim), m2)
-    )
-    T.flags.writeable = False
-    return T
-
-
 @dataclass(frozen=True)
 class MetaplecticOperator:
     dim: Dimension
     map: SymplecticMap
     matrix: np.ndarray
-    chi_v: float                 # clock conjugation phase of the columnwise build
     gauge: str                   # "aligned" (odd D) or "columnwise" (D = 2)
     unitary_residual: float
-    per_m: tuple = field(default=(), repr=False)   # filled by covariance_report
-
-
-def _build_columnwise(dim: Dimension, smap: SymplecticMap):
-    """G from the eigenbasis map |v_k> -> |s, k> with walk-fixed column phases."""
-    d = dim.d
-    s, t = smap.s, smap.t
-    sys_s = eigensystem_by_recursion(dim, s)
-    sys_u = eigensystem_by_recursion(dim, (1, 0))
-    Vs, Vu = sys_s.eigenvectors, sys_u.eigenvectors
-    St = schwinger_matrix(dim, t)
-    V = build_clock_operator(dim)
-    nu = np.array([Vu[:, (k - 1) % d].conj() @ V @ Vu[:, k] for k in range(d)])
-    tau = np.array([Vs[:, (k - 1) % d].conj() @ St @ Vs[:, k] for k in range(d)])
-    if max(np.max(np.abs(np.abs(nu) - 1)), np.max(np.abs(np.abs(tau) - 1))) > 1e-10:
-        raise DegenerateSpectrumError("eigenbasis ladder elements lost unit modulus")
-    chi_v = float(np.angle(np.prod(nu / tau)) / d)
-    phi = np.zeros(d)
-    k = 0
-    for _ in range(d - 1):
-        phi[(k - 1) % d] = phi[k] + chi_v + np.angle(tau[k]) - np.angle(nu[k])
-        k = (k - 1) % d
-    G = (Vs * np.exp(1j * phi)) @ Vu.conj().T
-    return G, chi_v
 
 
 def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperator:
-    """Unitary G with G S_m G^{-1} proportional to S_{R m} for every m.
+    """Unitary G with G S_m G^{-1} = phi(m) S_{R m} for every m, in closed form.
 
-    Prime D only (composite D degenerates the eigensystem the columns are
-    read from).  For odd D the columnwise G is translated into the aligned
-    gauge, on which conjugation of the mixed-phase basis T_m is exact and the
-    group law closes up to a scalar; at D = 2 the columnwise gauge is returned
-    as built.
+    Sigma = sum over m in [0, D)^2 of phi(m) S_r|0><0|S_m^dag, r = R m mod D,
+    equals D conj(G_00) G because sum_m S_m X S_m^dag = D Tr(X) I; so
+    G = Sigma / sqrt(D Sigma_00), which also fixes the global phase by
+    G_00 > 0 (the identity map gives I exactly).  With s, t the reduced
+    columns of R and k = (det R - 1)/D the integer lift of its determinant,
+    phi(m) = a^{m1} b^{m2} (-1)^{k m1 m2} sigma, where a = (-1)^{s1 s2},
+    b = (-1)^{t1 t2} at odd D (aligned gauge) or 1 at D = 2 (columnwise
+    gauge), and sigma is the reduce_label sign of S_{R m} against S_r.  All
+    phase exponents are exact integers mod 2D.  Prime D only.
     """
     if not verify_symplectic(smap):
         raise NonSymplecticMapError(
@@ -172,69 +136,79 @@ def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperato
         )
     if not dim.prime:
         raise DegenerateSpectrumError(
-            f"D={dim.d} is composite; the columnwise eigenbasis construction degenerates"
+            f"D={dim.d} is composite; metaplectic unitaries are built for prime D only"
         )
-    G0, chi_v = _build_columnwise(dim, smap)
     d = dim.d
-    if d % 2 == 1:
-        s, t = smap.s, smap.t
-        a1g = np.trace(_tmat_cached(d, *s).conj().T @ (G0 @ _tmat_cached(d, 1, 0) @ G0.conj().T)) / d
-        a2g = np.trace(_tmat_cached(d, *t).conj().T @ (G0 @ _tmat_cached(d, 0, 1) @ G0.conj().T)) / d
-        if abs(abs(a1g) - 1) > 1e-10 or abs(abs(a2g) - 1) > 1e-10:
-            raise DegenerateSpectrumError("alignment phases lost unit modulus")
-        c1 = int(round(np.angle(np.conj(a1g)) / dim.gamma0)) % d
-        c2 = int(round(np.angle(np.conj(a2g)) / dim.gamma0)) % d
-        a1 = (-t[0] * c1 + s[0] * c2) % d
-        a2 = (-t[1] * c1 + s[1] * c2) % d
-        G = _tmat_cached(d, a1, a2) @ G0
-        gauge = "aligned"
-    else:
-        G = G0
-        gauge = "columnwise"
+    (s1, s2), (t1, t2) = smap.s, smap.t
+    k = (s1 * t2 - s2 * t1 - 1) // d
+    m1, m2 = np.divmod(np.arange(d * d, dtype=np.int64), d)
+    q1, r1 = np.divmod(s1 * m1 + t1 * m2, d)
+    q2, r2 = np.divmod(s2 * m1 + t2 * m2, d)
+    # phi(m) = (-1)^parity: a^{m1} b^{m2}, the lift k, then the sign of S_{Rm} = +/- S_r
+    parity = (s1 * s2 * m1 + (d % 2) * t1 * t2 * m2 + k * m1 * m2
+              + q1 * r2 + q2 * r1 + q1 * q2 * d)
+    e = (m1 * m2 - r1 * r2 + d * (parity % 2)) % (2 * d)
+    G = np.zeros((d, d), dtype=complex)
+    np.add.at(G, (r1, m1), np.exp(1j * np.pi * e / d))
+    G /= np.sqrt(d * G[0, 0])
     ures = max_abs(G @ G.conj().T - np.eye(d))
-    return MetaplecticOperator(dim=dim, map=smap, matrix=G, chi_v=chi_v,
-                               gauge=gauge, unitary_residual=ures)
+    return MetaplecticOperator(dim=dim, map=smap, matrix=G,
+                               gauge="aligned" if d % 2 else "columnwise",
+                               unitary_residual=ures)
+
+
+def _intertwined(op: MetaplecticOperator, labels):
+    """Yield (m, r, G S_m, S_r G) over blocks of labels m, with r = R m mod D.
+
+    S_m is applied one entry per column, so a label costs O(D^2) and no
+    dense S_m is built.
+    """
+    d, G = op.dim.d, op.matrix
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    step = max(1, _BLOCK_ENTRIES // d**2)
+    for lo in range(0, len(labels), step):
+        m = labels[lo:lo + step]
+        r = np.stack(op.map.apply((m[:, 0], m[:, 1]), reduce=True), axis=1)
+        rows, vals = displacement_columns(d, m[:, 0], m[:, 1])
+        GS = np.moveaxis(G[:, rows], 0, 1) * vals[:, None, :]
+        rows, vals = displacement_columns(d, r[:, 0], r[:, 1])
+        SG = np.empty_like(GS)
+        SG[np.arange(len(m))[:, None], rows] = vals[:, :, None] * G
+        yield m, r, GS, SG
 
 
 def covariance_report(op: MetaplecticOperator, labels=None) -> tuple[float, list]:
-    """Per-label conjugation diagnostics.
+    """Per-label conjugation diagnostics, O(D^2) per label.
 
-    For each m the phase is measured as the normalized trace overlap of
-    G S_m G^{-1} with S_{R m}, and the residual is taken after dividing it
-    out.  Returns (worst residual, records) with records of the form
+    For each m, with r = R m mod D, the phase z is the measured overlap
+    Tr(S_r^dag G S_m G^dag) / D normalized to unit modulus, and the residual
+    is max|G S_m - z S_r G|.  Labels default to the canonical window.
+    Returns (worst residual, records) with records of the form
     {"m": (m1, m2), "phase": complex, "residual": float}.
     """
-    dim, G = op.dim, op.matrix
-    d = dim.d
-    Gd = G.conj().T
+    d = op.dim.d
     records = []
-    worst = 0.0
-    for m in (labels if labels is not None else window_vectors(dim)):
-        conj = G @ schwinger_matrix(dim, m) @ Gd
-        target = schwinger_matrix(dim, op.map.apply(m, reduce=True))
-        z = np.trace(target.conj().T @ conj) / d
-        if abs(z) < 1e-12:
-            records.append({"m": tuple(m), "phase": complex(z), "residual": 1.0})
-            worst = max(worst, 1.0)
-            continue
-        phase = z / abs(z)
-        r = max_abs(conj - phase * target)
-        records.append({"m": tuple(m), "phase": complex(phase), "residual": float(r)})
-        worst = max(worst, float(r))
-    return worst, records
+    for m, _, GS, SG in _intertwined(op, window_vectors(op.dim) if labels is None else labels):
+        z = np.einsum("lij,lij->l", SG.conj(), GS) / d
+        lost = np.abs(z) < 1e-12
+        phase = z / np.where(lost, 1.0, np.abs(z))
+        resid = np.where(lost, 1.0, np.abs(GS - phase[:, None, None] * SG).max(axis=(1, 2)))
+        records += [{"m": (int(a), int(b)), "phase": complex(p), "residual": float(x)}
+                    for (a, b), p, x in zip(m, phase, resid)]
+    return max((rec["residual"] for rec in records), default=0.0), records
 
 
 def translation_covariance_residual(op: MetaplecticOperator) -> float:
-    """Exactness of G T_m G^{-1} = T_{R m mod D} on the mixed-phase basis (odd D)."""
-    dim, G = op.dim, op.matrix
-    d = dim.d
-    Gd = G.conj().T
+    """Exactness of G S_m = (-1)^{r1 r2 - m1 m2} S_r G over residues m (odd D).
+
+    r = R m mod D; the sign is predicted_phase on residues, i.e. the aligned
+    gauge conjugates T_m = (-1)^{m1 m2} S_m to T_r exactly.
+    """
+    d = op.dim.d
     worst = 0.0
-    for m1 in range(d):
-        for m2 in range(d):
-            r = op.map.apply((m1, m2), reduce=True)
-            worst = max(worst, max_abs(G @ _tmat_cached(d, m1, m2) @ Gd
-                                       - _tmat_cached(d, *r)))
+    for m, r, GS, SG in _intertwined(op, np.indices((d, d)).reshape(2, -1).T):
+        sign = 1 - 2 * ((r[:, 0] * r[:, 1] - m[:, 0] * m[:, 1]) % 2)
+        worst = max(worst, max_abs(GS - sign[:, None, None] * SG))
     return worst
 
 
@@ -278,7 +252,7 @@ def phase_flattening_report(op: MetaplecticOperator) -> dict:
         "max_phase_deviation": float(dev),
         "flattenable": bool(dev < 1e-9),
         "worst_residual": worst,
-        "per_m": records,
+        "records": records,
     }
 
 
@@ -292,19 +266,3 @@ def fourier_check(dim: Dimension) -> float:
     if abs(z) < 1e-12:
         return 1.0
     return max_abs(G - (z / abs(z)) * F)
-
-
-def fourier_wigner_rotation_check(dim: Dimension) -> float:
-    """Worst residual of F Delta(V) F^{-1} = Delta(R_{pi/2} V) over the grid.
-
-    The quarter turn acts forward on the phase-space point: (V1, V2) maps to
-    (-V2, V1), matching the label action F S_m F^{-1} = S_{(-m2, m1)}.
-    """
-    d = dim.d
-    K = kernel_grid(dim)
-    F = build_fourier_operator(dim)
-    worst = 0.0
-    for v1 in range(d):
-        for v2 in range(d):
-            worst = max(worst, max_abs(F @ K[v1, v2] @ F.conj().T - K[(-v2) % d, v1]))
-    return worst

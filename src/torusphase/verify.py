@@ -365,7 +365,7 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
                 worst_c = max(worst_c, res)
         rows.append(_info("group_closure", worst_c,
                           note="columnwise gauge at D=2 does not close; reported only"))
-    rot = transforms.fourier_wigner_rotation_check(dim)
+    rot = wigner.kernel_rotation_residual(dim)
     if dim.d == 2:
         rows.append(_info("kernel_rotation", rot,
                           note="quarter-turn covariance is unavailable at D=2"))

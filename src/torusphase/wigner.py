@@ -186,6 +186,18 @@ def symbol_reconstruct(dim: Dimension, symbol: np.ndarray) -> np.ndarray:
     return _displacement_sum(dim, c[np.ix_(w, w)])
 
 
+def kernel_rotation_residual(dim: Dimension) -> float:
+    """Worst residual of F Delta(V) F^dag = Delta(-V2, V1) over the grid.
+
+    The quarter turn acts forward on the phase-space point, matching the
+    label action F S_m F^-1 = S_{(-m2, m1)}.
+    """
+    K = kernel_grid(dim)
+    F = build_fourier_operator(dim)
+    v = np.arange(dim.d)
+    return max_abs(F @ K @ F.conj().T - K[(-v[None, :]) % dim.d, v[:, None]])
+
+
 def kernel_suite(dim: Dimension) -> dict:
     """Structural kernel identities as max-norm residuals.
 
@@ -214,11 +226,7 @@ def kernel_suite(dim: Dimension) -> dict:
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     res["completeness"] = max_abs(symbol_reconstruct(dim, classical_symbol(dim, op)) - op)
     F = build_fourier_operator(dim)
-    rot = 0.0
-    for v1 in range(d):
-        for v2 in range(d):
-            rot = max(rot, max_abs(F @ K[v1, v2] @ F.conj().T - K[(-v2) % d, v1]))
-    res["rotation"] = rot
+    res["rotation"] = kernel_rotation_residual(dim)
     K4 = K[1 % d, 2 % d]
     for _ in range(4):
         K4 = F @ K4 @ F.conj().T

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from torusphase import (
@@ -182,3 +184,45 @@ def test_conjugate_pair_suite_accepts_any_conjugate_pair():
     rows = conjugate_pair_suite(dim, V.conj().T, U, rng=np.random.default_rng(1), n_random=40)
     for key, value in rows.items():
         assert value < 1e-11, (key, value)
+
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+def _dim_and_labels(data, n):
+    d = data.draw(st.integers(2, 40), label="d")
+    label = st.tuples(st.integers(-2 * d, 2 * d), st.integers(-2 * d, 2 * d))
+    return make_dimension(d), [data.draw(label, label=f"m{i}") for i in range(n)]
+
+
+@SETTINGS
+@given(st.data())
+def test_reduction_sign_law_any_dimension(data):
+    dim, (m,) = _dim_and_labels(data, 1)
+    mc, sign = reduce_label(dim, m)
+    a, b = (m[0] - mc[0]) // dim.d, (m[1] - mc[1]) // dim.d
+    assert sign == (-1) ** ((a * mc[1] + b * mc[0] + a * b * dim.d) % 2)
+    assert_allclose(schwinger_matrix(dim, m), sign * schwinger_matrix(dim, mc), atol=1e-12)
+
+
+@SETTINGS
+@given(st.data())
+def test_composition_phase_law_any_dimension(data):
+    dim, (m, n) = _dim_and_labels(data, 2)
+    phase = np.exp(1j * np.pi * (lattice_cross(m, n) % (2 * dim.d)) / dim.d)
+    lhs = schwinger_matrix(dim, m) @ schwinger_matrix(dim, n)
+    assert_allclose(lhs, phase * schwinger_matrix(dim, (m[0] + n[0], m[1] + n[1])), atol=1e-12)
+
+
+@SETTINGS
+@given(st.data())
+def test_power_rule_any_dimension(data):
+    dim, (m,) = _dim_and_labels(data, 1)
+    power = np.linalg.matrix_power(schwinger_matrix(dim, m), dim.d)
+    assert_allclose(power, (-1) ** ((dim.d * m[0] * m[1]) % 2) * np.eye(dim.d), atol=1e-12)
+
+
+def test_operator_caches_are_bounded():
+    from torusphase.schwinger import _eigensystem_cached, _schwinger_cached
+    assert _schwinger_cached.cache_info().maxsize == 1024
+    assert _eigensystem_cached.cache_info().maxsize == 1024

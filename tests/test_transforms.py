@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,8 +9,10 @@ from torusphase import (
     DegenerateSpectrumError,
     NonSymplecticMapError,
     SymplecticMap,
+    build_clock_operator,
     build_fourier_operator,
     build_metaplectic,
+    build_shift_operator,
     closure_check,
     covariance_report,
     fourier_check,
@@ -130,3 +135,66 @@ def test_covariance_sends_labels_through_the_map():
     # and the quarter-turn op is the Fourier matrix up to a global phase
     z = np.trace(F.conj().T @ op.matrix) / 5
     assert_allclose(op.matrix, (z / abs(z)) * F, atol=1e-10)
+
+
+def _dense_s(dim, m):
+    """S_m = e^{-i pi m1 m2 / D} U^m1 V^m2 from dense shift and clock powers."""
+    d = dim.d
+    return (np.exp(-1j * np.pi * (m[0] * m[1]) / d)
+            * np.linalg.matrix_power(build_shift_operator(dim), m[0] % d)
+            @ np.linalg.matrix_power(build_clock_operator(dim), m[1] % d))
+
+
+def _all_maps(dim):
+    d = dim.d
+    for a, b, c, e in itertools.product(range(d), repeat=4):
+        if (a * e - b * c) % d == 1:
+            yield SymplecticMap.from_rows(dim, ((a, b), (c, e)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_every_map_conjugates_labels_by_its_generator_phases(d):
+    # G U G^dag = (-1)^{s1 s2} S_s and G V G^dag = b S_t fix the gauge, with
+    # b = (-1)^{t1 t2} at odd D (aligned) and 1 at D = 2 (columnwise); every
+    # other S_m = e^{-i pi m1 m2/D} U^m1 V^m2 follows by composition
+    dim = make_dimension(d)
+    labels = list(itertools.product(range(d), repeat=2))
+    dense = {m: _dense_s(dim, m) for m in labels}
+    for smap in _all_maps(dim):
+        op = build_metaplectic(dim, smap)
+        G = op.matrix
+        assert op.unitary_residual <= 1e-14
+        assert G[0, 0].real > 0 and abs(G[0, 0].imag) < 1e-15
+        a = (-1) ** (smap.s[0] * smap.s[1])
+        b = (-1) ** (smap.t[0] * smap.t[1]) if d % 2 else 1
+        gu, gv = a * dense[smap.s], b * dense[smap.t]
+        for m in labels:
+            conj = G @ dense[m] @ G.conj().T
+            image = (np.exp(-1j * np.pi * m[0] * m[1] / d)
+                     * np.linalg.matrix_power(gu, m[0]) @ np.linalg.matrix_power(gv, m[1]))
+            assert np.max(np.abs(conj - image)) < 1e-12, (smap.matrix, m)
+            if d % 2:
+                target = predicted_phase(op, m) * dense[smap.apply(m, reduce=True)]
+                assert np.max(np.abs(conj - target)) < 1e-12, (smap.matrix, m)
+
+
+@pytest.mark.parametrize("d", [3, 13, 31])
+def test_covariance_report_phases_match_dense_overlaps(d):
+    dim = make_dimension(d)
+    op = build_metaplectic(dim, random_symplectic(dim, seed=d))
+    G = op.matrix
+    worst, records = covariance_report(op)
+    assert worst < 1e-12
+    assert [rec["m"] for rec in records] == window_vectors(dim)
+    for rec in records:
+        target = _dense_s(dim, op.map.apply(rec["m"], reduce=True))
+        z = np.trace(target.conj().T @ G @ _dense_s(dim, rec["m"]) @ G.conj().T) / d
+        assert abs(rec["phase"] - z / abs(z)) < 1e-12, rec["m"]
+
+
+def test_large_dimension_build_is_fast():
+    dim = make_dimension(401)
+    start = time.perf_counter()
+    op = build_metaplectic(dim, random_symplectic(dim, seed=401))
+    assert time.perf_counter() - start < 1.0
+    assert op.unitary_residual < 1e-12
