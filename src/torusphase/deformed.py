@@ -11,10 +11,20 @@ exact symplectic area c = m x m':
 
 Both diagonalize along the eigenbasis of S_{m-m'}; the integer bijection
 n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
+
+Every pair of a label list is checked by the sweeps oscillator_sweep,
+sl2_sweep and lowest_weight_sweep.  They stack the pairs in blocks of at most
+_BLOCK_ENTRIES complex entries per D x D stack and take every residual with
+batched matmul.  The per-pair builders and residual functions evaluate the
+same stacked formulas on a stack of one, so each identity is written once and
+a sweep's worst residual is bit-equal to the worst of the per-pair values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +36,21 @@ from .errors import (
     SingularDeformationError,
 )
 from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
-from .schwinger import eigensystem_by_recursion, schwinger_matrix
+from .schwinger import (
+    _eigensystem_cached,
+    displacement_columns,
+    eigensystem_by_recursion,
+    schwinger_matrix,
+)
 
 _SINGULAR_TOL = 1e-12
+_BRANCH_TOL = 1e-9
+_LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
+_BLOCK_ENTRIES = 1 << 12     # complex entries per stack in one sweep block
 
 
 def _dag(A):
-    return A.conj().T
+    return A.conj().swapaxes(-1, -2)
 
 
 def _require_noncollinear(dim: Dimension, m, mp) -> int:
@@ -42,10 +60,146 @@ def _require_noncollinear(dim: Dimension, m, mp) -> int:
     return c
 
 
-def bracket_values(dim: Dimension, c: int, n) -> np.ndarray:
-    """Symmetric q-bracket [n] = sin(gamma0 c (n + (D-1)/2)) / sin(gamma0 c)."""
-    s = np.sin(dim.gamma0 * c)
-    return np.sin(dim.gamma0 * c * (np.asarray(n, dtype=float) + (dim.d - 1) / 2.0)) / s
+def _singular(dim: Dimension, c):
+    """sin(gamma0 c) = 0 (to 1e-12): the oscillator coefficients diverge."""
+    return np.abs(np.sin(dim.gamma0 * np.asarray(c))) < _SINGULAR_TOL
+
+
+def _require_invertible(dim: Dimension, c: int) -> None:
+    if _inverse_mod(dim.d, c) == 0:
+        raise DegenerateSpectrumError(
+            f"cross value {c} is not invertible mod {dim.d}; "
+            "the number labeling degenerates")
+
+
+# -- stacked building blocks ---------------------------------------------------
+# A stack holds P pairs: labels (P, 2), per-pair scalars (P,), per-pair value
+# lists (P, D) and operators (P, D, D).
+
+def _scalar_pow(x, e: float) -> np.ndarray:
+    """x ** e elementwise through libm pow, as for a numpy scalar.
+
+    numpy's vectorized power can differ from the scalar one in the last bit;
+    a coefficient must not depend on how many pairs share its stack.
+    """
+    return np.array([math.pow(v, e) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _displacement_stack(d: int, labels) -> np.ndarray:
+    """Dense S_m per label row, with the entries of schwinger_matrix."""
+    rows, vals = displacement_columns(d, labels[:, 0], labels[:, 1])
+    S = np.zeros((len(labels), d, d), dtype=complex)
+    S[np.arange(len(labels))[:, None], rows, np.arange(d)] = vals
+    return S
+
+
+def _diag_stack(V, values) -> np.ndarray:
+    """V diag(values) V^dag per pair."""
+    return (V * values[:, None, :]) @ _dag(V)
+
+
+def _max_abs_stack(X) -> np.ndarray:
+    """max_abs of each matrix of a stack."""
+    return np.abs(X).max(axis=(1, 2))
+
+
+def _inverse_mod(d: int, c):
+    """c^{-1} mod D (per pair for an array c); 0 where c is not invertible."""
+    return _inverse_table(d)[c % d]
+
+
+@lru_cache(maxsize=64)
+def _inverse_table(d: int) -> np.ndarray:
+    table = np.array([pow(r, -1, d) if math.gcd(r, d) == 1 else 0 for r in range(d)])
+    table.flags.writeable = False
+    return table
+
+
+def _eigenvectors_by_label(dim: Dimension, w):
+    """Per pair the residue key of w and whether S_w is nondegenerate; key -> eigenvectors.
+
+    Each distinct canonical label goes once through _eigensystem_cached; the
+    degenerate ones, where eigensystem_by_recursion raises, have no entry.
+    (np.unique and np.isin would import numpy.ma, ~1 MB of resident memory.)
+    """
+    d = dim.d
+    keys = (w[:, 0] % d) * d + w[:, 1] % d
+    simple = np.zeros(d * d, dtype=bool)
+    table = {}
+    for k in set(keys.tolist()):
+        try:
+            table[k] = _eigensystem_cached(d, *canonical_vector(dim, divmod(k, d)))[1]
+            simple[k] = True
+        except DegenerateSpectrumError:
+            pass
+    return keys, simple[keys], table
+
+
+def _stack_of_one(cls, obj):
+    """The stack of one pair holding the fields of a per-pair realization."""
+    return cls(obj.dim, *(np.asarray(getattr(obj, name))[None] for name in cls._fields[1:]))
+
+
+def _unstack(st, skip=()) -> dict:
+    """Fields of the first pair of a stack, for a per-pair realization."""
+    return {name: getattr(st, name)[0] for name in st._fields[1:] if name not in skip}
+
+
+def _sweep_labels(dim: Dimension, m, mp):
+    m = np.asarray(m, dtype=np.int64).reshape(-1, 2)
+    mp = np.asarray(mp, dtype=np.int64).reshape(-1, 2)
+    c = lattice_cross(m.T, mp.T)
+    collinear = c % dim.d == 0
+    if collinear.any():
+        i = int(np.argmax(collinear))
+        raise CollinearVectorsError(
+            f"{tuple(m[i].tolist())} x {tuple(mp[i].tolist())} = {c[i]} = 0 mod {dim.d}")
+    return m, mp, c
+
+
+def _blocks(index, entries_per_pair: int):
+    step = max(1, _BLOCK_ENTRIES // entries_per_pair)
+    for k in range(0, len(index), step):
+        yield index[k:k + step]
+
+
+def _fold(worst: dict, residuals: dict, keep=slice(None)) -> None:
+    """Fold per-pair residuals into the running worst: min for spectrum_min, else max."""
+    for k, v in residuals.items():
+        v = v[keep]
+        if k == "spectrum_min":
+            worst[k] = min(worst.get(k, np.inf), float(v.min()))
+        else:
+            worst[k] = max(worst.get(k, 0.0), float(v.max()))
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    """Worst residual per identity over a list of label pairs.
+
+    built_mask flags, in input order, the pairs the per-pair builder builds;
+    the others are skipped.  worst is empty when no pair is built.
+    """
+
+    worst: dict
+    built_mask: np.ndarray
+
+    @property
+    def built(self) -> int:
+        return int(self.built_mask.sum())
+
+    @property
+    def skipped(self) -> int:
+        return len(self.built_mask) - self.built
+
+
+def bracket_values(dim: Dimension, c, n) -> np.ndarray:
+    """Symmetric q-bracket [n] = sin(gamma0 c (n + (D-1)/2)) / sin(gamma0 c).
+
+    c broadcasts against n (a column of cross values against rows of n).
+    """
+    g0c = dim.gamma0 * np.asarray(c)
+    return np.sin(g0c * (np.asarray(n, dtype=float) + (dim.d - 1) / 2.0)) / np.sin(g0c)
 
 
 @dataclass(frozen=True)
@@ -75,10 +229,70 @@ class QOscillator:
     def bracket(self, n) -> np.ndarray:
         return bracket_values(self.dim, self.cross, n)
 
-    def bracket_number_op(self) -> np.ndarray:
-        """[N] as a matrix in the oscillator eigenbasis."""
-        v = self.eigenvectors
-        return (v * self.bracket(self.n_values)) @ _dag(v)
+
+class _OscillatorStack(NamedTuple):
+    """P q-oscillators; each field as in QOscillator, with a leading pair axis."""
+
+    dim: Dimension
+    m: np.ndarray
+    mp: np.ndarray
+    cross: np.ndarray
+    eta: np.ndarray
+    d_coef: np.ndarray
+    dp_coef: np.ndarray
+    shift_constant: np.ndarray
+    c_q: np.ndarray
+    lowering: np.ndarray
+    number_op: np.ndarray
+    q_exponential: np.ndarray
+    eigenvectors: np.ndarray
+    n_values: np.ndarray
+    spectrum: np.ndarray
+
+
+def _oscillator_eta(c, w) -> np.ndarray:
+    """eta = -(-1)^{c + w1 w2}, the sign that makes A^dag A = C + [N] exact."""
+    return np.where((c + w[:, 0] * w[:, 1]) % 2 == 1, 1.0, -1.0)
+
+
+def _oscillator_stack(dim: Dimension, m, mp, eta, V) -> _OscillatorStack:
+    """Shifted q-oscillators on buildable pairs, with S_{m-m'} eigenvectors V."""
+    d, g0 = dim.d, dim.gamma0
+    c = lattice_cross(m.T, mp.T)
+    s = np.sin(g0 * c)
+    d_coef = _scalar_pow(2.0 * np.abs(s), -0.5)
+    dp_coef = np.conj(eta / ((2j * s) * d_coef))
+    A = (d_coef[:, None, None] * _displacement_stack(d, m)
+         + dp_coef[:, None, None] * _displacement_stack(d, mp))
+    C = 1.0 / np.abs(s)
+    nvals = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
+    c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
+    Q = c_q[:, None, None] * _diag_stack(V, np.exp((1j * g0 * c)[:, None] * nvals))
+    spectrum = C[:, None] + bracket_values(dim, c[:, None], np.arange(d))
+    return _OscillatorStack(dim, m, mp, c, eta, d_coef, dp_coef, C, c_q, A,
+                            _diag_stack(V, nvals), Q, V, nvals, spectrum)
+
+
+def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
+    """Per-pair residuals of the oscillator identities (see oscillator_residuals)."""
+    dim, A, V, nv = st.dim, st.lowering, st.eigenvectors, st.n_values
+    d = dim.d
+    Ad = _dag(A)
+    c = st.cross[:, None]
+    C_eye = st.shift_constant[:, None, None] * np.eye(d)
+    Qdirect = ((-st.eta)[:, None, None] * _displacement_stack(d, -st.m)
+               @ _displacement_stack(d, st.mp))
+    return {
+        "number": _max_abs_stack(Ad @ A - (C_eye + _diag_stack(V, bracket_values(dim, c, nv)))),
+        "q_exponential": _max_abs_stack(Qdirect - st.q_exponential),
+        "ladder": _max_abs_stack(A @ st.number_op - _diag_stack(V, (nv + 1) % d) @ A),
+        # A A^dag = C + [N + 1]: the pair of relations whose difference is the
+        # q-commutator; checked via the bracket form directly
+        "raised_number": _max_abs_stack(
+            A @ Ad - (C_eye + _diag_stack(V, bracket_values(dim, c, nv + 1)))),
+        "spectrum_min": st.spectrum.min(axis=1),
+        "shift_constant": np.abs(st.shift_constant - 1.0 / np.abs(np.sin(dim.gamma0 * st.cross))),
+    }
 
 
 def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None) -> QOscillator:
@@ -91,64 +305,54 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     m = (int(m[0]), int(m[1]))
     mp = (int(mp[0]), int(mp[1]))
     c = _require_noncollinear(dim, m, mp)
-    s = np.sin(dim.gamma0 * c)
-    if abs(s) < _SINGULAR_TOL:
+    if _singular(dim, c):
         raise SingularDeformationError(
             f"sin(gamma0 * {c}) = 0 at D={dim.d}; oscillator coefficients diverge"
         )
-    q = np.exp(-1j * dim.gamma0 * c)
     w = (m[0] - mp[0], m[1] - mp[1])
     if eta_override is None:
-        eta = float(-(-1) ** ((c + w[0] * w[1]) % 2))
+        eta = float(_oscillator_eta(np.array([c]), np.array([w]))[0])
     else:
         eta = float(eta_override)
-    d_coef = (2.0 * abs(s)) ** -0.5
-    dp_coef = np.conj(eta / ((2j * s) * d_coef))
-    A = d_coef * schwinger_matrix(dim, m) + dp_coef * schwinger_matrix(dim, mp)
-    C = 1.0 / abs(s)
     sys = eigensystem_by_recursion(dim, canonical_vector(dim, w))
-    try:
-        cbar = pow(c % dim.d, -1, dim.d)
-    except ValueError:
-        raise DegenerateSpectrumError(
-            f"cross value {c} is not invertible mod {dim.d}; "
-            "the number labeling degenerates") from None
-    nvals = (cbar * np.arange(dim.d)) % dim.d
-    vecs = sys.eigenvectors
-    Nhat = (vecs * nvals) @ _dag(vecs)
-    c_q = np.exp(1j * dim.gamma0 * c * (dim.d - 1) / 2.0)
-    Qhat = c_q * ((vecs * np.exp(1j * dim.gamma0 * c * nvals)) @ _dag(vecs))
-    spectrum = C + bracket_values(dim, c, np.arange(dim.d))
-    return QOscillator(
-        dim=dim, m=m, mp=mp, cross=c, q=q, eta=eta, d_coef=d_coef, dp_coef=dp_coef,
-        shift_constant=C, c_q=c_q, lowering=A, number_op=Nhat, q_exponential=Qhat,
-        eigenvectors=vecs, eigenvalues=sys.eigenvalues, n_values=nvals,
-        spectrum=spectrum,
-    )
+    _require_invertible(dim, c)
+    st = _oscillator_stack(dim, np.array([m]), np.array([mp]), np.array([eta]),
+                           sys.eigenvectors[None])
+    return QOscillator(dim=dim, m=m, mp=mp, cross=c, q=np.exp(-1j * dim.gamma0 * c), eta=eta,
+                       eigenvalues=sys.eigenvalues,
+                       **_unstack(st, skip=("m", "mp", "cross", "eta")))
 
 
 def oscillator_residuals(osc: QOscillator) -> dict:
     """Defining identities of the oscillator, as max-norm residuals.
 
     number: A^dag A = C + [N];   q_exponential: Q equals -eta S_{-m} S_{m'};
-    ladder: A N = (N+1 mod D) A;  q_commutator: A A^dag - q^{+/-1} A^dag A = c-number.
+    ladder: A N = (N+1 mod D) A;  raised_number: A A^dag = C + [N+1];
+    shift_constant: C = 1/|sin(gamma0 c)|; spectrum_min is min f(n).
     """
-    dim, A = osc.dim, osc.lowering
-    v = osc.eigenvectors
-    Ad = _dag(A)
-    brN = osc.bracket_number_op()
-    eye = np.eye(dim.d)
-    res = {"number": max_abs(Ad @ A - (osc.shift_constant * eye + brN))}
-    Qdirect = (-osc.eta) * schwinger_matrix(dim, (-osc.m[0], -osc.m[1])) @ schwinger_matrix(dim, osc.mp)
-    res["q_exponential"] = max_abs(Qdirect - osc.q_exponential)
-    Nplus = (v * ((osc.n_values + 1) % dim.d)) @ _dag(v)
-    res["ladder"] = max_abs(A @ osc.number_op - Nplus @ A)
-    # A A^dag = C + [N + 1]: the pair of relations whose difference is the
-    # q-commutator; checked via the bracket form directly
-    brNp1 = (v * osc.bracket(osc.n_values + 1)) @ _dag(v)
-    res["raised_number"] = max_abs(A @ Ad - (osc.shift_constant * eye + brNp1))
-    res["spectrum_min"] = float(osc.spectrum.min())
-    return res
+    res = _oscillator_stack_residuals(_stack_of_one(_OscillatorStack, osc))
+    return {k: float(v[0]) for k, v in res.items()}
+
+
+def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
+    """Worst oscillator_residuals over every pair (m[i], mp[i]), in stacked blocks.
+
+    m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
+    build_q_oscillator refuses it: |sin(gamma0 c)| < 1e-12, a degenerate
+    S_{m-m'} eigensystem, or c not invertible mod D.  The worst is the max
+    per key, except spectrum_min, which is the min.
+    """
+    m, mp, c = _sweep_labels(dim, m, mp)
+    w = m - mp
+    keys, simple, vecs = _eigenvectors_by_label(dim, w)
+    built = ~_singular(dim, c) & simple & (_inverse_mod(dim.d, c) > 0)
+    eta = _oscillator_eta(c, w)
+    worst: dict = {}
+    for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
+        V = np.stack([vecs[k] for k in keys[idx].tolist()])
+        st = _oscillator_stack(dim, m[idx], mp[idx], eta[idx], V)
+        _fold(worst, _oscillator_stack_residuals(st))
+    return SweepReport(worst, built)
 
 
 @dataclass(frozen=True)
@@ -164,7 +368,25 @@ class LowestWeightReport:
     irreducible: bool
 
 
-def lowest_weight_scan(dim: Dimension, m, mp, tol: float = 1e-9) -> LowestWeightReport:
+def _lowest_weight_profile(dim: Dimension, c, tol: float):
+    """Per pair: hits (P, D) of C + [n] = 0 to tol, the margin, and the singular flag.
+
+    A singular pair (sin(gamma0 c) = 0) is scanned on the scaled profile with
+    both branch signs of the vanishing denominator; its margin is 0 on a hit,
+    else inf.
+    """
+    v = np.sin((dim.gamma0 * c)[:, None] * (np.arange(dim.d) + (dim.d - 1) / 2.0))
+    singular = _singular(dim, c)
+    s = np.where(singular, 1.0, np.sin(dim.gamma0 * c))[:, None]
+    f = np.abs(1.0 / np.abs(s) + v / s)
+    scaled_hits = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v)) < tol
+    hits = np.where(singular[:, None], scaled_hits, f < tol)
+    margin = np.where(singular, np.where(scaled_hits.any(axis=1), 0.0, np.inf), f.min(axis=1))
+    return hits, margin, singular
+
+
+def lowest_weight_scan(dim: Dimension, m, mp,
+                       tol: float = _LOWEST_WEIGHT_TOL) -> LowestWeightReport:
     """Scan for a lowest-weight quantum number n0 with C = -[n0].
 
     For odd D the scaled profile 1 + sign * sin(gamma0 c (n + (D-1)/2)) never
@@ -174,22 +396,25 @@ def lowest_weight_scan(dim: Dimension, m, mp, tol: float = 1e-9) -> LowestWeight
     representation is flagged as not irreducible.
     """
     c = _require_noncollinear(dim, m, mp)
-    s = np.sin(dim.gamma0 * c)
-    n = np.arange(dim.d)
-    v = np.sin(dim.gamma0 * c * (n + (dim.d - 1) / 2.0))
-    if abs(s) < _SINGULAR_TOL:
-        # both branch signs of the vanishing denominator are scanned
-        hits = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v))
-        solutions = tuple(int(k) for k in n[hits < tol])
-        has = len(solutions) > 0
-        margin = 0.0 if has else float("inf")
-        return LowestWeightReport(dim, tuple(m), tuple(mp), c, has, solutions,
-                                  margin, True, not has)
-    f = 1.0 / abs(s) + v / s
-    solutions = tuple(int(k) for k in n[np.abs(f) < tol])
+    hits, margin, singular = _lowest_weight_profile(dim, np.array([c]), tol)
+    solutions = tuple(int(k) for k in np.flatnonzero(hits[0]))
     has = len(solutions) > 0
     return LowestWeightReport(dim, tuple(m), tuple(mp), c, has, solutions,
-                              float(np.min(np.abs(f))), False, not has)
+                              float(margin[0]), bool(singular[0]), not has)
+
+
+def lowest_weight_sweep(dim: Dimension, m, mp) -> int | None:
+    """Index of the first pair whose default lowest_weight_scan has a solution, else None.
+
+    m and mp are integer label arrays (P, 2), scanned in stacked blocks up to
+    the first hit.
+    """
+    m, mp, c = _sweep_labels(dim, m, mp)
+    for idx in _blocks(np.arange(len(c)), dim.d):
+        hit = _lowest_weight_profile(dim, c[idx], _LOWEST_WEIGHT_TOL)[0].any(axis=1)
+        if hit.any():
+            return int(idx[np.argmax(hit)])
+    return None
 
 
 @dataclass(frozen=True)
@@ -276,19 +501,97 @@ class UqSl2Realisation:
     def raising(self) -> np.ndarray:
         return _dag(self.lowering)
 
-    def diag_op(self, values) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * np.asarray(values)) @ _dag(v)
-
-    @property
-    def j3_op(self) -> np.ndarray:
-        return self.diag_op(self.j3_values)
-
     def bracket(self, x) -> np.ndarray:
         """Deformed bracket sin(gamma0 c x) / sin(gamma0 c / 2)."""
-        return np.sin(self.dim.gamma0 * self.cross * np.asarray(x, dtype=float)) / np.sin(
-            np.pi * self.cross / self.dim.d
-        )
+        return _sl2_bracket(self.dim, self.cross, x)
+
+
+def _sl2_bracket(dim: Dimension, c, x) -> np.ndarray:
+    """sin(gamma0 c x) / sin(gamma0 c / 2); c broadcasts against x."""
+    c = np.asarray(c)
+    return np.sin(dim.gamma0 * c * np.asarray(x, dtype=float)) / np.sin(np.pi * c / dim.d)
+
+
+class _Sl2Stack(NamedTuple):
+    """P deformed sl(2) realizations; each field as in UqSl2Realisation."""
+
+    dim: Dimension
+    cross: np.ndarray
+    p: np.ndarray
+    s_p: np.ndarray
+    d_coef: np.ndarray
+    lowering: np.ndarray
+    intertwiner: np.ndarray
+    eigenvectors: np.ndarray
+    n_values: np.ndarray
+    delta: np.ndarray
+    j3_values: np.ndarray
+
+
+def _sl2_stack(dim: Dimension, m, mp, V):
+    """Deformed sl(2) realizations on labelled pairs, and their branch phases phi0.
+
+    V holds the S_{m-m'} eigenvectors.  phi0 = <e_0|S_w|e_0>/s_p must be +1
+    (delta = 0) or -1 (delta = D/(2c)); see _branch_ok.
+    """
+    d = dim.d
+    c = lattice_cross(m.T, mp.T)
+    d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
+    A = d_coef[:, None, None] * (_displacement_stack(d, m) + _displacement_stack(d, mp))
+    Sw = _displacement_stack(d, m - mp)
+    s_p = np.exp(-1j * np.pi * c)
+    v0 = V[:, :, 0]
+    phi0 = (v0.conj()[:, None, :] @ Sw @ v0[:, :, None])[:, 0, 0] / s_p
+    delta = np.where(np.abs(phi0 + 1) < _BRANCH_TOL, d / (2.0 * c), 0.0)
+    nv = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
+    st = _Sl2Stack(dim, c, np.exp(-1j * dim.gamma0 * c), s_p, d_coef, A, Sw, V, nv, delta,
+                   nv + delta[:, None])
+    return st, phi0
+
+
+def _branch_ok(phi0) -> np.ndarray:
+    return (np.abs(phi0 - 1) < _BRANCH_TOL) | (np.abs(phi0 + 1) < _BRANCH_TOL)
+
+
+def _branch_error(dim: Dimension, phi0, m, mp) -> PhaseMismatchError:
+    return PhaseMismatchError(
+        f"branch phase {phi0:.6f} is neither +1 nor -1 at D={dim.d}, {m}, {mp}")
+
+
+def _casimir_stack(st: _Sl2Stack, AdA, AAd):
+    """Both Casimir orderings per pair from A^dag A and A A^dag, and their constant."""
+    dim, d, j3 = st.dim, st.dim.d, st.j3_values
+    c = st.cross[:, None]
+    C1 = AdA + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 - 0.5) / 2.0) ** 2)
+    C2 = AAd + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 + 0.5) / 2.0) ** 2)
+    const = 1.0 / _scalar_pow(np.sin(np.pi * st.cross / d), 2)
+    return C1, C2, const
+
+
+def _sl2_stack_residuals(st: _Sl2Stack) -> dict:
+    """Per-pair residuals of the deformed sl(2) identities (see sl2_residuals)."""
+    dim, d = st.dim, st.dim.d
+    A, Sw, V, j3 = st.lowering, st.intertwiner, st.eigenvectors, st.j3_values
+    Ad = _dag(A)
+    c = st.cross[:, None]
+    p = st.p[:, None, None]
+    delta = st.delta[:, None]
+    AAd, AdA = A @ Ad, Ad @ A
+    C1, C2, const = _casimir_stack(st, AdA, AAd)
+    shifted = ((j3 - delta + 1) % d) + delta
+    return {
+        "exponential": _max_abs_stack(
+            Sw - st.s_p[:, None, None] * _diag_stack(V, np.exp(-1j * dim.gamma0 * c * j3))),
+        "intertwine": _max_abs_stack(A @ Sw - p * Sw @ A),
+        "intertwine_dag": _max_abs_stack(Ad @ Sw - np.conj(p) * Sw @ Ad),
+        "commutator": _max_abs_stack(
+            AAd - AdA + _diag_stack(V, _sl2_bracket(dim, c, j3 + d / 2.0))),
+        "ladder": _max_abs_stack(A @ _diag_stack(V, j3) - _diag_stack(V, shifted) @ A),
+        "casimir_forms": _max_abs_stack(C1 - C2),
+        "casimir_value": _max_abs_stack(C1 - const[:, None, None] * np.eye(d)),
+        "casimir_central": np.maximum(_max_abs_stack(C1 @ A - A @ C1),
+                                      _max_abs_stack(C1 @ Ad - Ad @ C1)),
+    }
 
 
 def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
@@ -301,66 +604,58 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     m = (int(m[0]), int(m[1]))
     mp = (int(mp[0]), int(mp[1]))
     c = _require_noncollinear(dim, m, mp)
-    s2 = np.sin(np.pi * c / dim.d)  # sin(gamma0 c / 2); nonzero for c != 0 mod D
-    d_coef = 1.0 / (2.0 * abs(s2))
-    A = d_coef * (schwinger_matrix(dim, m) + schwinger_matrix(dim, mp))
     w = (m[0] - mp[0], m[1] - mp[1])
     sys = eigensystem_by_recursion(dim, canonical_vector(dim, w))
-    vecs = sys.eigenvectors
-    Sw = schwinger_matrix(dim, w)
-    p = np.exp(-1j * dim.gamma0 * c)
-    s_p = np.exp(-1j * np.pi * c)
-    mu0 = vecs[:, 0].conj() @ Sw @ vecs[:, 0]
-    phi0 = mu0 / s_p
-    if abs(phi0 - 1) < 1e-9:
-        delta = 0.0
-    elif abs(phi0 + 1) < 1e-9:
-        delta = dim.d / (2.0 * c)
-    else:
-        raise PhaseMismatchError(
-            f"branch phase {phi0:.6f} is neither +1 nor -1 at D={dim.d}, {m}, {mp}"
-        )
-    try:
-        cbar = pow(c % dim.d, -1, dim.d)
-    except ValueError:
-        raise DegenerateSpectrumError(
-            f"cross value {c} is not invertible mod {dim.d}; "
-            "the number labeling degenerates") from None
-    nv = (cbar * np.arange(dim.d)) % dim.d
+    st, phi0 = _sl2_stack(dim, np.array([m]), np.array([mp]), sys.eigenvectors[None])
+    if not _branch_ok(phi0)[0]:
+        raise _branch_error(dim, phi0[0], m, mp)
+    _require_invertible(dim, c)
+    one = _unstack(st, skip=("cross", "delta"))
     return UqSl2Realisation(
-        dim=dim, m=m, mp=mp, cross=c, p=p, s_p=s_p,
+        dim=dim, m=m, mp=mp, cross=c,
         s_tilde_p=np.exp(-1j * dim.gamma0 * c * (dim.d - 1) / 2.0),
-        d_coef=d_coef, lowering=A, intertwiner=Sw,
-        eigenvectors=vecs, n_values=nv, delta=delta,
-        j3_values=nv.astype(float) + delta,
+        delta=float(st.delta[0]), **one,
     )
 
 
 def sl2_residuals(o: UqSl2Realisation) -> dict:
     """Defining identities of the deformed sl(2) realization as residuals.
 
+    exponential: S_w = s_p p^{J3}
     intertwine:  A S_w = p S_w A   (and the conjugate with pbar)
     commutator:  [A, A^dag] = -[J3 + D/2]
     ladder:      A J3 = (J3 + 1) A with the wrap staying inside the J3 window
-    casimir:     both orderings agree and equal the same constant matrix
+    casimir:     both orderings agree, equal the same constant and commute with A
     """
-    dim = o.dim
-    d = dim.d
-    A, Ad = o.lowering, o.raising
-    j3 = o.j3_values
-    res = {
-        "exponential": max_abs(o.intertwiner - o.s_p * o.diag_op(np.exp(-1j * dim.gamma0 * o.cross * j3))),
-        "intertwine": max_abs(A @ o.intertwiner - o.p * o.intertwiner @ A),
-        "intertwine_dag": max_abs(Ad @ o.intertwiner - np.conj(o.p) * o.intertwiner @ Ad),
-        "commutator": max_abs(A @ Ad - Ad @ A + o.diag_op(o.bracket(j3 + d / 2.0))),
-    }
-    shifted = ((j3 - o.delta + 1) % d) + o.delta
-    res["ladder"] = max_abs(A @ o.diag_op(j3) - o.diag_op(shifted) @ A)
-    C1, C2, const = casimir_uq_sl2(o)
-    res["casimir_forms"] = max_abs(C1 - C2)
-    res["casimir_value"] = max_abs(C1 - const * np.eye(d))
-    res["casimir_central"] = max(max_abs(C1 @ A - A @ C1), max_abs(C1 @ Ad - Ad @ C1))
-    return res
+    res = _sl2_stack_residuals(_stack_of_one(_Sl2Stack, o))
+    return {k: float(v[0]) for k, v in res.items()}
+
+
+def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
+    """Worst sl2_residuals over every pair (m[i], mp[i]), in stacked blocks.
+
+    m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
+    build_uq_sl2 refuses it: a degenerate S_{m-m'} eigensystem, a branch phase
+    phi0 that is not +1 or -1 to 1e-9, or c not invertible mod D.  At prime D
+    a branch phase off both raises PhaseMismatchError, as the builder does.
+    """
+    m, mp, c = _sweep_labels(dim, m, mp)
+    keys, simple, vecs = _eigenvectors_by_label(dim, m - mp)
+    built = simple & (_inverse_mod(dim.d, c) > 0)
+    worst: dict = {}
+    for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
+        V = np.stack([vecs[k] for k in keys[idx].tolist()])
+        st, phi0 = _sl2_stack(dim, m[idx], mp[idx], V)
+        ok = _branch_ok(phi0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            if dim.prime:
+                raise _branch_error(dim, phi0[i], tuple(m[idx[i]].tolist()),
+                                    tuple(mp[idx[i]].tolist()))
+            built[idx[~ok]] = False
+        if ok.any():
+            _fold(worst, _sl2_stack_residuals(st), ok)
+    return SweepReport(worst, built)
 
 
 def casimir_uq_sl2(o: UqSl2Realisation):
@@ -370,12 +665,10 @@ def casimir_uq_sl2(o: UqSl2Realisation):
     C2 the A A^dag counterpart.  In this realization the Casimir is the nonzero
     constant 1/sin^2(gamma0 c / 2) times the identity (measured, not assumed).
     """
-    d = o.dim.d
-    j3 = o.j3_values
-    C1 = o.raising @ o.lowering + o.diag_op(o.bracket((j3 + d / 2.0 - 0.5) / 2.0) ** 2)
-    C2 = o.lowering @ o.raising + o.diag_op(o.bracket((j3 + d / 2.0 + 0.5) / 2.0) ** 2)
-    const = 1.0 / np.sin(np.pi * o.cross / d) ** 2
-    return C1, C2, const
+    st = _stack_of_one(_Sl2Stack, o)
+    A = st.lowering
+    C1, C2, const = _casimir_stack(st, _dag(A) @ A, A @ _dag(A))
+    return C1[0], C2[0], const[0]
 
 
 def _sigma_values(o: UqSl2Realisation) -> np.ndarray:

@@ -246,7 +246,11 @@ def phase_flattening_report(op: MetaplecticOperator) -> dict:
     Conjugation is invariant under a global phase of G, so the measured phases
     ARE the report: flattenable iff every chi(m) is already trivial.
     """
-    worst, records = covariance_report(op)
+    return flattening_report(*covariance_report(op))
+
+
+def flattening_report(worst: float, records: list) -> dict:
+    """phase_flattening_report from a covariance_report (worst, records) already taken."""
     dev = max((abs(rec["phase"] - 1.0) for rec in records), default=0.0)
     return {
         "max_phase_deviation": float(dev),

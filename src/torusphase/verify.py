@@ -49,9 +49,21 @@ def _flag(name, ok: bool, note=""):
     return CheckRow(name=name, value=0.0 if ok else 1.0, kind="residual", note=note)
 
 
-def _noncollinear_pairs(dim: Dimension):
-    vecs = window_vectors(dim)
-    return [(m, mp) for m in vecs for mp in vecs if lattice_cross(m, mp) % dim.d]
+def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
+    """Label arrays (m, m') of the non-collinear window pairs, m outer, m' inner.
+
+    With `samples` below the pair count, that many pairs drawn without
+    replacement.
+    """
+    vecs = np.array(window_vectors(dim))
+    m = np.repeat(vecs, len(vecs), axis=0)
+    mp = np.tile(vecs, (len(vecs), 1))
+    keep = lattice_cross(m.T, mp.T) % dim.d != 0
+    m, mp = m[keep], mp[keep]
+    if samples is not None and samples < len(m):
+        idx = np.random.default_rng(seed).choice(len(m), size=samples, replace=False)
+        m, mp = m[idx], mp[idx]
+    return m, mp
 
 
 def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[CheckRow]:
@@ -90,53 +102,27 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
 
 
 def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> list[CheckRow]:
-    rng = np.random.default_rng(seed)
-    pairs = _noncollinear_pairs(dim)
-    if samples is not None and samples < len(pairs):
-        idx = rng.choice(len(pairs), size=samples, replace=False)
-        pairs = [pairs[i] for i in idx]
+    m, mp = _swept_pairs(dim, seed, samples)
     rows: list[CheckRow] = []
-    worst = {"number": 0.0, "q_exponential": 0.0, "ladder": 0.0, "raised_number": 0.0}
-    min_spectrum = np.inf
-    shift_dev = 0.0
-    built = 0
-    singular = 0
-    sample_oscs = []
-    for m, mp in pairs:
-        try:
-            osc = deformed.build_q_oscillator(dim, m, mp)
-        except (SingularDeformationError, DegenerateSpectrumError):
-            singular += 1
-            continue
-        built += 1
-        r = deformed.oscillator_residuals(osc)
-        for k in worst:
-            worst[k] = max(worst[k], r[k])
-        min_spectrum = min(min_spectrum, r["spectrum_min"])
-        c = osc.cross
-        shift_dev = max(shift_dev, abs(osc.shift_constant - 1.0 / abs(np.sin(dim.gamma0 * c))))
-        if len(sample_oscs) < 5:
-            sample_oscs.append(osc)
-    if built == 0:
+    sweep = deformed.oscillator_sweep(dim, m, mp)
+    if sweep.built == 0:
         rows.append(_info("singular_deformation", 0.0,
                           note=f"every non-collinear pair at D={dim.d} is singular; "
                                "builder raises as designed"))
         return rows
-    note = f"{built} pairs" + (f", {singular} singular skipped" if singular else "")
-    for k, v in worst.items():
-        rows.append(_res(k, v, note=note))
-    rows.append(_res("shift_constant", shift_dev))
+    worst = sweep.worst
+    note = f"{sweep.built} pairs" + (f", {sweep.skipped} singular skipped" if sweep.skipped else "")
+    for k in ("number", "q_exponential", "ladder", "raised_number"):
+        rows.append(_res(k, worst[k], note=note))
+    rows.append(_res("shift_constant", worst["shift_constant"]))
+    min_spectrum = worst["spectrum_min"]
     rows.append(_res("admissible_spectrum", max(0.0, -float(min_spectrum)),
                      note=f"min f(n) = {min_spectrum:.6f}"))
     if dim.d % 2 == 1:
-        any_solution = False
-        for m, mp in pairs:
-            rep = deformed.lowest_weight_scan(dim, m, mp)
-            if rep.has_solution:
-                any_solution = True
-                break
-        rows.append(_flag("no_lowest_weight", not any_solution,
+        rows.append(_flag("no_lowest_weight", deformed.lowest_weight_sweep(dim, m, mp) is None,
                           note="cyclic (no lowest-weight vector) for odd D"))
+    sample_oscs = [deformed.build_q_oscillator(dim, m[i], mp[i])
+                   for i in np.flatnonzero(sweep.built_mask)[:5]]
     worst_law = worst_amp = 0.0
     lit = lam = 0.0
     corr_ok = True
@@ -179,30 +165,11 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
 
 
 def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list[CheckRow]:
-    rng = np.random.default_rng(seed)
-    pairs = _noncollinear_pairs(dim)
-    if samples is not None and samples < len(pairs):
-        idx = rng.choice(len(pairs), size=samples, replace=False)
-        pairs = [pairs[i] for i in idx]
-    keys = ("exponential", "intertwine", "intertwine_dag", "commutator", "ladder",
-            "casimir_forms", "casimir_value", "casimir_central")
-    worst = dict.fromkeys(keys, 0.0)
-    built = 0
-    for m, mp in pairs:
-        try:
-            o = deformed.build_uq_sl2(dim, m, mp)
-            r = deformed.sl2_residuals(o)
-        except TorusPhaseError:
-            if dim.prime:
-                raise
-            continue
-        built += 1
-        for k in keys:
-            worst[k] = max(worst[k], r[k])
-    if built == 0:
+    sweep = deformed.sl2_sweep(dim, *_swept_pairs(dim, seed, samples))
+    if sweep.built == 0:
         return [_info("deformed_sl2", 1.0,
                       note=f"construction degenerates for every pair at D={dim.d}")]
-    rows = [_res(k, v, note=f"{built} pairs") for k, v in worst.items()]
+    rows = [_res(k, v, note=f"{sweep.built} pairs") for k, v in sweep.worst.items()]
     if dim.d <= 7:
         try:
             rep = deformed.coproduct_check(dim, (1, 0), (0, 1))
@@ -336,11 +303,13 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     rows.append(_res("identity_map", float(np.max(np.abs(ident.matrix - np.eye(dim.d))))))
     worst_u = worst_cov = 0.0
     ops = []
+    first_report = None
     for _ in range(samples):
         op = transforms.build_metaplectic(dim, transforms.random_symplectic(dim, rng=rng))
         worst_u = max(worst_u, op.unitary_residual)
-        w, _ = transforms.covariance_report(op)
-        worst_cov = max(worst_cov, w)
+        report = transforms.covariance_report(op)
+        worst_cov = max(worst_cov, report[0])
+        first_report = first_report or report
         ops.append(op)
     shear = transforms.build_metaplectic(
         dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1))))
@@ -371,7 +340,8 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
                           note="quarter-turn covariance is unavailable at D=2"))
     else:
         rows.append(_res("kernel_rotation", rot))
-    flat = transforms.phase_flattening_report(ops[0] if ops else ident)
+    flat = (transforms.flattening_report(*first_report) if first_report
+            else transforms.phase_flattening_report(ident))
     rows.append(_info("phase_flattening", flat["max_phase_deviation"],
                       note=f"flattenable={flat['flattenable']} "
                            "(global phases cannot change conjugation phases)"))

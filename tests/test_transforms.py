@@ -23,6 +23,7 @@ from torusphase import (
     verify_symplectic,
     window_vectors,
 )
+from torusphase import transforms, verify
 
 
 def test_symplectic_map_reduction_and_determinant():
@@ -198,3 +199,16 @@ def test_large_dimension_build_is_fast():
     op = build_metaplectic(dim, random_symplectic(dim, seed=401))
     assert time.perf_counter() - start < 1.0
     assert op.unitary_residual < 1e-12
+
+
+def test_suite_transforms_takes_one_covariance_report_per_operator(monkeypatch):
+    calls = []
+    real = transforms.covariance_report
+    monkeypatch.setattr(transforms, "covariance_report",
+                        lambda op, *a: calls.append(op) or real(op, *a))
+    rows = verify.suite_transforms(make_dimension(13), seed=3)
+    # 10 random maps and the shear, each once; phase_flattening reuses the first
+    assert len(calls) == 11
+    assert len({id(op) for op in calls}) == 11
+    flat = next(r for r in rows if r.name == "phase_flattening")
+    assert flat.value == transforms.phase_flattening_report(calls[0])["max_phase_deviation"]
