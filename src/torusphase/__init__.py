@@ -3,175 +3,85 @@
 Unitary operator bases on Z_D x Z_D, their deformed subalgebras, discrete
 canonical transformations, Wigner functions, a unitary number-phase pair,
 and large-D diagnostics.
+
+Importing the package imports none of its modules: each public name below is
+imported from its module on first use (PEP 562), so `from torusphase import
+wigner_function` loads the Wigner layer and what it needs, nothing else.
 """
-from .errors import (
-    CaseConditionError,
-    CollinearVectorsError,
-    DegenerateSpectrumError,
-    DimensionTooLargeError,
-    NonRealWignerError,
-    NonScalarPowerError,
-    NonSymplecticMapError,
-    PhaseMismatchError,
-    SingularDeformationError,
-    TorusPhaseError,
-    UnsupportedBasisError,
-)
-from .lattice import (
-    Dimension,
-    basis_state,
-    build_clock_operator,
-    build_fourier_operator,
-    build_shift_operator,
-    canonical_component,
-    canonical_vector,
-    canonical_window,
-    is_prime,
-    lattice_cross,
-    lattice_cross_mod,
-    make_dimension,
-    max_abs,
-    random_state,
-    window_vectors,
-)
-from .schwinger import (
-    SchwingerEigensystem,
-    SchwingerOperator,
-    build_schwinger,
-    compose_schwinger,
-    conjugate_pair_suite,
-    dense_eigensystem_match,
-    eigensystem_by_recursion,
-    fourier_covariance_check,
-    pair_schwinger,
-    reduce_label,
-    schwinger_basis_rank,
-    schwinger_matrix,
-    schwinger_power_check,
-    sine_commutator_check,
-    standard_pair_suite,
-    weyl_commutator_check,
-    weyl_j_matrix,
-    weyl_matrices,
-)
-from .deformed import (
-    CoproductReport,
-    EigenCorrespondence,
-    LowestWeightReport,
-    QOscillator,
-    TranslationReport,
-    UqSl2Realisation,
-    bracket_values,
-    build_q_oscillator,
-    build_uq_sl2,
-    casimir_uq_sl2,
-    coproduct_check,
-    eigenbasis_correspondence,
-    lowest_weight_scan,
-    oscillator_residuals,
-    sl2_residuals,
-    translated_lattice_deformation,
-)
-from .transforms import (
-    MetaplecticOperator,
-    SymplecticMap,
-    build_metaplectic,
-    closure_check,
-    covariance_report,
-    fourier_check,
-    phase_flattening_report,
-    predicted_phase,
-    random_symplectic,
-    verify_symplectic,
-)
-from .wigner import (
-    WignerGrid,
-    WignerKernel,
-    build_kernel,
-    characteristic,
-    classical_symbol,
-    kernel_grid,
-    kernel_suite,
-    property_suite,
-    symbol_reconstruct,
-    wigner_function,
-)
-from .numberphase import (
-    ActionAngleKernel,
-    NumberExpansion,
-    PhasePair,
-    action_angle_values,
-    build_action_angle_kernel,
-    build_phase_pair,
-    expand_number_function,
-    identification_suite,
-    kernel_form_residual,
-    number_phase_schwinger,
-    phase_pair_residuals,
-    wigner_number_phase,
-)
-from .limits import (
-    ConvergenceReport,
-    SpectrumProfile,
-    commutator_limit_check,
-    fujikawa_index,
-    index_report,
-    limiting_spectrum,
-    linear_profile,
-    oscillator_profile,
-    phase_basis_wigner_function,
-    phase_basis_wigner_limit,
-    weak_convergence_sweep,
-    wigner_even_odd_decomposition,
-)
-from .fock import (
-    ShiftedFockBasis,
-    build_shifted_fock,
-    fractional_phase_power,
-    number_seam_residual,
-    oscillator_fock_alpha,
-    oscillator_fock_match,
-    shift_isomorphism_check,
-    shifted_overlap,
-    shifted_overlap_expansion,
-)
-from .verify import CheckRow, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionAngleKernel", "CaseConditionError", "CheckRow", "CollinearVectorsError",
-    "ConvergenceReport", "CoproductReport", "DegenerateSpectrumError", "Dimension",
-    "DimensionTooLargeError", "EigenCorrespondence", "LowestWeightReport",
-    "MetaplecticOperator", "NonRealWignerError", "NonScalarPowerError",
-    "NonSymplecticMapError", "NumberExpansion", "PhaseMismatchError", "PhasePair", "QOscillator",
-    "SchwingerEigensystem", "SchwingerOperator", "ShiftedFockBasis",
-    "SingularDeformationError", "SpectrumProfile", "SymplecticMap",
-    "TorusPhaseError", "TranslationReport", "UnsupportedBasisError",
-    "UqSl2Realisation", "WignerGrid", "WignerKernel",
-    "action_angle_values", "basis_state", "bracket_values",
-    "build_action_angle_kernel", "build_clock_operator", "build_fourier_operator",
-    "build_kernel", "build_metaplectic", "build_phase_pair", "build_q_oscillator",
-    "build_schwinger", "build_shift_operator", "build_shifted_fock", "build_uq_sl2",
-    "canonical_component", "canonical_vector", "canonical_window",
-    "casimir_uq_sl2", "characteristic", "classical_symbol", "closure_check",
-    "commutator_limit_check", "compose_schwinger", "conjugate_pair_suite", "coproduct_check",
-    "covariance_report", "dense_eigensystem_match", "eigenbasis_correspondence",
-    "eigensystem_by_recursion", "expand_number_function", "fourier_check",
-    "fourier_covariance_check", "fractional_phase_power", "fujikawa_index",
-    "identification_suite", "index_report", "is_prime", "kernel_form_residual",
-    "kernel_grid", "kernel_suite", "lattice_cross", "lattice_cross_mod",
-    "limiting_spectrum", "linear_profile", "lowest_weight_scan", "make_dimension",
-    "max_abs", "number_phase_schwinger", "number_seam_residual",
-    "oscillator_fock_alpha", "oscillator_fock_match", "oscillator_profile",
-    "oscillator_residuals", "pair_schwinger", "phase_basis_wigner_function",
-    "phase_basis_wigner_limit", "phase_flattening_report", "phase_pair_residuals",
-    "predicted_phase", "property_suite", "random_state", "random_symplectic",
-    "reduce_label", "run_suite", "schwinger_basis_rank", "schwinger_matrix",
-    "schwinger_power_check", "shift_isomorphism_check", "shifted_overlap",
-    "shifted_overlap_expansion", "sine_commutator_check", "sl2_residuals",
-    "standard_pair_suite", "symbol_reconstruct", "translated_lattice_deformation",
-    "verify_symplectic", "weak_convergence_sweep", "weyl_commutator_check",
-    "weyl_j_matrix", "weyl_matrices", "wigner_even_odd_decomposition",
-    "wigner_function", "wigner_number_phase", "window_vectors",
-]
+_EXPORTS = {
+    "errors": (
+        "CaseConditionError", "CollinearVectorsError", "DegenerateSpectrumError",
+        "DimensionTooLargeError", "NonRealWignerError", "NonScalarPowerError",
+        "NonSymplecticMapError", "PhaseMismatchError", "SingularDeformationError",
+        "TorusPhaseError", "UnsupportedBasisError",
+    ),
+    "lattice": (
+        "Dimension", "basis_state", "build_clock_operator", "build_fourier_operator",
+        "build_shift_operator", "canonical_component", "canonical_vector", "canonical_window",
+        "is_prime", "lattice_cross", "lattice_cross_mod", "make_dimension", "max_abs",
+        "random_state", "window_vectors",
+    ),
+    "schwinger": (
+        "SchwingerEigensystem", "SchwingerOperator", "build_schwinger", "compose_schwinger",
+        "conjugate_pair_suite", "dense_eigensystem_match", "eigensystem_by_recursion",
+        "fourier_covariance_check", "pair_schwinger", "reduce_label", "schwinger_basis_rank",
+        "schwinger_matrix", "schwinger_power_check", "sine_commutator_check",
+        "standard_pair_suite", "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
+    ),
+    "deformed": (
+        "CoproductReport", "EigenCorrespondence", "LowestWeightReport", "QOscillator",
+        "TranslationReport", "UqSl2Realisation", "bracket_values", "build_q_oscillator",
+        "build_uq_sl2", "casimir_uq_sl2", "coproduct_check", "eigenbasis_correspondence",
+        "lowest_weight_scan", "oscillator_residuals", "sl2_residuals",
+        "translated_lattice_deformation",
+    ),
+    "transforms": (
+        "MetaplecticOperator", "SymplecticMap", "build_metaplectic", "closure_check",
+        "covariance_report", "fourier_check", "phase_flattening_report", "predicted_phase",
+        "random_symplectic", "verify_symplectic",
+    ),
+    "wigner": (
+        "WignerGrid", "WignerKernel", "build_kernel", "characteristic", "classical_symbol",
+        "kernel_grid", "kernel_suite", "property_suite", "symbol_reconstruct",
+        "wigner_function",
+    ),
+    "numberphase": (
+        "ActionAngleKernel", "NumberExpansion", "PhasePair", "action_angle_values",
+        "build_action_angle_kernel", "build_phase_pair", "expand_number_function",
+        "identification_suite", "kernel_form_residual", "number_phase_schwinger",
+        "phase_pair_residuals", "wigner_number_phase",
+    ),
+    "limits": (
+        "ConvergenceReport", "SpectrumProfile", "commutator_limit_check", "fujikawa_index",
+        "index_report", "limiting_spectrum", "linear_profile", "oscillator_profile",
+        "phase_basis_wigner_function", "phase_basis_wigner_limit", "weak_convergence_sweep",
+        "wigner_even_odd_decomposition",
+    ),
+    "fock": (
+        "ShiftedFockBasis", "build_shifted_fock", "fractional_phase_power",
+        "number_seam_residual", "oscillator_fock_alpha", "oscillator_fock_match",
+        "shift_isomorphism_check", "shifted_overlap", "shifted_overlap_expansion",
+    ),
+    "verify": ("CheckRow", "run_suite"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

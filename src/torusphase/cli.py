@@ -10,28 +10,21 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 import click
-import numpy as np
 
-from . import limits as limits_mod
-from . import numberphase as np_mod
-from . import serialization as ser
-from . import transforms as tr_mod
-from . import verify as verify_mod
-from . import wigner as wig_mod
-from .deformed import build_q_oscillator
 from .errors import CaseConditionError, CollinearVectorsError, SingularDeformationError, TorusPhaseError
-from .lattice import (
-    Dimension,
-    build_clock_operator,
-    build_fourier_operator,
-    build_shift_operator,
-    make_dimension,
-    random_state,
-)
-from .schwinger import schwinger_matrix
+
+if TYPE_CHECKING:
+    from .lattice import Dimension
+
+# Each command imports what it runs in its own body: `--help` loads no numpy,
+# and a command loads only the layers it uses.
+
+# verify._DISPATCH's suite names plus "all", spelled out so that the option
+# needs no import; a test pins the two together.
+SUITES = ("schwinger", "qosc", "sl2", "wigner", "numberphase", "transforms", "fock", "all")
 
 
 def _default_tol() -> float:
@@ -49,6 +42,8 @@ def _refuse(exc: TorusPhaseError) -> NoReturn:
 
 
 def _dimension(d: int) -> Dimension:
+    from .lattice import make_dimension
+
     if d < 2:
         raise click.UsageError(f"dimension must be at least 2, got {d}")
     dim = make_dimension(d)
@@ -82,6 +77,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_state(dim: Dimension, spec: str):
     """State specifiers: fock:n, phase:l, u:k, v:l, random:<seed>, file:<path>."""
+    import numpy as np
+
+    from .lattice import build_fourier_operator, random_state
+
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise click.UsageError(f"malformed state spec {spec!r}; expected kind:value")
@@ -99,7 +98,8 @@ def _parse_state(dim: Dimension, spec: str):
         elif kind == "v":
             psi = build_fourier_operator(dim)[:, k].copy()
         else:
-            psi = np_mod.build_phase_pair(dim).phase_states[:, k].copy()
+            from .numberphase import build_phase_pair
+            psi = build_phase_pair(dim).phase_states[:, k].copy()
         return psi, comments
     if kind == "random":
         try:
@@ -147,6 +147,9 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def gen(d, kind, m_text, out, fmt):
     """Generate an operator matrix."""
+    from . import serialization as ser
+    from .lattice import build_clock_operator, build_fourier_operator, build_shift_operator
+
     dim = _dimension(d)
     extra = {"kind": kind}
     if kind == "u":
@@ -160,11 +163,12 @@ def gen(d, kind, m_text, out, fmt):
             raise click.UsageError("--m is required for --kind schwinger")
         m = _parse_vec(m_text, "--m")
         extra["m"] = list(m)
+        from .schwinger import schwinger_matrix
         mat = schwinger_matrix(dim, m)
-    elif kind == "phase":
-        mat = np_mod.build_phase_pair(dim).e_phi
     else:
-        mat = np_mod.build_phase_pair(dim).e_n
+        from .numberphase import build_phase_pair
+        pair = build_phase_pair(dim)
+        mat = pair.e_phi if kind == "phase" else pair.e_n
     if fmt == "json":
         _emit(ser.operator_json(dim, mat, extra=extra), out)
     else:
@@ -175,12 +179,15 @@ def gen(d, kind, m_text, out, fmt):
 
 @main.command()
 @click.option("--d", "d", type=int, required=True)
-@click.option("--suite", type=click.Choice(list(verify_mod.SUITES)), default="all")
+@click.option("--suite", type=click.Choice(list(SUITES)), default="all")
 @click.option("--tol", type=float, default=None, help="tolerance (default TORUSPHASE_TOL or 1e-10)")
 @click.option("--seed", type=int, default=0)
 @click.option("--samples", type=int, default=None, help="random sample count per sweep")
 def verify(d, suite, tol, seed, samples):
     """Run an invariant suite and print its residual table."""
+    from . import verify as verify_mod
+    from .serialization import format_float
+
     dim = _dimension(d)
     tol = _default_tol() if tol is None else tol
     try:
@@ -188,7 +195,7 @@ def verify(d, suite, tol, seed, samples):
     except TorusPhaseError as exc:
         _refuse(exc)
     failed = 0
-    click.echo(f"suite={suite} D={d} tol={ser.format_float(tol)}")
+    click.echo(f"suite={suite} D={d} tol={format_float(tol)}")
     for row in rows:
         if row.kind == "info":
             status = "info"
@@ -197,7 +204,7 @@ def verify(d, suite, tol, seed, samples):
         else:
             status = "FAIL"
             failed += 1
-        line = f"{row.name:<42} {ser.format_float(row.value)}  {status}"
+        line = f"{row.name:<42} {format_float(row.value)}  {status}"
         if row.note:
             line += f"  # {row.note}"
         click.echo(line)
@@ -214,27 +221,33 @@ def verify(d, suite, tol, seed, samples):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
 def wigner(d, state, basis, decompose, out, fmt):
     """Compute a Wigner function on the phase-space grid."""
+    import numpy as np
+
+    from . import serialization as ser
+
     dim = _dimension(d)
     psi, comments = _parse_state(dim, state)
     comments = [f"D={d}", f"basis={basis}"] + comments
     if decompose:
         if basis == "torus":
             raise click.UsageError("--decompose applies to the number-phase basis only")
-        even, odd = limits_mod.wigner_even_odd_decomposition(dim, psi, state_ref=state)
+        from .limits import wigner_even_odd_decomposition
+        even, odd = wigner_even_odd_decomposition(dim, psi, state_ref=state)
         if fmt == "csv":
             _emit(ser.action_angle_decomposition_csv(even, odd, comments=comments), out)
         else:
             _emit(ser.dumps_json({
                 "D": d, "basis": basis, "state": state,
                 "J": [float(x) / 2.0 for x in range(2 * d)],
-                "theta": [float(x) for x in dim.gamma0 * np.arange(d)],
-                "W_even": [[float(v) for v in row] for row in even.values],
-                "W_odd": [[float(v) for v in row] for row in odd.values],
+                "theta": dim.gamma0 * np.arange(d),
+                "W_even": even.values,
+                "W_odd": odd.values,
             }), out)
         return
     if basis == "torus":
+        from .wigner import wigner_function
         try:
-            grid = wig_mod.wigner_function(dim, psi, state_ref=state)
+            grid = wigner_function(dim, psi, state_ref=state)
         except TorusPhaseError as exc:
             _refuse(exc)
         if fmt == "csv":
@@ -242,17 +255,18 @@ def wigner(d, state, basis, decompose, out, fmt):
         else:
             _emit(ser.dumps_json({
                 "D": d, "basis": basis, "state": state,
-                "values": [[float(v) for v in row] for row in grid.values],
+                "values": grid.values,
             }), out)
     else:
-        grid = np_mod.wigner_number_phase(dim, psi, state_ref=state)
+        from .numberphase import wigner_number_phase
+        grid = wigner_number_phase(dim, psi, state_ref=state)
         if fmt == "csv":
             _emit(ser.action_angle_csv(grid, comments=comments), out)
         else:
             _emit(ser.dumps_json({
                 "D": d, "basis": basis, "state": state,
-                "theta": [float(x) for x in dim.gamma0 * np.arange(d)],
-                "values": [[float(v) for v in row] for row in grid.values],
+                "theta": dim.gamma0 * np.arange(d),
+                "values": grid.values,
             }), out)
 
 
@@ -264,6 +278,9 @@ def wigner(d, state, basis, decompose, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
 def spectrum(d, m_text, mp_text, out, fmt):
     """Shifted q-oscillator spectrum f(n) = C + [n] for a label pair."""
+    from . import serialization as ser
+    from .deformed import build_q_oscillator
+
     dim = _dimension(d)
     m = _parse_vec(m_text, "--m")
     mp = _parse_vec(mp_text, "--mp")
@@ -288,6 +305,9 @@ def spectrum(d, m_text, mp_text, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def index(d, case, cross, sign, out, fmt):
     """Spectral index of a number-function profile."""
+    from . import limits as limits_mod
+    from . import serialization as ser
+
     dim = _dimension(d)
     try:
         if case == "linear":
@@ -313,6 +333,9 @@ def index(d, case, cross, sign, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
 def converge(primes, observable, gamma, family, out, fmt):
     """Weak-convergence residual sweep along a prime ladder."""
+    from . import limits as limits_mod
+    from . import serialization as ser
+
     try:
         plist = [int(x) for x in primes.split(",")]
     except ValueError:
@@ -337,6 +360,9 @@ def converge(primes, observable, gamma, family, out, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
 def transform(d, r_text, tol, out, fmt):
     """Build and verify the unitary realizing an integer symplectic map."""
+    from . import serialization as ser
+    from . import transforms as tr_mod
+
     dim = _dimension(d)
     tol = _default_tol() if tol is None else tol
     try:

@@ -65,6 +65,16 @@ def _singular(dim: Dimension, c):
     return np.abs(np.sin(dim.gamma0 * np.asarray(c))) < _SINGULAR_TOL
 
 
+def _phase_cross(d: int, c) -> np.ndarray:
+    """c reduced mod 2D into [-D, D): the cross value phases and brackets are taken of.
+
+    Each of them has period 2D in c, but one taken from an unreduced c (window
+    labels reach |c| ~ D^2/2, the random sweeps ~ 8 D^2) loses about log10|c|
+    digits.  The least |c| keeps the sine arguments smallest.
+    """
+    return (np.asarray(c) + d) % (2 * d) - d
+
+
 def _require_invertible(dim: Dimension, c: int) -> None:
     if _inverse_mod(dim.d, c) == 0:
         raise DegenerateSpectrumError(
@@ -178,11 +188,14 @@ class SweepReport:
     """Worst residual per identity over a list of label pairs.
 
     built_mask flags, in input order, the pairs the per-pair builder builds;
-    the others are skipped.  worst is empty when no pair is built.
+    the others are skipped, and skips counts them by the first reason found
+    (reason -> count, zero counts included).  worst is empty when no pair is
+    built.
     """
 
     worst: dict
     built_mask: np.ndarray
+    skips: dict
 
     @property
     def built(self) -> int:
@@ -258,7 +271,7 @@ def _oscillator_eta(c, w) -> np.ndarray:
 def _oscillator_stack(dim: Dimension, m, mp, eta, V) -> _OscillatorStack:
     """Shifted q-oscillators on buildable pairs, with S_{m-m'} eigenvectors V."""
     d, g0 = dim.d, dim.gamma0
-    c = lattice_cross(m.T, mp.T)
+    c = _phase_cross(d, lattice_cross(m.T, mp.T))
     s = np.sin(g0 * c)
     d_coef = _scalar_pow(2.0 * np.abs(s), -0.5)
     dp_coef = np.conj(eta / ((2j * s) * d_coef))
@@ -278,7 +291,7 @@ def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
     dim, A, V, nv = st.dim, st.lowering, st.eigenvectors, st.n_values
     d = dim.d
     Ad = _dag(A)
-    c = st.cross[:, None]
+    c = _phase_cross(d, st.cross)[:, None]
     C_eye = st.shift_constant[:, None, None] * np.eye(d)
     Qdirect = ((-st.eta)[:, None, None] * _displacement_stack(d, -st.m)
                @ _displacement_stack(d, st.mp))
@@ -291,7 +304,7 @@ def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
         "raised_number": _max_abs_stack(
             A @ Ad - (C_eye + _diag_stack(V, bracket_values(dim, c, nv + 1)))),
         "spectrum_min": st.spectrum.min(axis=1),
-        "shift_constant": np.abs(st.shift_constant - 1.0 / np.abs(np.sin(dim.gamma0 * st.cross))),
+        "shift_constant": np.abs(st.shift_constant - 1.0 / np.abs(np.sin(dim.gamma0 * c[:, 0]))),
     }
 
 
@@ -339,20 +352,26 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
 
     m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
     build_q_oscillator refuses it: |sin(gamma0 c)| < 1e-12, a degenerate
-    S_{m-m'} eigensystem, or c not invertible mod D.  The worst is the max
-    per key, except spectrum_min, which is the min.
+    S_{m-m'} eigensystem, or c not invertible mod D; skips counts these three
+    reasons in that order, the builder's.  The worst is the max per key,
+    except spectrum_min, which is the min.
     """
     m, mp, c = _sweep_labels(dim, m, mp)
     w = m - mp
     keys, simple, vecs = _eigenvectors_by_label(dim, w)
-    built = ~_singular(dim, c) & simple & (_inverse_mod(dim.d, c) > 0)
+    regular = ~_singular(dim, c)
+    invertible = _inverse_mod(dim.d, c) > 0
+    built = regular & simple & invertible
     eta = _oscillator_eta(c, w)
     worst: dict = {}
     for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
         V = np.stack([vecs[k] for k in keys[idx].tolist()])
         st = _oscillator_stack(dim, m[idx], mp[idx], eta[idx], V)
         _fold(worst, _oscillator_stack_residuals(st))
-    return SweepReport(worst, built)
+    skips = {"singular": int((~regular).sum()),
+             "degenerate": int((regular & ~simple).sum()),
+             "non-invertible": int((regular & simple & ~invertible).sum())}
+    return SweepReport(worst, built, skips)
 
 
 @dataclass(frozen=True)
@@ -494,7 +513,7 @@ class UqSl2Realisation:
     intertwiner: np.ndarray       # S_{m-m'} at the exact (unreduced) label
     eigenvectors: np.ndarray
     n_values: np.ndarray
-    delta: float                  # J3 window offset: 0 or D/(2c)
+    delta: float                  # J3 window offset: 0 or D/(2c), c reduced into [-D, D)
     j3_values: np.ndarray         # n + delta
 
     @property
@@ -508,7 +527,7 @@ class UqSl2Realisation:
 
 def _sl2_bracket(dim: Dimension, c, x) -> np.ndarray:
     """sin(gamma0 c x) / sin(gamma0 c / 2); c broadcasts against x."""
-    c = np.asarray(c)
+    c = _phase_cross(dim.d, c)
     return np.sin(dim.gamma0 * c * np.asarray(x, dtype=float)) / np.sin(np.pi * c / dim.d)
 
 
@@ -535,7 +554,7 @@ def _sl2_stack(dim: Dimension, m, mp, V):
     (delta = 0) or -1 (delta = D/(2c)); see _branch_ok.
     """
     d = dim.d
-    c = lattice_cross(m.T, mp.T)
+    c = _phase_cross(d, lattice_cross(m.T, mp.T))
     d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
     A = d_coef[:, None, None] * (_displacement_stack(d, m) + _displacement_stack(d, mp))
     Sw = _displacement_stack(d, m - mp)
@@ -561,10 +580,10 @@ def _branch_error(dim: Dimension, phi0, m, mp) -> PhaseMismatchError:
 def _casimir_stack(st: _Sl2Stack, AdA, AAd):
     """Both Casimir orderings per pair from A^dag A and A A^dag, and their constant."""
     dim, d, j3 = st.dim, st.dim.d, st.j3_values
-    c = st.cross[:, None]
+    c = _phase_cross(d, st.cross)[:, None]
     C1 = AdA + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 - 0.5) / 2.0) ** 2)
     C2 = AAd + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 + 0.5) / 2.0) ** 2)
-    const = 1.0 / _scalar_pow(np.sin(np.pi * st.cross / d), 2)
+    const = 1.0 / _scalar_pow(np.sin(np.pi * c[:, 0] / d), 2)
     return C1, C2, const
 
 
@@ -573,12 +592,12 @@ def _sl2_stack_residuals(st: _Sl2Stack) -> dict:
     dim, d = st.dim, st.dim.d
     A, Sw, V, j3 = st.lowering, st.intertwiner, st.eigenvectors, st.j3_values
     Ad = _dag(A)
-    c = st.cross[:, None]
+    c = _phase_cross(d, st.cross)[:, None]
     p = st.p[:, None, None]
     delta = st.delta[:, None]
     AAd, AdA = A @ Ad, Ad @ A
     C1, C2, const = _casimir_stack(st, AdA, AAd)
-    shifted = ((j3 - delta + 1) % d) + delta
+    shifted = (st.n_values + 1) % d + delta     # not from j3 - delta, which can round below n
     return {
         "exponential": _max_abs_stack(
             Sw - st.s_p[:, None, None] * _diag_stack(V, np.exp(-1j * dim.gamma0 * c * j3))),
@@ -613,7 +632,7 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     one = _unstack(st, skip=("cross", "delta"))
     return UqSl2Realisation(
         dim=dim, m=m, mp=mp, cross=c,
-        s_tilde_p=np.exp(-1j * dim.gamma0 * c * (dim.d - 1) / 2.0),
+        s_tilde_p=np.exp(-1j * dim.gamma0 * _phase_cross(dim.d, c) * (dim.d - 1) / 2.0),
         delta=float(st.delta[0]), **one,
     )
 
@@ -638,10 +657,13 @@ def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
     build_uq_sl2 refuses it: a degenerate S_{m-m'} eigensystem, a branch phase
     phi0 that is not +1 or -1 to 1e-9, or c not invertible mod D.  At prime D
     a branch phase off both raises PhaseMismatchError, as the builder does.
+    skips counts degenerate, non-invertible, then branch pairs; a pair with
+    both of the last two counts as non-invertible.
     """
     m, mp, c = _sweep_labels(dim, m, mp)
     keys, simple, vecs = _eigenvectors_by_label(dim, m - mp)
-    built = simple & (_inverse_mod(dim.d, c) > 0)
+    invertible = _inverse_mod(dim.d, c) > 0
+    built = simple & invertible
     worst: dict = {}
     for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
         V = np.stack([vecs[k] for k in keys[idx].tolist()])
@@ -655,7 +677,10 @@ def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
             built[idx[~ok]] = False
         if ok.any():
             _fold(worst, _sl2_stack_residuals(st), ok)
-    return SweepReport(worst, built)
+    skips = {"degenerate": int((~simple).sum()),
+             "non-invertible": int((simple & ~invertible).sum())}
+    skips["branch"] = len(built) - int(built.sum()) - sum(skips.values())
+    return SweepReport(worst, built, skips)
 
 
 def casimir_uq_sl2(o: UqSl2Realisation):
@@ -678,7 +703,7 @@ def _sigma_values(o: UqSl2Realisation) -> np.ndarray:
     alternating sign is required whenever c is odd, or the coupled copies fail
     to close on the same bracket.
     """
-    c = o.cross
+    c = _phase_cross(o.dim.d, o.cross)
     nvals = np.rint(o.j3_values - o.delta).astype(int)
     sign = (-1.0) ** (nvals * (c % 2))
     return sign * np.exp(-0.5j * o.dim.gamma0 * c * o.j3_values)
@@ -713,8 +738,9 @@ def coproduct_check(dim: Dimension, m, mp, second: tuple | None = None,
         raise ValueError(
             f"deformation parameters differ: {o1.cross} vs {o2.cross} mod {dim.d}"
         )
-    sv1 = _sigma_values(o1) if alternate_sign else np.exp(-0.5j * dim.gamma0 * o1.cross * o1.j3_values)
-    sv2 = _sigma_values(o2) if alternate_sign else np.exp(-0.5j * dim.gamma0 * o2.cross * o2.j3_values)
+    c1, c2 = _phase_cross(dim.d, o1.cross), _phase_cross(dim.d, o2.cross)
+    sv1 = _sigma_values(o1) if alternate_sign else np.exp(-0.5j * dim.gamma0 * c1 * o1.j3_values)
+    sv2 = _sigma_values(o2) if alternate_sign else np.exp(-0.5j * dim.gamma0 * c2 * o2.j3_values)
     V1, V2 = o1.eigenvectors, o2.eigenvectors
     Sg2 = (V2 * sv2) @ _dag(V2)
     Sg1m = (V1 * np.conj(sv1)) @ _dag(V1)
@@ -722,15 +748,14 @@ def coproduct_check(dim: Dimension, m, mp, second: tuple | None = None,
     DXd = np.kron(o1.raising, Sg2) + np.kron(Sg1m, o2.raising)
     W2 = np.kron(V1, V2)
     Hv = np.add.outer(o1.j3_values, o2.j3_values).ravel()
-    c = o1.cross
 
     def mf(vals):
         return (W2 * vals) @ _dag(W2)
 
     closure = max_abs(DX @ DXd - DXd @ DX + mf(o1.bracket(Hv + dim.d / 2.0)))
-    Kw = np.exp(-1j * np.pi * c) * mf(np.exp(-1j * dim.gamma0 * c * Hv))
+    Kw = np.exp(-1j * np.pi * c1) * mf(np.exp(-1j * dim.gamma0 * c1 * Hv))
     return CoproductReport(
-        dim=dim, cross=c, deltas=(o1.delta, o2.delta),
+        dim=dim, cross=o1.cross, deltas=(o1.delta, o2.delta),
         closure=closure,
         intertwine=max_abs(DX @ Kw - o1.p * Kw @ DX),
         intertwine_dag=max_abs(DXd @ Kw - np.conj(o1.p) * Kw @ DXd),

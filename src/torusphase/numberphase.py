@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseMismatchError
-from .deformed import build_q_oscillator
 from .lattice import (
     Dimension,
     build_clock_operator,
@@ -201,6 +200,8 @@ def expand_number_function(dim: Dimension, f, m, mp, tol: float = 1e-9) -> Numbe
     against diag(f) in the oscillator number eigenbasis is the arbiter of the
     index convention and must clear tol.
     """
+    from .deformed import build_q_oscillator
+
     fv = np.asarray(f, dtype=complex)
     if fv.shape != (dim.d,):
         raise ValueError(f"need {dim.d} values, got shape {fv.shape}")

@@ -2,7 +2,9 @@
 
 Every float is written as 17 significant digits in lowercase scientific
 notation, so identical inputs serialize to identical bytes across runs and
-platforms.  Complex numbers appear as two-element [re, im] arrays.
+platforms.  Complex numbers appear as two-element [re, im] arrays.  An array
+is formatted in one pass, one tolist() and one bound format over its entries,
+to the bytes format_float gives entry by entry.
 """
 from __future__ import annotations
 
@@ -10,12 +12,23 @@ import json
 
 import numpy as np
 
+_FLOAT = "{:.16e}".format
+
 
 def format_float(x) -> str:
-    return f"{float(x):.16e}"
+    return _FLOAT(float(x))
+
+
+def _floats(values) -> list[str]:
+    """Every entry of a real array, in row-major order, as format_float text."""
+    return list(map(_FLOAT, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def _encode(obj) -> str:
+    # a list of Python floats, such as a row of ndarray.tolist(), in one pass;
+    # numpy scalars, bools and ints take the per-item path below
+    if type(obj) is list and obj and set(map(type, obj)) == {float}:
+        return "[" + ", ".join(map(_FLOAT, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -31,37 +44,47 @@ def _encode(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _encode(obj.tolist())
     if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
+        return _json_object(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _json_object(doc: dict, encoded=()) -> str:
+    """A JSON object; the values of the keys named in `encoded` are JSON text already."""
+    inner = ", ".join(f"{json.dumps(str(k))}: {v if k in encoded else _encode(v)}"
+                      for k, v in doc.items())
+    return "{" + inner + "}"
 
 
 def dumps_json(obj) -> str:
     return _encode(obj) + "\n"
 
 
-def complex_matrix_payload(matrix) -> list:
+def _complex_rows(matrix) -> str:
+    """JSON text of a complex matrix as rows of [re, im] pairs."""
     m = np.asarray(matrix, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    pairs = [f"[{re}, {im}]" for re, im in zip(_floats(m.real), _floats(m.imag))]
+    n = m.shape[1]
+    return "[" + ", ".join("[" + ", ".join(pairs[k:k + n]) + "]"
+                           for k in range(0, len(pairs), n)) + "]"
 
 
 def operator_json(dim, matrix, extra: dict | None = None) -> str:
     doc = {"dim": dim.d}
     if extra:
         doc.update(extra)
-    doc["rows"] = complex_matrix_payload(matrix)
-    return dumps_json(doc)
+    doc["rows"] = _complex_rows(matrix)
+    return _json_object(doc, encoded=("rows",)) + "\n"
 
 
 def eigensystem_json(sys) -> str:
-    return dumps_json({
+    return _json_object({
         "dim": sys.dim.d,
         "m": list(sys.m),
         "eigenvalues": [complex(z) for z in sys.eigenvalues],
-        "eigenvectors": complex_matrix_payload(sys.eigenvectors),
-    })
+        "eigenvectors": _complex_rows(sys.eigenvectors),
+    }, encoded=("eigenvectors",)) + "\n"
 
 
 def csv_text(header: str, rows, comments=()) -> str:
@@ -73,35 +96,35 @@ def csv_text(header: str, rows, comments=()) -> str:
 
 def matrix_csv(dim, matrix, comments=()) -> str:
     m = np.asarray(matrix, dtype=complex)
-    rows = [f"{i},{j},{format_float(m[i, j].real)},{format_float(m[i, j].imag)}"
-            for i in range(m.shape[0]) for j in range(m.shape[1])]
+    cells = [f"{i},{j}," for i in range(m.shape[0]) for j in range(m.shape[1])]
+    rows = [f"{ij}{re},{im}" for ij, re, im in zip(cells, _floats(m.real), _floats(m.imag))]
     return csv_text("i,j,re,im", rows, comments)
 
 
 def wigner_csv(grid, comments=()) -> str:
     d = grid.dim.d
-    rows = [f"{a},{b},{format_float(grid.values[a, b])}"
-            for a in range(d) for b in range(d)]
+    cells = [f"{a},{b}," for a in range(d) for b in range(d)]
+    rows = [f"{cell}{w}" for cell, w in zip(cells, _floats(grid.values[:d, :d]))]
     return csv_text("V1,V2,W", rows, comments)
 
 
+def _angles(dim) -> list[str]:
+    return _floats(dim.gamma0 * np.arange(dim.d))
+
+
 def action_angle_csv(grid, comments=()) -> str:
-    dim = grid.dim
-    theta = dim.gamma0 * np.arange(dim.d)
-    rows = [f"{j_idx},{format_float(theta[t])},{format_float(grid.values[j_idx, t])}"
-            for j_idx in range(grid.values.shape[0]) for t in range(dim.d)]
+    d = grid.dim.d
+    cells = [f"{j},{theta}," for j in range(grid.values.shape[0]) for theta in _angles(grid.dim)]
+    rows = [f"{cell}{w}" for cell, w in zip(cells, _floats(grid.values[:, :d]))]
     return csv_text("J,theta,W", rows, comments)
 
 
 def action_angle_decomposition_csv(even, odd, comments=()) -> str:
-    dim = even.dim
-    theta = dim.gamma0 * np.arange(dim.d)
-    j_values = np.arange(even.values.shape[0]) / 2.0
-    rows = []
-    for ji in range(even.values.shape[0]):
-        for t in range(dim.d):
-            rows.append(f"{format_float(j_values[ji])},{format_float(theta[t])},"
-                        f"{format_float(even.values[ji, t])},{format_float(odd.values[ji, t])}")
+    d, n = even.dim.d, even.values.shape[0]
+    theta = _angles(even.dim)
+    cells = [f"{j},{t}," for j in _floats(np.arange(n) / 2.0) for t in theta]
+    rows = [f"{cell}{w_even},{w_odd}" for cell, w_even, w_odd
+            in zip(cells, _floats(even.values[:, :d]), _floats(odd.values[:, :d]))]
     return csv_text("J,theta,W_even,W_odd", rows, comments)
 
 
@@ -160,15 +183,21 @@ def index_csv(report: dict, comments=()) -> str:
     return csv_text("D,case,I,f0,fD", [row], comments)
 
 
+def _records(records) -> str:
+    """JSON text of covariance_report records, built column by column."""
+    m = [f"[{a}, {b}]" for a, b in (rec["m"] for rec in records)]
+    phase = np.array([rec["phase"] for rec in records], dtype=complex)
+    residual = _floats([rec["residual"] for rec in records])
+    items = [f'{{"m": {ab}, "phase": [{re}, {im}], "residual": {r}}}'
+             for ab, re, im, r in zip(m, _floats(phase.real), _floats(phase.imag), residual)]
+    return "[" + ", ".join(items) + "]"
+
+
 def transform_json(op, worst: float, records) -> str:
-    return dumps_json({
+    return _json_object({
         "R": [[int(x) for x in row] for row in op.map.matrix.tolist()],
         "gauge": op.gauge,
         "unitary_residual": float(op.unitary_residual),
         "worst_residual": float(worst),
-        "per_m": [
-            {"m": list(rec["m"]), "phase": complex(rec["phase"]),
-             "residual": float(rec["residual"])}
-            for rec in records
-        ],
-    })
+        "per_m": _records(records),
+    }, encoded=("per_m",)) + "\n"

@@ -111,7 +111,8 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
                                "builder raises as designed"))
         return rows
     worst = sweep.worst
-    note = f"{sweep.built} pairs" + (f", {sweep.skipped} singular skipped" if sweep.skipped else "")
+    skips = [f"{n} {reason}" for reason, n in sweep.skips.items() if n]
+    note = f"{sweep.built} pairs" + (f", {', '.join(skips)} skipped" if skips else "")
     for k in ("number", "q_exponential", "ladder", "raised_number"):
         rows.append(_res(k, worst[k], note=note))
     rows.append(_res("shift_constant", worst["shift_constant"]))

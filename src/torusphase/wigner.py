@@ -29,7 +29,6 @@ from .lattice import (
     random_state,
     window_vectors,
 )
-from .schwinger import schwinger_matrix
 
 TORUS_NORMALIZATION = "torus-1/D^2"
 
@@ -97,6 +96,8 @@ def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _kernel_grid_cached(d: int) -> np.ndarray:
     """All D^2 kernels, indexed K[V1, V2, :, :]."""
+    from .schwinger import schwinger_matrix
+
     dim = Dimension(d)
     labels = window_vectors(dim)
     stack = np.stack([schwinger_matrix(dim, m) for m in labels])   # (n_m, d, d)
@@ -208,6 +209,8 @@ def kernel_suite(dim: Dimension) -> dict:
     return the kernel).  The rotation residuals are O(1) at D=2, where the
     half-phases break quarter-turn covariance; callers gate on odd D.
     """
+    from .schwinger import schwinger_matrix
+
     d = dim.d
     K = kernel_grid(dim)
     res = {
@@ -246,6 +249,8 @@ def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
     the kernel-grid oracle; chi_grid is the deviation of the characteristic-
     function grid that wigner_function returns from that oracle.
     """
+    from .schwinger import schwinger_matrix
+
     d = dim.d
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 20260817)

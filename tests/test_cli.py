@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import torusphase
+from torusphase import cli, verify
 from torusphase.cli import main
 
 
@@ -236,3 +242,81 @@ def test_output_is_deterministic(runner):
     a = invoke(runner, ["wigner", "--d", "5", "--state", "random:11"]).stdout
     b = invoke(runner, ["wigner", "--d", "5", "--state", "random:11"]).stdout
     assert a == b
+
+
+# -- what one CLI call imports ---------------------------------------------
+
+_PROBE = """
+import json, sys
+from torusphase.cli import main
+try:
+    main(args=sys.argv[1:], prog_name="torusphase")
+finally:
+    print("MODULES " + json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+_SRC = str(Path(torusphase.__file__).resolve().parents[1])
+_LAYERS = {"lattice", "schwinger", "deformed", "transforms", "wigner", "numberphase",
+           "limits", "fock", "verify", "serialization"}
+
+
+def loaded_by(args, cwd=None):
+    """Exit code, stdout, stderr and the loaded module names of one fresh CLI process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+    err, _, modules = proc.stderr.rpartition("MODULES ")
+    return proc.returncode, proc.stdout, err, set(json.loads(modules))
+
+
+def layers(modules):
+    return {m.split(".", 1)[1] for m in modules if m.startswith("torusphase.")}
+
+
+def test_help_imports_no_numpy_and_no_layer():
+    rc, out, _, modules = loaded_by(["--help"])
+    assert rc == 0 and "Usage:" in out
+    assert "numpy" not in modules
+    assert layers(modules) == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "wigner", "spectrum", "index",
+                                     "converge", "transform"])
+def test_command_help_exits_0_without_numpy(command):
+    rc, out, _, modules = loaded_by([command, "--help"])
+    assert rc == 0 and "Usage:" in out
+    assert "numpy" not in modules
+    assert layers(modules) == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("state", ["fock:2", "v:3", "random:5"])
+def test_torus_wigner_imports_only_its_layers(state):
+    rc, out, _, modules = loaded_by(["wigner", "--d", "13", "--state", state])
+    assert rc == 0 and out.startswith("# D=13")
+    assert layers(modules) & {"deformed", "verify", "transforms", "limits", "fock",
+                              "numberphase"} == set()
+
+
+@pytest.mark.parametrize("args", [["transform", "--d", "13", "--r", "2,3,5,8"],
+                                  ["gen", "--d", "7", "--kind", "schwinger", "--m", "2,-9"]])
+def test_transform_and_gen_skip_the_deformed_and_verify_layers(args):
+    rc, out, _, modules = loaded_by(args)
+    assert rc == 0 and out.startswith("{")
+    assert layers(modules) & {"deformed", "verify"} == set()
+
+
+def test_verify_imports_every_suite_module():
+    rc, _, _, modules = loaded_by(["verify", "--d", "3", "--suite", "schwinger"])
+    assert rc == 0
+    assert layers(modules) >= _LAYERS
+
+
+def test_verify_unknown_suite_is_a_usage_error():
+    rc, _, err, modules = loaded_by(["verify", "--d", "5", "--suite", "bogus"])
+    assert rc == 2
+    assert "Invalid value for '--suite'" in err
+    assert "verify" not in layers(modules)
+
+
+def test_cli_suite_names_match_verify_dispatch():
+    assert cli.SUITES == verify.SUITES == (*verify._DISPATCH, "all")

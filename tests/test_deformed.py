@@ -273,11 +273,13 @@ def test_sl2_sweep_branch_refusals_match_builder(monkeypatch):
 
 def test_coefficient_uses_scalar_pow():
     # numpy's vectorized x ** -0.5 differs from the scalar one in the last
-    # bit at c = 7 and 22 (D = 13); stacked coefficients must not
+    # bit at c = +-7 (D = 13, c reduced into [-D, D)); stacked coefficients
+    # must not.  33 and -59 reduce to 7 and -7.
     dim = make_dimension(13)
-    for c in (7, 22, 77):
+    for c in (7, -7, 22, 33, 77, -59):
         osc = build_q_oscillator(dim, (1, 0), (0, c))
-        assert osc.d_coef == (2.0 * abs(np.sin(dim.gamma0 * c))) ** -0.5
+        reduced = (c + 13) % 26 - 13
+        assert osc.d_coef == (2.0 * abs(np.sin(dim.gamma0 * reduced))) ** -0.5
 
 
 def test_sweep_skips_what_the_builders_refuse():
@@ -347,3 +349,55 @@ def test_sweep_blocks_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_sl2_unreduced_labels_are_as_precise_as_reduced_ones():
+    # c = -3254 = 32 mod 62; phases from the unreduced c gave casimir_central 1.03e-9
+    dim = make_dimension(31)
+    res = sl2_residuals(build_uq_sl2(dim, (-51, -25), (-20, 54)))
+    assert max(res.values()) < 1e-11, res
+    osc = build_q_oscillator(dim, (-51, -25), (-20, 54))
+    assert osc.cross == -3254
+    assert max(v for k, v in oscillator_residuals(osc).items() if k != "spectrum_min") < 1e-11
+
+
+def test_sl2_ladder_wraps_inside_an_offset_window():
+    # delta = D/(2c) = 31/6: n + delta - delta rounds below n = 30, and the wrap
+    # taken from it missed, a ladder residual of ~100
+    o = build_uq_sl2(make_dimension(31), (-24, 51), (7, -15))
+    assert o.delta == 31 / 6
+    assert sl2_residuals(o)["ladder"] < 1e-9
+
+
+def refusal_reason(dim, a, b):
+    try:
+        build_q_oscillator(dim, a, b)
+    except SingularDeformationError:
+        return "singular"
+    except DegenerateSpectrumError as exc:
+        return "non-invertible" if "not invertible" in str(exc) else "degenerate"
+    return None
+
+
+@pytest.mark.parametrize("d", [4, 6, 9])
+def test_oscillator_sweep_counts_skips_by_the_builders_reason(d):
+    dim = make_dimension(d)
+    m, mp = pair_arrays(dim)
+    report = oscillator_sweep(dim, m, mp)
+    counts = {"singular": 0, "degenerate": 0, "non-invertible": 0}
+    for a, b in zip(m, mp):
+        reason = refusal_reason(dim, a, b)
+        if reason is not None:
+            counts[reason] += 1
+    assert report.skips == counts
+    assert sum(counts.values()) == report.skipped
+
+
+def test_qosc_note_names_each_skip_reason():
+    rows = {r.name: r for r in verify.suite_qosc(make_dimension(9))}
+    assert rows["number"].note == "3240 pairs, 1296 degenerate, 1080 non-invertible skipped"
+    assert rows["ladder"].note == rows["number"].note
+    rows = {r.name: r for r in verify.suite_qosc(make_dimension(7))}
+    assert rows["number"].note == "2016 pairs"
+    report = sl2_sweep(make_dimension(7), *pair_arrays(make_dimension(7)))
+    assert report.skips == {"degenerate": 0, "non-invertible": 0, "branch": 0}

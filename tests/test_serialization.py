@@ -1,6 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
+
+import torusphase
 
 from torusphase import (
     SymplecticMap,
@@ -19,8 +23,10 @@ from torusphase import (
 )
 from torusphase.serialization import (
     action_angle_csv,
+    action_angle_decomposition_csv,
     convergence_csv,
     convergence_json,
+    csv_text,
     dumps_json,
     eigensystem_json,
     format_float,
@@ -172,3 +178,144 @@ def test_byte_determinism_across_calls():
     r1 = weak_convergence_sweep((3, 5))
     r2 = weak_convergence_sweep((3, 5))
     assert convergence_json(r1) == convergence_json(r2)
+
+
+# -- one-pass emitters against entry-by-entry references -----------------------
+# Each reference formats one float at a time with format_float, as the
+# emitters did before they formatted whole arrays at once.
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 2.0 ** 53, 0.1]
+
+
+def special_grid(rng, shape):
+    scale = 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = (rng.normal(size=shape) * scale).ravel()
+    k = min(len(SPECIAL), flat.size)
+    flat[:k] = SPECIAL[:k]
+    rng.shuffle(flat)
+    return flat.reshape(shape)
+
+
+def ref_encode(obj):
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return ref_encode(obj.tolist())
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {ref_encode(v)}"
+                               for k, v in obj.items()) + "}"
+    return "[" + ", ".join(ref_encode(v) for v in obj) + "]"
+
+
+def ref_complex_rows(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 5), (13, 13)])
+def test_wigner_csv_matches_entry_by_entry(shape):
+    rng = np.random.default_rng(shape[0])
+    grid = SimpleNamespace(dim=make_dimension(shape[0]), values=special_grid(rng, shape))
+    d = shape[0]
+    ref = csv_text("V1,V2,W", [f"{a},{b},{format_float(grid.values[a, b])}"
+                               for a in range(d) for b in range(d)], ("c=1",))
+    assert wigner_csv(grid, comments=("c=1",)) == ref
+
+
+@pytest.mark.parametrize("d", [2, 3, 11])
+def test_action_angle_csvs_match_entry_by_entry(d):
+    rng = np.random.default_rng(d)
+    dim = make_dimension(d)
+    theta = dim.gamma0 * np.arange(d)
+    grid = SimpleNamespace(dim=dim, values=special_grid(rng, (2 * d, d)))
+    ref = csv_text("J,theta,W", [f"{j},{format_float(theta[t])},{format_float(grid.values[j, t])}"
+                                 for j in range(2 * d) for t in range(d)])
+    assert action_angle_csv(grid) == ref
+    odd = SimpleNamespace(dim=dim, values=special_grid(rng, (2 * d, d)))
+    jv = np.arange(2 * d) / 2.0
+    ref = csv_text("J,theta,W_even,W_odd", [
+        f"{format_float(jv[j])},{format_float(theta[t])},"
+        f"{format_float(grid.values[j, t])},{format_float(odd.values[j, t])}"
+        for j in range(2 * d) for t in range(d)])
+    assert action_angle_decomposition_csv(grid, odd) == ref
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 7)])
+def test_matrix_emitters_match_entry_by_entry(shape):
+    rng = np.random.default_rng(sum(shape))
+    m = special_grid(rng, shape) + 1j * special_grid(rng, shape)
+    dim = make_dimension(max(2, shape[0]))
+    ref = csv_text("i,j,re,im", [f"{i},{j},{format_float(m[i, j].real)},{format_float(m[i, j].imag)}"
+                                 for i in range(shape[0]) for j in range(shape[1])], ("k=x",))
+    assert matrix_csv(dim, m, comments=("k=x",)) == ref
+    extra = {"kind": "schwinger", "m": [1, -2]}
+    ref = ref_encode({"dim": dim.d, **extra, "rows": ref_complex_rows(m)}) + "\n"
+    assert operator_json(dim, m, extra=extra) == ref
+    assert operator_json(dim, m) == ref_encode({"dim": dim.d, "rows": ref_complex_rows(m)}) + "\n"
+
+
+def test_eigensystem_json_matches_entry_by_entry():
+    sys = eigensystem_by_recursion(make_dimension(7), (2, 3))
+    ref = ref_encode({"dim": 7, "m": list(sys.m),
+                      "eigenvalues": [complex(z) for z in sys.eigenvalues],
+                      "eigenvectors": ref_complex_rows(sys.eigenvectors)}) + "\n"
+    assert eigensystem_json(sys) == ref
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_transform_json_matches_entry_by_entry(n):
+    rng = np.random.default_rng(n)
+    phases = special_grid(rng, (n,)) + 1j * special_grid(rng, (n,))
+    records = [{"m": (int(a), int(b)), "phase": complex(p), "residual": float(r)}
+               for (a, b), p, r in zip(rng.integers(-9, 9, (n, 2)), phases,
+                                       special_grid(rng, (n,)))]
+    op = SimpleNamespace(map=SimpleNamespace(matrix=np.array([[2, 3], [5, 8]])),
+                         gauge="aligned", unitary_residual=np.float64(1e-16))
+    ref = ref_encode({
+        "R": [[2, 3], [5, 8]], "gauge": "aligned", "unitary_residual": 1e-16,
+        "worst_residual": 0.5,
+        "per_m": [{"m": list(rec["m"]), "phase": rec["phase"], "residual": rec["residual"]}
+                  for rec in records],
+    }) + "\n"
+    assert transform_json(op, 0.5, records) == ref
+
+
+def test_dumps_json_matches_entry_by_entry():
+    rng = np.random.default_rng(3)
+    grid = special_grid(rng, (6, 9))
+    docs = [
+        grid.tolist(),
+        {"values": grid, "theta": grid[0], "nested": [grid.tolist(), [[]], []]},
+        [1.0, True, 2],
+        [2, 1.0],
+        [np.float64(0.1), 0.1, -0.0],
+        [np.float64(5e-324), np.float32(0.1)],
+        [1.0, None, "x", 1 + 2j],
+        [False, 0.0],
+        [],
+        [-0.0],
+    ]
+    for doc in docs:
+        assert dumps_json(doc) == ref_encode(doc) + "\n"
+    assert dumps_json([1.0, True, 2]) == "[1.0000000000000000e+00, true, 2]\n"
+
+
+def test_every_exported_name_resolves():
+    for name in torusphase.__all__:
+        assert getattr(torusphase, name) is not None
+    assert set(torusphase.__all__) <= set(dir(torusphase))
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        torusphase.no_such_name  # noqa: B018
+    assert not hasattr(torusphase, "complex_matrix_payload")
