@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "CaseConditionError", "CollinearVectorsError", "DegenerateSpectrumError",
-        "DimensionTooLargeError", "NonRealWignerError", "NonScalarPowerError",
-        "NonSymplecticMapError", "PhaseMismatchError", "SingularDeformationError",
-        "TorusPhaseError", "UnsupportedBasisError",
+        "DimensionTooLargeError", "NonPrimeDimensionError", "NonRealWignerError",
+        "NonScalarPowerError", "NonSymplecticMapError", "PhaseMismatchError",
+        "SingularDeformationError", "TorusPhaseError", "UnsupportedBasisError",
     ),
     "lattice": (
         "Dimension", "basis_state", "build_clock_operator", "build_fourier_operator",

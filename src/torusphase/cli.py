@@ -346,6 +346,8 @@ def converge(primes, observable, gamma, family, out, fmt):
         else:
             report = limits_mod.weak_convergence_sweep(plist, gamma=gamma,
                                                        observable=observable, family=family)
+    except TorusPhaseError as exc:
+        _refuse(exc)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -145,6 +145,12 @@ def _eigenvectors_by_label(dim: Dimension, w):
     return keys, simple[keys], table
 
 
+def _stacked_eigenvectors(dim: Dimension, w) -> np.ndarray:
+    """S_w eigenvectors per pair (P, D, D); every w must be nondegenerate."""
+    keys, _, vecs = _eigenvectors_by_label(dim, w)
+    return np.stack([vecs[k] for k in keys.tolist()])
+
+
 def _stack_of_one(cls, obj):
     """The stack of one pair holding the fields of a per-pair realization."""
     return cls(obj.dim, *(np.asarray(getattr(obj, name))[None] for name in cls._fields[1:]))
@@ -263,9 +269,19 @@ class _OscillatorStack(NamedTuple):
     spectrum: np.ndarray
 
 
-def _oscillator_eta(c, w) -> np.ndarray:
-    """eta = -(-1)^{c + w1 w2}, the sign that makes A^dag A = C + [N] exact."""
-    return np.where((c + w[:, 0] * w[:, 1]) % 2 == 1, 1.0, -1.0)
+def _oscillator_eta(d: int, c, w) -> np.ndarray:
+    """The sign eta that makes A^dag A = C + [N] exact.
+
+    eta = -(-1)^{c + w1 w2}, times at even D the reduce_label sign of w: the
+    eigenvectors belong to the window label w mod D, and S_w differs from it by
+    that sign.  (At odd D the rule holds as it is; the sign would break it.)
+    """
+    eta = np.where((c + w[:, 0] * w[:, 1]) % 2 == 1, 1.0, -1.0)
+    if d % 2 == 0:
+        # window [0, D): w = r + D q, S_w = (-1)^{q1 r2 + q2 r1 + q1 q2 D} S_r, D even
+        q, r = np.divmod(w, d)
+        eta = eta * (1 - 2 * ((q[:, 0] * r[:, 1] + q[:, 1] * r[:, 0]) % 2))
+    return eta
 
 
 def _oscillator_stack(dim: Dimension, m, mp, eta, V) -> _OscillatorStack:
@@ -312,7 +328,7 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     """Shifted q-oscillator on the pair (m, m').
 
     The coefficient d is real positive with |d| = |d'| = (2|sin(gamma0 c)|)^{-1/2};
-    the phase of d' and the sign eta = -(-1)^{c + w1 w2} (w = m - m') are forced
+    the phase of d' and the sign eta (see _oscillator_eta; w = m - m') are forced
     by requiring A^dag A = C + [N] with no extra term.
     """
     m = (int(m[0]), int(m[1]))
@@ -324,15 +340,15 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
         )
     w = (m[0] - mp[0], m[1] - mp[1])
     if eta_override is None:
-        eta = float(_oscillator_eta(np.array([c]), np.array([w]))[0])
+        eta = float(_oscillator_eta(dim.d, np.array([c]), np.array([w]))[0])
     else:
         eta = float(eta_override)
     sys = eigensystem_by_recursion(dim, canonical_vector(dim, w))
     _require_invertible(dim, c)
     st = _oscillator_stack(dim, np.array([m]), np.array([mp]), np.array([eta]),
                            sys.eigenvectors[None])
-    return QOscillator(dim=dim, m=m, mp=mp, cross=c, q=np.exp(-1j * dim.gamma0 * c), eta=eta,
-                       eigenvalues=sys.eigenvalues,
+    return QOscillator(dim=dim, m=m, mp=mp, cross=c, q=np.exp(-1j * dim.gamma0 * (c % dim.d)),
+                       eta=eta, eigenvalues=sys.eigenvalues,
                        **_unstack(st, skip=("m", "mp", "cross", "eta")))
 
 
@@ -362,7 +378,7 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
     regular = ~_singular(dim, c)
     invertible = _inverse_mod(dim.d, c) > 0
     built = regular & simple & invertible
-    eta = _oscillator_eta(c, w)
+    eta = _oscillator_eta(dim.d, c, w)
     worst: dict = {}
     for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
         V = np.stack([vecs[k] for k in keys[idx].tolist()])
@@ -372,6 +388,18 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
              "degenerate": int((regular & ~simple).sum()),
              "non-invertible": int((regular & simple & ~invertible).sum())}
     return SweepReport(worst, built, skips)
+
+
+def oscillator_operators(dim: Dimension, m, mp):
+    """Lowering operator A and number operator N per pair, stacked (P, D, D).
+
+    m and mp are integer label arrays (P, 2) of pairs build_q_oscillator builds.
+    """
+    m, mp, c = _sweep_labels(dim, m, mp)
+    w = m - mp
+    st = _oscillator_stack(dim, m, mp, _oscillator_eta(dim.d, c, w),
+                           _stacked_eigenvectors(dim, w))
+    return st.lowering, st.number_op
 
 
 @dataclass(frozen=True)
@@ -394,6 +422,7 @@ def _lowest_weight_profile(dim: Dimension, c, tol: float):
     both branch signs of the vanishing denominator; its margin is 0 on a hit,
     else inf.
     """
+    c = _phase_cross(dim.d, c)
     v = np.sin((dim.gamma0 * c)[:, None] * (np.arange(dim.d) + (dim.d - 1) / 2.0))
     singular = _singular(dim, c)
     s = np.where(singular, 1.0, np.sin(dim.gamma0 * c))[:, None]
@@ -476,13 +505,15 @@ def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorre
         raise PhaseMismatchError("ladder matrix elements are not unit modulus")
     amp2 = np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2
     eq_amp = float(np.max(np.abs(amp2 - osc.spectrum[nv])))
-    E = np.exp(0.5j * dim.gamma0 * c * (nv + (d - 1) / 2.0))
+    # E has period 2D in c at odd D and 4D at even D, lam_cand period 2D
+    cE = _phase_cross(2 * d if d % 2 == 0 else d, c)
+    E = np.exp(0.5j * dim.gamma0 * cE * (nv + (d - 1) / 2.0))
     law = float(np.max(np.abs(g * np.conj(f) + osc.eta * np.conj(E) ** 2)))
     literal = float(max(np.max(np.abs(g - E)), np.max(np.abs(g - np.conj(f)))))
     w = (osc.m[0] - osc.mp[0], osc.m[1] - osc.mp[1])
     Sw = schwinger_matrix(dim, w)
     lam_w = np.array([vecs[:, r].conj() @ Sw @ vecs[:, r] for r in range(d)])
-    lam_cand = np.exp(1j * dim.gamma0 * (nv - d / 2.0) * c)
+    lam_cand = np.exp(1j * dim.gamma0 * (nv - d / 2.0) * _phase_cross(d, c))
     lam_resid = float(np.max(np.abs(np.conj(lam_w) - lam_cand)))
     shift_ok = all(nv[(r + c) % d] == (nv[r] + 1) % d for r in range(d))
     if eq_amp > tol or law > tol or not shift_ok:
@@ -683,6 +714,17 @@ def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
     return SweepReport(worst, built, skips)
 
 
+def sl2_operators(dim: Dimension, m, mp):
+    """Lowering operator A and J3 per pair, stacked (P, D, D).
+
+    m and mp are integer label arrays (P, 2) of pairs build_uq_sl2 builds.
+    """
+    m, mp, _ = _sweep_labels(dim, m, mp)
+    V = _stacked_eigenvectors(dim, m - mp)
+    st, _ = _sl2_stack(dim, m, mp, V)
+    return st.lowering, _diag_stack(V, st.j3_values)
+
+
 def casimir_uq_sl2(o: UqSl2Realisation):
     """Both orderings of the Casimir and the constant they equal.
 
@@ -788,7 +830,7 @@ def translated_lattice_deformation(dim: Dimension, m, mp, r) -> TranslationRepor
     # builder raises itself
     ot = build_uq_sl2(dim, (m[0] + r[0], m[1] + r[1]), (mp[0] + r[0], mp[1] + r[1]))
     Sw = schwinger_matrix(dim, w)
-    p_new = np.exp(-1j * dim.gamma0 * c) * np.exp(1j * dim.gamma0 * da)
+    p_new = np.exp(-1j * dim.gamma0 * ((c - da) % dim.d))
     residual = max_abs(ot.lowering @ Sw - p_new * Sw @ ot.lowering)
     return TranslationReport(dim=dim, m=tuple(m), mp=tuple(mp), r=tuple(r),
                              delta_alpha=da, p_new=p_new, residual=residual)

@@ -41,5 +41,9 @@ class NonScalarPowerError(TorusPhaseError):
     """A matrix power expected to be scalar is not proportional to the identity."""
 
 
+class NonPrimeDimensionError(TorusPhaseError, ValueError):
+    """A prime ladder holds a dimension that is not prime."""
+
+
 class NonRealWignerError(TorusPhaseError, ValueError):
     """A Wigner grid has an imaginary part above the reality tolerance (even D >= 4)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseConditionError
+from .errors import CaseConditionError, NonPrimeDimensionError
 from .lattice import Dimension, canonical_window, is_prime, max_abs
 from .numberphase import (
     ACTION_ANGLE_NORMALIZATION,
@@ -45,6 +45,16 @@ def _family_amplitudes(d: int, family: str, center: float, width: float) -> np.n
     raise ValueError(f"unknown state family {family!r}")
 
 
+def _prime_ladder(primes) -> tuple[int, ...]:
+    primes = tuple(int(p) for p in primes)
+    if not primes:
+        raise ValueError("empty prime list")
+    for p in primes:
+        if not is_prime(p):
+            raise NonPrimeDimensionError(f"{p} is not prime")
+    return primes
+
+
 def weak_convergence_sweep(primes, gamma: float = 1.0, observable: str = "number-exp",
                            family: str = "gaussian", center: float = 3.0,
                            width: float = 1.5) -> ConvergenceReport:
@@ -58,12 +68,7 @@ def weak_convergence_sweep(primes, gamma: float = 1.0, observable: str = "number
     under the phase observable spreads uniformly and is the documented
     non-convergent diagnostic.
     """
-    primes = tuple(int(p) for p in primes)
-    if not primes:
-        raise ValueError("empty prime list")
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+    primes = _prime_ladder(primes)
     if observable not in ("number-exp", "phase-exp"):
         raise ValueError(f"unknown observable {observable!r}")
     out = []
@@ -250,9 +255,7 @@ def phase_basis_wigner_function(dim: Dimension, state: np.ndarray) -> np.ndarray
 def phase_basis_wigner_limit(primes, family: str = "gaussian") -> ConvergenceReport:
     """Deviation between the finite-D Wigner function and the discretized
     continuum form, expected to shrink along the prime ladder for smooth states."""
-    primes = tuple(int(p) for p in primes)
-    if not primes:
-        raise ValueError("empty prime list")
+    primes = _prime_ladder(primes)
     devs = []
     for d in primes:
         dim = Dimension(d)

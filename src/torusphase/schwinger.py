@@ -125,25 +125,22 @@ class SchwingerEigensystem:
     """Eigensystem of S_m for the canonical representative m.
 
     eigenvalues[r] = e^{i pi m1 m2} e^{-2 pi i r / D}; eigenvectors[:, r] is the
-    matching unit vector.  The phase of each eigenvector is fixed by the
-    construction walk: the component at the orbit start (k = 0) is real
-    positive, the rest follow from the recursion phases beta.
+    matching unit vector.  The phase of each eigenvector is fixed by the walk
+    along the shift orbit: the component at the orbit start (k = 0) is real
+    positive, the rest follow from the eigenvalue equation in closed form.
     """
 
     dim: Dimension
     m: tuple[int, int]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    beta: np.ndarray
     reducible_warning: bool
 
 
 @lru_cache(maxsize=1024)
 def _eigensystem_cached(d: int, m1: int, m2: int):
-    g0 = 2.0 * np.pi / d
     lam = np.exp(1j * np.pi * m1 * m2) * np.exp(-2j * np.pi * np.arange(d) / d)
     vecs = np.zeros((d, d), dtype=complex)
-    beta = g0 * m2 * (2 * np.arange(d) - m1) / 2.0
     if m1 % d == 0:
         # diagonal element: eigenvector r is the coordinate vector k with
         # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
@@ -158,18 +155,19 @@ def _eigensystem_cached(d: int, m1: int, m2: int):
             raise DegenerateSpectrumError(
                 f"orbit of label ({m1},{m2}) does not cover Z_{d}"
             )
-        for r in range(d):
-            e = np.zeros(d, dtype=complex)
-            k = 0
-            e[0] = 1.0
-            for _ in range(d - 1):
-                e[(k - m1) % d] = lam[r] * np.exp(1j * beta[k]) * e[k]
-                k = (k - m1) % d
-            vecs[:, r] = e / math.sqrt(d)
+        # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
+        # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
+        # e^{i pi E / D} / sqrt(D) with the exact integer
+        # E = m2 sum_{i<j} (2 k_i - m1) + D m1 m2 j - 2 j r  (mod 2D)
+        j = np.arange(d, dtype=np.int64)
+        k = (-j * m1) % d
+        walk = np.concatenate(([0], np.cumsum(2 * k[:-1] - m1) % (2 * d)))
+        e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
+        e = (e[:, None] - 2 * np.outer(j, j)) % (2 * d)
+        vecs[k] = np.exp(1j * np.pi * e / d) / math.sqrt(d)
     lam.flags.writeable = False
     vecs.flags.writeable = False
-    beta.flags.writeable = False
-    return lam, vecs, beta
+    return lam, vecs
 
 
 def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
@@ -182,13 +180,12 @@ def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
     mc = canonical_vector(dim, m)
     if mc == (0, 0):
         raise ValueError("the zero label is the identity; no cyclic eigensystem")
-    lam, vecs, beta = _eigensystem_cached(dim.d, mc[0], mc[1])
+    lam, vecs = _eigensystem_cached(dim.d, mc[0], mc[1])
     return SchwingerEigensystem(
         dim=dim,
         m=mc,
         eigenvalues=lam,
         eigenvectors=vecs,
-        beta=beta,
         reducible_warning=not dim.prime,
     )
 

@@ -4,6 +4,9 @@ Each suite returns CheckRow records; a row of kind "residual" gates against
 the caller's tolerance, a row of kind "info" is reported but never gated.
 Structural impossibilities (singular deformations at D=2, quarter-turn
 covariance at D=2) are emitted as info rows with a note instead of failures.
+At odd prime D the qosc and sl2 suites sweep one representative pair per label
+class and check sampled window pairs onto them by metaplectic conjugation
+(see _sweep_plan).
 """
 from __future__ import annotations
 
@@ -49,21 +52,99 @@ def _flag(name, ok: bool, note=""):
     return CheckRow(name=name, value=0.0 if ok else 1.0, kind="residual", note=note)
 
 
+# window pairs checked by conjugation onto the class representatives
+_ORBIT_SAMPLES = 64
+# a of the class representatives ((1, a D), (0, c)): the q-oscillator needs
+# one relative sign of S_m and S_m', the deformed sl(2) pair both
+_QOSC_FAMILIES = (0,)
+_SL2_FAMILIES = (0, 1)
+
+
 def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
     """Label arrays (m, m') of the non-collinear window pairs, m outer, m' inner.
 
     With `samples` below the pair count, that many pairs drawn without
-    replacement.
+    replacement, found by their index in that order without listing them all.
     """
+    d = dim.d
     vecs = np.array(window_vectors(dim))
-    m = np.repeat(vecs, len(vecs), axis=0)
-    mp = np.tile(vecs, (len(vecs), 1))
-    keep = lattice_cross(m.T, mp.T) % dim.d != 0
-    m, mp = m[keep], mp[keep]
-    if samples is not None and samples < len(m):
-        idx = np.random.default_rng(seed).choice(len(m), size=samples, replace=False)
-        m, mp = m[idx], mp[idx]
+    # D gcd(m1, m2, D) labels m' have m x m' = 0 mod D
+    per_m = d * d - d * np.gcd(np.gcd(vecs[:, 0], vecs[:, 1]), d)
+    total = int(per_m.sum())
+    if samples is None or samples >= total:
+        m = np.repeat(vecs, len(vecs), axis=0)
+        mp = np.tile(vecs, (len(vecs), 1))
+        keep = lattice_cross(m.T, mp.T) % d != 0
+        return m[keep], mp[keep]
+    idx = np.random.default_rng(seed).choice(total, size=samples, replace=False)
+    ends = np.cumsum(per_m)
+    outer = np.searchsorted(ends, idx, side="right")
+    rank = idx - ends[outer] + per_m[outer]
+    mp = [vecs[lattice_cross(vecs[o], vecs.T) % d != 0][k] for o, k in zip(outer, rank)]
+    return vecs[outer], np.array(mp, dtype=vecs.dtype).reshape(-1, 2)
+
+
+def _representatives(d: int, families) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ((1, a D), (0, c)) for a in families and c in [-D, D), c != 0 mod D.
+
+    a = 1 flips the sign of S_m against S_m'; c runs over both classes mod 2D
+    of each area mod D, which fix the reduced phases and the J3 offset.
+    """
+    c = np.array([x for x in range(-d, d) if x % d])
+    m = np.array([(1, a * d) for a in families for _ in c])
+    mp = np.stack([np.zeros(len(m), dtype=int), np.tile(c, len(families))], axis=1)
     return m, mp
+
+
+def _orbit_conjugation(dim: Dimension, operators, pairs, reps) -> float:
+    """Worst distance of a window pair from a swept representative under G_R.
+
+    For a pair (m, m') of area c, R = [m | c^{-1} m'] mod D has det 1 and takes
+    (1, 0) to m and (0, c) to m'.  The pair's A and X (N or J3, from
+    `operators`) must satisfy G_R^dag A G_R = z A_rho with z^4 = 1 and
+    G_R^dag X G_R = X_rho for a representative rho of area c mod D; the value
+    is the least such residual, so a pair no representative matches reads O(1).
+    """
+    d = dim.d
+    (m, mp), (rm, rmp) = pairs, reps
+    c = lattice_cross(m.T, mp.T)
+    rc = lattice_cross(rm.T, rmp.T)
+    worst = 0.0
+    for i in range(len(c)):
+        cinv = pow(int(c[i]), -1, d)
+        R = transforms.SymplecticMap(dim, (int(m[i, 0]) % d, int(m[i, 1]) % d),
+                                     (cinv * int(mp[i, 0]) % d, cinv * int(mp[i, 1]) % d))
+        G = transforms.build_metaplectic(dim, R).matrix
+        near = np.flatnonzero((rc - c[i]) % d == 0)
+        A, X = operators(dim, np.vstack([m[i], rm[near]]), np.vstack([mp[i], rmp[near]]))
+        Y, Z = G.conj().T @ A[0] @ G, G.conj().T @ X[0] @ G
+        Ar = A[1:]
+        z = np.einsum("pij,ij->p", Ar.conj(), Y) / np.einsum("pij,pij->p", Ar.conj(), Ar).real
+        res = np.maximum.reduce([np.abs(Y - z[:, None, None] * Ar).max(axis=(1, 2)),
+                                 np.abs(z ** 4 - 1), np.abs(Z - X[1:]).max(axis=(1, 2))])
+        worst = max(worst, float(res.min()))
+    return worst
+
+
+def _sweep_plan(dim: Dimension, seed: int, samples: int | None, families):
+    """Window pairs for the per-pair rows, the pairs to sweep, and whether those are classes.
+
+    At odd prime D, SL(2, Z_D) acts transitively on the pairs of each area
+    mod D and the metaplectic G_R realizes it: the sweep takes the class
+    representatives, and `samples` (default _ORBIT_SAMPLES) window pairs are
+    drawn to be checked onto them.  At composite D the orbits split by gcd,
+    and at D = 2 the gauge of G does not close; there the sweep takes the
+    drawn window pairs themselves.
+    """
+    if not (dim.prime and dim.d % 2 == 1):
+        pairs = _swept_pairs(dim, seed, samples)
+        return pairs, pairs, False
+    pairs = _swept_pairs(dim, seed, _ORBIT_SAMPLES if samples is None else samples)
+    return pairs, _representatives(dim.d, families), True
+
+
+def _class_note(sweep, pairs) -> str:
+    return f"{sweep.built} class representatives, {len(pairs[0])} window pairs by conjugation"
 
 
 def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[CheckRow]:
@@ -102,28 +183,36 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
 
 
 def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> list[CheckRow]:
-    m, mp = _swept_pairs(dim, seed, samples)
+    pairs, swept, classes = _sweep_plan(dim, seed, samples, _QOSC_FAMILIES)
     rows: list[CheckRow] = []
-    sweep = deformed.oscillator_sweep(dim, m, mp)
+    sweep = deformed.oscillator_sweep(dim, *swept)
     if sweep.built == 0:
         rows.append(_info("singular_deformation", 0.0,
                           note=f"every non-collinear pair at D={dim.d} is singular; "
                                "builder raises as designed"))
         return rows
     worst = sweep.worst
-    skips = [f"{n} {reason}" for reason, n in sweep.skips.items() if n]
-    note = f"{sweep.built} pairs" + (f", {', '.join(skips)} skipped" if skips else "")
+    if classes:
+        note = _class_note(sweep, pairs)
+        built = np.ones(len(pairs[0]), dtype=bool)     # every pair builds at odd prime D
+    else:
+        skips = [f"{n} {reason}" for reason, n in sweep.skips.items() if n]
+        note = f"{sweep.built} pairs" + (f", {', '.join(skips)} skipped" if skips else "")
+        built = sweep.built_mask
     for k in ("number", "q_exponential", "ladder", "raised_number"):
         rows.append(_res(k, worst[k], note=note))
+    if classes:
+        rows.append(_res("orbit_conjugation", _orbit_conjugation(
+            dim, deformed.oscillator_operators, pairs, swept), note=note))
     rows.append(_res("shift_constant", worst["shift_constant"]))
     min_spectrum = worst["spectrum_min"]
     rows.append(_res("admissible_spectrum", max(0.0, -float(min_spectrum)),
                      note=f"min f(n) = {min_spectrum:.6f}"))
     if dim.d % 2 == 1:
-        rows.append(_flag("no_lowest_weight", deformed.lowest_weight_sweep(dim, m, mp) is None,
+        rows.append(_flag("no_lowest_weight", deformed.lowest_weight_sweep(dim, *swept) is None,
                           note="cyclic (no lowest-weight vector) for odd D"))
-    sample_oscs = [deformed.build_q_oscillator(dim, m[i], mp[i])
-                   for i in np.flatnonzero(sweep.built_mask)[:5]]
+    m, mp = pairs
+    sample_oscs = [deformed.build_q_oscillator(dim, m[i], mp[i]) for i in np.flatnonzero(built)[:5]]
     worst_law = worst_amp = 0.0
     lit = lam = 0.0
     corr_ok = True
@@ -166,11 +255,16 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
 
 
 def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list[CheckRow]:
-    sweep = deformed.sl2_sweep(dim, *_swept_pairs(dim, seed, samples))
+    pairs, swept, classes = _sweep_plan(dim, seed, samples, _SL2_FAMILIES)
+    sweep = deformed.sl2_sweep(dim, *swept)
     if sweep.built == 0:
         return [_info("deformed_sl2", 1.0,
                       note=f"construction degenerates for every pair at D={dim.d}")]
-    rows = [_res(k, v, note=f"{sweep.built} pairs") for k, v in sweep.worst.items()]
+    note = _class_note(sweep, pairs) if classes else f"{sweep.built} pairs"
+    rows = [_res(k, v, note=note) for k, v in sweep.worst.items()]
+    if classes:
+        rows.append(_res("orbit_conjugation", _orbit_conjugation(
+            dim, deformed.sl2_operators, pairs, swept), note=note))
     if dim.d <= 7:
         try:
             rep = deformed.coproduct_check(dim, (1, 0), (0, 1))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,23 @@ def test_converge_csv_output(runner):
 def test_converge_rejects_bad_prime_list(runner):
     res = invoke(runner, ["converge", "--primes", "3,x"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("observable", ["number-exp", "wigner"])
+def test_converge_refuses_a_composite_ladder(runner, observable):
+    res = invoke(runner, ["converge", "--primes", "4,6", "--observable", observable])
+    assert res.exit_code == 2
+    assert res.stderr == "error: NonPrimeDimensionError: 4 is not prime\n"
+
+
+@pytest.mark.parametrize("suite", ["qosc", "sl2"])
+def test_verify_class_sweep_passes_at_large_prime(runner, suite):
+    for d in (31, 101):
+        start = time.perf_counter()
+        res = invoke(runner, ["verify", "--d", str(d), "--suite", suite])
+        assert res.exit_code == 0, res.stdout
+        assert "orbit_conjugation" in res.stdout
+    assert time.perf_counter() - start < 15.0
 
 
 def test_transform_fourier_map(runner):

@@ -339,12 +339,13 @@ def test_sweep_rejects_collinear_pair():
 
 
 def test_sweep_blocks_stay_small():
-    """suite_qosc + suite_sl2 at D=13 (~26k pairs each) stay within a few MB."""
+    """Both sweeps over every window pair at D=13 (~26k pairs) stay within a few MB."""
     dim = make_dimension(13)
+    m, mp = pair_arrays(dim)
     tracemalloc.start()
     try:
-        verify.suite_qosc(dim)
-        verify.suite_sl2(dim)
+        oscillator_sweep(dim, m, mp)
+        sl2_sweep(dim, m, mp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,6 +399,76 @@ def test_qosc_note_names_each_skip_reason():
     assert rows["number"].note == "3240 pairs, 1296 degenerate, 1080 non-invertible skipped"
     assert rows["ladder"].note == rows["number"].note
     rows = {r.name: r for r in verify.suite_qosc(make_dimension(7))}
-    assert rows["number"].note == "2016 pairs"
+    assert rows["number"].note == "12 class representatives, 64 window pairs by conjugation"
     report = sl2_sweep(make_dimension(7), *pair_arrays(make_dimension(7)))
     assert report.skips == {"degenerate": 0, "non-invertible": 0, "branch": 0}
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_oscillator_identities_hold_at_even_dimension(d):
+    # eta carries the reduce_label sign of w at even D; without it 28 of the
+    # 80 buildable pairs at D = 4 missed by O(1)
+    dim = make_dimension(d)
+    worst = oscillator_sweep(dim, *pair_arrays(dim)).worst
+    for key in ("number", "q_exponential", "ladder", "raised_number"):
+        assert worst[key] < 1e-12, (key, worst[key])
+
+
+def test_unreduced_labels_take_phases_from_the_reduced_cross_value():
+    # c = -3254 and -588 agree mod 2D = 62; the unreduced c gave a product law
+    # residual of 2.5e-12 against 5.7e-13
+    dim = make_dimension(31)
+    pairs = (((-51, -25), (-20, 54)), ((11, -25), (-20, -8)))
+    a, b = (build_q_oscillator(dim, m, mp) for m, mp in pairs)
+    assert a.q == b.q
+    laws = [eigenbasis_correspondence(o).product_law_residual for o in (a, b)]
+    assert laws[0] <= laws[1] < 1e-13
+    ta, tb = (translated_lattice_deformation(dim, m, mp, (1, 1)) for m, mp in pairs)
+    assert ta.p_new == tb.p_new
+
+
+# -- class sweeps at odd prime D ---------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 4, 6, 9, 11])
+def test_sampled_pairs_are_the_seeded_draw_from_the_full_list(d):
+    dim = make_dimension(d)
+    m, mp = verify._swept_pairs(dim, 0, None)
+    size = min(40, len(m) - 1)
+    for seed in (0, 3):
+        idx = np.random.default_rng(seed).choice(len(m), size=size, replace=False)
+        sm, smp = verify._swept_pairs(dim, seed, size)
+        assert (sm == m[idx]).all() and (smp == mp[idx]).all()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_class_sweep_passes_where_the_exhaustive_sweep_passes(d):
+    # the exhaustive sweep over every window pair is the oracle
+    tol = 1e-10
+    dim = make_dimension(d)
+    m, mp = pair_arrays(dim)
+    for suite, sweep in ((verify.suite_qosc, oscillator_sweep), (verify.suite_sl2, sl2_sweep)):
+        rows = {r.name: r for r in suite(dim)}
+        assert rows["orbit_conjugation"].value < tol
+        exhaustive = sweep(dim, m, mp).worst
+        for key, value in exhaustive.items():
+            if key == "spectrum_min":
+                assert rows["admissible_spectrum"].note == f"min f(n) = {value:.6f}"
+            elif value < tol:
+                assert rows[key].value < tol, (suite.__name__, key)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_every_window_pair_conjugates_onto_a_swept_representative(d):
+    dim = make_dimension(d)
+    pairs = pair_arrays(dim)
+    for families, operators in ((verify._QOSC_FAMILIES, deformed.oscillator_operators),
+                                (verify._SL2_FAMILIES, deformed.sl2_operators)):
+        reps = verify._representatives(d, families)
+        assert verify._orbit_conjugation(dim, operators, pairs, reps) < 1e-12
+
+
+@pytest.mark.parametrize("families", [(0,), (1,)])
+def test_each_sl2_representative_family_is_needed(monkeypatch, families):
+    monkeypatch.setattr(verify, "_SL2_FAMILIES", families)
+    rows = {r.name: r for r in verify.suite_sl2(make_dimension(7))}
+    assert rows["orbit_conjugation"].value > 0.1
