@@ -22,7 +22,7 @@ _EXPORTS = {
     "lattice": (
         "Dimension", "basis_state", "build_clock_operator", "build_fourier_operator",
         "build_shift_operator", "canonical_component", "canonical_vector", "canonical_window",
-        "is_prime", "lattice_cross", "lattice_cross_mod", "make_dimension", "max_abs",
+        "is_prime", "lattice_cross", "make_dimension", "max_abs",
         "random_state", "window_vectors",
     ),
     "schwinger": (

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 import click
 
-from .errors import CaseConditionError, CollinearVectorsError, SingularDeformationError, TorusPhaseError
+from .errors import TorusPhaseError
 
 if TYPE_CHECKING:
     from .lattice import Dimension
@@ -286,7 +286,7 @@ def spectrum(d, m_text, mp_text, out, fmt):
     mp = _parse_vec(mp_text, "--mp")
     try:
         osc = build_q_oscillator(dim, m, mp)
-    except (CollinearVectorsError, SingularDeformationError) as exc:
+    except TorusPhaseError as exc:
         _refuse(exc)
     if fmt == "csv":
         _emit(ser.spectrum_csv(osc, comments=[f"D={d}"]), out)
@@ -316,7 +316,9 @@ def index(d, case, cross, sign, out, fmt):
             profile = limits_mod.oscillator_profile(dim)
         else:
             profile = limits_mod.limiting_spectrum(dim, case, cross=cross, sign=int(sign))
-    except (CaseConditionError, CollinearVectorsError, SingularDeformationError, ValueError) as exc:
+    except TorusPhaseError as exc:
+        _refuse(exc)
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     report = limits_mod.index_report(profile)

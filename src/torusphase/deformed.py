@@ -12,12 +12,17 @@ exact symplectic area c = m x m':
 Both diagonalize along the eigenbasis of S_{m-m'}; the integer bijection
 n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
 
-Every pair of a label list is checked by the sweeps oscillator_sweep,
-sl2_sweep and lowest_weight_sweep.  They stack the pairs in blocks of at most
+Both start from one label pass over a list of pairs (_label_pass): it rejects
+collinear pairs, gathers the eigenvectors of each distinct canonical
+w = m - m' once, and gives every pair the reason its builder refuses it, if
+any.  The builders raise that refusal; the sweeps oscillator_sweep and
+sl2_sweep skip and count it, then stack the built pairs in blocks of at most
 _BLOCK_ENTRIES complex entries per D x D stack and take every residual with
 batched matmul.  The per-pair builders and residual functions evaluate the
 same stacked formulas on a stack of one, so each identity is written once and
 a sweep's worst residual is bit-equal to the worst of the per-pair values.
+The sign that fixes the sl(2) J3 offset and the oscillator eta is an exact
+integer parity of the labels (_branch_sign), not a measured phase.
 """
 from __future__ import annotations
 
@@ -36,28 +41,18 @@ from .errors import (
     SingularDeformationError,
 )
 from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
-from .schwinger import (
-    _eigensystem_cached,
-    displacement_columns,
-    eigensystem_by_recursion,
-    schwinger_matrix,
-)
+from .schwinger import _eigensystem_cached, displacement_columns, schwinger_matrix
 
 _SINGULAR_TOL = 1e-12
-_BRANCH_TOL = 1e-9
 _LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
 _BLOCK_ENTRIES = 1 << 12     # complex entries per stack in one sweep block
+# refusal reasons of each builder, in the order it checks them
+_OSC_REASONS = ("singular", "degenerate", "non-invertible")
+_SL2_REASONS = ("degenerate", "non-invertible")
 
 
 def _dag(A):
     return A.conj().swapaxes(-1, -2)
-
-
-def _require_noncollinear(dim: Dimension, m, mp) -> int:
-    c = lattice_cross(m, mp)
-    if c % dim.d == 0:
-        raise CollinearVectorsError(f"{m} x {mp} = {c} = 0 mod {dim.d}")
-    return c
 
 
 def _singular(dim: Dimension, c):
@@ -73,13 +68,6 @@ def _phase_cross(d: int, c) -> np.ndarray:
     digits.  The least |c| keeps the sine arguments smallest.
     """
     return (np.asarray(c) + d) % (2 * d) - d
-
-
-def _require_invertible(dim: Dimension, c: int) -> None:
-    if _inverse_mod(dim.d, c) == 0:
-        raise DegenerateSpectrumError(
-            f"cross value {c} is not invertible mod {dim.d}; "
-            "the number labeling degenerates")
 
 
 # -- stacked building blocks ---------------------------------------------------
@@ -125,32 +113,6 @@ def _inverse_table(d: int) -> np.ndarray:
     return table
 
 
-def _eigenvectors_by_label(dim: Dimension, w):
-    """Per pair the residue key of w and whether S_w is nondegenerate; key -> eigenvectors.
-
-    Each distinct canonical label goes once through _eigensystem_cached; the
-    degenerate ones, where eigensystem_by_recursion raises, have no entry.
-    (np.unique and np.isin would import numpy.ma, ~1 MB of resident memory.)
-    """
-    d = dim.d
-    keys = (w[:, 0] % d) * d + w[:, 1] % d
-    simple = np.zeros(d * d, dtype=bool)
-    table = {}
-    for k in set(keys.tolist()):
-        try:
-            table[k] = _eigensystem_cached(d, *canonical_vector(dim, divmod(k, d)))[1]
-            simple[k] = True
-        except DegenerateSpectrumError:
-            pass
-    return keys, simple[keys], table
-
-
-def _stacked_eigenvectors(dim: Dimension, w) -> np.ndarray:
-    """S_w eigenvectors per pair (P, D, D); every w must be nondegenerate."""
-    keys, _, vecs = _eigenvectors_by_label(dim, w)
-    return np.stack([vecs[k] for k in keys.tolist()])
-
-
 def _stack_of_one(cls, obj):
     """The stack of one pair holding the fields of a per-pair realization."""
     return cls(obj.dim, *(np.asarray(getattr(obj, name))[None] for name in cls._fields[1:]))
@@ -159,34 +121,6 @@ def _stack_of_one(cls, obj):
 def _unstack(st, skip=()) -> dict:
     """Fields of the first pair of a stack, for a per-pair realization."""
     return {name: getattr(st, name)[0] for name in st._fields[1:] if name not in skip}
-
-
-def _sweep_labels(dim: Dimension, m, mp):
-    m = np.asarray(m, dtype=np.int64).reshape(-1, 2)
-    mp = np.asarray(mp, dtype=np.int64).reshape(-1, 2)
-    c = lattice_cross(m.T, mp.T)
-    collinear = c % dim.d == 0
-    if collinear.any():
-        i = int(np.argmax(collinear))
-        raise CollinearVectorsError(
-            f"{tuple(m[i].tolist())} x {tuple(mp[i].tolist())} = {c[i]} = 0 mod {dim.d}")
-    return m, mp, c
-
-
-def _blocks(index, entries_per_pair: int):
-    step = max(1, _BLOCK_ENTRIES // entries_per_pair)
-    for k in range(0, len(index), step):
-        yield index[k:k + step]
-
-
-def _fold(worst: dict, residuals: dict, keep=slice(None)) -> None:
-    """Fold per-pair residuals into the running worst: min for spectrum_min, else max."""
-    for k, v in residuals.items():
-        v = v[keep]
-        if k == "spectrum_min":
-            worst[k] = min(worst.get(k, np.inf), float(v.min()))
-        else:
-            worst[k] = max(worst.get(k, 0.0), float(v.max()))
 
 
 @dataclass(frozen=True)
@@ -210,6 +144,114 @@ class SweepReport:
     @property
     def skipped(self) -> int:
         return len(self.built_mask) - self.built
+
+
+def _checked_labels(dim: Dimension, m, mp):
+    """Label arrays (P, 2) and exact cross values; a collinear pair raises."""
+    m = np.asarray(m, dtype=np.int64).reshape(-1, 2)
+    mp = np.asarray(mp, dtype=np.int64).reshape(-1, 2)
+    c = lattice_cross(m.T, mp.T)
+    collinear = c % dim.d == 0
+    if collinear.any():
+        i = int(np.argmax(collinear))
+        raise CollinearVectorsError(
+            f"{tuple(m[i].tolist())} x {tuple(mp[i].tolist())} = {c[i]} = 0 mod {dim.d}")
+    return m, mp, c
+
+
+class _Labels(NamedTuple):
+    """A checked list of label pairs with its S_{m-m'} eigensystems and refusals."""
+
+    m: np.ndarray
+    mp: np.ndarray
+    cross: np.ndarray        # exact m x m'
+    keys: np.ndarray         # residue key of w = m - m' per pair
+    systems: dict            # key -> (eigenvalues, eigenvectors), or the degeneracy error
+    reasons: tuple           # refusal reasons checked, in the builder's order
+    refusal: np.ndarray      # per pair: index of its first reason, len(reasons) if built
+
+    @property
+    def built(self) -> np.ndarray:
+        return self.refusal == len(self.reasons)
+
+    def eigenvectors(self, idx) -> np.ndarray:
+        return np.stack([self.systems[k][1] for k in self.keys[idx].tolist()])
+
+
+def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
+    """Check label pairs once for both algebras.
+
+    Each distinct canonical w = m - m' goes once through _eigensystem_cached.
+    (np.unique and np.isin would import numpy.ma, ~1 MB of resident memory.)
+    """
+    d = dim.d
+    m, mp, c = _checked_labels(dim, m, mp)
+    w = m - mp
+    keys = (w[:, 0] % d) * d + w[:, 1] % d
+    simple = np.zeros(d * d, dtype=bool)
+    systems = {}
+    for k in set(keys.tolist()):
+        try:
+            systems[k] = _eigensystem_cached(d, *canonical_vector(dim, divmod(k, d)))
+            simple[k] = True
+        except DegenerateSpectrumError as exc:
+            # without its traceback, which would keep this frame in a cycle
+            systems[k] = exc.with_traceback(None)
+    failed = {"singular": _singular(dim, c), "degenerate": ~simple[keys],
+              "non-invertible": _inverse_mod(d, c) == 0}
+    first = np.argmax(np.stack([failed[r] for r in reasons] + [np.ones(len(c), dtype=bool)]),
+                      axis=0)
+    return _Labels(m, mp, c, keys, systems, reasons, first)
+
+
+def _built_stack(dim: Dimension, m, mp, reasons: tuple, stack, *args):
+    """Label pass and stack of every pair; the first refused pair raises its builder error."""
+    lab = _label_pass(dim, m, mp, reasons)
+    if not lab.built.all():
+        i = int(np.argmin(lab.built))
+        reason, c = reasons[lab.refusal[i]], int(lab.cross[i])
+        if reason == "degenerate":
+            raise lab.systems[int(lab.keys[i])]
+        if reason == "singular":
+            raise SingularDeformationError(
+                f"sin(gamma0 * {c}) = 0 at D={dim.d}; oscillator coefficients diverge")
+        raise DegenerateSpectrumError(
+            f"cross value {c} is not invertible mod {dim.d}; the number labeling degenerates")
+    return lab, stack(dim, lab.m, lab.mp, lab.eigenvectors(slice(None)), *args)
+
+
+def _sweep(dim: Dimension, m, mp, reasons: tuple, stack, residuals) -> SweepReport:
+    """Worst residuals over the built pairs, in stacked blocks, and the skips by reason."""
+    lab = _label_pass(dim, m, mp, reasons)
+    built = np.flatnonzero(lab.built)
+    step = max(1, _BLOCK_ENTRIES // dim.d ** 2)
+    worst: dict = {}
+    for start in range(0, len(built), step):
+        idx = built[start:start + step]
+        st = stack(dim, lab.m[idx], lab.mp[idx], lab.eigenvectors(idx))
+        for k, v in residuals(st).items():
+            if k == "spectrum_min":
+                worst[k] = min(worst.get(k, np.inf), float(v.min()))
+            else:
+                worst[k] = max(worst.get(k, 0.0), float(v.max()))
+    skips = {r: int((lab.refusal == i).sum()) for i, r in enumerate(reasons)}
+    return SweepReport(worst, lab.built, skips)
+
+
+def _branch_sign(d: int, c, w) -> np.ndarray:
+    """phi0 = <v_0|S_w|v_0> / s_p = sigma(w) (-1)^{wbar1 wbar2 + c} per pair, +1 or -1.
+
+    wbar is the window representative of the label w and sigma(w) its
+    reduce_label sign, S_w = sigma S_wbar with sigma = (-1)^{a wbar2 + b wbar1
+    + a b D} for w = wbar + (a D, b D).  v_0, the first eigenvector of S_wbar,
+    has eigenvalue e^{i pi wbar1 wbar2}, and s_p = e^{-i pi c} = (-1)^c.
+    """
+    wbar = w % d
+    if d % 2 == 1:
+        wbar = np.where(wbar > (d - 1) // 2, wbar - d, wbar)
+    a, b = ((w - wbar) // d).T
+    parity = a * wbar[:, 1] + b * wbar[:, 0] + a * b * d + wbar[:, 0] * wbar[:, 1] + c
+    return 1.0 - 2 * (parity % 2)
 
 
 def bracket_values(dim: Dimension, c, n) -> np.ndarray:
@@ -269,25 +311,16 @@ class _OscillatorStack(NamedTuple):
     spectrum: np.ndarray
 
 
-def _oscillator_eta(d: int, c, w) -> np.ndarray:
-    """The sign eta that makes A^dag A = C + [N] exact.
+def _oscillator_stack(dim: Dimension, m, mp, V, eta=None) -> _OscillatorStack:
+    """Shifted q-oscillators on buildable pairs, with S_{m-m'} eigenvectors V.
 
-    eta = -(-1)^{c + w1 w2}, times at even D the reduce_label sign of w: the
-    eigenvectors belong to the window label w mod D, and S_w differs from it by
-    that sign.  (At odd D the rule holds as it is; the sign would break it.)
+    eta defaults to the sign that makes A^dag A = C + [N] exact, -phi0 (see
+    _branch_sign).
     """
-    eta = np.where((c + w[:, 0] * w[:, 1]) % 2 == 1, 1.0, -1.0)
-    if d % 2 == 0:
-        # window [0, D): w = r + D q, S_w = (-1)^{q1 r2 + q2 r1 + q1 q2 D} S_r, D even
-        q, r = np.divmod(w, d)
-        eta = eta * (1 - 2 * ((q[:, 0] * r[:, 1] + q[:, 1] * r[:, 0]) % 2))
-    return eta
-
-
-def _oscillator_stack(dim: Dimension, m, mp, eta, V) -> _OscillatorStack:
-    """Shifted q-oscillators on buildable pairs, with S_{m-m'} eigenvectors V."""
     d, g0 = dim.d, dim.gamma0
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
+    if eta is None:
+        eta = -_branch_sign(d, c, m - mp)
     s = np.sin(g0 * c)
     d_coef = _scalar_pow(2.0 * np.abs(s), -0.5)
     dp_coef = np.conj(eta / ((2j * s) * d_coef))
@@ -328,27 +361,15 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     """Shifted q-oscillator on the pair (m, m').
 
     The coefficient d is real positive with |d| = |d'| = (2|sin(gamma0 c)|)^{-1/2};
-    the phase of d' and the sign eta (see _oscillator_eta; w = m - m') are forced
-    by requiring A^dag A = C + [N] with no extra term.
+    the phase of d' and the sign eta = -phi0 (see _branch_sign; w = m - m') are
+    forced by requiring A^dag A = C + [N] with no extra term.
     """
-    m = (int(m[0]), int(m[1]))
-    mp = (int(mp[0]), int(mp[1]))
-    c = _require_noncollinear(dim, m, mp)
-    if _singular(dim, c):
-        raise SingularDeformationError(
-            f"sin(gamma0 * {c}) = 0 at D={dim.d}; oscillator coefficients diverge"
-        )
-    w = (m[0] - mp[0], m[1] - mp[1])
-    if eta_override is None:
-        eta = float(_oscillator_eta(dim.d, np.array([c]), np.array([w]))[0])
-    else:
-        eta = float(eta_override)
-    sys = eigensystem_by_recursion(dim, canonical_vector(dim, w))
-    _require_invertible(dim, c)
-    st = _oscillator_stack(dim, np.array([m]), np.array([mp]), np.array([eta]),
-                           sys.eigenvectors[None])
-    return QOscillator(dim=dim, m=m, mp=mp, cross=c, q=np.exp(-1j * dim.gamma0 * (c % dim.d)),
-                       eta=eta, eigenvalues=sys.eigenvalues,
+    eta = None if eta_override is None else np.array([float(eta_override)])
+    lab, st = _built_stack(dim, [m], [mp], _OSC_REASONS, _oscillator_stack, eta)
+    c = int(lab.cross[0])
+    return QOscillator(dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
+                       cross=c, q=np.exp(-1j * dim.gamma0 * (c % dim.d)), eta=float(st.eta[0]),
+                       eigenvalues=lab.systems[int(lab.keys[0])][0],
                        **_unstack(st, skip=("m", "mp", "cross", "eta")))
 
 
@@ -372,33 +393,16 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
     reasons in that order, the builder's.  The worst is the max per key,
     except spectrum_min, which is the min.
     """
-    m, mp, c = _sweep_labels(dim, m, mp)
-    w = m - mp
-    keys, simple, vecs = _eigenvectors_by_label(dim, w)
-    regular = ~_singular(dim, c)
-    invertible = _inverse_mod(dim.d, c) > 0
-    built = regular & simple & invertible
-    eta = _oscillator_eta(dim.d, c, w)
-    worst: dict = {}
-    for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
-        V = np.stack([vecs[k] for k in keys[idx].tolist()])
-        st = _oscillator_stack(dim, m[idx], mp[idx], eta[idx], V)
-        _fold(worst, _oscillator_stack_residuals(st))
-    skips = {"singular": int((~regular).sum()),
-             "degenerate": int((regular & ~simple).sum()),
-             "non-invertible": int((regular & simple & ~invertible).sum())}
-    return SweepReport(worst, built, skips)
+    return _sweep(dim, m, mp, _OSC_REASONS, _oscillator_stack, _oscillator_stack_residuals)
 
 
 def oscillator_operators(dim: Dimension, m, mp):
     """Lowering operator A and number operator N per pair, stacked (P, D, D).
 
-    m and mp are integer label arrays (P, 2) of pairs build_q_oscillator builds.
+    m and mp are integer label arrays (P, 2) of pairs build_q_oscillator builds;
+    the first it refuses raises its error.
     """
-    m, mp, c = _sweep_labels(dim, m, mp)
-    w = m - mp
-    st = _oscillator_stack(dim, m, mp, _oscillator_eta(dim.d, c, w),
-                           _stacked_eigenvectors(dim, w))
+    st = _built_stack(dim, m, mp, _OSC_REASONS, _oscillator_stack)[1]
     return st.lowering, st.number_op
 
 
@@ -443,7 +447,7 @@ def lowest_weight_scan(dim: Dimension, m, mp,
     At D = 2 the profile hits zero, a lowest weight exists, and the
     representation is flagged as not irreducible.
     """
-    c = _require_noncollinear(dim, m, mp)
+    c = int(_checked_labels(dim, m, mp)[2][0])
     hits, margin, singular = _lowest_weight_profile(dim, np.array([c]), tol)
     solutions = tuple(int(k) for k in np.flatnonzero(hits[0]))
     has = len(solutions) > 0
@@ -454,15 +458,16 @@ def lowest_weight_scan(dim: Dimension, m, mp,
 def lowest_weight_sweep(dim: Dimension, m, mp) -> int | None:
     """Index of the first pair whose default lowest_weight_scan has a solution, else None.
 
-    m and mp are integer label arrays (P, 2), scanned in stacked blocks up to
-    the first hit.
+    m and mp are integer label arrays (P, 2).  The profile depends on c
+    reduced into [-D, D) alone, so each distinct reduced c is scanned once.
     """
-    m, mp, c = _sweep_labels(dim, m, mp)
-    for idx in _blocks(np.arange(len(c)), dim.d):
-        hit = _lowest_weight_profile(dim, c[idx], _LOWEST_WEIGHT_TOL)[0].any(axis=1)
-        if hit.any():
-            return int(idx[np.argmax(hit)])
-    return None
+    d = dim.d
+    c = _phase_cross(d, _checked_labels(dim, m, mp)[2])
+    distinct = np.array(sorted(set(c.tolist())), dtype=np.int64)
+    hit = np.zeros(2 * d, dtype=bool)
+    hit[distinct + d] = _lowest_weight_profile(dim, distinct, _LOWEST_WEIGHT_TOL)[0].any(axis=1)
+    hit = hit[c + d]
+    return int(np.argmax(hit)) if hit.any() else None
 
 
 @dataclass(frozen=True)
@@ -489,18 +494,18 @@ class EigenCorrespondence:
     unit_shift_ok: bool
 
 
+def _matrix_elements(bra, S, ket) -> np.ndarray:
+    """<bra_r| S |ket_r> for each column r, taken as (bra_r^dag S) ket_r."""
+    return ((bra.conj().T[:, None, :] @ S) @ ket.T[:, :, None])[:, 0, 0]
+
+
 def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorrespondence:
     dim, c = osc.dim, osc.cross
     d = dim.d
     vecs, nv = osc.eigenvectors, osc.n_values
-    Sm = schwinger_matrix(dim, osc.m)
-    Smp = schwinger_matrix(dim, osc.mp)
-    g = np.empty(d, dtype=complex)
-    f = np.empty(d, dtype=complex)
-    for r in range(d):
-        t = vecs[:, (r - c) % d]
-        g[r] = t.conj() @ Sm @ vecs[:, r]
-        f[r] = t.conj() @ Smp @ vecs[:, r]
+    lowered = vecs[:, (np.arange(d) - c) % d]
+    g = _matrix_elements(lowered, schwinger_matrix(dim, osc.m), vecs)
+    f = _matrix_elements(lowered, schwinger_matrix(dim, osc.mp), vecs)
     if max(np.max(np.abs(np.abs(g) - 1)), np.max(np.abs(np.abs(f) - 1))) > tol:
         raise PhaseMismatchError("ladder matrix elements are not unit modulus")
     amp2 = np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2
@@ -511,11 +516,10 @@ def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorre
     law = float(np.max(np.abs(g * np.conj(f) + osc.eta * np.conj(E) ** 2)))
     literal = float(max(np.max(np.abs(g - E)), np.max(np.abs(g - np.conj(f)))))
     w = (osc.m[0] - osc.mp[0], osc.m[1] - osc.mp[1])
-    Sw = schwinger_matrix(dim, w)
-    lam_w = np.array([vecs[:, r].conj() @ Sw @ vecs[:, r] for r in range(d)])
+    lam_w = _matrix_elements(vecs, schwinger_matrix(dim, w), vecs)
     lam_cand = np.exp(1j * dim.gamma0 * (nv - d / 2.0) * _phase_cross(d, c))
     lam_resid = float(np.max(np.abs(np.conj(lam_w) - lam_cand)))
-    shift_ok = all(nv[(r + c) % d] == (nv[r] + 1) % d for r in range(d))
+    shift_ok = bool(np.array_equal(nv[(np.arange(d) + c) % d], (nv + 1) % d))
     if eq_amp > tol or law > tol or not shift_ok:
         raise PhaseMismatchError(
             f"eigenbasis correspondence drift: amplitude {eq_amp:.2e}, "
@@ -578,34 +582,20 @@ class _Sl2Stack(NamedTuple):
     j3_values: np.ndarray
 
 
-def _sl2_stack(dim: Dimension, m, mp, V):
-    """Deformed sl(2) realizations on labelled pairs, and their branch phases phi0.
+def _sl2_stack(dim: Dimension, m, mp, V) -> _Sl2Stack:
+    """Deformed sl(2) realizations on buildable pairs, with S_{m-m'} eigenvectors V.
 
-    V holds the S_{m-m'} eigenvectors.  phi0 = <e_0|S_w|e_0>/s_p must be +1
-    (delta = 0) or -1 (delta = D/(2c)); see _branch_ok.
+    J3 is read off from S_w = s_p p^{J3}: the branch phi0 = <v_0|S_w|v_0>/s_p
+    (see _branch_sign) is +1 (delta = 0) or -1 (delta = D/(2c)).
     """
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
     d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
     A = d_coef[:, None, None] * (_displacement_stack(d, m) + _displacement_stack(d, mp))
-    Sw = _displacement_stack(d, m - mp)
-    s_p = np.exp(-1j * np.pi * c)
-    v0 = V[:, :, 0]
-    phi0 = (v0.conj()[:, None, :] @ Sw @ v0[:, :, None])[:, 0, 0] / s_p
-    delta = np.where(np.abs(phi0 + 1) < _BRANCH_TOL, d / (2.0 * c), 0.0)
+    delta = np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
     nv = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
-    st = _Sl2Stack(dim, c, np.exp(-1j * dim.gamma0 * c), s_p, d_coef, A, Sw, V, nv, delta,
-                   nv + delta[:, None])
-    return st, phi0
-
-
-def _branch_ok(phi0) -> np.ndarray:
-    return (np.abs(phi0 - 1) < _BRANCH_TOL) | (np.abs(phi0 + 1) < _BRANCH_TOL)
-
-
-def _branch_error(dim: Dimension, phi0, m, mp) -> PhaseMismatchError:
-    return PhaseMismatchError(
-        f"branch phase {phi0:.6f} is neither +1 nor -1 at D={dim.d}, {m}, {mp}")
+    return _Sl2Stack(dim, c, np.exp(-1j * dim.gamma0 * c), np.exp(-1j * np.pi * c), d_coef, A,
+                     _displacement_stack(d, m - mp), V, nv, delta, nv + delta[:, None])
 
 
 def _casimir_stack(st: _Sl2Stack, AdA, AAd):
@@ -647,24 +637,16 @@ def _sl2_stack_residuals(st: _Sl2Stack) -> dict:
 def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     """Deformed sl(2) pair on (m, m') with d = d' = 1/(2 |sin(gamma0 c / 2)|).
 
-    J3 is read off from S_{m-m'} = s_p p^{J3}: the eigenvector phases fix a
-    branch phi0 = <e_0|S_w|e_0>/s_p which is +1 or -1 exactly; the -1 branch
-    shifts the integer window by delta = D/(2c).
+    J3 is read off from S_{m-m'} = s_p p^{J3}: the branch phi0 = +1 or -1 (see
+    _branch_sign) is an exact parity of the labels; the -1 branch shifts the
+    integer window by delta = D/(2c).
     """
-    m = (int(m[0]), int(m[1]))
-    mp = (int(mp[0]), int(mp[1]))
-    c = _require_noncollinear(dim, m, mp)
-    w = (m[0] - mp[0], m[1] - mp[1])
-    sys = eigensystem_by_recursion(dim, canonical_vector(dim, w))
-    st, phi0 = _sl2_stack(dim, np.array([m]), np.array([mp]), sys.eigenvectors[None])
-    if not _branch_ok(phi0)[0]:
-        raise _branch_error(dim, phi0[0], m, mp)
-    _require_invertible(dim, c)
-    one = _unstack(st, skip=("cross", "delta"))
+    lab, st = _built_stack(dim, [m], [mp], _SL2_REASONS, _sl2_stack)
+    c = int(lab.cross[0])
     return UqSl2Realisation(
-        dim=dim, m=m, mp=mp, cross=c,
+        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=c,
         s_tilde_p=np.exp(-1j * dim.gamma0 * _phase_cross(dim.d, c) * (dim.d - 1) / 2.0),
-        delta=float(st.delta[0]), **one,
+        delta=float(st.delta[0]), **_unstack(st, skip=("cross", "delta")),
     )
 
 
@@ -685,44 +667,21 @@ def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
     """Worst sl2_residuals over every pair (m[i], mp[i]), in stacked blocks.
 
     m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
-    build_uq_sl2 refuses it: a degenerate S_{m-m'} eigensystem, a branch phase
-    phi0 that is not +1 or -1 to 1e-9, or c not invertible mod D.  At prime D
-    a branch phase off both raises PhaseMismatchError, as the builder does.
-    skips counts degenerate, non-invertible, then branch pairs; a pair with
-    both of the last two counts as non-invertible.
+    build_uq_sl2 refuses it: a degenerate S_{m-m'} eigensystem, or c not
+    invertible mod D; skips counts these two reasons in that order, the
+    builder's.
     """
-    m, mp, c = _sweep_labels(dim, m, mp)
-    keys, simple, vecs = _eigenvectors_by_label(dim, m - mp)
-    invertible = _inverse_mod(dim.d, c) > 0
-    built = simple & invertible
-    worst: dict = {}
-    for idx in _blocks(np.flatnonzero(built), dim.d ** 2):
-        V = np.stack([vecs[k] for k in keys[idx].tolist()])
-        st, phi0 = _sl2_stack(dim, m[idx], mp[idx], V)
-        ok = _branch_ok(phi0)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            if dim.prime:
-                raise _branch_error(dim, phi0[i], tuple(m[idx[i]].tolist()),
-                                    tuple(mp[idx[i]].tolist()))
-            built[idx[~ok]] = False
-        if ok.any():
-            _fold(worst, _sl2_stack_residuals(st), ok)
-    skips = {"degenerate": int((~simple).sum()),
-             "non-invertible": int((simple & ~invertible).sum())}
-    skips["branch"] = len(built) - int(built.sum()) - sum(skips.values())
-    return SweepReport(worst, built, skips)
+    return _sweep(dim, m, mp, _SL2_REASONS, _sl2_stack, _sl2_stack_residuals)
 
 
 def sl2_operators(dim: Dimension, m, mp):
     """Lowering operator A and J3 per pair, stacked (P, D, D).
 
-    m and mp are integer label arrays (P, 2) of pairs build_uq_sl2 builds.
+    m and mp are integer label arrays (P, 2) of pairs build_uq_sl2 builds; the
+    first it refuses raises its error.
     """
-    m, mp, _ = _sweep_labels(dim, m, mp)
-    V = _stacked_eigenvectors(dim, m - mp)
-    st, _ = _sl2_stack(dim, m, mp, V)
-    return st.lowering, _diag_stack(V, st.j3_values)
+    st = _built_stack(dim, m, mp, _SL2_REASONS, _sl2_stack)[1]
+    return st.lowering, _diag_stack(st.eigenvectors, st.j3_values)
 
 
 def casimir_uq_sl2(o: UqSl2Realisation):
@@ -823,7 +782,7 @@ def translated_lattice_deformation(dim: Dimension, m, mp, r) -> TranslationRepor
     act on the deformation parameter only; they are not unitarily realizable
     on the torus basis.
     """
-    c = _require_noncollinear(dim, m, mp)
+    c = int(_checked_labels(dim, m, mp)[2][0])
     w = (m[0] - mp[0], m[1] - mp[1])
     da = lattice_cross(r, w)
     # the translated pair has area c - da; collinearity there is an error the

@@ -90,10 +90,6 @@ def lattice_cross(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def lattice_cross_mod(dim: Dimension, a, b) -> int:
-    return lattice_cross(a, b) % dim.d
-
-
 def build_shift_operator(dim: Dimension) -> np.ndarray:
     d = dim.d
     U = np.zeros((d, d), dtype=complex)
@@ -121,24 +117,6 @@ def basis_state(dim: Dimension, basis: str, index: int) -> np.ndarray:
     if basis == "v":
         return build_fourier_operator(dim)[:, index].copy()
     raise UnsupportedBasisError(f"unknown basis tag {basis!r}")
-
-
-def change_basis(dim: Dimension, amplitudes: np.ndarray, source: str, target: str) -> np.ndarray:
-    """Convert state amplitudes between the u and v representations.
-
-    v-amplitudes are <v_l|psi>; the two are related by the DFT kernel
-    e^{-i gamma0 k l}/sqrt(D), and the round trip is the identity.
-    """
-    for tag in (source, target):
-        if tag not in ("u", "v"):
-            raise UnsupportedBasisError(f"unknown basis tag {tag!r}")
-    psi = np.asarray(amplitudes, dtype=complex)
-    if source == target:
-        return psi.copy()
-    F = build_fourier_operator(dim)
-    if source == "u":  # u -> v
-        return F.conj().T @ psi
-    return F @ psi  # v -> u
 
 
 def random_state(dim: Dimension, seed=None, rng=None) -> np.ndarray:

@@ -131,11 +131,6 @@ def kernel_form_residual(dim: Dimension, J: float, theta: float) -> float:
                    - action_angle_phase_form(dim, J, theta))
 
 
-def theta_grid(dim: Dimension) -> np.ndarray:
-    """Exact-quadrature angles theta_j = 2 pi j / D."""
-    return dim.gamma0 * np.arange(dim.d)
-
-
 def _pair_expectations(dim: Dimension, psi: np.ndarray):
     """<psi| S^np_m |psi> for all window labels, as (m-components, matrix).
 

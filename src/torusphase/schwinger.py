@@ -125,16 +125,16 @@ class SchwingerEigensystem:
     """Eigensystem of S_m for the canonical representative m.
 
     eigenvalues[r] = e^{i pi m1 m2} e^{-2 pi i r / D}; eigenvectors[:, r] is the
-    matching unit vector.  The phase of each eigenvector is fixed by the walk
-    along the shift orbit: the component at the orbit start (k = 0) is real
-    positive, the rest follow from the eigenvalue equation in closed form.
+    matching unit vector, every component in closed form e^{i pi E / D}/sqrt(D)
+    with an exact integer E (see _eigensystem_cached).  In this gauge the
+    component at k = 0 (for a diagonal S_m, the only nonzero one) is real
+    positive.
     """
 
     dim: Dimension
     m: tuple[int, int]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    reducible_warning: bool
 
 
 @lru_cache(maxsize=1024)
@@ -171,7 +171,7 @@ def _eigensystem_cached(d: int, m1: int, m2: int):
 
 
 def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
-    """Eigensystem of S_m built by propagating components along the shift orbit.
+    """Closed-form eigensystem of S_m (the name is historical; nothing recurses).
 
     The label is reduced to the canonical window first; the eigenvalues refer
     to the reduced representative (an overall sign relates it to the original
@@ -186,12 +186,11 @@ def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
         m=mc,
         eigenvalues=lam,
         eigenvectors=vecs,
-        reducible_warning=not dim.prime,
     )
 
 
 def dense_eigensystem_match(dim: Dimension, m, sys: SchwingerEigensystem | None = None):
-    """Compare the recursion eigensystem against a dense solver.
+    """Compare the closed-form eigensystem against a dense solver.
 
     Returns (eigenvalue residual, eigenvector residual) where eigenvectors are
     aligned per-vector by a global phase before differencing.

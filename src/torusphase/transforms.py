@@ -86,11 +86,6 @@ def verify_symplectic(smap: SymplecticMap) -> bool:
     return True
 
 
-def equivalence_class_label(dim: Dimension, m, mp) -> int:
-    """The symplectic-invariant class label m x m' mod D."""
-    return lattice_cross(m, mp) % dim.d
-
-
 def random_symplectic(dim: Dimension, rng=None, seed=None) -> SymplecticMap:
     """Uniformly random map with first column nonzero, completed to det 1 mod D."""
     if rng is None:

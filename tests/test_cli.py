@@ -171,6 +171,22 @@ def test_spectrum_collinear_exits_2(runner):
     assert "CollinearVectorsError" in res.stderr
 
 
+@pytest.mark.parametrize("args, error", [
+    (["spectrum", "--d", "9", "--m", "3,0", "--mp", "0,1"], "DegenerateSpectrumError"),
+    (["spectrum", "--d", "9", "--m", "1,0", "--mp", "0,3"], "DegenerateSpectrumError"),
+    (["index", "--d", "2", "--case", "oscillator"], "SingularDeformationError"),
+    (["index", "--d", "7", "--case", "quarter-cross"], "CaseConditionError"),
+    (["converge", "--primes", "4"], "NonPrimeDimensionError"),
+    (["transform", "--d", "9", "--r", "1,1,0,1"], "DegenerateSpectrumError"),
+])
+def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
+    res = invoke(runner, args)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.stderr
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {error}: "), res.stderr
+
+
 def test_index_linear_frozen_value(runner):
     res = invoke(runner, ["index", "--d", "5", "--case", "linear"])
     assert res.exit_code == 0
