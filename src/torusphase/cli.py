@@ -318,9 +318,6 @@ def index(d, case, cross, sign, out, fmt):
             profile = limits_mod.limiting_spectrum(dim, case, cross=cross, sign=int(sign))
     except TorusPhaseError as exc:
         _refuse(exc)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     report = limits_mod.index_report(profile)
     _emit(ser.index_json(report) if fmt == "json" else ser.index_csv(report), out)
 

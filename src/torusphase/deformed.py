@@ -41,7 +41,7 @@ from .errors import (
     SingularDeformationError,
 )
 from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
-from .schwinger import _eigensystem_cached, displacement_columns, schwinger_matrix
+from .schwinger import _eigensystem_cached, schwinger_matrix, schwinger_stack
 
 _SINGULAR_TOL = 1e-12
 _LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
@@ -81,14 +81,6 @@ def _scalar_pow(x, e: float) -> np.ndarray:
     a coefficient must not depend on how many pairs share its stack.
     """
     return np.array([math.pow(v, e) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
-def _displacement_stack(d: int, labels) -> np.ndarray:
-    """Dense S_m per label row, with the entries of schwinger_matrix."""
-    rows, vals = displacement_columns(d, labels[:, 0], labels[:, 1])
-    S = np.zeros((len(labels), d, d), dtype=complex)
-    S[np.arange(len(labels))[:, None], rows, np.arange(d)] = vals
-    return S
 
 
 def _diag_stack(V, values) -> np.ndarray:
@@ -324,8 +316,8 @@ def _oscillator_stack(dim: Dimension, m, mp, V, eta=None) -> _OscillatorStack:
     s = np.sin(g0 * c)
     d_coef = _scalar_pow(2.0 * np.abs(s), -0.5)
     dp_coef = np.conj(eta / ((2j * s) * d_coef))
-    A = (d_coef[:, None, None] * _displacement_stack(d, m)
-         + dp_coef[:, None, None] * _displacement_stack(d, mp))
+    A = (d_coef[:, None, None] * schwinger_stack(d, m)
+         + dp_coef[:, None, None] * schwinger_stack(d, mp))
     C = 1.0 / np.abs(s)
     nvals = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
     c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
@@ -342,8 +334,8 @@ def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
     Ad = _dag(A)
     c = _phase_cross(d, st.cross)[:, None]
     C_eye = st.shift_constant[:, None, None] * np.eye(d)
-    Qdirect = ((-st.eta)[:, None, None] * _displacement_stack(d, -st.m)
-               @ _displacement_stack(d, st.mp))
+    Qdirect = ((-st.eta)[:, None, None] * schwinger_stack(d, -st.m)
+               @ schwinger_stack(d, st.mp))
     return {
         "number": _max_abs_stack(Ad @ A - (C_eye + _diag_stack(V, bracket_values(dim, c, nv)))),
         "q_exponential": _max_abs_stack(Qdirect - st.q_exponential),
@@ -591,11 +583,11 @@ def _sl2_stack(dim: Dimension, m, mp, V) -> _Sl2Stack:
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
     d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
-    A = d_coef[:, None, None] * (_displacement_stack(d, m) + _displacement_stack(d, mp))
+    A = d_coef[:, None, None] * (schwinger_stack(d, m) + schwinger_stack(d, mp))
     delta = np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
     nv = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
     return _Sl2Stack(dim, c, np.exp(-1j * dim.gamma0 * c), np.exp(-1j * np.pi * c), d_coef, A,
-                     _displacement_stack(d, m - mp), V, nv, delta, nv + delta[:, None])
+                     schwinger_stack(d, m - mp), V, nv, delta, nv + delta[:, None])
 
 
 def _casimir_stack(st: _Sl2Stack, AdA, AAd):

@@ -191,7 +191,7 @@ def limiting_spectrum(dim: Dimension, case: str, cross: int | None = None,
         c = (d - 1) // 4
     elif case == "custom":
         if cross is None:
-            raise ValueError("custom case needs an explicit cross value")
+            raise CaseConditionError("custom case needs an explicit cross value")
         c = int(cross)
     else:
         raise ValueError(f"unknown case {case!r}")

@@ -28,7 +28,13 @@ from .lattice import (
     max_abs,
     window_vectors,
 )
-from .schwinger import conjugate_pair_suite, pair_schwinger, schwinger_matrix
+from .schwinger import (
+    conjugate_pair_suite,
+    label_blocks,
+    pair_schwinger,
+    pair_schwinger_stack,
+    schwinger_matrix,
+)
 from .wigner import WignerGrid, characteristic
 
 ACTION_ANGLE_NORMALIZATION = "action-angle-1/(2piD)"
@@ -91,17 +97,26 @@ class ActionAngleKernel:
     normalization: str = ACTION_ANGLE_NORMALIZATION
 
 
+def _kernel_coefficients(dim: Dimension, J: float, theta: float):
+    """Window labels (D^2, 2) and their kernel weights e^{i(gamma0 m1 J - m2 theta)}."""
+    labels = np.array(window_vectors(dim), dtype=np.int64)
+    return labels, np.exp(1j * (dim.gamma0 * labels[:, 0] * J - labels[:, 1] * theta))
+
+
 def build_action_angle_kernel(dim: Dimension, J: float, theta: float) -> ActionAngleKernel:
     """Delta(J, theta) = (1/2piD) sum_m e^{i(gamma0 m1 J - m2 theta)} S^np_m.
 
     J and theta may be any reals; the kernel is cyclic under J -> J + D and
     theta -> theta + 2pi.  Exact-quadrature grids are integer (or, in shifted
-    mode, half-integer) J and theta = 2pi j / D.
+    mode, half-integer) J and theta = 2pi j / D.  The S^np_m are stacked in
+    label blocks and summed with one einsum per block.
     """
     pair = build_phase_pair(dim)
+    S = pair_schwinger_stack(dim, pair.e_n, pair.e_phi)
+    labels, coef = _kernel_coefficients(dim, J, theta)
     acc = np.zeros((dim.d, dim.d), dtype=complex)
-    for m in window_vectors(dim):
-        acc += np.exp(1j * (dim.gamma0 * m[0] * J - m[1] * theta)) * number_phase_schwinger(dim, pair, m)
+    for blk in label_blocks(len(labels), dim.d):
+        acc += np.einsum("p,pij->ij", coef[blk], S(labels[blk]))
     acc /= 2.0 * np.pi * dim.d
     acc.flags.writeable = False
     return ActionAngleKernel(dim=dim, J=float(J), theta=float(theta), matrix=acc)
@@ -111,18 +126,18 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     """Independent phase-eigenbasis construction of the same kernel.
 
     Delta(J, theta) = (1/2piD) sum_m sum_l e^{i(gamma0 m1 J - m2 theta)}
-    e^{i gamma0 l m2} e^{i gamma0 m1 m2 / 2} |phi_l><phi_{l + m1}|.
+    e^{i gamma0 l m2} e^{i gamma0 m1 m2 / 2} |phi_l><phi_{l + m1}|
+    = Ph C Ph^dag / (2piD), with C[l, l + m1] accumulating the coefficients.
     """
-    pair = build_phase_pair(dim)
-    Ph = pair.phase_states
-    d = dim.d
-    acc = np.zeros((d, d), dtype=complex)
-    for m1, m2 in window_vectors(dim):
-        ph = np.exp(1j * (dim.gamma0 * m1 * J - m2 * theta))
-        for l in range(d):
-            acc += (ph * np.exp(1j * dim.gamma0 * l * m2) * np.exp(0.5j * dim.gamma0 * m1 * m2)
-                    * np.outer(Ph[:, l], Ph[:, (l + m1) % d].conj()))
-    return acc / (2.0 * np.pi * d)
+    Ph = build_phase_pair(dim).phase_states
+    d, g0 = dim.d, dim.gamma0
+    labels, coef = _kernel_coefficients(dim, J, theta)
+    m1, m2 = labels[:, :1], labels[:, 1:]
+    l = np.arange(d)
+    vals = coef[:, None] * np.exp(1j * g0 * l * m2) * np.exp(0.5j * g0 * m1 * m2)
+    C = np.zeros((d, d), dtype=complex)
+    np.add.at(C, (np.broadcast_to(l, vals.shape), (l + m1) % d), vals)
+    return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)
 
 
 def kernel_form_residual(dim: Dimension, J: float, theta: float) -> float:

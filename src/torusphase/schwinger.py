@@ -47,6 +47,27 @@ def displacement_columns(d: int, m1, m2):
     return (j + m1) % d, np.exp(-1j * np.pi * e / d)
 
 
+def schwinger_stack(d: int, labels) -> np.ndarray:
+    """Dense S_m per label row (P, D, D), with the entries of schwinger_matrix."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    rows, vals = displacement_columns(d, labels[:, 0], labels[:, 1])
+    S = np.zeros((len(labels), d, d), dtype=complex)
+    S[np.arange(len(labels))[:, None], rows, np.arange(d)] = vals
+    return S
+
+
+# complex entries of one (labels, D, D) stack in the blocked label checks.  A
+# check holds several such stacks at once: at 2^12 a verify call peaks at the
+# resident memory of the label-by-label loops, at 2^16 it peaked 1-4 MB higher
+_BLOCK_ENTRIES = 1 << 12
+
+
+def label_blocks(count: int, d: int) -> list[slice]:
+    """Slices of at most _BLOCK_ENTRIES // D^2 (at least one) covering range(count)."""
+    step = max(1, _BLOCK_ENTRIES // d ** 2)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 @lru_cache(maxsize=1024)
 def _schwinger_cached(d: int, m1: int, m2: int) -> np.ndarray:
     rows, vals = displacement_columns(d, m1, m2)
@@ -189,31 +210,54 @@ def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
     )
 
 
+def _dense_match_stack(d: int, labels, lam, vecs):
+    """Eigenvalue and eigenvector residuals (P,) of np.linalg.eig on dense S_labels.
+
+    Each closed-form eigenvalue lam[p, r] is matched to its nearest dense
+    eigenvalue, and the dense eigenvector is aligned to vecs[p, :, r] by a
+    global phase before differencing.  Nearest eigenvalues that are no
+    permutation leave a dense eigenvalue unmatched: both residuals of that
+    label then read at least 1.
+    """
+    vals, dense = np.linalg.eig(schwinger_stack(d, labels))
+    dist = np.abs(vals[:, :, None] - lam[:, None, :])
+    k = dist.argmin(axis=1)
+    lam_res = np.take_along_axis(dist, k[:, None, :], axis=1)[:, 0].max(axis=1)
+    w = np.take_along_axis(dense, k[:, None, :], axis=2)
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    ov = np.einsum("pkr,pkr->pr", vecs.conj(), w)
+    phase = np.ones_like(ov)
+    nonzero = ov != 0
+    phase[nonzero] = ov[nonzero].conj() / np.abs(ov[nonzero])
+    vec_res = np.abs(w * phase[:, None, :] - vecs).max(axis=(1, 2))
+    floor = np.where((np.sort(k, axis=1) != np.arange(d)).any(axis=1), 1.0, 0.0)
+    return np.maximum(lam_res, floor), np.maximum(vec_res, floor)
+
+
+def dense_eigensystem_residuals(dim: Dimension, labels):
+    """dense_eigensystem_match per label row: two arrays (P,), in label blocks."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    lam_res, vec_res = np.empty(len(labels)), np.empty(len(labels))
+    for blk in label_blocks(len(labels), dim.d):
+        systems = [eigensystem_by_recursion(dim, m) for m in labels[blk].tolist()]
+        lam_res[blk], vec_res[blk] = _dense_match_stack(
+            dim.d, [sys.m for sys in systems], np.stack([sys.eigenvalues for sys in systems]),
+            np.stack([sys.eigenvectors for sys in systems]))
+    return lam_res, vec_res
+
+
 def dense_eigensystem_match(dim: Dimension, m, sys: SchwingerEigensystem | None = None):
     """Compare the closed-form eigensystem against a dense solver.
 
     Returns (eigenvalue residual, eigenvector residual) where eigenvectors are
-    aligned per-vector by a global phase before differencing.
+    aligned per-vector by a global phase before differencing; the stack of
+    one of _dense_match_stack.
     """
     if sys is None:
         sys = eigensystem_by_recursion(dim, m)
-    S = schwinger_matrix(dim, sys.m)
-    vals, vecs = np.linalg.eig(S)
-    lam_resid = 0.0
-    vec_resid = 0.0
-    used = set()
-    for r in range(dim.d):
-        k = int(np.argmin(np.where(
-            [i in used for i in range(dim.d)], np.inf, np.abs(vals - sys.eigenvalues[r])
-        )))
-        used.add(k)
-        lam_resid = max(lam_resid, abs(vals[k] - sys.eigenvalues[r]))
-        w = vecs[:, k] / np.linalg.norm(vecs[:, k])
-        ov = np.vdot(sys.eigenvectors[:, r], w)
-        if abs(ov) > 0:
-            w = w * (ov.conjugate() / abs(ov))
-        vec_resid = max(vec_resid, max_abs(w - sys.eigenvectors[:, r]))
-    return lam_resid, vec_resid
+    lam_res, vec_res = _dense_match_stack(dim.d, [sys.m], sys.eigenvalues[None],
+                                          sys.eigenvectors[None])
+    return float(lam_res[0]), float(vec_res[0])
 
 
 def sine_commutator_check(dim: Dimension, m, n) -> float:
@@ -265,24 +309,62 @@ def weyl_commutator_check(dim: Dimension, m, n) -> dict:
     }
 
 
+def fourier_covariance_residuals(dim: Dimension, labels) -> np.ndarray:
+    """Residual of F S_m F^-1 = S_{(-m2, m1)} per label row (P,), in label blocks."""
+    d = dim.d
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    F = build_fourier_operator(dim)
+    out = np.empty(len(labels))
+    for blk in label_blocks(len(labels), d):
+        m = labels[blk]
+        L = F @ schwinger_stack(d, m) @ F.conj().T
+        turned = schwinger_stack(d, np.stack([-m[:, 1], m[:, 0]], axis=1))
+        out[blk] = np.abs(L - turned).max(axis=(1, 2))
+    return out
+
+
 def fourier_covariance_check(dim: Dimension, m) -> float:
     """Residual of F S_m F^-1 = S_{(-m2, m1)} (quarter-turn on labels)."""
-    F = build_fourier_operator(dim)
-    L = F @ schwinger_matrix(dim, m) @ F.conj().T
-    return max_abs(L - schwinger_matrix(dim, (-m[1], m[0])))
+    return float(fourier_covariance_residuals(dim, [m])[0])
 
 
 def schwinger_basis_rank(dim: Dimension) -> int:
     """Rank of the Hilbert-Schmidt Gram matrix of the window family {S_m}."""
-    vecs = np.stack([schwinger_matrix(dim, m).ravel() for m in window_vectors(dim)])
+    vecs = schwinger_stack(dim.d, window_vectors(dim)).reshape(dim.d ** 2, -1)
     gram = vecs.conj() @ vecs.T
     return int(np.linalg.matrix_rank(gram))
 
 
+def _half_phase(d: int, m1, m2):
+    """e^{-i gamma0 m1 m2 / 2}, with the exact integer m1 m2 reduced mod 2D."""
+    return np.exp(-1j * np.pi * np.asarray((m1 * m2) % (2 * d), dtype=np.int64) / d)
+
+
 def pair_schwinger(dim: Dimension, X: np.ndarray, Z: np.ndarray, m) -> np.ndarray:
     """S_m built from an arbitrary conjugate pair with X Z = e^{i gamma0} Z X."""
-    ph = np.exp(-0.5j * dim.gamma0 * (m[0] * m[1]))
+    ph = _half_phase(dim.d, m[0], m[1])
     return ph * (matrix_power(X, m[0] % dim.d) @ matrix_power(Z, m[1] % dim.d))
+
+
+def pair_schwinger_stack(dim: Dimension, X: np.ndarray, Z: np.ndarray):
+    """A function from label rows (P, 2) to pair_schwinger per row, stacked (P, D, D).
+
+    The powers X^a and Z^b, a, b in [0, D), are built once with matrix_power;
+    each S_m is then one batched matmul of two of them.
+    """
+    d = dim.d
+    Xp, Zp = (np.stack([matrix_power(Y, a) for a in range(d)]) for Y in (X, Z))
+
+    def stack(labels) -> np.ndarray:
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+        ph = _half_phase(d, labels[:, 0], labels[:, 1])
+        return ph[:, None, None] * (Xp[labels[:, 0] % d] @ Zp[labels[:, 1] % d])
+
+    return stack
+
+
+def _worst(res: dict, key: str, values) -> None:
+    res[key] = max(res[key], float(np.max(values, initial=0.0)))
 
 
 def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
@@ -291,8 +373,8 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
 
     Checks the Weyl commutation X Z = e^{i gamma0} Z X, order-D cyclicity, and
     the adjoint / composition / power / trace identities of the S family built
-    from the pair, over the canonical window plus random integer labels.
-    Returns the worst residual per check.
+    from the pair, over the canonical window plus random integer labels, in
+    label blocks.  Returns the worst residual per check.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -307,34 +389,26 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
         "power_sign": 0.0,
         "trace": 0.0,
     }
-    cache = {}
-
-    def S(m):
-        key = (m[0] % d, m[1] % d, (m[0] * m[1]) % (2 * d))
-        if key not in cache:
-            cache[key] = pair_schwinger(dim, X, Z, m)
-        return cache[key]
-
-    labels = list(window_vectors(dim))
-    pairs = [(labels[i], labels[j])
-             for i, j in zip(rng.integers(0, len(labels), n_random),
-                             rng.integers(0, len(labels), n_random))]
-    pairs += [(tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)),
-               tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)))
-              for _ in range(n_random // 4)]
-    for m in labels:
-        tr = abs(np.trace(S(m)))
-        expected = d if (m[0] % d == 0 and m[1] % d == 0) else 0.0
-        res["trace"] = max(res["trace"], abs(tr - expected))
-        res["adjoint"] = max(res["adjoint"], max_abs(S(m).conj().T - S((-m[0], -m[1]))))
-        pw = matrix_power(S(m), d)
-        sign = (-1) ** ((d * m[0] * m[1]) % 2)
-        res["power_sign"] = max(res["power_sign"], max_abs(pw - sign * np.eye(d)))
-    for a, b in pairs:
-        lhs = S(a) @ S(b)
-        rhs = np.exp(0.5j * g0 * lattice_cross(a, b)) * pair_schwinger(
-            dim, X, Z, (a[0] + b[0], a[1] + b[1]))
-        res["composition"] = max(res["composition"], max_abs(lhs - rhs))
+    S = pair_schwinger_stack(dim, X, Z)
+    labels = np.array(window_vectors(dim), dtype=np.int64)
+    i, j = rng.integers(0, len(labels), n_random), rng.integers(0, len(labels), n_random)
+    # one draw per label, as the label-by-label loop made them
+    extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
+                      for _ in range(n_random // 4)], dtype=np.int64).reshape(-1, 2, 2)
+    a, b = np.concatenate([labels[i], extra[:, 0]]), np.concatenate([labels[j], extra[:, 1]])
+    for blk in label_blocks(len(labels), d):
+        m = labels[blk]
+        Sm = S(m)
+        expected = np.where((m % d == 0).all(axis=1), d, 0.0)
+        _worst(res, "trace", np.abs(np.abs(np.trace(Sm, axis1=1, axis2=2)) - expected))
+        _worst(res, "adjoint", np.abs(Sm.conj().swapaxes(1, 2) - S(-m)).max(axis=(1, 2)))
+        sign = 1 - 2 * ((d * m[:, 0] * m[:, 1]) % 2)
+        _worst(res, "power_sign",
+               np.abs(matrix_power(Sm, d) - sign[:, None, None] * np.eye(d)).max(axis=(1, 2)))
+    for blk in label_blocks(len(a), d):
+        ph = np.exp(0.5j * g0 * lattice_cross(a[blk].T, b[blk].T))
+        err = S(a[blk]) @ S(b[blk]) - ph[:, None, None] * S(a[blk] + b[blk])
+        _worst(res, "composition", np.abs(err).max(axis=(1, 2)))
     return res
 
 

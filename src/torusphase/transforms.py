@@ -112,30 +112,32 @@ class MetaplecticOperator:
     unitary_residual: float
 
 
-def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperator:
-    """Unitary G with G S_m G^{-1} = phi(m) S_{R m} for every m, in closed form.
+def metaplectic_stack(dim: Dimension, s, t) -> np.ndarray:
+    """G per map, stacked (P, D, D): the closed form of build_metaplectic.
 
-    Sigma = sum over m in [0, D)^2 of phi(m) S_r|0><0|S_m^dag, r = R m mod D,
-    equals D conj(G_00) G because sum_m S_m X S_m^dag = D Tr(X) I; so
-    G = Sigma / sqrt(D Sigma_00), which also fixes the global phase by
-    G_00 > 0 (the identity map gives I exactly).  With s, t the reduced
-    columns of R and k = (det R - 1)/D the integer lift of its determinant,
+    s and t are (P, 2) integer arrays, the columns R(1,0) and R(0,1) of each
+    map.  Sigma = sum over m in [0, D)^2 of phi(m) S_r|0><0|S_m^dag,
+    r = R m mod D, equals D conj(G_00) G because sum_m S_m X S_m^dag =
+    D Tr(X) I; so G = Sigma / sqrt(D Sigma_00), which also fixes the global
+    phase by G_00 > 0 (the identity map gives I exactly).  With s, t reduced
+    mod D and k = (det R - 1)/D the integer lift of the determinant,
     phi(m) = a^{m1} b^{m2} (-1)^{k m1 m2} sigma, where a = (-1)^{s1 s2},
     b = (-1)^{t1 t2} at odd D (aligned gauge) or 1 at D = 2 (columnwise
     gauge), and sigma is the reduce_label sign of S_{R m} against S_r.  All
     phase exponents are exact integers mod 2D.  Prime D only.
     """
-    if not verify_symplectic(smap):
-        raise NonSymplecticMapError(
-            f"det = {smap.determinant} mod {dim.d}; map {smap.matrix.tolist()} is not symplectic"
-        )
+    d = dim.d
+    s = np.asarray(s, dtype=np.int64).reshape(-1, 2) % d
+    t = np.asarray(t, dtype=np.int64).reshape(-1, 2) % d
+    s1, s2, t1, t2 = (x[:, None] for x in (s[:, 0], s[:, 1], t[:, 0], t[:, 1]))
+    det = s1 * t2 - s2 * t1
+    if np.any(det % d != 1 % d):
+        raise NonSymplecticMapError(f"a map has det != 1 mod {d}; it is not symplectic")
     if not dim.prime:
         raise DegenerateSpectrumError(
-            f"D={dim.d} is composite; metaplectic unitaries are built for prime D only"
+            f"D={d} is composite; metaplectic unitaries are built for prime D only"
         )
-    d = dim.d
-    (s1, s2), (t1, t2) = smap.s, smap.t
-    k = (s1 * t2 - s2 * t1 - 1) // d
+    k = (det - 1) // d
     m1, m2 = np.divmod(np.arange(d * d, dtype=np.int64), d)
     q1, r1 = np.divmod(s1 * m1 + t1 * m2, d)
     q2, r2 = np.divmod(s2 * m1 + t2 * m2, d)
@@ -143,12 +145,28 @@ def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperato
     parity = (s1 * s2 * m1 + (d % 2) * t1 * t2 * m2 + k * m1 * m2
               + q1 * r2 + q2 * r1 + q1 * q2 * d)
     e = (m1 * m2 - r1 * r2 + d * (parity % 2)) % (2 * d)
-    G = np.zeros((d, d), dtype=complex)
-    np.add.at(G, (r1, m1), np.exp(1j * np.pi * e / d))
-    G /= np.sqrt(d * G[0, 0])
-    ures = max_abs(G @ G.conj().T - np.eye(d))
+    # each term adds to entry (r1, m1) of its map's G, summed in the order of m
+    idx = ((np.arange(len(s))[:, None] * d + r1) * d + m1).ravel()
+    z = np.exp(1j * np.pi * e / d).ravel()
+    size = len(s) * d * d
+    G = (np.bincount(idx, z.real, size) + 1j * np.bincount(idx, z.imag, size)).reshape(-1, d, d)
+    G /= np.sqrt(d * G[:, 0, 0])[:, None, None]
+    return G
+
+
+def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperator:
+    """Unitary G with G S_m G^{-1} = phi(m) S_{R m} for every m, in closed form.
+
+    The stack of one of metaplectic_stack, after the symplectic check.
+    """
+    if not verify_symplectic(smap):
+        raise NonSymplecticMapError(
+            f"det = {smap.determinant} mod {dim.d}; map {smap.matrix.tolist()} is not symplectic"
+        )
+    G = metaplectic_stack(dim, [smap.s], [smap.t])[0]
+    ures = max_abs(G @ G.conj().T - np.eye(dim.d))
     return MetaplecticOperator(dim=dim, map=smap, matrix=G,
-                               gauge="aligned" if d % 2 else "columnwise",
+                               gauge="aligned" if dim.d % 2 else "columnwise",
                                unitary_residual=ures)
 
 

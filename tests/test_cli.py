@@ -178,6 +178,7 @@ def test_spectrum_collinear_exits_2(runner):
     (["index", "--d", "7", "--case", "quarter-cross"], "CaseConditionError"),
     (["converge", "--primes", "4"], "NonPrimeDimensionError"),
     (["transform", "--d", "9", "--r", "1,1,0,1"], "DegenerateSpectrumError"),
+    (["index", "--d", "7", "--case", "custom"], "CaseConditionError"),
 ])
 def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
     res = invoke(runner, args)
@@ -340,9 +341,16 @@ def test_transform_and_gen_skip_the_deformed_and_verify_layers(args):
 
 
 def test_verify_imports_every_suite_module():
-    rc, _, _, modules = loaded_by(["verify", "--d", "3", "--suite", "schwinger"])
+    rc, _, _, modules = loaded_by(["verify", "--d", "3", "--suite", "all"])
     assert rc == 0
     assert layers(modules) >= _LAYERS
+
+
+def test_verify_single_suite_imports_only_its_layers():
+    rc, out, _, modules = loaded_by(["verify", "--d", "3", "--suite", "schwinger"])
+    assert rc == 0 and out.rstrip().splitlines()[-1].startswith("PASS:")
+    assert layers(modules) & {"deformed", "fock", "limits", "numberphase", "transforms",
+                              "wigner"} == set()
 
 
 def test_verify_unknown_suite_is_a_usage_error():

@@ -1,0 +1,243 @@
+"""Stacked label checks against the per-label loops they replace.
+
+Each reference below is the loop form of a verify check, one label or one
+pair at a time.  Where the stacked form does the same arithmetic, the values
+must be equal; where it sums in another order, they must agree to a few ulps.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from numpy.linalg import matrix_power
+from numpy.testing import assert_allclose
+
+from torusphase import (
+    DegenerateSpectrumError,
+    SchwingerEigensystem,
+    build_clock_operator,
+    build_fourier_operator,
+    build_shift_operator,
+    conjugate_pair_suite,
+    dense_eigensystem_match,
+    eigensystem_by_recursion,
+    lattice_cross,
+    make_dimension,
+    max_abs,
+    pair_schwinger,
+    schwinger_matrix,
+    window_vectors,
+)
+from torusphase import deformed, numberphase, schwinger, transforms, verify
+
+DIMENSIONS = range(2, 14)
+ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _orbit_loop(dim, operators, pairs, reps):
+    """verify._orbit_conjugation one pair at a time, one build_metaplectic each."""
+    d = dim.d
+    (m, mp), (rm, rmp) = pairs, reps
+    c = lattice_cross(m.T, mp.T)
+    rc = lattice_cross(rm.T, rmp.T)
+    worst = 0.0
+    for i in range(len(c)):
+        cinv = pow(int(c[i]), -1, d)
+        R = transforms.SymplecticMap(dim, (int(m[i, 0]) % d, int(m[i, 1]) % d),
+                                     (cinv * int(mp[i, 0]) % d, cinv * int(mp[i, 1]) % d))
+        G = transforms.build_metaplectic(dim, R).matrix
+        near = np.flatnonzero((rc - c[i]) % d == 0)
+        A, X = operators(dim, np.vstack([m[i], rm[near]]), np.vstack([mp[i], rmp[near]]))
+        Y, Z = G.conj().T @ A[0] @ G, G.conj().T @ X[0] @ G
+        Ar = A[1:]
+        z = np.einsum("pij,ij->p", Ar.conj(), Y) / np.einsum("pij,pij->p", Ar.conj(), Ar).real
+        res = np.maximum.reduce([np.abs(Y - z[:, None, None] * Ar).max(axis=(1, 2)),
+                                 np.abs(z ** 4 - 1), np.abs(Z - X[1:]).max(axis=(1, 2))])
+        worst = max(worst, float(res.min()))
+    return worst
+
+
+def _dense_match_loop(dim, sys):
+    """dense_eigensystem_match with the greedy eigenvalue assignment, one vector at a time."""
+    vals, vecs = np.linalg.eig(schwinger_matrix(dim, sys.m))
+    lam_res = vec_res = 0.0
+    used = set()
+    for r in range(dim.d):
+        k = int(np.argmin(np.where([i in used for i in range(dim.d)], np.inf,
+                                   np.abs(vals - sys.eigenvalues[r]))))
+        used.add(k)
+        lam_res = max(lam_res, abs(vals[k] - sys.eigenvalues[r]))
+        w = vecs[:, k] / np.linalg.norm(vecs[:, k])
+        ov = np.vdot(sys.eigenvectors[:, r], w)
+        if abs(ov) > 0:
+            w = w * (ov.conjugate() / abs(ov))
+        vec_res = max(vec_res, max_abs(w - sys.eigenvectors[:, r]))
+    return lam_res, vec_res
+
+
+def _pair_suite_loop(dim, X, Z, rng, n_random):
+    """The label-by-label conjugate_pair_suite, S cached by (m mod D, m1 m2 mod 2D)."""
+    d, g0 = dim.d, dim.gamma0
+    res = {"adjoint": 0.0, "composition": 0.0, "power_sign": 0.0, "trace": 0.0}
+    cache = {}
+
+    def S(m):
+        key = (m[0] % d, m[1] % d, (m[0] * m[1]) % (2 * d))
+        if key not in cache:
+            cache[key] = pair_schwinger(dim, X, Z, m)
+        return cache[key]
+
+    labels = list(window_vectors(dim))
+    pairs = [(labels[i], labels[j])
+             for i, j in zip(rng.integers(0, len(labels), n_random),
+                             rng.integers(0, len(labels), n_random))]
+    pairs += [(tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)),
+               tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)))
+              for _ in range(n_random // 4)]
+    for m in labels:
+        expected = d if (m[0] % d == 0 and m[1] % d == 0) else 0.0
+        res["trace"] = max(res["trace"], abs(abs(np.trace(S(m))) - expected))
+        res["adjoint"] = max(res["adjoint"], max_abs(S(m).conj().T - S((-m[0], -m[1]))))
+        sign = (-1) ** ((d * m[0] * m[1]) % 2)
+        res["power_sign"] = max(res["power_sign"],
+                                max_abs(matrix_power(S(m), d) - sign * np.eye(d)))
+    for a, b in pairs:
+        rhs = np.exp(0.5j * g0 * lattice_cross(a, b)) * pair_schwinger(
+            dim, X, Z, (a[0] + b[0], a[1] + b[1]))
+        res["composition"] = max(res["composition"], max_abs(S(a) @ S(b) - rhs))
+    return res
+
+
+def _kernel_loop(dim, J, theta):
+    pair = numberphase.build_phase_pair(dim)
+    acc = np.zeros((dim.d, dim.d), dtype=complex)
+    for m in window_vectors(dim):
+        acc += (np.exp(1j * (dim.gamma0 * m[0] * J - m[1] * theta))
+                * numberphase.number_phase_schwinger(dim, pair, m))
+    return acc / (2.0 * np.pi * dim.d)
+
+
+def _phase_form_loop(dim, J, theta):
+    Ph = numberphase.build_phase_pair(dim).phase_states
+    d, g0 = dim.d, dim.gamma0
+    acc = np.zeros((d, d), dtype=complex)
+    for m1, m2 in window_vectors(dim):
+        ph = np.exp(1j * (g0 * m1 * J - m2 * theta))
+        for l in range(d):
+            acc += (ph * np.exp(1j * g0 * l * m2) * np.exp(0.5j * g0 * m1 * m2)
+                    * np.outer(Ph[:, l], Ph[:, (l + m1) % d].conj()))
+    return acc / (2.0 * np.pi * d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_metaplectic_stack_is_build_metaplectic_per_map(d):
+    dim = make_dimension(d)
+    maps = [transforms.random_symplectic(dim, seed=k) for k in range(12)]
+    G = transforms.metaplectic_stack(dim, [r.s for r in maps], [r.t for r in maps])
+    for g, r in zip(G, maps):
+        assert np.array_equal(g, transforms.build_metaplectic(dim, r).matrix)
+
+
+def test_metaplectic_stack_refuses_what_build_metaplectic_refuses():
+    with pytest.raises(transforms.NonSymplecticMapError):
+        transforms.metaplectic_stack(make_dimension(5), [(1, 0), (1, 1)], [(0, 1), (0, 2)])
+    with pytest.raises(DegenerateSpectrumError):
+        transforms.metaplectic_stack(make_dimension(9), [(1, 0)], [(0, 1)])
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES)
+def test_orbit_conjugation_equals_the_per_pair_loop(d):
+    dim = make_dimension(d)
+    for families, operators in ((verify._QOSC_FAMILIES, deformed.oscillator_operators),
+                                (verify._SL2_FAMILIES, deformed.sl2_operators)):
+        pairs, reps, classes = verify._sweep_plan(dim, d, None, families)
+        assert classes
+        assert verify._orbit_conjugation(dim, operators, pairs, reps) == \
+            _orbit_loop(dim, operators, pairs, reps)
+        for i in range(0, len(pairs[0]), 16):
+            one = (pairs[0][i:i + 1], pairs[1][i:i + 1])
+            assert verify._orbit_conjugation(dim, operators, one, reps) == \
+                _orbit_loop(dim, operators, one, reps)
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_dense_eigensystem_residuals_equal_the_greedy_loop(d):
+    dim = make_dimension(d)
+    systems = []
+    for m in window_vectors(dim):
+        if (m[0] % d, m[1] % d) == (0, 0):
+            continue
+        try:
+            systems.append(eigensystem_by_recursion(dim, m))
+        except DegenerateSpectrumError:
+            continue
+    lam_res, vec_res = schwinger.dense_eigensystem_residuals(dim, [s.m for s in systems])
+    for sys, lam, vec in zip(systems, lam_res, vec_res):
+        assert (lam, vec) == dense_eigensystem_match(dim, sys.m)
+        ref = _dense_match_loop(dim, sys)
+        assert_allclose((lam, vec), ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_a_non_permutation_eigenvalue_assignment_reads_order_one(d):
+    dim = make_dimension(d)
+    sys = eigensystem_by_recursion(dim, (1, 2))
+    lam = sys.eigenvalues.copy()
+    lam[1] = lam[0]     # two closed-form eigenvalues nearest the same dense one
+    forced = SchwingerEigensystem(dim=dim, m=sys.m, eigenvalues=lam,
+                                  eigenvectors=sys.eigenvectors)
+    lam_res, vec_res = dense_eigensystem_match(dim, sys.m, forced)
+    assert lam_res >= 1.0 and vec_res >= 1.0
+    assert max(dense_eigensystem_match(dim, sys.m, sys)) < 1e-12
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_conjugate_pair_suite_equals_the_per_label_loop(d):
+    dim = make_dimension(d)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    for X, Z in ((U, V), (V, U.T)):
+        rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+        rows = conjugate_pair_suite(dim, X, Z, rng=rng, n_random=60)
+        ref = _pair_suite_loop(dim, X, Z, ref_rng, 60)
+        # |Tr S| of one complex scalar and of an array may differ in the last bit
+        assert_allclose([rows[k] for k in ref], list(ref.values()), rtol=1e-15, atol=0)
+        assert {k: rows[k] for k in ref if k != "trace"} == {k: v for k, v in ref.items()
+                                                            if k != "trace"}
+        # the same draws in the same order: later draws of a suite do not shift
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_fourier_covariance_residuals_equal_the_per_label_loop(d):
+    dim = make_dimension(d)
+    F = build_fourier_operator(dim)
+    labels = window_vectors(dim)
+    ref = [max_abs(F @ schwinger_matrix(dim, m) @ F.conj().T
+                   - schwinger_matrix(dim, (-m[1], m[0]))) for m in labels]
+    assert schwinger.fourier_covariance_residuals(dim, labels).tolist() == ref
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_action_angle_kernel_forms_equal_the_label_loops(d):
+    dim = make_dimension(d)
+    for J, theta in ((1.0, 0.7), (-2.5, dim.gamma0), (d + 0.3, 4.0)):
+        K = numberphase.build_action_angle_kernel(dim, J, theta).matrix
+        assert_allclose(K, _kernel_loop(dim, J, theta), rtol=0, atol=1e-15)
+        assert_allclose(numberphase.action_angle_phase_form(dim, J, theta),
+                        _phase_form_loop(dim, J, theta), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("suite, budget", [(verify.suite_schwinger, 58.4e6),
+                                           (verify.suite_numberphase, 15.1e6)])
+def test_blocked_suites_stay_within_the_traced_peak_of_the_label_loops(suite, budget):
+    # the label-by-label suites peaked at 58.4 MB and 15.1 MB or more at D = 31;
+    # the blocks bound every stack, so the Gram matrix of the rank row is the
+    # largest array left
+    schwinger._schwinger_cached.cache_clear()
+    schwinger._eigensystem_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        suite(make_dimension(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, peak
