@@ -7,71 +7,119 @@ The TORUSPHASE_TOL environment variable overrides the default tolerance.
 """
 from __future__ import annotations
 
-import json
+import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
-
-import click
 
 from .errors import TorusPhaseError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import NoReturn
+
     from .lattice import Dimension
 
-# Each command imports what it runs in its own body: `--help` loads no numpy,
-# and a command loads only the layers it uses.
+# The parser is the standard library's: a CLI call pays no start-up for a
+# third-party one.  Each command imports what it runs in its own body:
+# `--help` loads no numpy, and a command loads only the layers it uses.
 
 # verify._DISPATCH's suite names plus "all", spelled out so that the option
 # needs no import; a test pins the two together.
 SUITES = ("schwinger", "qosc", "sl2", "wigner", "numberphase", "transforms", "fock", "all")
 
+_INF = float("inf")
+
+
+class _UsageError(Exception):
+    """An input the parser accepted but the command cannot use; exits 2."""
+
+
+# -- option values -------------------------------------------------------
+# argparse types: each returns the parsed value or raises ArgumentTypeError,
+# which the parser reports as a usage error.
+
+def _integer(low: int | None = None):
+    """An integer, at least `low` when given."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _real(text: str) -> float:
+    """A finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid number") from None
+    if not abs(value) < _INF:                       # false for nan and +-inf
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A finite float above 0: a residual below it passes."""
+    value = _real(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not above 0")
+    return value
+
+
+def _integers(count: int | None = None):
+    """Comma-separated integers, exactly `count` of them when given."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a comma-separated list of integers") from None
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} has {len(values)} components, need {count}")
+        return values
+    return parse
+
 
 def _default_tol() -> float:
     text = os.environ.get("TORUSPHASE_TOL", "1e-10")
     try:
-        return float(text)
-    except ValueError:
-        raise click.UsageError(f"TORUSPHASE_TOL={text!r} is not a number")
+        return _tolerance(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"TORUSPHASE_TOL={text!r}: {exc}") from None
 
+
+# -- command plumbing ----------------------------------------------------
 
 def _refuse(exc: TorusPhaseError) -> NoReturn:
     """Report a structured construction error and exit 2."""
-    click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
+    print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
     sys.exit(2)
 
 
 def _dimension(d: int) -> Dimension:
     from .lattice import make_dimension
 
-    if d < 2:
-        raise click.UsageError(f"dimension must be at least 2, got {d}")
     dim = make_dimension(d)
     if not dim.prime:
-        click.echo(f"warning: D={d} is not prime; some labels are reducible and "
-                   "eigensystem-based constructions may be degenerate", err=True)
+        print(f"warning: D={d} is not prime; some labels are reducible and "
+              "eigensystem-based constructions may be degenerate", file=sys.stderr)
     return dim
-
-
-def _parse_vec(text: str, what: str) -> tuple[int, int]:
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except (ValueError, AttributeError):
-        raise click.UsageError(f"cannot parse {what} {text!r}; expected two integers a,b")
-    if len(parts) != 2:
-        raise click.UsageError(f"{what} needs exactly two components, got {len(parts)}")
-    return parts[0], parts[1]
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        click.echo(f"error: cannot write {out}: {exc}", err=True)
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         sys.exit(3)
 
 
@@ -83,14 +131,14 @@ def _parse_state(dim: Dimension, spec: str):
 
     kind, sep, arg = spec.partition(":")
     if not sep:
-        raise click.UsageError(f"malformed state spec {spec!r}; expected kind:value")
+        raise _UsageError(f"malformed state spec {spec!r}; expected kind:value")
     d = dim.d
     comments: list[str] = [f"state={spec}"]
     if kind in ("fock", "u", "v", "phase"):
         try:
             k = int(arg)
         except ValueError:
-            raise click.UsageError(f"state index {arg!r} is not an integer")
+            raise _UsageError(f"state index {arg!r} is not an integer")
         k %= d
         if kind in ("fock", "u"):
             psi = np.zeros(d, dtype=complex)
@@ -105,47 +153,74 @@ def _parse_state(dim: Dimension, spec: str):
         try:
             seed = int(arg)
         except ValueError:
-            raise click.UsageError(f"random state seed {arg!r} is not an integer")
+            raise _UsageError(f"random state seed {arg!r} is not an integer")
+        if seed < 0:
+            raise _UsageError(f"random state seed {seed} is negative")
         comments.append(f"seed={seed}")
         return random_state(dim, seed=seed), comments
     if kind == "file":
+        import json
+
         try:
             with open(arg) as fh:
                 raw = fh.read()
         except OSError as exc:
-            click.echo(f"error: cannot read state file {arg}: {exc}", err=True)
+            print(f"error: cannot read state file {arg}: {exc}", file=sys.stderr)
             sys.exit(3)
         try:
             data = json.loads(raw)
             amps = [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x)
                     for x in data]
         except (json.JSONDecodeError, TypeError, ValueError, IndexError):
-            raise click.UsageError(f"state file {arg} is not a JSON list of numbers "
-                                   "or [re, im] pairs")
+            raise _UsageError(f"state file {arg} is not a JSON list of numbers "
+                              "or [re, im] pairs")
         psi = np.asarray(amps, dtype=complex)
         if psi.shape != (d,):
-            raise click.UsageError(f"state file holds {psi.shape[0]} amplitudes, need {d}")
+            raise _UsageError(f"state file holds {psi.shape[0]} amplitudes, need {d}")
         nrm = np.linalg.norm(psi)
         if nrm == 0:
-            raise click.UsageError("state file holds the zero vector")
+            raise _UsageError("state file holds the zero vector")
         return psi / nrm, comments
-    raise click.UsageError(f"unknown state kind {kind!r}; "
-                           "use fock:n, phase:l, u:k, v:l, random:<seed>, file:<path>")
+    raise _UsageError(f"unknown state kind {kind!r}; "
+                      "use fock:n, phase:l, u:k, v:l, random:<seed>, file:<path>")
 
 
-@click.group()
-def main() -> None:
-    """Finite-dimensional torus phase-space toolkit."""
+# -- the command table ---------------------------------------------------
+# Each command is a public module-level function, looked up by name when it
+# runs; `_command` records its help line and its options, one
+# `(flag, add_argument keywords)` pair per option.
+
+_COMMANDS: dict[str, tuple[str, tuple]] = {}
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True, help="Hilbert-space dimension")
-@click.option("--kind", type=click.Choice(["u", "v", "fourier", "schwinger", "phase", "number-exp"]),
-              required=True)
-@click.option("--m", "m_text", default=None, help="label m1,m2 (required for schwinger)")
-@click.option("--out", default=None, help="output path (default standard output)")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def gen(d, kind, m_text, out, fmt):
+def _command(*options: tuple[str, dict]):
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn.__doc__, options)
+        return fn
+    return register
+
+
+def _opt(flag: str, **kw) -> tuple[str, dict]:
+    return flag, kw
+
+
+def _format(default: str, choices=("json", "csv")) -> tuple[str, dict]:
+    return _opt("--format", dest="fmt", choices=choices, default=default)
+
+
+_D = _opt("--d", type=_integer(2), required=True, help="Hilbert-space dimension")
+_LABEL = _integers(2)
+
+
+@_command(
+    _D,
+    _opt("--kind", choices=("u", "v", "fourier", "schwinger", "phase", "number-exp"),
+         required=True),
+    _opt("--m", type=_LABEL, help="label m1,m2 (required for schwinger)"),
+    _opt("--out", help="output path (default standard output)"),
+    _format("json"),
+)
+def gen(d, kind, m, out, fmt):
     """Generate an operator matrix."""
     from . import serialization as ser
     from .lattice import build_clock_operator, build_fourier_operator, build_shift_operator
@@ -159,9 +234,8 @@ def gen(d, kind, m_text, out, fmt):
     elif kind == "fourier":
         mat = build_fourier_operator(dim)
     elif kind == "schwinger":
-        if m_text is None:
-            raise click.UsageError("--m is required for --kind schwinger")
-        m = _parse_vec(m_text, "--m")
+        if m is None:
+            raise _UsageError("--m is required for --kind schwinger")
         extra["m"] = list(m)
         from .schwinger import schwinger_matrix
         mat = schwinger_matrix(dim, m)
@@ -172,17 +246,17 @@ def gen(d, kind, m_text, out, fmt):
     if fmt == "json":
         _emit(ser.operator_json(dim, mat, extra=extra), out)
     else:
-        comments = [f"D={d}", f"kind={kind}"] + ([f"m={extra['m'][0]},{extra['m'][1]}"]
-                                                 if "m" in extra else [])
+        comments = [f"D={d}", f"kind={kind}"] + ([f"m={m[0]},{m[1]}"] if "m" in extra else [])
         _emit(ser.matrix_csv(dim, mat, comments=comments), out)
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True)
-@click.option("--suite", type=click.Choice(list(SUITES)), default="all")
-@click.option("--tol", type=float, default=None, help="tolerance (default TORUSPHASE_TOL or 1e-10)")
-@click.option("--seed", type=int, default=0)
-@click.option("--samples", type=int, default=None, help="random sample count per sweep")
+@_command(
+    _D,
+    _opt("--suite", choices=SUITES, default="all"),
+    _opt("--tol", type=_tolerance, help="tolerance (default TORUSPHASE_TOL or 1e-10)"),
+    _opt("--seed", type=_integer(0), default=0),
+    _opt("--samples", type=_integer(1), help="random sample count per sweep"),
+)
 def verify(d, suite, tol, seed, samples):
     """Run an invariant suite and print its residual table."""
     from . import verify as verify_mod
@@ -195,7 +269,7 @@ def verify(d, suite, tol, seed, samples):
     except TorusPhaseError as exc:
         _refuse(exc)
     failed = 0
-    click.echo(f"suite={suite} D={d} tol={format_float(tol)}")
+    lines = [f"suite={suite} D={d} tol={format_float(tol)}"]
     for row in rows:
         if row.kind == "info":
             status = "info"
@@ -207,18 +281,22 @@ def verify(d, suite, tol, seed, samples):
         line = f"{row.name:<42} {format_float(row.value)}  {status}"
         if row.note:
             line += f"  # {row.note}"
-        click.echo(line)
-    click.echo(f"{'PASS' if failed == 0 else 'FAIL'}: {len(rows)} checks, {failed} failed")
+        lines.append(line)
+    lines.append(f"{'PASS' if failed == 0 else 'FAIL'}: {len(rows)} checks, {failed} failed")
+    print("\n".join(lines))
     sys.exit(0 if failed == 0 else 1)
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True)
-@click.option("--state", required=True, help="fock:n | phase:l | u:k | v:l | random:<seed> | file:<path>")
-@click.option("--basis", type=click.Choice(["torus", "number-phase"]), default="torus")
-@click.option("--decompose", is_flag=True, help="emit even/odd split on the half-integer action grid")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
+@_command(
+    _D,
+    _opt("--state", required=True,
+         help="fock:n | phase:l | u:k | v:l | random:<seed> | file:<path>"),
+    _opt("--basis", choices=("torus", "number-phase"), default="torus"),
+    _opt("--decompose", action="store_true",
+         help="emit even/odd split on the half-integer action grid"),
+    _opt("--out"),
+    _format("csv"),
+)
 def wigner(d, state, basis, decompose, out, fmt):
     """Compute a Wigner function on the phase-space grid."""
     import numpy as np
@@ -230,7 +308,7 @@ def wigner(d, state, basis, decompose, out, fmt):
     comments = [f"D={d}", f"basis={basis}"] + comments
     if decompose:
         if basis == "torus":
-            raise click.UsageError("--decompose applies to the number-phase basis only")
+            raise _UsageError("--decompose applies to the number-phase basis only")
         from .limits import wigner_even_odd_decomposition
         even, odd = wigner_even_odd_decomposition(dim, psi, state_ref=state)
         if fmt == "csv":
@@ -270,20 +348,19 @@ def wigner(d, state, basis, decompose, out, fmt):
             }), out)
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True)
-@click.option("--m", "m_text", required=True, help="first label m1,m2")
-@click.option("--mp", "mp_text", required=True, help="second label m1,m2")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
-def spectrum(d, m_text, mp_text, out, fmt):
+@_command(
+    _D,
+    _opt("--m", type=_LABEL, required=True, help="first label m1,m2"),
+    _opt("--mp", type=_LABEL, required=True, help="second label m1,m2"),
+    _opt("--out"),
+    _format("csv"),
+)
+def spectrum(d, m, mp, out, fmt):
     """Shifted q-oscillator spectrum f(n) = C + [n] for a label pair."""
     from . import serialization as ser
     from .deformed import build_q_oscillator
 
     dim = _dimension(d)
-    m = _parse_vec(m_text, "--m")
-    mp = _parse_vec(mp_text, "--mp")
     try:
         osc = build_q_oscillator(dim, m, mp)
     except TorusPhaseError as exc:
@@ -294,15 +371,15 @@ def spectrum(d, m_text, mp_text, out, fmt):
         _emit(ser.spectrum_json(osc), out)
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True)
-@click.option("--case", "case", required=True,
-              type=click.Choice(["linear", "oscillator", "unit-cross", "quarter-cross", "custom"]))
-@click.option("--cross", "cross", type=int, default=None, help="cross value for --case custom")
-@click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1",
-              help="branch sign for limiting profiles")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+@_command(
+    _D,
+    _opt("--case", required=True,
+         choices=("linear", "oscillator", "unit-cross", "quarter-cross", "custom")),
+    _opt("--cross", type=_integer(), help="cross value for --case custom"),
+    _opt("--sign", choices=("+1", "-1"), default="+1", help="branch sign for limiting profiles"),
+    _opt("--out"),
+    _format("json"),
+)
 def index(d, case, cross, sign, out, fmt):
     """Spectral index of a number-function profile."""
     from . import limits as limits_mod
@@ -322,57 +399,46 @@ def index(d, case, cross, sign, out, fmt):
     _emit(ser.index_json(report) if fmt == "json" else ser.index_csv(report), out)
 
 
-@main.command()
-@click.option("--primes", default="11,23,47,101", help="comma-separated prime ladder")
-@click.option("--observable", type=click.Choice(["number-exp", "phase-exp", "wigner"]),
-              default="number-exp")
-@click.option("--gamma", type=float, default=1.0)
-@click.option("--family", type=click.Choice(["gaussian", "number-delta"]), default="gaussian")
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv")
+@_command(
+    _opt("--primes", type=_integers(), default="11,23,47,101",
+         help="comma-separated prime ladder"),
+    _opt("--observable", choices=("number-exp", "phase-exp", "wigner"), default="number-exp"),
+    _opt("--gamma", type=_real, default=1.0),
+    _opt("--family", choices=("gaussian", "number-delta"), default="gaussian"),
+    _opt("--out"),
+    _format("csv"),
+)
 def converge(primes, observable, gamma, family, out, fmt):
     """Weak-convergence residual sweep along a prime ladder."""
     from . import limits as limits_mod
     from . import serialization as ser
 
     try:
-        plist = [int(x) for x in primes.split(",")]
-    except ValueError:
-        raise click.UsageError(f"cannot parse prime list {primes!r}")
-    try:
         if observable == "wigner":
-            report = limits_mod.phase_basis_wigner_limit(plist, family=family)
+            report = limits_mod.phase_basis_wigner_limit(list(primes), family=family)
         else:
-            report = limits_mod.weak_convergence_sweep(plist, gamma=gamma,
+            report = limits_mod.weak_convergence_sweep(list(primes), gamma=gamma,
                                                        observable=observable, family=family)
     except TorusPhaseError as exc:
         _refuse(exc)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     _emit(ser.convergence_csv(report) if fmt == "csv" else ser.convergence_json(report), out)
 
 
-@main.command()
-@click.option("--d", "d", type=int, required=True)
-@click.option("--r", "r_text", required=True, help="matrix rows a,b,c,d for [[a,b],[c,d]]")
-@click.option("--tol", type=float, default=None)
-@click.option("--out", default=None)
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
-def transform(d, r_text, tol, out, fmt):
+@_command(
+    _D,
+    _opt("--r", type=_integers(4), required=True, help="matrix rows a,b,c,d for [[a,b],[c,d]]"),
+    _opt("--tol", type=_tolerance),
+    _opt("--out"),
+    _format("json", choices=("json",)),
+)
+def transform(d, r, tol, out, fmt):
     """Build and verify the unitary realizing an integer symplectic map."""
     from . import serialization as ser
     from . import transforms as tr_mod
 
     dim = _dimension(d)
     tol = _default_tol() if tol is None else tol
-    try:
-        parts = [int(x) for x in r_text.split(",")]
-    except ValueError:
-        raise click.UsageError(f"cannot parse --r {r_text!r}; expected a,b,c,d")
-    if len(parts) != 4:
-        raise click.UsageError("--r needs exactly four integers a,b,c,d")
-    smap = tr_mod.SymplecticMap.from_rows(dim, ((parts[0], parts[1]), (parts[2], parts[3])))
+    smap = tr_mod.SymplecticMap.from_rows(dim, (r[:2], r[2:]))
     try:
         op = tr_mod.build_metaplectic(dim, smap)
     except TorusPhaseError as exc:
@@ -381,9 +447,82 @@ def transform(d, r_text, tol, out, fmt):
     _emit(ser.transform_json(op, worst, records), out)
     ok = op.unitary_residual < tol and worst < max(tol, 1e-9)
     if not ok:
-        click.echo(f"verification failed: unitary {op.unitary_residual:.2e}, "
-                   f"covariance {worst:.2e}", err=True)
+        print(f"verification failed: unitary {op.unitary_residual:.2e}, "
+              f"covariance {worst:.2e}", file=sys.stderr)
         sys.exit(1)
+
+
+# -- parser and entry point ----------------------------------------------
+
+class _HelpFormatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """`--help` only (no `-h`), no abbreviated options, and usage errors as
+
+        Usage: <usage line>
+        Try '<prog> --help' for help.
+
+        Error: <message>
+
+    exiting 2.
+    """
+
+    def __init__(self, **kw) -> None:
+        super().__init__(formatter_class=_HelpFormatter, add_help=False, allow_abbrev=False,
+                         **kw)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        name, sep, reason = message.partition(": ")
+        if sep and name.startswith("argument "):
+            message = f"Invalid value for '{name[len('argument '):]}': {reason}"
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Try '{self.prog} --help' for help.\n\nError: {message}\n")
+
+
+def _attach_values(argv: list[str], options) -> list[str]:
+    """`--opt value` as `--opt=value` for each of the options that take a value.
+
+    The next word is the option's value whatever it starts with, so a label
+    such as `--m -12,34` is not read as an unknown option `-12,34`.
+    """
+    valued = {flag for flag, kw in options if "action" not in kw}
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in valued and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def main(args=None, prog_name=None) -> NoReturn:
+    """Run one CLI command and exit with its code."""
+    argv = sys.argv[1:] if args is None else list(args)
+    parser = _Parser(prog=prog_name, description="Finite-dimensional torus phase-space toolkit.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True,
+                                     title="commands")
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (doc, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=doc, description=doc)
+        if name == command:     # the others are only listed, in the top-level help
+            for flag, kw in options:
+                sub.add_argument(flag, **kw)
+    if command is not None:
+        argv = [command, *_attach_values(argv[1:], _COMMANDS[command][1])]
+    values = vars(parser.parse_args(argv))
+    name = values.pop("command")
+    try:
+        globals()[name](**values)
+    except _UsageError as exc:
+        commands.choices[name].error(str(exc))
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ def schwinger_basis_rank(dim: Dimension) -> int:
     """Rank of the Hilbert-Schmidt Gram matrix of the window family {S_m}."""
     vecs = schwinger_stack(dim.d, window_vectors(dim)).reshape(dim.d ** 2, -1)
     gram = vecs.conj() @ vecs.T
-    return int(np.linalg.matrix_rank(gram))
+    return int(np.linalg.matrix_rank(gram, hermitian=True))
 
 
 def _half_phase(d: int, m1, m2):
@@ -406,7 +406,8 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
         _worst(res, "power_sign",
                np.abs(matrix_power(Sm, d) - sign[:, None, None] * np.eye(d)).max(axis=(1, 2)))
     for blk in label_blocks(len(a), d):
-        ph = np.exp(0.5j * g0 * lattice_cross(a[blk].T, b[blk].T))
+        # e^{i gamma0 a x b / 2}, with the exact integer a x b reduced mod 2D
+        ph = np.exp(1j * (np.pi * (lattice_cross(a[blk].T, b[blk].T) % (2 * d)) / d))
         err = S(a[blk]) @ S(b[blk]) - ph[:, None, None] * S(a[blk] + b[blk])
         _worst(res, "composition", np.abs(err).max(axis=(1, 2)))
     return res

@@ -5,22 +5,39 @@ import sys
 import time
 from pathlib import Path
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import torusphase
 from torusphase import cli, verify
 from torusphase.cli import main
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def runner(capsys, monkeypatch):
+    return capsys, monkeypatch
 
 
-def invoke(runner, args, **kw):
-    return runner.invoke(main, args, catch_exceptions=False, **kw)
+def invoke(runner, args, env=None):
+    """Run `main` in this process on `args`, with `env` set for the call only."""
+    capsys, monkeypatch = runner
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        for key, value in (env or {}).items():
+            patch.setenv(key, value)
+        with pytest.raises(SystemExit) as stop:
+            main(args, prog_name="torusphase")
+    out, err = capsys.readouterr()
+    return Result(stop.value.code, out, err)
 
 
 def test_gen_fourier_d2_exact(runner):
@@ -179,13 +196,74 @@ def test_spectrum_collinear_exits_2(runner):
     (["converge", "--primes", "4"], "NonPrimeDimensionError"),
     (["transform", "--d", "9", "--r", "1,1,0,1"], "DegenerateSpectrumError"),
     (["index", "--d", "7", "--case", "custom"], "CaseConditionError"),
+    # malformed numbers: usage errors (no error class), never a traceback or a PASS
+    (["verify", "--d", "3", "--suite", "all", "--samples", "0"], None),
+    (["verify", "--d", "3", "--suite", "transforms", "--samples", "0"], None),
+    (["verify", "--d", "3", "--suite", "schwinger", "--samples", "-1"], None),
+    (["verify", "--d", "4", "--suite", "qosc", "--samples", "0"], None),
+    (["verify", "--d", "5", "--suite", "sl2", "--samples", "0"], None),
+    (["verify", "--d", "5", "--suite", "wigner", "--samples", "0"], None),
+    (["verify", "--d", "5", "--suite", "numberphase", "--samples", "0"], None),
+    (["verify", "--d", "3", "--suite", "wigner", "--seed", "-1"], None),
+    (["wigner", "--d", "3", "--state", "random:-3"], None),
+    (["verify", "--d", "3", "--suite", "wigner", "--tol", "nan"], None),
+    (["verify", "--d", "3", "--suite", "wigner", "--tol", "inf"], None),
+    (["verify", "--d", "3", "--suite", "wigner", "--tol", "0"], None),
+    (["verify", "--d", "3", "--suite", "wigner", "--tol", "-1e-9"], None),
+    (["transform", "--d", "5", "--r", "0,-1,1,0", "--tol", "nan"], None),
+    (["transform", "--d", "5", "--r", "0,-1,1,0", "--tol", "0"], None),
+    (["converge", "--primes", "3,5", "--gamma", "nan"], None),
+    (["converge", "--primes", "3,5", "--gamma", "inf"], None),
+    (["converge", "--primes", "3,5", "--observable", "wigner", "--gamma", "nan"], None),
+    (["gen", "--d", "5", "--kind", "schwinger", "--m", "1,2,3"], None),
+    (["transform", "--d", "5", "--r", "0,-1,1"], None),
 ])
 def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
     res = invoke(runner, args)
     assert res.exit_code == 2
     assert "Traceback" not in res.stderr
     errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error: ")]
-    assert len(errors) == 1 and errors[0].startswith(f"error: {error}: "), res.stderr
+    if error is None:
+        assert res.stdout == "" and errors == []
+        assert res.stderr.startswith("Usage: torusphase ")
+        assert len([ln for ln in res.stderr.splitlines() if ln.startswith("Error: ")]) == 1
+    else:
+        assert len(errors) == 1 and errors[0].startswith(f"error: {error}: "), res.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_tolerance_env_must_be_positive_and_finite(runner, value):
+    res = invoke(runner, ["verify", "--d", "3", "--suite", "wigner"],
+                 env={"TORUSPHASE_TOL": value})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"TORUSPHASE_TOL={value!r}" in res.stderr
+
+
+@pytest.mark.parametrize("args, key, value", [
+    (["gen", "--d", "5", "--kind", "schwinger", "--m", "-12,34"], "m", (-12, 34)),
+    (["transform", "--d", "11", "--r", "-30,5,7,12"], "r", (-30, 5, 7, 12)),
+    (["spectrum", "--d", "5", "--m", "1,0", "--mp", "-1,0"], "mp", (-1, 0)),
+    (["index", "--d", "7", "--case", "custom", "--cross", "-3"], "cross", -3),
+    (["index", "--d", "7", "--case", "unit-cross", "--sign", "-1"], "sign", "-1"),
+    (["converge", "--gamma", "-0.5"], "gamma", -0.5),
+])
+def test_values_that_start_with_a_minus_sign_parse(runner, monkeypatch, args, key, value):
+    seen = {}
+    monkeypatch.setattr(cli, args[0], lambda **kw: seen.update(kw))
+    res = invoke(runner, args)
+    assert res.exit_code == 0, res.stderr
+    assert seen[key] == value
+
+
+@pytest.mark.parametrize("args, key, value", [
+    (["gen", "--d", "5", "--kind", "schwinger", "--m", "-12,34"], "m", [-12, 34]),
+    (["transform", "--d", "11", "--r", "-30,5,7,12"], "R", [[3, 5], [7, 1]]),
+])
+def test_negative_labels_run_end_to_end(runner, args, key, value):
+    res = invoke(runner, args)
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout)[key] == value
 
 
 def test_index_linear_frozen_value(runner):
@@ -283,11 +361,12 @@ def test_output_is_deterministic(runner):
 
 _PROBE = """
 import json, sys
+before = set(sys.modules)
 from torusphase.cli import main
 try:
     main(args=sys.argv[1:], prog_name="torusphase")
 finally:
-    print("MODULES " + json.dumps(sorted(sys.modules)), file=sys.stderr)
+    print("MODULES " + json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
 """
 _SRC = str(Path(torusphase.__file__).resolve().parents[1])
 _LAYERS = {"lattice", "schwinger", "deformed", "transforms", "wigner", "numberphase",
@@ -295,7 +374,11 @@ _LAYERS = {"lattice", "schwinger", "deformed", "transforms", "wigner", "numberph
 
 
 def loaded_by(args, cwd=None):
-    """Exit code, stdout, stderr and the loaded module names of one fresh CLI process."""
+    """Exit code, stdout, stderr and the names of the modules one fresh CLI process loads.
+
+    Modules the interpreter had loaded before the CLI was imported (by `site`,
+    for instance) are left out.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True,
@@ -308,11 +391,19 @@ def layers(modules):
     return {m.split(".", 1)[1] for m in modules if m.startswith("torusphase.")}
 
 
+def outside_stdlib(modules):
+    """Loaded modules that are neither the standard library's nor the CLI's own."""
+    own = {"torusphase", "torusphase.cli", "torusphase.errors"}
+    return {m for m in modules
+            if m not in own and m.split(".", 1)[0] not in sys.stdlib_module_names}
+
+
 def test_help_imports_no_numpy_and_no_layer():
     rc, out, _, modules = loaded_by(["--help"])
     assert rc == 0 and "Usage:" in out
     assert "numpy" not in modules
     assert layers(modules) == {"cli", "errors"}
+    assert outside_stdlib(modules) == set()
 
 
 @pytest.mark.parametrize("command", ["gen", "verify", "wigner", "spectrum", "index",
@@ -322,6 +413,7 @@ def test_command_help_exits_0_without_numpy(command):
     assert rc == 0 and "Usage:" in out
     assert "numpy" not in modules
     assert layers(modules) == {"cli", "errors"}
+    assert outside_stdlib(modules) == set()
 
 
 @pytest.mark.parametrize("state", ["fock:2", "v:3", "random:5"])
