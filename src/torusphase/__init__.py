@@ -26,16 +26,15 @@ _EXPORTS = {
         "random_state", "window_vectors",
     ),
     "schwinger": (
-        "SchwingerEigensystem", "SchwingerOperator", "build_schwinger", "compose_schwinger",
-        "conjugate_pair_suite", "dense_eigensystem_match", "eigensystem_by_recursion",
-        "fourier_covariance_check", "pair_schwinger", "reduce_label", "schwinger_basis_rank",
-        "schwinger_matrix", "schwinger_power_check", "sine_commutator_check",
+        "SchwingerEigensystem", "SchwingerOperator", "build_schwinger", "conjugate_pair_suite",
+        "dense_eigensystem_match", "eigensystem_by_recursion", "pair_schwinger", "reduce_label",
+        "schwinger_basis_rank", "schwinger_matrix", "sine_commutator_check",
         "standard_pair_suite", "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
     ),
     "deformed": (
         "CoproductReport", "EigenCorrespondence", "LowestWeightReport", "QOscillator",
         "TranslationReport", "UqSl2Realisation", "bracket_values", "build_q_oscillator",
-        "build_uq_sl2", "casimir_uq_sl2", "coproduct_check", "eigenbasis_correspondence",
+        "build_uq_sl2", "coproduct_check", "eigenbasis_correspondence",
         "lowest_weight_scan", "oscillator_residuals", "sl2_residuals",
         "translated_lattice_deformation",
     ),
@@ -45,15 +44,14 @@ _EXPORTS = {
         "random_symplectic", "verify_symplectic",
     ),
     "wigner": (
-        "WignerGrid", "WignerKernel", "build_kernel", "characteristic", "classical_symbol",
-        "kernel_grid", "kernel_suite", "property_suite", "symbol_reconstruct",
-        "wigner_function",
+        "WignerGrid", "characteristic", "classical_symbol", "kernel_grid", "kernel_suite",
+        "property_suite", "symbol_reconstruct", "wigner_function",
     ),
     "numberphase": (
         "ActionAngleKernel", "NumberExpansion", "PhasePair", "action_angle_values",
         "build_action_angle_kernel", "build_phase_pair", "expand_number_function",
-        "identification_suite", "kernel_form_residual", "number_phase_schwinger",
-        "phase_pair_residuals", "wigner_number_phase",
+        "identification_suite", "kernel_form_residual", "phase_pair_residuals",
+        "wigner_number_phase",
     ),
     "limits": (
         "ConvergenceReport", "SpectrumProfile", "commutator_limit_check", "fujikawa_index",
@@ -63,8 +61,8 @@ _EXPORTS = {
     ),
     "fock": (
         "ShiftedFockBasis", "build_shifted_fock", "fractional_phase_power",
-        "number_seam_residual", "oscillator_fock_alpha", "oscillator_fock_match",
-        "shift_isomorphism_check", "shifted_overlap", "shifted_overlap_expansion",
+        "oscillator_fock_alpha", "oscillator_fock_match", "shift_isomorphism_check",
+        "shifted_overlap", "shifted_overlap_expansion",
     ),
     "verify": ("CheckRow", "run_suite"),
 }

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import TorusPhaseError
+from .errors import DimensionTooLargeError, TorusPhaseError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -28,6 +28,22 @@ if TYPE_CHECKING:
 SUITES = ("schwinger", "qosc", "sl2", "wigner", "numberphase", "transforms", "fock", "all")
 
 _INF = float("inf")
+
+# Largest D per command (per suite, observable or case where that sets the
+# size): the largest array the command allocates stays within 2^28 bytes
+# (256 MiB) of complex entries.  That array has D entries for the profiles of
+# converge and index (D <= 2^24), D x D for most (D <= 4096), D^3 for the power
+# stacks of the numberphase suite (D <= 256), and D^4 for the basis stack of
+# the schwinger suite and the kernel oracle of the wigner and transforms
+# suites, and so of all (D <= 64).
+_MAX_D = {
+    "gen": 4096, "wigner": 4096, "spectrum": 4096, "transform": 4096,
+    "verify": {"schwinger": 64, "qosc": 4096, "sl2": 4096, "wigner": 64, "numberphase": 256,
+               "transforms": 64, "fock": 4096, "all": 64},
+    "converge": {"number-exp": 1 << 24, "phase-exp": 1 << 24, "wigner": 4096},
+    "index": {"linear": 1 << 24, "oscillator": 4096, "unit-cross": 1 << 24,
+              "quarter-cross": 1 << 24, "custom": 1 << 24},
+}
 
 
 class _UsageError(Exception):
@@ -101,9 +117,19 @@ def _refuse(exc: TorusPhaseError) -> NoReturn:
     sys.exit(2)
 
 
-def _dimension(d: int) -> Dimension:
+def _check_bound(d: int, command: str, variant: str | None = None) -> None:
+    """Refuse (exit 2) a D above the command's bound, before anything is allocated."""
+    bound = _MAX_D[command] if variant is None else _MAX_D[command][variant]
+    if d > bound:
+        which = "" if variant is None else f" for {variant}"
+        _refuse(DimensionTooLargeError(
+            f"D={d} is above {bound}, the largest D that {command} accepts{which}"))
+
+
+def _dimension(d: int, command: str, variant: str | None = None) -> Dimension:
     from .lattice import make_dimension
 
+    _check_bound(d, command, variant)
     dim = make_dimension(d)
     if not dim.prime:
         print(f"warning: D={d} is not prime; some labels are reducible and "
@@ -225,7 +251,7 @@ def gen(d, kind, m, out, fmt):
     from . import serialization as ser
     from .lattice import build_clock_operator, build_fourier_operator, build_shift_operator
 
-    dim = _dimension(d)
+    dim = _dimension(d, "gen")
     extra = {"kind": kind}
     if kind == "u":
         mat = build_shift_operator(dim)
@@ -262,7 +288,7 @@ def verify(d, suite, tol, seed, samples):
     from . import verify as verify_mod
     from .serialization import format_float
 
-    dim = _dimension(d)
+    dim = _dimension(d, "verify", suite)
     tol = _default_tol() if tol is None else tol
     try:
         rows = verify_mod.run_suite(suite, dim, seed=seed, samples=samples)
@@ -303,7 +329,7 @@ def wigner(d, state, basis, decompose, out, fmt):
 
     from . import serialization as ser
 
-    dim = _dimension(d)
+    dim = _dimension(d, "wigner")
     psi, comments = _parse_state(dim, state)
     comments = [f"D={d}", f"basis={basis}"] + comments
     if decompose:
@@ -360,7 +386,7 @@ def spectrum(d, m, mp, out, fmt):
     from . import serialization as ser
     from .deformed import build_q_oscillator
 
-    dim = _dimension(d)
+    dim = _dimension(d, "spectrum")
     try:
         osc = build_q_oscillator(dim, m, mp)
     except TorusPhaseError as exc:
@@ -385,7 +411,7 @@ def index(d, case, cross, sign, out, fmt):
     from . import limits as limits_mod
     from . import serialization as ser
 
-    dim = _dimension(d)
+    dim = _dimension(d, "index", case)
     try:
         if case == "linear":
             profile = limits_mod.linear_profile(dim)
@@ -413,6 +439,8 @@ def converge(primes, observable, gamma, family, out, fmt):
     from . import limits as limits_mod
     from . import serialization as ser
 
+    for p in primes:
+        _check_bound(p, "converge", observable)
     try:
         if observable == "wigner":
             report = limits_mod.phase_basis_wigner_limit(list(primes), family=family)
@@ -436,7 +464,7 @@ def transform(d, r, tol, out, fmt):
     from . import serialization as ser
     from . import transforms as tr_mod
 
-    dim = _dimension(d)
+    dim = _dimension(d, "transform")
     tol = _default_tol() if tol is None else tol
     smap = tr_mod.SymplecticMap.from_rows(dim, (r[:2], r[2:]))
     try:

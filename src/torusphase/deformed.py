@@ -13,14 +13,17 @@ Both diagonalize along the eigenbasis of S_{m-m'}; the integer bijection
 n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
 
 Both start from one label pass over a list of pairs (_label_pass): it rejects
-collinear pairs, gathers the eigenvectors of each distinct canonical
+collinear pairs, gathers the eigenvectors V of each distinct canonical
 w = m - m' once, and gives every pair the reason its builder refuses it, if
-any.  The builders raise that refusal; the sweeps oscillator_sweep and
-sl2_sweep skip and count it, then stack the built pairs in blocks of at most
-_BLOCK_ENTRIES complex entries per D x D stack and take every residual with
-batched matmul.  The per-pair builders and residual functions evaluate the
-same stacked formulas on a stack of one, so each identity is written once and
-a sweep's worst residual is bit-equal to the worst of the per-pair values.
+any.  The builders raise that refusal; the sweeps skip and count it.  Every
+identity is checked on V in two parts: (a) S_m and S_m' act on V one entry
+per column, O(D^2) per pair, and must be weighted shifts v_r -> v_{r-c}
+(_shift_weights); (b) on their weights, where A is a weighted shift and N,
+J3, S_w and both Casimir orderings are diagonal, each identity is a scalar
+identity on D values, whose rounding floor is ~eps |C|, not the eps D |A| |C|
+of dense products.  A per-pair residual function is the sweep's stack of one
+pair, so a sweep's worst is bit-equal to the worst per-pair value.  Dense
+operators are built only as builder output and for the orbit check.
 The sign that fixes the sl(2) J3 offset and the oscillator eta is an exact
 integer parity of the labels (_branch_sign), not a measured phase.
 """
@@ -41,7 +44,12 @@ from .errors import (
     SingularDeformationError,
 )
 from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
-from .schwinger import _eigensystem_cached, schwinger_matrix, schwinger_stack
+from .schwinger import (
+    _eigensystem_cached,
+    displacement_columns,
+    schwinger_matrix,
+    schwinger_stack,
+)
 
 _SINGULAR_TOL = 1e-12
 _LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
@@ -70,27 +78,22 @@ def _phase_cross(d: int, c) -> np.ndarray:
     return (np.asarray(c) + d) % (2 * d) - d
 
 
-# -- stacked building blocks ---------------------------------------------------
-# A stack holds P pairs: labels (P, 2), per-pair scalars (P,), per-pair value
-# lists (P, D) and operators (P, D, D).
+# -- pairs on the S_w eigenbasis -----------------------------------------------
+# A list of P pairs: labels (P, 2), per-pair scalars (P,), per-pair value lists
+# (P, D) and, where a dense operator is output, operators (P, D, D).
 
 def _scalar_pow(x, e: float) -> np.ndarray:
     """x ** e elementwise through libm pow, as for a numpy scalar.
 
     numpy's vectorized power can differ from the scalar one in the last bit;
-    a coefficient must not depend on how many pairs share its stack.
+    a coefficient must not depend on how many pairs share its block.
     """
     return np.array([math.pow(v, e) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 def _diag_stack(V, values) -> np.ndarray:
-    """V diag(values) V^dag per pair."""
+    """V diag(values) V^dag per pair: the dense form of an operator diagonal on V."""
     return (V * values[:, None, :]) @ _dag(V)
-
-
-def _max_abs_stack(X) -> np.ndarray:
-    """max_abs of each matrix of a stack."""
-    return np.abs(X).max(axis=(1, 2))
 
 
 def _inverse_mod(d: int, c):
@@ -105,14 +108,62 @@ def _inverse_table(d: int) -> np.ndarray:
     return table
 
 
-def _stack_of_one(cls, obj):
-    """The stack of one pair holding the fields of a per-pair realization."""
-    return cls(obj.dim, *(np.asarray(getattr(obj, name))[None] for name in cls._fields[1:]))
+def _n_values(d: int, c) -> np.ndarray:
+    """n(r) = c^{-1} r mod D per pair (P, D): the quantum number of eigenvector r."""
+    return (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
 
 
-def _unstack(st, skip=()) -> dict:
-    """Fields of the first pair of a stack, for a per-pair realization."""
-    return {name: getattr(st, name)[0] for name in st._fields[1:] if name not in skip}
+def _rolled(x, shift) -> np.ndarray:
+    """x[p, (r + shift[p]) mod D] for per-pair values x (P, D)."""
+    d = x.shape[1]
+    return np.take_along_axis(x, (np.arange(d) + np.reshape(shift, (-1, 1))) % d, axis=1)
+
+
+def _shift_weights(d: int, m, mp, V):
+    """Part (a): S_m and S_m' on the S_w eigenbasis V of each pair, w = m - m'.
+
+    S_w S_m = e^{i gamma0 c} S_m S_w, c = m x m' (so for m'), so both lower
+    the eigenvalue index by c: S_m v_r = g_r v_{r-c}, S_m' v_r = f_r v_{r-c}.
+    Returns g and f (P, D), the matrix elements <v_{r-c}|S|v_r>, and the
+    largest entry of S v_r - g_r v_{r-c} over both labels (P,).  Where it
+    vanishes, A = d S_m + d' S_m' is the weighted shift (d g_r + d' f_r) and
+    S_w = e^{i gamma0 c/2} S_m S_m'^dag is diagonal (_sw_values).
+    """
+    P = len(V)
+    vt = np.ascontiguousarray(V.swapaxes(1, 2))        # row r holds v_r
+    lower = (np.arange(d) - lattice_cross(m.T, mp.T)[:, None]) % d
+    labels = [displacement_columns(d, x[:, 0], x[:, 1]) for x in (m, mp)]
+    weights = [np.empty((P, d), dtype=complex) for _ in labels]
+    residual = np.zeros(P)
+    # rows of V in chunks of at most _BLOCK_ENTRIES entries: the temporaries
+    # stay small, where fresh D x D ones cost their page faults at large D
+    step = max(1, _BLOCK_ENTRIES // (P * d))
+    for lo in range(0, d, step):
+        v, lowered = vt[:, lo:lo + step], vt[np.arange(P)[:, None], lower[:, lo:lo + step]]
+        at = (np.arange(P * v.shape[1]) * d).reshape(P, -1, 1)
+        for (rows, vals), wt in zip(labels, weights):
+            sv = np.empty_like(v)
+            sv.reshape(-1)[at + rows[:, None, :]] = vals[:, None, :] * v
+            # <v_{r-c}|S v_r>, summed along the row (pairwise, to ~eps log D)
+            wt[:, lo:lo + step] = (lowered.conj() * sv).sum(axis=-1)
+            err = np.abs(sv - wt[:, lo:lo + step, None] * lowered).max(axis=(1, 2))
+            residual = np.maximum(residual, err)
+    return weights[0], weights[1], residual
+
+
+def _sw_values(d: int, c, g, f) -> np.ndarray:
+    """Eigenvalues mu_r of S_w on v_r from the weights: e^{i pi c/D} g_{r+c} conj(f_{r+c})."""
+    return _rolled(np.exp(1j * np.pi * c / d)[:, None] * g * np.conj(f), c)
+
+
+def _sin_turns(k, n) -> np.ndarray:
+    """sin(pi k / n), with k reduced into [-n, n) first so the argument stays small."""
+    return np.sin(np.pi * _phase_cross(n, k) / n)
+
+
+def _worst(operator, scalar) -> np.ndarray:
+    """Per pair: the operator residual of part (a) or the largest scalar residual (P, D)."""
+    return np.maximum(operator, np.abs(scalar).max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -196,8 +247,8 @@ def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
     return _Labels(m, mp, c, keys, systems, reasons, first)
 
 
-def _built_stack(dim: Dimension, m, mp, reasons: tuple, stack, *args):
-    """Label pass and stack of every pair; the first refused pair raises its builder error."""
+def _built_labels(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
+    """Label pass of pairs the builder builds; the first refused pair raises its builder error."""
     lab = _label_pass(dim, m, mp, reasons)
     if not lab.built.all():
         i = int(np.argmin(lab.built))
@@ -209,19 +260,21 @@ def _built_stack(dim: Dimension, m, mp, reasons: tuple, stack, *args):
                 f"sin(gamma0 * {c}) = 0 at D={dim.d}; oscillator coefficients diverge")
         raise DegenerateSpectrumError(
             f"cross value {c} is not invertible mod {dim.d}; the number labeling degenerates")
-    return lab, stack(dim, lab.m, lab.mp, lab.eigenvectors(slice(None)), *args)
+    return lab
 
 
-def _sweep(dim: Dimension, m, mp, reasons: tuple, stack, residuals) -> SweepReport:
-    """Worst residuals over the built pairs, in stacked blocks, and the skips by reason."""
+def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
+    """Worst residuals over the built pairs, in blocks, and the skips by reason.
+
+    residuals(dim, m, mp, V) gives a dict of per-pair residuals for a block.
+    """
     lab = _label_pass(dim, m, mp, reasons)
     built = np.flatnonzero(lab.built)
     step = max(1, _BLOCK_ENTRIES // dim.d ** 2)
     worst: dict = {}
     for start in range(0, len(built), step):
         idx = built[start:start + step]
-        st = stack(dim, lab.m[idx], lab.mp[idx], lab.eigenvectors(idx))
-        for k, v in residuals(st).items():
+        for k, v in residuals(dim, lab.m[idx], lab.mp[idx], lab.eigenvectors(idx)).items():
             if k == "spectrum_min":
                 worst[k] = min(worst.get(k, np.inf), float(v.min()))
             else:
@@ -283,69 +336,53 @@ class QOscillator:
         return bracket_values(self.dim, self.cross, n)
 
 
-class _OscillatorStack(NamedTuple):
-    """P q-oscillators; each field as in QOscillator, with a leading pair axis."""
-
-    dim: Dimension
-    m: np.ndarray
-    mp: np.ndarray
-    cross: np.ndarray
-    eta: np.ndarray
-    d_coef: np.ndarray
-    dp_coef: np.ndarray
-    shift_constant: np.ndarray
-    c_q: np.ndarray
-    lowering: np.ndarray
-    number_op: np.ndarray
-    q_exponential: np.ndarray
-    eigenvectors: np.ndarray
-    n_values: np.ndarray
-    spectrum: np.ndarray
-
-
-def _oscillator_stack(dim: Dimension, m, mp, V, eta=None) -> _OscillatorStack:
-    """Shifted q-oscillators on buildable pairs, with S_{m-m'} eigenvectors V.
+def _oscillator_coefs(dim: Dimension, m, mp, eta=None):
+    """eta, d, d' and C = 1/|sin(gamma0 c)| per pair (see build_q_oscillator).
 
     eta defaults to the sign that makes A^dag A = C + [N] exact, -phi0 (see
     _branch_sign).
     """
-    d, g0 = dim.d, dim.gamma0
-    c = _phase_cross(d, lattice_cross(m.T, mp.T))
+    c = _phase_cross(dim.d, lattice_cross(m.T, mp.T))
     if eta is None:
-        eta = -_branch_sign(d, c, m - mp)
-    s = np.sin(g0 * c)
+        eta = -_branch_sign(dim.d, c, m - mp)
+    s = np.sin(dim.gamma0 * c)
     d_coef = _scalar_pow(2.0 * np.abs(s), -0.5)
-    dp_coef = np.conj(eta / ((2j * s) * d_coef))
-    A = (d_coef[:, None, None] * schwinger_stack(d, m)
-         + dp_coef[:, None, None] * schwinger_stack(d, mp))
-    C = 1.0 / np.abs(s)
-    nvals = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
-    c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
-    Q = c_q[:, None, None] * _diag_stack(V, np.exp((1j * g0 * c)[:, None] * nvals))
-    spectrum = C[:, None] + bracket_values(dim, c[:, None], np.arange(d))
-    return _OscillatorStack(dim, m, mp, c, eta, d_coef, dp_coef, C, c_q, A,
-                            _diag_stack(V, nvals), Q, V, nvals, spectrum)
+    return eta, d_coef, np.conj(eta / ((2j * s) * d_coef)), 1.0 / np.abs(s)
 
 
-def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
-    """Per-pair residuals of the oscillator identities (see oscillator_residuals)."""
-    dim, A, V, nv = st.dim, st.lowering, st.eigenvectors, st.n_values
+def _oscillator_dense(dim: Dimension, lab: _Labels, d_coef, dp_coef):
+    """A = d S_m + d' S_m' and N = V diag(n) V^dag per pair (P, D, D), V and n."""
+    V = lab.eigenvectors(slice(None))
+    nv = _n_values(dim.d, _phase_cross(dim.d, lab.cross))
+    A = (d_coef[:, None, None] * schwinger_stack(dim.d, lab.m)
+         + dp_coef[:, None, None] * schwinger_stack(dim.d, lab.mp))
+    return A, _diag_stack(V, nv), V, nv
+
+
+def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
+    """Per-pair residuals of the oscillator identities (see oscillator_residuals).
+
+    On V, with a_r = d g_r + d' f_r: A^dag A is |a_r|^2 and A A^dag is
+    |a_{r+c}|^2 on v_r, N is n_r, and -eta S_{-m} S_m' is -eta conj(g_r) f_r.
+    [n] = sin(pi k / D) / sin(gamma0 c) with the integer k = c (2n + D - 1).
+    """
     d = dim.d
-    Ad = _dag(A)
-    c = _phase_cross(d, st.cross)[:, None]
-    C_eye = st.shift_constant[:, None, None] * np.eye(d)
-    Qdirect = ((-st.eta)[:, None, None] * schwinger_stack(d, -st.m)
-               @ schwinger_stack(d, st.mp))
+    c = _phase_cross(d, lattice_cross(m.T, mp.T))
+    cc, nv = c[:, None], _n_values(d, c)
+    k = cc * (2 * nv + d - 1)
+    s = np.sin(dim.gamma0 * cc)
+    g, f, op = _shift_weights(d, m, mp, V)
+    a2 = np.abs(d_coef[:, None] * g + dp_coef[:, None] * f) ** 2
     return {
-        "number": _max_abs_stack(Ad @ A - (C_eye + _diag_stack(V, bracket_values(dim, c, nv)))),
-        "q_exponential": _max_abs_stack(Qdirect - st.q_exponential),
-        "ladder": _max_abs_stack(A @ st.number_op - _diag_stack(V, (nv + 1) % d) @ A),
+        "number": _worst(op, a2 - (C[:, None] + _sin_turns(k, d) / s)),
+        "q_exponential": _worst(op, np.exp(1j * np.pi * _phase_cross(d, k) / d)
+                                + eta[:, None] * np.conj(g) * f),
+        "ladder": _worst(op, nv - (_rolled(nv, -c) + 1) % d),
         # A A^dag = C + [N + 1]: the pair of relations whose difference is the
         # q-commutator; checked via the bracket form directly
-        "raised_number": _max_abs_stack(
-            A @ Ad - (C_eye + _diag_stack(V, bracket_values(dim, c, nv + 1)))),
-        "spectrum_min": st.spectrum.min(axis=1),
-        "shift_constant": np.abs(st.shift_constant - 1.0 / np.abs(np.sin(dim.gamma0 * c[:, 0]))),
+        "raised_number": _worst(op, _rolled(a2, c) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s)),
+        "spectrum_min": (C[:, None] + bracket_values(dim, cc, np.arange(d))).min(axis=1),
+        "shift_constant": np.abs(C - 1.0 / np.abs(np.sin(dim.gamma0 * c))),
     }
 
 
@@ -356,13 +393,21 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     the phase of d' and the sign eta = -phi0 (see _branch_sign; w = m - m') are
     forced by requiring A^dag A = C + [N] with no extra term.
     """
+    d, g0 = dim.d, dim.gamma0
+    lab = _built_labels(dim, [m], [mp], _OSC_REASONS)
     eta = None if eta_override is None else np.array([float(eta_override)])
-    lab, st = _built_stack(dim, [m], [mp], _OSC_REASONS, _oscillator_stack, eta)
-    c = int(lab.cross[0])
-    return QOscillator(dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
-                       cross=c, q=np.exp(-1j * dim.gamma0 * (c % dim.d)), eta=float(st.eta[0]),
-                       eigenvalues=lab.systems[int(lab.keys[0])][0],
-                       **_unstack(st, skip=("m", "mp", "cross", "eta")))
+    eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp, eta)
+    A, N, V, nv = _oscillator_dense(dim, lab, d_coef, dp_coef)
+    cross = int(lab.cross[0])
+    c = _phase_cross(d, lab.cross)
+    c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
+    Q = c_q[:, None, None] * _diag_stack(V, np.exp((1j * g0 * c)[:, None] * nv))
+    return QOscillator(
+        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
+        q=np.exp(-1j * g0 * (cross % d)), eta=float(eta[0]), d_coef=d_coef[0],
+        dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q[0], lowering=A[0], number_op=N[0],
+        q_exponential=Q[0], eigenvectors=V[0], eigenvalues=lab.systems[int(lab.keys[0])][0],
+        n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 
 def oscillator_residuals(osc: QOscillator) -> dict:
@@ -371,13 +416,16 @@ def oscillator_residuals(osc: QOscillator) -> dict:
     number: A^dag A = C + [N];   q_exponential: Q equals -eta S_{-m} S_{m'};
     ladder: A N = (N+1 mod D) A;  raised_number: A A^dag = C + [N+1];
     shift_constant: C = 1/|sin(gamma0 c)|; spectrum_min is min f(n).
+    Each is taken on the S_{m-m'} eigenbasis with the pair's own eta, d, d', C.
     """
-    res = _oscillator_stack_residuals(_stack_of_one(_OscillatorStack, osc))
+    coefs = (np.array([x]) for x in (osc.eta, osc.d_coef, osc.dp_coef, osc.shift_constant))
+    res = _oscillator_rows(osc.dim, np.array([osc.m]), np.array([osc.mp]),
+                           osc.eigenvectors[None], *coefs)
     return {k: float(v[0]) for k, v in res.items()}
 
 
 def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
-    """Worst oscillator_residuals over every pair (m[i], mp[i]), in stacked blocks.
+    """Worst oscillator_residuals over every pair (m[i], mp[i]), in blocks.
 
     m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
     build_q_oscillator refuses it: |sin(gamma0 c)| < 1e-12, a degenerate
@@ -385,7 +433,8 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
     reasons in that order, the builder's.  The worst is the max per key,
     except spectrum_min, which is the min.
     """
-    return _sweep(dim, m, mp, _OSC_REASONS, _oscillator_stack, _oscillator_stack_residuals)
+    return _sweep(dim, m, mp, _OSC_REASONS, lambda dim, m, mp, V: _oscillator_rows(
+        dim, m, mp, V, *_oscillator_coefs(dim, m, mp)))
 
 
 def oscillator_operators(dim: Dimension, m, mp):
@@ -394,8 +443,9 @@ def oscillator_operators(dim: Dimension, m, mp):
     m and mp are integer label arrays (P, 2) of pairs build_q_oscillator builds;
     the first it refuses raises its error.
     """
-    st = _built_stack(dim, m, mp, _OSC_REASONS, _oscillator_stack)[1]
-    return st.lowering, st.number_op
+    lab = _built_labels(dim, m, mp, _OSC_REASONS)
+    _, d_coef, dp_coef, _ = _oscillator_coefs(dim, lab.m, lab.mp)
+    return _oscillator_dense(dim, lab, d_coef, dp_coef)[:2]
 
 
 @dataclass(frozen=True)
@@ -472,6 +522,7 @@ class EigenCorrespondence:
     E = e^{i gamma0 c (n + (D-1)/2)/2}.  The componentwise statement g = conj(f)
     = E holds only up to an eigenvector rephasing and is recorded as a
     residual, not asserted (see literal_phase_residual / lambda_claim_residual).
+    g and f are the weights the residual rows check (_shift_weights).
     """
 
     osc: QOscillator = field(repr=False)
@@ -486,18 +537,13 @@ class EigenCorrespondence:
     unit_shift_ok: bool
 
 
-def _matrix_elements(bra, S, ket) -> np.ndarray:
-    """<bra_r| S |ket_r> for each column r, taken as (bra_r^dag S) ket_r."""
-    return ((bra.conj().T[:, None, :] @ S) @ ket.T[:, :, None])[:, 0, 0]
-
-
 def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorrespondence:
     dim, c = osc.dim, osc.cross
     d = dim.d
-    vecs, nv = osc.eigenvectors, osc.n_values
-    lowered = vecs[:, (np.arange(d) - c) % d]
-    g = _matrix_elements(lowered, schwinger_matrix(dim, osc.m), vecs)
-    f = _matrix_elements(lowered, schwinger_matrix(dim, osc.mp), vecs)
+    nv = osc.n_values
+    g, f, _ = _shift_weights(d, np.array([osc.m]), np.array([osc.mp]), osc.eigenvectors[None])
+    lam_w = _sw_values(d, _phase_cross(d, np.array([c])), g, f)[0]
+    g, f = g[0], f[0]
     if max(np.max(np.abs(np.abs(g) - 1)), np.max(np.abs(np.abs(f) - 1))) > tol:
         raise PhaseMismatchError("ladder matrix elements are not unit modulus")
     amp2 = np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2
@@ -507,8 +553,6 @@ def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorre
     E = np.exp(0.5j * dim.gamma0 * cE * (nv + (d - 1) / 2.0))
     law = float(np.max(np.abs(g * np.conj(f) + osc.eta * np.conj(E) ** 2)))
     literal = float(max(np.max(np.abs(g - E)), np.max(np.abs(g - np.conj(f)))))
-    w = (osc.m[0] - osc.mp[0], osc.m[1] - osc.mp[1])
-    lam_w = _matrix_elements(vecs, schwinger_matrix(dim, w), vecs)
     lam_cand = np.exp(1j * dim.gamma0 * (nv - d / 2.0) * _phase_cross(d, c))
     lam_resid = float(np.max(np.abs(np.conj(lam_w) - lam_cand)))
     shift_ok = bool(np.array_equal(nv[(np.arange(d) + c) % d], (nv + 1) % d))
@@ -558,71 +602,56 @@ def _sl2_bracket(dim: Dimension, c, x) -> np.ndarray:
     return np.sin(dim.gamma0 * c * np.asarray(x, dtype=float)) / np.sin(np.pi * c / dim.d)
 
 
-class _Sl2Stack(NamedTuple):
-    """P deformed sl(2) realizations; each field as in UqSl2Realisation."""
-
-    dim: Dimension
-    cross: np.ndarray
-    p: np.ndarray
-    s_p: np.ndarray
-    d_coef: np.ndarray
-    lowering: np.ndarray
-    intertwiner: np.ndarray
-    eigenvectors: np.ndarray
-    n_values: np.ndarray
-    delta: np.ndarray
-    j3_values: np.ndarray
-
-
-def _sl2_stack(dim: Dimension, m, mp, V) -> _Sl2Stack:
-    """Deformed sl(2) realizations on buildable pairs, with S_{m-m'} eigenvectors V.
-
-    J3 is read off from S_w = s_p p^{J3}: the branch phi0 = <v_0|S_w|v_0>/s_p
-    (see _branch_sign) is +1 (delta = 0) or -1 (delta = D/(2c)).
-    """
+def _sl2_coefs(dim: Dimension, m, mp):
+    """d = d' and the J3 offset delta per pair (see build_uq_sl2)."""
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
     d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
-    A = d_coef[:, None, None] * (schwinger_stack(d, m) + schwinger_stack(d, mp))
-    delta = np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
-    nv = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
-    return _Sl2Stack(dim, c, np.exp(-1j * dim.gamma0 * c), np.exp(-1j * np.pi * c), d_coef, A,
-                     schwinger_stack(d, m - mp), V, nv, delta, nv + delta[:, None])
+    return d_coef, np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
 
 
-def _casimir_stack(st: _Sl2Stack, AdA, AAd):
-    """Both Casimir orderings per pair from A^dag A and A A^dag, and their constant."""
-    dim, d, j3 = st.dim, st.dim.d, st.j3_values
-    c = _phase_cross(d, st.cross)[:, None]
-    C1 = AdA + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 - 0.5) / 2.0) ** 2)
-    C2 = AAd + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 + 0.5) / 2.0) ** 2)
-    const = 1.0 / _scalar_pow(np.sin(np.pi * c[:, 0] / d), 2)
-    return C1, C2, const
+def _sl2_dense(dim: Dimension, lab: _Labels, d_coef, delta):
+    """A = d (S_m + S_m') per pair (P, D, D), V, n and J3's values n + delta."""
+    V = lab.eigenvectors(slice(None))
+    nv = _n_values(dim.d, _phase_cross(dim.d, lab.cross))
+    A = d_coef[:, None, None] * (schwinger_stack(dim.d, lab.m) + schwinger_stack(dim.d, lab.mp))
+    return A, V, nv, nv + delta[:, None]
 
 
-def _sl2_stack_residuals(st: _Sl2Stack) -> dict:
-    """Per-pair residuals of the deformed sl(2) identities (see sl2_residuals)."""
-    dim, d = st.dim, st.dim.d
-    A, Sw, V, j3 = st.lowering, st.intertwiner, st.eigenvectors, st.j3_values
-    Ad = _dag(A)
-    c = _phase_cross(d, st.cross)[:, None]
-    p = st.p[:, None, None]
-    delta = st.delta[:, None]
-    AAd, AdA = A @ Ad, Ad @ A
-    C1, C2, const = _casimir_stack(st, AdA, AAd)
-    shifted = (st.n_values + 1) % d + delta     # not from j3 - delta, which can round below n
+def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
+    """Per-pair residuals of the deformed sl(2) identities (see sl2_residuals).
+
+    On V, with a_r = d (g_r + f_r): A v_r = a_r v_{r-c}, S_w v_r = mu_r v_r
+    (_sw_values), and J3 = n + delta and both Casimir orderings are diagonal.
+    Each phase and bracket argument is pi k / D or pi k / 2D with
+    k = 2c (J3 + D/2) +- c, reduced before the sine.
+    """
+    d = dim.d
+    c = _phase_cross(d, lattice_cross(m.T, mp.T))
+    cc, nv = c[:, None], _n_values(d, c)
+    k = cc * (2 * nv + d) + 2 * cc * delta[:, None]
+    s = np.sin(np.pi * cc / d)
+    g, f, op = _shift_weights(d, m, mp, V)
+    a2 = np.abs(d_coef[:, None] * (g + f)) ** 2
+    mu = _sw_values(d, c, g, f)
+    p = np.exp(-1j * dim.gamma0 * cc)
+    # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
+    c1 = a2 + (_sin_turns(k - cc, 2 * d) / s) ** 2
+    c2 = _rolled(a2, c) + (_sin_turns(k + cc, 2 * d) / s) ** 2
+    const = 1.0 / _scalar_pow(np.sin(np.pi * c / d), 2)
     return {
-        "exponential": _max_abs_stack(
-            Sw - st.s_p[:, None, None] * _diag_stack(V, np.exp(-1j * dim.gamma0 * c * j3))),
-        "intertwine": _max_abs_stack(A @ Sw - p * Sw @ A),
-        "intertwine_dag": _max_abs_stack(Ad @ Sw - np.conj(p) * Sw @ Ad),
-        "commutator": _max_abs_stack(
-            AAd - AdA + _diag_stack(V, _sl2_bracket(dim, c, j3 + d / 2.0))),
-        "ladder": _max_abs_stack(A @ _diag_stack(V, j3) - _diag_stack(V, shifted) @ A),
-        "casimir_forms": _max_abs_stack(C1 - C2),
-        "casimir_value": _max_abs_stack(C1 - const[:, None, None] * np.eye(d)),
-        "casimir_central": np.maximum(_max_abs_stack(C1 @ A - A @ C1),
-                                      _max_abs_stack(C1 @ Ad - Ad @ C1)),
+        "exponential": _worst(op, mu - np.exp(-1j * np.pi * _phase_cross(d, k) / d)),
+        "intertwine": _worst(op, mu - p * _rolled(mu, -c)),
+        "intertwine_dag": _worst(op, _rolled(mu, -c) - np.conj(p) * mu),
+        "commutator": _worst(op, _rolled(a2, c) - a2 + _sin_turns(k, d) / s),
+        # J3 v_{r-c} + v_{r-c} = (n_{r-c} + 1 mod D + delta) v_{r-c}: delta cancels
+        "ladder": _worst(op, nv - (_rolled(nv, -c) + 1) % d),
+        "casimir_forms": _worst(op, c1 - c2),
+        "casimir_value": _worst(op, c1 - const[:, None]),
+        # C1 takes one value along the ladder r -> r - c, so it commutes with A
+        # and A^dag; the commutator's entries a_r (c1_{r-c} - c1_r) would put
+        # the floor at eps |A| |C| ~ eps D^3 instead of eps |C|
+        "casimir_central": _worst(op, c1 - _rolled(c1, -c)),
     }
 
 
@@ -633,12 +662,18 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     _branch_sign) is an exact parity of the labels; the -1 branch shifts the
     integer window by delta = D/(2c).
     """
-    lab, st = _built_stack(dim, [m], [mp], _SL2_REASONS, _sl2_stack)
-    c = int(lab.cross[0])
+    d = dim.d
+    lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
+    d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
+    A, V, nv, j3 = _sl2_dense(dim, lab, d_coef, delta)
+    cross = int(lab.cross[0])
+    c = _phase_cross(d, lab.cross)
     return UqSl2Realisation(
-        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=c,
-        s_tilde_p=np.exp(-1j * dim.gamma0 * _phase_cross(dim.d, c) * (dim.d - 1) / 2.0),
-        delta=float(st.delta[0]), **_unstack(st, skip=("cross", "delta")),
+        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
+        p=np.exp(-1j * dim.gamma0 * c)[0], s_p=np.exp(-1j * np.pi * c)[0],
+        s_tilde_p=np.exp(-1j * dim.gamma0 * _phase_cross(d, cross) * (d - 1) / 2.0),
+        d_coef=d_coef[0], lowering=A[0], intertwiner=schwinger_stack(d, lab.m - lab.mp)[0],
+        eigenvectors=V[0], n_values=nv[0], delta=float(delta[0]), j3_values=j3[0],
     )
 
 
@@ -649,21 +684,26 @@ def sl2_residuals(o: UqSl2Realisation) -> dict:
     intertwine:  A S_w = p S_w A   (and the conjugate with pbar)
     commutator:  [A, A^dag] = -[J3 + D/2]
     ladder:      A J3 = (J3 + 1) A with the wrap staying inside the J3 window
-    casimir:     both orderings agree, equal the same constant and commute with A
+    casimir:     both orderings C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2
+                 (A A^dag, + 1/2) agree, equal 1/sin^2(gamma0 c / 2) and
+                 commute with A
+    Each is taken on the S_{m-m'} eigenbasis with the pair's own d and delta.
     """
-    res = _sl2_stack_residuals(_stack_of_one(_Sl2Stack, o))
+    res = _sl2_rows(o.dim, np.array([o.m]), np.array([o.mp]), o.eigenvectors[None],
+                    np.array([o.d_coef]), np.array([o.delta]))
     return {k: float(v[0]) for k, v in res.items()}
 
 
 def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
-    """Worst sl2_residuals over every pair (m[i], mp[i]), in stacked blocks.
+    """Worst sl2_residuals over every pair (m[i], mp[i]), in blocks.
 
     m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
     build_uq_sl2 refuses it: a degenerate S_{m-m'} eigensystem, or c not
     invertible mod D; skips counts these two reasons in that order, the
     builder's.
     """
-    return _sweep(dim, m, mp, _SL2_REASONS, _sl2_stack, _sl2_stack_residuals)
+    return _sweep(dim, m, mp, _SL2_REASONS, lambda dim, m, mp, V: _sl2_rows(
+        dim, m, mp, V, *_sl2_coefs(dim, m, mp)))
 
 
 def sl2_operators(dim: Dimension, m, mp):
@@ -672,21 +712,9 @@ def sl2_operators(dim: Dimension, m, mp):
     m and mp are integer label arrays (P, 2) of pairs build_uq_sl2 builds; the
     first it refuses raises its error.
     """
-    st = _built_stack(dim, m, mp, _SL2_REASONS, _sl2_stack)[1]
-    return st.lowering, _diag_stack(st.eigenvectors, st.j3_values)
-
-
-def casimir_uq_sl2(o: UqSl2Realisation):
-    """Both orderings of the Casimir and the constant they equal.
-
-    Returns (C1, C2, constant) with C1 = A^dag A + [ (J3 + D/2 - 1/2)/2 ]^2 and
-    C2 the A A^dag counterpart.  In this realization the Casimir is the nonzero
-    constant 1/sin^2(gamma0 c / 2) times the identity (measured, not assumed).
-    """
-    st = _stack_of_one(_Sl2Stack, o)
-    A = st.lowering
-    C1, C2, const = _casimir_stack(st, _dag(A) @ A, A @ _dag(A))
-    return C1[0], C2[0], const[0]
+    lab = _built_labels(dim, m, mp, _SL2_REASONS)
+    A, V, _, j3 = _sl2_dense(dim, lab, *_sl2_coefs(dim, lab.m, lab.mp))
+    return A, _diag_stack(V, j3)
 
 
 def _sigma_values(o: UqSl2Realisation) -> np.ndarray:

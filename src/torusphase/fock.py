@@ -98,19 +98,6 @@ def shift_isomorphism_check(dim: Dimension, alpha: float, beta: float) -> float:
     return max_abs(Eb @ Ba - Bab)
 
 
-def number_seam_residual(dim: Dimension, alpha: float) -> float:
-    """How far E_N is from acting diagonally as e^{-i gamma0 (n + alpha)} on |n + alpha>.
-
-    Zero at alpha = 0; O(alpha) otherwise — the shifted bases diagonalize the
-    phase-shift action, not the number exponential, and the deviation is the
-    seam at the cyclic boundary.
-    """
-    pair = build_phase_pair(dim)
-    B = build_shifted_fock(dim, alpha).vectors
-    target = np.exp(-1j * dim.gamma0 * (np.arange(dim.d) + float(alpha)))
-    return max_abs(pair.e_n @ B - B * target)
-
-
 def oscillator_fock_alpha(dim: Dimension) -> float:
     """Shift label of the family hosting the oscillator number eigenbasis."""
     return ((dim.d - 1) / 2.0) % 1.0

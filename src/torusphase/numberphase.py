@@ -31,7 +31,6 @@ from .lattice import (
 from .schwinger import (
     conjugate_pair_suite,
     label_blocks,
-    pair_schwinger,
     pair_schwinger_stack,
     schwinger_matrix,
 )
@@ -75,11 +74,6 @@ def phase_pair_residuals(pair: PhasePair) -> dict:
     res["phase_eigen"] = max_abs(Ep @ Ph - Ph * lvals)
     res["number_shift"] = max_abs(EN @ Ph - Ph[:, (np.arange(d) - 1) % d])
     return res
-
-
-def number_phase_schwinger(dim: Dimension, pair: PhasePair, m) -> np.ndarray:
-    """Torus basis element built on (E_N, E_phi) instead of (U, V)."""
-    return pair_schwinger(dim, pair.e_n, pair.e_phi, m)
 
 
 def identification_suite(dim: Dimension, rng=None, n_random: int = 200) -> dict:

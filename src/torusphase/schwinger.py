@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .errors import DegenerateSpectrumError, NonScalarPowerError, PhaseMismatchError
+from .errors import DegenerateSpectrumError
 from .lattice import (
     Dimension,
     build_clock_operator,
@@ -105,40 +105,6 @@ def reduce_label(dim: Dimension, m) -> tuple[tuple[int, int], int]:
     b = (m[1] - mc[1]) // dim.d
     sign = (-1) ** ((a * mc[1] + b * mc[0] + a * b * dim.d) % 2)
     return mc, int(sign)
-
-
-def compose_schwinger(a: SchwingerOperator, b: SchwingerOperator, tol: float = 1e-11):
-    """Product phase and resulting basis element: S_a S_b = phase * S_{a+b}."""
-    if a.dim != b.dim:
-        raise ValueError("operands live in different dimensions")
-    dim = a.dim
-    phase = np.exp(0.5j * dim.gamma0 * lattice_cross(a.m, b.m))
-    out = build_schwinger(dim, (a.m[0] + b.m[0], a.m[1] + b.m[1]))
-    resid = max_abs(a.matrix @ b.matrix - phase * out.matrix)
-    if resid > tol:
-        raise PhaseMismatchError(
-            f"composition phase drift: residual {resid:.3e} for {a.m} * {b.m}"
-        )
-    # trace rule on the result: |Tr S_m| = D iff m = 0 mod D
-    tr = np.trace(out.matrix)
-    _, sign = reduce_label(dim, out.m)
-    expected = sign * dim.d if (out.m[0] % dim.d == 0 and out.m[1] % dim.d == 0) else 0.0
-    if abs(tr - expected) > tol * dim.d:
-        raise PhaseMismatchError(f"trace rule violated at {out.m}: Tr = {tr:.3e}")
-    return phase, out
-
-
-def schwinger_power_check(s: SchwingerOperator, tol: float = 5e-11) -> int:
-    """Scalar value of S_m^D; must equal (-1)^(D m1 m2)."""
-    d = s.dim.d
-    P = matrix_power(s.matrix, d)
-    z = P[0, 0]
-    if max_abs(P - z * np.eye(d)) > tol:
-        raise NonScalarPowerError(f"S_{s.m}^{d} is not scalar")
-    sign = (-1) ** ((d * s.m[0] * s.m[1]) % 2)
-    if abs(z - sign) > tol:
-        raise NonScalarPowerError(f"S_{s.m}^{d} = {z:.12f}, expected {sign}")
-    return sign
 
 
 @dataclass(frozen=True)
@@ -321,11 +287,6 @@ def fourier_covariance_residuals(dim: Dimension, labels) -> np.ndarray:
         turned = schwinger_stack(d, np.stack([-m[:, 1], m[:, 0]], axis=1))
         out[blk] = np.abs(L - turned).max(axis=(1, 2))
     return out
-
-
-def fourier_covariance_check(dim: Dimension, m) -> float:
-    """Residual of F S_m F^-1 = S_{(-m2, m1)} (quarter-turn on labels)."""
-    return float(fourier_covariance_residuals(dim, [m])[0])
 
 
 def schwinger_basis_rank(dim: Dimension) -> int:

@@ -78,15 +78,6 @@ def operator_json(dim, matrix, extra: dict | None = None) -> str:
     return _json_object(doc, encoded=("rows",)) + "\n"
 
 
-def eigensystem_json(sys) -> str:
-    return _json_object({
-        "dim": sys.dim.d,
-        "m": list(sys.m),
-        "eigenvalues": [complex(z) for z in sys.eigenvalues],
-        "eigenvectors": _complex_rows(sys.eigenvectors),
-    }, encoded=("eigenvectors",)) + "\n"
-
-
 def csv_text(header: str, rows, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(header)

@@ -122,27 +122,6 @@ def kernel_grid(dim: Dimension) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WignerKernel:
-    dim: Dimension
-    V: tuple[float, float]
-    matrix: np.ndarray
-    normalization: str = TORUS_NORMALIZATION
-    exact: bool = True          # False when V is off the integer grid
-
-
-def build_kernel(dim: Dimension, V) -> WignerKernel:
-    """Kernel at a phase-space point; off-grid (non-integer) V is diagnostic only."""
-    v1, v2 = float(V[0]), float(V[1])
-    on_grid = v1 == int(v1) and v2 == int(v2)
-    w = _window(dim)
-    u1, u2 = v1 % dim.d, v2 % dim.d          # Delta(V) has period D in each component
-    coeff = np.exp(-1j * dim.gamma0 * (w[:, None] * u2 - w[None, :] * u1)) / dim.d**2
-    K = _displacement_sum(dim, coeff)
-    K.flags.writeable = False
-    return WignerKernel(dim, (int(v1), int(v2)) if on_grid else (v1, v2), K, exact=on_grid)
-
-
-@dataclass(frozen=True)
 class WignerGrid:
     dim: Dimension
     values: np.ndarray          # real, indexed [V1, V2] (or [J, theta-index])

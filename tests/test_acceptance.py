@@ -103,10 +103,9 @@ def test_criterion_04_deformed_sl2_realisation():
             for name, value in res.items():
                 if value >= 1e-10:
                     failures.append((d, m, mp, name, value))
-            c1, c2, ref = tp.casimir_uq_sl2(o)
-            if tp.max_abs(c1 - c2) >= 1e-10:
+            if res["casimir_forms"] >= 1e-10:
                 failures.append((d, m, mp, "casimir_forms_differ"))
-            if tp.max_abs(c1 - ref * np.eye(d)) >= 1e-10:
+            if res["casimir_value"] >= 1e-10:
                 failures.append((d, m, mp, "casimir_not_central"))
     _finish(4, failures, t0, 5.0)
 

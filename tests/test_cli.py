@@ -217,6 +217,13 @@ def test_spectrum_collinear_exits_2(runner):
     (["converge", "--primes", "3,5", "--observable", "wigner", "--gamma", "nan"], None),
     (["gen", "--d", "5", "--kind", "schwinger", "--m", "1,2,3"], None),
     (["transform", "--d", "5", "--r", "0,-1,1"], None),
+    # D past the command's bound, refused before any array is allocated
+    (["gen", "--d", "99999999999999999999", "--kind", "u"], "DimensionTooLargeError"),
+    (["wigner", "--d", "3000000", "--state", "fock:1"], "DimensionTooLargeError"),
+    (["verify", "--d", "65", "--suite", "all"], "DimensionTooLargeError"),
+    (["verify", "--d", "257", "--suite", "numberphase"], "DimensionTooLargeError"),
+    (["index", "--d", "4097", "--case", "oscillator"], "DimensionTooLargeError"),
+    (["converge", "--primes", "11,100003", "--observable", "wigner"], "DimensionTooLargeError"),
 ])
 def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
     res = invoke(runner, args)
@@ -229,6 +236,12 @@ def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
         assert len([ln for ln in res.stderr.splitlines() if ln.startswith("Error: ")]) == 1
     else:
         assert len(errors) == 1 and errors[0].startswith(f"error: {error}: "), res.stderr
+
+
+def test_a_dimension_past_the_bound_is_named(runner):
+    res = invoke(runner, ["verify", "--d", "65", "--suite", "wigner"])
+    assert res.exit_code == 2
+    assert "error: DimensionTooLargeError: D=65 is above 64" in res.stderr
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusphase import (
-    build_kernel,
     canonical_window,
     characteristic,
     classical_symbol,
@@ -61,10 +60,6 @@ def test_symbols_and_kernels_match_kernel_oracle(d, seed):
     f = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     assert np.max(np.abs(classical_symbol(dim, op) - np.einsum("abij,ji->ab", K, op))) < 1e-13
     assert np.max(np.abs(symbol_reconstruct(dim, f) - d * np.einsum("ab,abij->ij", f, K))) < 1e-12
-    v1, v2 = (int(x) for x in rng.integers(-2 * d, 2 * d, 2))
-    kern = build_kernel(dim, (v1, v2))
-    assert kern.exact and kern.V == (v1, v2)
-    assert np.max(np.abs(kern.matrix - K[v1 % d, v2 % d])) < 1e-15
 
 
 @SETTINGS

@@ -11,7 +11,6 @@ from torusphase import (
     SingularDeformationError,
     build_q_oscillator,
     build_uq_sl2,
-    casimir_uq_sl2,
     coproduct_check,
     eigenbasis_correspondence,
     eigensystem_by_recursion,
@@ -140,11 +139,14 @@ def test_sl2_defining_relations(d):
 def test_casimir_is_nonzero_constant():
     dim = make_dimension(5)
     o = build_uq_sl2(dim, (1, 0), (0, 1))
-    c1, c2, const = casimir_uq_sl2(o)
-    assert_allclose(const, 1.0 / np.sin(np.pi * o.cross / 5) ** 2, atol=1e-12)
+    res = sl2_residuals(o)
+    assert res["casimir_forms"] < 1e-12 and res["casimir_value"] < 1e-12
+    # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 from the realization's public fields
+    V, j3 = o.eigenvectors, o.j3_values
+    c1 = o.raising @ o.lowering + (V * o.bracket((j3 + 2.5 - 0.5) / 2.0) ** 2) @ V.conj().T
+    const = 1.0 / np.sin(np.pi * o.cross / 5) ** 2
     assert const > 1.0
     assert_allclose(c1, const * np.eye(5), atol=1e-12)
-    assert_allclose(c2, const * np.eye(5), atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

@@ -6,7 +6,6 @@ from torusphase import (
     build_shifted_fock,
     fractional_phase_power,
     make_dimension,
-    number_seam_residual,
     oscillator_fock_alpha,
     oscillator_fock_match,
     shift_isomorphism_check,
@@ -63,13 +62,6 @@ def test_fractional_power_shifts_families(d):
     alpha = 0.41
     E = fractional_phase_power(dim, -alpha)
     assert_allclose(E, build_shifted_fock(dim, alpha).vectors, atol=1e-12)
-
-
-def test_number_seam_is_first_order_in_alpha():
-    dim = make_dimension(5)
-    for alpha in (1e-3, 1e-4):
-        assert number_seam_residual(dim, alpha) < 10 * alpha
-    assert number_seam_residual(dim, 0.0) < 1e-13
 
 
 def test_small_shift_expansion_coefficient():

@@ -13,7 +13,6 @@ from torusphase import (
     build_q_oscillator,
     build_shift_operator,
     covariance_report,
-    eigensystem_by_recursion,
     index_report,
     linear_profile,
     make_dimension,
@@ -28,7 +27,6 @@ from torusphase.serialization import (
     convergence_json,
     csv_text,
     dumps_json,
-    eigensystem_json,
     format_float,
     index_csv,
     index_json,
@@ -67,17 +65,6 @@ def test_json_is_parseable_and_deterministic():
     assert doc["kind"] == "u"
     assert np.asarray(doc["rows"]).shape == (3, 3, 2)
     assert doc["rows"][1][0] == [1.0, 0.0]
-
-
-def test_eigensystem_round_trip():
-    dim = make_dimension(5)
-    sys = eigensystem_by_recursion(dim, (1, 2))
-    doc = json.loads(eigensystem_json(sys))
-    assert doc["m"] == [1, 2]
-    lam = np.array([complex(re, im) for re, im in doc["eigenvalues"]])
-    assert np.allclose(lam, sys.eigenvalues, atol=1e-15)
-    vecs = np.asarray(doc["eigenvectors"])
-    assert vecs.shape == (5, 5, 2)
 
 
 def test_matrix_csv_layout():
@@ -261,14 +248,6 @@ def test_matrix_emitters_match_entry_by_entry(shape):
     ref = ref_encode({"dim": dim.d, **extra, "rows": ref_complex_rows(m)}) + "\n"
     assert operator_json(dim, m, extra=extra) == ref
     assert operator_json(dim, m) == ref_encode({"dim": dim.d, "rows": ref_complex_rows(m)}) + "\n"
-
-
-def test_eigensystem_json_matches_entry_by_entry():
-    sys = eigensystem_by_recursion(make_dimension(7), (2, 3))
-    ref = ref_encode({"dim": 7, "m": list(sys.m),
-                      "eigenvalues": [complex(z) for z in sys.eigenvalues],
-                      "eigenvectors": ref_complex_rows(sys.eigenvectors)}) + "\n"
-    assert eigensystem_json(sys) == ref
 
 
 @pytest.mark.parametrize("n", [0, 1, 40])

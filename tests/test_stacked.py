@@ -112,7 +112,7 @@ def _kernel_loop(dim, J, theta):
     acc = np.zeros((dim.d, dim.d), dtype=complex)
     for m in window_vectors(dim):
         acc += (np.exp(1j * (dim.gamma0 * m[0] * J - m[1] * theta))
-                * numberphase.number_phase_schwinger(dim, pair, m))
+                * pair_schwinger(dim, pair.e_n, pair.e_phi, m))
     return acc / (2.0 * np.pi * dim.d)
 
 

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from torusphase import (
     NonRealWignerError,
     build_fourier_operator,
-    build_kernel,
     classical_symbol,
     kernel_grid,
     kernel_suite,
@@ -22,10 +21,8 @@ from torusphase import (
 
 def test_d2_kernel_hand_value():
     dim = make_dimension(2)
-    K = build_kernel(dim, (0, 0))
     hand = 0.25 * np.array([[2, 1 + 1j], [1 - 1j, 0]])
-    assert_allclose(K.matrix, hand, atol=1e-13)
-    assert K.exact
+    assert_allclose(kernel_grid(dim)[0, 0], hand, atol=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -113,14 +110,6 @@ def test_pairing_against_expectation():
     sym = np.real(classical_symbol(dim, H))
     W = wigner_function(dim, psi).values
     assert_allclose((sym * W).sum(), np.real(psi.conj() @ H @ psi) / 5, atol=1e-12)
-
-
-def test_off_grid_kernel_is_marked_inexact():
-    dim = make_dimension(5)
-    K = build_kernel(dim, (0.5, 1.0))
-    assert not K.exact
-    # still hermitian at half-integer points for odd D
-    assert np.max(np.abs(K.matrix - K.matrix.conj().T)) < 1e-12
 
 
 def test_dual_sum_recovers_displacements():
