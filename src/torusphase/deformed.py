@@ -122,8 +122,9 @@ def _rolled(x, shift) -> np.ndarray:
 def _shift_weights(d: int, m, mp, V):
     """Part (a): S_m and S_m' on the S_w eigenbasis V of each pair, w = m - m'.
 
-    S_w S_m = e^{i gamma0 c} S_m S_w, c = m x m' (so for m'), so both lower
-    the eigenvalue index by c: S_m v_r = g_r v_{r-c}, S_m' v_r = f_r v_{r-c}.
+    With c = m x m', S_w S_m = e^{i gamma0 c} S_m S_w, and the same for S_m',
+    so both lower the eigenvalue index by c: S_m v_r = g_r v_{r-c} and
+    S_m' v_r = f_r v_{r-c}.
     Returns g and f (P, D), the matrix elements <v_{r-c}|S|v_r>, and the
     largest entry of S v_r - g_r v_{r-c} over both labels (P,).  Where it
     vanishes, A = d S_m + d' S_m' is the weighted shift (d g_r + d' f_r) and

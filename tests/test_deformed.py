@@ -141,12 +141,15 @@ def test_casimir_is_nonzero_constant():
     o = build_uq_sl2(dim, (1, 0), (0, 1))
     res = sl2_residuals(o)
     assert res["casimir_forms"] < 1e-12 and res["casimir_value"] < 1e-12
-    # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 from the realization's public fields
+    # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
+    # from the realization's public fields
     V, j3 = o.eigenvectors, o.j3_values
     c1 = o.raising @ o.lowering + (V * o.bracket((j3 + 2.5 - 0.5) / 2.0) ** 2) @ V.conj().T
+    c2 = o.lowering @ o.raising + (V * o.bracket((j3 + 2.5 + 0.5) / 2.0) ** 2) @ V.conj().T
     const = 1.0 / np.sin(np.pi * o.cross / 5) ** 2
     assert const > 1.0
     assert_allclose(c1, const * np.eye(5), atol=1e-12)
+    assert_allclose(c2, const * np.eye(5), atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
