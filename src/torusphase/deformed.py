@@ -162,9 +162,9 @@ def _sin_turns(k, n) -> np.ndarray:
     return np.sin(np.pi * _phase_cross(n, k) / n)
 
 
-def _worst(operator, scalar) -> np.ndarray:
-    """Per pair: the operator residual of part (a) or the largest scalar residual (P, D)."""
-    return np.maximum(operator, np.abs(scalar).max(axis=1))
+def _worst(operator, scalars: dict) -> dict:
+    """Per row and pair: the residual of part (a) or the largest scalar one (P, D), the larger."""
+    return {k: np.maximum(operator, np.abs(x).max(axis=1)) for k, x in scalars.items()}
 
 
 @dataclass(frozen=True)
@@ -374,14 +374,15 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
     s = np.sin(dim.gamma0 * cc)
     g, f, op = _shift_weights(d, m, mp, V)
     a2 = np.abs(d_coef[:, None] * g + dp_coef[:, None] * f) ** 2
-    return {
-        "number": _worst(op, a2 - (C[:, None] + _sin_turns(k, d) / s)),
-        "q_exponential": _worst(op, np.exp(1j * np.pi * _phase_cross(d, k) / d)
-                                + eta[:, None] * np.conj(g) * f),
-        "ladder": _worst(op, nv - (_rolled(nv, -c) + 1) % d),
+    return _worst(op, {
+        "number": a2 - (C[:, None] + _sin_turns(k, d) / s),
+        "q_exponential": (np.exp(1j * np.pi * _phase_cross(d, k) / d)
+                          + eta[:, None] * np.conj(g) * f),
+        "ladder": nv - (_rolled(nv, -c) + 1) % d,
         # A A^dag = C + [N + 1]: the pair of relations whose difference is the
         # q-commutator; checked via the bracket form directly
-        "raised_number": _worst(op, _rolled(a2, c) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s)),
+        "raised_number": _rolled(a2, c) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s),
+    }) | {
         "spectrum_min": (C[:, None] + bracket_values(dim, cc, np.arange(d))).min(axis=1),
         "shift_constant": np.abs(C - 1.0 / np.abs(np.sin(dim.gamma0 * c))),
     }
@@ -640,20 +641,20 @@ def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
     c1 = a2 + (_sin_turns(k - cc, 2 * d) / s) ** 2
     c2 = _rolled(a2, c) + (_sin_turns(k + cc, 2 * d) / s) ** 2
     const = 1.0 / _scalar_pow(np.sin(np.pi * c / d), 2)
-    return {
-        "exponential": _worst(op, mu - np.exp(-1j * np.pi * _phase_cross(d, k) / d)),
-        "intertwine": _worst(op, mu - p * _rolled(mu, -c)),
-        "intertwine_dag": _worst(op, _rolled(mu, -c) - np.conj(p) * mu),
-        "commutator": _worst(op, _rolled(a2, c) - a2 + _sin_turns(k, d) / s),
+    return _worst(op, {
+        "exponential": mu - np.exp(-1j * np.pi * _phase_cross(d, k) / d),
+        "intertwine": mu - p * _rolled(mu, -c),
+        "intertwine_dag": _rolled(mu, -c) - np.conj(p) * mu,
+        "commutator": _rolled(a2, c) - a2 + _sin_turns(k, d) / s,
         # J3 v_{r-c} + v_{r-c} = (n_{r-c} + 1 mod D + delta) v_{r-c}: delta cancels
-        "ladder": _worst(op, nv - (_rolled(nv, -c) + 1) % d),
-        "casimir_forms": _worst(op, c1 - c2),
-        "casimir_value": _worst(op, c1 - const[:, None]),
+        "ladder": nv - (_rolled(nv, -c) + 1) % d,
+        "casimir_forms": c1 - c2,
+        "casimir_value": c1 - const[:, None],
         # C1 takes one value along the ladder r -> r - c, so it commutes with A
         # and A^dag; the commutator's entries a_r (c1_{r-c} - c1_r) would put
         # the floor at eps |A| |C| ~ eps D^3 instead of eps |C|
-        "casimir_central": _worst(op, c1 - _rolled(c1, -c)),
-    }
+        "casimir_central": c1 - _rolled(c1, -c),
+    })
 
 
 def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:

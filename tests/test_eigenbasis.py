@@ -243,7 +243,7 @@ def test_sweeps_match_the_dense_oracle(d):
     dim = make_dimension(d)
     m, mp = verify._swept_pairs(dim, 0, None)
     if d in (11, 13):
-        # every pair of these two takes ~7 s; the exhaustive comparison was run once
+        # all window pairs of these two take ~7 s against the oracle; a seeded sample
         m, mp = verify._swept_pairs(dim, d, 3000)
     assert_sweeps_match_oracle(dim, m, mp)
     for families in (verify._QOSC_FAMILIES, verify._SL2_FAMILIES):
