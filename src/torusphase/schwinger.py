@@ -14,6 +14,7 @@ and is closed under Fourier conjugation F S_m F^-1 = S_{(-m2, m1)}.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,7 +114,7 @@ class SchwingerEigensystem:
 
     eigenvalues[r] = e^{i pi m1 m2} e^{-2 pi i r / D}; eigenvectors[:, r] is the
     matching unit vector, every component in closed form e^{i pi E / D}/sqrt(D)
-    with an exact integer E (see _eigensystem_cached).  In this gauge the
+    with an exact integer E (see _eigensystem).  In this gauge the
     component at k = 0 (for a diagonal S_m, the only nonzero one) is real
     positive.
     """
@@ -124,8 +125,35 @@ class SchwingerEigensystem:
     eigenvectors: np.ndarray
 
 
-@lru_cache(maxsize=1024)
-def _eigensystem_cached(d: int, m1: int, m2: int):
+class _ByteBoundedCache:
+    """Least-recently-used memo of fn, whose values are tuples of arrays.
+
+    The oldest values are dropped once all values together hold more than
+    `limit` bytes; a value larger than the limit is returned but not kept.
+    """
+
+    def __init__(self, fn, limit: int):
+        self.fn, self.limit = fn, limit
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def __call__(self, *key):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key]
+        value = self.entries[key] = self.fn(*key)
+        self.nbytes += sum(a.nbytes for a in value)
+        while self.nbytes > self.limit:
+            _, old = self.entries.popitem(last=False)
+            self.nbytes -= sum(a.nbytes for a in old)
+        return value
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+def _eigensystem(d: int, m1: int, m2: int):
     lam = np.exp(1j * np.pi * m1 * m2) * np.exp(-2j * np.pi * np.arange(d) / d)
     vecs = np.zeros((d, d), dtype=complex)
     if m1 % d == 0:
@@ -155,6 +183,11 @@ def _eigensystem_cached(d: int, m1: int, m2: int):
     lam.flags.writeable = False
     vecs.flags.writeable = False
     return lam, vecs
+
+
+# one D x D eigenvector matrix per distinct label: kept within the 2^28 bytes
+# the CLI allows one array, 375 matrices at D = 211 and 104 at D = 401
+_eigensystem_cached = _ByteBoundedCache(_eigensystem, 1 << 28)
 
 
 def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:

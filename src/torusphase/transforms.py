@@ -11,28 +11,24 @@ phi(0,1) = (-1)^{t1 t2} is the aligned gauge: the mixed-phase basis
 T_m = (-1)^{m1 m2} S_m (m in [0, D)^2) is conjugated exactly,
 T_m -> T_{R m mod D}, which is what gives scalar-only group closure.  At D = 2, phi(0,1) = 1 keeps
 the columnwise gauge, which covaries but does not close.  Covariance is
-checked as G S_m = phi S_{R m} G with S_m applied one entry per column,
-O(D^2) per label, without dense S_m.
+checked as G S_m = phi S_{R m} G entrywise, O(D^2) per label: G S_m and
+S_{R m} G are phased shifts of G, read from windows of G tiled twice for a
+block of labels per array pass, without dense S_m.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
-from .lattice import (
-    Dimension,
-    build_fourier_operator,
-    lattice_cross,
-    max_abs,
-    window_vectors,
-)
-from .schwinger import displacement_columns
+from .lattice import Dimension, build_fourier_operator, max_abs, window_vectors
 
-# entries of one (labels, D, D) block of G S_m in the covariance checks: large
-# enough to amortize numpy call overhead at small D, small enough to bound memory
-_BLOCK_ENTRIES = 1 << 16
+# entries of one (labels, D, D) block of G S_m in the covariance sweep: 2^14
+# (4 labels at D = 61) ran fastest of 2^12..2^16 at D = 31 and 61 (2^15 and
+# 2^16 gained ~10% at D = 101), and bounds the sweep's memory beyond G
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,22 +64,12 @@ class SymplecticMap:
 
 
 def verify_symplectic(smap: SymplecticMap) -> bool:
-    """True iff R^T P R = P mod D (P the unit cross form) and det R = 1 mod D."""
-    d = smap.dim.d
-    R = smap.matrix
-    P = np.array([[0, 1], [-1, 0]])
-    if np.any((R.T @ P @ R - P) % d != 0):
-        return False
-    if smap.determinant != 1 % d:
-        return False
-    # area preservation on a deterministic sample of label pairs
-    sample = [((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 2))]
-    for m, mp in sample:
-        before = lattice_cross(m, mp) % d
-        after = lattice_cross(smap.apply(m), smap.apply(mp)) % d
-        if before != after:
-            return False
-    return True
+    """True iff det R = 1 mod D.
+
+    For a 2x2 integer R, R^T P R = det(R) P exactly (P the unit cross form),
+    so R preserves the cross product of every label pair mod D iff this holds.
+    """
+    return smap.determinant == 1 % smap.dim.d
 
 
 def random_symplectic(dim: Dimension, rng=None, seed=None) -> SymplecticMap:
@@ -170,24 +156,42 @@ def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperato
                                unitary_residual=ures)
 
 
-def _intertwined(op: MetaplecticOperator, labels):
-    """Yield (m, r, G S_m, S_r G) over blocks of labels m, with r = R m mod D.
+def _sweep(op: MetaplecticOperator, labels, phase=None) -> tuple[np.ndarray, np.ndarray]:
+    """Phase z and residual max|G S_m - z S_r G| per label row m, r = R m mod D.
 
-    S_m is applied one entry per column, so a label costs O(D^2) and no
-    dense S_m is built.
+    G S_m is G with its columns shifted by m1 and phased, S_r G is G with its
+    rows shifted by r1 and phased: both are read, a block of labels at a time,
+    from windows of G tiled twice, with phases from exact integer exponents
+    mod 2D as in displacement_columns.  z is the exact phase given per label,
+    or else the normalized overlap Tr(S_r^dag G S_m G^dag) / D; an overlap
+    below 1e-12 is lost and reads residual 1.0.
     """
     d, G = op.dim.d, op.matrix
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    m = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    r1, r2 = op.map.apply((m[:, 0], m[:, 1]), reduce=True)
+    cols = np.moveaxis(sliding_window_view(np.hstack([G, G]), d, axis=1), 1, 0)  # G[i, j + s]
+    rows = np.moveaxis(sliding_window_view(np.vstack([G, G]), d, axis=0), 2, 1)  # G[i + s, j]
+    unit, j = np.exp(-1j * np.pi * np.arange(2 * d) / d), np.arange(d)
+    # exponents of vm_j = S_m[j + m1, j] and of ur_i = S_r[i, i - r1], 2 r2 i - r1 r2
+    em = (m[:, 0] % (2 * d)) * (m[:, 1] % (2 * d)) % (2 * d)
+    er = -r1 * r2 % (2 * d)
+    m2 = m[:, 1:] % d
+    z = np.empty(len(m), dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
+    resid = np.empty(len(m))
     step = max(1, _BLOCK_ENTRIES // d**2)
-    for lo in range(0, len(labels), step):
-        m = labels[lo:lo + step]
-        r = np.stack(op.map.apply((m[:, 0], m[:, 1]), reduce=True), axis=1)
-        rows, vals = displacement_columns(d, m[:, 0], m[:, 1])
-        GS = np.moveaxis(G[:, rows], 0, 1) * vals[:, None, :]
-        rows, vals = displacement_columns(d, r[:, 0], r[:, 1])
-        SG = np.empty_like(GS)
-        SG[np.arange(len(m))[:, None], rows] = vals[:, :, None] * G
-        yield m, r, GS, SG
+    for b in (slice(lo, lo + step) for lo in range(0, len(m), step)):
+        vm = unit[(em[b, None] + 2 * (m2[b] * j % d)) % (2 * d)]
+        ur = unit[(er[b, None] + 2 * (r2[b, None] * j % d)) % (2 * d)]
+        GS = cols[m[b, 0] % d]
+        GS *= vm[:, None, :]
+        SG = rows[-r1[b] % d]
+        if phase is None:
+            zb = np.vecdot(ur, np.vecdot(SG, GS)) / d
+            z[b] = zb / np.where(np.abs(zb) < 1e-12, 1.0, np.abs(zb))
+        SG *= (z[b, None] * ur)[:, :, None]
+        GS -= SG
+        resid[b] = (GS.real ** 2 + GS.imag ** 2).max(axis=(1, 2))
+    return z, np.where(np.abs(z) < 1e-12, 1.0, np.sqrt(resid))
 
 
 def covariance_report(op: MetaplecticOperator, labels=None) -> tuple[float, list]:
@@ -199,16 +203,12 @@ def covariance_report(op: MetaplecticOperator, labels=None) -> tuple[float, list
     Returns (worst residual, records) with records of the form
     {"m": (m1, m2), "phase": complex, "residual": float}.
     """
-    d = op.dim.d
-    records = []
-    for m, _, GS, SG in _intertwined(op, window_vectors(op.dim) if labels is None else labels):
-        z = np.einsum("lij,lij->l", SG.conj(), GS) / d
-        lost = np.abs(z) < 1e-12
-        phase = z / np.where(lost, 1.0, np.abs(z))
-        resid = np.where(lost, 1.0, np.abs(GS - phase[:, None, None] * SG).max(axis=(1, 2)))
-        records += [{"m": (int(a), int(b)), "phase": complex(p), "residual": float(x)}
-                    for (a, b), p, x in zip(m, phase, resid)]
-    return max((rec["residual"] for rec in records), default=0.0), records
+    m = np.asarray(window_vectors(op.dim) if labels is None else labels,
+                   dtype=np.int64).reshape(-1, 2)
+    phase, resid = _sweep(op, m)
+    records = [{"m": (a, b), "phase": p, "residual": x}
+               for (a, b), p, x in zip(m.tolist(), phase.tolist(), resid.tolist())]
+    return float(resid.max(initial=0.0)), records
 
 
 def translation_covariance_residual(op: MetaplecticOperator) -> float:
@@ -217,12 +217,10 @@ def translation_covariance_residual(op: MetaplecticOperator) -> float:
     r = R m mod D; the sign is predicted_phase on residues, i.e. the aligned
     gauge conjugates T_m = (-1)^{m1 m2} S_m to T_r exactly.
     """
-    d = op.dim.d
-    worst = 0.0
-    for m, r, GS, SG in _intertwined(op, np.indices((d, d)).reshape(2, -1).T):
-        sign = 1 - 2 * ((r[:, 0] * r[:, 1] - m[:, 0] * m[:, 1]) % 2)
-        worst = max(worst, max_abs(GS - sign[:, None, None] * SG))
-    return worst
+    m1, m2 = np.indices((op.dim.d, op.dim.d)).reshape(2, -1)
+    r1, r2 = op.map.apply((m1, m2), reduce=True)
+    _, resid = _sweep(op, np.stack([m1, m2], axis=1), 1 - 2 * ((r1 * r2 - m1 * m2) % 2))
+    return float(resid.max())
 
 
 def predicted_phase(op: MetaplecticOperator, m) -> complex:

@@ -249,4 +249,29 @@ def test_eigensystem_matches_dense_any_dimension(data):
 def test_operator_caches_are_bounded():
     from torusphase.schwinger import _eigensystem_cached, _schwinger_cached
     assert _schwinger_cached.cache_info().maxsize == 1024
-    assert _eigensystem_cached.cache_info().maxsize == 1024
+    assert _eigensystem_cached.limit == 1 << 28
+
+
+def test_eigensystem_cache_stays_within_its_byte_bound(monkeypatch):
+    cache = schwinger._eigensystem_cached
+    d = 13
+    entry = (d * d + d) * 16                 # eigenvectors and eigenvalues, complex
+    monkeypatch.setattr(cache, "limit", 10 * entry)
+    monkeypatch.setattr(cache, "entries", type(cache.entries)())
+    monkeypatch.setattr(cache, "nbytes", 0)
+    labels = [(1, k) for k in range(-6, 7)] + [(2, k) for k in range(-6, 7)]
+    for m in labels:
+        lam, vecs = cache(d, *m)
+        assert cache.nbytes == sum(a.nbytes for v in cache.entries.values() for a in v)
+        assert cache.nbytes <= cache.limit
+    # the ten most recently used stay, and a kept system is returned as it was built
+    assert list(cache.entries) == [(d, *m) for m in labels[-10:]]
+    assert cache(d, *labels[-1]) is cache.entries[(d, *labels[-1])]
+    ref = schwinger._eigensystem(d, *labels[0])
+    again = cache(d, *labels[0])
+    assert all(np.array_equal(a, b) for a, b in zip(again, ref))
+    assert (d, *labels[0]) in cache.entries and (d, *labels[-10]) not in cache.entries
+    # a system larger than the whole bound is returned but not kept
+    monkeypatch.setattr(cache, "limit", entry // 2)
+    big = cache(d, 3, 1)
+    assert big[1].shape == (d, d) and not cache.entries and cache.nbytes == 0
