@@ -12,15 +12,14 @@ T_m = (-1)^{m1 m2} S_m (m in [0, D)^2) is conjugated exactly,
 T_m -> T_{R m mod D}, which is what gives scalar-only group closure.  At D = 2, phi(0,1) = 1 keeps
 the columnwise gauge, which covaries but does not close.  Covariance is
 checked as G S_m = phi S_{R m} G entrywise, O(D^2) per label: G S_m and
-S_{R m} G are phased shifts of G, read from windows of G tiled twice for a
-block of labels per array pass, without dense S_m.
+S_{R m} G are phased shifts of G, taken for a block of labels per array
+pass, without dense S_m.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
 from .lattice import Dimension, build_fourier_operator, max_abs, window_vectors
@@ -160,37 +159,46 @@ def _sweep(op: MetaplecticOperator, labels, phase=None) -> tuple[np.ndarray, np.
     """Phase z and residual max|G S_m - z S_r G| per label row m, r = R m mod D.
 
     G S_m is G with its columns shifted by m1 and phased, S_r G is G with its
-    rows shifted by r1 and phased: both are read, a block of labels at a time,
-    from windows of G tiled twice, with phases from exact integer exponents
-    mod 2D as in displacement_columns.  z is the exact phase given per label,
-    or else the normalized overlap Tr(S_r^dag G S_m G^dag) / D; an overlap
-    below 1e-12 is lost and reads residual 1.0.
+    rows shifted by r1 and phased: both are taken from G a block of labels at
+    a time, with phases from exact integer exponents mod 2D as in
+    displacement_columns.  z is the exact phase given per label, or else the
+    normalized overlap Tr(S_r^dag G S_m G^dag) / D; an overlap below 1e-12 is
+    lost and reads residual 1.0.
     """
     d, G = op.dim.d, op.matrix
     m = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     r1, r2 = op.map.apply((m[:, 0], m[:, 1]), reduce=True)
-    cols = np.moveaxis(sliding_window_view(np.hstack([G, G]), d, axis=1), 1, 0)  # G[i, j + s]
-    rows = np.moveaxis(sliding_window_view(np.vstack([G, G]), d, axis=0), 2, 1)  # G[i + s, j]
     unit, j = np.exp(-1j * np.pi * np.arange(2 * d) / d), np.arange(d)
     # exponents of vm_j = S_m[j + m1, j] and of ur_i = S_r[i, i - r1], 2 r2 i - r1 r2
     em = (m[:, 0] % (2 * d)) * (m[:, 1] % (2 * d)) % (2 * d)
     er = -r1 * r2 % (2 * d)
-    m2 = m[:, 1:] % d
     z = np.empty(len(m), dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
     resid = np.empty(len(m))
     step = max(1, _BLOCK_ENTRIES // d**2)
-    for b in (slice(lo, lo + step) for lo in range(0, len(m), step)):
-        vm = unit[(em[b, None] + 2 * (m2[b] * j % d)) % (2 * d)]
+    # one set of block buffers for the whole sweep: a fresh array per block
+    # would be mapped and faulted in anew once it passes malloc's mmap threshold
+    n = min(step, len(m))
+    cols, rows = np.empty((d, n, d), dtype=complex), np.empty((n, d, d), dtype=complex)
+    squares = np.empty((n, d, d))
+    for lo in range(0, len(m), step):
+        b = slice(lo, lo + step)
+        k = len(z[b])
+        gs, sg, sq = cols[:, :k], rows[:k], squares[:k]
+        vm = unit[(em[b, None] + 2 * (m[b, 1:] % d * j % d)) % (2 * d)]
         ur = unit[(er[b, None] + 2 * (r2[b, None] * j % d)) % (2 * d)]
-        GS = cols[m[b, 0] % d]
-        GS *= vm[:, None, :]
-        SG = rows[-r1[b] % d]
+        np.take(G, j + m[b, :1] % d, axis=1, out=gs, mode="wrap")  # G[i, j + m1] at [i, l, j]
+        np.take(G, j - r1[b, None], axis=0, out=sg, mode="wrap")   # G[i - r1, j] at [l, i, j]
+        gs *= vm
+        gs = gs.transpose(1, 0, 2)
         if phase is None:
-            zb = np.vecdot(ur, np.vecdot(SG, GS)) / d
+            zb = np.vecdot(ur, np.vecdot(sg, gs)) / d
             z[b] = zb / np.where(np.abs(zb) < 1e-12, 1.0, np.abs(zb))
-        SG *= (z[b, None] * ur)[:, :, None]
-        GS -= SG
-        resid[b] = (GS.real ** 2 + GS.imag ** 2).max(axis=(1, 2))
+        sg *= (z[b, None] * ur)[:, :, None]
+        np.subtract(gs, sg, out=sg)
+        f = sg.view(float)
+        np.square(f, out=f)
+        np.add(f[..., 0::2], f[..., 1::2], out=sq)
+        resid[b] = sq.reshape(k, -1).max(axis=1)
     return z, np.where(np.abs(z) < 1e-12, 1.0, np.sqrt(resid))
 
 

@@ -2,9 +2,10 @@
 
 The reference below builds G S_m by gathering the columns of G and S_r G by
 scattering its rows, one block of labels at a time, and reads one record per
-label in a Python loop.  The sweep in transforms takes both from shifted
-windows of G and sums the overlap in another order, so phases and residuals
-must agree to a few ulps, with the same labels in the same order.
+label in a Python loop.  The sweep in transforms takes both from G into
+buffers kept across blocks, with its phases factored differently and its
+overlap summed in another order, so phases and residuals must agree to a few
+ulps, with the same labels in the same order.
 """
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def test_a_matrix_of_another_map_loses_the_overlap(d):
     assert lost and all(rec["residual"] == 1.0 for rec in lost)
     assert all(abs(rec["phase"]) < 1e-12 for rec in lost)
     assert transforms.covariance_report(op)[0] == 1.0
+
+
+@pytest.mark.parametrize("d", [5, 13])
+def test_a_unitary_that_is_not_metaplectic_equals_the_loop(d):
+    # a random unitary: the overlaps are generic complex numbers, not +-1,
+    # and off m = 0 mod D the residuals are of order one
+    dim = make_dimension(d)
+    rng = np.random.default_rng(400 + d)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    op = MetaplecticOperator(dim, random_symplectic(dim, rng=rng), U, "aligned", 0.0)
+    records = _assert_reports_agree(op, rng.integers(-3 * d, 3 * d + 1, size=(200, 2)))
+    assert max(abs(rec["phase"].imag) for rec in records) > 0.1
+    assert min(rec["residual"] for rec in records if rec["m"][0] % d or rec["m"][1] % d) > 1e-3
 
 
 @pytest.mark.parametrize("d", [3, 13, 31])
