@@ -13,9 +13,10 @@ Both diagonalize along the eigenbasis of S_{m-m'}; the integer bijection
 n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
 
 Both start from one label pass over a list of pairs (_label_pass): it rejects
-collinear pairs, gathers the eigenvectors V of each distinct canonical
-w = m - m' once, and gives every pair the reason its builder refuses it, if
-any.  The builders raise that refusal; the sweeps skip and count it.  Every
+collinear pairs and gives every pair the reason its builder refuses it, if
+any, from the label integers alone.  The builders raise that refusal; the
+sweeps skip and count it.  The eigenvectors V of S_w, w = m - m', come per
+block from the byte-bounded eigensystem cache, pairs grouped by w.  Every
 identity is checked on V in two parts: (a) S_m and S_m' act on V one entry
 per column, O(D^2) per pair, and must be weighted shifts v_r -> v_{r-c}
 (_shift_weights); (b) on their weights, where A is a weighted shift and N,
@@ -46,6 +47,7 @@ from .errors import (
 from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
 from .schwinger import (
     _eigensystem_cached,
+    _has_closed_form,
     displacement_columns,
     schwinger_matrix,
     schwinger_stack,
@@ -204,13 +206,13 @@ def _checked_labels(dim: Dimension, m, mp):
 
 
 class _Labels(NamedTuple):
-    """A checked list of label pairs with its S_{m-m'} eigensystems and refusals."""
+    """A checked list of label pairs with the refusal of each."""
 
+    dim: Dimension
     m: np.ndarray
     mp: np.ndarray
     cross: np.ndarray        # exact m x m'
     keys: np.ndarray         # residue key of w = m - m' per pair
-    systems: dict            # key -> (eigenvalues, eigenvectors), or the degeneracy error
     reasons: tuple           # refusal reasons checked, in the builder's order
     refusal: np.ndarray      # per pair: index of its first reason, len(reasons) if built
 
@@ -218,34 +220,26 @@ class _Labels(NamedTuple):
     def built(self) -> np.ndarray:
         return self.refusal == len(self.reasons)
 
+    def system(self, key: int):
+        """(eigenvalues, eigenvectors) of S_w for the canonical w of a residue key."""
+        d = self.dim.d
+        return _eigensystem_cached(d, *canonical_vector(self.dim, divmod(key, d)))
+
     def eigenvectors(self, idx) -> np.ndarray:
-        return np.stack([self.systems[k][1] for k in self.keys[idx].tolist()])
+        return np.stack([self.system(k)[1] for k in self.keys[idx].tolist()])
 
 
 def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
-    """Check label pairs once for both algebras.
-
-    Each distinct canonical w = m - m' goes once through _eigensystem_cached.
-    (np.unique and np.isin would import numpy.ma, ~1 MB of resident memory.)
-    """
+    """Check label pairs once for both algebras, from the label integers alone."""
     d = dim.d
     m, mp, c = _checked_labels(dim, m, mp)
     w = m - mp
-    keys = (w[:, 0] % d) * d + w[:, 1] % d
-    simple = np.zeros(d * d, dtype=bool)
-    systems = {}
-    for k in set(keys.tolist()):
-        try:
-            systems[k] = _eigensystem_cached(d, *canonical_vector(dim, divmod(k, d)))
-            simple[k] = True
-        except DegenerateSpectrumError as exc:
-            # without its traceback, which would keep this frame in a cycle
-            systems[k] = exc.with_traceback(None)
-    failed = {"singular": _singular(dim, c), "degenerate": ~simple[keys],
+    failed = {"singular": _singular(dim, c),
+              "degenerate": ~_has_closed_form(d, w[:, 0], w[:, 1]),
               "non-invertible": _inverse_mod(d, c) == 0}
     first = np.argmax(np.stack([failed[r] for r in reasons] + [np.ones(len(c), dtype=bool)]),
                       axis=0)
-    return _Labels(m, mp, c, keys, systems, reasons, first)
+    return _Labels(dim, m, mp, c, (w[:, 0] % d) * d + w[:, 1] % d, reasons, first)
 
 
 def _built_labels(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
@@ -255,7 +249,7 @@ def _built_labels(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
         i = int(np.argmin(lab.built))
         reason, c = reasons[lab.refusal[i]], int(lab.cross[i])
         if reason == "degenerate":
-            raise lab.systems[int(lab.keys[i])]
+            lab.system(int(lab.keys[i]))     # raises the eigensystem's own error
         if reason == "singular":
             raise SingularDeformationError(
                 f"sin(gamma0 * {c}) = 0 at D={dim.d}; oscillator coefficients diverge")
@@ -271,6 +265,9 @@ def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
     """
     lab = _label_pass(dim, m, mp, reasons)
     built = np.flatnonzero(lab.built)
+    # pairs grouped by w build each eigensystem once, even where the cache
+    # cannot hold them all; per-pair values do not depend on their block
+    built = built[np.argsort(lab.keys[built], kind="stable")]
     step = max(1, _BLOCK_ENTRIES // dim.d ** 2)
     worst: dict = {}
     for start in range(0, len(built), step):
@@ -408,7 +405,7 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         q=np.exp(-1j * g0 * (cross % d)), eta=float(eta[0]), d_coef=d_coef[0],
         dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q[0], lowering=A[0], number_op=N[0],
-        q_exponential=Q[0], eigenvectors=V[0], eigenvalues=lab.systems[int(lab.keys[0])][0],
+        q_exponential=Q[0], eigenvectors=V[0], eigenvalues=lab.system(int(lab.keys[0]))[0],
         n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 

@@ -90,6 +90,13 @@ def lattice_cross(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _half_phase(d: int, a, b) -> np.ndarray:
+    """e^{-i pi a b / D} from the exact integer product a*b, taken mod 2D."""
+    a = np.asarray(a, dtype=np.int64) % (2 * d)
+    b = np.asarray(b, dtype=np.int64) % (2 * d)
+    return np.exp(-1j * np.pi * ((a * b) % (2 * d)) / d)
+
+
 def build_shift_operator(dim: Dimension) -> np.ndarray:
     d = dim.d
     U = np.zeros((d, d), dtype=complex)

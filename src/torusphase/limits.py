@@ -4,7 +4,8 @@ split of the action-angle Wigner function.
 
 Everything here is computed at finite D; the limit is probed only through
 residual sequences over a prime ladder, never by materializing a D = infinity
-object.
+object.  Its grids are FFTs of the number-phase characteristic function or
+of the phase-state overlaps; none builds a DFT matrix.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .errors import CaseConditionError, NonPrimeDimensionError
 from .lattice import Dimension, canonical_window, is_prime, max_abs
 from .numberphase import (
     ACTION_ANGLE_NORMALIZATION,
-    action_angle_values,
+    _action_angle_grids,
     build_phase_pair,
     wigner_number_phase,
 )
@@ -214,22 +215,16 @@ def wigner_even_odd_decomposition(dim: Dimension, state: np.ndarray,
     an integer) turns the full kernel sum into even-m2 and odd-m2 partial sums
     evaluated on the doubled action grid J = 0, 1/2, 1, ....  The two parts
     add back to the full Wigner function exactly, the even part carries all
-    the mass on integer J rows, and the odd part carries none.
+    the mass on integer J rows, and the odd part carries none.  All three
+    come from one characteristic function.
     """
-    jhalf = np.arange(2 * dim.d) / 2.0
-    even = action_angle_values(dim, state, jhalf, parity=0)
-    odd = action_angle_values(dim, state, jhalf, parity=1)
-    full = action_angle_values(dim, state, jhalf)
+    even, odd, full = _action_angle_grids(dim, state, 2 * dim.d, (0, 1, None))
     if max_abs(even + odd - full) > 1e-10:
         raise ValueError("even/odd partial sums failed to reconstruct the full grid")
     for vals in (even, odd):
         vals.flags.writeable = False
-    return (
-        WignerGrid(dim=dim, values=even, state_ref=state_ref,
-                   normalization=ACTION_ANGLE_NORMALIZATION),
-        WignerGrid(dim=dim, values=odd, state_ref=state_ref,
-                   normalization=ACTION_ANGLE_NORMALIZATION),
-    )
+    return tuple(WignerGrid(dim=dim, values=vals, state_ref=state_ref,
+                            normalization=ACTION_ANGLE_NORMALIZATION) for vals in (even, odd))
 
 
 def phase_basis_wigner_function(dim: Dimension, state: np.ndarray) -> np.ndarray:
@@ -237,19 +232,18 @@ def phase_basis_wigner_function(dim: Dimension, state: np.ndarray) -> np.ndarray
 
     W(J, theta) = (1/2pi) sum_k e^{i gamma0 J k} <psi|phi_{j - k/2}><phi_{j + k/2}|psi>
     with phase states on the half-index grid t/2, t = 0..2D-1 — the D-point
-    exact rule applied to the continuum convolution integral.
+    exact rule applied to the continuum convolution integral.  The overlaps
+    <psi|phi_{t/2}> are one length-2D FFT of conj(psi); the sum over the
+    window labels k, placed at their residues, is one inverse DFT.
     """
     d = dim.d
     psi = np.asarray(state, dtype=complex)
-    PF = np.exp(1j * dim.gamma0 * np.outer(np.arange(2 * d) / 2.0, np.arange(d))) / np.sqrt(d)
-    G1 = PF @ psi.conj()
-    kk = np.array(canonical_window(dim))
-    jj = np.arange(d)
-    idx1 = (2 * jj[None, :] - kk[:, None]) % (2 * d)
-    idx2 = (2 * jj[None, :] + kk[:, None]) % (2 * d)
-    Bm = G1[idx1] * np.conj(G1)[idx2]
-    Phk = np.exp(1j * dim.gamma0 * np.outer(np.arange(d), kk))
-    return np.real(Phk @ Bm) / (2.0 * np.pi)
+    g = np.fft.ifft(psi.conj(), 2 * d, norm="forward") / np.sqrt(d)
+    k = np.array(canonical_window(dim))
+    j = np.arange(d)
+    b = np.empty((d, d), dtype=complex)
+    b[k % d] = g[(2 * j - k[:, None]) % (2 * d)] * np.conj(g)[(2 * j + k[:, None]) % (2 * d)]
+    return np.fft.ifft(b, axis=0, norm="forward").real / (2.0 * np.pi)
 
 
 def phase_basis_wigner_limit(primes, family: str = "gaussian") -> ConvergenceReport:

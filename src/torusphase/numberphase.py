@@ -8,9 +8,10 @@ basis elements built on the pair generate the action-angle kernel
 Delta(J, theta) with 1/(2 pi D) normalization, whose expectation value is the
 number-phase Wigner function on the J x theta grid.
 
-The pair is the torus pair itself (E_N = V, E_phi = U^-1), so grids come from
-the torus characteristic function chi(m) = <psi|S_m|psi> in O(D^2 log D);
-the action-angle kernel is built only as an oracle for the small-D suites.
+The pair is the torus pair itself (E_N = V, E_phi = U^-1), so every grid is
+the torus chi(m) = <psi|S_m|psi> through the torus window FFT, O(D^2 log D);
+at odd D, W(J, theta_j) = (D / 2pi) W_torus(J, -j mod D).  The action-angle
+kernel (and the schwinger layer) loads only as an oracle for small-D suites.
 """
 from __future__ import annotations
 
@@ -28,13 +29,7 @@ from .lattice import (
     max_abs,
     window_vectors,
 )
-from .schwinger import (
-    conjugate_pair_suite,
-    label_blocks,
-    pair_schwinger_stack,
-    schwinger_matrix,
-)
-from .wigner import WignerGrid, characteristic
+from .wigner import WignerGrid, _window_dft, characteristic
 
 ACTION_ANGLE_NORMALIZATION = "action-angle-1/(2piD)"
 
@@ -78,6 +73,8 @@ def phase_pair_residuals(pair: PhasePair) -> dict:
 
 def identification_suite(dim: Dimension, rng=None, n_random: int = 200) -> dict:
     """Full torus-pair identity suite run through the (E_N, E_phi) pair."""
+    from .schwinger import conjugate_pair_suite
+
     pair = build_phase_pair(dim)
     return conjugate_pair_suite(dim, pair.e_n, pair.e_phi, rng=rng, n_random=n_random)
 
@@ -105,6 +102,8 @@ def build_action_angle_kernel(dim: Dimension, J: float, theta: float) -> ActionA
     mode, half-integer) J and theta = 2pi j / D.  The S^np_m are stacked in
     label blocks and summed with one einsum per block.
     """
+    from .schwinger import label_blocks, pair_schwinger_stack
+
     pair = build_phase_pair(dim)
     S = pair_schwinger_stack(dim, pair.e_n, pair.e_phi)
     labels, coef = _kernel_coefficients(dim, J, theta)
@@ -140,33 +139,29 @@ def kernel_form_residual(dim: Dimension, J: float, theta: float) -> float:
                    - action_angle_phase_form(dim, J, theta))
 
 
-def _pair_expectations(dim: Dimension, psi: np.ndarray):
-    """<psi| S^np_m |psi> for all window labels, as (m-components, matrix).
+def _action_angle_grids(dim: Dimension, state, period: int, parities=(None,)) -> list:
+    """W(J, theta_j) on J = t D / period (t < period), one grid per m2 parity, from one chi.
 
-    S^np_(m1, m2) = S_(-m2, m1) (E_N = V, E_phi = U^-1), so the matrix is the
-    torus characteristic function chi(-m2, m1), O(D^2 log D).
+    <psi| S^np_m |psi> = chi(-m2, m1) (E_N = V, E_phi = U^-1), so the sum
+    (1/2piD) sum_m e^{i gamma0 (m1 J - m2 j)} chi(-m2, m1) is the torus window
+    transform with m2 in the place of m1.  Parity 0 or 1 keeps the m2 of that
+    parity only, None keeps all.
     """
-    mlist = np.array(canonical_window(dim))
-    return mlist, characteristic(dim.d, psi, -mlist, mlist).T
+    w = np.array(canonical_window(dim), dtype=np.int64)
+    chi = characteristic(dim.d, np.asarray(state, dtype=complex), -w, w)
+    return [_window_dft(dim, chi if p is None else chi * (np.abs(w) % 2 == p)[:, None],
+                        period).real * (dim.d / (2.0 * np.pi)) for p in parities]
 
 
-def action_angle_values(dim: Dimension, state: np.ndarray, j_values,
-                        parity: int | None = None) -> np.ndarray:
-    """W(J, theta_j) rows over j_values, columns over the exact theta grid.
+def action_angle_values(dim: Dimension, state: np.ndarray, parity: int | None = None, *,
+                        half_integer: bool = False) -> np.ndarray:
+    """W(J, theta_j) rows over J, columns over the exact theta grid theta_j = gamma0 j.
 
-    parity filters the m2 sum: 0 keeps even m2, 1 keeps odd m2, None keeps all
-    (the full Wigner function).  The expectation-value form used here equals
-    the kernel form by linearity: the expectations come from the torus
-    characteristic function in O(D^2 log D), then O(D^2) per row.
+    J runs over 0..D-1, or with half_integer over J = t/2, t = 0..2D-1.
+    parity filters the m2 sum: 0 keeps even m2, 1 keeps odd m2, None keeps
+    all (the full Wigner function).  By linearity this is the kernel form.
     """
-    psi = np.asarray(state, dtype=complex)
-    mlist, EV = _pair_expectations(dim, psi)
-    jv = np.asarray(j_values, dtype=float)
-    if parity is not None:
-        EV = EV * ((np.abs(mlist) % 2) == parity)[None, :]
-    P1 = np.exp(1j * dim.gamma0 * np.outer(jv, mlist))
-    P2 = np.exp(-1j * dim.gamma0 * np.outer(mlist, np.arange(dim.d)))
-    return np.real(P1 @ EV @ P2) / (2.0 * np.pi * dim.d)
+    return _action_angle_grids(dim, state, dim.d * (1 + half_integer), (parity,))[0]
 
 
 def wigner_number_phase(dim: Dimension, state: np.ndarray, state_ref: str = "") -> WignerGrid:
@@ -176,8 +171,7 @@ def wigner_number_phase(dim: Dimension, state: np.ndarray, state_ref: str = "") 
     (gamma0-weighted theta sum) is |<J|psi>|^2 and the theta marginal (J sum)
     is (D/2pi) |<phi_j|psi>|^2.
     """
-    vals = action_angle_values(dim, state, np.arange(dim.d))
-    vals = np.ascontiguousarray(vals)
+    vals = np.ascontiguousarray(action_angle_values(dim, state))
     vals.flags.writeable = False
     return WignerGrid(dim=dim, values=vals, state_ref=state_ref,
                       normalization=ACTION_ANGLE_NORMALIZATION)
@@ -205,6 +199,7 @@ def expand_number_function(dim: Dimension, f, m, mp, tol: float = 1e-9) -> Numbe
     index convention and must clear tol.
     """
     from .deformed import build_q_oscillator
+    from .schwinger import schwinger_matrix
 
     fv = np.asarray(f, dtype=complex)
     if fv.shape != (dim.d,):

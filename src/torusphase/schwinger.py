@@ -24,6 +24,7 @@ from numpy.linalg import matrix_power
 from .errors import DegenerateSpectrumError
 from .lattice import (
     Dimension,
+    _half_phase,
     build_clock_operator,
     build_fourier_operator,
     build_shift_operator,
@@ -153,23 +154,28 @@ class _ByteBoundedCache:
         self.nbytes = 0
 
 
+def _has_closed_form(d: int, m1, m2):
+    """Per label (arrays allowed): the labels _eigensystem builds, the rest it refuses.
+
+    m1 is a unit mod D, or m1 = 0 mod D and m2 is: the orbit covers Z_D.
+    """
+    m1 = np.asarray(m1)
+    return np.gcd(np.where(m1 % d == 0, m2, m1), d) == 1
+
+
 def _eigensystem(d: int, m1: int, m2: int):
+    if not _has_closed_form(d, m1, m2):
+        raise DegenerateSpectrumError(
+            f"label ({m1},{m2}) has a degenerate spectrum at D={d}" if m1 % d == 0
+            else f"orbit of label ({m1},{m2}) does not cover Z_{d}")
     lam = np.exp(1j * np.pi * m1 * m2) * np.exp(-2j * np.pi * np.arange(d) / d)
     vecs = np.zeros((d, d), dtype=complex)
     if m1 % d == 0:
         # diagonal element: eigenvector r is the coordinate vector k with
         # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
-        if math.gcd(m2 % d, d) != 1:
-            raise DegenerateSpectrumError(
-                f"label ({m1},{m2}) has a degenerate spectrum at D={d}"
-            )
         for k in range(d):
             vecs[k, (k * m2) % d] = 1.0
     else:
-        if math.gcd(m1 % d, d) != 1:
-            raise DegenerateSpectrumError(
-                f"orbit of label ({m1},{m2}) does not cover Z_{d}"
-            )
         # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
         # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
         # e^{i pi E / D} / sqrt(D) with the exact integer
@@ -327,11 +333,6 @@ def schwinger_basis_rank(dim: Dimension) -> int:
     vecs = schwinger_stack(dim.d, window_vectors(dim)).reshape(dim.d ** 2, -1)
     gram = vecs.conj() @ vecs.T
     return int(np.linalg.matrix_rank(gram, hermitian=True))
-
-
-def _half_phase(d: int, m1, m2):
-    """e^{-i gamma0 m1 m2 / 2}, with the exact integer m1 m2 reduced mod 2D."""
-    return np.exp(-1j * np.pi * np.asarray((m1 * m2) % (2 * d), dtype=np.int64) / d)
 
 
 def pair_schwinger(dim: Dimension, X: np.ndarray, Z: np.ndarray, m) -> np.ndarray:

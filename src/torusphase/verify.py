@@ -402,7 +402,7 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
         rows.append(_info("expansion_round_trip", 0.0,
                           note="no non-singular pair available at this D"))
     even, odd = limits.wigner_even_odd_decomposition(dim, psi)
-    full = numberphase.action_angle_values(dim, psi, np.arange(2 * dim.d) / 2.0)
+    full = numberphase.action_angle_values(dim, psi, half_integer=True)
     rows.append(_res("even_odd_reconstruction",
                      float(np.max(np.abs(even.values + odd.values - full)))))
     rows.append(_res("even_mass", abs(even.values[0::2, :].sum() * (2 * np.pi / dim.d) - 1.0)))

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NonRealWignerError
 from .lattice import (
     Dimension,
+    _half_phase,
     build_fourier_operator,
     canonical_window,
     max_abs,
@@ -31,13 +32,6 @@ from .lattice import (
 )
 
 TORUS_NORMALIZATION = "torus-1/D^2"
-
-
-def _half_phase(d: int, a, b) -> np.ndarray:
-    """e^{-i pi a b / D} from the exact integer product a*b, taken mod 2D."""
-    a = np.asarray(a, dtype=np.int64) % (2 * d)
-    b = np.asarray(b, dtype=np.int64) % (2 * d)
-    return np.exp(-1j * np.pi * ((a * b) % (2 * d)) / d)
 
 
 def _trace_chi(d: int, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,18 +57,19 @@ def _window(dim: Dimension) -> np.ndarray:
     return np.array(canonical_window(dim), dtype=np.int64)
 
 
-def _window_dft(dim: Dimension, chi: np.ndarray) -> np.ndarray:
+def _window_dft(dim: Dimension, chi: np.ndarray, period: int | None = None) -> np.ndarray:
     """(1/D^2) sum_m e^{-i gamma0 m x V} chi[m] on the grid, indexed [V1, V2].
 
-    chi is indexed by window labels; they are distinct mod D, so placing
-    them at their residues gives a full D x D array whose FFT over m1 runs
-    to V2 and whose inverse FFT over m2 runs to V1.
+    chi is indexed by window labels, distinct mod D and mod 2D: at their
+    residues, the FFT over m1 runs to V2 and the inverse FFT over m2 to V1,
+    which takes `period` values t D / period (D: integers, 2D: halves).
     """
     d = dim.d
-    w = _window(dim) % d
-    g = np.empty((d, d), dtype=complex)
-    g[np.ix_(w, w)] = chi
-    return np.fft.ifft(np.fft.fft(g, axis=0), axis=1).T / d
+    n = period or d
+    w = _window(dim)
+    g = np.zeros((d, n), dtype=complex)
+    g[np.ix_(w % d, w % n)] = chi
+    return np.fft.ifft(np.fft.fft(g, axis=0), axis=1).T / d * (n // d)
 
 
 def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:

@@ -437,6 +437,17 @@ def test_torus_wigner_imports_only_its_layers(state):
                               "numberphase"} == set()
 
 
+@pytest.mark.parametrize("args", [
+    ["wigner", "--d", "13", "--state", "random:5", "--basis", "number-phase"],
+    ["wigner", "--d", "13", "--state", "random:5", "--basis", "number-phase", "--decompose"],
+    ["converge", "--observable", "wigner", "--primes", "11,23"],
+])
+def test_number_phase_grids_skip_the_basis_and_verify_layers(args):
+    rc, out, _, modules = loaded_by(args)
+    assert rc == 0 and out.startswith("#")
+    assert layers(modules) & {"schwinger", "deformed", "transforms", "verify"} == set()
+
+
 @pytest.mark.parametrize("args", [["transform", "--d", "13", "--r", "2,3,5,8"],
                                   ["gen", "--d", "7", "--kind", "schwinger", "--m", "2,-9"]])
 def test_transform_and_gen_skip_the_deformed_and_verify_layers(args):

@@ -335,6 +335,41 @@ def test_sweep_blocks_stay_small():
     assert peak < 8e6, peak
 
 
+def test_sweep_holds_the_eigensystem_cache_limit_and_one_block(monkeypatch):
+    """A sweep keeps no eigensystem of its own: each block takes its S_w
+    eigenvectors from the byte-bounded cache, so with that cache cut to four
+    systems the traced peak of a sweep over ~360 distinct w is at most the
+    limit plus the peak of a one-block sweep, and the worst values stay the same."""
+    from torusphase import schwinger
+
+    d = 31
+    dim = make_dimension(d)
+    m, mp = np.random.default_rng(8).integers(-2 * d, 2 * d, (2, 600, 2))
+    keep = lattice_cross(m.T, mp.T) % d != 0
+    m, mp = m[keep], mp[keep]
+    assert len(set(map(tuple, ((m - mp) % d).tolist()))) > 300
+    cache = schwinger._eigensystem_cached
+    expected = sl2_sweep(dim, m, mp)
+    limit = 4 * (d * d + d) * 16
+    monkeypatch.setattr(cache, "limit", limit)
+
+    def traced_peak(pairs):
+        monkeypatch.setattr(cache, "entries", type(cache.entries)())
+        monkeypatch.setattr(cache, "nbytes", 0)
+        tracemalloc.start()
+        try:
+            report = sl2_sweep(dim, m[:pairs], mp[:pairs])
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, block = traced_peak(max(1, deformed._BLOCK_ENTRIES // d ** 2))
+    report, peak = traced_peak(len(m))
+    assert report.worst == expected.worst
+    assert report.skips == expected.skips
+    assert peak <= limit + block, (peak, limit, block)
+
+
 def test_sl2_unreduced_labels_are_as_precise_as_reduced_ones():
     # c = -3254 = 32 mod 62; phases from the unreduced c gave casimir_central 1.03e-9
     dim = make_dimension(31)

@@ -109,12 +109,13 @@ def test_action_angle_values_on_half_integer_grid():
     dim = make_dimension(5)
     psi = random_state(dim, seed=4)
     full_int = wigner_number_phase(dim, psi).values
-    grid = action_angle_values(dim, psi, np.arange(5).astype(float))
+    grid = action_angle_values(dim, psi)
     assert_allclose(grid, full_int, atol=1e-13)
-    half = action_angle_values(dim, psi, np.arange(10) / 2.0)
+    half = action_angle_values(dim, psi, half_integer=True)
+    assert half.shape == (10, 5)
     assert_allclose(half[0::2], full_int, atol=1e-13)
-    even = action_angle_values(dim, psi, np.arange(10) / 2.0, parity=0)
-    odd = action_angle_values(dim, psi, np.arange(10) / 2.0, parity=1)
+    even = action_angle_values(dim, psi, parity=0, half_integer=True)
+    odd = action_angle_values(dim, psi, parity=1, half_integer=True)
     assert_allclose(even + odd, half, atol=1e-13)
 
 

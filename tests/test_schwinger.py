@@ -275,3 +275,22 @@ def test_eigensystem_cache_stays_within_its_byte_bound(monkeypatch):
     monkeypatch.setattr(cache, "limit", entry // 2)
     big = cache(d, 3, 1)
     assert big[1].shape == (d, d) and not cache.entries and cache.nbytes == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12, 13, 15])
+def test_closed_form_predicate_is_the_eigensystem_refusal(d):
+    # the refusal the deformed label pass reads from the label integers alone
+    dim = make_dimension(d)
+    labels = np.array([m for m in window_vectors(dim) if m != (0, 0)]
+                      + [(d + 2, -3 * d + 1), (-2 * d, 1 - d)])
+    built = schwinger._has_closed_form(d, labels[:, 0], labels[:, 1])
+    assert built.all() == dim.prime
+    for m, flag in zip(labels.tolist(), built):
+        if flag:
+            # a built eigensystem has D distinct eigenvalues, as the dense solver finds
+            lam = np.linalg.eigvals(schwinger_matrix(dim, m))
+            assert np.min(np.abs(lam[:, None] - lam) + 9 * np.eye(d)) > 1e-6, (d, m)
+            eigensystem_by_recursion(dim, m)
+        else:
+            with pytest.raises(DegenerateSpectrumError):
+                eigensystem_by_recursion(dim, m)
