@@ -16,8 +16,8 @@ _EXPORTS = {
     "errors": (
         "CaseConditionError", "CollinearVectorsError", "DegenerateSpectrumError",
         "DimensionTooLargeError", "NonPrimeDimensionError", "NonRealWignerError",
-        "NonScalarPowerError", "NonSymplecticMapError", "PhaseMismatchError",
-        "SingularDeformationError", "TorusPhaseError", "UnsupportedBasisError",
+        "NonSymplecticMapError", "PhaseMismatchError", "SingularDeformationError",
+        "TorusPhaseError", "UnsupportedBasisError",
     ),
     "lattice": (
         "Dimension", "basis_state", "build_clock_operator", "build_fourier_operator",
@@ -26,10 +26,10 @@ _EXPORTS = {
         "random_state", "window_vectors",
     ),
     "schwinger": (
-        "SchwingerEigensystem", "SchwingerOperator", "build_schwinger", "conjugate_pair_suite",
-        "dense_eigensystem_match", "eigensystem_by_recursion", "pair_schwinger", "reduce_label",
-        "schwinger_basis_rank", "schwinger_matrix", "sine_commutator_check",
-        "standard_pair_suite", "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
+        "SchwingerEigensystem", "conjugate_pair_suite", "dense_eigensystem_match",
+        "eigensystem_by_recursion", "pair_schwinger", "reduce_label", "schwinger_basis_rank",
+        "schwinger_matrix", "sine_commutator_check", "standard_pair_suite",
+        "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
     ),
     "deformed": (
         "CoproductReport", "EigenCorrespondence", "LowestWeightReport", "QOscillator",

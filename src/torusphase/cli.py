@@ -153,7 +153,7 @@ def _parse_state(dim: Dimension, spec: str):
     """State specifiers: fock:n, phase:l, u:k, v:l, random:<seed>, file:<path>."""
     import numpy as np
 
-    from .lattice import build_fourier_operator, random_state
+    from .lattice import basis_state, random_state
 
     kind, sep, arg = spec.partition(":")
     if not sep:
@@ -165,16 +165,7 @@ def _parse_state(dim: Dimension, spec: str):
             k = int(arg)
         except ValueError:
             raise _UsageError(f"state index {arg!r} is not an integer")
-        k %= d
-        if kind in ("fock", "u"):
-            psi = np.zeros(d, dtype=complex)
-            psi[k] = 1.0
-        elif kind == "v":
-            psi = build_fourier_operator(dim)[:, k].copy()
-        else:
-            from .numberphase import build_phase_pair
-            psi = build_phase_pair(dim).phase_states[:, k].copy()
-        return psi, comments
+        return basis_state(dim, "u" if kind == "fock" else kind, k), comments
     if kind == "random":
         try:
             seed = int(arg)

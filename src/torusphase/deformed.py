@@ -15,8 +15,10 @@ n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
 Both start from one label pass over a list of pairs (_label_pass): it rejects
 collinear pairs and gives every pair the reason its builder refuses it, if
 any, from the label integers alone.  The builders raise that refusal; the
-sweeps skip and count it.  The eigenvectors V of S_w, w = m - m', come per
-block from the byte-bounded eigensystem cache, pairs grouped by w.  Every
+sweeps skip and count it.  The eigenvectors V of S_w, w = m - m', are built
+where they are used, once per distinct w: a sweep visits its pairs grouped by
+w, block by block, and carries only the last system of a block into the next
+(_Labels.eigenvector_blocks).  Every
 identity is checked on V in two parts: (a) S_m and S_m' act on V one entry
 per column, O(D^2) per pair, and must be weighted shifts v_r -> v_{r-c}
 (_shift_weights); (b) on their weights, where A is a weighted shift and N,
@@ -46,16 +48,17 @@ from .errors import (
 )
 from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
 from .schwinger import (
-    _eigensystem_cached,
+    _BLOCK_ENTRIES,
+    _eigensystem,
     _has_closed_form,
     displacement_columns,
+    label_blocks,
     schwinger_matrix,
     schwinger_stack,
 )
 
 _SINGULAR_TOL = 1e-12
 _LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
-_BLOCK_ENTRIES = 1 << 12     # complex entries per stack in one sweep block
 # refusal reasons of each builder, in the order it checks them
 _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
@@ -223,10 +226,25 @@ class _Labels(NamedTuple):
     def system(self, key: int):
         """(eigenvalues, eigenvectors) of S_w for the canonical w of a residue key."""
         d = self.dim.d
-        return _eigensystem_cached(d, *canonical_vector(self.dim, divmod(key, d)))
+        return _eigensystem(d, *canonical_vector(self.dim, divmod(key, d)))
+
+    def eigenvector_blocks(self, blocks):
+        """Eigenvectors of S_w per pair (P, D, D), one stack per block of pair indices.
+
+        Each distinct w of a block is built once, and the last one is carried
+        into the next block: over pairs sorted by w, every system is built once.
+        """
+        last_key = last = None
+        for idx in blocks:
+            keys, inverse = np.unique(self.keys[idx], return_inverse=True)
+            keys = keys.tolist()
+            systems = [last if k == last_key else self.system(k)[1] for k in keys]
+            V = np.stack([systems[i] for i in inverse.tolist()])
+            last_key, last = keys[-1], systems[-1]
+            yield V
 
     def eigenvectors(self, idx) -> np.ndarray:
-        return np.stack([self.system(k)[1] for k in self.keys[idx].tolist()])
+        return next(self.eigenvector_blocks([idx]))
 
 
 def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
@@ -265,14 +283,13 @@ def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
     """
     lab = _label_pass(dim, m, mp, reasons)
     built = np.flatnonzero(lab.built)
-    # pairs grouped by w build each eigensystem once, even where the cache
-    # cannot hold them all; per-pair values do not depend on their block
+    # pairs grouped by w build each eigensystem once; per-pair values do not
+    # depend on their block
     built = built[np.argsort(lab.keys[built], kind="stable")]
-    step = max(1, _BLOCK_ENTRIES // dim.d ** 2)
+    blocks = [built[blk] for blk in label_blocks(len(built), dim.d)]
     worst: dict = {}
-    for start in range(0, len(built), step):
-        idx = built[start:start + step]
-        for k, v in residuals(dim, lab.m[idx], lab.mp[idx], lab.eigenvectors(idx)).items():
+    for idx, V in zip(blocks, lab.eigenvector_blocks(blocks)):
+        for k, v in residuals(dim, lab.m[idx], lab.mp[idx], V).items():
             if k == "spectrum_min":
                 worst[k] = min(worst.get(k, np.inf), float(v.min()))
             else:
@@ -348,13 +365,12 @@ def _oscillator_coefs(dim: Dimension, m, mp, eta=None):
     return eta, d_coef, np.conj(eta / ((2j * s) * d_coef)), 1.0 / np.abs(s)
 
 
-def _oscillator_dense(dim: Dimension, lab: _Labels, d_coef, dp_coef):
-    """A = d S_m + d' S_m' and N = V diag(n) V^dag per pair (P, D, D), V and n."""
-    V = lab.eigenvectors(slice(None))
+def _oscillator_dense(dim: Dimension, lab: _Labels, V, d_coef, dp_coef):
+    """A = d S_m + d' S_m' and N = V diag(n) V^dag per pair (P, D, D), and n."""
     nv = _n_values(dim.d, _phase_cross(dim.d, lab.cross))
     A = (d_coef[:, None, None] * schwinger_stack(dim.d, lab.m)
          + dp_coef[:, None, None] * schwinger_stack(dim.d, lab.mp))
-    return A, _diag_stack(V, nv), V, nv
+    return A, _diag_stack(V, nv), nv
 
 
 def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
@@ -396,16 +412,17 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     lab = _built_labels(dim, [m], [mp], _OSC_REASONS)
     eta = None if eta_override is None else np.array([float(eta_override)])
     eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp, eta)
-    A, N, V, nv = _oscillator_dense(dim, lab, d_coef, dp_coef)
+    lam, V = lab.system(int(lab.keys[0]))
+    A, N, nv = _oscillator_dense(dim, lab, V[None], d_coef, dp_coef)
     cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
     c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
-    Q = c_q[:, None, None] * _diag_stack(V, np.exp((1j * g0 * c)[:, None] * nv))
+    Q = c_q[:, None, None] * _diag_stack(V[None], np.exp((1j * g0 * c)[:, None] * nv))
     return QOscillator(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         q=np.exp(-1j * g0 * (cross % d)), eta=float(eta[0]), d_coef=d_coef[0],
         dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q[0], lowering=A[0], number_op=N[0],
-        q_exponential=Q[0], eigenvectors=V[0], eigenvalues=lab.system(int(lab.keys[0]))[0],
+        q_exponential=Q[0], eigenvectors=V, eigenvalues=lam,
         n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 
@@ -444,7 +461,7 @@ def oscillator_operators(dim: Dimension, m, mp):
     """
     lab = _built_labels(dim, m, mp, _OSC_REASONS)
     _, d_coef, dp_coef, _ = _oscillator_coefs(dim, lab.m, lab.mp)
-    return _oscillator_dense(dim, lab, d_coef, dp_coef)[:2]
+    return _oscillator_dense(dim, lab, lab.eigenvectors(slice(None)), d_coef, dp_coef)[:2]
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class UnsupportedBasisError(TorusPhaseError):
     """Unknown basis tag in a state conversion."""
 
 
-class NonScalarPowerError(TorusPhaseError):
-    """A matrix power expected to be scalar is not proportional to the identity."""
-
-
 class NonPrimeDimensionError(TorusPhaseError, ValueError):
     """A prime ladder holds a dimension that is not prime."""
 

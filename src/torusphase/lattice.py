@@ -115,14 +115,20 @@ def build_fourier_operator(dim: Dimension) -> np.ndarray:
 
 
 def basis_state(dim: Dimension, basis: str, index: int) -> np.ndarray:
-    """Coordinate (u) or Fourier-conjugate (v) basis vector as u-amplitudes."""
+    """Coordinate (u), Fourier-conjugate (v) or phase basis vector as u-amplitudes.
+
+    v_l is column l of the Fourier operator F and the phase state |phi_l>
+    column l of conj(F), each built alone with the entries of the full matrix.
+    """
     index = index % dim.d
     if basis == "u":
         psi = np.zeros(dim.d, dtype=complex)
         psi[index] = 1.0
         return psi
-    if basis == "v":
-        return build_fourier_operator(dim)[:, index].copy()
+    if basis in ("v", "phase"):
+        k = np.arange(dim.d)
+        v = np.exp(-1j * dim.gamma0 * (k * index)) / math.sqrt(dim.d)
+        return v if basis == "v" else v.conj()
     raise UnsupportedBasisError(f"unknown basis tag {basis!r}")
 
 

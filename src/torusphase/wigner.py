@@ -91,11 +91,11 @@ def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _kernel_grid_cached(d: int) -> np.ndarray:
     """All D^2 kernels, indexed K[V1, V2, :, :]."""
-    from .schwinger import schwinger_matrix
+    from .schwinger import schwinger_stack
 
     dim = Dimension(d)
     labels = window_vectors(dim)
-    stack = np.stack([schwinger_matrix(dim, m) for m in labels])   # (n_m, d, d)
+    stack = schwinger_stack(d, labels)   # (n_m, d, d)
     m1 = np.array([m[0] for m in labels])
     m2 = np.array([m[1] for m in labels])
     a = np.arange(d)

@@ -429,7 +429,7 @@ def test_command_help_exits_0_without_numpy(command):
     assert outside_stdlib(modules) == set()
 
 
-@pytest.mark.parametrize("state", ["fock:2", "v:3", "random:5"])
+@pytest.mark.parametrize("state", ["fock:2", "v:3", "phase:2", "random:5"])
 def test_torus_wigner_imports_only_its_layers(state):
     rc, out, _, modules = loaded_by(["wigner", "--d", "13", "--state", state])
     assert rc == 0 and out.startswith("# D=13")

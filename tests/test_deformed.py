@@ -23,7 +23,7 @@ from torusphase import (
     translated_lattice_deformation,
     window_vectors,
 )
-from torusphase import deformed, verify
+from torusphase import deformed, schwinger, verify
 from torusphase.deformed import lowest_weight_sweep, oscillator_sweep, sl2_sweep
 
 
@@ -247,7 +247,7 @@ def test_sweep_reaches_every_block_position(sweep, build, residuals, key):
     values = np.array([residuals(build(dim, a, b))[key] for a, b in zip(m, mp)])
     top = int(np.argmax(values))
     rest = np.flatnonzero(values < values[top])
-    step = deformed._BLOCK_ENTRIES // dim.d ** 2
+    step = schwinger._BLOCK_ENTRIES // dim.d ** 2
     assert len(rest) > 2 * step
     for pos in (0, step - 1, step, 2 * step - 1, 2 * step, len(rest)):
         order = np.insert(rest, pos, top)
@@ -335,27 +335,21 @@ def test_sweep_blocks_stay_small():
     assert peak < 8e6, peak
 
 
-def test_sweep_holds_the_eigensystem_cache_limit_and_one_block(monkeypatch):
-    """A sweep keeps no eigensystem of its own: each block takes its S_w
-    eigenvectors from the byte-bounded cache, so with that cache cut to four
-    systems the traced peak of a sweep over ~360 distinct w is at most the
-    limit plus the peak of a one-block sweep, and the worst values stay the same."""
-    from torusphase import schwinger
-
+def test_sweep_holds_one_block_and_few_eigensystems():
+    """A sweep keeps no eigensystem beyond its block: each block builds its S_w
+    eigenvectors and passes on only the last one, so the traced peak of a sweep
+    over ~360 distinct w is at most the peak of a one-block sweep plus four
+    eigensystems, and its worst values are the per-pair builders' worst."""
     d = 31
     dim = make_dimension(d)
     m, mp = np.random.default_rng(8).integers(-2 * d, 2 * d, (2, 600, 2))
     keep = lattice_cross(m.T, mp.T) % d != 0
     m, mp = m[keep], mp[keep]
     assert len(set(map(tuple, ((m - mp) % d).tolist()))) > 300
-    cache = schwinger._eigensystem_cached
-    expected = sl2_sweep(dim, m, mp)
-    limit = 4 * (d * d + d) * 16
-    monkeypatch.setattr(cache, "limit", limit)
+    expected = {k: max(sl2_residuals(build_uq_sl2(dim, a, b))[k] for a, b in zip(m, mp))
+                for k in ("exponential", "casimir_central")}
 
     def traced_peak(pairs):
-        monkeypatch.setattr(cache, "entries", type(cache.entries)())
-        monkeypatch.setattr(cache, "nbytes", 0)
         tracemalloc.start()
         try:
             report = sl2_sweep(dim, m[:pairs], mp[:pairs])
@@ -363,11 +357,11 @@ def test_sweep_holds_the_eigensystem_cache_limit_and_one_block(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    _, block = traced_peak(max(1, deformed._BLOCK_ENTRIES // d ** 2))
+    _, block = traced_peak(max(1, schwinger._BLOCK_ENTRIES // d ** 2))
     report, peak = traced_peak(len(m))
-    assert report.worst == expected.worst
-    assert report.skips == expected.skips
-    assert peak <= limit + block, (peak, limit, block)
+    assert {k: report.worst[k] for k in expected} == expected
+    assert report.built == len(m)
+    assert peak <= block + 4 * (d * d + d) * 16, (peak, block)
 
 
 def test_sl2_unreduced_labels_are_as_precise_as_reduced_ones():

@@ -20,7 +20,7 @@ from torusphase import (
     oscillator_residuals,
     sl2_residuals,
 )
-from torusphase import deformed, verify
+from torusphase import deformed, schwinger, verify
 from torusphase.deformed import (
     _branch_sign,
     _dag,
@@ -194,7 +194,7 @@ def oracle_sweep(dim, m, mp, algebra):
     reasons, stack, residuals = ORACLE[algebra]
     lab = deformed._label_pass(dim, m, mp, reasons)
     built = np.flatnonzero(lab.built)
-    step = max(1, deformed._BLOCK_ENTRIES // dim.d ** 2)
+    step = max(1, schwinger._BLOCK_ENTRIES // dim.d ** 2)
     worst = {}
     for start in range(0, len(built), step):
         idx = built[start:start + step]

@@ -88,6 +88,21 @@ def test_basis_states_are_eigenvectors():
         assert_allclose(V @ eu, np.exp(-1j * dim.gamma0 * k) * eu, atol=1e-13)
         ev = basis_state(dim, "v", k)
         assert_allclose(U @ ev, np.exp(1j * dim.gamma0 * k) * ev, atol=1e-13)
+        ephi = basis_state(dim, "phase", k)
+        assert_allclose(U.T @ ephi, np.exp(1j * dim.gamma0 * k) * ephi, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 15, 23, 64])
+def test_basis_states_are_the_operator_columns(d):
+    # built alone, with the bytes of the column of the full matrix
+    from torusphase.numberphase import build_phase_pair
+
+    dim = make_dimension(d)
+    F = build_fourier_operator(dim)
+    phase = build_phase_pair(dim).phase_states
+    for k in range(-d, 2 * d):
+        assert basis_state(dim, "v", k).tobytes() == F[:, k % d].tobytes()
+        assert basis_state(dim, "phase", k).tobytes() == phase[:, k % d].tobytes()
 
 
 def test_random_state_seeded_and_normalized():

