@@ -26,7 +26,7 @@ J3, S_w and both Casimir orderings are diagonal, each identity is a scalar
 identity on D values, whose rounding floor is ~eps |C|, not the eps D |A| |C|
 of dense products.  A per-pair residual function is the sweep's stack of one
 pair, so a sweep's worst is bit-equal to the worst per-pair value.  Dense
-operators are built only as builder output and for the orbit check.
+operators are built only as builder output.
 The sign that fixes the sl(2) J3 offset and the oscillator eta is an exact
 integer parity of the labels (_branch_sign), not a measured phase.
 """
@@ -243,9 +243,6 @@ class _Labels(NamedTuple):
             last_key, last = keys[-1], systems[-1]
             yield V
 
-    def eigenvectors(self, idx) -> np.ndarray:
-        return next(self.eigenvector_blocks([idx]))
-
 
 def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
     """Check label pairs once for both algebras, from the label integers alone."""
@@ -365,14 +362,6 @@ def _oscillator_coefs(dim: Dimension, m, mp, eta=None):
     return eta, d_coef, np.conj(eta / ((2j * s) * d_coef)), 1.0 / np.abs(s)
 
 
-def _oscillator_dense(dim: Dimension, lab: _Labels, V, d_coef, dp_coef):
-    """A = d S_m + d' S_m' and N = V diag(n) V^dag per pair (P, D, D), and n."""
-    nv = _n_values(dim.d, _phase_cross(dim.d, lab.cross))
-    A = (d_coef[:, None, None] * schwinger_stack(dim.d, lab.m)
-         + dp_coef[:, None, None] * schwinger_stack(dim.d, lab.mp))
-    return A, _diag_stack(V, nv), nv
-
-
 def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
     """Per-pair residuals of the oscillator identities (see oscillator_residuals).
 
@@ -413,15 +402,17 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     eta = None if eta_override is None else np.array([float(eta_override)])
     eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp, eta)
     lam, V = lab.system(int(lab.keys[0]))
-    A, N, nv = _oscillator_dense(dim, lab, V[None], d_coef, dp_coef)
     cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
+    nv = _n_values(d, c)
+    S = schwinger_stack(d, [lab.m[0], lab.mp[0]])
     c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
     Q = c_q[:, None, None] * _diag_stack(V[None], np.exp((1j * g0 * c)[:, None] * nv))
     return QOscillator(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         q=np.exp(-1j * g0 * (cross % d)), eta=float(eta[0]), d_coef=d_coef[0],
-        dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q[0], lowering=A[0], number_op=N[0],
+        dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q[0],
+        lowering=d_coef[0] * S[0] + dp_coef[0] * S[1], number_op=_diag_stack(V[None], nv)[0],
         q_exponential=Q[0], eigenvectors=V, eigenvalues=lam,
         n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
@@ -453,15 +444,10 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
         dim, m, mp, V, *_oscillator_coefs(dim, m, mp)))
 
 
-def oscillator_operators(dim: Dimension, m, mp):
-    """Lowering operator A and number operator N per pair, stacked (P, D, D).
-
-    m and mp are integer label arrays (P, 2) of pairs build_q_oscillator builds;
-    the first it refuses raises its error.
-    """
-    lab = _built_labels(dim, m, mp, _OSC_REASONS)
-    _, d_coef, dp_coef, _ = _oscillator_coefs(dim, lab.m, lab.mp)
-    return _oscillator_dense(dim, lab, lab.eigenvectors(slice(None)), d_coef, dp_coef)[:2]
+def oscillator_coefficients(dim: Dimension, m, mp):
+    """d, d' and the number offset, 0, of A = d S_m + d' S_m' per pair (P, 2)."""
+    _, d_coef, dp_coef, _ = _oscillator_coefs(dim, m, mp)
+    return d_coef, dp_coef, np.zeros_like(d_coef)
 
 
 @dataclass(frozen=True)
@@ -626,14 +612,6 @@ def _sl2_coefs(dim: Dimension, m, mp):
     return d_coef, np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
 
 
-def _sl2_dense(dim: Dimension, lab: _Labels, d_coef, delta):
-    """A = d (S_m + S_m') per pair (P, D, D), V, n and J3's values n + delta."""
-    V = lab.eigenvectors(slice(None))
-    nv = _n_values(dim.d, _phase_cross(dim.d, lab.cross))
-    A = d_coef[:, None, None] * (schwinger_stack(dim.d, lab.m) + schwinger_stack(dim.d, lab.mp))
-    return A, V, nv, nv + delta[:, None]
-
-
 def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
     """Per-pair residuals of the deformed sl(2) identities (see sl2_residuals).
 
@@ -681,15 +659,17 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     d = dim.d
     lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
     d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
-    A, V, nv, j3 = _sl2_dense(dim, lab, d_coef, delta)
     cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
+    nv = _n_values(d, c)[0]
+    S = schwinger_stack(d, [lab.m[0], lab.mp[0], lab.m[0] - lab.mp[0]])
     return UqSl2Realisation(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         p=np.exp(-1j * dim.gamma0 * c)[0], s_p=np.exp(-1j * np.pi * c)[0],
         s_tilde_p=np.exp(-1j * dim.gamma0 * _phase_cross(d, cross) * (d - 1) / 2.0),
-        d_coef=d_coef[0], lowering=A[0], intertwiner=schwinger_stack(d, lab.m - lab.mp)[0],
-        eigenvectors=V[0], n_values=nv[0], delta=float(delta[0]), j3_values=j3[0],
+        d_coef=d_coef[0], lowering=d_coef[0] * (S[0] + S[1]), intertwiner=S[2],
+        eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv, delta=float(delta[0]),
+        j3_values=nv + delta[0],
     )
 
 
@@ -722,15 +702,10 @@ def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
         dim, m, mp, V, *_sl2_coefs(dim, m, mp)))
 
 
-def sl2_operators(dim: Dimension, m, mp):
-    """Lowering operator A and J3 per pair, stacked (P, D, D).
-
-    m and mp are integer label arrays (P, 2) of pairs build_uq_sl2 builds; the
-    first it refuses raises its error.
-    """
-    lab = _built_labels(dim, m, mp, _SL2_REASONS)
-    A, V, _, j3 = _sl2_dense(dim, lab, *_sl2_coefs(dim, lab.m, lab.mp))
-    return A, _diag_stack(V, j3)
+def sl2_coefficients(dim: Dimension, m, mp):
+    """d = d' and the J3 offset delta of A = d (S_m + S_m') per pair (P, 2)."""
+    d_coef, delta = _sl2_coefs(dim, m, mp)
+    return d_coef, d_coef, delta
 
 
 def _sigma_values(o: UqSl2Realisation) -> np.ndarray:

@@ -155,8 +155,8 @@ def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperato
                                unitary_residual=ures)
 
 
-def _sweep(op: MetaplecticOperator, labels, phase=None) -> tuple[np.ndarray, np.ndarray]:
-    """Phase z and residual max|G S_m - z S_r G| per label row m, r = R m mod D.
+def _sweep(G, smap: SymplecticMap, labels, phase=None) -> tuple[np.ndarray, np.ndarray]:
+    """Phase z and residual max|G S_m - z S_r G| per label row m, r = R m mod D, R = smap.
 
     G S_m is G with its columns shifted by m1 and phased, S_r G is G with its
     rows shifted by r1 and phased: both are taken from G a block of labels at
@@ -165,9 +165,9 @@ def _sweep(op: MetaplecticOperator, labels, phase=None) -> tuple[np.ndarray, np.
     normalized overlap Tr(S_r^dag G S_m G^dag) / D; an overlap below 1e-12 is
     lost and reads residual 1.0.
     """
-    d, G = op.dim.d, op.matrix
+    d = smap.dim.d
     m = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    r1, r2 = op.map.apply((m[:, 0], m[:, 1]), reduce=True)
+    r1, r2 = smap.apply((m[:, 0], m[:, 1]), reduce=True)
     unit, j = np.exp(-1j * np.pi * np.arange(2 * d) / d), np.arange(d)
     # exponents of vm_j = S_m[j + m1, j] and of ur_i = S_r[i, i - r1], 2 r2 i - r1 r2
     em = (m[:, 0] % (2 * d)) * (m[:, 1] % (2 * d)) % (2 * d)
@@ -213,7 +213,7 @@ def covariance_report(op: MetaplecticOperator, labels=None) -> tuple[float, list
     """
     m = np.asarray(window_vectors(op.dim) if labels is None else labels,
                    dtype=np.int64).reshape(-1, 2)
-    phase, resid = _sweep(op, m)
+    phase, resid = _sweep(op.matrix, op.map, m)
     records = [{"m": (a, b), "phase": p, "residual": x}
                for (a, b), p, x in zip(m.tolist(), phase.tolist(), resid.tolist())]
     return float(resid.max(initial=0.0)), records
@@ -227,7 +227,8 @@ def translation_covariance_residual(op: MetaplecticOperator) -> float:
     """
     m1, m2 = np.indices((op.dim.d, op.dim.d)).reshape(2, -1)
     r1, r2 = op.map.apply((m1, m2), reduce=True)
-    _, resid = _sweep(op, np.stack([m1, m2], axis=1), 1 - 2 * ((r1 * r2 - m1 * m2) % 2))
+    _, resid = _sweep(op.matrix, op.map, np.stack([m1, m2], axis=1),
+                      1 - 2 * ((r1 * r2 - m1 * m2) % 2))
     return float(resid.max())
 
 

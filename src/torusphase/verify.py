@@ -20,7 +20,7 @@ from .errors import (
     SingularDeformationError,
     TorusPhaseError,
 )
-from .lattice import Dimension, lattice_cross, random_state, window_vectors
+from .lattice import Dimension, canonical_window, lattice_cross, random_state, window_vectors
 
 # Each suite imports the layers it checks in its own body, so a single-suite
 # call loads only those; "all" loads every layer.
@@ -61,7 +61,9 @@ def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
     replacement, found by their index in that order without listing them all.
     """
     d = dim.d
-    vecs = np.array(window_vectors(dim))
+    w = np.array(canonical_window(dim))
+    # window_vectors(dim) as one array, without its D^2 tuples
+    vecs = np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1).reshape(-1, 2)
     # D gcd(m1, m2, D) labels m' have m x m' = 0 mod D
     per_m = d * d - d * np.gcd(np.gcd(vecs[:, 0], vecs[:, 1]), d)
     total = int(per_m.sum())
@@ -74,7 +76,8 @@ def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
     ends = np.cumsum(per_m)
     outer = np.searchsorted(ends, idx, side="right")
     rank = idx - ends[outer] + per_m[outer]
-    mp = [vecs[lattice_cross(vecs[o], vecs.T) % d != 0][k] for o, k in zip(outer, rank)]
+    # a row of vecs itself: a row of a filtered copy would keep the whole copy alive
+    mp = [vecs[np.flatnonzero(lattice_cross(vecs[o], vecs.T) % d)[k]] for o, k in zip(outer, rank)]
     return vecs[outer], np.array(mp, dtype=vecs.dtype).reshape(-1, 2)
 
 
@@ -90,48 +93,55 @@ def _representatives(d: int, families) -> tuple[np.ndarray, np.ndarray]:
     return m, mp
 
 
-def _orbit_conjugation(dim: Dimension, operators, pairs, reps) -> float:
+def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     """Worst distance of a window pair from a swept representative under G_R.
 
-    For a pair (m, m') of area c, R = [m | c^{-1} m'] mod D has det 1 and takes
-    (1, 0) to m and (0, c) to m'.  The pair's A and X (N or J3, from
-    `operators`) must satisfy G_R^dag A G_R = z A_rho with z^4 = 1 and
-    G_R^dag X G_R = X_rho for a representative rho of area c mod D; the value
-    is the least such residual, so a pair no representative matches reads O(1).
-    The pairs go in label blocks, each with one stacked G_R build, one
-    `operators` call for its pairs and one for the representatives they need;
-    the (pair, representative) checks go in label blocks of their own.
+    For a pair (m, m') of area c, R = [m | c^{-1} m'] mod D takes the labels
+    x = (1, 0), (0, c), (1, -c) to m, m', w = m - m' mod D.  With
+    A = d S_m + d' S_m' and X = N or J3, G_R^dag A G_R = z A_rho (z^4 = 1) and
+    G_R^dag X G_R = X_rho hold for a representative rho of area c mod D exactly
+    when G_R S_x = z_x S_{R x} G_R on those labels (transforms._sweep, O(D^2))
+    and scalar identities hold: d s_m conj(z_1) = z d_rho s_rho and
+    d' s_m' conj(z_2) = z d'_rho, with s the exact reduction signs; conj(z_w)
+    takes the v_0 eigenvalue of S_(1,-c) onto that of S_w (X is a function of
+    the eigenvalue index of S_w, which any other eigenvalue shifts); and
+    delta = delta_rho.  coefs(dim, m, m') gives d, d' and delta per pair.  The
+    value is the least such residual over the representatives, so a pair none
+    matches reads O(1).  No operator but G_R is built, in label blocks.
     """
     from . import transforms
+    from .deformed import _branch_sign
     from .schwinger import label_blocks
 
     d = dim.d
     (m, mp), (rm, rmp) = pairs, reps
     c = lattice_cross(m.T, mp.T)
     rc = lattice_cross(rm.T, rmp.T)
-    cinv = np.array([pow(int(x), -1, d) for x in c], dtype=np.int64)
-    worst = 0.0
+    t = np.array([pow(int(x), -1, d) for x in c], dtype=np.int64)[:, None] * mp % d
+    x = np.stack(np.broadcast_arrays(1, 0, 0, c, 1, -c), axis=1).reshape(-1, 3, 2)
+    z, cov = np.empty((len(c), 3), dtype=complex), np.empty((len(c), 3))
     for blk in label_blocks(len(c), d):
-        G = transforms.metaplectic_stack(dim, m[blk], cinv[blk, None] * mp[blk])
-        A, X = operators(dim, m[blk], mp[blk])
-        Gh = G.conj().swapaxes(1, 2)
-        Y, Z = Gh @ A @ G, Gh @ X @ G
-        # (pair, representative) of equal area mod D, pair-major
-        pi, ri = np.nonzero((rc[None, :] - c[blk, None]) % d == 0)
-        need = np.zeros(len(rc), dtype=bool)
-        need[ri] = True
-        Ar, Xr = operators(dim, rm[need], rmp[need])
-        ki = (np.cumsum(need) - 1)[ri]
-        least = np.full(len(G), np.inf)
-        for sub in label_blocks(len(pi), d):
-            p, k = pi[sub], ki[sub]
-            Ak, Yp = Ar[k], Y[p]
-            z = np.einsum("kij,kij->k", Ak.conj(), Yp) / np.einsum("kij,kij->k", Ak.conj(), Ak).real
-            res = np.maximum.reduce([np.abs(Yp - z[:, None, None] * Ak).max(axis=(1, 2)),
-                                     np.abs(z ** 4 - 1), np.abs(Z[p] - Xr[k]).max(axis=(1, 2))])
-            np.minimum.at(least, p, res)
-        worst = max(worst, float(least.max()))
-    return worst
+        for i, G in zip(range(len(c))[blk], transforms.metaplectic_stack(dim, m[blk], t[blk])):
+            smap = transforms.SymplecticMap(dim, tuple((m[i] % d).tolist()), tuple(t[i].tolist()))
+            z[i], cov[i] = transforms._sweep(G, smap, x[i])
+
+    def sign(y, y0):    # S_y = sign S_y0 for labels y = y0 mod D, an exact parity
+        return _branch_sign(d, 0, y) * _branch_sign(d, 0, y0)
+
+    dm, dmp, delta = coefs(dim, m, mp)
+    y = np.stack([dm * sign(m, m % d), dmp * sign(mp, mp % d)], axis=1) * z[:, :2].conj()
+    # _branch_sign(d, 0, y) is the eigenvalue of S_y on v_0 of its window label
+    spectrum = np.abs(z[:, 2].conj() * _branch_sign(d, 0, x[:, 2])
+                      - _branch_sign(d, 0, (m - mp) % d))
+    # (pair, representative) of equal area mod D, pair-major
+    pi, ri = np.nonzero((rc[None, :] - c[:, None]) % d == 0)
+    rd, rdp, rdelta = coefs(dim, rm[ri], rmp[ri])
+    a = np.stack([rd * sign(rm[ri], x[pi, 0]), rdp * sign(rmp[ri], x[pi, 1])], axis=1)
+    zz = (a.conj() * y[pi]).sum(axis=1) / (np.abs(a) ** 2).sum(axis=1)
+    least = np.full(len(c), np.inf)
+    np.minimum.at(least, pi, np.maximum.reduce([np.abs(y[pi] - zz[:, None] * a).max(axis=1),
+                                                np.abs(zz ** 4 - 1), np.abs(delta[pi] - rdelta)]))
+    return float(np.maximum.reduce([cov.max(axis=1), spectrum, least]).max(initial=0.0))
 
 
 def _sweep_plan(dim: Dimension, seed: int, samples: int | None, families):
@@ -217,7 +227,7 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
         rows.append(_res(k, worst[k], note=note))
     if classes:
         rows.append(_res("orbit_conjugation", _orbit_conjugation(
-            dim, deformed.oscillator_operators, pairs, swept), note=note))
+            dim, deformed.oscillator_coefficients, pairs, swept), note=note))
     rows.append(_res("shift_constant", worst["shift_constant"]))
     min_spectrum = worst["spectrum_min"]
     rows.append(_res("admissible_spectrum", max(0.0, -float(min_spectrum)),
@@ -226,22 +236,33 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
         rows.append(_flag("no_lowest_weight", deformed.lowest_weight_sweep(dim, *swept) is None,
                           note="cyclic (no lowest-weight vector) for odd D"))
     m, mp = pairs
-    sample_oscs = [deformed.build_q_oscillator(dim, m[i], mp[i]) for i in np.flatnonzero(built)[:5]]
-    worst_law = worst_amp = 0.0
-    lit = lam = 0.0
-    corr_ok = True
-    for osc in sample_oscs:
-        try:
-            corr = deformed.eigenbasis_correspondence(osc)
-        except PhaseMismatchError:
-            if dim.prime:
-                raise
-            corr_ok = False
-            break
-        worst_law = max(worst_law, corr.product_law_residual)
-        worst_amp = max(worst_amp, corr.eq_amplitude_residual)
-        lit = max(lit, corr.literal_phase_residual)
-        lam = max(lam, corr.lambda_claim_residual)
+    worst_law = worst_amp = lit = lam = 0.0
+    corr_ok, opp, dev = True, np.inf, None
+    # one oscillator alive at a time: each holds four dense D x D arrays
+    for k, i in enumerate(np.flatnonzero(built)[:5]):
+        osc = deformed.build_q_oscillator(dim, m[i], mp[i])
+        if corr_ok:
+            try:
+                corr = deformed.eigenbasis_correspondence(osc)
+            except PhaseMismatchError:
+                if dim.prime:
+                    raise
+                corr_ok = False
+            else:
+                worst_law = max(worst_law, corr.product_law_residual)
+                worst_amp = max(worst_amp, corr.eq_amplitude_residual)
+                lit = max(lit, corr.literal_phase_residual)
+                lam = max(lam, corr.lambda_claim_residual)
+        pair, eta, shift, spectrum = (osc.m, osc.mp), osc.eta, osc.shift_constant, osc.spectrum
+        osc = corr = None
+        if k < 3:
+            opp = min(opp, deformed.oscillator_residuals(deformed.build_q_oscillator(
+                dim, *pair, eta_override=-eta))["number"])
+        if k == 0:
+            inverse = deformed.build_q_oscillator(dim, pair[1], pair[0])
+            dev = max(abs(shift - inverse.shift_constant),
+                      float(np.max(np.abs(np.sort(spectrum) - np.sort(inverse.spectrum)))))
+            inverse = None
     if corr_ok:
         rows.append(_res("correspondence_product_law", worst_law))
         rows.append(_res("correspondence_amplitude", worst_amp))
@@ -252,17 +273,9 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
     else:
         rows.append(_info("correspondence", 1.0,
                           note=f"phase laws drift at composite D={dim.d}; reported only"))
-    opp = np.inf
-    for osc in sample_oscs[:3]:
-        o2 = deformed.build_q_oscillator(dim, osc.m, osc.mp, eta_override=-osc.eta)
-        opp = min(opp, deformed.oscillator_residuals(o2)["number"])
     rows.append(_flag("opposite_sign_rejected", bool(opp > 1e-3),
                       note=f"flipped-eta residual min {opp:.3e} (must be large)"))
-    if sample_oscs:
-        o1 = sample_oscs[0]
-        o2 = deformed.build_q_oscillator(dim, o1.mp, o1.m)
-        dev = abs(o1.shift_constant - o2.shift_constant)
-        dev = max(dev, float(np.max(np.abs(np.sort(o1.spectrum) - np.sort(o2.spectrum)))))
+    if dev is not None:
         rows.append(_res("inverse_deformation_spectrum", dev,
                          note="(m, m') and (m', m) share C and spectrum"))
     return rows
@@ -280,7 +293,7 @@ def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list
     rows = [_res(k, v, note=note) for k, v in sweep.worst.items()]
     if classes:
         rows.append(_res("orbit_conjugation", _orbit_conjugation(
-            dim, deformed.sl2_operators, pairs, swept), note=note))
+            dim, deformed.sl2_coefficients, pairs, swept), note=note))
     if dim.d <= 7:
         try:
             rep = deformed.coproduct_check(dim, (1, 0), (0, 1))

@@ -516,10 +516,10 @@ def test_class_sweep_passes_where_the_exhaustive_sweep_passes(d):
 def test_every_window_pair_conjugates_onto_a_swept_representative(d):
     dim = make_dimension(d)
     pairs = pair_arrays(dim)
-    for families, operators in ((verify._QOSC_FAMILIES, deformed.oscillator_operators),
-                                (verify._SL2_FAMILIES, deformed.sl2_operators)):
+    for families, coefs in ((verify._QOSC_FAMILIES, deformed.oscillator_coefficients),
+                            (verify._SL2_FAMILIES, deformed.sl2_coefficients)):
         reps = verify._representatives(d, families)
-        assert verify._orbit_conjugation(dim, operators, pairs, reps) < 1e-12
+        assert verify._orbit_conjugation(dim, coefs, pairs, reps) < 1e-12
 
 
 @pytest.mark.parametrize("families", [(0,), (1,)])

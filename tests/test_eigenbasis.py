@@ -198,7 +198,7 @@ def oracle_sweep(dim, m, mp, algebra):
     worst = {}
     for start in range(0, len(built), step):
         idx = built[start:start + step]
-        st = stack(dim, lab.m[idx], lab.mp[idx], lab.eigenvectors(idx))
+        st = stack(dim, lab.m[idx], lab.mp[idx], next(lab.eigenvector_blocks([idx])))
         for k, v in residuals(st).items():
             if k == "spectrum_min":
                 worst[k] = min(worst.get(k, np.inf), float(v.min()))

@@ -16,7 +16,9 @@ from torusphase import (
     SchwingerEigensystem,
     build_clock_operator,
     build_fourier_operator,
+    build_q_oscillator,
     build_shift_operator,
+    build_uq_sl2,
     conjugate_pair_suite,
     dense_eigensystem_match,
     eigensystem_by_recursion,
@@ -33,8 +35,29 @@ DIMENSIONS = range(2, 14)
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
 
+def _oscillator_ops(dim, m, mp):
+    o = build_q_oscillator(dim, m, mp)
+    return o.lowering, o.number_op
+
+
+def _sl2_ops(dim, m, mp):
+    o = build_uq_sl2(dim, m, mp)
+    return o.lowering, (o.eigenvectors * o.j3_values) @ o.eigenvectors.conj().T
+
+
+# (representative families, coefficient function of the row, dense operators of the loop)
+ALGEBRAS = ((verify._QOSC_FAMILIES, deformed.oscillator_coefficients, _oscillator_ops),
+            (verify._SL2_FAMILIES, deformed.sl2_coefficients, _sl2_ops))
+
+
 def _orbit_loop(dim, operators, pairs, reps):
-    """verify._orbit_conjugation one pair at a time, one build_metaplectic each."""
+    """The dense form of verify._orbit_conjugation, one pair and one build_metaplectic at a time.
+
+    operators(dim, m, m') gives the builders' A and X (N or J3) of one pair;
+    the value is the worst over pairs of the least, over representatives of
+    the same area mod D, of max|G^dag A G - z A_rho|, |z^4 - 1| and
+    max|G^dag X G - X_rho|, with z the least-squares fit.
+    """
     d = dim.d
     (m, mp), (rm, rmp) = pairs, reps
     c = lattice_cross(m.T, mp.T)
@@ -45,14 +68,14 @@ def _orbit_loop(dim, operators, pairs, reps):
         R = transforms.SymplecticMap(dim, (int(m[i, 0]) % d, int(m[i, 1]) % d),
                                      (cinv * int(mp[i, 0]) % d, cinv * int(mp[i, 1]) % d))
         G = transforms.build_metaplectic(dim, R).matrix
-        near = np.flatnonzero((rc - c[i]) % d == 0)
-        A, X = operators(dim, np.vstack([m[i], rm[near]]), np.vstack([mp[i], rmp[near]]))
-        Y, Z = G.conj().T @ A[0] @ G, G.conj().T @ X[0] @ G
-        Ar = A[1:]
-        z = np.einsum("pij,ij->p", Ar.conj(), Y) / np.einsum("pij,pij->p", Ar.conj(), Ar).real
-        res = np.maximum.reduce([np.abs(Y - z[:, None, None] * Ar).max(axis=(1, 2)),
-                                 np.abs(z ** 4 - 1), np.abs(Z - X[1:]).max(axis=(1, 2))])
-        worst = max(worst, float(res.min()))
+        A, X = operators(dim, tuple(m[i]), tuple(mp[i]))
+        Y, Z = G.conj().T @ A @ G, G.conj().T @ X @ G
+        least = np.inf
+        for k in np.flatnonzero((rc - c[i]) % d == 0):
+            Ar, Xr = operators(dim, tuple(rm[k]), tuple(rmp[k]))
+            z = np.vdot(Ar, Y) / np.vdot(Ar, Ar).real
+            least = min(least, max(max_abs(Y - z * Ar), abs(z ** 4 - 1), max_abs(Z - Xr)))
+        worst = max(worst, least)
     return worst
 
 
@@ -146,17 +169,73 @@ def test_metaplectic_stack_refuses_what_build_metaplectic_refuses():
 
 @pytest.mark.parametrize("d", ODD_PRIMES)
 def test_orbit_conjugation_equals_the_per_pair_loop(d):
+    # the row checks scalar identities where the loop conjugates dense
+    # operators: the two agree to rounding, on the sample and on single pairs
     dim = make_dimension(d)
-    for families, operators in ((verify._QOSC_FAMILIES, deformed.oscillator_operators),
-                                (verify._SL2_FAMILIES, deformed.sl2_operators)):
+    for families, coefs, operators in ALGEBRAS:
         pairs, reps, classes = verify._sweep_plan(dim, d, None, families)
         assert classes
-        assert verify._orbit_conjugation(dim, operators, pairs, reps) == \
-            _orbit_loop(dim, operators, pairs, reps)
+        assert verify._orbit_conjugation(dim, coefs, pairs, reps) < 1e-13
+        assert _orbit_loop(dim, operators, pairs, reps) < 1e-13
         for i in range(0, len(pairs[0]), 16):
             one = (pairs[0][i:i + 1], pairs[1][i:i + 1])
-            assert verify._orbit_conjugation(dim, operators, one, reps) == \
-                _orbit_loop(dim, operators, one, reps)
+            assert verify._orbit_conjugation(dim, coefs, one, reps) < 1e-13
+            assert _orbit_loop(dim, operators, one, reps) < 1e-13
+
+
+def _is_representative(d, m, mp):
+    """Label pairs of the form ((1, a D), (0, c)), as verify._representatives makes them."""
+    m, mp = np.reshape(m, (-1, 2)), np.reshape(mp, (-1, 2))
+    return (m[:, 0] == 1) & (m[:, 1] % d == 0) & (mp[:, 0] == 0)
+
+
+def _flipped_eta_coefs(dim, m, mp):
+    eta = deformed._oscillator_coefs(dim, m, mp)[0]
+    eta = np.where(_is_representative(dim.d, m, mp), eta, -eta)
+    _, d_coef, dp_coef, _ = deformed._oscillator_coefs(dim, m, mp, eta)
+    return d_coef, dp_coef, np.zeros_like(d_coef)
+
+
+def _flipped_eta_ops(dim, m, mp):
+    o = build_q_oscillator(dim, m, mp)
+    if not _is_representative(dim.d, m, mp)[0]:
+        o = build_q_oscillator(dim, m, mp, eta_override=-o.eta)
+    return o.lowering, o.number_op
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_orbit_conjugation_reads_a_flipped_eta(d):
+    dim = make_dimension(d)
+    pairs, reps, _ = verify._sweep_plan(dim, d, None, verify._QOSC_FAMILIES)
+    assert verify._orbit_conjugation(dim, _flipped_eta_coefs, pairs, reps) > 1e-4
+    assert _orbit_loop(dim, _flipped_eta_ops, pairs, reps) > 1e-4
+
+
+@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("families", [(0,), (1,)])
+def test_orbit_conjugation_reads_a_missing_sl2_family(d, families):
+    dim = make_dimension(d)
+    pairs, _, _ = verify._sweep_plan(dim, d, None, verify._SL2_FAMILIES)
+    reps = verify._representatives(d, families)
+    assert verify._orbit_conjugation(dim, deformed.sl2_coefficients, pairs, reps) > 1e-4
+    assert _orbit_loop(dim, _sl2_ops, pairs, reps) > 1e-4
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_orbit_conjugation_reads_a_perturbed_metaplectic_entry(monkeypatch, d):
+    exact = transforms.metaplectic_stack
+
+    def perturbed(dim, s, t):
+        G = exact(dim, s, t)
+        G[:, 1, 2] += 1e-3
+        return G
+
+    monkeypatch.setattr(transforms, "metaplectic_stack", perturbed)
+    dim = make_dimension(d)
+    for families, coefs, operators in ALGEBRAS:
+        pairs, reps, _ = verify._sweep_plan(dim, d, None, families)
+        assert verify._orbit_conjugation(dim, coefs, pairs, reps) > 1e-4
+        assert _orbit_loop(dim, operators, pairs, reps) > 1e-4
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -249,3 +328,17 @@ def test_blocked_suites_stay_within_the_traced_peak_of_the_label_loops(suite, bu
     finally:
         tracemalloc.stop()
     assert peak <= budget, peak
+
+
+def test_sampled_pairs_hold_no_copy_of_the_window_per_pair():
+    # each sampled m' was a row of a filtered copy of the D^2 window labels,
+    # which it kept alive: 64 copies, a traced peak of 45.9 MB at D = 211
+    dim = make_dimension(211)
+    tracemalloc.start()
+    try:
+        m, mp = verify._swept_pairs(dim, 0, verify._ORBIT_SAMPLES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m) == len(mp) == verify._ORBIT_SAMPLES
+    assert peak <= 10e6, peak
