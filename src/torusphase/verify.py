@@ -103,9 +103,9 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     when G_R S_x = z_x S_{R x} G_R on those labels (transforms._sweep, O(D^2))
     and scalar identities hold: d s_m conj(z_1) = z d_rho s_rho and
     d' s_m' conj(z_2) = z d'_rho, with s the exact reduction signs; conj(z_w)
-    takes the v_0 eigenvalue of S_(1,-c) onto that of S_w (X is a function of
-    the eigenvalue index of S_w, which any other eigenvalue shifts); and
-    delta = delta_rho.  coefs(dim, m, m') gives d, d' and delta per pair.  The
+    takes the v_0 eigenvalue of S_(1,-c) onto that of S_(w mod D) (X is
+    n(r) = c^{-1} r (+ delta) on eigenvector r of S_w, and any other eigenvalue
+    shifts r); and delta = delta_rho.  coefs(dim, m, m') gives d, d' and delta per pair.  The
     value is the least such residual over the representatives, so a pair none
     matches reads O(1).  No operator but G_R is built, in label blocks.
     """
@@ -125,8 +125,8 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
             smap = transforms.SymplecticMap(dim, tuple((m[i] % d).tolist()), tuple(t[i].tolist()))
             z[i], cov[i] = transforms._sweep(G, smap, x[i])
 
-    def sign(y, y0):    # S_y = sign S_y0 for labels y = y0 mod D, an exact parity
-        return _branch_sign(d, 0, y) * _branch_sign(d, 0, y0)
+    def sign(u, v):    # S_u = sign S_v for labels u = v mod D, an exact parity
+        return _branch_sign(d, 0, u) * _branch_sign(d, 0, v)
 
     dm, dmp, delta = coefs(dim, m, mp)
     y = np.stack([dm * sign(m, m % d), dmp * sign(mp, mp % d)], axis=1) * z[:, :2].conj()

@@ -332,7 +332,7 @@ def test_blocked_suites_stay_within_the_traced_peak_of_the_label_loops(suite, bu
 
 def test_sampled_pairs_hold_no_copy_of_the_window_per_pair():
     # each sampled m' was a row of a filtered copy of the D^2 window labels,
-    # which it kept alive: 64 copies, a traced peak of 45.9 MB at D = 211
+    # which it kept alive: 64 copies, a traced peak of 48 MB at D = 211
     dim = make_dimension(211)
     tracemalloc.start()
     try:
