@@ -44,7 +44,7 @@ _EXPORTS = {
         "random_symplectic", "verify_symplectic",
     ),
     "wigner": (
-        "WignerGrid", "characteristic", "classical_symbol", "kernel_grid", "kernel_suite",
+        "WignerGrid", "characteristic", "classical_symbol", "kernel_suite",
         "property_suite", "symbol_reconstruct", "wigner_function",
     ),
     "numberphase": (

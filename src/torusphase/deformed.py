@@ -33,7 +33,7 @@ integer parity of the labels (_branch_sign), not a measured phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -94,11 +94,6 @@ def _scalar_pow(x, e: float) -> np.ndarray:
     a coefficient must not depend on how many pairs share its block.
     """
     return np.array([math.pow(v, e) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
-def _diag_stack(V, values) -> np.ndarray:
-    """V diag(values) V^dag per pair: the dense form of an operator diagonal on V."""
-    return (V * values[:, None, :]) @ _dag(V)
 
 
 def _inverse_mod(d: int, c):
@@ -405,15 +400,21 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
     nv = _n_values(d, c)
-    S = schwinger_stack(d, [lab.m[0], lab.mp[0]])
-    c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)
-    Q = c_q[:, None, None] * _diag_stack(V[None], np.exp((1j * g0 * c)[:, None] * nv))
+    c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)[0]
+    # N and Q are V diag(x) V^dag through one V^dag, and A = d S_m + d' S_m' is
+    # built one S at a time in place: no D x D temporary outlives its use
+    Vh = _dag(V)
+    N, Q = ((V * x) @ Vh for x in (nv[0], np.exp(1j * g0 * c * nv)[0]))
+    del Vh
+    np.multiply(c_q, Q, out=Q)
+    A, Sp = (schwinger_stack(d, [x])[0] for x in (lab.m[0], lab.mp[0]))
+    np.multiply(d_coef[0], A, out=A)
+    A += np.multiply(dp_coef[0], Sp, out=Sp)
     return QOscillator(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         q=np.exp(-1j * g0 * (cross % d)), eta=float(eta[0]), d_coef=d_coef[0],
-        dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q[0],
-        lowering=d_coef[0] * S[0] + dp_coef[0] * S[1], number_op=_diag_stack(V[None], nv)[0],
-        q_exponential=Q[0], eigenvectors=V, eigenvalues=lam,
+        dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q,
+        lowering=A, number_op=N, q_exponential=Q, eigenvectors=V, eigenvalues=lam,
         n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 
@@ -527,7 +528,6 @@ class EigenCorrespondence:
     g and f are the weights the residual rows check (_shift_weights).
     """
 
-    osc: QOscillator = field(repr=False)
     g_phases: np.ndarray
     f_phases: np.ndarray
     predicted: np.ndarray          # E
@@ -564,7 +564,7 @@ def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorre
             f"product law {law:.2e}, unit shift {shift_ok}"
         )
     return EigenCorrespondence(
-        osc=osc, g_phases=g, f_phases=f, predicted=E,
+        g_phases=g, f_phases=f, predicted=E,
         eq_amplitude_residual=eq_amp, product_law_residual=law,
         product_phase=complex(np.prod(E / g)),
         literal_phase_residual=literal, lambda_claim_residual=lam_resid,
@@ -580,7 +580,6 @@ class UqSl2Realisation:
     cross: int
     p: complex
     s_p: complex                  # p^{D/2}
-    s_tilde_p: complex            # p^{(D-1)/2}, stored for reference only
     d_coef: float                 # d = d', real positive
     lowering: np.ndarray          # A
     intertwiner: np.ndarray       # S_{m-m'} at the exact (unreduced) label
@@ -666,7 +665,6 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     return UqSl2Realisation(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         p=np.exp(-1j * dim.gamma0 * c)[0], s_p=np.exp(-1j * np.pi * c)[0],
-        s_tilde_p=np.exp(-1j * dim.gamma0 * _phase_cross(d, cross) * (d - 1) / 2.0),
         d_coef=d_coef[0], lowering=d_coef[0] * (S[0] + S[1]), intertwiner=S[2],
         eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv, delta=float(delta[0]),
         j3_values=nv + delta[0],

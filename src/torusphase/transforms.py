@@ -26,7 +26,8 @@ from .lattice import Dimension, build_fourier_operator, max_abs, window_vectors
 
 # entries of one (labels, D, D) block of G S_m in the covariance sweep: 2^14
 # (4 labels at D = 61) ran fastest of 2^12..2^16 at D = 31 and 61 (2^15 and
-# 2^16 gained ~10% at D = 101), and bounds the sweep's memory beyond G
+# 2^16 gained ~10% at D = 101), and bounds the sweep's memory beyond G; it also
+# bounds the labels of one chunk of metaplectic_stack's sum over all maps
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -123,18 +124,18 @@ def metaplectic_stack(dim: Dimension, s, t) -> np.ndarray:
             f"D={d} is composite; metaplectic unitaries are built for prime D only"
         )
     k = (det - 1) // d
-    m1, m2 = np.divmod(np.arange(d * d, dtype=np.int64), d)
-    q1, r1 = np.divmod(s1 * m1 + t1 * m2, d)
-    q2, r2 = np.divmod(s2 * m1 + t2 * m2, d)
-    # phi(m) = (-1)^parity: a^{m1} b^{m2}, the lift k, then the sign of S_{Rm} = +/- S_r
-    parity = (s1 * s2 * m1 + (d % 2) * t1 * t2 * m2 + k * m1 * m2
-              + q1 * r2 + q2 * r1 + q1 * q2 * d)
-    e = (m1 * m2 - r1 * r2 + d * (parity % 2)) % (2 * d)
-    # each term adds to entry (r1, m1) of its map's G, summed in the order of m
-    idx = ((np.arange(len(s))[:, None] * d + r1) * d + m1).ravel()
-    z = np.exp(1j * np.pi * e / d).ravel()
-    size = len(s) * d * d
-    G = (np.bincount(idx, z.real, size) + 1j * np.bincount(idx, z.imag, size)).reshape(-1, d, d)
+    G = np.zeros((len(s), d, d), dtype=complex)
+    # a chunk of labels at a time, each term added to entry (r1, m1) of its map's G in m order
+    step = max(1, _BLOCK_ENTRIES // len(s))
+    for lo in range(0, d * d, step):
+        m1, m2 = np.divmod(np.arange(lo, min(lo + step, d * d), dtype=np.int64), d)
+        q1, r1 = np.divmod(s1 * m1 + t1 * m2, d)
+        q2, r2 = np.divmod(s2 * m1 + t2 * m2, d)
+        # phi(m) = (-1)^parity: a^{m1} b^{m2}, the lift k, then the sign of S_{Rm} = +/- S_r
+        parity = (s1 * s2 * m1 + (d % 2) * t1 * t2 * m2 + k * m1 * m2
+                  + q1 * r2 + q2 * r1 + q1 * q2 * d)
+        e = (m1 * m2 - r1 * r2 + d * (parity % 2)) % (2 * d)
+        np.add.at(G, (np.arange(len(s))[:, None], r1, m1), np.exp(1j * np.pi * e / d))
     G /= np.sqrt(d * G[:, 0, 0])[:, None, None]
     return G
 

@@ -253,13 +253,13 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
                 worst_amp = max(worst_amp, corr.eq_amplitude_residual)
                 lit = max(lit, corr.literal_phase_residual)
                 lam = max(lam, corr.lambda_claim_residual)
-        pair, eta, shift, spectrum = (osc.m, osc.mp), osc.eta, osc.shift_constant, osc.spectrum
-        osc = corr = None
+        eta, shift, spectrum = osc.eta, osc.shift_constant, osc.spectrum
+        osc = None
         if k < 3:
             opp = min(opp, deformed.oscillator_residuals(deformed.build_q_oscillator(
-                dim, *pair, eta_override=-eta))["number"])
+                dim, m[i], mp[i], eta_override=-eta))["number"])
         if k == 0:
-            inverse = deformed.build_q_oscillator(dim, pair[1], pair[0])
+            inverse = deformed.build_q_oscillator(dim, mp[i], m[i])
             dev = max(abs(shift - inverse.shift_constant),
                       float(np.max(np.abs(np.sort(spectrum) - np.sort(inverse.spectrum)))))
             inverse = None
@@ -322,24 +322,31 @@ def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list
     return rows
 
 
+def _points_note(dim: Dimension) -> str:
+    """How many grid points the per-point kernel rows check, when not all of them."""
+    from .wigner import _checked_points
+
+    n = len(_checked_points(dim))
+    return f"{n} of {dim.d ** 2} points, seeded sample" if n < dim.d ** 2 else ""
+
+
 def suite_wigner(dim: Dimension, seed: int = 0, samples: int = 6) -> list[CheckRow]:
     from . import wigner
 
-    ks = wigner.kernel_suite(dim)
     rows = []
-    structural = ("rotation", "rotation4") if dim.d == 2 else ()
-    for k, v in ks.items():
-        if k in structural:
+    sampled = _points_note(dim)
+    for k, v in wigner.kernel_suite(dim).items():
+        if dim.d == 2 and k in ("rotation", "rotation4"):
             rows.append(_info(k, v, note="quarter-turn covariance is unavailable at D=2"))
         else:
-            rows.append(_res(k, v))
-    ps = wigner.property_suite(dim, n_states=samples, seed=seed)
-    state_structural = ("time_inversion",) if dim.d == 2 else ()
-    for k, v in ps.items():
-        if k in state_structural:
+            rows.append(_res(k, v, note="" if k in ("resolution", "completeness", "rotation4")
+                             else sampled))
+    for k, v in wigner.property_suite(dim, n_states=samples, seed=seed).items():
+        if dim.d == 2 and k == "time_inversion":
             rows.append(_info(k, v, note="inversion covariance is unavailable at D=2"))
         else:
-            rows.append(_res(k, v, note=f"{samples} states"))
+            rows.append(_res(k, v, note=f"{samples} states"
+                                        + (f", {sampled}" if sampled and k == "chi_grid" else "")))
     return rows
 
 
@@ -471,7 +478,7 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
         rows.append(_info("kernel_rotation", rot,
                           note="quarter-turn covariance is unavailable at D=2"))
     else:
-        rows.append(_res("kernel_rotation", rot))
+        rows.append(_res("kernel_rotation", rot, note=_points_note(dim)))
     flat = (transforms.flattening_report(*first_report) if first_report
             else transforms.phase_flattening_report(ident))
     rows.append(_info("phase_flattening", flat["max_phase_deviation"],

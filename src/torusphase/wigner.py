@@ -10,13 +10,12 @@ frequencies, so the D-point rule is exact.
 Every grid is built from one object, the characteristic function
 chi(m) = <psi|S_m|psi> (or Tr(A S_m) for an operator), whose 2-D discrete
 Fourier dual is W(V): one FFT per label row gives chi on the window and one
-2-D FFT gives the grid, O(D^2 log D) time and O(D^2) memory.  The (D,D,D,D)
-kernel grid is kept only as an independent oracle for the small-D suites.
+2-D FFT gives the grid, O(D^2 log D) time and O(D^2) memory.  The suites
+check the kernels one grid point at a time, each built in O(D^2 log D).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,19 +23,20 @@ from .errors import NonRealWignerError
 from .lattice import (
     Dimension,
     _half_phase,
-    build_fourier_operator,
     canonical_window,
     max_abs,
     random_state,
-    window_vectors,
 )
 
 TORUS_NORMALIZATION = "torus-1/D^2"
+# per-point kernel rows: every grid point while D^4 is at most this, else this over D^2 points
+_CHECKED_ENTRIES = 1 << 24
+_KERNEL_BLOCK_ENTRIES = 1 << 15     # complex entries of one block of kernels built together
 
 
 def _trace_chi(d: int, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr(A S_(a_i, b_k)) from the diagonals rows[i, j] = A[j, (j + a_i) mod D]."""
-    return np.fft.fft(rows, axis=1)[:, b % d] * _half_phase(d, a[:, None], b[None, :])
+    """Tr(A S_(a_i, b_k)) from the diagonals rows[..., i, j] = A[j, (j + a_i) mod D]."""
+    return np.fft.fft(rows, axis=-1)[..., b % d] * _half_phase(d, a[:, None], b[None, :])
 
 
 def characteristic(d: int, psi: np.ndarray, a, b) -> np.ndarray:
@@ -73,47 +73,48 @@ def _window_dft(dim: Dimension, chi: np.ndarray, period: int | None = None) -> n
 
 
 def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:
-    """sum_m coeff[m] S_m over window labels m, built diagonal by diagonal.
+    """sum_m coeff[..., m] S_m over window labels m (leading axes: a stack), diagonal by diagonal.
 
     S_m has entries e^{-i pi m1 m2 / D} e^{-i gamma0 m2 j} at ((j + m1) mod D, j),
     so each m1 contributes one FFT over m2 along its diagonal.
     """
     d = dim.d
     w = _window(dim)
-    h = np.empty((d, d), dtype=complex)
-    h[:, w % d] = coeff * _half_phase(d, w[:, None], w[None, :])
+    h = np.empty(np.shape(coeff)[:-2] + (d, d), dtype=complex)
+    h[..., w % d] = coeff * _half_phase(d, w[:, None], w[None, :])
     j = np.arange(d)
-    out = np.empty((d, d), dtype=complex)
-    out[(j + w[:, None]) % d, j] = np.fft.fft(h, axis=1)
+    out = np.empty_like(h)
+    out[..., (j + w[:, None]) % d, j] = np.fft.fft(h, axis=-1)
     return out
 
 
-@lru_cache(maxsize=2)
-def _kernel_grid_cached(d: int) -> np.ndarray:
-    """All D^2 kernels, indexed K[V1, V2, :, :]."""
-    from .schwinger import schwinger_stack
-
-    dim = Dimension(d)
-    labels = window_vectors(dim)
-    stack = schwinger_stack(d, labels)   # (n_m, d, d)
-    m1 = np.array([m[0] for m in labels])
-    m2 = np.array([m[1] for m in labels])
-    a = np.arange(d)
-    # phase[i, V1, V2] = exp(-i gamma0 (m1_i V2 - m2_i V1))
-    phase = np.exp(-1j * dim.gamma0 * (m1[:, None, None] * a[None, None, :]
-                                       - m2[:, None, None] * a[None, :, None]))
-    K = np.einsum("mab,mij->abij", phase, stack) / d**2
-    K.flags.writeable = False
-    return K
+def _kernels(dim: Dimension, points) -> np.ndarray:
+    """Delta(V) per row V = (V1, V2) of points (P, 2), stacked (P, D, D), O(D^2 log D) each."""
+    d, w = dim.d, _window(dim)
+    v1, v2 = np.asarray(points, dtype=np.int64).T[:, :, None, None]
+    # e^{-i gamma0 m x V} / D^2 with m x V = m1 V2 - m2 V1, by its exact exponent mod D
+    unit = np.exp(-2j * np.pi * np.arange(d) / d) / d**2
+    return _displacement_sum(dim, unit[(w[:, None] * v2 - w * v1) % d])
 
 
-def kernel_grid(dim: Dimension) -> np.ndarray:
-    """Array of shape (D, D, D, D): the kernel at every grid point.
+def _checked_points(dim: Dimension) -> np.ndarray:
+    """Grid points (P, 2) of the per-point kernel rows: all, or a sample seeded by D."""
+    d = dim.d
+    idx = np.arange(d * d)
+    if d**4 > _CHECKED_ENTRIES:
+        idx = np.sort(np.random.default_rng(d).choice(idx, _CHECKED_ENTRIES // d**2, False))
+    return np.stack(np.divmod(idx, d), axis=1)
 
-    O(D^6) time and O(D^4) memory: an independent oracle for the small-D
-    verification suites, never used to compute a grid.
-    """
-    return _kernel_grid_cached(dim.d)
+
+def _kernel_blocks(dim: Dimension):
+    """(points, kernels) over the checked points, a block of kernels at a time."""
+    v, step = _checked_points(dim), max(1, _KERNEL_BLOCK_ENTRIES // dim.d**2)
+    return ((v[lo:lo + step], _kernels(dim, v[lo:lo + step])) for lo in range(0, len(v), step))
+
+
+def _quarter_turn(A: np.ndarray) -> np.ndarray:
+    """F A F^dag per operator of a stack: sqrt(D) F A is an FFT down each column."""
+    return np.fft.ifft(np.fft.fft(A, axis=-2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,12 @@ class WignerGrid:
         return float(self.values.sum())
 
 
+def _state_grid(dim: Dimension, psi) -> np.ndarray:
+    """<psi| Delta(V) |psi> on the grid from chi, complex, indexed [V1, V2]."""
+    w = _window(dim)
+    return _window_dft(dim, characteristic(dim.d, psi, w, w))
+
+
 def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "",
                     reality_tol: float = 1e-12) -> WignerGrid:
     """W(V) = <psi| Delta(V) |psi> at every grid point, from chi in O(D^2 log D).
@@ -134,8 +141,7 @@ def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "",
     Raises NonRealWignerError when the grid is not real to reality_tol, as at
     even D >= 4, where the window {0, ..., D-1} is not closed under m -> -m.
     """
-    w = _window(dim)
-    W = _window_dft(dim, characteristic(dim.d, state, w, w))
+    W = _state_grid(dim, state)
     imag = float(np.max(np.abs(W.imag)))
     if imag > reality_tol:
         raise NonRealWignerError(f"Wigner values not real at D={dim.d}: "
@@ -161,53 +167,53 @@ def symbol_reconstruct(dim: Dimension, symbol: np.ndarray) -> np.ndarray:
     return _displacement_sum(dim, c[np.ix_(w, w)])
 
 
-def kernel_rotation_residual(dim: Dimension) -> float:
-    """Worst residual of F Delta(V) F^dag = Delta(-V2, V1) over the grid.
+def _turn_residual(dim: Dimension, v: np.ndarray, K: np.ndarray) -> float:
+    """max |F Delta(V) F^dag - Delta(-V2, V1)| over points v with kernels K.
 
     The quarter turn acts forward on the phase-space point, matching the
-    label action F S_m F^-1 = S_{(-m2, m1)}.
+    label action F S_m F^-1 = S_{(-m2, m1)}; the turned kernel is built anew.
     """
-    K = kernel_grid(dim)
-    F = build_fourier_operator(dim)
-    v = np.arange(dim.d)
-    return max_abs(F @ K @ F.conj().T - K[(-v[None, :]) % dim.d, v[:, None]])
+    return max_abs(_quarter_turn(K) - _kernels(dim, np.stack([-v[:, 1] % dim.d, v[:, 0]], 1)))
+
+
+def kernel_rotation_residual(dim: Dimension) -> float:
+    """Worst residual of F Delta(V) F^dag = Delta(-V2, V1) over the checked points."""
+    return max(_turn_residual(dim, v, K) for v, K in _kernel_blocks(dim))
 
 
 def kernel_suite(dim: Dimension) -> dict:
     """Structural kernel identities as max-norm residuals.
 
-    hermitian / trace (= 1/D) / resolution (sum over V = identity) /
-    dual (sum_V e^{i gamma0 m x V} Delta(V) = S_m) / completeness (symbol
-    round-trip on a random operator) / rotation (F Delta(V) F^dag equals the
-    kernel at the quarter-turned point (-V2, V1)) / rotation4 (four turns
-    return the kernel).  The rotation residuals are O(1) at D=2, where the
-    half-phases break quarter-turn covariance; callers gate on odd D.
+    hermitian / trace (= 1/D) / dual (D Tr(Delta(V) S_m^dag) = e^{-i gamma0 m x V}
+    for every window m) / rotation (F Delta(V) F^dag = Delta(-V2, V1)) at the
+    checked points; resolution (sum over V = identity) / completeness (symbol
+    round-trip on a random operator) / rotation4 (four turns return the
+    kernel).  The rotation residuals are O(1) at D=2, where the half-phases
+    break quarter-turn covariance; callers gate on odd D.
     """
-    from .schwinger import schwinger_matrix
-
-    d = dim.d
-    K = kernel_grid(dim)
-    res = {
-        "hermitian": max_abs(K - K.conj().transpose(0, 1, 3, 2)),
-        "trace": float(np.max(np.abs(np.einsum("abii->ab", K) - 1.0 / d))),
-        "resolution": max_abs(K.sum(axis=(0, 1)) - np.eye(d)),
-    }
-    a = np.arange(d)
-    dual = 0.0
-    for m in window_vectors(dim):
-        phase = np.exp(1j * dim.gamma0 * (m[0] * a[None, :] - m[1] * a[:, None]))
-        acc = np.einsum("ab,abij->ij", phase, K)
-        dual = max(dual, max_abs(acc - schwinger_matrix(dim, m)))
-    res["dual"] = dual
+    d, w, j = dim.d, _window(dim), np.arange(dim.d)
+    unit = np.exp(-2j * np.pi * j / d)
+    herm = trace = dual = rot = 0.0
+    for v, K in _kernel_blocks(dim):
+        herm = max(herm, max_abs(K - K.conj().swapaxes(1, 2)))
+        trace = max(trace, max_abs(np.trace(K, axis1=1, axis2=2) - 1.0 / d))
+        # Tr(Delta S_m^dag) = conj(Tr(Delta^dag S_m)), every m from the diagonals of Delta
+        chi = _trace_chi(d, K[:, (j + w[:, None]) % d, j].conj(), w, w)
+        dual = max(dual, max_abs(d * chi.conj()
+                                 - unit[(w[:, None] * v[:, 1:, None] - w * v[:, :1, None]) % d]))
+        rot = max(rot, _turn_residual(dim, v, K))
+    # sum_V Delta(V) by linearity: the operator of the unit symbol, over D
+    res = {"hermitian": herm, "trace": trace,
+           "resolution": max_abs(symbol_reconstruct(dim, np.ones((d, d))) / d - np.eye(d)),
+           "dual": dual}
     rng = np.random.default_rng(d)
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     res["completeness"] = max_abs(symbol_reconstruct(dim, classical_symbol(dim, op)) - op)
-    F = build_fourier_operator(dim)
-    res["rotation"] = kernel_rotation_residual(dim)
-    K4 = K[1 % d, 2 % d]
+    res["rotation"] = rot
+    K = K4 = _kernels(dim, [(1 % d, 2 % d)])[0]
     for _ in range(4):
-        K4 = F @ K4 @ F.conj().T
-    res["rotation4"] = max_abs(K4 - K[1 % d, 2 % d])
+        K4 = _quarter_turn(K4)
+    res["rotation4"] = max_abs(K4 - K)
     return res
 
 
@@ -219,49 +225,45 @@ def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
     U^n1 / V^n2 translations; (iv) time inversion (conjugation) and parity
     (F^2); (v) overlap sum_V W W' = |<psi|psi'>|^2 / D including self-overlap
     1/D; (vi) trace pairing with a random Hermitian operator through its
-    classical symbol.  States default to seeded random ones.  Grids come from
-    the kernel-grid oracle; chi_grid is the deviation of the characteristic-
-    function grid that wigner_function returns from that oracle.
+    classical symbol.  States default to seeded random ones.  Grids are the
+    complex chi grids of wigner_function; chi_grid is their deviation from
+    <psi|Delta(V)|psi> at the checked points.
     """
-    from .schwinger import schwinger_matrix
-
     d = dim.d
     if rng is None:
         rng = np.random.default_rng(seed if seed is not None else 20260817)
-    K = kernel_grid(dim)
-    F = build_fourier_operator(dim)
-    ii = np.arange(d)
-    w = _window(dim)
+    j = np.arange(d)
     worst: dict[str, float] = {}
 
     def bump(key, val):
         worst[key] = max(worst.get(key, 0.0), float(val))
 
-    def wig(v):
-        return np.einsum("i,abij,j->ab", v.conj(), K, v)
-
     if states is None:
         states = [random_state(dim, rng=rng) for _ in range(n_states)]
-    for psi in states:
+    psis = np.array(states, dtype=complex).reshape(-1, d)
+    v = _checked_points(dim)
+    direct = np.concatenate([np.einsum("si,pis->sp", psis.conj(), K @ psis.T)
+                             for _, K in _kernel_blocks(dim)], axis=1)
+    for psi, chi in zip(psis, direct):
         phiv = random_state(dim, rng=rng)
-        Wc = wig(psi)
+        Wc = _state_grid(dim, psi)
         bump("real", np.max(np.abs(Wc.imag)))
-        bump("chi_grid", max_abs(Wc - _window_dft(dim, characteristic(d, psi, w, w))))
+        bump("chi_grid", max_abs(Wc[v[:, 0], v[:, 1]] - chi))
         W = Wc.real
         bump("norm", abs(W.sum() - 1.0))
         bump("marginal_u", np.max(np.abs(W.sum(axis=1) - np.abs(psi) ** 2)))
-        bump("marginal_v", np.max(np.abs(W.sum(axis=0) - np.abs(F.conj().T @ psi) ** 2)))
-        n1 = int(rng.integers(1, d)) if d > 1 else 0
-        n2 = int(rng.integers(1, d)) if d > 1 else 0
-        Wt = wig(np.linalg.matrix_power(schwinger_matrix(dim, (1, 0)), n1) @ psi).real
-        bump("translation_u", max_abs(Wt - W[(ii[:, None] - n1) % d, ii[None, :]]))
-        Wv = wig(np.linalg.matrix_power(schwinger_matrix(dim, (0, 1)), n2) @ psi).real
-        bump("translation_v", max_abs(Wv - W[ii[:, None], (ii[None, :] - n2) % d]))
-        Wstar = wig(psi.conj()).real
-        bump("time_inversion", max_abs(Wstar - W[ii[:, None], (-ii[None, :]) % d]))
-        bump("parity", max_abs(wig(F @ (F @ psi)).real
-                               - W[(-ii[:, None]) % d, (-ii[None, :]) % d]))
-        Wphi = wig(phiv).real
+        # F^dag psi = sqrt(D) ifft(psi)
+        bump("marginal_v", np.max(np.abs(W.sum(axis=0) - d * np.abs(np.fft.ifft(psi)) ** 2)))
+        n1, n2 = (int(rng.integers(1, d)) for _ in range(2))
+        # U^n1 rolls psi, V^n2 phases psi_j by e^{-i gamma0 n2 j}, F^2 takes psi_j to psi_{-j}
+        for key, phi, grid in (
+                ("translation_u", np.roll(psi, n1), np.roll(W, n1, axis=0)),
+                ("translation_v", np.exp(-2j * np.pi * (n2 * j % d) / d) * psi,
+                 np.roll(W, n2, axis=1)),
+                ("time_inversion", psi.conj(), W[:, -j % d]),
+                ("parity", psi[-j % d], W[-j % d][:, -j % d])):
+            bump(key, max_abs(_state_grid(dim, phi).real - grid))
+        Wphi = _state_grid(dim, phiv).real
         bump("overlap", abs((W * Wphi).sum() - abs(np.vdot(psi, phiv)) ** 2 / d))
         bump("self_overlap", abs((W * W).sum() - 1.0 / d))
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

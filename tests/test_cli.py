@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from dataclasses import dataclass
@@ -239,9 +240,22 @@ def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
 
 
 def test_a_dimension_past_the_bound_is_named(runner):
-    res = invoke(runner, ["verify", "--d", "65", "--suite", "wigner"])
+    res = invoke(runner, ["verify", "--d", "65", "--suite", "schwinger"])
     assert res.exit_code == 2
     assert "error: DimensionTooLargeError: D=65 is above 64" in res.stderr
+
+
+@pytest.mark.parametrize("suite", ["wigner", "transforms"])
+def test_per_point_kernel_suites_are_refused_past_4096_before_allocating(runner, suite):
+    tracemalloc.start()
+    try:
+        res = invoke(runner, ["verify", "--d", "4097", "--suite", suite])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2
+    assert "error: DimensionTooLargeError: D=4097 is above 4096" in res.stderr
+    assert peak < 1 << 20, peak           # one D x D complex array is 268 MB
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])

@@ -5,11 +5,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_oracle import kernel_grid
 from torusphase import (
     canonical_window,
     characteristic,
     classical_symbol,
-    kernel_grid,
     make_dimension,
     random_state,
     schwinger_matrix,

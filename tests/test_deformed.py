@@ -527,3 +527,19 @@ def test_each_sl2_representative_family_is_needed(monkeypatch, families):
     monkeypatch.setattr(verify, "_SL2_FAMILIES", families)
     rows = {r.name: r for r in verify.suite_sl2(make_dimension(7))}
     assert rows["orbit_conjugation"].value > 0.1
+
+
+def test_q_oscillator_build_peaks_within_half_again_what_it_keeps():
+    """A, N, Q and the eigenvectors V are kept; no stack of S_m, no second V^dag
+    and no scaled copy of Q is alive beside them (the old build peaked at 2x)."""
+    dim = make_dimension(401)
+    build_q_oscillator(dim, (1, 0), (0, 1))
+    tracemalloc.start()
+    try:
+        osc = build_q_oscillator(dim, (1, 0), (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (osc.lowering, osc.number_op, osc.q_exponential,
+                                  osc.eigenvectors))
+    assert peak <= 1.5 * kept, (peak, kept)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kernel_oracle import kernel_grid
 from torusphase import (
     NonRealWignerError,
     build_fourier_operator,
     classical_symbol,
-    kernel_grid,
     kernel_suite,
     lattice_cross,
     make_dimension,
@@ -129,11 +129,6 @@ def test_fourier_rotates_grid_forward():
     for v1 in range(5):
         for v2 in range(5):
             assert_allclose(F @ K[v1, v2] @ F.conj().T, K[(-v2) % 5, v1], atol=1e-12)
-
-
-def test_kernel_grid_cache_is_bounded():
-    from torusphase.wigner import _kernel_grid_cached
-    assert _kernel_grid_cached.cache_info().maxsize == 2
 
 
 def test_wigner_function_refuses_non_real_grid():
