@@ -26,10 +26,9 @@ _EXPORTS = {
         "random_state", "window_vectors",
     ),
     "schwinger": (
-        "SchwingerEigensystem", "conjugate_pair_suite", "dense_eigensystem_match",
-        "eigensystem_by_recursion", "pair_schwinger", "reduce_label", "schwinger_basis_rank",
-        "schwinger_matrix", "sine_commutator_check", "standard_pair_suite",
-        "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
+        "SchwingerEigensystem", "conjugate_pair_suite", "eigensystem_by_recursion",
+        "reduce_label", "schwinger_basis_rank", "schwinger_matrix", "sine_commutator_check",
+        "standard_pair_suite", "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
     ),
     "deformed": (
         "CoproductReport", "EigenCorrespondence", "LowestWeightReport", "QOscillator",

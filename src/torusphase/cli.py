@@ -34,12 +34,12 @@ _INF = float("inf")
 # (256 MiB) of complex entries.  That array has D entries for the profiles of
 # converge and index (D <= 2^24), D x D for most, the wigner and transforms
 # suites included, which build kernels one grid point at a time (D <= 4096),
-# D^3 for the power stacks of the numberphase suite (D <= 256), and D^4 for
-# the basis stack of the schwinger suite, and so of all (D <= 64).
+# and D^3 for the pair's power stacks in the schwinger and numberphase suites,
+# and so in all (D <= 256).
 _MAX_D = {
     "gen": 4096, "wigner": 4096, "spectrum": 4096, "transform": 4096,
-    "verify": {"schwinger": 64, "qosc": 4096, "sl2": 4096, "wigner": 4096, "numberphase": 256,
-               "transforms": 4096, "fock": 4096, "all": 64},
+    "verify": {"schwinger": 256, "qosc": 4096, "sl2": 4096, "wigner": 4096, "numberphase": 256,
+               "transforms": 4096, "fock": 4096, "all": 256},
     "converge": {"number-exp": 1 << 24, "phase-exp": 1 << 24, "wigner": 4096},
     "index": {"linear": 1 << 24, "oscillator": 4096, "unit-cross": 1 << 24,
               "quarter-cross": 1 << 24, "custom": 1 << 24},

@@ -661,11 +661,15 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
     nv = _n_values(d, c)[0]
-    S = schwinger_stack(d, [lab.m[0], lab.mp[0], lab.m[0] - lab.mp[0]])
+    # each output its own array, A = d (S_m + S_m') built in place
+    A, Sp, Sw = (schwinger_stack(d, [x])[0] for x in (lab.m[0], lab.mp[0], lab.m[0] - lab.mp[0]))
+    A += Sp
+    del Sp
+    np.multiply(d_coef[0], A, out=A)
     return UqSl2Realisation(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
         p=np.exp(-1j * dim.gamma0 * c)[0], s_p=np.exp(-1j * np.pi * c)[0],
-        d_coef=d_coef[0], lowering=d_coef[0] * (S[0] + S[1]), intertwiner=S[2],
+        d_coef=d_coef[0], lowering=A, intertwiner=Sw,
         eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv, delta=float(delta[0]),
         j3_values=nv + delta[0],
     )

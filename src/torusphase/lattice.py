@@ -74,6 +74,25 @@ def window_vectors(dim: Dimension):
     return [(m1, m2) for m1 in w for m2 in w]
 
 
+# per-item rows over grid points or window labels: every item while D^4 is at
+# most this, else this over D^2 items
+_CHECKED_ENTRIES = 1 << 24
+
+
+def _checked_points(dim: Dimension) -> np.ndarray:
+    """Grid points (P, 2) of the per-item rows: all, or a sample seeded by D."""
+    d = dim.d
+    idx = np.arange(d * d)
+    if d**4 > _CHECKED_ENTRIES:
+        idx = np.sort(np.random.default_rng(d).choice(idx, _CHECKED_ENTRIES // d**2, False))
+    return np.stack(np.divmod(idx, d), axis=1)
+
+
+def _checked_labels(dim: Dimension) -> np.ndarray:
+    """Window labels (P, 2) of the per-item rows: window_vectors at the _checked_points indices."""
+    return np.array(canonical_window(dim), dtype=np.int64)[_checked_points(dim)]
+
+
 def canonical_component(dim: Dimension, x: int) -> int:
     x = x % dim.d
     if dim.d % 2 == 1 and x > (dim.d - 1) // 2:
@@ -113,6 +132,12 @@ def build_clock_operator(dim: Dimension) -> np.ndarray:
 def build_fourier_operator(dim: Dimension) -> np.ndarray:
     k = np.arange(dim.d)
     return np.exp(-1j * dim.gamma0 * np.outer(k, k)) / math.sqrt(dim.d)
+
+
+def _quarter_turn(A: np.ndarray) -> np.ndarray:
+    """F A F^dag per operator of a stack: F A is an FFT down each column over sqrt(D),
+    B F^dag an inverse FFT along each row times sqrt(D)."""
+    return np.fft.ifft(np.fft.fft(A, axis=-2), axis=-1)
 
 
 def basis_state(dim: Dimension, basis: str, index: int) -> np.ndarray:

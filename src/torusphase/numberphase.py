@@ -8,10 +8,11 @@ basis elements built on the pair generate the action-angle kernel
 Delta(J, theta) with 1/(2 pi D) normalization, whose expectation value is the
 number-phase Wigner function on the J x theta grid.
 
-The pair is the torus pair itself (E_N = V, E_phi = U^-1), so every grid is
-the torus chi(m) = <psi|S_m|psi> through the torus window FFT, O(D^2 log D);
-at odd D, W(J, theta_j) = (D / 2pi) W_torus(J, -j mod D).  The action-angle
-kernel (and the schwinger layer) loads only as an oracle for small-D suites.
+The pair is the torus pair itself (E_N = V, E_phi = U^-1), so S^np_m is the
+torus S_(-m2, m1): every grid is the torus chi(m) = <psi|S_m|psi> through the
+torus window FFT, O(D^2 log D), and the action-angle kernel one torus
+displacement sum, O(D^2 log D); at odd D, W(J, theta_j) = (D / 2pi)
+W_torus(J, -j mod D).  The schwinger layer loads only for the suites.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .lattice import (
     max_abs,
     window_vectors,
 )
-from .wigner import WignerGrid, _window_dft, characteristic
+from .wigner import WignerGrid, _displacement_sum, _window_dft, characteristic
 
 ACTION_ANGLE_NORMALIZATION = "action-angle-1/(2piD)"
 
@@ -88,29 +89,22 @@ class ActionAngleKernel:
     normalization: str = ACTION_ANGLE_NORMALIZATION
 
 
-def _kernel_coefficients(dim: Dimension, J: float, theta: float):
-    """Window labels (D^2, 2) and their kernel weights e^{i(gamma0 m1 J - m2 theta)}."""
-    labels = np.array(window_vectors(dim), dtype=np.int64)
-    return labels, np.exp(1j * (dim.gamma0 * labels[:, 0] * J - labels[:, 1] * theta))
-
-
 def build_action_angle_kernel(dim: Dimension, J: float, theta: float) -> ActionAngleKernel:
     """Delta(J, theta) = (1/2piD) sum_m e^{i(gamma0 m1 J - m2 theta)} S^np_m.
 
     J and theta may be any reals; the kernel is cyclic under J -> J + D and
     theta -> theta + 2pi.  Exact-quadrature grids are integer (or, in shifted
-    mode, half-integer) J and theta = 2pi j / D.  The S^np_m are stacked in
-    label blocks and summed with one einsum per block.
+    mode, half-integer) J and theta = 2pi j / D.  S^np_m = S_(-m2, m1), so the
+    sum is one torus displacement sum, O(D^2 log D).
     """
-    from .schwinger import label_blocks, pair_schwinger_stack
-
-    pair = build_phase_pair(dim)
-    S = pair_schwinger_stack(dim, pair.e_n, pair.e_phi)
-    labels, coef = _kernel_coefficients(dim, J, theta)
-    acc = np.zeros((dim.d, dim.d), dtype=complex)
-    for blk in label_blocks(len(labels), dim.d):
-        acc += np.einsum("p,pij->ij", coef[blk], S(labels[blk]))
-    acc /= 2.0 * np.pi * dim.d
+    d, w = dim.d, np.array(canonical_window(dim), dtype=np.int64)
+    # S_(-m2, m1) = (-1)^(k m1) S_(n1, m1) with n1 = -m2 - k D in the window:
+    # the coefficient of window label (n1, n2) has m1 = n2, m2 the window label of -n1
+    m2 = w[(-w - w[0]) % d][:, None]
+    k = (-m2 - w[:, None]) // d          # -1 at even D where m2 != 0, else 0
+    acc = _displacement_sum(dim, (1 - 2 * (k * w % 2))
+                            * np.exp(1j * (dim.gamma0 * w * J - m2 * theta)))
+    acc /= 2.0 * np.pi * d
     acc.flags.writeable = False
     return ActionAngleKernel(dim=dim, J=float(J), theta=float(theta), matrix=acc)
 
@@ -124,10 +118,10 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     """
     Ph = build_phase_pair(dim).phase_states
     d, g0 = dim.d, dim.gamma0
-    labels, coef = _kernel_coefficients(dim, J, theta)
+    labels = np.array(window_vectors(dim), dtype=np.int64)
     m1, m2 = labels[:, :1], labels[:, 1:]
     l = np.arange(d)
-    vals = coef[:, None] * np.exp(1j * g0 * l * m2) * np.exp(0.5j * g0 * m1 * m2)
+    vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * np.exp(1j * g0 * l * m2) * np.exp(0.5j * g0 * m1 * m2)
     C = np.zeros((d, d), dtype=complex)
     np.add.at(C, (np.broadcast_to(l, vals.shape), (l + m1) % d), vals)
     return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)

@@ -22,9 +22,10 @@ from numpy.linalg import matrix_power
 from .errors import DegenerateSpectrumError
 from .lattice import (
     Dimension,
+    _checked_labels,
     _half_phase,
+    _quarter_turn,
     build_clock_operator,
-    build_fourier_operator,
     build_shift_operator,
     canonical_vector,
     lattice_cross,
@@ -188,7 +189,7 @@ def _dense_match_stack(d: int, labels, lam, vecs):
 
 
 def dense_eigensystem_residuals(dim: Dimension, labels):
-    """dense_eigensystem_match per label row: two arrays (P,), in label blocks."""
+    """_dense_match_stack of the closed-form eigensystem per label row: two arrays (P,), in blocks."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     lam_res, vec_res = np.empty(len(labels)), np.empty(len(labels))
     for blk in label_blocks(len(labels), dim.d):
@@ -197,20 +198,6 @@ def dense_eigensystem_residuals(dim: Dimension, labels):
             dim.d, [sys.m for sys in systems], np.stack([sys.eigenvalues for sys in systems]),
             np.stack([sys.eigenvectors for sys in systems]))
     return lam_res, vec_res
-
-
-def dense_eigensystem_match(dim: Dimension, m, sys: SchwingerEigensystem | None = None):
-    """Compare the closed-form eigensystem against a dense solver.
-
-    Returns (eigenvalue residual, eigenvector residual) where eigenvectors are
-    aligned per-vector by a global phase before differencing; the stack of
-    one of _dense_match_stack.
-    """
-    if sys is None:
-        sys = eigensystem_by_recursion(dim, m)
-    lam_res, vec_res = _dense_match_stack(dim.d, [sys.m], sys.eigenvalues[None],
-                                          sys.eigenvectors[None])
-    return float(lam_res[0]), float(vec_res[0])
 
 
 def sine_commutator_check(dim: Dimension, m, n) -> float:
@@ -263,47 +250,29 @@ def weyl_commutator_check(dim: Dimension, m, n) -> dict:
 
 
 def fourier_covariance_residuals(dim: Dimension, labels) -> np.ndarray:
-    """Residual of F S_m F^-1 = S_{(-m2, m1)} per label row (P,), in label blocks."""
+    """Residual of F S_m F^-1 = S_{(-m2, m1)} per label row (P,), F applied by FFT, in label blocks."""
     d = dim.d
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    F = build_fourier_operator(dim)
     out = np.empty(len(labels))
     for blk in label_blocks(len(labels), d):
         m = labels[blk]
-        L = F @ schwinger_stack(d, m) @ F.conj().T
         turned = schwinger_stack(d, np.stack([-m[:, 1], m[:, 0]], axis=1))
-        out[blk] = np.abs(L - turned).max(axis=(1, 2))
+        out[blk] = np.abs(_quarter_turn(schwinger_stack(d, m)) - turned).max(axis=(1, 2))
     return out
 
 
 def schwinger_basis_rank(dim: Dimension) -> int:
-    """Rank of the Hilbert-Schmidt Gram matrix of the window family {S_m}."""
-    vecs = schwinger_stack(dim.d, window_vectors(dim)).reshape(dim.d ** 2, -1)
-    gram = vecs.conj() @ vecs.T
-    return int(np.linalg.matrix_rank(gram, hermitian=True))
+    """Rank of the Hilbert-Schmidt Gram matrix of the window family {S_m}.
 
-
-def pair_schwinger(dim: Dimension, X: np.ndarray, Z: np.ndarray, m) -> np.ndarray:
-    """S_m built from an arbitrary conjugate pair with X Z = e^{i gamma0} Z X."""
-    ph = _half_phase(dim.d, m[0], m[1])
-    return ph * (matrix_power(X, m[0] % dim.d) @ matrix_power(Z, m[1] % dim.d))
-
-
-def pair_schwinger_stack(dim: Dimension, X: np.ndarray, Z: np.ndarray):
-    """A function from label rows (P, 2) to pair_schwinger per row, stacked (P, D, D).
-
-    The powers X^a and Z^b, a, b in [0, D), are built once with matrix_power;
-    each S_m is then one batched matmul of two of them.
+    S_m has its entries at rows (j + m1) mod D, so labels of different m1 mod D
+    are orthogonal and the Gram is block diagonal by m1: the rank is the sum,
+    over m1, of the rank of the D x D entry values of its labels, O(D^4).
     """
     d = dim.d
-    Xp, Zp = (np.stack([matrix_power(Y, a) for a in range(d)]) for Y in (X, Z))
-
-    def stack(labels) -> np.ndarray:
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-        ph = _half_phase(d, labels[:, 0], labels[:, 1])
-        return ph[:, None, None] * (Xp[labels[:, 0] % d] @ Zp[labels[:, 1] % d])
-
-    return stack
+    labels = np.array(window_vectors(dim), dtype=np.int64)
+    key = labels[:, 0] % d
+    return sum(int(np.linalg.matrix_rank(displacement_columns(d, m[:, 0], m[:, 1])[1]))
+               for m in (labels[key == k] for k in np.unique(key)))
 
 
 def _worst(res: dict, key: str, values) -> None:
@@ -315,9 +284,10 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
     """Full algebra suite for a candidate conjugate pair (X, Z).
 
     Checks the Weyl commutation X Z = e^{i gamma0} Z X, order-D cyclicity, and
-    the adjoint / composition / power / trace identities of the S family built
-    from the pair, over the canonical window plus random integer labels, in
-    label blocks.  Returns the worst residual per check.
+    the adjoint / power / trace identities over the checked window labels and
+    composition over random window and integer labels of the S family built
+    from the pair's powers X^a and Z^b, a, b in [0, D), in label blocks.
+    Returns the worst residual per check.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -332,15 +302,23 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
         "power_sign": 0.0,
         "trace": 0.0,
     }
-    S = pair_schwinger_stack(dim, X, Z)
+    Xp, Zp = powers = np.empty((2, d, d, d), dtype=np.result_type(X, Z))
+    for P, Y in zip(powers, (X, Z)):
+        for a in range(d):
+            P[a] = matrix_power(Y, a)
+
+    def S(m):
+        return _half_phase(d, m[:, 0], m[:, 1])[:, None, None] * (Xp[m[:, 0] % d] @ Zp[m[:, 1] % d])
+
     labels = np.array(window_vectors(dim), dtype=np.int64)
     i, j = rng.integers(0, len(labels), n_random), rng.integers(0, len(labels), n_random)
     # one draw per label, as the label-by-label loop made them
     extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
                       for _ in range(n_random // 4)], dtype=np.int64).reshape(-1, 2, 2)
     a, b = np.concatenate([labels[i], extra[:, 0]]), np.concatenate([labels[j], extra[:, 1]])
-    for blk in label_blocks(len(labels), d):
-        m = labels[blk]
+    checked = _checked_labels(dim)
+    for blk in label_blocks(len(checked), d):
+        m = checked[blk]
         Sm = S(m)
         expected = np.where((m % d == 0).all(axis=1), d, 0.0)
         _worst(res, "trace", np.abs(np.abs(np.trace(Sm, axis1=1, axis2=2)) - expected))

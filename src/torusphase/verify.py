@@ -20,7 +20,7 @@ from .errors import (
     SingularDeformationError,
     TorusPhaseError,
 )
-from .lattice import Dimension, canonical_window, lattice_cross, random_state, window_vectors
+from .lattice import Dimension, _checked_labels, canonical_window, lattice_cross, random_state
 
 # Each suite imports the layers it checks in its own body, so a single-suite
 # call loads only those; "all" loads every layer.
@@ -161,6 +161,10 @@ def _sweep_plan(dim: Dimension, seed: int, samples: int | None, families):
     return pairs, _representatives(dim.d, families), True
 
 
+# the conjugate_pair_suite rows taken over the checked window labels
+_WINDOW_ROWS = ("trace", "adjoint", "power_sign")
+
+
 def _class_note(sweep, pairs) -> str:
     return f"{sweep.built} class representatives, {len(pairs[0])} window pairs by conjugation"
 
@@ -176,7 +180,9 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     )
 
     rng = np.random.default_rng(seed)
-    rows = [_res(k, v) for k, v in standard_pair_suite(dim, rng=rng, n_random=samples).items()]
+    sampled = _sample_note(dim, "labels")
+    rows = [_res(k, v, note=sampled if k in _WINDOW_ROWS else "")
+            for k, v in standard_pair_suite(dim, rng=rng, n_random=samples).items()]
     worst_sine = 0.0
     worst_weyl = {"mirror": 0.0, "minus_form": 0.0}
     for _ in range(min(30, max(4, samples // 8))):
@@ -189,15 +195,16 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     rows.append(_res("sine_algebra", worst_sine))
     rows.append(_res("weyl_mirror", worst_weyl["mirror"]))
     rows.append(_res("weyl_commutator", worst_weyl["minus_form"]))
-    labels = np.array(window_vectors(dim))
-    rows.append(_res("fourier_covariance", fourier_covariance_residuals(dim, labels).max()))
+    labels = _checked_labels(dim)
+    rows.append(_res("fourier_covariance", fourier_covariance_residuals(dim, labels).max(),
+                     note=sampled))
     rank = schwinger_basis_rank(dim)
     rows.append(_flag("basis_rank", rank == dim.d**2, note=f"rank {rank} of {dim.d ** 2}"))
     if dim.prime:
         nonzero = labels[(labels % dim.d != 0).any(axis=1)]
         lam_res, vec_res = dense_eigensystem_residuals(dim, nonzero)
-        rows.append(_res("eigenvalue_closed_form", lam_res.max()))
-        rows.append(_res("eigenvector_dense_match", vec_res.max()))
+        rows.append(_res("eigenvalue_closed_form", lam_res.max(), note=sampled))
+        rows.append(_res("eigenvector_dense_match", vec_res.max(), note=sampled))
     else:
         rows.append(_info("eigensystem", 0.0,
                           note=f"skipped: D={dim.d} is composite, labels may be degenerate"))
@@ -322,19 +329,17 @@ def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list
     return rows
 
 
-def _points_note(dim: Dimension) -> str:
-    """How many grid points the per-point kernel rows check, when not all of them."""
-    from .wigner import _checked_points
-
-    n = len(_checked_points(dim))
-    return f"{n} of {dim.d ** 2} points, seeded sample" if n < dim.d ** 2 else ""
+def _sample_note(dim: Dimension, items: str) -> str:
+    """How many grid points or window labels the per-item rows check, when not all of them."""
+    n = len(_checked_labels(dim))
+    return f"{n} of {dim.d ** 2} {items}, seeded sample" if n < dim.d ** 2 else ""
 
 
 def suite_wigner(dim: Dimension, seed: int = 0, samples: int = 6) -> list[CheckRow]:
     from . import wigner
 
     rows = []
-    sampled = _points_note(dim)
+    sampled = _sample_note(dim, "points")
     for k, v in wigner.kernel_suite(dim).items():
         if dim.d == 2 and k in ("rotation", "rotation4"):
             rows.append(_info(k, v, note="quarter-turn covariance is unavailable at D=2"))
@@ -359,7 +364,9 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     pair = numberphase.build_phase_pair(dim)
     rows = [_res(k, v) for k, v in numberphase.phase_pair_residuals(pair).items()]
     ident = numberphase.identification_suite(dim, rng=rng, n_random=samples)
-    rows.extend(_res(f"id_{k}", v) for k, v in ident.items())
+    sampled = _sample_note(dim, "labels")
+    rows.extend(_res(f"id_{k}", v, note=sampled if k in _WINDOW_ROWS else "")
+                for k, v in ident.items())
     worst_kf = 0.0
     for J, th in ((1.0, dim.gamma0), (float(rng.uniform(-3, dim.d + 3)),
                                       float(rng.uniform(0, 2 * np.pi)))):
@@ -478,7 +485,7 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
         rows.append(_info("kernel_rotation", rot,
                           note="quarter-turn covariance is unavailable at D=2"))
     else:
-        rows.append(_res("kernel_rotation", rot, note=_points_note(dim)))
+        rows.append(_res("kernel_rotation", rot, note=_sample_note(dim, "points")))
     flat = (transforms.flattening_report(*first_report) if first_report
             else transforms.phase_flattening_report(ident))
     rows.append(_info("phase_flattening", flat["max_phase_deviation"],

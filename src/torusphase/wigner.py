@@ -22,15 +22,15 @@ import numpy as np
 from .errors import NonRealWignerError
 from .lattice import (
     Dimension,
+    _checked_points,
     _half_phase,
+    _quarter_turn,
     canonical_window,
     max_abs,
     random_state,
 )
 
 TORUS_NORMALIZATION = "torus-1/D^2"
-# per-point kernel rows: every grid point while D^4 is at most this, else this over D^2 points
-_CHECKED_ENTRIES = 1 << 24
 # complex entries of one block of kernels built together: of 2^10..2^17, 2^15
 # ran fastest at D = 31 (2^10 3.6x slower) and close to the fastest at D = 7..61
 _KERNEL_BLOCK_ENTRIES = 1 << 15
@@ -99,25 +99,10 @@ def _kernels(dim: Dimension, points) -> np.ndarray:
     return _displacement_sum(dim, unit[(w[:, None] * v2 - w * v1) % d])
 
 
-def _checked_points(dim: Dimension) -> np.ndarray:
-    """Grid points (P, 2) of the per-point kernel rows: all, or a sample seeded by D."""
-    d = dim.d
-    idx = np.arange(d * d)
-    if d**4 > _CHECKED_ENTRIES:
-        idx = np.sort(np.random.default_rng(d).choice(idx, _CHECKED_ENTRIES // d**2, False))
-    return np.stack(np.divmod(idx, d), axis=1)
-
-
 def _kernel_blocks(dim: Dimension):
     """(points, kernels) over the checked points, a block of kernels at a time."""
     v, step = _checked_points(dim), max(1, _KERNEL_BLOCK_ENTRIES // dim.d**2)
     return ((v[lo:lo + step], _kernels(dim, v[lo:lo + step])) for lo in range(0, len(v), step))
-
-
-def _quarter_turn(A: np.ndarray) -> np.ndarray:
-    """F A F^dag per operator of a stack: F A is an FFT down each column over sqrt(D),
-    B F^dag an inverse FFT along each row times sqrt(D)."""
-    return np.fft.ifft(np.fft.fft(A, axis=-2), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def test_spectrum_collinear_exits_2(runner):
     # D past the command's bound, refused before any array is allocated
     (["gen", "--d", "99999999999999999999", "--kind", "u"], "DimensionTooLargeError"),
     (["wigner", "--d", "3000000", "--state", "fock:1"], "DimensionTooLargeError"),
-    (["verify", "--d", "65", "--suite", "all"], "DimensionTooLargeError"),
+    (["verify", "--d", "257", "--suite", "all"], "DimensionTooLargeError"),
     (["verify", "--d", "257", "--suite", "numberphase"], "DimensionTooLargeError"),
     (["index", "--d", "4097", "--case", "oscillator"], "DimensionTooLargeError"),
     (["converge", "--primes", "11,100003", "--observable", "wigner"], "DimensionTooLargeError"),
@@ -240,9 +240,9 @@ def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
 
 
 def test_a_dimension_past_the_bound_is_named(runner):
-    res = invoke(runner, ["verify", "--d", "65", "--suite", "schwinger"])
+    res = invoke(runner, ["verify", "--d", "257", "--suite", "schwinger"])
     assert res.exit_code == 2
-    assert "error: DimensionTooLargeError: D=65 is above 64" in res.stderr
+    assert "error: DimensionTooLargeError: D=257 is above 256" in res.stderr
 
 
 @pytest.mark.parametrize("suite", ["wigner", "transforms"])

@@ -1,0 +1,150 @@
+"""The schwinger and number-phase rows on the package's label paths against their dense oracles.
+
+The basis rank is a sum of D x D ranks per block of equal m1 and the
+action-angle kernel one torus displacement sum; the rows over window labels
+check every label up to D = 64 and a seeded sample above.  basis_oracle holds
+the dense forms these replace (its dense Fourier covariance is compared in
+test_stacked); fault tests show that a broken eigenvector, a repeated label
+or a dropped reduction sign shows in the row that owns it.
+"""
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import basis_oracle
+import torusphase
+from torusphase import (
+    build_uq_sl2,
+    make_dimension,
+    numberphase,
+    schwinger,
+    verify,
+    window_vectors,
+)
+from torusphase.lattice import _checked_labels, _checked_points
+from torusphase.schwinger import schwinger_stack
+
+SMALL = (2, 3, 4, 5, 6, 7, 9, 13)
+TOL = 1e-14
+
+
+def _rows(rows) -> dict:
+    return {r.name: r for r in rows}
+
+
+@pytest.mark.parametrize("d", SMALL)
+def test_block_rank_is_the_gram_rank(d):
+    dim = make_dimension(d)
+    assert schwinger.schwinger_basis_rank(dim) == basis_oracle.gram_rank(dim) == d * d
+
+
+@pytest.mark.parametrize("d", SMALL)
+def test_action_angle_kernel_matches_the_power_stack_oracle(d):
+    dim = make_dimension(d)
+    for J, theta in ((1.0, 0.7), (1.0, dim.gamma0), (-2.5, 4.0), (d + 0.3, 2 * np.pi + 0.7)):
+        K = numberphase.build_action_angle_kernel(dim, J, theta).matrix
+        assert np.max(np.abs(K - basis_oracle.action_angle_kernel(dim, J, theta))) <= TOL
+
+
+def test_checked_labels_are_the_window_below_the_sampling_bound_and_seeded_above():
+    for d in (2, 7, 64):
+        dim = make_dimension(d)
+        assert _checked_labels(dim).tolist() == [list(m) for m in window_vectors(dim)]
+    dim = make_dimension(101)
+    labels = _checked_labels(dim)
+    assert len(labels) == (1 << 24) // 101**2 == 1644
+    window = np.array(window_vectors(dim))
+    v = _checked_points(dim)
+    assert np.array_equal(labels, window[v[:, 0] * 101 + v[:, 1]])
+    assert np.array_equal(labels, _checked_labels(make_dimension(101)))
+
+
+def test_a_perturbed_eigenvector_entry_shows_in_the_dense_match_row(monkeypatch):
+    dim = make_dimension(7)
+    exact = schwinger.eigensystem_by_recursion
+
+    def perturbed(dim, m):
+        sys_ = exact(dim, m)
+        if sys_.m != (1, 2):
+            return sys_
+        vecs = sys_.eigenvectors.copy()
+        vecs[3, 4] += 1e-6
+        return schwinger.SchwingerEigensystem(dim=dim, m=sys_.m, eigenvalues=sys_.eigenvalues,
+                                              eigenvectors=vecs)
+
+    assert _rows(verify.suite_schwinger(dim))["eigenvector_dense_match"].value < 1e-13
+    monkeypatch.setattr(schwinger, "eigensystem_by_recursion", perturbed)
+    assert _rows(verify.suite_schwinger(dim))["eigenvector_dense_match"].value > 1e-7
+
+
+@pytest.mark.parametrize("k", [1, 7, 48])
+def test_a_duplicated_label_drops_the_block_rank_by_one(monkeypatch, k):
+    # label k replaced by label 0: in the block of label 0 (k = 1) or another (k = 7, 48)
+    dim = make_dimension(7)
+    labels = window_vectors(dim)
+    labels[k] = labels[0]
+    assert basis_oracle.gram_rank(dim, labels) == 48
+    monkeypatch.setattr(schwinger, "window_vectors", lambda dim: labels)
+    assert schwinger.schwinger_basis_rank(dim) == 48
+    row = _rows(verify.suite_schwinger(dim))["basis_rank"]
+    assert (row.value, row.note) == (1.0, "rank 48 of 49")
+
+
+def test_dropping_the_even_d_reduction_sign_shows_in_the_two_forms_row(monkeypatch):
+    # at D = 4 the coefficient of S_(n1, n2) with n1 != 0 carries (-1)^n2, as
+    # S^np_m = S_(-m2, m1) = (-1)^m1 S_(4 - m2, m1); multiplied in again, it is dropped
+    dim = make_dimension(4)
+    n = np.arange(4)
+    sign = np.where(n[:, None] != 0, (-1.0) ** n, 1.0)
+    exact = numberphase._displacement_sum
+    assert _rows(verify.suite_numberphase(dim))["kernel_two_forms"].value < TOL
+    monkeypatch.setattr(numberphase, "_displacement_sum",
+                        lambda dim, coeff: exact(dim, coeff * sign))
+    assert _rows(verify.suite_numberphase(dim))["kernel_two_forms"].value > 1e-7
+
+
+@pytest.mark.parametrize("d, m, mp", [(5, (1, 0), (0, 1)), (7, (2, 3), (-1, 4)),
+                                      (13, (-20, 9), (3, 27)), (31, (1, 0), (0, 1))])
+def test_sl2_outputs_are_the_stacked_forms(d, m, mp):
+    dim = make_dimension(d)
+    o = build_uq_sl2(dim, m, mp)
+    S = schwinger_stack(d, [o.m, o.mp, np.subtract(o.m, o.mp)])
+    assert np.array_equal(o.lowering, o.d_coef * (S[0] + S[1]))
+    assert np.array_equal(o.intertwiner, S[2])
+
+
+def test_an_sl2_realisation_holds_only_what_it_returns():
+    # intertwiner was a view of the stack of S_m, S_m' and S_{m-m'}, which it
+    # kept alive: 12.9 MB held for 7.7 MB returned at D = 401
+    dim = make_dimension(401)
+    build_uq_sl2(dim, (1, 0), (0, 1))
+    tracemalloc.start()
+    try:
+        o = build_uq_sl2(dim, (1, 0), (0, 1))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (o.lowering, o.intertwiner, o.eigenvectors, o.n_values,
+                                      o.j3_values))
+    assert held <= 1.05 * returned, (held, returned)
+
+
+def test_verify_schwinger_above_the_sampling_bound_names_its_label_count():
+    src = str(Path(torusphase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "torusphase.cli", "verify", "--d", "101",
+                           "--suite", "schwinger"], capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    rows = {ln.split()[0]: ln for ln in proc.stdout.splitlines()[1:-1]}
+    for name in ("trace", "adjoint", "power_sign", "fourier_covariance",
+                 "eigenvalue_closed_form", "eigenvector_dense_match"):
+        assert "1644 of 10201 labels, seeded sample" in rows[name], rows[name]
+    assert "rank 10201 of 10201" in rows["basis_rank"]
+    assert proc.stdout.splitlines()[-1].startswith("PASS")

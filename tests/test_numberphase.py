@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from basis_oracle import pair_schwinger
 from torusphase import (
     PhaseMismatchError,
     action_angle_values,
@@ -13,7 +14,6 @@ from torusphase import (
     identification_suite,
     kernel_form_residual,
     make_dimension,
-    pair_schwinger,
     phase_pair_residuals,
     random_state,
     wigner_number_phase,

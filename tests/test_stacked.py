@@ -11,21 +11,18 @@ import pytest
 from numpy.linalg import matrix_power
 from numpy.testing import assert_allclose
 
+from basis_oracle import fourier_covariance, pair_schwinger
 from torusphase import (
     DegenerateSpectrumError,
-    SchwingerEigensystem,
     build_clock_operator,
-    build_fourier_operator,
     build_q_oscillator,
     build_shift_operator,
     build_uq_sl2,
     conjugate_pair_suite,
-    dense_eigensystem_match,
     eigensystem_by_recursion,
     lattice_cross,
     make_dimension,
     max_abs,
-    pair_schwinger,
     schwinger_matrix,
     window_vectors,
 )
@@ -80,7 +77,7 @@ def _orbit_loop(dim, operators, pairs, reps):
 
 
 def _dense_match_loop(dim, sys):
-    """dense_eigensystem_match with the greedy eigenvalue assignment, one vector at a time."""
+    """dense_eigensystem_residuals with the greedy eigenvalue assignment, one vector at a time."""
     vals, vecs = np.linalg.eig(schwinger_matrix(dim, sys.m))
     lam_res = vec_res = 0.0
     used = set()
@@ -251,7 +248,7 @@ def test_dense_eigensystem_residuals_equal_the_greedy_loop(d):
             continue
     lam_res, vec_res = schwinger.dense_eigensystem_residuals(dim, [s.m for s in systems])
     for sys, lam, vec in zip(systems, lam_res, vec_res):
-        assert (lam, vec) == dense_eigensystem_match(dim, sys.m)
+        assert (lam, vec) == tuple(r[0] for r in schwinger.dense_eigensystem_residuals(dim, [sys.m]))
         ref = _dense_match_loop(dim, sys)
         assert_allclose((lam, vec), ref, rtol=0, atol=1e-15)
 
@@ -262,11 +259,9 @@ def test_a_non_permutation_eigenvalue_assignment_reads_order_one(d):
     sys = eigensystem_by_recursion(dim, (1, 2))
     lam = sys.eigenvalues.copy()
     lam[1] = lam[0]     # two closed-form eigenvalues nearest the same dense one
-    forced = SchwingerEigensystem(dim=dim, m=sys.m, eigenvalues=lam,
-                                  eigenvectors=sys.eigenvectors)
-    lam_res, vec_res = dense_eigensystem_match(dim, sys.m, forced)
-    assert lam_res >= 1.0 and vec_res >= 1.0
-    assert max(dense_eigensystem_match(dim, sys.m, sys)) < 1e-12
+    lam_res, vec_res = schwinger._dense_match_stack(d, [sys.m], lam[None], sys.eigenvectors[None])
+    assert lam_res[0] >= 1.0 and vec_res[0] >= 1.0
+    assert max(r[0] for r in schwinger.dense_eigensystem_residuals(dim, [sys.m])) < 1e-12
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -297,12 +292,13 @@ def test_composition_row_reads_rounding_on_unreduced_labels(d):
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_fourier_covariance_residuals_equal_the_per_label_loop(d):
+    # the row applies F by FFT, the oracle by dense matmul: both read rounding,
+    # so they agree to rounding, not bit for bit
     dim = make_dimension(d)
-    F = build_fourier_operator(dim)
-    labels = window_vectors(dim)
-    ref = [max_abs(F @ schwinger_matrix(dim, m) @ F.conj().T
-                   - schwinger_matrix(dim, (-m[1], m[0]))) for m in labels]
-    assert schwinger.fourier_covariance_residuals(dim, labels).tolist() == ref
+    labels = window_vectors(dim) + [(d + 2, -3 * d + 1), (-2 * d, 1 - d)]
+    fft = schwinger.fourier_covariance_residuals(dim, labels)
+    assert_allclose(fft, fourier_covariance(dim, labels), rtol=0, atol=1e-14)
+    assert fft.max() <= 1e-14
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -319,8 +315,8 @@ def test_action_angle_kernel_forms_equal_the_label_loops(d):
                                            (verify.suite_numberphase, 15.1e6)])
 def test_blocked_suites_stay_within_the_traced_peak_of_the_label_loops(suite, budget):
     # the label-by-label suites peaked at 58.4 MB and 15.1 MB or more at D = 31;
-    # the blocks bound every stack, so the Gram matrix of the rank row is the
-    # largest array left
+    # the blocks bound every stack, so the pair's D^3 power stacks are the
+    # largest arrays left
     tracemalloc.start()
     try:
         suite(make_dimension(31))
