@@ -46,7 +46,7 @@ from .errors import (
     PhaseMismatchError,
     SingularDeformationError,
 )
-from .lattice import Dimension, canonical_vector, lattice_cross, max_abs
+from .lattice import Dimension, _phase, _phase_cross, _sin_turns, canonical_vector, lattice_cross, max_abs
 from .schwinger import (
     _BLOCK_ENTRIES,
     _eigensystem,
@@ -70,17 +70,7 @@ def _dag(A):
 
 def _singular(dim: Dimension, c):
     """sin(gamma0 c) = 0 (to 1e-12): the oscillator coefficients diverge."""
-    return np.abs(np.sin(dim.gamma0 * np.asarray(c))) < _SINGULAR_TOL
-
-
-def _phase_cross(d: int, c) -> np.ndarray:
-    """c reduced mod 2D into [-D, D): the cross value phases and brackets are taken of.
-
-    Each of them has period 2D in c, but one taken from an unreduced c (window
-    labels reach |c| ~ D^2/2, the random sweeps ~ 8 D^2) loses about log10|c|
-    digits.  The least |c| keeps the sine arguments smallest.
-    """
-    return (np.asarray(c) + d) % (2 * d) - d
+    return np.abs(_sin_turns(2 * np.asarray(c), dim.d)) < _SINGULAR_TOL
 
 
 # -- pairs on the S_w eigenbasis -----------------------------------------------
@@ -154,12 +144,7 @@ def _shift_weights(d: int, m, mp, V):
 
 def _sw_values(d: int, c, g, f) -> np.ndarray:
     """Eigenvalues mu_r of S_w on v_r from the weights: e^{i pi c/D} g_{r+c} conj(f_{r+c})."""
-    return _rolled(np.exp(1j * np.pi * c / d)[:, None] * g * np.conj(f), c)
-
-
-def _sin_turns(k, n) -> np.ndarray:
-    """sin(pi k / n), with k reduced into [-n, n) first so the argument stays small."""
-    return np.sin(np.pi * _phase_cross(n, k) / n)
+    return _rolled(_phase(d, c).conj()[:, None] * g * np.conj(f), c)
 
 
 def _worst(operator, scalars: dict) -> dict:
@@ -373,8 +358,7 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
     a2 = np.abs(d_coef[:, None] * g + dp_coef[:, None] * f) ** 2
     return _worst(op, {
         "number": a2 - (C[:, None] + _sin_turns(k, d) / s),
-        "q_exponential": (np.exp(1j * np.pi * _phase_cross(d, k) / d)
-                          + eta[:, None] * np.conj(g) * f),
+        "q_exponential": _phase(d, k).conj() + eta[:, None] * np.conj(g) * f,
         "ladder": nv - (_rolled(nv, -c) + 1) % d,
         # A A^dag = C + [N + 1]: the pair of relations whose difference is the
         # q-commutator; checked via the bracket form directly
@@ -392,7 +376,7 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     the phase of d' and the sign eta = -phi0 (see _branch_sign; w = m - m') are
     forced by requiring A^dag A = C + [N] with no extra term.
     """
-    d, g0 = dim.d, dim.gamma0
+    d = dim.d
     lab = _built_labels(dim, [m], [mp], _OSC_REASONS)
     eta = None if eta_override is None else np.array([float(eta_override)])
     eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp, eta)
@@ -400,11 +384,11 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
     nv = _n_values(d, c)
-    c_q = np.exp(1j * g0 * c * (d - 1) / 2.0)[0]
+    c_q = _phase(d, c * (d - 1)).conj()[0]
     # N and Q are V diag(x) V^dag through one V^dag, and A = d S_m + d' S_m' is
     # built one S at a time in place: no D x D temporary outlives its use
     Vh = _dag(V)
-    N, Q = ((V * x) @ Vh for x in (nv[0], np.exp(1j * g0 * c * nv)[0]))
+    N, Q = ((V * x) @ Vh for x in (nv[0], _phase(d, 2 * c * nv).conj()[0]))
     del Vh
     np.multiply(c_q, Q, out=Q)
     A, Sp = (schwinger_stack(d, [x])[0] for x in (lab.m[0], lab.mp[0]))
@@ -412,7 +396,7 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     A += np.multiply(dp_coef[0], Sp, out=Sp)
     return QOscillator(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
-        q=np.exp(-1j * g0 * (cross % d)), eta=float(eta[0]), d_coef=d_coef[0],
+        q=_phase(d, 2 * cross), eta=float(eta[0]), d_coef=d_coef[0],
         dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q,
         lowering=A, number_op=N, q_exponential=Q, eigenvectors=V, eigenvalues=lam,
         n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
@@ -550,12 +534,10 @@ def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorre
         raise PhaseMismatchError("ladder matrix elements are not unit modulus")
     amp2 = np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2
     eq_amp = float(np.max(np.abs(amp2 - osc.spectrum[nv])))
-    # E has period 2D in c at odd D and 4D at even D, lam_cand period 2D
-    cE = _phase_cross(2 * d if d % 2 == 0 else d, c)
-    E = np.exp(0.5j * dim.gamma0 * cE * (nv + (d - 1) / 2.0))
+    E = _phase(2 * d, c * (2 * nv + d - 1)).conj()
     law = float(np.max(np.abs(g * np.conj(f) + osc.eta * np.conj(E) ** 2)))
     literal = float(max(np.max(np.abs(g - E)), np.max(np.abs(g - np.conj(f)))))
-    lam_cand = np.exp(1j * dim.gamma0 * (nv - d / 2.0) * _phase_cross(d, c))
+    lam_cand = _phase(d, (2 * nv - d) * c).conj()
     lam_resid = float(np.max(np.abs(np.conj(lam_w) - lam_cand)))
     shift_ok = bool(np.array_equal(nv[(np.arange(d) + c) % d], (nv + 1) % d))
     if eq_amp > tol or law > tol or not shift_ok:
@@ -600,14 +582,14 @@ class UqSl2Realisation:
 def _sl2_bracket(dim: Dimension, c, x) -> np.ndarray:
     """sin(gamma0 c x) / sin(gamma0 c / 2); c broadcasts against x."""
     c = _phase_cross(dim.d, c)
-    return np.sin(dim.gamma0 * c * np.asarray(x, dtype=float)) / np.sin(np.pi * c / dim.d)
+    return np.sin(dim.gamma0 * c * np.asarray(x, dtype=float)) / _sin_turns(c, dim.d)
 
 
 def _sl2_coefs(dim: Dimension, m, mp):
     """d = d' and the J3 offset delta per pair (see build_uq_sl2)."""
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
-    d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
+    d_coef = 1.0 / (2.0 * np.abs(_sin_turns(c, d)))
     return d_coef, np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
 
 
@@ -622,18 +604,19 @@ def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
     cc, nv = c[:, None], _n_values(d, c)
-    k = cc * (2 * nv + d) + 2 * cc * delta[:, None]
-    s = np.sin(np.pi * cc / d)
+    # 2 c delta is 0 or D: k is an exact integer
+    k = cc * (2 * nv + d) + np.rint(2 * cc * delta[:, None]).astype(np.int64)
+    s = _sin_turns(cc, d)
     g, f, op = _shift_weights(d, m, mp, V)
     a2 = np.abs(d_coef[:, None] * (g + f)) ** 2
     mu = _sw_values(d, c, g, f)
-    p = np.exp(-1j * dim.gamma0 * cc)
+    p = _phase(d, 2 * cc)
     # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
     c1 = a2 + (_sin_turns(k - cc, 2 * d) / s) ** 2
     c2 = _rolled(a2, c) + (_sin_turns(k + cc, 2 * d) / s) ** 2
-    const = 1.0 / _scalar_pow(np.sin(np.pi * c / d), 2)
+    const = 1.0 / _scalar_pow(_sin_turns(c, d), 2)
     return _worst(op, {
-        "exponential": mu - np.exp(-1j * np.pi * _phase_cross(d, k) / d),
+        "exponential": mu - _phase(d, k),
         "intertwine": mu - p * _rolled(mu, -c),
         "intertwine_dag": _rolled(mu, -c) - np.conj(p) * mu,
         "commutator": _rolled(a2, c) - a2 + _sin_turns(k, d) / s,
@@ -668,7 +651,7 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     np.multiply(d_coef[0], A, out=A)
     return UqSl2Realisation(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
-        p=np.exp(-1j * dim.gamma0 * c)[0], s_p=np.exp(-1j * np.pi * c)[0],
+        p=_phase(d, 2 * c)[0], s_p=_phase(d, d * c)[0],
         d_coef=d_coef[0], lowering=A, intertwiner=Sw,
         eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv, delta=float(delta[0]),
         j3_values=nv + delta[0],
@@ -767,7 +750,7 @@ def coproduct_check(dim: Dimension, m, mp, second: tuple | None = None,
         return (W2 * vals) @ _dag(W2)
 
     closure = max_abs(DX @ DXd - DXd @ DX + mf(o1.bracket(Hv + dim.d / 2.0)))
-    Kw = np.exp(-1j * np.pi * c1) * mf(np.exp(-1j * dim.gamma0 * c1 * Hv))
+    Kw = _phase(dim.d, dim.d * c1) * mf(np.exp(-1j * dim.gamma0 * c1 * Hv))
     return CoproductReport(
         dim=dim, cross=o1.cross, deltas=(o1.delta, o2.delta),
         closure=closure,
@@ -802,7 +785,7 @@ def translated_lattice_deformation(dim: Dimension, m, mp, r) -> TranslationRepor
     # builder raises itself
     ot = build_uq_sl2(dim, (m[0] + r[0], m[1] + r[1]), (mp[0] + r[0], mp[1] + r[1]))
     Sw = schwinger_matrix(dim, w)
-    p_new = np.exp(-1j * dim.gamma0 * ((c - da) % dim.d))
+    p_new = _phase(dim.d, 2 * (c - da))
     residual = max_abs(ot.lowering @ Sw - p_new * Sw @ ot.lowering)
     return TranslationReport(dim=dim, m=tuple(m), mp=tuple(mp), r=tuple(r),
                              delta_alpha=da, p_new=p_new, residual=residual)

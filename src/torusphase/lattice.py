@@ -4,11 +4,15 @@ The Hilbert space is C^D with the coordinate basis |u_k>.  The shift U acts as
 U|u_k> = |u_{k+1 mod D}> and the clock V as V|u_k> = e^{-i gamma0 k}|u_k> with
 gamma0 = 2 pi / D.  The discrete Fourier operator F exchanges the two:
 F U F^-1 = V and F V F^-1 = U^-1, with F^4 = I.
+
+One rule reads every phase e^{-i pi t / D} of an exact integer t: _phase, t mod
+2D from a 2D-entry table; and sines of integer turns: _sin_turns, t in [-D, D).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +52,7 @@ class Dimension:
 
     @property
     def omega(self) -> complex:
-        return np.exp(1j * self.gamma0)
+        return complex(_phase(self.d, 2).conj())
 
 
 def make_dimension(d: int) -> Dimension:
@@ -109,12 +113,32 @@ def lattice_cross(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def _phase(d: int, t) -> np.ndarray:
+    """e^{-i pi t / D} for exact integer exponents t (arrays allowed), t taken mod 2D."""
+    return _phase_table(d)[np.asarray(t, dtype=np.int64) % (2 * d)]
+
+
+# gathered: ~7x faster than one exponential per entry at D = 1009; kept per D
+# since a blocked sweep reads a few labels per call.  Only _phase reads it.
+@lru_cache(maxsize=64)
+def _phase_table(d: int) -> np.ndarray:
+    return np.exp(-1j * (np.pi * np.arange(2 * d) / d))
+
+
+def _phase_cross(d: int, c) -> np.ndarray:
+    """c reduced mod 2D into [-D, D): the least |c| with the same phase e^{-i pi c / D}."""
+    return (np.asarray(c) + d) % (2 * d) - d
+
+
+def _sin_turns(k, n) -> np.ndarray:
+    """sin(pi k / n) for integer k, reduced into [-n, n) first so the argument stays small."""
+    return np.sin(np.pi * _phase_cross(n, k) / n)
+
+
 def _half_phase(d: int, a, b) -> np.ndarray:
-    """e^{-i pi a b / D} from the exact integer product a*b, taken mod 2D."""
-    a = np.asarray(a, dtype=np.int64) % (2 * d)
-    b = np.asarray(b, dtype=np.int64) % (2 * d)
-    # one exponential per value, gathered: ~7x faster than one per entry at D = 1009
-    return np.exp(-1j * np.pi * np.arange(2 * d) / d)[(a * b) % (2 * d)]
+    """e^{-i pi a b / D} from the exact integer product a*b, each factor taken mod 2D."""
+    a, b = (np.asarray(x, dtype=np.int64) % (2 * d) for x in (a, b))
+    return _phase(d, a * b)
 
 
 def build_shift_operator(dim: Dimension) -> np.ndarray:
@@ -126,12 +150,14 @@ def build_shift_operator(dim: Dimension) -> np.ndarray:
 
 
 def build_clock_operator(dim: Dimension) -> np.ndarray:
+    # not from _phase (k < D needs no reduction): entries sharing the rounded step
+    # gamma0 compose consistently, the table's read 3x worse in the composition row
     return np.diag(np.exp(-1j * dim.gamma0 * np.arange(dim.d)))
 
 
 def build_fourier_operator(dim: Dimension) -> np.ndarray:
     k = np.arange(dim.d)
-    return np.exp(-1j * dim.gamma0 * np.outer(k, k)) / math.sqrt(dim.d)
+    return _phase(dim.d, 2 * np.outer(k, k)) / math.sqrt(dim.d)
 
 
 def _quarter_turn(A: np.ndarray) -> np.ndarray:
@@ -152,8 +178,7 @@ def basis_state(dim: Dimension, basis: str, index: int) -> np.ndarray:
         psi[index] = 1.0
         return psi
     if basis in ("v", "phase"):
-        k = np.arange(dim.d)
-        v = np.exp(-1j * dim.gamma0 * (k * index)) / math.sqrt(dim.d)
+        v = _phase(dim.d, 2 * index * np.arange(dim.d)) / math.sqrt(dim.d)
         return v if basis == "v" else v.conj()
     raise UnsupportedBasisError(f"unknown basis tag {basis!r}")
 

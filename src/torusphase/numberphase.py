@@ -23,6 +23,7 @@ import numpy as np
 from .errors import PhaseMismatchError
 from .lattice import (
     Dimension,
+    _phase,
     build_clock_operator,
     build_fourier_operator,
     build_shift_operator,
@@ -66,8 +67,7 @@ def phase_pair_residuals(pair: PhasePair) -> dict:
         "orthonormal": max_abs(Ph.conj().T @ Ph - eye),
         "complete": max_abs(Ph @ Ph.conj().T - eye),
     }
-    lvals = np.exp(1j * dim.gamma0 * np.arange(d))
-    res["phase_eigen"] = max_abs(Ep @ Ph - Ph * lvals)
+    res["phase_eigen"] = max_abs(Ep @ Ph - Ph * _phase(d, 2 * np.arange(d)).conj())
     res["number_shift"] = max_abs(EN @ Ph - Ph[:, (np.arange(d) - 1) % d])
     return res
 
@@ -121,7 +121,7 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     labels = np.array(window_vectors(dim), dtype=np.int64)
     m1, m2 = labels[:, :1], labels[:, 1:]
     l = np.arange(d)
-    vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * np.exp(1j * g0 * l * m2) * np.exp(0.5j * g0 * m1 * m2)
+    vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * _phase(d, (2 * l + m1) * m2).conj()
     C = np.zeros((d, d), dtype=complex)
     np.add.at(C, (np.broadcast_to(l, vals.shape), (l + m1) % d), vals)
     return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)
@@ -186,7 +186,7 @@ class NumberExpansion:
 def expand_number_function(dim: Dimension, f, m, mp, tol: float = 1e-9) -> NumberExpansion:
     """Operator Fourier expansion of a number function on the (m, m') ladder.
 
-    f~_k = sum_n e^{i gamma0 k n} f(n); reconstruction
+    f~_k = sum_n e^{i gamma0 k n} f(n) = D ifft(f)_k; reconstruction
     F(N) = (1/D) sum_k f~_{(-ck) mod D} (q^{-N})^k, with q^{-N} realized as the
     rescaled basis element -eta S_{-m} S_{m'} / c_q.  The round-trip residual
     against diag(f) in the oscillator number eigenbasis is the arbiter of the
@@ -203,7 +203,7 @@ def expand_number_function(dim: Dimension, f, m, mp, tol: float = 1e-9) -> Numbe
     d = dim.d
     B = schwinger_matrix(dim, (-osc.m[0], -osc.m[1])) @ schwinger_matrix(dim, osc.mp)
     qN = (-osc.eta) * B / osc.c_q
-    ft = np.array([np.sum(np.exp(1j * dim.gamma0 * k * np.arange(d)) * fv) for k in range(d)])
+    ft = d * np.fft.ifft(fv)
     recon = np.zeros((d, d), dtype=complex)
     P = np.eye(d, dtype=complex)
     for k in range(d):

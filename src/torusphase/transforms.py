@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
-from .lattice import Dimension, build_fourier_operator, max_abs, window_vectors
+from .lattice import Dimension, _phase, build_fourier_operator, max_abs, window_vectors
 
 # entries of one (labels, D, D) block of G S_m in the covariance sweep: 2^14
 # (4 labels at D = 61) ran fastest of 2^12..2^16 at D = 31 and 61 (2^15 and
@@ -134,8 +134,8 @@ def metaplectic_stack(dim: Dimension, s, t) -> np.ndarray:
         # phi(m) = (-1)^parity: a^{m1} b^{m2}, the lift k, then the sign of S_{Rm} = +/- S_r
         parity = (s1 * s2 * m1 + (d % 2) * t1 * t2 * m2 + k * m1 * m2
                   + q1 * r2 + q2 * r1 + q1 * q2 * d)
-        e = (m1 * m2 - r1 * r2 + d * (parity % 2)) % (2 * d)
-        np.add.at(G, (np.arange(len(s))[:, None], r1, m1), np.exp(1j * np.pi * e / d))
+        e = m1 * m2 - r1 * r2 + d * parity
+        np.add.at(G, (np.arange(len(s))[:, None], r1, m1), _phase(d, e).conj())
     G /= np.sqrt(d * G[:, 0, 0])[:, None, None]
     return G
 
@@ -169,10 +169,8 @@ def _sweep(G, smap: SymplecticMap, labels, phase=None) -> tuple[np.ndarray, np.n
     d = smap.dim.d
     m = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     r1, r2 = smap.apply((m[:, 0], m[:, 1]), reduce=True)
-    unit, j = np.exp(-1j * np.pi * np.arange(2 * d) / d), np.arange(d)
+    j = np.arange(d)
     # exponents of vm_j = S_m[j + m1, j] and of ur_i = S_r[i, i - r1], 2 r2 i - r1 r2
-    em = (m[:, 0] % (2 * d)) * (m[:, 1] % (2 * d)) % (2 * d)
-    er = -r1 * r2 % (2 * d)
     z = np.empty(len(m), dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
     resid = np.empty(len(m))
     step = max(1, _BLOCK_ENTRIES // d**2)
@@ -185,8 +183,8 @@ def _sweep(G, smap: SymplecticMap, labels, phase=None) -> tuple[np.ndarray, np.n
         b = slice(lo, lo + step)
         k = len(z[b])
         gs, sg, sq = cols[:, :k], rows[:k], squares[:k]
-        vm = unit[(em[b, None] + 2 * (m[b, 1:] % d * j % d)) % (2 * d)]
-        ur = unit[(er[b, None] + 2 * (r2[b, None] * j % d)) % (2 * d)]
+        vm = _phase(d, m[b, :1] % (2 * d) * (m[b, 1:] % (2 * d)) + 2 * (m[b, 1:] % d * j % d))
+        ur = _phase(d, 2 * (r2[b, None] * j % d) - r1[b, None] * r2[b, None])
         np.take(G, j + m[b, :1] % d, axis=1, out=gs, mode="wrap")  # G[i, j + m1] at [i, l, j]
         np.take(G, j - r1[b, None], axis=0, out=sg, mode="wrap")   # G[i - r1, j] at [l, i, j]
         gs *= vm
@@ -239,11 +237,10 @@ def predicted_phase(op: MetaplecticOperator, m) -> complex:
     With m' = m mod D and r = R m mod D:
     chi(m) = gamma0 (m1' m2' - m1 m2)/2 + pi (r1 r2 - m1' m2').
     """
-    dim = op.dim
-    mp = (m[0] % dim.d, m[1] % dim.d)
+    d = op.dim.d
+    mp = (m[0] % d, m[1] % d)
     r = op.map.apply(m, reduce=True)
-    chi = 0.5 * dim.gamma0 * (mp[0] * mp[1] - m[0] * m[1]) + np.pi * (r[0] * r[1] - mp[0] * mp[1])
-    return complex(np.exp(1j * chi))
+    return complex(_phase(d, m[0] * m[1] - mp[0] * mp[1] + d * (mp[0] * mp[1] - r[0] * r[1])))
 
 
 def closure_check(op1: MetaplecticOperator, op2: MetaplecticOperator) -> tuple[complex, float]:

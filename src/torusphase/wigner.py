@@ -24,6 +24,7 @@ from .lattice import (
     Dimension,
     _checked_points,
     _half_phase,
+    _phase,
     _quarter_turn,
     canonical_window,
     max_abs,
@@ -94,9 +95,8 @@ def _kernels(dim: Dimension, points) -> np.ndarray:
     """Delta(V) per row V = (V1, V2) of points (P, 2), stacked (P, D, D), O(D^2 log D) each."""
     d, w = dim.d, _window(dim)
     v1, v2 = np.asarray(points, dtype=np.int64).T[:, :, None, None]
-    # e^{-i gamma0 m x V} / D^2 with m x V = m1 V2 - m2 V1, by its exact exponent mod D
-    unit = np.exp(-2j * np.pi * np.arange(d) / d) / d**2
-    return _displacement_sum(dim, unit[(w[:, None] * v2 - w * v1) % d])
+    # e^{-i gamma0 m x V} / D^2 with m x V = m1 V2 - m2 V1
+    return _displacement_sum(dim, _phase(d, 2 * (w[:, None] * v2 - w * v1)) / d**2)
 
 
 def _kernel_blocks(dim: Dimension):
@@ -180,15 +180,14 @@ def kernel_suite(dim: Dimension) -> dict:
     break quarter-turn covariance; callers gate on odd D.
     """
     d, w, j = dim.d, _window(dim), np.arange(dim.d)
-    unit = np.exp(-2j * np.pi * j / d)
     herm = trace = dual = rot = 0.0
     for v, K in _kernel_blocks(dim):
         herm = max(herm, max_abs(K - K.conj().swapaxes(1, 2)))
         trace = max(trace, max_abs(np.trace(K, axis1=1, axis2=2) - 1.0 / d))
         # Tr(Delta S_m^dag) = conj(Tr(Delta^dag S_m)), every m from the diagonals of Delta
         chi = _trace_chi(d, K[:, (j + w[:, None]) % d, j].conj(), w, w)
-        dual = max(dual, max_abs(d * chi.conj()
-                                 - unit[(w[:, None] * v[:, 1:, None] - w * v[:, :1, None]) % d]))
+        dual = max(dual, max_abs(d * chi.conj() - _phase(
+            d, 2 * (w[:, None] * v[:, 1:, None] - w * v[:, :1, None]))))
         rot = max(rot, _turn_residual(dim, v, K))
     # sum_V Delta(V) by linearity: the operator of the unit symbol, over D
     res = {"hermitian": herm, "trace": trace,
@@ -246,7 +245,7 @@ def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
         # U^n1 rolls psi, V^n2 phases psi_j by e^{-i gamma0 n2 j}, F^2 takes psi_j to psi_{-j}
         for key, phi, grid in (
                 ("translation_u", np.roll(psi, n1), np.roll(W, n1, axis=0)),
-                ("translation_v", np.exp(-2j * np.pi * (n2 * j % d) / d) * psi,
+                ("translation_v", _phase(d, 2 * n2 * j) * psi,
                  np.roll(W, n2, axis=1)),
                 ("time_inversion", psi.conj(), W[:, -j % d]),
                 ("parity", psi[-j % d], W[-j % d][:, -j % d])):

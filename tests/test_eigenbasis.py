@@ -25,14 +25,13 @@ from torusphase.deformed import (
     _branch_sign,
     _dag,
     _inverse_mod,
-    _phase_cross,
     _scalar_pow,
     _sl2_bracket,
     bracket_values,
     oscillator_sweep,
     sl2_sweep,
 )
-from torusphase.lattice import Dimension, lattice_cross
+from torusphase.lattice import Dimension, _phase_cross, lattice_cross
 from torusphase.schwinger import schwinger_stack
 
 EPS = np.finfo(float).eps

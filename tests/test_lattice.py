@@ -105,6 +105,28 @@ def test_basis_states_are_the_operator_columns(d):
         assert basis_state(dim, "phase", k).tobytes() == phase[:, k % d].tobytes()
 
 
+@pytest.mark.parametrize("d", [401, 1009])
+def test_fourier_entries_are_exact(d):
+    # each entry is e^{-2 pi i (jk mod D) / D} / sqrt(D), here in extended
+    # precision; taken of the unreduced jk they were off by ~1600 eps (D = 401)
+    # and ~2200 eps (D = 1009).  The phase table holds e^{-i pi t / D} at its
+    # direct angles up to 2 pi, whose rounding reads up to 6.0 eps over D <= 2100
+    from torusphase.numberphase import build_phase_pair
+
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("needs a long double wider than float64 for the reference")
+    dim = make_dimension(d)
+    j = np.arange(d)
+    pi = np.longdouble("3.141592653589793238462643383279502884")
+    ref = np.exp(np.clongdouble(-2j) * pi * (np.outer(j, j) % d) / d) / np.sqrt(np.longdouble(d))
+    tol = 8 * np.finfo(float).eps / np.sqrt(d)      # 8 eps relative to |entry|
+    assert np.abs(build_fourier_operator(dim) - ref).max() <= tol
+    assert np.abs(build_phase_pair(dim).phase_states - ref.conj()).max() <= tol
+    for k in (0, 1, d // 2, d - 1):
+        assert np.abs(basis_state(dim, "v", k) - ref[:, k]).max() <= tol
+        assert np.abs(basis_state(dim, "phase", k) - ref[:, k].conj()).max() <= tol
+
+
 def test_random_state_seeded_and_normalized():
     dim = make_dimension(7)
     a = random_state(dim, seed=3)

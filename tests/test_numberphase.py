@@ -130,6 +130,19 @@ def test_expand_number_function_round_trip(d):
     assert_allclose(exp.reconstruction, exp.target, atol=1e-9)
 
 
+@pytest.mark.parametrize("d", [5, 7, 13, 31])
+def test_expand_number_function_coefficients_match_the_direct_sum(d):
+    # f~_k = sum_n e^{i gamma0 k n} f(n), one sum per k, against the one FFT
+    dim = make_dimension(d)
+    rng = np.random.default_rng(17)
+    f = rng.normal(size=d) + 1j * rng.normal(size=d)
+    exp = expand_number_function(dim, f, (1, 0), (0, 1))
+    n = np.arange(d)
+    direct = np.array([np.sum(np.exp(1j * dim.gamma0 * k * n) * f) for k in range(d)])
+    assert np.abs(exp.coefficients - direct).max() <= 1e-13 * np.abs(f).max()
+    assert exp.residual < 1e-9
+
+
 def test_expand_rejects_nonconvergent_tolerance():
     dim = make_dimension(5)
     f = np.arange(5, dtype=float)

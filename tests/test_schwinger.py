@@ -75,7 +75,7 @@ def test_inverse_composition_is_identity(d):
         assert_allclose(lhs, np.eye(d), atol=1e-13)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 211, 401])
 def test_label_reduction_sign(d):
     dim = make_dimension(d)
     rng = np.random.default_rng(5)
@@ -86,6 +86,21 @@ def test_label_reduction_sign(d):
         assert sign in (1.0, -1.0)
         assert_allclose(schwinger_matrix(dim, m),
                         sign * schwinger_matrix(dim, mc), atol=1e-12)
+    # labels shifted by (a D, b D), |a|, |b| <= 8, hold as well as the reduced
+    # ones: phases taken of the unreduced exponents read 100-1000x worse at D = 211.
+    # S_m's sign law holds to the rounding of one phase-table entry (<= 7 eps at
+    # D = 2..419, 1009, 4096): e^{-i pi (t + D) / D} is not bit for bit -e^{-i pi t / D}
+    m, n = (1, 2), (3, -5)
+    sine, weyl = sine_commutator_check(dim, m, n), weyl_commutator_check(dim, m, n)
+    for a, b, e, f in ((8, -8, 3, 5), (-8, 8, -7, 2), (5, 3, -8, -8), (0, 1, -1, 0)):
+        ms, ns = (m[0] + a * d, m[1] + b * d), (n[0] + e * d, n[1] + f * d)
+        mc, sign = reduce_label(dim, ms)
+        residual = np.abs(schwinger_matrix(dim, ms) - sign * schwinger_matrix(dim, mc)).max()
+        assert residual <= 8 * np.finfo(float).eps
+        assert sine_commutator_check(dim, ms, ns) <= 4 * sine + 1e-15
+        shifted = weyl_commutator_check(dim, ms, ns)
+        for k in ("mirror", "minus_form"):
+            assert shifted[k] <= 4 * weyl[k] + 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -123,15 +138,17 @@ def test_eigensystem_eigen_equation_direct():
     assert_allclose(g, np.eye(7), atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [31, 101, 211])
+@pytest.mark.parametrize("d", [31, 101, 211, 401])
 def test_eigensystem_holds_to_rounding_at_large_dimension(d):
-    # the component phases are exact integers mod 2D; multiplying D float
-    # phases along the orbit gave 2.2e-13 at D = 31 and 3.0e-11 at D = 211
+    # the component phases are exact integers mod 2D and the eigenvalue sign
+    # the exact parity (-1)^{m1 m2}; multiplying D float phases along the orbit
+    # gave 2.2e-13 at D = 31 and 3.0e-11 at D = 211, the sign e^{i pi m1 m2}
+    # of the float product 1.5e-13 at D = 211 and 3.0e-13 at D = 401
     dim = make_dimension(d)
     for m in ((1, 2), (d // 2, -(d // 2)), (-3, 7), (0, 5), (d // 3, d // 2 - 1)):
         sys = eigensystem_by_recursion(dim, m)
         S = schwinger_matrix(dim, sys.m)
-        assert np.abs(S @ sys.eigenvectors - sys.eigenvectors * sys.eigenvalues).max() < 2e-13
+        assert np.abs(S @ sys.eigenvectors - sys.eigenvectors * sys.eigenvalues).max() < 1e-14
 
 
 def test_eigensystem_rejects_zero_label_and_degenerate():
@@ -147,6 +164,17 @@ def test_sine_algebra_commutator(d):
     dim = make_dimension(d)
     assert sine_commutator_check(dim, (1, 0), (0, 1)) < 1e-12
     assert sine_commutator_check(dim, (1, 2), (2, 1)) < 1e-12
+
+
+def test_sine_algebra_holds_at_large_dimension_on_unreduced_pairs():
+    # 30 pairs drawn in [-2D, 2D) as the schwinger suite draws them: with the
+    # sine of the unreduced m x n (up to ~8 D^2) the worst read 2.4e-10 here
+    d = 211
+    dim = make_dimension(d)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        m, n = (tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)) for _ in range(2))
+        assert sine_commutator_check(dim, m, n) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
