@@ -29,17 +29,15 @@ SUITES = ("schwinger", "qosc", "sl2", "wigner", "numberphase", "transforms", "fo
 
 _INF = float("inf")
 
-# Largest D per command (per suite, observable or case where that sets the
-# size): the largest array the command allocates stays within 2^28 bytes
-# (256 MiB) of complex entries.  That array has D entries for the profiles of
-# converge and index (D <= 2^24), D x D for most, the wigner and transforms
-# suites included, which build kernels one grid point at a time (D <= 4096),
-# and D^3 for the pair's power stacks in the schwinger and numberphase suites,
-# and so in all (D <= 256).
+# Largest D per command (per observable or case where that sets the size):
+# the largest array the command allocates stays within 2^28 bytes (256 MiB)
+# of complex entries.  That array has D entries for the profiles of converge
+# and index (D <= 2^24) and D x D for the rest (D <= 4096): every verify suite
+# among them, since the wigner and transforms suites build kernels one grid
+# point at a time and the schwinger and numberphase suites hold the pair's
+# powers as D monomials.
 _MAX_D = {
-    "gen": 4096, "wigner": 4096, "spectrum": 4096, "transform": 4096,
-    "verify": {"schwinger": 256, "qosc": 4096, "sl2": 4096, "wigner": 4096, "numberphase": 256,
-               "transforms": 4096, "fock": 4096, "all": 256},
+    "gen": 4096, "wigner": 4096, "spectrum": 4096, "transform": 4096, "verify": 4096,
     "converge": {"number-exp": 1 << 24, "phase-exp": 1 << 24, "wigner": 4096},
     "index": {"linear": 1 << 24, "oscillator": 4096, "unit-cross": 1 << 24,
               "quarter-cross": 1 << 24, "custom": 1 << 24},
@@ -279,7 +277,7 @@ def verify(d, suite, tol, seed, samples):
     from . import verify as verify_mod
     from .serialization import format_float
 
-    dim = _dimension(d, "verify", suite)
+    dim = _dimension(d, "verify")
     tol = _default_tol() if tol is None else tol
     try:
         rows = verify_mod.run_suite(suite, dim, seed=seed, samples=samples)

@@ -325,7 +325,7 @@ class QOscillator:
         return _dag(self.lowering)
 
     def bracket(self, n) -> np.ndarray:
-        return bracket_values(self.dim, self.cross, n)
+        return bracket_values(self.dim, _phase_cross(self.dim.d, self.cross), n)
 
 
 def _oscillator_coefs(dim: Dimension, m, mp, eta=None):

@@ -29,7 +29,6 @@ from .lattice import (
     build_shift_operator,
     canonical_window,
     max_abs,
-    window_vectors,
 )
 from .wigner import WignerGrid, _displacement_sum, _window_dft, characteristic
 
@@ -55,15 +54,18 @@ def build_phase_pair(dim: Dimension) -> PhasePair:
 
 
 def phase_pair_residuals(pair: PhasePair) -> dict:
-    """Defining relations of the pair as max-norm residuals."""
+    """Defining relations of the pair as max-norm residuals; E_N and E_phi as monomials."""
+    from .schwinger import _minus, _monomial, _norm, _power, _times
+
     dim = pair.dim
     d = dim.d
     EN, Ep, Ph = pair.e_n, pair.e_phi, pair.phase_states
+    en, ep = _monomial(EN), _monomial(Ep)
     eye = np.eye(d)
     res = {
-        "commutation": max_abs(EN @ Ep - dim.omega * Ep @ EN),
-        "cyclic_number": max_abs(np.linalg.matrix_power(EN, d) - eye),
-        "cyclic_phase": max_abs(np.linalg.matrix_power(Ep, d) - eye),
+        "commutation": float(_norm(_times(en, ep), _minus(_times((ep[0], dim.omega * ep[1]), en)))),
+        "cyclic_number": float(_norm(_power(en, d), (np.arange(d), -1.0))),
+        "cyclic_phase": float(_norm(_power(ep, d), (np.arange(d), -1.0))),
         "orthonormal": max_abs(Ph.conj().T @ Ph - eye),
         "complete": max_abs(Ph @ Ph.conj().T - eye),
     }
@@ -114,16 +116,17 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
 
     Delta(J, theta) = (1/2piD) sum_m sum_l e^{i(gamma0 m1 J - m2 theta)}
     e^{i gamma0 l m2} e^{i gamma0 m1 m2 / 2} |phi_l><phi_{l + m1}|
-    = Ph C Ph^dag / (2piD), with C[l, l + m1] accumulating the coefficients.
+    = Ph C Ph^dag / (2piD), with C[l, l + m1] accumulating the coefficients,
+    one D x D block of (m2, l) terms per m1.
     """
     Ph = build_phase_pair(dim).phase_states
     d, g0 = dim.d, dim.gamma0
-    labels = np.array(window_vectors(dim), dtype=np.int64)
-    m1, m2 = labels[:, :1], labels[:, 1:]
-    l = np.arange(d)
-    vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * _phase(d, (2 * l + m1) * m2).conj()
+    w = np.array(canonical_window(dim), dtype=np.int64)
+    m2, l = w[:, None], np.arange(d)
     C = np.zeros((d, d), dtype=complex)
-    np.add.at(C, (np.broadcast_to(l, vals.shape), (l + m1) % d), vals)
+    for m1 in w.tolist():
+        vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * _phase(d, (2 * l + m1) * m2).conj()
+        C[l, (l + m1) % d] += vals.sum(axis=0)
     return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)
 
 
@@ -188,12 +191,13 @@ def expand_number_function(dim: Dimension, f, m, mp, tol: float = 1e-9) -> Numbe
 
     f~_k = sum_n e^{i gamma0 k n} f(n) = D ifft(f)_k; reconstruction
     F(N) = (1/D) sum_k f~_{(-ck) mod D} (q^{-N})^k, with q^{-N} realized as the
-    rescaled basis element -eta S_{-m} S_{m'} / c_q.  The round-trip residual
-    against diag(f) in the oscillator number eigenbasis is the arbiter of the
-    index convention and must clear tol.
+    rescaled basis element -eta S_{-m} S_{m'} / c_q, a monomial whose powers
+    are walked one O(D) product at a time.  The round-trip residual against
+    diag(f) in the oscillator number eigenbasis is the arbiter of the index
+    convention and must clear tol.
     """
     from .deformed import build_q_oscillator
-    from .schwinger import schwinger_matrix
+    from .schwinger import _times, displacement_columns
 
     fv = np.asarray(f, dtype=complex)
     if fv.shape != (dim.d,):
@@ -201,14 +205,16 @@ def expand_number_function(dim: Dimension, f, m, mp, tol: float = 1e-9) -> Numbe
     osc = build_q_oscillator(dim, m, mp)
     c = osc.cross
     d = dim.d
-    B = schwinger_matrix(dim, (-osc.m[0], -osc.m[1])) @ schwinger_matrix(dim, osc.mp)
-    qN = (-osc.eta) * B / osc.c_q
+    rows, vals = _times(displacement_columns(d, -osc.m[0], -osc.m[1]),
+                        displacement_columns(d, *osc.mp))
+    qN = rows, (-osc.eta) * vals / osc.c_q
     ft = d * np.fft.ifft(fv)
     recon = np.zeros((d, d), dtype=complex)
-    P = np.eye(d, dtype=complex)
+    j = np.arange(d)
+    P = j, np.ones(d, dtype=complex)
     for k in range(d):
-        recon += ft[(-c * k) % d] * P
-        P = P @ qN
+        recon[P[0], j] += ft[(-c * k) % d] * P[1]
+        P = _times(P, qN)
     recon /= d
     v = osc.eigenvectors
     target = (v * fv[osc.n_values]) @ v.conj().T

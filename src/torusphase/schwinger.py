@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import matrix_power
 
 from .errors import DegenerateSpectrumError
 from .lattice import (
@@ -31,7 +30,6 @@ from .lattice import (
     build_shift_operator,
     canonical_vector,
     lattice_cross,
-    max_abs,
     window_vectors,
 )
 
@@ -52,10 +50,64 @@ def displacement_columns(d: int, m1, m2):
 def schwinger_stack(d: int, labels) -> np.ndarray:
     """Dense S_m per label row (P, D, D), with the entries of schwinger_matrix."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    rows, vals = displacement_columns(d, labels[:, 0], labels[:, 1])
-    S = np.zeros((len(labels), d, d), dtype=complex)
-    S[np.arange(len(labels))[:, None], rows, np.arange(d)] = vals
-    return S
+    return _dense(displacement_columns(d, labels[:, 0], labels[:, 1]))
+
+
+# A monomial operator, one nonzero entry per column, is held as (rows, vals)
+# with A[rows[..., j], j] = vals[..., j]; leading axes stack operators.  Its
+# products, adjoint, trace and comparisons cost O(D) per operator.
+
+def _dense(a) -> np.ndarray:
+    """The dense (P, D, D) matrices of a (P, D) stack of monomials."""
+    rows, vals = a
+    out = np.zeros((*rows.shape, rows.shape[-1]), dtype=complex)
+    out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = vals
+    return out
+
+
+def _monomial(A: np.ndarray):
+    """(rows, vals) of a matrix; ValueError names its first column without one
+    nonzero entry, in a row no other column uses."""
+    nonzero = A != 0
+    rows = nonzero.argmax(axis=0)
+    bad = (nonzero.sum(axis=0) != 1) | (np.bincount(rows, minlength=len(A))[rows] != 1)
+    if bad.any():
+        raise ValueError(f"column {int(bad.argmax())} of the operator is not monomial")
+    return rows, A[rows, np.arange(len(A))]
+
+
+def _times(a, b):
+    """A B: column j is column rows_B[j] of A times vals_B[j]."""
+    (ra, va), (rb, vb) = a, b
+    return np.take_along_axis(ra, rb, -1), np.take_along_axis(va, rb, -1) * vb
+
+
+def _power(a, n: int):
+    """A^n, n >= 0, by squaring: O(D log n) per operator."""
+    result = np.broadcast_to(np.arange(a[0].shape[-1]), a[0].shape), np.ones_like(a[1])
+    while n:
+        n, bit = divmod(n, 2)
+        result = _times(result, a) if bit else result
+        a = _times(a, a) if n else a
+    return result
+
+
+def _adjoint(a):
+    """A^dag, for rows that permute the columns."""
+    (rows, vals), cols = a, np.empty_like(a[0])
+    np.put_along_axis(cols, rows, np.broadcast_to(np.arange(rows.shape[-1]), rows.shape), -1)
+    return cols, np.take_along_axis(vals.conj(), cols, -1)
+
+
+def _norm(*terms) -> np.ndarray:
+    """Max-norm per operator of the dense sum of the terms: entries add where rows agree."""
+    rows = np.stack(np.broadcast_arrays(*(r for r, _ in terms)))
+    vals = np.stack(np.broadcast_arrays(*(v for _, v in terms)))
+    return np.abs(np.where(rows[:, None] == rows, vals, 0).sum(axis=1)).max(axis=(0, -1))
+
+
+def _minus(a):
+    return a[0], -a[1]
 
 
 # complex entries of one (labels, D, D) stack in the blocked label checks.  A
@@ -162,50 +214,40 @@ def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
     )
 
 
-def _dense_match_stack(d: int, labels, lam, vecs):
-    """Eigenvalue and eigenvector residuals (P,) of np.linalg.eig on dense S_labels.
+def eigensystem_residuals(dim: Dimension, labels):
+    """Closed-form eigensystem residuals per label row: two arrays (P,), O(D^2) per label.
 
-    Each closed-form eigenvalue lam[p, r] is matched to its nearest dense
-    eigenvalue, and the dense eigenvector is aligned to vecs[p, :, r] by a
-    global phase before differencing.  Nearest eigenvalues that are no
-    permutation leave a dense eigenvalue unmatched: both residuals of that
-    label then read at least 1.
+    With S_m applied by displacement_columns, the first is the worst over r of
+    |S_m v_r - lam_r v_r| + ||v_r| - 1|: S_m is normal, so each lam_r lies
+    that close to its spectrum (Bauer-Fike).  The second divides it by the
+    least gap between the closed-form eigenvalues, which bounds the angle from
+    v_r to the eigenvector of lam_r (Davis-Kahan); a zero gap reads 1.
     """
-    vals, dense = np.linalg.eig(schwinger_stack(d, labels))
-    dist = np.abs(vals[:, :, None] - lam[:, None, :])
-    k = dist.argmin(axis=1)
-    lam_res = np.take_along_axis(dist, k[:, None, :], axis=1)[:, 0].max(axis=1)
-    w = np.take_along_axis(dense, k[:, None, :], axis=2)
-    w = w / np.linalg.norm(w, axis=1, keepdims=True)
-    ov = np.einsum("pkr,pkr->pr", vecs.conj(), w)
-    phase = np.ones_like(ov)
-    nonzero = ov != 0
-    phase[nonzero] = ov[nonzero].conj() / np.abs(ov[nonzero])
-    vec_res = np.abs(w * phase[:, None, :] - vecs).max(axis=(1, 2))
-    floor = np.where((np.sort(k, axis=1) != np.arange(d)).any(axis=1), 1.0, 0.0)
-    return np.maximum(lam_res, floor), np.maximum(vec_res, floor)
-
-
-def dense_eigensystem_residuals(dim: Dimension, labels):
-    """_dense_match_stack of the closed-form eigensystem per label row: two arrays (P,), in blocks."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     lam_res, vec_res = np.empty(len(labels)), np.empty(len(labels))
-    for blk in label_blocks(len(labels), dim.d):
-        systems = [eigensystem_by_recursion(dim, m) for m in labels[blk].tolist()]
-        lam_res[blk], vec_res[blk] = _dense_match_stack(
-            dim.d, [sys.m for sys in systems], np.stack([sys.eigenvalues for sys in systems]),
-            np.stack([sys.eigenvectors for sys in systems]))
+    for i, m in enumerate(labels.tolist()):
+        sys = eigensystem_by_recursion(dim, m)
+        lam, v = sys.eigenvalues, sys.eigenvectors
+        rows, vals = displacement_columns(dim.d, *sys.m)
+        Sv = np.empty_like(v)
+        Sv[rows] = vals[:, None] * v
+        err = np.linalg.norm(Sv - v * lam, axis=0)
+        lam_res[i] = (err + np.abs(np.linalg.norm(v, axis=0) - 1)).max()
+        ring = lam[np.argsort(np.angle(lam))]      # nearest on the unit circle: adjacent in angle
+        gap = np.abs(ring - np.roll(ring, 1)).min()
+        vec_res[i] = lam_res[i] / gap if gap > 0 else 1.0
     return lam_res, vec_res
 
 
 def sine_commutator_check(dim: Dimension, m, n) -> float:
-    """Residual of the sine-algebra commutator for D_m = S_m / gamma0."""
+    """Residual of the sine-algebra commutator for D_m = S_m / gamma0, on monomials."""
     g0 = dim.gamma0
-    Dm = schwinger_matrix(dim, m) / g0
-    Dn = schwinger_matrix(dim, n) / g0
-    Dsum = schwinger_matrix(dim, (m[0] + n[0], m[1] + n[1])) / g0
+    (rm, vm), (rn, vn), (rs, vs) = (displacement_columns(dim.d, *x) for x in
+                                    (m, n, (m[0] + n[0], m[1] + n[1])))
+    Dm, Dn = (rm, vm / g0), (rn, vn / g0)
     sin = _sin_turns(lattice_cross(m, n), dim.d)      # sin(gamma0 m x n / 2)
-    return max_abs(Dm @ Dn - Dn @ Dm - 1j * (2.0 / g0) * sin * Dsum)
+    return float(_norm(_times(Dm, Dn), _minus(_times(Dn, Dm)),
+                       (rs, -(1j * (2.0 / g0) * sin * (vs / g0)))))
 
 
 def weyl_matrices(dim: Dimension):
@@ -216,34 +258,38 @@ def weyl_matrices(dim: Dimension):
     return build_clock_operator(dim).conj(), build_shift_operator(dim).T
 
 
+def _weyl_j(d: int, pair, m):
+    """J_m as a monomial, from the entries of the monomial pair (g, h)."""
+    g, h = pair
+    rows, vals = _times(_power(g, m[0] % d), _power(h, m[1] % d))
+    return rows, _half_phase(d, m[0], m[1]).conj() * vals
+
+
 def weyl_j_matrix(dim: Dimension, m) -> np.ndarray:
     """J_m = w^{m1 m2 / 2} g^{m1} h^{m2} with the exact integer half-exponent."""
-    g, h = weyl_matrices(dim)
-    ph = _half_phase(dim.d, m[0], m[1]).conj()
-    return ph * (matrix_power(g, m[0] % dim.d) @ matrix_power(h, m[1] % dim.d))
+    rows, vals = _weyl_j(dim.d, [_monomial(A) for A in weyl_matrices(dim)], m)
+    return _dense((rows[None], vals[None]))[0]
 
 
 def weyl_commutator_check(dim: Dimension, m, n) -> dict:
-    """Structure constants of the Weyl-pair family J_m.
+    """Structure constants of the Weyl-pair family J_m, on monomials.
 
     J_m coincides with S_{(-m2,-m1)} elementwise, so the family satisfies the
     sine algebra with the label mirror applied; the measured commutator is
     [J_m, J_n] = -2i sin(gamma0 m x n / 2) J_{m+n}.  Residuals for both sign
     conventions are returned.
     """
-    Jm = weyl_j_matrix(dim, m)
-    Jn = weyl_j_matrix(dim, n)
-    Jsum = weyl_j_matrix(dim, (m[0] + n[0], m[1] + n[1]))
-    mirror = max(
-        max_abs(Jm - schwinger_matrix(dim, (-m[1], -m[0]))),
-        max_abs(Jn - schwinger_matrix(dim, (-n[1], -n[0]))),
-    )
-    comm = Jm @ Jn - Jn @ Jm
-    s = _sin_turns(lattice_cross(m, n), dim.d)
+    d = dim.d
+    pair = [_monomial(A) for A in weyl_matrices(dim)]
+    Jm, Jn, Jsum = (_weyl_j(d, pair, x) for x in (m, n, (m[0] + n[0], m[1] + n[1])))
+    mirror = max(float(_norm(J, _minus(displacement_columns(d, -x[1], -x[0]))))
+                 for J, x in ((Jm, m), (Jn, n)))
+    comm = (_times(Jm, Jn), _minus(_times(Jn, Jm)))
+    s = _sin_turns(lattice_cross(m, n), d)
     return {
         "mirror": mirror,
-        "minus_form": max_abs(comm + 2j * s * Jsum),
-        "plus_form": max_abs(comm - 2j * s * Jsum),
+        "minus_form": float(_norm(*comm, (Jsum[0], 2j * s * Jsum[1]))),
+        "plus_form": float(_norm(*comm, (Jsum[0], -(2j * s * Jsum[1])))),
     }
 
 
@@ -268,9 +314,9 @@ def schwinger_basis_rank(dim: Dimension) -> int:
     """
     d = dim.d
     labels = np.array(window_vectors(dim), dtype=np.int64)
-    key = labels[:, 0] % d
+    key = labels[:, 0] % d      # takes every value in [0, D)
     return sum(int(np.linalg.matrix_rank(displacement_columns(d, m[:, 0], m[:, 1])[1]))
-               for m in (labels[key == k] for k in np.unique(key)))
+               for m in (labels[key == k] for k in range(d)))
 
 
 def _worst(res: dict, key: str, values) -> None:
@@ -279,54 +325,59 @@ def _worst(res: dict, key: str, values) -> None:
 
 def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
                          rng=None, n_random: int = 200) -> dict:
-    """Full algebra suite for a candidate conjugate pair (X, Z).
+    """Full algebra suite for a candidate conjugate pair (X, Z) of monomial matrices.
 
     Checks the Weyl commutation X Z = e^{i gamma0} Z X, order-D cyclicity, and
     the adjoint / power / trace identities over the checked window labels and
     composition over random window and integer labels of the S family built
-    from the pair's powers X^a and Z^b, a, b in [0, D), in label blocks.
-    Returns the worst residual per check.
+    from the pair's powers X^a and Z^b, a, b in [0, D), taken by squaring from
+    the pair's own entries.  Every identity compares monomials: O(D) per
+    label, O(D log D) for S_m^D.  Returns the worst residual per check; a pair
+    that is not monomial raises ValueError.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     d = dim.d
-    res = {
-        "weyl_commutation": max_abs(X @ Z - dim.omega * Z @ X),
-        "cyclic_X": max_abs(matrix_power(X, d) - np.eye(d)),
-        "cyclic_Z": max_abs(matrix_power(Z, d) - np.eye(d)),
-        "adjoint": 0.0,
-        "composition": 0.0,
-        "power_sign": 0.0,
-        "trace": 0.0,
-    }
-    Xp, Zp = powers = np.empty((2, d, d, d), dtype=np.result_type(X, Z))
-    for P, Y in zip(powers, (X, Z)):
-        for a in range(d):
-            P[a] = matrix_power(Y, a)
+    x, z = _monomial(X), _monomial(Z)
+    # X^a and Z^b, a in [0, D), as D x D (row, phase) arrays
+    powers = [(np.empty((d, d), dtype=np.intp), np.empty((d, d), dtype=complex)) for _ in range(2)]
+    for (rows, vals), y in zip(powers, (x, z)):
+        for k in range(d):
+            rows[k], vals[k] = _power(y, k)
+    (xr, xv), (zr, zv) = powers
 
     def S(m):
-        return _half_phase(d, m[:, 0], m[:, 1])[:, None, None] * (Xp[m[:, 0] % d] @ Zp[m[:, 1] % d])
+        a, b = m[:, 0] % d, m[:, 1] % d
+        rows, vals = _times((xr[a], xv[a]), (zr[b], zv[b]))
+        return rows, _half_phase(d, m[:, 0], m[:, 1])[:, None] * vals
 
+    eye = np.arange(d)
     labels = np.array(window_vectors(dim), dtype=np.int64)
     i, j = rng.integers(0, len(labels), n_random), rng.integers(0, len(labels), n_random)
     # one draw per label, as the label-by-label loop made them
     extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
                       for _ in range(n_random // 4)], dtype=np.int64).reshape(-1, 2, 2)
     a, b = np.concatenate([labels[i], extra[:, 0]]), np.concatenate([labels[j], extra[:, 1]])
+    res = dict.fromkeys(("weyl_commutation", "cyclic_X", "cyclic_Z", "adjoint", "composition",
+                         "power_sign", "trace"), 0.0)
+    _worst(res, "weyl_commutation", _norm(_times(x, z), _minus(_times((z[0], dim.omega * z[1]), x))))
+    _worst(res, "cyclic_X", _norm(_power(x, d), (eye, -1.0)))
+    _worst(res, "cyclic_Z", _norm(_power(z, d), (eye, -1.0)))
     checked = _checked_labels(dim)
-    for blk in label_blocks(len(checked), d):
-        m = checked[blk]
-        Sm = S(m)
-        expected = np.where((m % d == 0).all(axis=1), d, 0.0)
-        _worst(res, "trace", np.abs(np.abs(np.trace(Sm, axis1=1, axis2=2)) - expected))
-        _worst(res, "adjoint", np.abs(Sm.conj().swapaxes(1, 2) - S(-m)).max(axis=(1, 2)))
+    step = max(1, _BLOCK_ENTRIES // d)      # labels per block of (labels, D) arrays
+    for lo in range(0, len(checked), step):
+        m = checked[lo:lo + step]
+        rows, vals = Sm = S(m)
         sign = 1 - 2 * ((d * m[:, 0] * m[:, 1]) % 2)
-        _worst(res, "power_sign",
-               np.abs(matrix_power(Sm, d) - sign[:, None, None] * np.eye(d)).max(axis=(1, 2)))
-    for blk in label_blocks(len(a), d):
-        ph = _phase(d, lattice_cross(a[blk].T, b[blk].T)).conj()     # e^{i gamma0 a x b / 2}
-        err = S(a[blk]) @ S(b[blk]) - ph[:, None, None] * S(a[blk] + b[blk])
-        _worst(res, "composition", np.abs(err).max(axis=(1, 2)))
+        _worst(res, "adjoint", _norm(_adjoint(Sm), _minus(S(-m))))
+        _worst(res, "power_sign", _norm(_power(Sm, d), (eye, -sign[:, None])))
+        _worst(res, "trace", np.abs(np.abs(np.where(rows == eye, vals, 0).sum(axis=1))
+                                    - np.where((m % d == 0).all(axis=1), d, 0.0)))
+    for lo in range(0, len(a), step):
+        p, q = a[lo:lo + step], b[lo:lo + step]
+        ph = _phase(d, lattice_cross(p.T, q.T)).conj()     # e^{i gamma0 a x b / 2}
+        rows, vals = S(p + q)
+        _worst(res, "composition", _norm(_times(S(p), S(q)), (rows, -(ph[:, None] * vals))))
     return res
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
-from .lattice import Dimension, _phase, build_fourier_operator, max_abs, window_vectors
+from .lattice import Dimension, _checked_labels, _phase, build_fourier_operator, max_abs, window_vectors
 
 # entries of one (labels, D, D) block of G S_m in the covariance sweep: 2^14
 # (4 labels at D = 61) ran fastest of 2^12..2^16 at D = 31 and 61 (2^15 and
@@ -222,9 +222,10 @@ def translation_covariance_residual(op: MetaplecticOperator) -> float:
     """Exactness of G S_m = (-1)^{r1 r2 - m1 m2} S_r G over residues m (odd D).
 
     r = R m mod D; the sign is predicted_phase on residues, i.e. the aligned
-    gauge conjugates T_m = (-1)^{m1 m2} S_m to T_r exactly.
+    gauge conjugates T_m = (-1)^{m1 m2} S_m to T_r exactly.  m runs over the
+    residues of lattice._checked_labels: all up to D = 64, a seeded sample above.
     """
-    m1, m2 = np.indices((op.dim.d, op.dim.d)).reshape(2, -1)
+    m1, m2 = (_checked_labels(op.dim) % op.dim.d).T
     r1, r2 = op.map.apply((m1, m2), reduce=True)
     _, resid = _sweep(op.matrix, op.map, np.stack([m1, m2], axis=1),
                       1 - 2 * ((r1 * r2 - m1 * m2) % 2))

@@ -171,7 +171,7 @@ def _class_note(sweep, pairs) -> str:
 
 def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[CheckRow]:
     from .schwinger import (
-        dense_eigensystem_residuals,
+        eigensystem_residuals,
         fourier_covariance_residuals,
         schwinger_basis_rank,
         sine_commutator_check,
@@ -183,18 +183,13 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     sampled = _sample_note(dim, "labels")
     rows = [_res(k, v, note=sampled if k in _WINDOW_ROWS else "")
             for k, v in standard_pair_suite(dim, rng=rng, n_random=samples).items()]
-    worst_sine = 0.0
-    worst_weyl = {"mirror": 0.0, "minus_form": 0.0}
+    pairs = []
     for _ in range(min(30, max(4, samples // 8))):
-        m = tuple(int(x) for x in rng.integers(-2 * dim.d, 2 * dim.d, 2))
-        n = tuple(int(x) for x in rng.integers(-2 * dim.d, 2 * dim.d, 2))
-        worst_sine = max(worst_sine, sine_commutator_check(dim, m, n))
+        m, n = (tuple(int(x) for x in rng.integers(-2 * dim.d, 2 * dim.d, 2)) for _ in range(2))
         wc = weyl_commutator_check(dim, m, n)
-        for k in worst_weyl:
-            worst_weyl[k] = max(worst_weyl[k], wc[k])
-    rows.append(_res("sine_algebra", worst_sine))
-    rows.append(_res("weyl_mirror", worst_weyl["mirror"]))
-    rows.append(_res("weyl_commutator", worst_weyl["minus_form"]))
+        pairs.append((sine_commutator_check(dim, m, n), wc["mirror"], wc["minus_form"]))
+    rows.extend(_res(k, v) for k, v in zip(("sine_algebra", "weyl_mirror", "weyl_commutator"),
+                                           np.max(pairs, axis=0)))
     labels = _checked_labels(dim)
     rows.append(_res("fourier_covariance", fourier_covariance_residuals(dim, labels).max(),
                      note=sampled))
@@ -202,9 +197,11 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     rows.append(_flag("basis_rank", rank == dim.d**2, note=f"rank {rank} of {dim.d ** 2}"))
     if dim.prime:
         nonzero = labels[(labels % dim.d != 0).any(axis=1)]
-        lam_res, vec_res = dense_eigensystem_residuals(dim, nonzero)
-        rows.append(_res("eigenvalue_closed_form", lam_res.max(), note=sampled))
-        rows.append(_res("eigenvector_dense_match", vec_res.max(), note=sampled))
+        lam_res, vec_res = eigensystem_residuals(dim, nonzero)
+        rows.append(_res("eigenvalue_closed_form", lam_res.max(),
+                         note=_join("|S v - lam v| + ||v| - 1|", sampled)))
+        rows.append(_res("eigenvector_dense_match", vec_res.max(),
+                         note=_join("the same over the least eigenvalue gap", sampled)))
     else:
         rows.append(_info("eigensystem", 0.0,
                           note=f"skipped: D={dim.d} is composite, labels may be degenerate"))
@@ -329,6 +326,10 @@ def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list
     return rows
 
 
+def _join(*notes: str) -> str:
+    return ", ".join(n for n in notes if n)
+
+
 def _sample_note(dim: Dimension, items: str) -> str:
     """How many grid points or window labels the per-item rows check, when not all of them."""
     n = len(_checked_labels(dim))
@@ -443,6 +444,8 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     from . import transforms, wigner
 
     rng = np.random.default_rng(seed)
+    labels = _checked_labels(dim)
+    sampled = _sample_note(dim, "labels")
     rows = [_res("fourier_map", transforms.fourier_check(dim))]
     ident = transforms.build_metaplectic(
         dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (0, 1))))
@@ -453,19 +456,21 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     for _ in range(samples):
         op = transforms.build_metaplectic(dim, transforms.random_symplectic(dim, rng=rng))
         worst_u = max(worst_u, op.unitary_residual)
-        report = transforms.covariance_report(op)
+        report = transforms.covariance_report(op, labels)
         worst_cov = max(worst_cov, report[0])
         first_report = first_report or report
         ops.append(op)
     shear = transforms.build_metaplectic(
         dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1))))
-    w, _ = transforms.covariance_report(shear)
+    w, _ = transforms.covariance_report(shear, labels)
     worst_cov = max(worst_cov, w)
     rows.append(_res("unitarity", worst_u, note=f"{samples} random maps"))
-    rows.append(_res("covariance", worst_cov, note="after per-label phase alignment"))
+    rows.append(_res("covariance", worst_cov,
+                     note=_join("after per-label phase alignment", sampled)))
     if dim.d % 2 == 1:
         worst_t = max(transforms.translation_covariance_residual(op) for op in ops[:3])
-        rows.append(_res("translation_covariance", worst_t, note="aligned gauge, exact"))
+        rows.append(_res("translation_covariance", worst_t,
+                         note=_join("aligned gauge, exact", sampled)))
         worst_c = 0.0
         for _ in range(min(10, samples)):
             a, b = rng.integers(0, len(ops), 2)
@@ -489,8 +494,8 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     flat = (transforms.flattening_report(*first_report) if first_report
             else transforms.phase_flattening_report(ident))
     rows.append(_info("phase_flattening", flat["max_phase_deviation"],
-                      note=f"flattenable={flat['flattenable']} "
-                           "(global phases cannot change conjugation phases)"))
+                      note=_join(f"flattenable={flat['flattenable']} "
+                                 "(global phases cannot change conjugation phases)", sampled)))
     return rows
 
 

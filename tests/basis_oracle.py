@@ -1,19 +1,21 @@
-"""Dense forms of the Schwinger-basis and number-phase kernel rows, the oracles of their tests.
+"""Dense forms of the Schwinger-basis and number-phase rows, the oracles of their tests.
 
 The package checks these rows on its own label paths: Fourier covariance by
-the FFT quarter turn, the basis rank per block of equal m1, and the
-action-angle kernel as one torus displacement sum.  The forms here build the
-dense operators those paths avoid: F S_m F^dag by matmul (O(D^3) per label),
-the D^2 x D^2 Hilbert-Schmidt Gram matrix (O(D^6)), and the kernel summed
-over S^np_m taken from the powers of the number-phase pair (O(D^5)).  They
+the FFT quarter turn, the basis rank per block of equal m1, the action-angle
+kernel as one torus displacement sum, the pair identities on monomials and
+the closed-form eigensystems by their eigen equation.  The forms here build
+the dense operators those paths avoid: F S_m F^dag by matmul (O(D^3) per
+label), the D^2 x D^2 Hilbert-Schmidt Gram matrix (O(D^6)), the kernel summed
+over S^np_m taken from the powers of the number-phase pair (O(D^5)), the
+pair suite on (D, D, D) power stacks, and np.linalg.eig per label.  They
 serve small D only.
 """
 import numpy as np
 from numpy.linalg import matrix_power
 
 from torusphase import build_fourier_operator, build_phase_pair, window_vectors
-from torusphase.lattice import _half_phase
-from torusphase.schwinger import schwinger_stack
+from torusphase.lattice import _checked_labels, _half_phase, lattice_cross, max_abs
+from torusphase.schwinger import _worst, eigensystem_by_recursion, label_blocks, schwinger_stack
 
 
 def pair_schwinger(dim, X, Z, m) -> np.ndarray:
@@ -47,3 +49,106 @@ def action_angle_kernel(dim, J, theta) -> np.ndarray:
     S = _half_phase(d, m[:, 0], m[:, 1])[:, None, None] * (Np[m[:, 0] % d] @ Pp[m[:, 1] % d])
     coef = np.exp(1j * (dim.gamma0 * m[:, 0] * J - m[:, 1] * theta))
     return np.einsum("p,pij->ij", coef, S) / (2.0 * np.pi * d)
+
+
+# rows that are D-th powers of the pair's entries
+POWER_ROWS = ("power_sign", "cyclic_X", "cyclic_Z")
+
+
+def assert_within_oracle(d, rows, oracle, tol=1e-10):
+    """Each monomial row has its dense oracle row's status at tol and reads at most 1e-15 more.
+
+    A D-th power row may read up to D^2 eps more, the rounding of D^2
+    products: it is the clock's rounded entries raised to the D-th power, and
+    exact arithmetic on those entries reads 2.317e-13 for power_sign at
+    D = 31, where the dense matrix_power reads 2.180e-13.
+    """
+    for k, v in oracle.items():
+        slack = d * d * np.finfo(float).eps if k in POWER_ROWS else 1e-15
+        assert (rows[k] < tol) == (v < tol), (d, k, rows[k], v)
+        assert rows[k] <= v + slack, (d, k, rows[k], v)
+
+
+def pair_suite(dim, X, Z, rng=None, n_random: int = 200) -> dict:
+    """conjugate_pair_suite on dense (D, D, D) stacks of the powers X^a and Z^b, in label blocks.
+
+    The same rows from the same draws, each product a matmul and each D-th
+    power a matrix_power.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    d = dim.d
+    res = {
+        "weyl_commutation": max_abs(X @ Z - dim.omega * Z @ X),
+        "cyclic_X": max_abs(matrix_power(X, d) - np.eye(d)),
+        "cyclic_Z": max_abs(matrix_power(Z, d) - np.eye(d)),
+        "adjoint": 0.0,
+        "composition": 0.0,
+        "power_sign": 0.0,
+        "trace": 0.0,
+    }
+    Xp, Zp = powers = np.empty((2, d, d, d), dtype=np.result_type(X, Z))
+    for P, Y in zip(powers, (X, Z)):
+        for a in range(d):
+            P[a] = matrix_power(Y, a)
+
+    def S(m):
+        return _half_phase(d, m[:, 0], m[:, 1])[:, None, None] * (Xp[m[:, 0] % d] @ Zp[m[:, 1] % d])
+
+    labels = np.array(window_vectors(dim), dtype=np.int64)
+    i, j = rng.integers(0, len(labels), n_random), rng.integers(0, len(labels), n_random)
+    extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
+                      for _ in range(n_random // 4)], dtype=np.int64).reshape(-1, 2, 2)
+    a, b = np.concatenate([labels[i], extra[:, 0]]), np.concatenate([labels[j], extra[:, 1]])
+    checked = _checked_labels(dim)
+    for blk in label_blocks(len(checked), d):
+        m = checked[blk]
+        Sm = S(m)
+        expected = np.where((m % d == 0).all(axis=1), d, 0.0)
+        _worst(res, "trace", np.abs(np.abs(np.trace(Sm, axis1=1, axis2=2)) - expected))
+        _worst(res, "adjoint", np.abs(Sm.conj().swapaxes(1, 2) - S(-m)).max(axis=(1, 2)))
+        sign = 1 - 2 * ((d * m[:, 0] * m[:, 1]) % 2)
+        _worst(res, "power_sign",
+               np.abs(matrix_power(Sm, d) - sign[:, None, None] * np.eye(d)).max(axis=(1, 2)))
+    for blk in label_blocks(len(a), d):
+        # its own exponential, not the package's phase table
+        ph = np.exp(1j * (np.pi * (lattice_cross(a[blk].T, b[blk].T) % (2 * d)) / d))
+        err = S(a[blk]) @ S(b[blk]) - ph[:, None, None] * S(a[blk] + b[blk])
+        _worst(res, "composition", np.abs(err).max(axis=(1, 2)))
+    return res
+
+
+def dense_match_stack(d: int, labels, lam, vecs):
+    """Eigenvalue and eigenvector residuals (P,) of np.linalg.eig on dense S_labels.
+
+    Each closed-form eigenvalue lam[p, r] is matched to its nearest dense
+    eigenvalue, and the dense eigenvector is aligned to vecs[p, :, r] by a
+    global phase before differencing.  Nearest eigenvalues that are no
+    permutation leave a dense eigenvalue unmatched: both residuals of that
+    label then read at least 1.
+    """
+    vals, dense = np.linalg.eig(schwinger_stack(d, labels))
+    dist = np.abs(vals[:, :, None] - lam[:, None, :])
+    k = dist.argmin(axis=1)
+    lam_res = np.take_along_axis(dist, k[:, None, :], axis=1)[:, 0].max(axis=1)
+    w = np.take_along_axis(dense, k[:, None, :], axis=2)
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    ov = np.einsum("pkr,pkr->pr", vecs.conj(), w)
+    phase = np.ones_like(ov)
+    nonzero = ov != 0
+    phase[nonzero] = ov[nonzero].conj() / np.abs(ov[nonzero])
+    vec_res = np.abs(w * phase[:, None, :] - vecs).max(axis=(1, 2))
+    floor = np.where((np.sort(k, axis=1) != np.arange(d)).any(axis=1), 1.0, 0.0)
+    return np.maximum(lam_res, floor), np.maximum(vec_res, floor)
+
+
+def dense_eigensystem_residuals(dim, labels):
+    """dense_match_stack of the closed-form eigensystem per label row: two arrays (P,), in blocks."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    lam_res, vec_res = np.empty(len(labels)), np.empty(len(labels))
+    for blk in label_blocks(len(labels), dim.d):
+        systems = [eigensystem_by_recursion(dim, m) for m in labels[blk].tolist()]
+        lam_res[blk], vec_res[blk] = dense_match_stack(
+            dim.d, [sys.m for sys in systems], np.stack([sys.eigenvalues for sys in systems]),
+            np.stack([sys.eigenvectors for sys in systems]))
+    return lam_res, vec_res

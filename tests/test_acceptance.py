@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import torusphase as tp
-from torusphase.schwinger import dense_eigensystem_residuals
+from basis_oracle import dense_eigensystem_residuals
 
 
 def _finish(num: int, failures: list, t0: float, budget: float) -> None:

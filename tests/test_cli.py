@@ -221,8 +221,8 @@ def test_spectrum_collinear_exits_2(runner):
     # D past the command's bound, refused before any array is allocated
     (["gen", "--d", "99999999999999999999", "--kind", "u"], "DimensionTooLargeError"),
     (["wigner", "--d", "3000000", "--state", "fock:1"], "DimensionTooLargeError"),
-    (["verify", "--d", "257", "--suite", "all"], "DimensionTooLargeError"),
-    (["verify", "--d", "257", "--suite", "numberphase"], "DimensionTooLargeError"),
+    (["verify", "--d", "4097", "--suite", "all"], "DimensionTooLargeError"),
+    (["verify", "--d", "4097", "--suite", "numberphase"], "DimensionTooLargeError"),
     (["index", "--d", "4097", "--case", "oscillator"], "DimensionTooLargeError"),
     (["converge", "--primes", "11,100003", "--observable", "wigner"], "DimensionTooLargeError"),
 ])
@@ -240,9 +240,9 @@ def test_refused_inputs_exit_2_with_the_error_class(runner, args, error):
 
 
 def test_a_dimension_past_the_bound_is_named(runner):
-    res = invoke(runner, ["verify", "--d", "257", "--suite", "schwinger"])
+    res = invoke(runner, ["verify", "--d", "4097", "--suite", "schwinger"])
     assert res.exit_code == 2
-    assert "error: DimensionTooLargeError: D=257 is above 256" in res.stderr
+    assert "error: DimensionTooLargeError: D=4097 is above 4096" in res.stderr
 
 
 @pytest.mark.parametrize("suite", ["wigner", "transforms"])
@@ -481,6 +481,13 @@ def test_verify_single_suite_imports_only_its_layers():
     assert rc == 0 and out.rstrip().splitlines()[-1].startswith("PASS:")
     assert layers(modules) & {"deformed", "fock", "limits", "numberphase", "transforms",
                               "wigner"} == set()
+
+
+def test_verify_schwinger_leaves_numpy_ma_unloaded():
+    # the basis rank loops over m1 in range(D); np.unique loaded numpy.ma
+    rc, _, _, modules = loaded_by(["verify", "--d", "5", "--suite", "schwinger"])
+    assert rc == 0
+    assert "numpy.ma" not in modules
 
 
 def test_verify_unknown_suite_is_a_usage_error():

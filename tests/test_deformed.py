@@ -103,6 +103,14 @@ def test_no_lowest_weight_vector_odd_dimension(d):
         assert rep.irreducible
 
 
+@pytest.mark.parametrize("d, m, mp", [(31, (-51, -25), (-20, 54)), (211, (-300, 17), (95, -260))])
+def test_oscillator_bracket_takes_the_reduced_cross(d, m, mp):
+    # with the unreduced cross (-3254 and 76385) the sine arguments read
+    # 9.4e-12 and 9.9e-10 off the spectrum here
+    o = build_q_oscillator(make_dimension(d), m, mp)
+    assert np.abs(o.spectrum - (o.shift_constant + o.bracket(np.arange(d)))).max() <= 1e-14
+
+
 def test_swapped_pair_shares_spectrum():
     dim = make_dimension(7)
     a = build_q_oscillator(dim, (1, 2), (2, 1))

@@ -1,11 +1,13 @@
 """The schwinger and number-phase rows on the package's label paths against their dense oracles.
 
-The basis rank is a sum of D x D ranks per block of equal m1 and the
-action-angle kernel one torus displacement sum; the rows over window labels
-check every label up to D = 64 and a seeded sample above.  basis_oracle holds
-the dense forms these replace (its dense Fourier covariance is compared in
-test_stacked); fault tests show that a broken eigenvector, a repeated label
-or a dropped reduction sign shows in the row that owns it.
+The basis rank is a sum of D x D ranks per block of equal m1, the
+action-angle kernel one torus displacement sum, the pair identities compare
+monomials and the eigen rows take the closed-form eigen equation; the rows
+over window labels check every label up to D = 64 and a seeded sample above.
+basis_oracle holds the dense forms these replace (its dense Fourier
+covariance is compared in test_stacked); fault tests show that a broken
+eigenvector, a wrong pair entry, a repeated label or a dropped reduction sign
+shows in the row that owns it.
 """
 import os
 import subprocess
@@ -19,6 +21,8 @@ import pytest
 import basis_oracle
 import torusphase
 from torusphase import (
+    build_clock_operator,
+    build_shift_operator,
     build_uq_sl2,
     make_dimension,
     numberphase,
@@ -80,6 +84,73 @@ def test_a_perturbed_eigenvector_entry_shows_in_the_dense_match_row(monkeypatch)
     assert _rows(verify.suite_schwinger(dim))["eigenvector_dense_match"].value < 1e-13
     monkeypatch.setattr(schwinger, "eigensystem_by_recursion", perturbed)
     assert _rows(verify.suite_schwinger(dim))["eigenvector_dense_match"].value > 1e-7
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 9, 13, 31])
+def test_monomial_rows_keep_the_oracle_status(d):
+    # the pair suites of both pairs against the dense power stacks, and the
+    # eigen rows against np.linalg.eig, on the labels the suites check
+    dim = make_dimension(d)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    for X, Z in ((U, V), (V, U.T)):
+        rows = schwinger.conjugate_pair_suite(dim, X, Z, rng=np.random.default_rng(0))
+        basis_oracle.assert_within_oracle(
+            d, rows, basis_oracle.pair_suite(dim, X, Z, rng=np.random.default_rng(0)))
+    if not dim.prime:
+        return
+    labels = _checked_labels(dim)
+    labels = labels[(labels % d != 0).any(axis=1)]
+    lam, vec = (r.max() for r in schwinger.eigensystem_residuals(dim, labels))
+    ref_lam, ref_vec = (r.max() for r in basis_oracle.dense_eigensystem_residuals(dim, labels))
+    assert lam <= ref_lam + 1e-15
+    # the vector row bounds an angle by the residual over the least gap (Davis-Kahan),
+    # so it reads the eigenvalue bound over the gap: 7.2e-15 at D = 31, eig 4.7e-15
+    ring = schwinger.eigensystem_by_recursion(dim, (1, 0)).eigenvalues
+    gap = np.abs(ring[:, None] - ring + 9 * np.eye(d)).min()
+    assert vec <= (ref_lam + 1e-15) / gap
+    assert (vec < 1e-10) == (ref_vec < 1e-10) and (lam < 1e-10) == (ref_lam < 1e-10)
+
+
+def test_a_repeated_closed_form_eigenvalue_reads_one_in_the_vector_row(monkeypatch):
+    dim = make_dimension(7)
+    exact = schwinger.eigensystem_by_recursion
+
+    def repeated(dim, m):
+        sys_ = exact(dim, m)
+        lam = sys_.eigenvalues.copy()
+        lam[1] = lam[0]
+        return schwinger.SchwingerEigensystem(dim=dim, m=sys_.m, eigenvalues=lam,
+                                              eigenvectors=sys_.eigenvectors)
+
+    monkeypatch.setattr(schwinger, "eigensystem_by_recursion", repeated)
+    lam, vec = schwinger.eigensystem_residuals(dim, [(1, 2)])
+    assert vec[0] == 1.0 and lam[0] > 0.1
+
+
+@pytest.mark.parametrize("pair", ["standard", "number-phase"])
+def test_a_wrong_pair_entry_shows_in_the_monomial_rows(pair):
+    dim = make_dimension(7)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    X, Z = (U, V) if pair == "standard" else (V, U.T)
+    rows = schwinger.conjugate_pair_suite(dim, X, Z)
+    X = X.copy()
+    X[np.flatnonzero(X[:, 3])[0], 3] *= 1 + 1e-6
+    wrong = schwinger.conjugate_pair_suite(dim, X, Z)
+    for k in ("composition", "adjoint", "power_sign"):
+        assert rows[k] < 1e-13 and wrong[k] > 1e-7, (k, rows[k], wrong[k])
+
+
+def test_a_pair_that_is_not_monomial_is_refused_by_its_first_bad_column():
+    dim = make_dimension(5)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    X = U.copy()
+    X[0, 2] = 0.5                        # column 2 gets a second entry
+    with pytest.raises(ValueError, match="column 2 "):
+        schwinger.conjugate_pair_suite(dim, X, V)
+    X = U.copy()
+    X[:, [1, 3]] = X[:, [1, 1]]          # columns 1 and 3 share a row
+    with pytest.raises(ValueError, match="column 1 "):
+        schwinger.conjugate_pair_suite(dim, V, X)
 
 
 @pytest.mark.parametrize("k", [1, 7, 48])

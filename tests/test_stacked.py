@@ -1,17 +1,25 @@
 """Stacked label checks against the per-label loops they replace.
 
 Each reference below is the loop form of a verify check, one label or one
-pair at a time.  Where the stacked form does the same arithmetic, the values
-must be equal; where it sums in another order, they must agree to a few ulps.
+pair at a time, or its dense form from basis_oracle.  Where the stacked form
+does the same arithmetic, the values must be equal; where it sums in another
+order, they must agree to a few ulps; the pair identities on monomials follow
+basis_oracle.assert_within_oracle.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.linalg import matrix_power
 from numpy.testing import assert_allclose
 
-from basis_oracle import fourier_covariance, pair_schwinger
+from basis_oracle import (
+    assert_within_oracle,
+    dense_eigensystem_residuals,
+    dense_match_stack,
+    fourier_covariance,
+    pair_schwinger,
+    pair_suite,
+)
 from torusphase import (
     DegenerateSpectrumError,
     build_clock_operator,
@@ -92,39 +100,6 @@ def _dense_match_loop(dim, sys):
             w = w * (ov.conjugate() / abs(ov))
         vec_res = max(vec_res, max_abs(w - sys.eigenvectors[:, r]))
     return lam_res, vec_res
-
-
-def _pair_suite_loop(dim, X, Z, rng, n_random):
-    """The label-by-label conjugate_pair_suite, S cached by (m mod D, m1 m2 mod 2D)."""
-    d = dim.d
-    res = {"adjoint": 0.0, "composition": 0.0, "power_sign": 0.0, "trace": 0.0}
-    cache = {}
-
-    def S(m):
-        key = (m[0] % d, m[1] % d, (m[0] * m[1]) % (2 * d))
-        if key not in cache:
-            cache[key] = pair_schwinger(dim, X, Z, m)
-        return cache[key]
-
-    labels = list(window_vectors(dim))
-    pairs = [(labels[i], labels[j])
-             for i, j in zip(rng.integers(0, len(labels), n_random),
-                             rng.integers(0, len(labels), n_random))]
-    pairs += [(tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)),
-               tuple(int(x) for x in rng.integers(-2 * d, 2 * d, 2)))
-              for _ in range(n_random // 4)]
-    for m in labels:
-        expected = d if (m[0] % d == 0 and m[1] % d == 0) else 0.0
-        res["trace"] = max(res["trace"], abs(abs(np.trace(S(m))) - expected))
-        res["adjoint"] = max(res["adjoint"], max_abs(S(m).conj().T - S((-m[0], -m[1]))))
-        sign = (-1) ** ((d * m[0] * m[1]) % 2)
-        res["power_sign"] = max(res["power_sign"],
-                                max_abs(matrix_power(S(m), d) - sign * np.eye(d)))
-    for a, b in pairs:
-        rhs = np.exp(1j * (np.pi * (lattice_cross(a, b) % (2 * d)) / d)) * pair_schwinger(
-            dim, X, Z, (a[0] + b[0], a[1] + b[1]))
-        res["composition"] = max(res["composition"], max_abs(S(a) @ S(b) - rhs))
-    return res
 
 
 def _kernel_loop(dim, J, theta):
@@ -246,9 +221,9 @@ def test_dense_eigensystem_residuals_equal_the_greedy_loop(d):
             systems.append(eigensystem_by_recursion(dim, m))
         except DegenerateSpectrumError:
             continue
-    lam_res, vec_res = schwinger.dense_eigensystem_residuals(dim, [s.m for s in systems])
+    lam_res, vec_res = dense_eigensystem_residuals(dim, [s.m for s in systems])
     for sys, lam, vec in zip(systems, lam_res, vec_res):
-        assert (lam, vec) == tuple(r[0] for r in schwinger.dense_eigensystem_residuals(dim, [sys.m]))
+        assert (lam, vec) == tuple(r[0] for r in dense_eigensystem_residuals(dim, [sys.m]))
         ref = _dense_match_loop(dim, sys)
         assert_allclose((lam, vec), ref, rtol=0, atol=1e-15)
 
@@ -259,23 +234,20 @@ def test_a_non_permutation_eigenvalue_assignment_reads_order_one(d):
     sys = eigensystem_by_recursion(dim, (1, 2))
     lam = sys.eigenvalues.copy()
     lam[1] = lam[0]     # two closed-form eigenvalues nearest the same dense one
-    lam_res, vec_res = schwinger._dense_match_stack(d, [sys.m], lam[None], sys.eigenvectors[None])
+    lam_res, vec_res = dense_match_stack(d, [sys.m], lam[None], sys.eigenvectors[None])
     assert lam_res[0] >= 1.0 and vec_res[0] >= 1.0
-    assert max(r[0] for r in schwinger.dense_eigensystem_residuals(dim, [sys.m])) < 1e-12
+    assert max(r[0] for r in dense_eigensystem_residuals(dim, [sys.m])) < 1e-12
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_conjugate_pair_suite_equals_the_per_label_loop(d):
+    # the rows on monomials against the dense power-stack suite, from the same draws
     dim = make_dimension(d)
     U, V = build_shift_operator(dim), build_clock_operator(dim)
     for X, Z in ((U, V), (V, U.T)):
         rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
         rows = conjugate_pair_suite(dim, X, Z, rng=rng, n_random=60)
-        ref = _pair_suite_loop(dim, X, Z, ref_rng, 60)
-        # |Tr S| of one complex scalar and of an array may differ in the last bit
-        assert_allclose([rows[k] for k in ref], list(ref.values()), rtol=1e-15, atol=0)
-        assert {k: rows[k] for k in ref if k != "trace"} == {k: v for k, v in ref.items()
-                                                            if k != "trace"}
+        assert_within_oracle(d, rows, pair_suite(dim, X, Z, ref_rng, 60))
         # the same draws in the same order: later draws of a suite do not shift
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -315,8 +287,7 @@ def test_action_angle_kernel_forms_equal_the_label_loops(d):
                                            (verify.suite_numberphase, 15.1e6)])
 def test_blocked_suites_stay_within_the_traced_peak_of_the_label_loops(suite, budget):
     # the label-by-label suites peaked at 58.4 MB and 15.1 MB or more at D = 31;
-    # the blocks bound every stack, so the pair's D^3 power stacks are the
-    # largest arrays left
+    # the monomial rows hold the pair's powers as D x D arrays (1.9 and 2.3 MB)
     tracemalloc.start()
     try:
         suite(make_dimension(31))
