@@ -54,21 +54,15 @@ def build_phase_pair(dim: Dimension) -> PhasePair:
 
 
 def phase_pair_residuals(pair: PhasePair) -> dict:
-    """Defining relations of the pair as max-norm residuals; E_N and E_phi as monomials."""
-    from .schwinger import _minus, _monomial, _norm, _power, _times
+    """Defining relations of the pair as max-norm residuals."""
+    from .schwinger import pair_relations
 
-    dim = pair.dim
-    d = dim.d
+    dim, d = pair.dim, pair.dim.d
     EN, Ep, Ph = pair.e_n, pair.e_phi, pair.phase_states
-    en, ep = _monomial(EN), _monomial(Ep)
-    eye = np.eye(d)
-    res = {
-        "commutation": float(_norm(_times(en, ep), _minus(_times((ep[0], dim.omega * ep[1]), en)))),
-        "cyclic_number": float(_norm(_power(en, d), (np.arange(d), -1.0))),
-        "cyclic_phase": float(_norm(_power(ep, d), (np.arange(d), -1.0))),
-        "orthonormal": max_abs(Ph.conj().T @ Ph - eye),
-        "complete": max_abs(Ph @ Ph.conj().T - eye),
-    }
+    res = dict(zip(("commutation", "cyclic_number", "cyclic_phase"),
+                   pair_relations(dim, EN, Ep).values()))
+    res["orthonormal"] = max_abs(Ph.conj().T @ Ph - np.eye(d))
+    res["complete"] = max_abs(Ph @ Ph.conj().T - np.eye(d))
     res["phase_eigen"] = max_abs(Ep @ Ph - Ph * _phase(d, 2 * np.arange(d)).conj())
     res["number_shift"] = max_abs(EN @ Ph - Ph[:, (np.arange(d) - 1) % d])
     return res

@@ -95,7 +95,7 @@ def test_monomial_rows_keep_the_oracle_status(d):
     for X, Z in ((U, V), (V, U.T)):
         rows = schwinger.conjugate_pair_suite(dim, X, Z, rng=np.random.default_rng(0))
         basis_oracle.assert_within_oracle(
-            d, rows, basis_oracle.pair_suite(dim, X, Z, rng=np.random.default_rng(0)))
+            dim, X, Z, rows, basis_oracle.pair_suite(dim, X, Z, rng=np.random.default_rng(0)))
     if not dim.prime:
         return
     labels = _checked_labels(dim)
@@ -109,6 +109,16 @@ def test_monomial_rows_keep_the_oracle_status(d):
     gap = np.abs(ring[:, None] - ring + 9 * np.eye(d)).min()
     assert vec <= (ref_lam + 1e-15) / gap
     assert (vec < 1e-10) == (ref_vec < 1e-10) and (lam < 1e-10) == (ref_lam < 1e-10)
+
+
+def test_power_sign_past_d365_reads_the_rounding_of_the_clock_entries():
+    # the clock's entries raised to powers up to D^2 / 2 cross tol 1e-10 in
+    # exact arithmetic too, so the suite's FAIL there is the entries' rounding
+    dim = make_dimension(365)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    row = schwinger.conjugate_pair_suite(dim, U, V, n_random=4)["power_sign"]
+    exact = basis_oracle.exact_power_rows(dim, U, V)["power_sign"]
+    assert 1e-10 <= row <= exact + 1e-15 and exact < 1.05e-10
 
 
 def test_a_repeated_closed_form_eigenvalue_reads_one_in_the_vector_row(monkeypatch):

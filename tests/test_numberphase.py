@@ -35,6 +35,17 @@ def test_pair_residuals(d):
         assert value < 1e-12, (d, key, value)
 
 
+@pytest.mark.parametrize("d", [2, 4, 9, 13])
+def test_pair_relations_are_the_identification_rows(d):
+    # one function gives both: the pair's relations and the pair suite's
+    dim = make_dimension(d)
+    res = phase_pair_residuals(build_phase_pair(dim))
+    ident = identification_suite(dim, n_random=4)
+    for key, id_key in (("commutation", "weyl_commutation"), ("cyclic_number", "cyclic_X"),
+                        ("cyclic_phase", "cyclic_Z")):
+        assert res[key] == ident[id_key], (d, key)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 def test_identification_suite_runs_clean(d):
     rows = identification_suite(make_dimension(d), rng=np.random.default_rng(0), n_random=60)

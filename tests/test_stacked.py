@@ -247,7 +247,7 @@ def test_conjugate_pair_suite_equals_the_per_label_loop(d):
     for X, Z in ((U, V), (V, U.T)):
         rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
         rows = conjugate_pair_suite(dim, X, Z, rng=rng, n_random=60)
-        assert_within_oracle(d, rows, pair_suite(dim, X, Z, ref_rng, 60))
+        assert_within_oracle(dim, X, Z, rows, pair_suite(dim, X, Z, ref_rng, 60))
         # the same draws in the same order: later draws of a suite do not shift
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
