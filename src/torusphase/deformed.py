@@ -42,7 +42,6 @@ import numpy as np
 from .errors import (
     CollinearVectorsError,
     DegenerateSpectrumError,
-    DimensionTooLargeError,
     PhaseMismatchError,
     SingularDeformationError,
 )
@@ -59,6 +58,7 @@ from .schwinger import (
 
 _SINGULAR_TOL = 1e-12
 _LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
+_CORRESPONDENCE_TOL = 1e-9   # amplitude and product-law drift eigenbasis_correspondence accepts
 # refusal reasons of each builder, in the order it checks them
 _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
@@ -175,7 +175,7 @@ class SweepReport:
         return len(self.built_mask) - self.built
 
 
-def _checked_labels(dim: Dimension, m, mp):
+def _pair_labels(dim: Dimension, m, mp):
     """Label arrays (P, 2) and exact cross values; a collinear pair raises."""
     m = np.asarray(m, dtype=np.int64).reshape(-1, 2)
     mp = np.asarray(mp, dtype=np.int64).reshape(-1, 2)
@@ -227,7 +227,7 @@ class _Labels(NamedTuple):
 def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
     """Check label pairs once for both algebras, from the label integers alone."""
     d = dim.d
-    m, mp, c = _checked_labels(dim, m, mp)
+    m, mp, c = _pair_labels(dim, m, mp)
     w = m - mp
     failed = {"singular": _singular(dim, c),
               "degenerate": ~_has_closed_form(d, w[:, 0], w[:, 1]),
@@ -448,8 +448,8 @@ class LowestWeightReport:
     irreducible: bool
 
 
-def _lowest_weight_profile(dim: Dimension, c, tol: float):
-    """Per pair: hits (P, D) of C + [n] = 0 to tol, the margin, and the singular flag.
+def _lowest_weight_profile(dim: Dimension, c):
+    """Per pair: hits (P, D) of C + [n] = 0, the margin, and the singular flag.
 
     A singular pair (sin(gamma0 c) = 0) is scanned on the scaled profile with
     both branch signs of the vanishing denominator; its margin is 0 on a hit,
@@ -460,14 +460,13 @@ def _lowest_weight_profile(dim: Dimension, c, tol: float):
     singular = _singular(dim, c)
     s = np.where(singular, 1.0, np.sin(dim.gamma0 * c))[:, None]
     f = np.abs(1.0 / np.abs(s) + v / s)
-    scaled_hits = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v)) < tol
-    hits = np.where(singular[:, None], scaled_hits, f < tol)
+    scaled_hits = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v)) < _LOWEST_WEIGHT_TOL
+    hits = np.where(singular[:, None], scaled_hits, f < _LOWEST_WEIGHT_TOL)
     margin = np.where(singular, np.where(scaled_hits.any(axis=1), 0.0, np.inf), f.min(axis=1))
     return hits, margin, singular
 
 
-def lowest_weight_scan(dim: Dimension, m, mp,
-                       tol: float = _LOWEST_WEIGHT_TOL) -> LowestWeightReport:
+def lowest_weight_scan(dim: Dimension, m, mp) -> LowestWeightReport:
     """Scan for a lowest-weight quantum number n0 with C = -[n0].
 
     For odd D the scaled profile 1 + sign * sin(gamma0 c (n + (D-1)/2)) never
@@ -476,8 +475,8 @@ def lowest_weight_scan(dim: Dimension, m, mp,
     At D = 2 the profile hits zero, a lowest weight exists, and the
     representation is flagged as not irreducible.
     """
-    c = int(_checked_labels(dim, m, mp)[2][0])
-    hits, margin, singular = _lowest_weight_profile(dim, np.array([c]), tol)
+    c = int(_pair_labels(dim, m, mp)[2][0])
+    hits, margin, singular = _lowest_weight_profile(dim, np.array([c]))
     solutions = tuple(int(k) for k in np.flatnonzero(hits[0]))
     has = len(solutions) > 0
     return LowestWeightReport(dim, tuple(m), tuple(mp), c, has, solutions,
@@ -485,16 +484,16 @@ def lowest_weight_scan(dim: Dimension, m, mp,
 
 
 def lowest_weight_sweep(dim: Dimension, m, mp) -> int | None:
-    """Index of the first pair whose default lowest_weight_scan has a solution, else None.
+    """Index of the first pair whose lowest_weight_scan has a solution, else None.
 
     m and mp are integer label arrays (P, 2).  The profile depends on c
     reduced into [-D, D) alone, so each distinct reduced c is scanned once.
     """
     d = dim.d
-    c = _phase_cross(d, _checked_labels(dim, m, mp)[2])
+    c = _phase_cross(d, _pair_labels(dim, m, mp)[2])
     distinct = np.array(sorted(set(c.tolist())), dtype=np.int64)
     hit = np.zeros(2 * d, dtype=bool)
-    hit[distinct + d] = _lowest_weight_profile(dim, distinct, _LOWEST_WEIGHT_TOL)[0].any(axis=1)
+    hit[distinct + d] = _lowest_weight_profile(dim, distinct)[0].any(axis=1)
     hit = hit[c + d]
     return int(np.argmax(hit)) if hit.any() else None
 
@@ -523,14 +522,14 @@ class EigenCorrespondence:
     unit_shift_ok: bool
 
 
-def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorrespondence:
+def eigenbasis_correspondence(osc: QOscillator) -> EigenCorrespondence:
     dim, c = osc.dim, osc.cross
     d = dim.d
     nv = osc.n_values
     g, f, _ = _shift_weights(d, np.array([osc.m]), np.array([osc.mp]), osc.eigenvectors[None])
     lam_w = _sw_values(d, _phase_cross(d, np.array([c])), g, f)[0]
     g, f = g[0], f[0]
-    if max(np.max(np.abs(np.abs(g) - 1)), np.max(np.abs(np.abs(f) - 1))) > tol:
+    if max(np.max(np.abs(np.abs(g) - 1)), np.max(np.abs(np.abs(f) - 1))) > _CORRESPONDENCE_TOL:
         raise PhaseMismatchError("ladder matrix elements are not unit modulus")
     amp2 = np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2
     eq_amp = float(np.max(np.abs(amp2 - osc.spectrum[nv])))
@@ -540,7 +539,7 @@ def eigenbasis_correspondence(osc: QOscillator, tol: float = 1e-9) -> EigenCorre
     lam_cand = _phase(d, (2 * nv - d) * c).conj()
     lam_resid = float(np.max(np.abs(np.conj(lam_w) - lam_cand)))
     shift_ok = bool(np.array_equal(nv[(np.arange(d) + c) % d], (nv + 1) % d))
-    if eq_amp > tol or law > tol or not shift_ok:
+    if eq_amp > _CORRESPONDENCE_TOL or law > _CORRESPONDENCE_TOL or not shift_ok:
         raise PhaseMismatchError(
             f"eigenbasis correspondence drift: amplitude {eq_amp:.2e}, "
             f"product law {law:.2e}, unit shift {shift_ok}"
@@ -604,8 +603,7 @@ def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
     cc, nv = c[:, None], _n_values(d, c)
-    # 2 c delta is 0 or D: k is an exact integer
-    k = cc * (2 * nv + d) + np.rint(2 * cc * delta[:, None]).astype(np.int64)
+    k = _j3_turns(c, nv, delta) + cc * d
     s = _sin_turns(cc, d)
     g, f, op = _shift_weights(d, m, mp, V)
     a2 = np.abs(d_coef[:, None] * (g + f)) ** 2
@@ -693,70 +691,77 @@ def sl2_coefficients(dim: Dimension, m, mp):
     return d_coef, d_coef, delta
 
 
-def _sigma_values(o: UqSl2Realisation) -> np.ndarray:
-    """Group-like weight sigma^{J3} entering the two-copy coupling.
+def _j3_turns(c, nv, delta) -> np.ndarray:
+    """2 c J3 = 2 c (n + delta) per pair (P, D), an exact integer: 2 c delta is 0 or D."""
+    return 2 * c[:, None] * nv + np.rint(2 * c[:, None] * delta[:, None]).astype(np.int64)
 
-    sigma(h) = (-1)^{n(h) c} e^{-i gamma0 c h / 2} with n(h) = h - delta; the
-    alternating sign is required whenever c is odd, or the coupled copies fail
-    to close on the same bracket.
+
+def _sigma_values(d: int, c, nv, delta) -> np.ndarray:
+    """sigma^{J3} = (-1)^{n c} e^{-i gamma0 c J3 / 2} per pair (P, D), for the two-copy coupling.
+
+    Without the alternating sign the coupled copies fail to close at odd c.
     """
-    c = _phase_cross(o.dim.d, o.cross)
-    nvals = np.rint(o.j3_values - o.delta).astype(int)
-    sign = (-1.0) ** (nvals * (c % 2))
-    return sign * np.exp(-0.5j * o.dim.gamma0 * c * o.j3_values)
+    return _phase(2 * d, _j3_turns(c, nv, delta) + 2 * d * c[:, None] * nv)
 
 
 @dataclass(frozen=True)
 class CoproductReport:
     dim: Dimension
     cross: int
-    deltas: tuple[float, float]
+    delta: float
     closure: float
     intertwine: float
     intertwine_dag: float
 
 
-def coproduct_check(dim: Dimension, m, mp, second: tuple | None = None,
-                    alternate_sign: bool = True, max_dim: int = 7) -> CoproductReport:
-    """Two-copy coupling of the deformed sl(2) realization, verified in D^2.
+def coproduct_check(dim: Dimension, m, mp) -> CoproductReport:
+    """Two-copy coupling of the deformed sl(2) realization, checked on V (x) V in O(D^2).
 
-    Delta(A) = A (x) sigma^{H} + sigma^{-H} (x) A closes on the same deformed
-    commutator with H additive, and intertwines with S_w (x) S_w.  The second
-    copy defaults to the same pair; a different pair is accepted when its
-    symplectic area matches mod D (same deformation parameter).
+    Delta(A) = A (x) sigma^H + sigma^{-H} (x) A and Delta(A^dag), the same with
+    A^dag (not the adjoint of Delta(A)), close on [Delta A, Delta A^dag] =
+    -[H + D/2], H = J3 (x) 1 + 1 (x) J3, and intertwine with K_w = s_p p^H.
+    On |r, s> = v_r (x) v_s, A v_r = a_r v_{r-c}, A^dag v_r = conj(a_{r+c}) v_{r+c},
+    and sigma^H, H and K_w are diagonal: each identity is a D x D coefficient
+    array per entry it reaches from |r, s>, taken in blocks of rows r, and
+    takes the part (a) residual.
     """
-    if dim.d > max_dim:
-        raise DimensionTooLargeError(
-            f"coproduct check runs in dimension D^2 = {dim.d ** 2}; limit is {max_dim}^2"
-        )
-    o1 = build_uq_sl2(dim, m, mp)
-    o2 = o1 if second is None else build_uq_sl2(dim, second[0], second[1])
-    if (o2.cross - o1.cross) % dim.d != 0:
-        raise ValueError(
-            f"deformation parameters differ: {o1.cross} vs {o2.cross} mod {dim.d}"
-        )
-    c1, c2 = _phase_cross(dim.d, o1.cross), _phase_cross(dim.d, o2.cross)
-    sv1 = _sigma_values(o1) if alternate_sign else np.exp(-0.5j * dim.gamma0 * c1 * o1.j3_values)
-    sv2 = _sigma_values(o2) if alternate_sign else np.exp(-0.5j * dim.gamma0 * c2 * o2.j3_values)
-    V1, V2 = o1.eigenvectors, o2.eigenvectors
-    Sg2 = (V2 * sv2) @ _dag(V2)
-    Sg1m = (V1 * np.conj(sv1)) @ _dag(V1)
-    DX = np.kron(o1.lowering, Sg2) + np.kron(Sg1m, o2.lowering)
-    DXd = np.kron(o1.raising, Sg2) + np.kron(Sg1m, o2.raising)
-    W2 = np.kron(V1, V2)
-    Hv = np.add.outer(o1.j3_values, o2.j3_values).ravel()
+    d = dim.d
+    lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
+    d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
+    c = _phase_cross(d, lab.cross)
+    nv = _n_values(d, c)
+    g, f, op = _shift_weights(d, lab.m, lab.mp, lab.system(int(lab.keys[0]))[1][None])
+    a = (d_coef[:, None] * (g + f))[0]
+    # sigma^J3, and t = 2 c J3: the bracket and K_w are phases of it
+    sig, t = _sigma_values(d, c, nv, delta)[0], _j3_turns(c, nv, delta)[0]
+    c, s = int(c[0]), _sin_turns(c[0], d)
+    up, down = (np.arange(d) + c) % d, (np.arange(d) - c) % d     # r + c, r - c
+    b = np.conj(a[up])
+    u = np.abs(b) ** 2 - np.abs(a) ** 2                         # [A, A^dag] on v_r
+    p, sq = _phase(d, 2 * c), sig ** 2
+    worst = dict.fromkeys(("closure", "intertwine", "intertwine_dag"), float(op[0]))
+    step = max(1, _BLOCK_ENTRIES // d)
+    for lo in range(0, d, step):
+        r = slice(lo, lo + step)                                # rows r of |r, s>, columns s
 
-    def mf(vals):
-        return (W2 * vals) @ _dag(W2)
+        def kw(x, y):
+            return _phase(d, x[r, None] + y + c * d)
 
-    closure = max_abs(DX @ DXd - DXd @ DX + mf(o1.bracket(Hv + dim.d / 2.0)))
-    Kw = _phase(dim.d, dim.d * c1) * mf(np.exp(-1j * dim.gamma0 * c1 * Hv))
-    return CoproductReport(
-        dim=dim, cross=o1.cross, deltas=(o1.delta, o2.delta),
-        closure=closure,
-        intertwine=max_abs(DX @ Kw - o1.p * Kw @ DX),
-        intertwine_dag=max_abs(DXd @ Kw - np.conj(o1.p) * Kw @ DXd),
-    )
+        K, ar, br, sr = kw(t, t), a[r, None], b[r, None], sig[r, None].conj()
+        closure = [u[r, None] * sq + sq[r, None].conj() * u + _sin_turns(t[r, None] + t + c * d, d) / s,
+                   br * a * (sig[up][r, None].conj() * sig - sr * sig[down]),
+                   ar * b * (sr * sig[up] - sig[down][r, None].conj() * sig)]
+        if 2 * c % d == 0:      # D = 2: |r + c, s - c> and |r - c, s + c> are one entry
+            closure[1:] = [closure[1] + closure[2]]
+        terms = {
+            "closure": closure,
+            "intertwine": [ar * sig * (K - p * kw(t[down], t)), sr * a * (K - p * kw(t, t[down]))],
+            "intertwine_dag": [br * sig * (K - np.conj(p) * kw(t[up], t)),
+                               sr * b * (K - np.conj(p) * kw(t, t[up]))],
+        }
+        for k, v in terms.items():
+            worst[k] = max(worst[k], *(float(np.abs(x).max()) for x in v))
+    return CoproductReport(dim=dim, cross=int(lab.cross[0]), delta=float(delta[0]), **worst)
 
 
 @dataclass(frozen=True)
@@ -778,7 +783,7 @@ def translated_lattice_deformation(dim: Dimension, m, mp, r) -> TranslationRepor
     act on the deformation parameter only; they are not unitarily realizable
     on the torus basis.
     """
-    c = int(_checked_labels(dim, m, mp)[2][0])
+    c = int(_pair_labels(dim, m, mp)[2][0])
     w = (m[0] - mp[0], m[1] - mp[1])
     da = lattice_cross(r, w)
     # the translated pair has area c - da; collinearity there is an error the

@@ -19,6 +19,8 @@ import numpy as np
 from .deformed import build_q_oscillator
 from .lattice import Dimension, max_abs
 
+_OVERLAP_CROSS_CHECK_TOL = 1e-13    # closed-form overlap against the vectors' own
+
 
 @dataclass(frozen=True)
 class ShiftedFockBasis:
@@ -59,7 +61,7 @@ def fractional_phase_power(dim: Dimension, beta: float) -> np.ndarray:
     return _shift_circulant(dim, -float(beta))
 
 
-def shifted_overlap(dim: Dimension, alpha: float, cross_check_tol: float = 1e-13) -> float:
+def shifted_overlap(dim: Dimension, alpha: float) -> float:
     """|<n|n + alpha>| by the closed form, cross-checked against the vectors.
 
     The value |sin(pi alpha)| / (D |sin(pi alpha / D)|) is n-independent; it is
@@ -74,7 +76,7 @@ def shifted_overlap(dim: Dimension, alpha: float, cross_check_tol: float = 1e-13
         pred = abs(np.sin(np.pi * float(alpha))) / (d * abs(sden))
     direct = np.abs(np.diag(build_shifted_fock(dim, alpha).vectors))
     dev = float(np.max(np.abs(direct - pred)))
-    if dev > cross_check_tol:
+    if dev > _OVERLAP_CROSS_CHECK_TOL:
         raise ValueError(f"closed-form overlap deviates from direct value by {dev:.2e}")
     return float(pred)
 

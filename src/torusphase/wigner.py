@@ -35,6 +35,7 @@ TORUS_NORMALIZATION = "torus-1/D^2"
 # complex entries of one block of kernels built together: of 2^10..2^17, 2^15
 # ran fastest at D = 31 (2^10 3.6x slower) and close to the fastest at D = 7..61
 _KERNEL_BLOCK_ENTRIES = 1 << 15
+_REALITY_TOL = 1e-12    # largest imaginary part of a grid read as real
 
 
 def _trace_chi(d: int, rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,16 +123,15 @@ def _state_grid(dim: Dimension, psi) -> np.ndarray:
     return _window_dft(dim, characteristic(dim.d, psi, w, w))
 
 
-def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "",
-                    reality_tol: float = 1e-12) -> WignerGrid:
+def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "") -> WignerGrid:
     """W(V) = <psi| Delta(V) |psi> at every grid point, from chi in O(D^2 log D).
 
-    Raises NonRealWignerError when the grid is not real to reality_tol, as at
+    Raises NonRealWignerError when the grid is not real to _REALITY_TOL, as at
     even D >= 4, where the window {0, ..., D-1} is not closed under m -> -m.
     """
     W = _state_grid(dim, state)
     imag = float(np.max(np.abs(W.imag)))
-    if imag > reality_tol:
+    if imag > _REALITY_TOL:
         raise NonRealWignerError(f"Wigner values not real at D={dim.d}: "
                                  f"imaginary part {imag:.2e}")
     vals = np.ascontiguousarray(W.real)

@@ -1,13 +1,15 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coproduct_oracle import kron_coproduct, signed_sigma, unsigned_sigma
 from torusphase import (
     CollinearVectorsError,
     DegenerateSpectrumError,
-    DimensionTooLargeError,
+    PhaseMismatchError,
     SingularDeformationError,
     build_q_oscillator,
     build_uq_sl2,
@@ -25,6 +27,7 @@ from torusphase import (
 )
 from torusphase import deformed, schwinger, verify
 from torusphase.deformed import lowest_weight_sweep, oscillator_sweep, sl2_sweep
+from torusphase.lattice import _phase
 
 
 def noncollinear_pairs(dim):
@@ -133,6 +136,12 @@ def test_eigenbasis_correspondence_exact_laws(d):
         assert_allclose(np.abs(corr.f_phases), 1.0, atol=1e-12)
 
 
+def test_eigenbasis_correspondence_raises_past_its_tolerance(monkeypatch):
+    monkeypatch.setattr(deformed, "_CORRESPONDENCE_TOL", -1.0)
+    with pytest.raises(PhaseMismatchError):
+        eigenbasis_correspondence(build_q_oscillator(make_dimension(5), (1, 0), (0, 1)))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_sl2_defining_relations(d):
     dim = make_dimension(d)
@@ -168,17 +177,64 @@ def test_coproduct_closes_with_alternating_sign(d):
     assert rep.intertwine_dag < 1e-10
 
 
-def test_coproduct_naive_sign_fails():
-    rep = coproduct_check(make_dimension(3), (1, 0), (0, 1), alternate_sign=False)
-    assert rep.closure > 1e-2
+@pytest.mark.parametrize("d", range(2, 14))
+def test_coproduct_matches_the_kronecker_oracle(d):
+    # closure FAILs at even D >= 4 on both forms, with values taken in different bases
+    dim = make_dimension(d)
+    rep = coproduct_check(dim, (1, 0), (0, 1))
+    o = build_uq_sl2(dim, (1, 0), (0, 1))
+    oracle = kron_coproduct(o, signed_sigma(o))
+    assert rep.delta == o.delta and rep.cross == o.cross
+    for key, value in oracle.items():
+        assert (getattr(rep, key) < 1e-10) == (value < 1e-10), (d, key, getattr(rep, key), value)
+        if d % 2 == 1:
+            assert getattr(rep, key) < 1e-13, (d, key, getattr(rep, key))
+    assert (rep.closure > 0.1) == (d % 2 == 0 and d >= 4)
 
 
-def test_coproduct_guards():
-    with pytest.raises(DimensionTooLargeError):
-        coproduct_check(make_dimension(11), (1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        # different cross values cannot be combined
-        coproduct_check(make_dimension(5), (1, 0), (0, 1), second=((2, 0), (0, 1)))
+def test_coproduct_naive_sign_fails(monkeypatch):
+    o = build_uq_sl2(make_dimension(3), (1, 0), (0, 1))
+    assert kron_coproduct(o, unsigned_sigma(o))["closure"] > 1e-2
+    monkeypatch.setattr(deformed, "_sigma_values",
+                        lambda d, c, nv, delta: _phase(2 * d, deformed._j3_turns(c, nv, delta)))
+    assert coproduct_check(make_dimension(3), (1, 0), (0, 1)).closure > 1e-2
+
+
+_SIGMA, _COLUMNS = deformed._sigma_values, deformed.displacement_columns
+
+
+def _wrong_sigma(*args):
+    x = _SIGMA(*args)
+    x[0, 1] += 1e-6
+    return x
+
+
+def _wrong_entry(*args):
+    # one entry of S_m, so of A = d (S_m + S_m')
+    rows, vals = _COLUMNS(*args)
+    vals = vals.copy()
+    vals[0, 1] += 1e-6
+    return rows, vals
+
+
+# at D = 2 [A, A^dag] = 0 on v_r and the two shifted parts cancel, so the
+# closure does not depend on sigma there, on either form
+@pytest.mark.parametrize("d, name, wrong", [
+    (3, "_sigma_values", _wrong_sigma), (7, "_sigma_values", _wrong_sigma),
+    (2, "displacement_columns", _wrong_entry), (7, "displacement_columns", _wrong_entry),
+])
+def test_coproduct_closure_shows_a_wrong_sigma_or_a_entry(monkeypatch, d, name, wrong):
+    monkeypatch.setattr(deformed, name, wrong)
+    assert coproduct_check(make_dimension(d), (1, 0), (0, 1)).closure > 1e-7
+
+
+def test_coproduct_at_d401_is_quick():
+    dim = make_dimension(401)
+    coproduct_check(dim, (1, 0), (0, 1))
+    start = time.perf_counter()
+    rep = coproduct_check(dim, (1, 0), (0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert max(rep.closure, rep.intertwine, rep.intertwine_dag) < 1e-10
 
 
 def test_translated_lattice_shifts_deformation():

@@ -12,6 +12,7 @@ from torusphase import (
     shifted_overlap,
     shifted_overlap_expansion,
 )
+from torusphase import fock
 
 
 def test_zero_shift_is_identity():
@@ -93,3 +94,9 @@ def test_oscillator_half_shift_labels_d2():
     assert rep["alpha"] == 0.5
     assert rep["labels"] == (0.5, 1.5)
     assert rep["vacuum_label"] == 0.5
+
+
+def test_shifted_overlap_raises_past_its_cross_check_tolerance(monkeypatch):
+    monkeypatch.setattr(fock, "_OVERLAP_CROSS_CHECK_TOL", -1.0)
+    with pytest.raises(ValueError, match="closed-form overlap deviates"):
+        shifted_overlap(make_dimension(5), 0.3)
