@@ -99,6 +99,16 @@ def _integers(count: int | None = None):
     return parse
 
 
+def _label(text: str) -> tuple[int, ...]:
+    """A label m1,m2 whose components are below 2^31 in magnitude, as the builders need."""
+    from .lattice import _LABEL_BOUND
+
+    values = _integers(2)(text)
+    if any(abs(x) >= _LABEL_BOUND for x in values):
+        raise argparse.ArgumentTypeError(f"{text!r} has a component of magnitude 2^31 or more")
+    return values
+
+
 def _default_tol() -> float:
     text = os.environ.get("TORUSPHASE_TOL", "1e-10")
     try:
@@ -224,14 +234,13 @@ def _format(default: str, choices=("json", "csv")) -> tuple[str, dict]:
 
 
 _D = _opt("--d", type=_integer(2), required=True, help="Hilbert-space dimension")
-_LABEL = _integers(2)
 
 
 @_command(
     _D,
     _opt("--kind", choices=("u", "v", "fourier", "schwinger", "phase", "number-exp"),
          required=True),
-    _opt("--m", type=_LABEL, help="label m1,m2 (required for schwinger)"),
+    _opt("--m", type=_label, help="label m1,m2 (required for schwinger)"),
     _opt("--out", help="output path (default standard output)"),
     _format("json"),
 )
@@ -365,8 +374,8 @@ def wigner(d, state, basis, decompose, out, fmt):
 
 @_command(
     _D,
-    _opt("--m", type=_LABEL, required=True, help="first label m1,m2"),
-    _opt("--mp", type=_LABEL, required=True, help="second label m1,m2"),
+    _opt("--m", type=_label, required=True, help="first label m1,m2"),
+    _opt("--mp", type=_label, required=True, help="second label m1,m2"),
     _opt("--out"),
     _format("csv"),
 )
@@ -460,12 +469,12 @@ def transform(d, r, tol, out, fmt):
         op = tr_mod.build_metaplectic(dim, smap)
     except TorusPhaseError as exc:
         _refuse(exc)
-    worst, records = tr_mod.covariance_report(op)
-    _emit(ser.transform_json(op, worst, records), out)
-    ok = op.unitary_residual < tol and worst < max(tol, 1e-9)
+    report = tr_mod.covariance_report(op)
+    _emit(ser.transform_json(op, report), out)
+    ok = op.unitary_residual < tol and report.worst < max(tol, 1e-9)
     if not ok:
         print(f"verification failed: unitary {op.unitary_residual:.2e}, "
-              f"covariance {worst:.2e}", file=sys.stderr)
+              f"covariance {report.worst:.2e}", file=sys.stderr)
         sys.exit(1)
 
 

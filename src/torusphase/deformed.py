@@ -25,8 +25,10 @@ per column, O(D^2) per pair, and must be weighted shifts v_r -> v_{r-c}
 J3, S_w and both Casimir orderings are diagonal, each identity is a scalar
 identity on D values, whose rounding floor is ~eps |C|, not the eps D |A| |C|
 of dense products.  A per-pair residual function is the sweep's stack of one
-pair, so a sweep's worst is bit-equal to the worst per-pair value.  Dense
-operators are built only as builder output.
+pair, so a sweep's worst is bit-equal to the worst per-pair value.  No dense
+operator is built: a builder returns the coefficients, the closed-form
+eigensystem of S_w and the spectrum, and A = d S_m + d' S_m', N = V diag(n) V^dag
+or S_w as D x D arrays are the tests' oracles, built from those.
 The sign that fixes the sl(2) J3 offset and the oscillator eta is an exact
 integer parity of the labels (_branch_sign), not a measured phase.
 """
@@ -45,15 +47,23 @@ from .errors import (
     PhaseMismatchError,
     SingularDeformationError,
 )
-from .lattice import Dimension, _phase, _phase_cross, _sin_turns, canonical_vector, lattice_cross, max_abs
+from .lattice import (
+    _LABEL_BOUND,
+    Dimension,
+    _phase,
+    _phase_cross,
+    _sin_turns,
+    canonical_vector,
+    lattice_cross,
+)
 from .schwinger import (
     _BLOCK_ENTRIES,
     _eigensystem,
     _has_closed_form,
+    _norm,
+    _times,
     displacement_columns,
     label_blocks,
-    schwinger_matrix,
-    schwinger_stack,
 )
 
 _SINGULAR_TOL = 1e-12
@@ -64,18 +74,14 @@ _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
 
 
-def _dag(A):
-    return A.conj().swapaxes(-1, -2)
-
-
 def _singular(dim: Dimension, c):
     """sin(gamma0 c) = 0 (to 1e-12): the oscillator coefficients diverge."""
     return np.abs(_sin_turns(2 * np.asarray(c), dim.d)) < _SINGULAR_TOL
 
 
 # -- pairs on the S_w eigenbasis -----------------------------------------------
-# A list of P pairs: labels (P, 2), per-pair scalars (P,), per-pair value lists
-# (P, D) and, where a dense operator is output, operators (P, D, D).
+# A list of P pairs: labels (P, 2), per-pair scalars (P,) and per-pair value
+# lists (P, D).
 
 def _scalar_pow(x, e: float) -> np.ndarray:
     """x ** e elementwise through libm pow, as for a numpy scalar.
@@ -176,9 +182,15 @@ class SweepReport:
 
 
 def _pair_labels(dim: Dimension, m, mp):
-    """Label arrays (P, 2) and exact cross values; a collinear pair raises."""
-    m = np.asarray(m, dtype=np.int64).reshape(-1, 2)
-    mp = np.asarray(mp, dtype=np.int64).reshape(-1, 2)
+    """Label arrays (P, 2) and exact cross values; a collinear pair raises.
+
+    A component of magnitude _LABEL_BOUND or more raises ValueError: below it
+    every int64 product the builders form, the cross value among them, is exact.
+    """
+    m, mp = (np.asarray(x).reshape(-1, 2) for x in (m, mp))
+    if any(((x <= -_LABEL_BOUND) | (x >= _LABEL_BOUND)).any() for x in (m, mp)):
+        raise ValueError("a label component is not below 2^31 in magnitude")
+    m, mp = m.astype(np.int64), mp.astype(np.int64)
     c = lattice_cross(m.T, mp.T)
     collinear = c % dim.d == 0
     if collinear.any():
@@ -311,18 +323,11 @@ class QOscillator:
     d_coef: float
     dp_coef: complex
     shift_constant: float
-    c_q: complex
-    lowering: np.ndarray          # A
-    number_op: np.ndarray         # N
-    q_exponential: np.ndarray     # Q = c_q q^{-N}
+    c_q: complex                  # Q = c_q q^{-N} = -eta S_{-m} S_m'
     eigenvectors: np.ndarray      # of S_{m-m'} (canonical label), column r
     eigenvalues: np.ndarray
     n_values: np.ndarray          # n(r) = c^{-1} r mod D
     spectrum: np.ndarray          # f(n), n = 0..D-1
-
-    @property
-    def raising(self) -> np.ndarray:
-        return _dag(self.lowering)
 
     def bracket(self, n) -> np.ndarray:
         return bracket_values(self.dim, _phase_cross(self.dim.d, self.cross), n)
@@ -370,7 +375,7 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
 
 
 def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None) -> QOscillator:
-    """Shifted q-oscillator on the pair (m, m').
+    """Shifted q-oscillator on the pair (m, m'): A = d S_m + d' S_m', N = c^{-1} r on v_r.
 
     The coefficient d is real positive with |d| = |d'| = (2|sin(gamma0 c)|)^{-1/2};
     the phase of d' and the sign eta = -phi0 (see _branch_sign; w = m - m') are
@@ -381,25 +386,13 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     eta = None if eta_override is None else np.array([float(eta_override)])
     eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp, eta)
     lam, V = lab.system(int(lab.keys[0]))
-    cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
-    nv = _n_values(d, c)
-    c_q = _phase(d, c * (d - 1)).conj()[0]
-    # N and Q are V diag(x) V^dag through one V^dag, and A = d S_m + d' S_m' is
-    # built one S at a time in place: no D x D temporary outlives its use
-    Vh = _dag(V)
-    N, Q = ((V * x) @ Vh for x in (nv[0], _phase(d, 2 * c * nv).conj()[0]))
-    del Vh
-    np.multiply(c_q, Q, out=Q)
-    A, Sp = (schwinger_stack(d, [x])[0] for x in (lab.m[0], lab.mp[0]))
-    np.multiply(d_coef[0], A, out=A)
-    A += np.multiply(dp_coef[0], Sp, out=Sp)
     return QOscillator(
-        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
-        q=_phase(d, 2 * cross), eta=float(eta[0]), d_coef=d_coef[0],
-        dp_coef=dp_coef[0], shift_constant=C[0], c_q=c_q,
-        lowering=A, number_op=N, q_exponential=Q, eigenvectors=V, eigenvalues=lam,
-        n_values=nv[0], spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
+        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
+        cross=int(lab.cross[0]), q=_phase(d, 2 * c)[0], eta=float(eta[0]), d_coef=d_coef[0],
+        dp_coef=dp_coef[0], shift_constant=C[0], c_q=_phase(d, c * (d - 1)).conj()[0],
+        eigenvectors=V, eigenvalues=lam, n_values=_n_values(d, c)[0],
+        spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 
 def oscillator_residuals(osc: QOscillator) -> dict:
@@ -562,16 +555,10 @@ class UqSl2Realisation:
     p: complex
     s_p: complex                  # p^{D/2}
     d_coef: float                 # d = d', real positive
-    lowering: np.ndarray          # A
-    intertwiner: np.ndarray       # S_{m-m'} at the exact (unreduced) label
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray      # of S_{m-m'} (canonical label), column r
     n_values: np.ndarray
     delta: float                  # J3 window offset: 0 or D/(2c), c reduced into [-D, D)
     j3_values: np.ndarray         # n + delta
-
-    @property
-    def raising(self) -> np.ndarray:
-        return _dag(self.lowering)
 
     def bracket(self, x) -> np.ndarray:
         """Deformed bracket sin(gamma0 c x) / sin(gamma0 c / 2)."""
@@ -630,7 +617,7 @@ def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
 
 
 def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
-    """Deformed sl(2) pair on (m, m') with d = d' = 1/(2 |sin(gamma0 c / 2)|).
+    """Deformed sl(2) pair A = d (S_m + S_m') on (m, m') with d = d' = 1/(2 |sin(gamma0 c / 2)|).
 
     J3 is read off from S_{m-m'} = s_p p^{J3}: the branch phi0 = +1 or -1 (see
     _branch_sign) is an exact parity of the labels; the -1 branch shifts the
@@ -639,20 +626,13 @@ def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
     d = dim.d
     lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
     d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
-    cross = int(lab.cross[0])
     c = _phase_cross(d, lab.cross)
     nv = _n_values(d, c)[0]
-    # each output its own array, A = d (S_m + S_m') built in place
-    A, Sp, Sw = (schwinger_stack(d, [x])[0] for x in (lab.m[0], lab.mp[0], lab.m[0] - lab.mp[0]))
-    A += Sp
-    del Sp
-    np.multiply(d_coef[0], A, out=A)
     return UqSl2Realisation(
-        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()), cross=cross,
-        p=_phase(d, 2 * c)[0], s_p=_phase(d, d * c)[0],
-        d_coef=d_coef[0], lowering=A, intertwiner=Sw,
-        eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv, delta=float(delta[0]),
-        j3_values=nv + delta[0],
+        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
+        cross=int(lab.cross[0]), p=_phase(d, 2 * c)[0], s_p=_phase(d, d * c)[0],
+        d_coef=d_coef[0], eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv,
+        delta=float(delta[0]), j3_values=nv + delta[0],
     )
 
 
@@ -781,16 +761,23 @@ def translated_lattice_deformation(dim: Dimension, m, mp, r) -> TranslationRepor
     The translated A still intertwines with the original S_{m-m'} but with
     p' = p e^{i gamma0 delta_alpha}, delta_alpha = r x (m - m').  Translations
     act on the deformation parameter only; they are not unitarily realizable
-    on the torus basis.
+    on the torus basis.  The residual max|A S_w - p' S_w A| is taken on the
+    four monomial products, O(D).
     """
+    d = dim.d
     c = int(_pair_labels(dim, m, mp)[2][0])
     w = (m[0] - mp[0], m[1] - mp[1])
     da = lattice_cross(r, w)
-    # the translated pair has area c - da; collinearity there is an error the
-    # builder raises itself
-    ot = build_uq_sl2(dim, (m[0] + r[0], m[1] + r[1]), (mp[0] + r[0], mp[1] + r[1]))
-    Sw = schwinger_matrix(dim, w)
-    p_new = _phase(dim.d, 2 * (c - da))
-    residual = max_abs(ot.lowering @ Sw - p_new * Sw @ ot.lowering)
+    # the translated pair has area c - da; build_uq_sl2's refusals, collinearity
+    # among them, raise here
+    lab = _built_labels(dim, [(m[0] + r[0], m[1] + r[1])], [(mp[0] + r[0], mp[1] + r[1])],
+                        _SL2_REASONS)
+    d_coef = _sl2_coefs(dim, lab.m, lab.mp)[0][0]
+    p_new = _phase(d, 2 * (c - da))
+    sw = displacement_columns(d, *w)
+    terms = []
+    for rows, vals in (displacement_columns(d, *x) for x in (lab.m[0], lab.mp[0])):
+        a = rows, d_coef * vals
+        terms += [_times(a, sw), _times((sw[0], -p_new * sw[1]), a)]
     return TranslationReport(dim=dim, m=tuple(m), mp=tuple(mp), r=tuple(r),
-                             delta_alpha=da, p_new=p_new, residual=residual)
+                             delta_alpha=da, p_new=p_new, residual=float(_norm(*terms)))

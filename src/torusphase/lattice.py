@@ -108,6 +108,11 @@ def canonical_vector(dim: Dimension, m) -> tuple[int, int]:
     return (canonical_component(dim, m[0]), canonical_component(dim, m[1]))
 
 
+# label components stay below this in magnitude wherever labels become int64:
+# every product the builders form, m x m' among them, is then exact
+_LABEL_BOUND = 1 << 31
+
+
 def lattice_cross(a, b) -> int:
     """Symplectic area m x m' = m1 m2' - m2 m1' as an exact integer."""
     return a[0] * b[1] - a[1] * b[0]

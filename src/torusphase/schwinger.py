@@ -323,17 +323,6 @@ def _worst(res: dict, key: str, values) -> None:
     res[key] = max(res[key], float(np.max(values, initial=0.0)))
 
 
-def pair_relations(dim: Dimension, X: np.ndarray, Z: np.ndarray) -> dict:
-    """Weyl commutation X Z = e^{i gamma0} Z X and order-D cyclicity of a monomial pair."""
-    x, z = _monomial(X), _monomial(Z)
-    eye = np.arange(dim.d), -1.0
-    return {
-        "weyl_commutation": float(_norm(_times(x, z), _minus(_times((z[0], dim.omega * z[1]), x)))),
-        "cyclic_X": float(_norm(_power(x, dim.d), eye)),
-        "cyclic_Z": float(_norm(_power(z, dim.d), eye)),
-    }
-
-
 def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
                          rng=None, n_random: int = 200) -> dict:
     """Full algebra suite for a candidate conjugate pair (X, Z) of monomial matrices.
@@ -349,9 +338,16 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
     if rng is None:
         rng = np.random.default_rng(0)
     d = dim.d
+    x, z = _monomial(X), _monomial(Z)
+    eye = np.arange(d)
+    res = {
+        "weyl_commutation": float(_norm(_times(x, z), _minus(_times((z[0], dim.omega * z[1]), x)))),
+        "cyclic_X": float(_norm(_power(x, d), (eye, -1.0))),
+        "cyclic_Z": float(_norm(_power(z, d), (eye, -1.0))),
+    } | dict.fromkeys(("adjoint", "composition", "power_sign", "trace"), 0.0)
     # X^a and Z^b, a in [0, D), each by squaring, as D x D (row, phase) arrays
     powers = [(np.empty((d, d), dtype=np.intp), np.empty((d, d), dtype=complex)) for _ in range(2)]
-    for (rows, vals), y in zip(powers, (_monomial(X), _monomial(Z))):
+    for (rows, vals), y in zip(powers, (x, z)):
         for k in range(d):
             rows[k], vals[k] = _power(y, k)
     (xr, xv), (zr, zv) = powers
@@ -361,15 +357,12 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
         rows, vals = _times((xr[a], xv[a]), (zr[b], zv[b]))
         return rows, _half_phase(d, m[:, 0], m[:, 1])[:, None] * vals
 
-    eye = np.arange(d)
     labels = np.array(window_vectors(dim), dtype=np.int64)
     i, j = rng.integers(0, len(labels), n_random), rng.integers(0, len(labels), n_random)
     # one draw per label, as the label-by-label loop made them
     extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
                       for _ in range(n_random // 4)], dtype=np.int64).reshape(-1, 2, 2)
     a, b = np.concatenate([labels[i], extra[:, 0]]), np.concatenate([labels[j], extra[:, 1]])
-    res = pair_relations(dim, X, Z) | dict.fromkeys(("adjoint", "composition", "power_sign",
-                                                      "trace"), 0.0)
     checked = _checked_labels(dim)
     step = max(1, _BLOCK_ENTRIES // d)      # labels per block of (labels, D) arrays
     for lo in range(0, len(checked), step):

@@ -174,21 +174,21 @@ def index_csv(report: dict, comments=()) -> str:
     return csv_text("D,case,I,f0,fD", [row], comments)
 
 
-def _records(records) -> str:
-    """JSON text of covariance_report records, built column by column."""
-    m = [f"[{a}, {b}]" for a, b in (rec["m"] for rec in records)]
-    phase = np.array([rec["phase"] for rec in records], dtype=complex)
-    residual = _floats([rec["residual"] for rec in records])
+def _per_label(report) -> str:
+    """JSON text of a covariance_report's per-label arrays, built column by column."""
+    m = [f"[{a}, {b}]" for a, b in report.labels.tolist()]
     items = [f'{{"m": {ab}, "phase": [{re}, {im}], "residual": {r}}}'
-             for ab, re, im, r in zip(m, _floats(phase.real), _floats(phase.imag), residual)]
+             for ab, re, im, r in zip(m, _floats(report.phase.real), _floats(report.phase.imag),
+                                      _floats(report.residual))]
     return "[" + ", ".join(items) + "]"
 
 
-def transform_json(op, worst: float, records) -> str:
+def transform_json(op, report) -> str:
+    """A metaplectic operator's map and residuals with its covariance_report."""
     return _json_object({
         "R": [[int(x) for x in row] for row in op.map.matrix.tolist()],
         "gauge": op.gauge,
         "unitary_residual": float(op.unitary_residual),
-        "worst_residual": float(worst),
-        "per_m": _records(records),
+        "worst_residual": report.worst,
+        "per_m": _per_label(report),
     }, encoded=("per_m",)) + "\n"

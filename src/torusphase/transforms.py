@@ -18,6 +18,7 @@ pass, without dense S_m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,11 @@ class SymplecticMap:
     def determinant(self) -> int:
         return (self.s[0] * self.t[1] - self.s[1] * self.t[0]) % self.dim.d
 
-    def apply(self, m, reduce: bool = False) -> tuple[int, int]:
-        r = (m[0] * self.s[0] + m[1] * self.t[0], m[0] * self.s[1] + m[1] * self.t[1])
-        return (r[0] % self.dim.d, r[1] % self.dim.d) if reduce else r
+    def apply(self, m) -> tuple[int, int]:
+        """R m mod D, for a label or a pair of label-component arrays."""
+        d = self.dim.d
+        return ((m[0] * self.s[0] + m[1] * self.t[0]) % d,
+                (m[0] * self.s[1] + m[1] * self.t[1]) % d)
 
     def __matmul__(self, other: "SymplecticMap") -> "SymplecticMap":
         d = self.dim.d
@@ -168,7 +171,7 @@ def _sweep(G, smap: SymplecticMap, labels, phase=None) -> tuple[np.ndarray, np.n
     """
     d = smap.dim.d
     m = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    r1, r2 = smap.apply((m[:, 0], m[:, 1]), reduce=True)
+    r1, r2 = smap.apply((m[:, 0], m[:, 1]))
     j = np.arange(d)
     # exponents of vm_j = S_m[j + m1, j] and of ur_i = S_r[i, i - r1], 2 r2 i - r1 r2
     z = np.empty(len(m), dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
@@ -201,21 +204,26 @@ def _sweep(G, smap: SymplecticMap, labels, phase=None) -> tuple[np.ndarray, np.n
     return z, np.where(np.abs(z) < 1e-12, 1.0, np.sqrt(resid))
 
 
-def covariance_report(op: MetaplecticOperator, labels=None) -> tuple[float, list]:
+class CovarianceReport(NamedTuple):
+    """Per-label conjugation diagnostics of covariance_report."""
+
+    labels: np.ndarray       # (P, 2) labels m
+    phase: np.ndarray        # (P,) measured phase z per label
+    residual: np.ndarray     # (P,) max|G S_m - z S_r G| per label
+    worst: float             # largest residual, 0 for no labels
+
+
+def covariance_report(op: MetaplecticOperator, labels=None) -> CovarianceReport:
     """Per-label conjugation diagnostics, O(D^2) per label.
 
     For each m, with r = R m mod D, the phase z is the measured overlap
     Tr(S_r^dag G S_m G^dag) / D normalized to unit modulus, and the residual
     is max|G S_m - z S_r G|.  Labels default to the canonical window.
-    Returns (worst residual, records) with records of the form
-    {"m": (m1, m2), "phase": complex, "residual": float}.
     """
     m = np.asarray(window_vectors(op.dim) if labels is None else labels,
                    dtype=np.int64).reshape(-1, 2)
     phase, resid = _sweep(op.matrix, op.map, m)
-    records = [{"m": (a, b), "phase": p, "residual": x}
-               for (a, b), p, x in zip(m.tolist(), phase.tolist(), resid.tolist())]
-    return float(resid.max(initial=0.0)), records
+    return CovarianceReport(m, phase, resid, float(resid.max(initial=0.0)))
 
 
 def translation_covariance_residual(op: MetaplecticOperator) -> float:
@@ -226,7 +234,7 @@ def translation_covariance_residual(op: MetaplecticOperator) -> float:
     residues of lattice._checked_labels: all up to D = 64, a seeded sample above.
     """
     m1, m2 = (_checked_labels(op.dim) % op.dim.d).T
-    r1, r2 = op.map.apply((m1, m2), reduce=True)
+    r1, r2 = op.map.apply((m1, m2))
     _, resid = _sweep(op.matrix, op.map, np.stack([m1, m2], axis=1),
                       1 - 2 * ((r1 * r2 - m1 * m2) % 2))
     return float(resid.max())
@@ -240,7 +248,7 @@ def predicted_phase(op: MetaplecticOperator, m) -> complex:
     """
     d = op.dim.d
     mp = (m[0] % d, m[1] % d)
-    r = op.map.apply(m, reduce=True)
+    r = op.map.apply(m)
     return complex(_phase(d, m[0] * m[1] - mp[0] * mp[1] + d * (mp[0] * mp[1] - r[0] * r[1])))
 
 
@@ -259,24 +267,14 @@ def closure_check(op1: MetaplecticOperator, op2: MetaplecticOperator) -> tuple[c
     return complex(z / abs(z)), max_abs(prod - (z / abs(z)) * op12.matrix)
 
 
-def phase_flattening_report(op: MetaplecticOperator) -> dict:
-    """Whether any global phase makes G S_m G^{-1} = S_{R m} exactly for all m.
+def phase_flattening_report(phase) -> dict:
+    """Whether any global phase makes G S_m G^{-1} = S_{R m} exactly, from measured phases.
 
     Conjugation is invariant under a global phase of G, so the measured phases
-    ARE the report: flattenable iff every chi(m) is already trivial.
+    of covariance_report ARE the report: flattenable iff every one is already 1.
     """
-    return flattening_report(*covariance_report(op))
-
-
-def flattening_report(worst: float, records: list) -> dict:
-    """phase_flattening_report from a covariance_report (worst, records) already taken."""
-    dev = max((abs(rec["phase"] - 1.0) for rec in records), default=0.0)
-    return {
-        "max_phase_deviation": float(dev),
-        "flattenable": bool(dev < 1e-9),
-        "worst_residual": worst,
-        "records": records,
-    }
+    dev = float(np.abs(phase - 1.0).max(initial=0.0))
+    return {"max_phase_deviation": dev, "flattenable": dev < 1e-9}
 
 
 def fourier_check(dim: Dimension) -> float:

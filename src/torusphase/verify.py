@@ -242,7 +242,6 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
     m, mp = pairs
     worst_law = worst_amp = lit = lam = 0.0
     corr_ok, opp, dev = True, np.inf, None
-    # one oscillator alive at a time: each holds four dense D x D arrays
     for k, i in enumerate(np.flatnonzero(built)[:5]):
         osc = deformed.build_q_oscillator(dim, m[i], mp[i])
         if corr_ok:
@@ -257,16 +256,13 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
                 worst_amp = max(worst_amp, corr.eq_amplitude_residual)
                 lit = max(lit, corr.literal_phase_residual)
                 lam = max(lam, corr.lambda_claim_residual)
-        eta, shift, spectrum = osc.eta, osc.shift_constant, osc.spectrum
-        osc = None
         if k < 3:
             opp = min(opp, deformed.oscillator_residuals(deformed.build_q_oscillator(
-                dim, m[i], mp[i], eta_override=-eta))["number"])
+                dim, m[i], mp[i], eta_override=-osc.eta))["number"])
         if k == 0:
             inverse = deformed.build_q_oscillator(dim, mp[i], m[i])
-            dev = max(abs(shift - inverse.shift_constant),
-                      float(np.max(np.abs(np.sort(spectrum) - np.sort(inverse.spectrum)))))
-            inverse = None
+            dev = max(abs(osc.shift_constant - inverse.shift_constant),
+                      float(np.max(np.abs(np.sort(osc.spectrum) - np.sort(inverse.spectrum)))))
     if corr_ok:
         rows.append(_res("correspondence_product_law", worst_law))
         rows.append(_res("correspondence_amplitude", worst_amp))
@@ -356,8 +352,12 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
 
     rng = np.random.default_rng(seed)
     pair = numberphase.build_phase_pair(dim)
-    rows = [_res(k, v) for k, v in numberphase.phase_pair_residuals(pair).items()]
     ident = numberphase.identification_suite(dim, rng=rng, n_random=samples)
+    # the pair's own relations are the pair suite's first three rows
+    rows = [_res(k, ident[key]) for k, key in (("commutation", "weyl_commutation"),
+                                                ("cyclic_number", "cyclic_X"),
+                                                ("cyclic_phase", "cyclic_Z"))]
+    rows += [_res(k, v) for k, v in numberphase.phase_pair_residuals(pair).items()]
     sampled = _sample_note(dim, "labels")
     rows.extend(_res(f"id_{k}", v, note=sampled if k in _WINDOW_ROWS else "")
                 for k, v in ident.items())
@@ -445,18 +445,17 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     rows.append(_res("identity_map", float(np.max(np.abs(ident.matrix - np.eye(dim.d))))))
     worst_u = worst_cov = 0.0
     ops = []
-    first_report = None
+    first_phase = None
     for _ in range(samples):
         op = transforms.build_metaplectic(dim, transforms.random_symplectic(dim, rng=rng))
         worst_u = max(worst_u, op.unitary_residual)
         report = transforms.covariance_report(op, labels)
-        worst_cov = max(worst_cov, report[0])
-        first_report = first_report or report
+        worst_cov = max(worst_cov, report.worst)
+        first_phase = report.phase if first_phase is None else first_phase
         ops.append(op)
     shear = transforms.build_metaplectic(
         dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1))))
-    w, _ = transforms.covariance_report(shear, labels)
-    worst_cov = max(worst_cov, w)
+    worst_cov = max(worst_cov, transforms.covariance_report(shear, labels).worst)
     rows.append(_res("unitarity", worst_u, note=f"{samples} random maps"))
     rows.append(_res("covariance", worst_cov,
                      note=_join("after per-label phase alignment", sampled)))
@@ -484,8 +483,8 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
                           note="quarter-turn covariance is unavailable at D=2"))
     else:
         rows.append(_res("kernel_rotation", rot, note=_sample_note(dim, "points")))
-    flat = (transforms.flattening_report(*first_report) if first_report
-            else transforms.phase_flattening_report(ident))
+    flat = transforms.phase_flattening_report(
+        transforms.covariance_report(ident).phase if first_phase is None else first_phase)
     rows.append(_info("phase_flattening", flat["max_phase_deviation"],
                       note=_join(f"flattenable={flat['flattenable']} "
                                  "(global phases cannot change conjugation phases)", sampled)))

@@ -204,30 +204,27 @@ def kernel_suite(dim: Dimension) -> dict:
     return res
 
 
-def property_suite(dim: Dimension, n_states: int = 6, rng=None, seed=None,
-                   states=None) -> dict:
+def property_suite(dim: Dimension, n_states: int = 6, seed=None) -> dict:
     """Worst-case residuals of the six fundamental Wigner-function properties.
 
     (i) reality; (ii) marginals in both conjugate bases; (iii) covariance under
     U^n1 / V^n2 translations; (iv) time inversion (conjugation) and parity
     (F^2); (v) overlap sum_V W W' = |<psi|psi'>|^2 / D including self-overlap
     1/D; (vi) trace pairing with a random Hermitian operator through its
-    classical symbol.  States default to seeded random ones.  Grids are the
+    classical symbol, over n_states random states drawn from seed.  Grids are the
     complex chi grids of wigner_function; chi_grid is their deviation from
     <psi|Delta(V)|psi> at the checked points.
     """
     d = dim.d
-    if rng is None:
-        rng = np.random.default_rng(seed if seed is not None else 20260817)
+    rng = np.random.default_rng(20260817 if seed is None else seed)
     j = np.arange(d)
     worst: dict[str, float] = {}
 
     def bump(key, val):
         worst[key] = max(worst.get(key, 0.0), float(val))
 
-    if states is None:
-        states = [random_state(dim, rng=rng) for _ in range(n_states)]
-    psis = np.array(states, dtype=complex).reshape(-1, d)
+    psis = np.array([random_state(dim, rng=rng) for _ in range(n_states)],
+                    dtype=complex).reshape(-1, d)
     v = _checked_points(dim)
     direct = np.concatenate([np.einsum("si,pis->sp", psis.conj(), K @ psis.T)
                              for _, K in _kernel_blocks(dim)], axis=1)

@@ -7,7 +7,8 @@ multiplies them, O(D^6): small D only.
 """
 import numpy as np
 
-from torusphase.deformed import _dag, _sigma_values
+from deformed_oracle import dag, lowering
+from torusphase.deformed import _sigma_values
 from torusphase.lattice import _phase, _phase_cross, max_abs
 
 
@@ -30,14 +31,15 @@ def kron_coproduct(o, sigma) -> dict:
     """
     dim, V = o.dim, o.eigenvectors
     c = _phase_cross(dim.d, o.cross)
-    Sg, Sgm = ((V * x) @ _dag(V) for x in (sigma, np.conj(sigma)))
-    DX = np.kron(o.lowering, Sg) + np.kron(Sgm, o.lowering)
-    DXd = np.kron(o.raising, Sg) + np.kron(Sgm, o.raising)
+    Sg, Sgm = ((V * x) @ dag(V) for x in (sigma, np.conj(sigma)))
+    A = lowering(o)
+    DX = np.kron(A, Sg) + np.kron(Sgm, A)
+    DXd = np.kron(dag(A), Sg) + np.kron(Sgm, dag(A))
     W2 = np.kron(V, V)
     H = np.add.outer(o.j3_values, o.j3_values).ravel()
 
     def mf(vals):
-        return (W2 * vals) @ _dag(W2)
+        return (W2 * vals) @ dag(W2)
 
     Kw = _phase(dim.d, dim.d * c) * mf(np.exp(-1j * dim.gamma0 * c * H))
     return {

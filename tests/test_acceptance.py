@@ -141,7 +141,7 @@ def test_criterion_06_metaplectic_covariance():
             op = tp.build_metaplectic(dim, smap)
             if op.unitary_residual >= 1e-12:
                 failures.append((d, k, "unitary", op.unitary_residual))
-            worst, _ = tp.covariance_report(op)
+            worst = tp.covariance_report(op).worst
             if worst >= 1e-9:
                 failures.append((d, k, "covariance", worst))
         four = tp.fourier_check(dim)

@@ -245,6 +245,34 @@ def test_a_dimension_past_the_bound_is_named(runner):
     assert "error: DimensionTooLargeError: D=4097 is above 4096" in res.stderr
 
 
+# a 20-digit component overflowed int64 (a traceback); 4e9 wrapped the int64
+# cross value 16000000003999999999 into the q and spectrum of the wrong c mod D
+@pytest.mark.parametrize("args", [
+    ["gen", "--d", "5", "--kind", "schwinger", "--m", "12345678901234567890,1"],
+    ["gen", "--d", "5", "--kind", "schwinger", "--m", "1,-4000000000"],
+    ["spectrum", "--d", "5", "--m", "12345678901234567890,1", "--mp", "0,1"],
+    ["spectrum", "--d", "5", "--m", "4000000000,1", "--mp", "1,4000000001", "--format", "json"],
+])
+def test_a_label_component_from_2_to_the_31_is_a_usage_error(runner, args):
+    res = invoke(runner, args)
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert "of magnitude 2^31 or more" in res.stderr.splitlines()[-1], res.stderr
+
+
+def test_a_label_component_below_2_to_the_31_is_accepted(runner):
+    # c = big^2 - 1 = 8 mod 2D: the q and spectrum of the pair (1,0), (0,8)
+    big = (1 << 31) - 1
+    res = invoke(runner, ["spectrum", "--d", "5", "--m", f"{big},1", "--mp", f"1,{big}",
+                          "--format", "json"])
+    assert res.exit_code == 0, res.stderr
+    doc = json.loads(res.stdout)
+    small = json.loads(invoke(runner, ["spectrum", "--d", "5", "--m", "1,0", "--mp", "0,8",
+                                       "--format", "json"]).stdout)
+    assert doc["cross"] == big * big - 1
+    assert (doc["q"], doc["f"]) == (small["q"], small["f"])
+
+
 @pytest.mark.parametrize("suite", ["wigner", "transforms"])
 def test_per_point_kernel_suites_are_refused_past_4096_before_allocating(runner, suite):
     tracemalloc.start()

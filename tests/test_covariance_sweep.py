@@ -32,7 +32,7 @@ def _intertwined(op, labels, block_entries=1 << 16):
     step = max(1, block_entries // d**2)
     for lo in range(0, len(labels), step):
         m = labels[lo:lo + step]
-        r = np.stack(op.map.apply((m[:, 0], m[:, 1]), reduce=True), axis=1)
+        r = np.stack(op.map.apply((m[:, 0], m[:, 1])), axis=1)
         rows, vals = displacement_columns(d, m[:, 0], m[:, 1])
         GS = np.moveaxis(G[:, rows], 0, 1) * vals[:, None, :]
         rows, vals = displacement_columns(d, r[:, 0], r[:, 1])
@@ -64,15 +64,15 @@ def _translation_loop(op):
 
 
 def _assert_reports_agree(op, labels=None):
-    worst, records = transforms.covariance_report(op, labels)
+    report = transforms.covariance_report(op, labels)
     ref_worst, ref = _report_loop(op, labels)
-    assert [rec["m"] for rec in records] == [rec["m"] for rec in ref]
-    assert all(type(rec["phase"]) is complex and type(rec["residual"]) is float
-               for rec in records)
-    assert max(abs(a["phase"] - b["phase"]) for a, b in zip(records, ref)) <= TOL
-    assert max(abs(a["residual"] - b["residual"]) for a, b in zip(records, ref)) <= TOL
-    assert abs(worst - ref_worst) <= TOL
-    return records
+    assert [tuple(m) for m in report.labels.tolist()] == [rec["m"] for rec in ref]
+    assert report.phase.dtype == complex and report.residual.dtype == float
+    assert max(abs(p - rec["phase"]) for p, rec in zip(report.phase, ref)) <= TOL
+    assert max(abs(x - rec["residual"]) for x, rec in zip(report.residual, ref)) <= TOL
+    assert abs(report.worst - ref_worst) <= TOL
+    return [{"m": tuple(m), "phase": p, "residual": x} for m, p, x in
+            zip(report.labels.tolist(), report.phase.tolist(), report.residual.tolist())]
 
 
 @pytest.mark.parametrize("d", [2, 3, 13, 31])
@@ -121,7 +121,7 @@ def test_a_matrix_of_another_map_loses_the_overlap(d):
     lost = [rec for rec in records if rec["m"] != (0, 0)]
     assert lost and all(rec["residual"] == 1.0 for rec in lost)
     assert all(abs(rec["phase"]) < 1e-12 for rec in lost)
-    assert transforms.covariance_report(op)[0] == 1.0
+    assert transforms.covariance_report(op).worst == 1.0
 
 
 @pytest.mark.parametrize("d", [5, 13])
@@ -150,4 +150,5 @@ def test_translation_residual_equals_the_loop(d):
 def test_an_empty_label_list_reads_zero():
     dim = make_dimension(5)
     op = build_metaplectic(dim, random_symplectic(dim, seed=1))
-    assert transforms.covariance_report(op, np.empty((0, 2), dtype=int)) == (0.0, [])
+    report = transforms.covariance_report(op, np.empty((0, 2), dtype=int))
+    assert report.worst == 0.0 and len(report.phase) == len(report.residual) == 0

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coproduct_oracle import kron_coproduct, signed_sigma, unsigned_sigma
+from deformed_oracle import lowering, raising
 from torusphase import (
     CollinearVectorsError,
     DegenerateSpectrumError,
@@ -69,6 +70,18 @@ def test_defining_relations_all_pairs(d):
         # C = 1/|sin(gamma0 m x m')|
         assert_allclose(osc.shift_constant,
                         1.0 / abs(np.sin(dim.gamma0 * osc.cross)), atol=1e-12)
+
+
+@pytest.mark.parametrize("m, mp", [((12345678901234567890, 1), (0, 1)),
+                                   ((4000000000, 1), (1, 4000000001)),
+                                   ((1, 0), (0, -(1 << 31)))])
+def test_labels_from_2_to_the_31_are_refused(m, mp):
+    dim = make_dimension(5)
+    for build in (build_q_oscillator, build_uq_sl2):
+        with pytest.raises(ValueError, match="2\\^31"):
+            build(dim, m, mp)
+    with pytest.raises(ValueError, match="2\\^31"):
+        oscillator_sweep(dim, np.array([m], dtype=object), np.array([mp], dtype=object))
 
 
 def test_collinear_pair_rejected():
@@ -160,9 +173,9 @@ def test_casimir_is_nonzero_constant():
     assert res["casimir_forms"] < 1e-12 and res["casimir_value"] < 1e-12
     # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
     # from the realization's public fields
-    V, j3 = o.eigenvectors, o.j3_values
-    c1 = o.raising @ o.lowering + (V * o.bracket((j3 + 2.5 - 0.5) / 2.0) ** 2) @ V.conj().T
-    c2 = o.lowering @ o.raising + (V * o.bracket((j3 + 2.5 + 0.5) / 2.0) ** 2) @ V.conj().T
+    V, j3, A, Ad = o.eigenvectors, o.j3_values, lowering(o), raising(o)
+    c1 = Ad @ A + (V * o.bracket((j3 + 2.5 - 0.5) / 2.0) ** 2) @ V.conj().T
+    c2 = A @ Ad + (V * o.bracket((j3 + 2.5 + 0.5) / 2.0) ** 2) @ V.conj().T
     const = 1.0 / np.sin(np.pi * o.cross / 5) ** 2
     assert const > 1.0
     assert_allclose(c1, const * np.eye(5), atol=1e-12)
@@ -244,6 +257,36 @@ def test_translated_lattice_shifts_deformation():
     assert rep.delta_alpha == lattice_cross((1, 1), (1, -1))
     o = build_uq_sl2(dim, (1, 0), (0, 1))
     assert_allclose(rep.p_new, o.p * np.exp(1j * dim.gamma0 * rep.delta_alpha), atol=1e-12)
+
+
+def _dense_translated_residual(dim, m, mp, r):
+    """max|A S_w - p' S_w A| from the dense A of the translated pair and the dense S_w."""
+    o = build_uq_sl2(dim, (m[0] + r[0], m[1] + r[1]), (mp[0] + r[0], mp[1] + r[1]))
+    A, Sw = lowering(o), schwinger_matrix(dim, np.subtract(m, mp))
+    p_new = _phase(dim.d, 2 * (lattice_cross(m, mp) - lattice_cross(r, np.subtract(m, mp))))
+    return np.abs(A @ Sw - p_new * Sw @ A).max()
+
+
+@pytest.mark.parametrize("d", range(3, 14))
+def test_translated_residual_matches_the_dense_oracle(d):
+    dim = make_dimension(d)
+    checked = 0
+    for m, mp in (((1, 0), (0, 1)), ((2, 1), (-1, 3)), ((-7, 4), (5, 9))):
+        for r in ((1, 0), (1, 1), (2, 1), (-3, 5), (4 * d + 1, -d)):
+            try:
+                rep = translated_lattice_deformation(dim, m, mp, r)
+            except (CollinearVectorsError, DegenerateSpectrumError):
+                continue
+            dense = _dense_translated_residual(dim, m, mp, r)
+            assert abs(rep.residual - dense) <= 1e-15, (d, m, mp, r, rep.residual, dense)
+            assert rep.residual < 1e-13
+            checked += 1
+    assert checked, d
+
+
+def test_a_wrong_deformation_shows_in_the_translated_residual(monkeypatch):
+    monkeypatch.setattr(deformed, "_phase", lambda d, t: _phase(d, np.asarray(t) + 1))
+    assert translated_lattice_deformation(make_dimension(7), (1, 0), (0, 1), (1, 1)).residual > 0.1
 
 
 def test_translated_lattice_can_become_collinear():
@@ -593,17 +636,20 @@ def test_each_sl2_representative_family_is_needed(monkeypatch, families):
     assert rows["orbit_conjugation"].value > 0.1
 
 
-def test_q_oscillator_build_peaks_within_half_again_what_it_keeps():
-    """A, N, Q and the eigenvectors V are kept; no stack of S_m, no second V^dag
-    and no scaled copy of Q is alive beside them (the old build peaked at 2x)."""
+@pytest.mark.parametrize("build", [build_q_oscillator, build_uq_sl2],
+                         ids=["q_oscillator", "uq_sl2"])
+def test_a_builder_peaks_at_three_eigenvector_matrices(build):
+    """A builder keeps the eigenvectors V and D-vectors only, and peaks at V and
+    two D x D temporaries of its closed-form entries (building dense A, N, Q
+    and S_w as well peaked at 5 V and kept up to 4 V)."""
     dim = make_dimension(401)
-    build_q_oscillator(dim, (1, 0), (0, 1))
+    build(dim, (1, 0), (0, 1))
     tracemalloc.start()
     try:
-        osc = build_q_oscillator(dim, (1, 0), (0, 1))
-        peak = tracemalloc.get_traced_memory()[1]
+        o = build(dim, (1, 0), (0, 1))
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in (osc.lowering, osc.number_op, osc.q_exponential,
-                                  osc.eigenvectors))
-    assert peak <= 1.5 * kept, (peak, kept)
+    V = o.eigenvectors.nbytes
+    assert peak <= 3.05 * V, (peak, V)
+    assert held <= 1.02 * V, (held, V)

@@ -18,6 +18,7 @@ from torusphase import (
     random_state,
     wigner_number_phase,
 )
+from torusphase import numberphase, verify
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -37,13 +38,11 @@ def test_pair_residuals(d):
 
 @pytest.mark.parametrize("d", [2, 4, 9, 13])
 def test_pair_relations_are_the_identification_rows(d):
-    # one function gives both: the pair's relations and the pair suite's
-    dim = make_dimension(d)
-    res = phase_pair_residuals(build_phase_pair(dim))
-    ident = identification_suite(dim, n_random=4)
+    # the pair suite takes the pair's relations once; the suite writes them twice
+    rows = {r.name: r.value for r in verify.suite_numberphase(make_dimension(d), samples=4)}
     for key, id_key in (("commutation", "weyl_commutation"), ("cyclic_number", "cyclic_X"),
                         ("cyclic_phase", "cyclic_Z")):
-        assert res[key] == ident[id_key], (d, key)
+        assert rows[key] == rows[f"id_{id_key}"], (d, key)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
@@ -154,8 +153,9 @@ def test_expand_number_function_coefficients_match_the_direct_sum(d):
     assert exp.residual < 1e-9
 
 
-def test_expand_rejects_nonconvergent_tolerance():
+def test_expand_rejects_nonconvergent_tolerance(monkeypatch):
+    monkeypatch.setattr(numberphase, "_EXPANSION_TOL", 1e-18)
     dim = make_dimension(5)
     f = np.arange(5, dtype=float)
     with pytest.raises(PhaseMismatchError):
-        expand_number_function(dim, f, (1, 0), (0, 1), tol=1e-18)
+        expand_number_function(dim, f, (1, 0), (0, 1))

@@ -37,6 +37,7 @@ from torusphase.serialization import (
     transform_json,
     wigner_csv,
 )
+from torusphase.transforms import CovarianceReport
 
 
 def test_float_format_is_fixed_width_scientific():
@@ -148,13 +149,14 @@ def test_index_serializations():
 def test_transform_json_payload():
     dim = make_dimension(5)
     op = build_metaplectic(dim, SymplecticMap.from_rows(dim, ((0, -1), (1, 0))))
-    worst, records = covariance_report(op)
-    doc = json.loads(transform_json(op, worst, records))
+    report = covariance_report(op)
+    doc = json.loads(transform_json(op, report))
     assert doc["R"] == [[0, 4], [1, 0]]
     assert doc["gauge"] == op.gauge
-    assert doc["worst_residual"] < 1e-9
-    assert len(doc["per_m"]) == len(records)
-    assert doc["per_m"][0]["m"] == list(records[0]["m"])
+    assert doc["worst_residual"] == report.worst < 1e-9
+    assert len(doc["per_m"]) == len(report.labels)
+    assert doc["per_m"][0]["m"] == report.labels[0].tolist()
+    assert doc["per_m"][0]["phase"] == [report.phase[0].real, report.phase[0].imag]
 
 
 def test_byte_determinism_across_calls():
@@ -253,19 +255,18 @@ def test_matrix_emitters_match_entry_by_entry(shape):
 @pytest.mark.parametrize("n", [0, 1, 40])
 def test_transform_json_matches_entry_by_entry(n):
     rng = np.random.default_rng(n)
-    phases = special_grid(rng, (n,)) + 1j * special_grid(rng, (n,))
-    records = [{"m": (int(a), int(b)), "phase": complex(p), "residual": float(r)}
-               for (a, b), p, r in zip(rng.integers(-9, 9, (n, 2)), phases,
-                                       special_grid(rng, (n,)))]
+    report = CovarianceReport(rng.integers(-9, 9, (n, 2)),
+                              special_grid(rng, (n,)) + 1j * special_grid(rng, (n,)),
+                              special_grid(rng, (n,)), 0.5)
     op = SimpleNamespace(map=SimpleNamespace(matrix=np.array([[2, 3], [5, 8]])),
                          gauge="aligned", unitary_residual=np.float64(1e-16))
     ref = ref_encode({
         "R": [[2, 3], [5, 8]], "gauge": "aligned", "unitary_residual": 1e-16,
         "worst_residual": 0.5,
-        "per_m": [{"m": list(rec["m"]), "phase": rec["phase"], "residual": rec["residual"]}
-                  for rec in records],
+        "per_m": [{"m": [int(a), int(b)], "phase": complex(p), "residual": float(r)}
+                  for (a, b), p, r in zip(report.labels, report.phase, report.residual)],
     }) + "\n"
-    assert transform_json(op, 0.5, records) == ref
+    assert transform_json(op, report) == ref
 
 
 def test_dumps_json_matches_entry_by_entry():

@@ -20,6 +20,7 @@ from basis_oracle import (
     pair_schwinger,
     pair_suite,
 )
+from deformed_oracle import lowering, number_op
 from torusphase import (
     DegenerateSpectrumError,
     build_clock_operator,
@@ -42,12 +43,12 @@ ODD_PRIMES = (3, 5, 7, 11, 13)
 
 def _oscillator_ops(dim, m, mp):
     o = build_q_oscillator(dim, m, mp)
-    return o.lowering, o.number_op
+    return lowering(o), number_op(o)
 
 
 def _sl2_ops(dim, m, mp):
     o = build_uq_sl2(dim, m, mp)
-    return o.lowering, (o.eigenvectors * o.j3_values) @ o.eigenvectors.conj().T
+    return lowering(o), (o.eigenvectors * o.j3_values) @ o.eigenvectors.conj().T
 
 
 # (representative families, coefficient function of the row, dense operators of the loop)
@@ -172,7 +173,7 @@ def _flipped_eta_ops(dim, m, mp):
     o = build_q_oscillator(dim, m, mp)
     if not _is_representative(dim.d, m, mp)[0]:
         o = build_q_oscillator(dim, m, mp, eta_override=-o.eta)
-    return o.lowering, o.number_op
+    return lowering(o), number_op(o)
 
 
 @pytest.mark.parametrize("d", [5, 7])

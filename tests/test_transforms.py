@@ -25,6 +25,7 @@ from torusphase import (
     window_vectors,
 )
 from torusphase import transforms, verify
+from torusphase.lattice import _checked_labels
 
 
 def test_symplectic_map_reduction_and_determinant():
@@ -70,10 +71,9 @@ def test_aligned_gauge_covariance_is_exact(d):
         op = build_metaplectic(dim, smap)
         assert op.gauge == "aligned"
         assert op.unitary_residual < 1e-12
-        worst, records = covariance_report(op)
-        assert worst < 1e-9, (d, smap.matrix, worst)
-        for rec in records:
-            assert abs(abs(rec["phase"]) - 1.0) < 1e-9
+        report = covariance_report(op)
+        assert report.worst < 1e-9, (d, smap.matrix, report.worst)
+        assert np.abs(np.abs(report.phase) - 1.0).max() < 1e-9
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -82,10 +82,10 @@ def test_predicted_phase_matches_measured(d):
     rng = np.random.default_rng(4)
     smap = random_symplectic(dim, rng=rng)
     op = build_metaplectic(dim, smap)
-    _, records = covariance_report(op)
-    for rec in records:
-        pred = predicted_phase(op, rec["m"])
-        assert abs(pred - rec["phase"]) < 1e-9, (rec["m"], pred, rec["phase"])
+    report = covariance_report(op)
+    for m, phase in zip(report.labels.tolist(), report.phase):
+        pred = predicted_phase(op, m)
+        assert abs(pred - phase) < 1e-9, (m, pred, phase)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -105,8 +105,7 @@ def test_d2_columnwise_covariance_but_no_closure():
     smap = random_symplectic(dim, rng=rng)
     op = build_metaplectic(dim, smap)
     assert op.gauge == "columnwise"
-    worst, _ = covariance_report(op)
-    assert worst < 1e-10
+    assert covariance_report(op).worst < 1e-10
     a = build_metaplectic(dim, SymplecticMap.from_rows(dim, ((0, 1), (1, 0))))
     b = build_metaplectic(dim, SymplecticMap.from_rows(dim, ((1, 1), (0, 1))))
     _, resid = closure_check(a, b)
@@ -130,8 +129,7 @@ def test_covariance_sends_labels_through_the_map():
     F = build_fourier_operator(dim)
     for m in window_vectors(dim):
         lhs = op.matrix @ schwinger_matrix(dim, m) @ op.matrix.conj().T
-        image = smap.apply(m)
-        rhs = schwinger_matrix(dim, (image[0] % 5, image[1] % 5))
+        rhs = schwinger_matrix(dim, smap.apply(m))
         z = np.trace(rhs.conj().T @ lhs) / 5
         assert abs(abs(z) - 1.0) < 1e-10, m
     # and the quarter-turn op is the Fourier matrix up to a global phase
@@ -176,7 +174,7 @@ def test_every_map_conjugates_labels_by_its_generator_phases(d):
                      * np.linalg.matrix_power(gu, m[0]) @ np.linalg.matrix_power(gv, m[1]))
             assert np.max(np.abs(conj - image)) < 1e-12, (smap.matrix, m)
             if d % 2:
-                target = predicted_phase(op, m) * dense[smap.apply(m, reduce=True)]
+                target = predicted_phase(op, m) * dense[smap.apply(m)]
                 assert np.max(np.abs(conj - target)) < 1e-12, (smap.matrix, m)
 
 
@@ -185,13 +183,13 @@ def test_covariance_report_phases_match_dense_overlaps(d):
     dim = make_dimension(d)
     op = build_metaplectic(dim, random_symplectic(dim, seed=d))
     G = op.matrix
-    worst, records = covariance_report(op)
-    assert worst < 1e-12
-    assert [rec["m"] for rec in records] == window_vectors(dim)
-    for rec in records:
-        target = _dense_s(dim, op.map.apply(rec["m"], reduce=True))
-        z = np.trace(target.conj().T @ G @ _dense_s(dim, rec["m"]) @ G.conj().T) / d
-        assert abs(rec["phase"] - z / abs(z)) < 1e-12, rec["m"]
+    report = covariance_report(op)
+    assert report.worst < 1e-12
+    assert [tuple(m) for m in report.labels.tolist()] == window_vectors(dim)
+    for m, phase in zip(report.labels.tolist(), report.phase):
+        target = _dense_s(dim, op.map.apply(m))
+        z = np.trace(target.conj().T @ G @ _dense_s(dim, m) @ G.conj().T) / d
+        assert abs(phase - z / abs(z)) < 1e-12, m
 
 
 def test_large_dimension_build_is_fast():
@@ -212,7 +210,8 @@ def test_suite_transforms_takes_one_covariance_report_per_operator(monkeypatch):
     assert len(calls) == 11
     assert len({id(op) for op in calls}) == 11
     flat = next(r for r in rows if r.name == "phase_flattening")
-    assert flat.value == transforms.phase_flattening_report(calls[0])["max_phase_deviation"]
+    first = real(calls[0], _checked_labels(make_dimension(13)))
+    assert flat.value == transforms.phase_flattening_report(first.phase)["max_phase_deviation"]
 
 
 def test_metaplectic_stack_peaks_within_three_times_its_output():
