@@ -178,8 +178,7 @@ def _eigensystem(d: int, m1: int, m2: int):
     if m1 % d == 0:
         # diagonal element: eigenvector r is the coordinate vector k with
         # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
-        for k in range(d):
-            vecs[k, (k * m2) % d] = 1.0
+        vecs[np.arange(d), np.arange(d) * m2 % d] = 1.0
     else:
         # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
         # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
@@ -189,7 +188,13 @@ def _eigensystem(d: int, m1: int, m2: int):
         k = (-j * m1) % d
         walk = np.concatenate(([0], np.cumsum(2 * k[:-1] - m1) % (2 * d)))
         e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
-        vecs[k] = _phase(d, e[:, None] - 2 * np.outer(j, j)).conj() / math.sqrt(d)
+        # rows k_j gathered from a conj-scaled table a block of j at a time:
+        # no D x D temporary beside vecs
+        table = _phase(d, np.arange(2 * d)).conj() / math.sqrt(d)
+        step = max(1, _BLOCK_ENTRIES // d)
+        for lo in range(0, d, step):
+            i = j[lo:lo + step, None]
+            vecs[k[lo:lo + step]] = table[(e[i] - 2 * i * j) % (2 * d)]
     lam.flags.writeable = False
     vecs.flags.writeable = False
     return lam, vecs

@@ -100,8 +100,9 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     x = (1, 0), (0, c), (1, -c) to m, m', w = m - m' mod D.  With
     A = d S_m + d' S_m' and X = N or J3, G_R^dag A G_R = z A_rho (z^4 = 1) and
     G_R^dag X G_R = X_rho hold for a representative rho of area c mod D exactly
-    when G_R S_x = z_x S_{R x} G_R on those labels (transforms._sweep, O(D^2))
-    and scalar identities hold: d s_m conj(z_1) = z d_rho s_rho and
+    when G_R S_x = z_x S_{R x} G_R on those labels, z_x the exact sign of
+    transforms._conjugation (transforms._sweep, O(D^2)), and scalar
+    identities hold: d s_m conj(z_1) = z d_rho s_rho and
     d' s_m' conj(z_2) = z d'_rho, with s the exact reduction signs; conj(z_w)
     takes the v_0 eigenvalue of S_(1,-c) onto that of S_(w mod D) (X is
     n(r) = c^{-1} r (+ delta) on eigenvector r of S_w, and any other eigenvalue
@@ -119,11 +120,12 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     rc = lattice_cross(rm.T, rmp.T)
     t = np.array([pow(int(x), -1, d) for x in c], dtype=np.int64)[:, None] * mp % d
     x = np.stack(np.broadcast_arrays(1, 0, 0, c, 1, -c), axis=1).reshape(-1, 3, 2)
-    z, cov = np.empty((len(c), 3), dtype=complex), np.empty((len(c), 3))
+    z, cov = np.empty((len(c), 3)), np.empty((len(c), 3))
     for blk in label_blocks(len(c), d):
         for i, G in zip(range(len(c))[blk], transforms.metaplectic_stack(dim, m[blk], t[blk])):
             smap = transforms.SymplecticMap(dim, tuple((m[i] % d).tolist()), tuple(t[i].tolist()))
-            z[i], cov[i] = transforms._sweep(G, smap, x[i])
+            z[i] = transforms._conjugation(d, smap.s, smap.t, x[i].T)[2]
+            cov[i] = transforms._sweep(G, smap, x[i], z[i])
 
     def sign(u, v):    # S_u = sign S_v for labels u = v mod D, an exact parity
         return _branch_sign(d, 0, u) * _branch_sign(d, 0, v)
@@ -437,7 +439,6 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     from . import transforms, wigner
 
     rng = np.random.default_rng(seed)
-    labels = _checked_labels(dim)
     sampled = _sample_note(dim, "labels")
     rows = [_res("fourier_map", transforms.fourier_check(dim))]
     ident = transforms.build_metaplectic(
@@ -449,16 +450,16 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
     for _ in range(samples):
         op = transforms.build_metaplectic(dim, transforms.random_symplectic(dim, rng=rng))
         worst_u = max(worst_u, op.unitary_residual)
-        report = transforms.covariance_report(op, labels)
+        report = transforms.covariance_report(op)
         worst_cov = max(worst_cov, report.worst)
         first_phase = report.phase if first_phase is None else first_phase
         ops.append(op)
     shear = transforms.build_metaplectic(
         dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1))))
-    worst_cov = max(worst_cov, transforms.covariance_report(shear, labels).worst)
+    worst_cov = max(worst_cov, transforms.covariance_report(shear).worst)
     rows.append(_res("unitarity", worst_u, note=f"{samples} random maps"))
     rows.append(_res("covariance", worst_cov,
-                     note=_join("after per-label phase alignment", sampled)))
+                     note=_join("exact conjugation signs", sampled)))
     if dim.d % 2 == 1:
         worst_t = max(transforms.translation_covariance_residual(op) for op in ops[:3])
         rows.append(_res("translation_covariance", worst_t,

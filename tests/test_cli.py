@@ -383,6 +383,21 @@ def test_transform_fourier_map(runner):
     assert doc["worst_residual"] < 1e-9
 
 
+def test_transform_above_d64_checks_the_sampled_labels():
+    # D^4 > 2^24: the covariance report takes lattice._checked_labels, 104 at
+    # D = 401, not all D^2 window labels (an O(D^4) sweep of several minutes)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p), OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "torusphase.cli", "transform", "--d", "401",
+                           "--r", "3,5,7,12"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["per_m"]) == 104
+    assert doc["worst_residual"] < 1e-13
+    assert all(rec["phase"] in ([1.0, 0.0], [-1.0, 0.0]) for rec in doc["per_m"])
+
+
 def test_transform_rejects_composite_and_nonsymplectic(runner):
     res = invoke(runner, ["transform", "--d", "4", "--r", "0,-1,1,0"])
     assert res.exit_code == 2

@@ -1,11 +1,14 @@
-"""The blocked covariance sweep against the gather/scatter form it replaces.
+"""The blocked covariance sweep and the conjugation sign against measured overlaps.
 
 The reference below builds G S_m by gathering the columns of G and S_r G by
 scattering its rows, one block of labels at a time, and reads one record per
-label in a Python loop.  The sweep in transforms takes both from G into
-buffers kept across blocks, with its phases factored differently and its
-overlap summed in another order, so phases and residuals must agree to a few
-ulps, with the same labels in the same order.
+label in a Python loop.  Its phase is the measured overlap
+Tr(S_r^dag G S_m G^dag) / D normalized, or a phase it is given.  The sweep in
+transforms takes both products from G into buffers kept across blocks, with
+its phases factored differently, and takes z from the exact parity rule
+transforms._conjugation: for a metaplectic G the rule's sign and the measured
+phase, and the residuals, must agree to a few ulps, with the same labels in
+the same order.  For any other matrix the rule's sign is checked as given.
 """
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from torusphase import (
     build_metaplectic,
     make_dimension,
     max_abs,
+    predicted_phase,
     random_symplectic,
     window_vectors,
 )
@@ -41,16 +45,19 @@ def _intertwined(op, labels, block_entries=1 << 16):
         yield m, r, GS, SG
 
 
-def _report_loop(op, labels=None):
+def _report_loop(op, labels=None, phase=None):
+    """Worst residual and per-label records; the phase measured unless given."""
     d = op.dim.d
     records = []
     for m, _, GS, SG in _intertwined(op, window_vectors(op.dim) if labels is None else labels):
-        z = np.einsum("lij,lij->l", SG.conj(), GS) / d
-        lost = np.abs(z) < 1e-12
-        phase = z / np.where(lost, 1.0, np.abs(z))
-        resid = np.where(lost, 1.0, np.abs(GS - phase[:, None, None] * SG).max(axis=(1, 2)))
+        if phase is None:
+            z = np.einsum("lij,lij->l", SG.conj(), GS) / d
+            z = z / np.abs(z)
+        else:
+            z = np.asarray(phase)[len(records):len(records) + len(m)]
+        resid = np.abs(GS - z[:, None, None] * SG).max(axis=(1, 2))
         records += [{"m": (int(a), int(b)), "phase": complex(p), "residual": float(x)}
-                    for (a, b), p, x in zip(m, phase, resid)]
+                    for (a, b), p, x in zip(m, z, resid)]
     return max((rec["residual"] for rec in records), default=0.0), records
 
 
@@ -63,11 +70,13 @@ def _translation_loop(op):
     return worst
 
 
-def _assert_reports_agree(op, labels=None):
+def _assert_reports_agree(op, labels=None, metaplectic=True):
+    """The sweep against the loop; for a metaplectic G the loop measures the phase."""
     report = transforms.covariance_report(op, labels)
-    ref_worst, ref = _report_loop(op, labels)
+    ref_worst, ref = _report_loop(op, labels, None if metaplectic else report.phase)
     assert [tuple(m) for m in report.labels.tolist()] == [rec["m"] for rec in ref]
     assert report.phase.dtype == complex and report.residual.dtype == float
+    assert np.all(np.abs(report.phase.real) == 1.0) and np.all(report.phase.imag == 0.0)
     assert max(abs(p - rec["phase"]) for p, rec in zip(report.phase, ref)) <= TOL
     assert max(abs(x - rec["residual"]) for x, rec in zip(report.residual, ref)) <= TOL
     assert abs(report.worst - ref_worst) <= TOL
@@ -111,30 +120,45 @@ def test_monomial_shear_equals_the_loop(d):
 
 
 @pytest.mark.parametrize("d", [3, 13])
-def test_a_matrix_of_another_map_loses_the_overlap(d):
-    # G = I conjugates S_m to itself, which has no overlap with S_{Rm} unless
-    # R m = m mod D: those labels are lost and read residual 1.0 exactly
+def test_a_matrix_of_another_map_reads_order_one(d):
+    # G = I conjugates S_m to itself, not to +-S_{Rm}: R m = m mod D only at
+    # m = 0 mod D, and every other label reads a residual of order one.  The
+    # sign is the rule's, so no overlap is fitted and none is lost.
     dim = make_dimension(d)
     quarter = SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))
     op = MetaplecticOperator(dim, quarter, np.eye(d, dtype=complex), "aligned", 0.0)
-    records = _assert_reports_agree(op)
-    lost = [rec for rec in records if rec["m"] != (0, 0)]
-    assert lost and all(rec["residual"] == 1.0 for rec in lost)
-    assert all(abs(rec["phase"]) < 1e-12 for rec in lost)
-    assert transforms.covariance_report(op).worst == 1.0
+    records = _assert_reports_agree(op, metaplectic=False)
+    off = [rec for rec in records if rec["m"] != (0, 0)]
+    assert off and min(rec["residual"] for rec in off) >= 0.5
+    assert transforms.covariance_report(op).worst >= 0.5
 
 
 @pytest.mark.parametrize("d", [5, 13])
 def test_a_unitary_that_is_not_metaplectic_equals_the_loop(d):
-    # a random unitary: the overlaps are generic complex numbers, not +-1,
-    # and off m = 0 mod D the residuals are of order one
+    # a random unitary: its overlaps are generic complex numbers, not +-1, so
+    # off m = 0 mod D the residual against the rule's sign is of order one
     dim = make_dimension(d)
     rng = np.random.default_rng(400 + d)
     U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     op = MetaplecticOperator(dim, random_symplectic(dim, rng=rng), U, "aligned", 0.0)
-    records = _assert_reports_agree(op, rng.integers(-3 * d, 3 * d + 1, size=(200, 2)))
-    assert max(abs(rec["phase"].imag) for rec in records) > 0.1
-    assert min(rec["residual"] for rec in records if rec["m"][0] % d or rec["m"][1] % d) > 1e-3
+    records = _assert_reports_agree(op, rng.integers(-3 * d, 3 * d + 1, size=(200, 2)),
+                                    metaplectic=False)
+    _, measured = _report_loop(op, [rec["m"] for rec in records])
+    assert max(abs(rec["phase"].imag) for rec in measured) > 0.1
+    assert min(rec["residual"] for rec in records if rec["m"][0] % d or rec["m"][1] % d) >= 0.5
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_predicted_phase_is_the_measured_overlap_sign(d):
+    # at every D, D = 2's columnwise gauge included, on reduced and unreduced labels
+    dim = make_dimension(d)
+    rng = np.random.default_rng(4)
+    op = build_metaplectic(dim, random_symplectic(dim, rng=rng))
+    labels = np.concatenate([window_vectors(dim), rng.integers(-3 * d, 3 * d + 1, (50, 2))])
+    _, measured = _report_loop(op, labels)
+    for rec in measured:
+        pred = predicted_phase(op, rec["m"])
+        assert pred in (1, -1) and abs(pred - rec["phase"]) <= TOL, (rec["m"], pred)
 
 
 @pytest.mark.parametrize("d", [3, 13, 31])

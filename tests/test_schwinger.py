@@ -152,6 +152,35 @@ def test_eigensystem_holds_to_rounding_at_large_dimension(d):
         assert np.abs(S @ sys.eigenvectors - sys.eigenvectors * sys.eigenvalues).max() < 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 4, 9, 31, 401])
+def test_eigensystem_rows_equal_the_one_pass_gather_bit_for_bit(d):
+    # the rows are gathered a block at a time from a conj-scaled table; the
+    # one-pass form below made two D x D complex temporaries (3 V at its peak)
+    import math
+    import tracemalloc
+
+    from torusphase.lattice import _phase
+
+    for m1, m2 in ((1, 0), (1, 2), (-3, 7), (d // 2 + 1, 5), (-d - 1, 2 * d + 1)):
+        if not schwinger._has_closed_form(d, m1, m2) or m1 % d == 0:
+            continue
+        j = np.arange(d, dtype=np.int64)
+        k = (-j * m1) % d
+        walk = np.concatenate(([0], np.cumsum(2 * k[:-1] - m1) % (2 * d)))
+        e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
+        ref = np.zeros((d, d), dtype=complex)
+        ref[k] = _phase(d, e[:, None] - 2 * np.outer(j, j)).conj() / math.sqrt(d)
+        tracemalloc.start()
+        try:
+            _, vecs = schwinger._eigensystem(d, m1, m2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vecs.tobytes() == ref.tobytes(), (d, m1, m2)
+        if d > 100:
+            assert peak <= 1.2 * vecs.nbytes, (peak, vecs.nbytes)
+
+
 def test_eigensystem_rejects_zero_label_and_degenerate():
     dim = make_dimension(5)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -77,18 +78,6 @@ def test_aligned_gauge_covariance_is_exact(d):
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
-def test_predicted_phase_matches_measured(d):
-    dim = make_dimension(d)
-    rng = np.random.default_rng(4)
-    smap = random_symplectic(dim, rng=rng)
-    op = build_metaplectic(dim, smap)
-    report = covariance_report(op)
-    for m, phase in zip(report.labels.tolist(), report.phase):
-        pred = predicted_phase(op, m)
-        assert abs(pred - phase) < 1e-9, (m, pred, phase)
-
-
-@pytest.mark.parametrize("d", [3, 5, 7])
 def test_group_closure_up_to_scalar(d):
     dim = make_dimension(d)
     rng = np.random.default_rng(6)
@@ -122,6 +111,37 @@ def test_random_symplectic_produces_valid_maps(d):
         assert smap.s != (0, 0)
 
 
+@pytest.mark.parametrize("d", [4, 6, 9, 15, 25])
+def test_random_symplectic_at_composite_d(d):
+    # the completion inverts a unit component of the first column; a column
+    # with none is redrawn (a non-unit s1 raised "base is not invertible")
+    dim = make_dimension(d)
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(500):
+        smap = random_symplectic(dim, rng=rng)
+        assert verify_symplectic(smap)
+        assert math.gcd(smap.s[0], d) == 1 or math.gcd(smap.s[1], d) == 1
+        seen.add(math.gcd(smap.s[0], d) == 1)
+    assert seen == {True, False}
+
+
+def test_random_symplectic_keeps_its_prime_draws():
+    # the four draws from seed 0 before composite D was handled
+    pinned = {
+        2: [((1, 1), (1, 0))] * 4,
+        5: [((4, 3), (2, 3)), ((1, 1), (0, 1)), ((0, 4), (1, 3)), ((4, 2), (3, 3))],
+        13: [((11, 8), (6, 8)), ((3, 4), (0, 9)), ((2, 10), (8, 8)), ((11, 6), (7, 11))],
+        61: [((51, 38), (31, 59)), ((16, 18), (2, 29)), ((4, 1), (10, 18)), ((49, 39), (55, 55))],
+        401: [((341, 255), (204, 209)), ((108, 123), (16, 267)), ((30, 6), (70, 268)),
+              ((326, 260), (366, 394))],
+    }
+    for d, draws in pinned.items():
+        rng = np.random.default_rng(0)
+        got = [random_symplectic(make_dimension(d), rng=rng) for _ in draws]
+        assert [(m.s, m.t) for m in got] == draws, d
+
+
 def test_covariance_sends_labels_through_the_map():
     dim = make_dimension(5)
     smap = SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))
@@ -140,7 +160,7 @@ def test_covariance_sends_labels_through_the_map():
 def _dense_s(dim, m):
     """S_m = e^{-i pi m1 m2 / D} U^m1 V^m2 from dense shift and clock powers."""
     d = dim.d
-    return (np.exp(-1j * np.pi * (m[0] * m[1]) / d)
+    return (np.exp(-1j * np.pi * ((m[0] * m[1]) % (2 * d)) / d)
             * np.linalg.matrix_power(build_shift_operator(dim), m[0] % d)
             @ np.linalg.matrix_power(build_clock_operator(dim), m[1] % d))
 
@@ -173,9 +193,40 @@ def test_every_map_conjugates_labels_by_its_generator_phases(d):
             image = (np.exp(-1j * np.pi * m[0] * m[1] / d)
                      * np.linalg.matrix_power(gu, m[0]) @ np.linalg.matrix_power(gv, m[1]))
             assert np.max(np.abs(conj - image)) < 1e-12, (smap.matrix, m)
-            if d % 2:
-                target = predicted_phase(op, m) * dense[smap.apply(m)]
-                assert np.max(np.abs(conj - target)) < 1e-12, (smap.matrix, m)
+            target = predicted_phase(op, m) * dense[smap.apply(m)]
+            assert np.max(np.abs(conj - target)) < 1e-12, (smap.matrix, m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31])
+def test_conjugation_rule_matches_dense_conjugation(d):
+    # G S_m G^dag = z(m) S_{R m mod D} with z the rule's sign, on unreduced labels
+    dim = make_dimension(d)
+    rng = np.random.default_rng(500 + d)
+    maps = [SymplecticMap.from_rows(dim, rows) for rows in
+            (((1, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (1, 1)))]
+    maps += [random_symplectic(dim, rng=rng) for _ in range(6)]
+    labels = rng.integers(-3 * d, 3 * d + 1, size=(40, 2)).tolist() + [[3 * d, -3 * d]]
+    for smap in maps:
+        G = build_metaplectic(dim, smap).matrix
+        r1, r2, z = transforms._conjugation(d, smap.s, smap.t, np.array(labels).T)
+        for m, r, sign in zip(labels, zip(r1.tolist(), r2.tolist()), z.tolist()):
+            assert sign in (1, -1)
+            worst = np.abs(G @ _dense_s(dim, m) @ G.conj().T - sign * _dense_s(dim, r)).max()
+            assert worst <= 1e-13, (smap.matrix, m, worst)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_conjugation_rule_on_residues_is_the_aligned_sign(d):
+    # an integer identity: on m in [0, D)^2 at odd D, z(m) = (-1)^{r1 r2 - m1 m2}
+    dim = make_dimension(d)
+    rng = np.random.default_rng(600 + d)
+    maps = [random_symplectic(dim, rng=rng) for _ in range(50)]
+    s1, s2, t1, t2 = (np.array([x[i] for x in col])[:, None]
+                      for col in ([m.s for m in maps], [m.t for m in maps]) for i in (0, 1))
+    m1, m2 = np.divmod(np.arange(d * d), d)
+    r1, r2, z = transforms._conjugation(d, (s1, s2), (t1, t2), (m1, m2))
+    assert z.shape == (50, d * d)
+    assert np.array_equal(z, 1 - 2 * ((r1 * r2 - m1 * m2) % 2))
 
 
 @pytest.mark.parametrize("d", [3, 13, 31])
