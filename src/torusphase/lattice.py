@@ -7,10 +7,12 @@ F U F^-1 = V and F V F^-1 = U^-1, with F^4 = I.
 
 One rule reads every phase e^{-i pi t / D} of an exact integer t: _phase, t mod
 2D from a 2D-entry table; and sines of integer turns: _sin_turns, t in [-D, D).
+Seeded draws come from Sampler, the standard library's generator.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,6 +90,7 @@ def _checked_points(dim: Dimension) -> np.ndarray:
     d = dim.d
     idx = np.arange(d * d)
     if d**4 > _CHECKED_ENTRIES:
+        # numpy's draw, loaded only here: these labels are what the large-D rows read
         idx = np.sort(np.random.default_rng(d).choice(idx, _CHECKED_ENTRIES // d**2, False))
     return np.stack(np.divmod(idx, d), axis=1)
 
@@ -188,10 +191,55 @@ def basis_state(dim: Dimension, basis: str, index: int) -> np.ndarray:
     raise UnsupportedBasisError(f"unknown basis tag {basis!r}")
 
 
+class Sampler:
+    """Seeded draws from random.Random behind the four numpy Generator methods
+    the package calls, with their signatures: a process that draws no large
+    label sample never imports numpy.random.  Every rng= parameter accepts
+    either."""
+
+    def __init__(self, seed=None):
+        self._random = random.Random(None if seed is None else int(seed))
+
+    def _unit(self, size) -> np.ndarray:
+        """Uniforms in [0, 1) of the given shape, 53 bits each from randbytes."""
+        bits = np.frombuffer(self._random.randbytes(8 * int(np.prod(size))), dtype="<u8")
+        return ((bits >> 11) * 2.0**-53).reshape(size)
+
+    def integers(self, low, high=None, size=None):
+        """Integers in [low, high), or in [0, low) without high."""
+        if high is None:
+            low, high = 0, low
+        if size is None:
+            return self._random.randrange(int(low), int(high))
+        draws = [self._random.randrange(int(low), int(high)) for _ in range(int(np.prod(size)))]
+        return np.array(draws, dtype=np.int64).reshape(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        x = low + (high - low) * self._unit(() if size is None else size)
+        return float(x) if size is None else x
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        """Box-Muller: uniforms u, v give sqrt(-2 log(1 - u)) times cos and sin of 2 pi v."""
+        shape = () if size is None else size
+        n = int(np.prod(shape))
+        u, v = self._unit((2, (n + 1) // 2))
+        r, t = np.sqrt(-2.0 * np.log1p(-u)), 2 * np.pi * v
+        x = loc + scale * np.concatenate([r * np.cos(t), r * np.sin(t)])[:n].reshape(shape)
+        return float(x) if size is None else x
+
+    def choice(self, a: int, size=None, replace=True):
+        """Draws from range(a), distinct unless replace; a may exceed any array size."""
+        k = 1 if size is None else int(np.prod(size))
+        idx = (self._random.sample(range(a), k) if not replace
+               else [self._random.randrange(a) for _ in range(k)])
+        out = np.array(idx, dtype=np.int64)
+        return out[0] if size is None else out.reshape(size)
+
+
 def random_state(dim: Dimension, seed=None, rng=None) -> np.ndarray:
     """Normalized state with complex-normal amplitudes from a seeded generator."""
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = Sampler(seed)
     psi = rng.normal(size=dim.d) + 1j * rng.normal(size=dim.d)
     return psi / np.linalg.norm(psi)
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DegenerateSpectrumError
 from .lattice import (
     Dimension,
+    Sampler,
     _checked_labels,
     _half_phase,
     _phase,
@@ -341,7 +342,7 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
     that is not monomial raises ValueError.
     """
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = Sampler(0)
     d = dim.d
     x, z = _monomial(X), _monomial(Z)
     eye = np.arange(d)

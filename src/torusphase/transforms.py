@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
-from .lattice import Dimension, _checked_labels, _phase, build_fourier_operator, max_abs
+from .lattice import Dimension, Sampler, _checked_labels, _phase, build_fourier_operator, max_abs
 
 # entries of one (labels, D, D) block of G S_m in the covariance sweep: 2^14
 # (4 labels at D = 61) ran fastest of 2^12..2^16 at D = 31 and 61 (2^15 and
@@ -80,7 +80,7 @@ def random_symplectic(dim: Dimension, rng=None, seed=None) -> SymplecticMap:
     At prime D that is every nonzero column; at composite D a column such as
     (2, 3) at D = 6, unimodular with no unit component, never occurs."""
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = Sampler(seed)
     d = dim.d
     while True:
         s1, s2 = int(rng.integers(0, d)), int(rng.integers(0, d))
@@ -286,12 +286,7 @@ def phase_flattening_report(phase) -> dict:
 
 
 def fourier_check(dim: Dimension) -> float:
-    """Residual of G([[0,-1],[1,0]]) against the Fourier operator."""
-    smap = SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))
-    op = build_metaplectic(dim, smap)
-    G = op.matrix
-    F = build_fourier_operator(dim)
-    z = np.trace(F.conj().T @ G) / dim.d
-    if abs(z) < 1e-12:
-        return 1.0
-    return max_abs(G - (z / abs(z)) * F)
+    """Residual of G([[0,-1],[1,0]]) against the Fourier operator, with no phase
+    fitted: G_00 > 0 and F_00 = 1/sqrt(D) > 0 fix the relative phase to 1."""
+    G = build_metaplectic(dim, SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))).matrix
+    return max_abs(G - build_fourier_operator(dim))

@@ -20,7 +20,8 @@ from .errors import (
     SingularDeformationError,
     TorusPhaseError,
 )
-from .lattice import Dimension, _checked_labels, canonical_window, lattice_cross, random_state
+from .lattice import (Dimension, Sampler, _checked_labels, canonical_window, lattice_cross,
+                      random_state)
 
 # Each suite imports the layers it checks in its own body, so a single-suite
 # call loads only those; "all" loads every layer.
@@ -72,7 +73,7 @@ def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
         mp = np.tile(vecs, (len(vecs), 1))
         keep = lattice_cross(m.T, mp.T) % d != 0
         return m[keep], mp[keep]
-    idx = np.random.default_rng(seed).choice(total, size=samples, replace=False)
+    idx = Sampler(seed).choice(total, size=samples, replace=False)
     ends = np.cumsum(per_m)
     outer = np.searchsorted(ends, idx, side="right")
     rank = idx - ends[outer] + per_m[outer]
@@ -181,7 +182,7 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
         weyl_commutator_check,
     )
 
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     sampled = _sample_note(dim, "labels")
     rows = [_res(k, v, note=sampled if k in _WINDOW_ROWS else "")
             for k, v in standard_pair_suite(dim, rng=rng, n_random=samples).items()]
@@ -352,7 +353,7 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     # of the suite, it would fragment the heap
     from . import deformed, limits, numberphase  # noqa: F401
 
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     pair = numberphase.build_phase_pair(dim)
     ident = numberphase.identification_suite(dim, rng=rng, n_random=samples)
     # the pair's own relations are the pair suite's first three rows
@@ -438,7 +439,7 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
 def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[CheckRow]:
     from . import transforms, wigner
 
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     sampled = _sample_note(dim, "labels")
     rows = [_res("fourier_map", transforms.fourier_check(dim))]
     ident = transforms.build_metaplectic(
@@ -495,7 +496,7 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
 def suite_fock(dim: Dimension, seed: int = 0, samples: int = 20) -> list[CheckRow]:
     from . import fock
 
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     worst_gram = worst_overlap = worst_iso = 0.0
     for _ in range(samples):
         a = float(rng.uniform(-2, 2))

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import NonRealWignerError
 from .lattice import (
     Dimension,
+    Sampler,
     _checked_points,
     _half_phase,
     _phase,
@@ -193,7 +194,7 @@ def kernel_suite(dim: Dimension) -> dict:
     res = {"hermitian": herm, "trace": trace,
            "resolution": max_abs(symbol_reconstruct(dim, np.ones((d, d))) / d - np.eye(d)),
            "dual": dual}
-    rng = np.random.default_rng(d)
+    rng = Sampler(d)
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     res["completeness"] = max_abs(symbol_reconstruct(dim, classical_symbol(dim, op)) - op)
     res["rotation"] = rot
@@ -216,7 +217,7 @@ def property_suite(dim: Dimension, n_states: int = 6, seed=None) -> dict:
     <psi|Delta(V)|psi> at the checked points.
     """
     d = dim.d
-    rng = np.random.default_rng(20260817 if seed is None else seed)
+    rng = Sampler(20260817 if seed is None else seed)
     j = np.arange(d)
     worst: dict[str, float] = {}
 

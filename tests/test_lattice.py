@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from torusphase import (
     random_state,
     window_vectors,
 )
+from torusphase.lattice import Sampler, _checked_labels
 
 
 def test_is_prime_small_table():
@@ -135,6 +138,57 @@ def test_random_state_seeded_and_normalized():
     assert_allclose(a, b)
     assert not np.allclose(a, c)
     assert_allclose(np.linalg.norm(a), 1.0, atol=1e-13)
+
+
+def test_sampler_same_seed_same_draws():
+    def draws(seed):
+        r = Sampler(seed)
+        return (r.integers(7), r.integers(-5, 5, (3, 2)).tolist(), r.uniform(-2, 2),
+                r.normal(size=5).tolist(), r.normal(), r.choice(1000, 4, replace=False).tolist())
+    assert draws(3) == draws(3)
+    assert draws(3) != draws(4)
+
+
+def test_sampler_integers_stay_in_range():
+    r = Sampler(0)
+    x = r.integers(-3, 4, 10_000)
+    assert x.dtype == np.int64 and x.min() == -3 and x.max() == 3
+    assert r.integers(-2, 2, (2, 3, 2)).shape == (2, 3, 2)
+    assert all(0 <= r.integers(5) < 5 for _ in range(200))
+
+
+def pair_count(d):
+    """Non-collinear window pairs at D, as verify._swept_pairs counts them."""
+    w = np.arange(d)
+    return d**4 - d * sum(int(np.gcd(np.gcd(m1, w), d).sum()) for m1 in range(d))
+
+
+# the pair count at D = 4096, ~2.8e14, is the widest index range a sampled sweep draws from
+@pytest.mark.parametrize("n", [12, 1000, pair_count(4096)])
+def test_sampler_choice_without_replacement_is_distinct_and_in_range(n):
+    k = min(n, 200)
+    idx = Sampler(5).choice(n, size=k, replace=False)
+    assert idx.shape == (k,) and len(set(idx.tolist())) == k
+    assert idx.min() >= 0 and idx.max() < n
+
+
+def test_sampler_normal_moments():
+    n = 10**5
+    x = Sampler(11).normal(size=n)
+    # standard errors of the mean and of the variance of n standard normals
+    assert abs(x.mean()) < 5 / np.sqrt(n)
+    assert abs(x.var() - 1.0) < 5 * np.sqrt(2 / n)
+    assert Sampler(11).normal(size=(3, 5)).shape == (3, 5)
+
+
+def test_checked_labels_above_d64_are_the_numpy_sample():
+    # the large-D label sample is numpy's seeded draw, not the package sampler's
+    pinned = {101: "959a1f07a82e568f50fb967a716cce2fa7833ec6b9a06f23b9911af13205f4f7",
+              365: "ff980c19c0e6b8b607dbfc73a52e2c078e589bcbb2eeba0a074bdcb6a00ca5c9"}
+    for d, digest in pinned.items():
+        labels = _checked_labels(make_dimension(d))
+        assert labels.dtype == np.int64
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest, d
 
 
 def test_lattice_cross_is_exact_integer():

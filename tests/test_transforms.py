@@ -56,6 +56,15 @@ def test_quarter_turn_gives_fourier(d):
     assert fourier_check(make_dimension(d)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 13, 31, 61, 101])
+def test_quarter_turn_is_the_fourier_operator_with_no_phase(d):
+    # fourier_check fits no phase: G_00 > 0 and F_00 = 1/sqrt(D) fix it to 1
+    dim = make_dimension(d)
+    G = build_metaplectic(dim, SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))).matrix
+    assert G[0, 0].real > 0 and abs(G[0, 0].imag) < 1e-15
+    assert fourier_check(dim) < 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_identity_map_gives_identity(d):
     dim = make_dimension(d)
