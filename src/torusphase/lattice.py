@@ -7,7 +7,7 @@ F U F^-1 = V and F V F^-1 = U^-1, with F^4 = I.
 
 One rule reads every phase e^{-i pi t / D} of an exact integer t: _phase, t mod
 2D from a 2D-entry table; and sines of integer turns: _sin_turns, t in [-D, D).
-Seeded draws come from Sampler, the standard library's generator.
+Seeded draws come from Sampler, keyed by the standard library's generator.
 """
 from __future__ import annotations
 
@@ -191,19 +191,33 @@ def basis_state(dim: Dimension, basis: str, index: int) -> np.ndarray:
     raise UnsupportedBasisError(f"unknown basis tag {basis!r}")
 
 
+# SplitMix64 (Steele, Lea and Flood, 2014): the stream's increment and output mix
+_GAMMA, _MIX1, _MIX2 = (np.uint64(c) for c in
+                        (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
 class Sampler:
-    """Seeded draws from random.Random behind the four numpy Generator methods
-    the package calls, with their signatures: a process that draws no large
-    label sample never imports numpy.random.  Every rng= parameter accepts
-    either."""
+    """Seeded draws from random.Random: integers, uniform and normal with the
+    numpy Generator signatures the package calls, and sample for distinct
+    indices.  A process that draws no large label sample never imports
+    numpy.random.  Every rng= parameter accepts either."""
 
     def __init__(self, seed=None):
+        if seed is not None and int(seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self._random = random.Random(None if seed is None else int(seed))
 
-    def _unit(self, size) -> np.ndarray:
-        """Uniforms in [0, 1) of the given shape, 53 bits each from randbytes."""
-        bits = np.frombuffer(self._random.randbytes(8 * int(np.prod(size))), dtype="<u8")
-        return ((bits >> 11) * 2.0**-53).reshape(size)
+    def _unit(self, n: int) -> np.ndarray:
+        """n uniforms in [0, 1), 53 bits each: the SplitMix64 stream seeded by
+        one 64-bit draw, computed in numpy."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += np.uint64(self._random.getrandbits(64))
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= mix
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)) * 2.0**-53
 
     def integers(self, low, high=None, size=None):
         """Integers in [low, high), or in [0, low) without high."""
@@ -214,26 +228,30 @@ class Sampler:
         draws = [self._random.randrange(int(low), int(high)) for _ in range(int(np.prod(size)))]
         return np.array(draws, dtype=np.int64).reshape(size)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        x = low + (high - low) * self._unit(() if size is None else size)
-        return float(x) if size is None else x
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self._random.random()
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        """Box-Muller: uniforms u, v give sqrt(-2 log(1 - u)) times cos and sin of 2 pi v."""
-        shape = () if size is None else size
-        n = int(np.prod(shape))
-        u, v = self._unit((2, (n + 1) // 2))
-        r, t = np.sqrt(-2.0 * np.log1p(-u)), 2 * np.pi * v
-        x = loc + scale * np.concatenate([r * np.cos(t), r * np.sin(t)])[:n].reshape(shape)
-        return float(x) if size is None else x
+    def normal(self, size) -> np.ndarray:
+        """Marsaglia's polar method: each point (x, y) of the square [-1, 1)^2
+        inside the unit disc, s = x^2 + y^2 in (0, 1), gives the two normals
+        x r and y r, r = sqrt(-2 log s / s); no sine or cosine."""
+        n = int(np.prod(size))
+        parts, have = [], 0
+        while have < n:
+            # pi/4 of the points fall inside, so m points give about 1.57 m
+            # normals: m = 2/3 of those still due is about 5% to spare
+            x, y = 2 * self._unit(2 * ((n - have) * 2 // 3 + 8)).reshape(2, -1) - 1
+            s = x * x + y * y
+            inside = (s > 0) & (s < 1)
+            s = s[inside]
+            r = np.sqrt(-2 * np.log(s) / s)
+            parts += [x[inside] * r, y[inside] * r]
+            have += 2 * len(r)
+        return np.concatenate(parts)[:n].reshape(size)
 
-    def choice(self, a: int, size=None, replace=True):
-        """Draws from range(a), distinct unless replace; a may exceed any array size."""
-        k = 1 if size is None else int(np.prod(size))
-        idx = (self._random.sample(range(a), k) if not replace
-               else [self._random.randrange(a) for _ in range(k)])
-        out = np.array(idx, dtype=np.int64)
-        return out[0] if size is None else out.reshape(size)
+    def sample(self, n: int, k: int) -> np.ndarray:
+        """k distinct draws from range(n); n may exceed any array size."""
+        return np.array(self._random.sample(range(n), k), dtype=np.int64)
 
 
 def random_state(dim: Dimension, seed=None, rng=None) -> np.ndarray:

@@ -73,7 +73,7 @@ def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
         mp = np.tile(vecs, (len(vecs), 1))
         keep = lattice_cross(m.T, mp.T) % d != 0
         return m[keep], mp[keep]
-    idx = Sampler(seed).choice(total, size=samples, replace=False)
+    idx = Sampler(seed).sample(total, samples)
     ends = np.cumsum(per_m)
     outer = np.searchsorted(ends, idx, side="right")
     rank = idx - ends[outer] + per_m[outer]

@@ -600,7 +600,7 @@ def test_sampled_pairs_are_the_seeded_draw_from_the_full_list(d):
     m, mp = verify._swept_pairs(dim, 0, None)
     size = min(40, len(m) - 1)
     for seed in (0, 3):
-        idx = Sampler(seed).choice(len(m), size=size, replace=False)
+        idx = Sampler(seed).sample(len(m), size)
         sm, smp = verify._swept_pairs(dim, seed, size)
         assert (sm == m[idx]).all() and (smp == mp[idx]).all()
 

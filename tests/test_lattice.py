@@ -144,9 +144,11 @@ def test_sampler_same_seed_same_draws():
     def draws(seed):
         r = Sampler(seed)
         return (r.integers(7), r.integers(-5, 5, (3, 2)).tolist(), r.uniform(-2, 2),
-                r.normal(size=5).tolist(), r.normal(), r.choice(1000, 4, replace=False).tolist())
+                r.normal(size=5).tolist(), r.sample(1000, 4).tolist())
     assert draws(3) == draws(3)
     assert draws(3) != draws(4)
+    with pytest.raises(ValueError, match="non-negative"):
+        Sampler(-3)
 
 
 def test_sampler_integers_stay_in_range():
@@ -165,9 +167,9 @@ def pair_count(d):
 
 # the pair count at D = 4096, ~2.8e14, is the widest index range a sampled sweep draws from
 @pytest.mark.parametrize("n", [12, 1000, pair_count(4096)])
-def test_sampler_choice_without_replacement_is_distinct_and_in_range(n):
+def test_sampler_sample_is_distinct_and_in_range(n):
     k = min(n, 200)
-    idx = Sampler(5).choice(n, size=k, replace=False)
+    idx = Sampler(5).sample(n, k)
     assert idx.shape == (k,) and len(set(idx.tolist())) == k
     assert idx.min() >= 0 and idx.max() < n
 
