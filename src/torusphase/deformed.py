@@ -52,6 +52,7 @@ from .lattice import (
     Dimension,
     _phase,
     _phase_cross,
+    _reduce,
     _sin_turns,
     canonical_vector,
     lattice_cross,
@@ -290,17 +291,13 @@ def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
 def _branch_sign(d: int, c, w) -> np.ndarray:
     """phi0 = <v_0|S_w|v_0> / s_p = sigma(w) (-1)^{wbar1 wbar2 + c} per pair, +1 or -1.
 
-    wbar is the window representative of the label w and sigma(w) its
-    reduce_label sign, S_w = sigma S_wbar with sigma = (-1)^{a wbar2 + b wbar1
-    + a b D} for w = wbar + (a D, b D).  v_0, the first eigenvector of S_wbar,
-    has eigenvalue e^{i pi wbar1 wbar2}, and s_p = e^{-i pi c} = (-1)^c.
+    wbar is the window representative of the label rows w (P, 2) and sigma(w)
+    the sign S_w = sigma S_wbar, both from lattice._reduce.  v_0, the first
+    eigenvector of S_wbar, has eigenvalue e^{i pi wbar1 wbar2}, and
+    s_p = e^{-i pi c} = (-1)^c.
     """
-    wbar = w % d
-    if d % 2 == 1:
-        wbar = np.where(wbar > (d - 1) // 2, wbar - d, wbar)
-    a, b = ((w - wbar) // d).T
-    parity = a * wbar[:, 1] + b * wbar[:, 0] + a * b * d + wbar[:, 0] * wbar[:, 1] + c
-    return 1.0 - 2 * (parity % 2)
+    w1, w2, sigma = _reduce(d, w[:, 0], w[:, 1])
+    return sigma * (1.0 - 2 * ((w1 * w2 + c) % 2))
 
 
 def bracket_values(dim: Dimension, c, n) -> np.ndarray:

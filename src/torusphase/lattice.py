@@ -61,22 +61,19 @@ def make_dimension(d: int) -> Dimension:
     return Dimension(int(d))
 
 
-def canonical_window(dim: Dimension) -> list[int]:
-    """Component range of the canonical lattice window.
+def canonical_window(dim: Dimension) -> np.ndarray:
+    """Component range of the canonical lattice window, an int64 array in increasing order.
 
     Odd D uses the symmetric window {-(D-1)/2, ..., (D-1)/2} so that m <-> -m
     stays inside it; even D uses {0, ..., D-1}.
     """
     d = dim.d
-    if d % 2 == 1:
-        h = (d - 1) // 2
-        return list(range(-h, h + 1))
-    return list(range(d))
+    return np.arange(d, dtype=np.int64) - (d // 2 if d % 2 else 0)
 
 
 def window_vectors(dim: Dimension):
     """All lattice vectors with both components in the canonical window."""
-    w = canonical_window(dim)
+    w = canonical_window(dim).tolist()
     return [(m1, m2) for m1 in w for m2 in w]
 
 
@@ -97,18 +94,34 @@ def _checked_points(dim: Dimension) -> np.ndarray:
 
 def _checked_labels(dim: Dimension) -> np.ndarray:
     """Window labels (P, 2) of the per-item rows: window_vectors at the _checked_points indices."""
-    return np.array(canonical_window(dim), dtype=np.int64)[_checked_points(dim)]
+    return canonical_window(dim)[_checked_points(dim)]
+
+
+def _reduce(d: int, m1, m2, window: bool = True):
+    """(r1, r2, sign): the representative r = m mod D and S_m = sign S_r, sign = +-1.
+
+    m1, m2 are integer labels or label arrays (unreduced allowed, int64);
+    r takes its components from the canonical window, or with window=False
+    from the residues [0, D).  For m = r + D (a, b) the sign is
+    (-1)^{a r2 + b r1 + a b D}, each factor taken mod 2 first: exact for every
+    int64 label.  It is the package's one label-reduction rule.
+    """
+    a, r1 = np.divmod(np.asarray(m1, dtype=np.int64), d)
+    b, r2 = np.divmod(np.asarray(m2, dtype=np.int64), d)
+    if window and d % 2:    # residues above D/2 move down by D into the window
+        a, r1 = a + (r1 > d // 2), r1 - d * (r1 > d // 2)
+        b, r2 = b + (r2 > d // 2), r2 - d * (r2 > d // 2)
+    a, b = a % 2, b % 2
+    return r1, r2, 1 - 2 * ((a * (r2 % 2) + b * (r1 % 2) + a * b * (d % 2)) % 2)
 
 
 def canonical_component(dim: Dimension, x: int) -> int:
-    x = x % dim.d
-    if dim.d % 2 == 1 and x > (dim.d - 1) // 2:
-        x -= dim.d
-    return x
+    return int(_reduce(dim.d, x, 0)[0])
 
 
 def canonical_vector(dim: Dimension, m) -> tuple[int, int]:
-    return (canonical_component(dim, m[0]), canonical_component(dim, m[1]))
+    r1, r2, _ = _reduce(dim.d, m[0], m[1])
+    return int(r1), int(r2)
 
 
 # label components stay below this in magnitude wherever labels become int64:

@@ -239,7 +239,7 @@ def phase_basis_wigner_function(dim: Dimension, state: np.ndarray) -> np.ndarray
     d = dim.d
     psi = np.asarray(state, dtype=complex)
     g = np.fft.ifft(psi.conj(), 2 * d, norm="forward") / np.sqrt(d)
-    k = np.array(canonical_window(dim))
+    k = canonical_window(dim)
     j = np.arange(d)
     b = np.empty((d, d), dtype=complex)
     b[k % d] = g[(2 * j - k[:, None]) % (2 * d)] * np.conj(g)[(2 * j + k[:, None]) % (2 * d)]

@@ -24,6 +24,7 @@ from .errors import PhaseMismatchError
 from .lattice import (
     Dimension,
     _phase,
+    _reduce,
     build_clock_operator,
     build_fourier_operator,
     build_shift_operator,
@@ -93,13 +94,12 @@ def build_action_angle_kernel(dim: Dimension, J: float, theta: float) -> ActionA
     mode, half-integer) J and theta = 2pi j / D.  S^np_m = S_(-m2, m1), so the
     sum is one torus displacement sum, O(D^2 log D).
     """
-    d, w = dim.d, np.array(canonical_window(dim), dtype=np.int64)
-    # S_(-m2, m1) = (-1)^(k m1) S_(n1, m1) with n1 = -m2 - k D in the window:
+    d, w = dim.d, canonical_window(dim)
+    # S_(-m2, m1) = sign S_(n1, m1) with (n1, m1) in the window (lattice._reduce):
     # the coefficient of window label (n1, n2) has m1 = n2, m2 the window label of -n1
-    m2 = w[(-w - w[0]) % d][:, None]
-    k = (-m2 - w[:, None]) // d          # -1 at even D where m2 != 0, else 0
-    acc = _displacement_sum(dim, (1 - 2 * (k * w % 2))
-                            * np.exp(1j * (dim.gamma0 * w * J - m2 * theta)))
+    m2 = _reduce(d, -w, 0)[0][:, None]
+    sign = _reduce(d, -m2, w)[2]
+    acc = _displacement_sum(dim, sign * np.exp(1j * (dim.gamma0 * w * J - m2 * theta)))
     acc /= 2.0 * np.pi * d
     acc.flags.writeable = False
     return ActionAngleKernel(dim=dim, J=float(J), theta=float(theta), matrix=acc)
@@ -115,7 +115,7 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     """
     Ph = build_phase_pair(dim).phase_states
     d, g0 = dim.d, dim.gamma0
-    w = np.array(canonical_window(dim), dtype=np.int64)
+    w = canonical_window(dim)
     m2, l = w[:, None], np.arange(d)
     C = np.zeros((d, d), dtype=complex)
     for m1 in w.tolist():
@@ -138,7 +138,7 @@ def _action_angle_grids(dim: Dimension, state, period: int, parities=(None,)) ->
     transform with m2 in the place of m1.  Parity 0 or 1 keeps the m2 of that
     parity only, None keeps all.
     """
-    w = np.array(canonical_window(dim), dtype=np.int64)
+    w = canonical_window(dim)
     chi = characteristic(dim.d, np.asarray(state, dtype=complex), -w, w)
     return [_window_dft(dim, chi if p is None else chi * (np.abs(w) % 2 == p)[:, None],
                         period).real * (dim.d / (2.0 * np.pi)) for p in parities]

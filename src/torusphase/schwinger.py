@@ -26,6 +26,7 @@ from .lattice import (
     _half_phase,
     _phase,
     _quarter_turn,
+    _reduce,
     _sin_turns,
     build_clock_operator,
     build_shift_operator,
@@ -131,16 +132,13 @@ def schwinger_matrix(dim: Dimension, m) -> np.ndarray:
 
 
 def reduce_label(dim: Dimension, m) -> tuple[tuple[int, int], int]:
-    """Canonical-window representative of m and the sign relating the operators.
+    """Canonical-window representative mc of m and the sign with S_m = sign * S_mc.
 
-    S_m = sign * S_mc where mc is the window representative; the sign is
-    (-1)^(a*mc2 + b*mc1 + a*b*D) for m = mc + (a*D, b*D).
+    The sign is (-1)^(a*mc2 + b*mc1 + a*b*D) for m = mc + (a*D, b*D), from
+    lattice._reduce.
     """
-    mc = canonical_vector(dim, m)
-    a = (m[0] - mc[0]) // dim.d
-    b = (m[1] - mc[1]) // dim.d
-    sign = (-1) ** ((a * mc[1] + b * mc[0] + a * b * dim.d) % 2)
-    return mc, int(sign)
+    r1, r2, sign = _reduce(dim.d, m[0], m[1])
+    return (int(r1), int(r2)), int(sign)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonSymplecticMapError
-from .lattice import Dimension, Sampler, _checked_labels, _phase, build_fourier_operator, max_abs
+from .lattice import (Dimension, Sampler, _checked_labels, _phase, _reduce, build_fourier_operator,
+                      max_abs)
 
 # entries of one (labels, D, D) block of G S_m in the covariance sweep: 2^14
 # (4 labels at D = 61) ran fastest of 2^12..2^16 at D = 31 and 61 (2^15 and
@@ -107,22 +108,18 @@ def _conjugation(d: int, s, t, m):
     """r = R m mod D and the sign z(m) = +-1 of G S_m G^dag = z(m) S_r, one exact parity.
 
     R = [s | t] with s = (s1, s2), t = (t1, t2) reduced mod D; m = (m1, m2)
-    any integer labels; entries broadcast.  With m = b + D a, b in [0, D)^2,
-    and R b = r + D q, the parity adds the reduction sign of S_m against S_b,
-    the generator phases z(1,0) = (-1)^{s1 s2} and z(0,1) = (-1)^{t1 t2} (odd
-    D) or 1 (D = 2) composed with the lift k = (det R - 1)/D, and the
-    reduction sign of S_{R b} against S_r.  Exact in int64 for labels below 2^31.
+    any integer labels; entries broadcast.  With b the residue of m and r that
+    of R b, z(m) multiplies the reduction signs of S_m against S_b and of S_{R b}
+    against S_r (both lattice._reduce) by the generator phases z(1,0) =
+    (-1)^{s1 s2} and z(0,1) = (-1)^{t1 t2} (odd D) or 1 (D = 2) composed with
+    the lift k = (det R - 1)/D.  Exact in int64 for labels below 2^31.
     """
     (s1, s2), (t1, t2) = s, t
-    a1, b1 = np.divmod(m[0], d)
-    a2, b2 = np.divmod(m[1], d)
+    b1, b2, sign_b = _reduce(d, m[0], m[1], window=False)
     k = (s1 * t2 - s2 * t1 - 1) // d
-    q1, r1 = np.divmod(s1 * b1 + t1 * b2, d)
-    q2, r2 = np.divmod(s2 * b1 + t2 * b2, d)
-    parity = (a1 * b2 + a2 * b1 + a1 * a2 * d
-              + s1 * s2 * b1 + (d % 2) * t1 * t2 * b2 + k * b1 * b2
-              + q1 * r2 + q2 * r1 + q1 * q2 * d)
-    return r1, r2, 1 - 2 * (parity % 2)
+    r1, r2, sign_r = _reduce(d, s1 * b1 + t1 * b2, s2 * b1 + t2 * b2, window=False)
+    parity = s1 * s2 * b1 + (d % 2) * t1 * t2 * b2 + k * b1 * b2
+    return r1, r2, sign_b * sign_r * (1 - 2 * (parity % 2))
 
 
 def metaplectic_stack(dim: Dimension, s, t) -> np.ndarray:
@@ -261,18 +258,16 @@ def predicted_phase(op: MetaplecticOperator, m) -> complex:
 
 
 def closure_check(op1: MetaplecticOperator, op2: MetaplecticOperator) -> tuple[complex, float]:
-    """Group law G(R1) G(R2) = z G(R1 R2): returns (scalar z, residual).
+    """Group law G(R1) G(R2) = z G(R1 R2): returns (z, max|G1 G2 - z G12|).
 
-    |z| = D before normalization iff the product is a scalar multiple; the
-    residual is against the normalized scalar.
+    z = i^k, the fourth root of unity nearest the phase of (G1 G2)_00 (G_00 > 0
+    fixes every G, so that entry is nonzero wherever the law holds): no phase
+    is fitted; the Clifford phases are exact (Appleby, JMP 46, 052107, 2005).
     """
-    dim = op1.dim
-    op12 = build_metaplectic(dim, op1.map @ op2.map)
+    op12 = build_metaplectic(op1.dim, op1.map @ op2.map)
     prod = op1.matrix @ op2.matrix
-    z = np.trace(op12.matrix.conj().T @ prod)
-    if abs(z) < 1e-12:
-        return complex(z), 1.0
-    return complex(z / abs(z)), max_abs(prod - (z / abs(z)) * op12.matrix)
+    z = (1, 1j, -1, -1j)[round(np.angle(prod[0, 0]) / (np.pi / 2)) % 4]
+    return complex(z), max_abs(prod - z * op12.matrix)
 
 
 def phase_flattening_report(phase) -> dict:

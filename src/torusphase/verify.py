@@ -20,8 +20,8 @@ from .errors import (
     SingularDeformationError,
     TorusPhaseError,
 )
-from .lattice import (Dimension, Sampler, _checked_labels, canonical_window, lattice_cross,
-                      random_state)
+from .lattice import (Dimension, Sampler, _checked_labels, _reduce, canonical_window,
+                      lattice_cross, random_state)
 
 # Each suite imports the layers it checks in its own body, so a single-suite
 # call loads only those; "all" loads every layer.
@@ -62,7 +62,7 @@ def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
     replacement, found by their index in that order without listing them all.
     """
     d = dim.d
-    w = np.array(canonical_window(dim))
+    w = canonical_window(dim)
     # window_vectors(dim) as one array, without its D^2 tuples
     vecs = np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1).reshape(-1, 2)
     # D gcd(m1, m2, D) labels m' have m x m' = 0 mod D
@@ -128,8 +128,8 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
             z[i] = transforms._conjugation(d, smap.s, smap.t, x[i].T)[2]
             cov[i] = transforms._sweep(G, smap, x[i], z[i])
 
-    def sign(u, v):    # S_u = sign S_v for labels u = v mod D, an exact parity
-        return _branch_sign(d, 0, u) * _branch_sign(d, 0, v)
+    def sign(u, v):    # S_u = sign S_v for labels u = v mod D
+        return _reduce(d, *u.T)[2] * _reduce(d, *v.T)[2]
 
     dm, dmp, delta = coefs(dim, m, mp)
     y = np.stack([dm * sign(m, m % d), dmp * sign(mp, mp % d)], axis=1) * z[:, :2].conj()
@@ -373,20 +373,17 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     # window); at even D only grid points are safe, and for D >= 4 mirror
     # labels differ by reduction signs, so the kernel is not pointwise
     # hermitian at all.
-    if dim.d % 2 == 1:
-        K = numberphase.build_action_angle_kernel(dim, 1.0, 0.7)
-        herm = float(np.max(np.abs(K.matrix - K.matrix.conj().T)))
-        rows.append(_res("kernel_hermitian", herm))
-    else:
-        K = numberphase.build_action_angle_kernel(dim, 1.0, dim.gamma0)
-        herm = float(np.max(np.abs(K.matrix - K.matrix.conj().T)))
-        if dim.d == 2:
-            rows.append(_res("kernel_hermitian", herm, note="grid points only at even D"))
-        else:
-            rows.append(_info("kernel_hermitian", herm,
-                              note="mirror labels carry reduction signs at even D >= 4"))
-    Kc = numberphase.build_action_angle_kernel(dim, 1.0 + dim.d, 0.7 + 2 * np.pi)
     K07 = numberphase.build_action_angle_kernel(dim, 1.0, 0.7)
+    K = K07 if dim.d % 2 == 1 else numberphase.build_action_angle_kernel(dim, 1.0, dim.gamma0)
+    herm = float(np.max(np.abs(K.matrix - K.matrix.conj().T)))
+    if dim.d % 2 == 1:
+        rows.append(_res("kernel_hermitian", herm))
+    elif dim.d == 2:
+        rows.append(_res("kernel_hermitian", herm, note="grid points only at even D"))
+    else:
+        rows.append(_info("kernel_hermitian", herm,
+                          note="mirror labels carry reduction signs at even D >= 4"))
+    Kc = numberphase.build_action_angle_kernel(dim, 1.0 + dim.d, 0.7 + 2 * np.pi)
     rows.append(_res("kernel_cyclic", float(np.max(np.abs(K07.matrix - Kc.matrix)))))
     n0 = int(rng.integers(dim.d))
     e_n0 = np.zeros(dim.d, dtype=complex)

@@ -58,10 +58,6 @@ def characteristic(d: int, psi: np.ndarray, a, b) -> np.ndarray:
     return _trace_chi(d, rows, a, b)
 
 
-def _window(dim: Dimension) -> np.ndarray:
-    return np.array(canonical_window(dim), dtype=np.int64)
-
-
 def _window_dft(dim: Dimension, chi: np.ndarray, period: int | None = None) -> np.ndarray:
     """(1/D^2) sum_m e^{-i gamma0 m x V} chi[m] on the grid, indexed [V1, V2].
 
@@ -71,7 +67,7 @@ def _window_dft(dim: Dimension, chi: np.ndarray, period: int | None = None) -> n
     """
     d = dim.d
     n = period or d
-    w = _window(dim)
+    w = canonical_window(dim)
     g = np.zeros((d, n), dtype=complex)
     g[np.ix_(w % d, w % n)] = chi
     return np.fft.ifft(np.fft.fft(g, axis=0), axis=1).T / d * (n // d)
@@ -84,7 +80,7 @@ def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:
     so each m1 contributes one FFT over m2 along its diagonal.
     """
     d = dim.d
-    w = _window(dim)
+    w = canonical_window(dim)
     h = np.empty(np.shape(coeff)[:-2] + (d, d), dtype=complex)
     h[..., w % d] = coeff * _half_phase(d, w[:, None], w[None, :])
     j = np.arange(d)
@@ -95,7 +91,7 @@ def _displacement_sum(dim: Dimension, coeff: np.ndarray) -> np.ndarray:
 
 def _kernels(dim: Dimension, points) -> np.ndarray:
     """Delta(V) per row V = (V1, V2) of points (P, 2), stacked (P, D, D), O(D^2 log D) each."""
-    d, w = dim.d, _window(dim)
+    d, w = dim.d, canonical_window(dim)
     v1, v2 = np.asarray(points, dtype=np.int64).T[:, :, None, None]
     # e^{-i gamma0 m x V} / D^2 with m x V = m1 V2 - m2 V1
     return _displacement_sum(dim, _phase(d, 2 * (w[:, None] * v2 - w * v1)) / d**2)
@@ -120,7 +116,7 @@ class WignerGrid:
 
 def _state_grid(dim: Dimension, psi) -> np.ndarray:
     """<psi| Delta(V) |psi> on the grid from chi, complex, indexed [V1, V2]."""
-    w = _window(dim)
+    w = canonical_window(dim)
     return _window_dft(dim, characteristic(dim.d, psi, w, w))
 
 
@@ -143,7 +139,7 @@ def wigner_function(dim: Dimension, state: np.ndarray, state_ref: str = "") -> W
 def classical_symbol(dim: Dimension, op: np.ndarray) -> np.ndarray:
     """f(V) = Tr(F Delta(V)) on the grid; pairs with W as sum f W = <F>/D."""
     A = np.asarray(op, dtype=complex)
-    w = _window(dim)
+    w = canonical_window(dim)
     j = np.arange(dim.d)
     return _window_dft(dim, _trace_chi(dim.d, A[j, (j + w[:, None]) % dim.d], w, w))
 
@@ -151,7 +147,7 @@ def classical_symbol(dim: Dimension, op: np.ndarray) -> np.ndarray:
 def symbol_reconstruct(dim: Dimension, symbol: np.ndarray) -> np.ndarray:
     """Inverse of classical_symbol: F = D sum_V f(V) Delta(V) = sum_m c_m S_m."""
     f = np.asarray(symbol, dtype=complex)
-    w = _window(dim) % dim.d
+    w = canonical_window(dim) % dim.d
     c = np.fft.ifft(np.fft.fft(f, axis=1), axis=0).T      # c[m1, m2] at residues
     return _displacement_sum(dim, c[np.ix_(w, w)])
 
@@ -180,7 +176,7 @@ def kernel_suite(dim: Dimension) -> dict:
     kernel).  The rotation residuals are O(1) at D=2, where the half-phases
     break quarter-turn covariance; callers gate on odd D.
     """
-    d, w, j = dim.d, _window(dim), np.arange(dim.d)
+    d, w, j = dim.d, canonical_window(dim), np.arange(dim.d)
     herm = trace = dual = rot = 0.0
     for v, K in _kernel_blocks(dim):
         herm = max(herm, max_abs(K - K.conj().swapaxes(1, 2)))

@@ -10,6 +10,7 @@ from torusphase import (
     build_clock_operator,
     build_fourier_operator,
     build_shift_operator,
+    canonical_component,
     canonical_vector,
     canonical_window,
     is_prime,
@@ -18,7 +19,7 @@ from torusphase import (
     random_state,
     window_vectors,
 )
-from torusphase.lattice import Sampler, _checked_labels
+from torusphase.lattice import Sampler, _checked_labels, _reduce
 
 
 def test_is_prime_small_table():
@@ -60,6 +61,45 @@ def test_canonical_vector_reduces_into_window():
     dim = make_dimension(5)
     assert canonical_vector(dim, (7, -8)) == (2, 2)
     assert canonical_vector(dim, (0, 0)) == (0, 0)
+
+
+def _reduce_reference(d, m1, m2, window):
+    """_reduce in Python integers, which cannot overflow."""
+    h = d // 2 if window and d % 2 else 0
+    r1, r2 = (m1 + h) % d - h, (m2 + h) % d - h
+    a, b = (m1 - r1) // d, (m2 - r2) // d
+    return r1, r2, (-1) ** ((a * r2 + b * r1 + a * b * d) % 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 15])
+def test_reduce_is_the_label_reduction_rule(d):
+    from torusphase.schwinger import reduce_label, schwinger_stack
+
+    dim = make_dimension(d)
+    rng = np.random.default_rng(d)
+    m = rng.integers(-8 * d, 8 * d + 1, (60, 2))
+    for window, low in ((True, int(canonical_window(dim)[0])), (False, 0)):
+        r1, r2, sign = _reduce(d, m[:, 0], m[:, 1], window=window)
+        r = np.stack([r1, r2], axis=1)
+        assert ((r >= low) & (r < low + d)).all() and ((m - r) % d == 0).all()
+        assert sign.dtype == np.int64 and set(sign.tolist()) <= {-1, 1}
+        # S_m = sign S_r, dense, to the rounding of the phase table
+        dense = schwinger_stack(d, m) - sign[:, None, None] * schwinger_stack(d, r)
+        assert np.abs(dense).max() < 1e-13
+        # labels near +-2^62 and the int64 bounds: exact against Python integers
+        big = [(s * 2**62 + k, s * 2**62 - 3 * k + 1)
+               for s in (1, -1) for k in range(-2 * d, 2 * d)]
+        big += [(2**63 - 1 - k, -2**63 + k) for k in range(2 * d)]
+        r1, r2, sign = _reduce(d, *np.array(big, dtype=np.int64).T, window=window)
+        assert [_reduce_reference(d, *x, window) for x in big] == list(zip(
+            r1.tolist(), r2.tolist(), sign.tolist()))
+    # the wrappers read the window reduction and return Python integers
+    for m1, m2 in m.tolist():
+        r1, r2, sign = _reduce(d, m1, m2)
+        (c1, c2), s = reduce_label(dim, (m1, m2))
+        got = (c1, c2, s, *canonical_vector(dim, (m1, m2)), canonical_component(dim, m1))
+        assert got == (r1, r2, sign, r1, r2, r1)
+        assert {type(x) for x in got} == {int}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])

@@ -86,15 +86,17 @@ def test_aligned_gauge_covariance_is_exact(d):
         assert np.abs(np.abs(report.phase) - 1.0).max() < 1e-9
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 31])
 def test_group_closure_up_to_scalar(d):
+    # the scalar of the Clifford group law is a fourth root of unity, not a fitted phase
     dim = make_dimension(d)
     rng = np.random.default_rng(6)
-    a = build_metaplectic(dim, random_symplectic(dim, rng=rng))
-    b = build_metaplectic(dim, random_symplectic(dim, rng=rng))
-    scalar, resid = closure_check(a, b)
-    assert resid < 1e-10
-    assert abs(abs(scalar) - 1.0) < 1e-12
+    for _ in range(4):
+        a = build_metaplectic(dim, random_symplectic(dim, rng=rng))
+        b = build_metaplectic(dim, random_symplectic(dim, rng=rng))
+        scalar, resid = closure_check(a, b)
+        assert resid < 1e-10
+        assert scalar**4 == 1
 
 
 def test_d2_columnwise_covariance_but_no_closure():
