@@ -105,22 +105,20 @@ def commutator_limit_check(dim: Dimension, ell: int, r: int = 1) -> dict:
     ell = int(ell)
     if not 0 <= ell < d:
         raise ValueError(f"ell must be in 0..{d - 1}")
-    pair = build_phase_pair(dim)
-    Nh = np.diag(np.arange(d, dtype=float))
-    El = np.linalg.matrix_power(pair.e_phi, ell)
+    n = np.arange(d, dtype=float)      # N is diagonal: N X - X N is an elementwise product
+    # E_phi^ell = |k - ell><k|: its column k is column k - ell + 1 of E_phi
+    El = build_phase_pair(dim).e_phi[:, (np.arange(d) + 1 - ell) % d]
     if r == 1:
-        Cm = Nh @ El - El @ Nh + ell * El
+        Cm = n[:, None] * El - El * n + ell * El
         corner = float(d) if ell else 0.0
         restricted = max_abs(Cm[:, ell:])
-        full = max_abs(Cm)
     else:
-        Cm = El.copy()
+        Cm = El
         for _ in range(r):
-            Cm = Nh @ Cm - Cm @ Nh
+            Cm = n[:, None] * Cm - Cm * n
         corner = float((d - ell) ** r) if ell else 0.0
         restricted = max_abs((Cm - (-ell) ** r * El)[:, ell:])
-        full = max_abs(Cm)
-    return {"restricted": restricted, "full": full, "corner_predicted": corner}
+    return {"restricted": restricted, "full": max_abs(Cm), "corner_predicted": corner}
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,11 @@ def phase_pair_residuals(pair: PhasePair) -> dict:
     """
     d = pair.dim.d
     EN, Ep, Ph = pair.e_n, pair.e_phi, pair.phase_states
-    res = {"orthonormal": max_abs(Ph.conj().T @ Ph - np.eye(d))}
-    res["complete"] = max_abs(Ph @ Ph.conj().T - np.eye(d))
-    res["phase_eigen"] = max_abs(Ep @ Ph - Ph * _phase(d, 2 * np.arange(d)).conj())
-    res["number_shift"] = max_abs(EN @ Ph - Ph[:, (np.arange(d) - 1) % d])
-    return res
+    r, c = np.arange(d), Ep.argmax(axis=1)      # E_phi permutes: row r has its entry at c[r]
+    return {"orthonormal": max_abs(Ph.conj().T @ Ph - np.eye(d)),
+            "complete": max_abs(Ph @ Ph.conj().T - np.eye(d)),
+            "phase_eigen": max_abs(Ep[r, c][:, None] * Ph[c] - Ph * _phase(d, 2 * r).conj()),
+            "number_shift": max_abs(EN[r, r][:, None] * Ph - Ph[:, (r - 1) % d])}
 
 
 def identification_suite(dim: Dimension, rng=None, n_random: int = 200) -> dict:
@@ -110,17 +110,17 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
 
     Delta(J, theta) = (1/2piD) sum_m sum_l e^{i(gamma0 m1 J - m2 theta)}
     e^{i gamma0 l m2} e^{i gamma0 m1 m2 / 2} |phi_l><phi_{l + m1}|
-    = Ph C Ph^dag / (2piD), with C[l, l + m1] accumulating the coefficients,
-    one D x D block of (m2, l) terms per m1.
+    = Ph C Ph^dag / (2piD), with C[l, l + m1] = e^{i gamma0 m1 J} f(2l + m1) and
+    f(t) = sum_m2 e^{-i m2 theta} e^{i pi t m2 / D}, t mod 2D: one length-2D FFT.
     """
     Ph = build_phase_pair(dim).phase_states
-    d, g0 = dim.d, dim.gamma0
-    w = canonical_window(dim)
-    m2, l = w[:, None], np.arange(d)
-    C = np.zeros((d, d), dtype=complex)
-    for m1 in w.tolist():
-        vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * _phase(d, (2 * l + m1) * m2).conj()
-        C[l, (l + m1) % d] += vals.sum(axis=0)
+    d, w = dim.d, canonical_window(dim)
+    a = np.zeros(2 * d, dtype=complex)
+    a[w % (2 * d)] = np.exp(-1j * w * theta)
+    f = np.fft.ifft(a, norm="forward")
+    m1, l = w[:, None], np.arange(d)
+    C = np.empty((d, d), dtype=complex)
+    C[l, (l + m1) % d] = np.exp(1j * dim.gamma0 * m1 * J) * f[(2 * l + m1) % (2 * d)]
     return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)
 
 

@@ -31,8 +31,8 @@ from .lattice import (
     build_clock_operator,
     build_shift_operator,
     canonical_vector,
+    canonical_window,
     lattice_cross,
-    window_vectors,
 )
 
 
@@ -309,18 +309,25 @@ def fourier_covariance_residuals(dim: Dimension, labels) -> np.ndarray:
     return out
 
 
-def schwinger_basis_rank(dim: Dimension) -> int:
-    """Rank of the Hilbert-Schmidt Gram matrix of the window family {S_m}.
+def gram_residuals(dim: Dimension, labels) -> np.ndarray:
+    """Worst |Tr(S_m^dag S_n)/D - delta_mn| per window label row (P,), O(D^2) per label.
 
-    S_m has its entries at rows (j + m1) mod D, so labels of different m1 mod D
-    are orthogonal and the Gram is block diagonal by m1: the rank is the sum,
-    over m1, of the rank of the D x D entry values of its labels, O(D^4).
+    S_m has its entries at rows (j + m1) mod D, so the Gram is block diagonal
+    by m1; n runs over the window labels of the block and over the other rows
+    in it (a repeated label reads 1), one D x D block of entries at a time.
+    Over all D^2 window labels this is the whole Gram, of rank D^2 below 1/D.
     """
-    d = dim.d
-    labels = np.array(window_vectors(dim), dtype=np.int64)
-    key = labels[:, 0] % d      # takes every value in [0, D)
-    return sum(int(np.linalg.matrix_rank(displacement_columns(d, m[:, 0], m[:, 1])[1]))
-               for m in (labels[key == k] for k in range(d)))
+    d, w = dim.d, canonical_window(dim)
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    out = np.empty(len(labels))
+    for m1 in set(labels[:, 0].tolist()):      # np.unique would load numpy.ma
+        rows = np.flatnonzero(labels[:, 0] == m1)
+        own = labels[rows, 1] - w[0]                 # each row's place in the block
+        vals = displacement_columns(d, m1, w)[1]     # S_(m1, n2), n2 over the window
+        hs = vals[own].conj() @ vals.T / d           # Tr(S_m^dag S_n) / D
+        out[rows] = np.maximum(np.abs(hs - (own[:, None] == np.arange(d))).max(axis=1),
+                               np.abs(hs[:, own] - np.eye(len(rows))).max(axis=1))
+    return out
 
 
 def _worst(res: dict, key: str, values) -> None:
@@ -361,12 +368,13 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
         rows, vals = _times((xr[a], xv[a]), (zr[b], zv[b]))
         return rows, _half_phase(d, m[:, 0], m[:, 1])[:, None] * vals
 
-    labels = np.array(window_vectors(dim), dtype=np.int64)
-    i, j = rng.integers(0, len(labels), n_random), rng.integers(0, len(labels), n_random)
+    # pairs (a, b) of window labels by flat index: k is (w[k // D], w[k % D]), as in window_vectors
+    k = np.stack([rng.integers(0, d * d, n_random), rng.integers(0, d * d, n_random)], axis=1)
     # one draw per label, as the label-by-label loop made them
     extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
                       for _ in range(n_random // 4)], dtype=np.int64).reshape(-1, 2, 2)
-    a, b = np.concatenate([labels[i], extra[:, 0]]), np.concatenate([labels[j], extra[:, 1]])
+    ab = np.concatenate([canonical_window(dim)[np.stack(np.divmod(k, d), axis=-1)], extra])
+    a, b = ab[:, 0], ab[:, 1]
     checked = _checked_labels(dim)
     step = max(1, _BLOCK_ENTRIES // d)      # labels per block of (labels, D) arrays
     for lo in range(0, len(checked), step):

@@ -21,7 +21,7 @@ from .errors import (
     TorusPhaseError,
 )
 from .lattice import (Dimension, Sampler, _checked_labels, _reduce, canonical_window,
-                      lattice_cross, random_state)
+                      lattice_cross, max_abs, random_state)
 
 # Each suite imports the layers it checks in its own body, so a single-suite
 # call loads only those; "all" loads every layer.
@@ -176,7 +176,7 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     from .schwinger import (
         eigensystem_residuals,
         fourier_covariance_residuals,
-        schwinger_basis_rank,
+        gram_residuals,
         sine_commutator_check,
         standard_pair_suite,
         weyl_commutator_check,
@@ -196,8 +196,8 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     labels = _checked_labels(dim)
     rows.append(_res("fourier_covariance", fourier_covariance_residuals(dim, labels).max(),
                      note=sampled))
-    rank = schwinger_basis_rank(dim)
-    rows.append(_flag("basis_rank", rank == dim.d**2, note=f"rank {rank} of {dim.d ** 2}"))
+    rows.append(_res("basis_rank", gram_residuals(dim, labels).max(),
+                     note=_join("|Tr(S_m^dag S_n)/D - delta_mn| per m1 block", sampled)))
     if dim.prime:
         nonzero = labels[(labels % dim.d != 0).any(axis=1)]
         lam_res, vec_res = eigensystem_residuals(dim, nonzero)
@@ -364,11 +364,9 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     sampled = _sample_note(dim, "labels")
     rows.extend(_res(f"id_{k}", v, note=sampled if k in _WINDOW_ROWS else "")
                 for k, v in ident.items())
-    worst_kf = 0.0
-    for J, th in ((1.0, dim.gamma0), (float(rng.uniform(-3, dim.d + 3)),
-                                      float(rng.uniform(0, 2 * np.pi)))):
-        worst_kf = max(worst_kf, numberphase.kernel_form_residual(dim, J, th))
-    rows.append(_res("kernel_two_forms", worst_kf))
+    points = ((1.0, dim.gamma0), (rng.uniform(-3, dim.d + 3), rng.uniform(0, 2 * np.pi)))
+    rows.append(_res("kernel_two_forms",
+                     max(numberphase.kernel_form_residual(dim, J, th) for J, th in points)))
     # Hermiticity holds at every real (J, theta) for odd D (symmetric label
     # window); at even D only grid points are safe, and for D >= 4 mirror
     # labels differ by reduction signs, so the kernel is not pointwise
@@ -385,18 +383,13 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
                           note="mirror labels carry reduction signs at even D >= 4"))
     Kc = numberphase.build_action_angle_kernel(dim, 1.0 + dim.d, 0.7 + 2 * np.pi)
     rows.append(_res("kernel_cyclic", float(np.max(np.abs(K07.matrix - Kc.matrix)))))
-    n0 = int(rng.integers(dim.d))
-    e_n0 = np.zeros(dim.d, dtype=complex)
-    e_n0[n0] = 1.0
+    # a number state is flat in theta on its J row, a phase state in J on its theta column
+    n0, L = int(rng.integers(dim.d)), int(rng.integers(dim.d))
+    e_n0, flat = (np.arange(dim.d) == n0).astype(complex), 1.0 / (2.0 * np.pi)
     Wn = numberphase.wigner_number_phase(dim, e_n0)
-    tgt = np.zeros((dim.d, dim.d))
-    tgt[n0, :] = 1.0 / (2.0 * np.pi)
-    rows.append(_res("number_state_grid", float(np.max(np.abs(Wn.values - tgt)))))
-    L = int(rng.integers(dim.d))
+    rows.append(_res("number_state_grid", max_abs(Wn.values - flat * e_n0.real[:, None])))
     Wp = numberphase.wigner_number_phase(dim, pair.phase_states[:, L])
-    tgt = np.zeros((dim.d, dim.d))
-    tgt[:, L] = 1.0 / (2.0 * np.pi)
-    rows.append(_res("phase_state_grid", float(np.max(np.abs(Wp.values - tgt)))))
+    rows.append(_res("phase_state_grid", max_abs(Wp.values - flat * (np.arange(dim.d) == L))))
     psi = random_state(dim, rng=rng)
     W = numberphase.wigner_number_phase(dim, psi)
     rows.append(_res("mass", abs(W.values.sum() * (2 * np.pi / dim.d) - 1.0)))

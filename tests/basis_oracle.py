@@ -1,20 +1,22 @@
 """Dense forms of the Schwinger-basis and number-phase rows, the oracles of their tests.
 
 The package checks these rows on its own label paths: Fourier covariance by
-the FFT quarter turn, the basis rank per block of equal m1, the action-angle
-kernel as one torus displacement sum, the pair identities on monomials and
-the closed-form eigensystems by their eigen equation.  The forms here build
-the dense operators those paths avoid: F S_m F^dag by matmul (O(D^3) per
-label), the D^2 x D^2 Hilbert-Schmidt Gram matrix (O(D^6)), the kernel summed
-over S^np_m taken from the powers of the number-phase pair (O(D^5)), the
-pair suite on (D, D, D) power stacks, and np.linalg.eig per label.  They
-serve small D only.
+the FFT quarter turn, the Hilbert-Schmidt Gram rows per block of equal m1,
+the action-angle kernel as one torus displacement sum and its phase form by
+one FFT, the pair identities on monomials and the closed-form eigensystems
+by their eigen equation.  The forms here build the dense operators and loops
+those paths avoid: F S_m F^dag by matmul (O(D^3) per label), the D^2 x D^2
+Gram matrix (O(D^6)), the kernel summed over S^np_m taken from the powers of
+the number-phase pair (O(D^5)), its phase form one D x D block of terms per
+m1 (O(D^3)), the pair suite on (D, D, D) power stacks, and np.linalg.eig per
+label.  They serve small D only.
 """
 import numpy as np
 from numpy.linalg import matrix_power
 
 from torusphase import build_fourier_operator, build_phase_pair, window_vectors
-from torusphase.lattice import _checked_labels, _half_phase, lattice_cross, max_abs
+from torusphase.lattice import (_checked_labels, _half_phase, _phase, canonical_window,
+                               lattice_cross, max_abs)
 from torusphase.schwinger import _worst, eigensystem_by_recursion, label_blocks, schwinger_stack
 
 
@@ -32,11 +34,21 @@ def fourier_covariance(dim, labels) -> np.ndarray:
     return np.abs(F @ schwinger_stack(dim.d, labels) @ F.conj().T - turned).max(axis=(1, 2))
 
 
+def _gram(dim, labels) -> np.ndarray:
+    """Tr(S_m^dag S_n) / D over every pair of label rows, from the dense S_m."""
+    vecs = schwinger_stack(dim.d, labels).reshape(len(labels), -1)
+    return vecs.conj() @ vecs.T / dim.d
+
+
 def gram_rank(dim, labels=None) -> int:
     """Rank of the D^2 x D^2 Hilbert-Schmidt Gram matrix of S_m over labels (default: the window)."""
     labels = window_vectors(dim) if labels is None else labels
-    vecs = schwinger_stack(dim.d, labels).reshape(len(labels), -1)
-    return int(np.linalg.matrix_rank(vecs.conj() @ vecs.T, hermitian=True))
+    return int(np.linalg.matrix_rank(_gram(dim, labels), hermitian=True))
+
+
+def gram_rows(dim, labels) -> np.ndarray:
+    """max_n |Tr(S_m^dag S_n)/D - delta_mn| per label row, n over the label rows themselves."""
+    return np.abs(_gram(dim, labels) - np.eye(len(labels))).max(axis=1)
 
 
 def action_angle_kernel(dim, J, theta) -> np.ndarray:
@@ -49,6 +61,20 @@ def action_angle_kernel(dim, J, theta) -> np.ndarray:
     S = _half_phase(d, m[:, 0], m[:, 1])[:, None, None] * (Np[m[:, 0] % d] @ Pp[m[:, 1] % d])
     coef = np.exp(1j * (dim.gamma0 * m[:, 0] * J - m[:, 1] * theta))
     return np.einsum("p,pij->ij", coef, S) / (2.0 * np.pi * d)
+
+
+def action_angle_phase_form(dim, J, theta) -> np.ndarray:
+    """Ph C Ph^dag / (2piD) with C[l, l + m1] summed over m2 directly, one D x D
+    block of (m2, l) terms per m1: the form the package reads from one FFT."""
+    Ph = build_phase_pair(dim).phase_states
+    d, g0 = dim.d, dim.gamma0
+    w = canonical_window(dim)
+    m2, l = w[:, None], np.arange(d)
+    C = np.zeros((d, d), dtype=complex)
+    for m1 in w.tolist():
+        vals = np.exp(1j * (g0 * m1 * J - m2 * theta)) * _phase(d, (2 * l + m1) * m2).conj()
+        C[l, (l + m1) % d] += vals.sum(axis=0)
+    return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)
 
 
 # rows that are D-th powers of the pair's entries

@@ -527,7 +527,7 @@ def test_verify_single_suite_imports_only_its_layers():
 
 
 def test_verify_schwinger_leaves_numpy_ma_unloaded():
-    # the basis rank loops over m1 in range(D); np.unique loaded numpy.ma
+    # the basis Gram rows loop over the m1 of the labels; np.unique loaded numpy.ma
     rc, _, _, modules = loaded_by(["verify", "--d", "5", "--suite", "schwinger"])
     assert rc == 0
     assert "numpy.ma" not in modules

@@ -1,15 +1,18 @@
 """The schwinger and number-phase rows on the package's label paths against their dense oracles.
 
-The basis rank is a sum of D x D ranks per block of equal m1, the
-action-angle kernel one torus displacement sum, the pair identities compare
-monomials and the eigen rows take the closed-form eigen equation; the rows
-over window labels check every label up to D = 64 and a seeded sample above.
+The basis Gram rows are taken per block of equal m1, the action-angle
+kernel is one torus displacement sum and its phase form one FFT, the pair
+identities compare monomials, the phase-pair products are index gathers and
+the eigen rows take the closed-form eigen equation; the rows over window
+labels check every label up to D = 64 and a seeded sample above.
 basis_oracle holds the dense forms these replace (its dense Fourier
 covariance is compared in test_stacked); fault tests show that a broken
 eigenvector, a wrong pair entry, a repeated label or a dropped reduction sign
-shows in the row that owns it.
+shows in the row that owns it, and a source scan keeps dense factorizations
+and matrix powers out of the package.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +32,7 @@ from torusphase import (
     verify,
     window_vectors,
 )
-from torusphase.lattice import _checked_labels, _checked_points, _phase_cross
+from torusphase.lattice import _checked_labels, _checked_points, _phase, _phase_cross, max_abs
 from torusphase.schwinger import schwinger_stack
 
 SMALL = (2, 3, 4, 5, 6, 7, 9, 13)
@@ -40,10 +43,47 @@ def _rows(rows) -> dict:
     return {r.name: r for r in rows}
 
 
-@pytest.mark.parametrize("d", SMALL)
+@pytest.mark.parametrize("d", range(2, 14))
 def test_block_rank_is_the_gram_rank(d):
+    # the rows per m1 block against the dense D^2 x D^2 Gram: over every window
+    # label, rows below 1/D mean rank D^2, which the dense rank confirms
     dim = make_dimension(d)
-    assert schwinger.schwinger_basis_rank(dim) == basis_oracle.gram_rank(dim) == d * d
+    labels = _checked_labels(dim)
+    rows = schwinger.gram_residuals(dim, labels)
+    assert np.abs(rows - basis_oracle.gram_rows(dim, labels)).max() <= 1e-15
+    assert rows.max() <= TOL
+    assert basis_oracle.gram_rank(dim) == d * d
+
+
+@pytest.mark.parametrize("d", range(2, 32))
+def test_fft_phase_form_is_the_per_m1_loop(d):
+    dim = make_dimension(d)
+    for J, theta in ((0.37, 1.3), (-2.5, 4.0), (d + 0.3, -0.7), (1.0, dim.gamma0)):
+        fft = numberphase.action_angle_phase_form(dim, J, theta)
+        assert max_abs(fft - basis_oracle.action_angle_phase_form(dim, J, theta)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 7, 12, 31))
+def test_pair_gathers_are_the_matrix_products(d):
+    # E_phi @ Ph is a row permutation times entries 1, exact as a gather: the
+    # row is bit for bit the product's; E_N @ Ph is a diagonal product, which
+    # zgemm rounds its own way
+    pair = numberphase.build_phase_pair(make_dimension(d))
+    EN, Ep, Ph = pair.e_n, pair.e_phi, pair.phase_states
+    rows = numberphase.phase_pair_residuals(pair)
+    assert rows["phase_eigen"] == max_abs(Ep @ Ph - Ph * _phase(d, 2 * np.arange(d)).conj())
+    shift = max_abs(EN @ Ph - Ph[:, (np.arange(d) - 1) % d])
+    assert abs(rows["number_shift"] - shift) <= 1e-15
+
+
+def test_src_calls_no_dense_factorization_or_matrix_power():
+    # the rows run on monomials, FFTs and closed forms; the dense forms they
+    # replaced are the oracles under tests/
+    banned = re.compile(r"matrix_rank|matrix_power|linalg\.(eig|svd|inv|solve)")
+    src = Path(torusphase.__file__).resolve().parent
+    hits = [f"{p.name}:{i}: {line.strip()}" for p in sorted(src.glob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1) if banned.search(line)]
+    assert hits == []
 
 
 @pytest.mark.parametrize("d", SMALL)
@@ -164,15 +204,17 @@ def test_a_pair_that_is_not_monomial_is_refused_by_its_first_bad_column():
 
 @pytest.mark.parametrize("k", [1, 7, 48])
 def test_a_duplicated_label_drops_the_block_rank_by_one(monkeypatch, k):
-    # label k replaced by label 0: in the block of label 0 (k = 1) or another (k = 7, 48)
+    # checked label k replaced by label 0: taken from the m1 block of label 0
+    # (k = 1) or from another (k = 7, 48); both copies read 1, the rest rounding
     dim = make_dimension(7)
-    labels = window_vectors(dim)
+    labels = _checked_labels(dim)
     labels[k] = labels[0]
     assert basis_oracle.gram_rank(dim, labels) == 48
-    monkeypatch.setattr(schwinger, "window_vectors", lambda dim: labels)
-    assert schwinger.schwinger_basis_rank(dim) == 48
+    res = schwinger.gram_residuals(dim, labels)
+    assert np.abs(res[[0, k]] - 1).max() < TOL and np.delete(res, [0, k]).max() < TOL
+    monkeypatch.setattr(verify, "_checked_labels", lambda dim: labels)
     row = _rows(verify.suite_schwinger(dim))["basis_rank"]
-    assert (row.value, row.note) == (1.0, "rank 48 of 49")
+    assert row.kind == "residual" and abs(row.value - 1) < TOL     # FAILs at any tol below 1
 
 
 def test_dropping_the_even_d_reduction_sign_shows_in_the_two_forms_row(monkeypatch):
@@ -213,8 +255,7 @@ def test_verify_schwinger_above_the_sampling_bound_names_its_label_count():
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     rows = {ln.split()[0]: ln for ln in proc.stdout.splitlines()[1:-1]}
-    for name in ("trace", "adjoint", "power_sign", "fourier_covariance",
+    for name in ("trace", "adjoint", "power_sign", "fourier_covariance", "basis_rank",
                  "eigenvalue_closed_form", "eigenvector_dense_match"):
         assert "1644 of 10201 labels, seeded sample" in rows[name], rows[name]
-    assert "rank 10201 of 10201" in rows["basis_rank"]
     assert proc.stdout.splitlines()[-1].startswith("PASS")

@@ -4,12 +4,14 @@ from numpy.testing import assert_allclose
 
 from torusphase import (
     CaseConditionError,
+    build_phase_pair,
     commutator_limit_check,
     fujikawa_index,
     index_report,
     limiting_spectrum,
     linear_profile,
     make_dimension,
+    max_abs,
     oscillator_profile,
     phase_basis_wigner_function,
     phase_basis_wigner_limit,
@@ -56,6 +58,32 @@ def test_restricted_commutator_closes(d):
         # the wrap-around corner term is exactly D, never vanishing
         assert_allclose(rep["full"], rep["corner_predicted"], atol=1e-9)
         assert rep["corner_predicted"] >= d - ell
+
+
+def _dense_commutator_check(dim, ell, r):
+    """commutator_limit_check with dense N and E_phi^ell from matrix_power."""
+    d = dim.d
+    Nh = np.diag(np.arange(d, dtype=float))
+    El = np.linalg.matrix_power(build_phase_pair(dim).e_phi, ell)
+    Cm = El
+    for _ in range(r):
+        Cm = Nh @ Cm - Cm @ Nh
+    if r == 1:
+        Cm = Cm + ell * El
+        return {"restricted": max_abs(Cm[:, ell:]), "full": max_abs(Cm),
+                "corner_predicted": float(d) if ell else 0.0}
+    return {"restricted": max_abs((Cm - (-ell) ** r * El)[:, ell:]), "full": max_abs(Cm),
+            "corner_predicted": float((d - ell) ** r) if ell else 0.0}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 12, 31])
+def test_commutator_check_is_the_matrix_power_form_bit_for_bit(d):
+    # the l-th shift power is a column gather of E_phi and N X - X N an
+    # elementwise product: every entry is an exact integer, as in the dense form
+    dim = make_dimension(d)
+    for ell in range(d):
+        for r in (1, 2, 3):
+            assert commutator_limit_check(dim, ell, r=r) == _dense_commutator_check(dim, ell, r)
 
 
 def test_repeated_commutator_corner():
