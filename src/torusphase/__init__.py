@@ -31,10 +31,9 @@ _EXPORTS = {
         "standard_pair_suite", "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
     ),
     "deformed": (
-        "CoproductReport", "EigenCorrespondence", "LowestWeightReport", "QOscillator",
-        "TranslationReport", "UqSl2Realisation", "bracket_values", "build_q_oscillator",
-        "build_uq_sl2", "coproduct_check", "eigenbasis_correspondence",
-        "lowest_weight_scan", "oscillator_residuals", "sl2_residuals",
+        "CoproductReport", "LowestWeightReport", "QOscillator", "TranslationReport",
+        "UqSl2Realisation", "bracket_values", "build_q_oscillator", "build_uq_sl2",
+        "coproduct_check", "lowest_weight_scan", "oscillator_residuals", "sl2_residuals",
         "translated_lattice_deformation",
     ),
     "transforms": (

@@ -41,12 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CollinearVectorsError,
-    DegenerateSpectrumError,
-    PhaseMismatchError,
-    SingularDeformationError,
-)
+from .errors import CollinearVectorsError, DegenerateSpectrumError, SingularDeformationError
 from .lattice import (
     _LABEL_BOUND,
     Dimension,
@@ -69,7 +64,6 @@ from .schwinger import (
 
 _SINGULAR_TOL = 1e-12
 _LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
-_CORRESPONDENCE_TOL = 1e-9   # amplitude and product-law drift eigenbasis_correspondence accepts
 # refusal reasons of each builder, in the order it checks them
 _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
@@ -330,15 +324,13 @@ class QOscillator:
         return bracket_values(self.dim, _phase_cross(self.dim.d, self.cross), n)
 
 
-def _oscillator_coefs(dim: Dimension, m, mp, eta=None):
+def _oscillator_coefs(dim: Dimension, m, mp):
     """eta, d, d' and C = 1/|sin(gamma0 c)| per pair (see build_q_oscillator).
 
-    eta defaults to the sign that makes A^dag A = C + [N] exact, -phi0 (see
-    _branch_sign).
+    eta is the sign that makes A^dag A = C + [N] exact, -phi0 (see _branch_sign).
     """
     c = _phase_cross(dim.d, lattice_cross(m.T, mp.T))
-    if eta is None:
-        eta = -_branch_sign(dim.d, c, m - mp)
+    eta = -_branch_sign(dim.d, c, m - mp)
     s = np.sin(dim.gamma0 * c)
     d_coef = _scalar_pow(2.0 * np.abs(s), -0.5)
     return eta, d_coef, np.conj(eta / ((2j * s) * d_coef)), 1.0 / np.abs(s)
@@ -352,7 +344,8 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
     [n] = sin(pi k / D) / sin(gamma0 c) with the integer k = c (2n + D - 1).
     """
     d = dim.d
-    c = _phase_cross(d, lattice_cross(m.T, mp.T))
+    cross = lattice_cross(m.T, mp.T)
+    c = _phase_cross(d, cross)
     cc, nv = c[:, None], _n_values(d, c)
     k = cc * (2 * nv + d - 1)
     s = np.sin(dim.gamma0 * cc)
@@ -368,10 +361,17 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
     }) | {
         "spectrum_min": (C[:, None] + bracket_values(dim, cc, np.arange(d))).min(axis=1),
         "shift_constant": np.abs(C - 1.0 / np.abs(np.sin(dim.gamma0 * c))),
+        # the recorded claims: g = conj(f) = E, E = e^{i pi c (2n + D - 1) / 2D} of period
+        # 4D in c, so from the exact c; conj(mu_r) = e^{i gamma0 (n - D/2) c}
+        "literal_phase": np.maximum(
+            np.abs(g - _phase(2 * d, (cross % (4 * d))[:, None] * (2 * nv + d - 1)).conj()),
+            np.abs(g - np.conj(f))).max(axis=1),
+        "exponent_claim": np.abs(np.conj(_sw_values(d, c, g, f))
+                                 - _phase(d, (2 * nv - d) * cc).conj()).max(axis=1),
     }
 
 
-def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None) -> QOscillator:
+def build_q_oscillator(dim: Dimension, m, mp) -> QOscillator:
     """Shifted q-oscillator on the pair (m, m'): A = d S_m + d' S_m', N = c^{-1} r on v_r.
 
     The coefficient d is real positive with |d| = |d'| = (2|sin(gamma0 c)|)^{-1/2};
@@ -380,8 +380,7 @@ def build_q_oscillator(dim: Dimension, m, mp, eta_override: float | None = None)
     """
     d = dim.d
     lab = _built_labels(dim, [m], [mp], _OSC_REASONS)
-    eta = None if eta_override is None else np.array([float(eta_override)])
-    eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp, eta)
+    eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp)
     lam, V = lab.system(int(lab.keys[0]))
     c = _phase_cross(d, lab.cross)
     return QOscillator(
@@ -399,6 +398,10 @@ def oscillator_residuals(osc: QOscillator) -> dict:
     ladder: A N = (N+1 mod D) A;  raised_number: A A^dag = C + [N+1];
     shift_constant: C = 1/|sin(gamma0 c)|; spectrum_min is min f(n).
     Each is taken on the S_{m-m'} eigenbasis with the pair's own eta, d, d', C.
+    literal_phase and exponent_claim are recorded, never gated: the
+    componentwise phases g = conj(f) = E of the ladder elements and the
+    exponent of the S_{m-m'} eigenvalues, claims that hold only up to a
+    rephasing of the eigenvectors.
     """
     coefs = (np.array([x]) for x in (osc.eta, osc.d_coef, osc.dp_coef, osc.shift_constant))
     res = _oscillator_rows(osc.dim, np.array([osc.m]), np.array([osc.mp]),
@@ -486,61 +489,6 @@ def lowest_weight_sweep(dim: Dimension, m, mp) -> int | None:
     hit[distinct + d] = _lowest_weight_profile(dim, distinct)[0].any(axis=1)
     hit = hit[c + d]
     return int(np.argmax(hit)) if hit.any() else None
-
-
-@dataclass(frozen=True)
-class EigenCorrespondence:
-    """Phases connecting the oscillator ladder to the S_{m-m'} eigenbasis.
-
-    g[r] = <w, r-c| S_m |w, r> and f[r] = <w, r-c| S_{m'} |w, r> are unit
-    modulus; |d g + d' f|^2 reproduces the spectrum f(n(r)); and the product
-    obeys the exact law g * conj(f) = -eta * conj(E^2) with
-    E = e^{i gamma0 c (n + (D-1)/2)/2}.  The componentwise statement g = conj(f)
-    = E holds only up to an eigenvector rephasing and is recorded as a
-    residual, not asserted (see literal_phase_residual / lambda_claim_residual).
-    g and f are the weights the residual rows check (_shift_weights).
-    """
-
-    g_phases: np.ndarray
-    f_phases: np.ndarray
-    predicted: np.ndarray          # E
-    eq_amplitude_residual: float   # | |dg + d'f|^2 - (C + [n]) |
-    product_law_residual: float    # | g conj(f) + eta conj(E)^2 |
-    product_phase: complex         # prod(E / g); +1 iff g can be rephased to E
-    literal_phase_residual: float  # worst of |g - E|, |g - conj(f)| (recorded)
-    lambda_claim_residual: float   # |conj(lambda_w) - e^{i gamma0 (n - D/2) c}| (recorded)
-    unit_shift_ok: bool
-
-
-def eigenbasis_correspondence(osc: QOscillator) -> EigenCorrespondence:
-    dim, c = osc.dim, osc.cross
-    d = dim.d
-    nv = osc.n_values
-    g, f, _ = _shift_weights(d, np.array([osc.m]), np.array([osc.mp]), osc.eigenvectors[None])
-    lam_w = _sw_values(d, _phase_cross(d, np.array([c])), g, f)[0]
-    g, f = g[0], f[0]
-    if max(np.max(np.abs(np.abs(g) - 1)), np.max(np.abs(np.abs(f) - 1))) > _CORRESPONDENCE_TOL:
-        raise PhaseMismatchError("ladder matrix elements are not unit modulus")
-    amp2 = np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2
-    eq_amp = float(np.max(np.abs(amp2 - osc.spectrum[nv])))
-    E = _phase(2 * d, c * (2 * nv + d - 1)).conj()
-    law = float(np.max(np.abs(g * np.conj(f) + osc.eta * np.conj(E) ** 2)))
-    literal = float(max(np.max(np.abs(g - E)), np.max(np.abs(g - np.conj(f)))))
-    lam_cand = _phase(d, (2 * nv - d) * c).conj()
-    lam_resid = float(np.max(np.abs(np.conj(lam_w) - lam_cand)))
-    shift_ok = bool(np.array_equal(nv[(np.arange(d) + c) % d], (nv + 1) % d))
-    if eq_amp > _CORRESPONDENCE_TOL or law > _CORRESPONDENCE_TOL or not shift_ok:
-        raise PhaseMismatchError(
-            f"eigenbasis correspondence drift: amplitude {eq_amp:.2e}, "
-            f"product law {law:.2e}, unit shift {shift_ok}"
-        )
-    return EigenCorrespondence(
-        g_phases=g, f_phases=f, predicted=E,
-        eq_amplitude_residual=eq_amp, product_law_residual=law,
-        product_phase=complex(np.prod(E / g)),
-        literal_phase_residual=literal, lambda_claim_residual=lam_resid,
-        unit_shift_ok=shift_ok,
-    )
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,14 @@ def build_shift_operator(dim: Dimension) -> np.ndarray:
 
 
 def build_clock_operator(dim: Dimension) -> np.ndarray:
-    # not from _phase (k < D needs no reduction): entries sharing the rounded step
-    # gamma0 compose consistently, the table's read 3x worse in the composition row
-    return np.diag(np.exp(-1j * dim.gamma0 * np.arange(dim.d)))
+    return np.diag(_clock_entries(dim))
+
+
+def _clock_entries(dim: Dimension) -> np.ndarray:
+    # the diagonal e^{-i gamma0 k} of V, not from _phase (k < D needs no reduction): entries
+    # sharing the rounded step gamma0 compose consistently, the table's read 3x worse in the
+    # composition row
+    return np.exp(-1j * dim.gamma0 * np.arange(dim.d))
 
 
 def build_fourier_operator(dim: Dimension) -> np.ndarray:

@@ -23,6 +23,7 @@ from .lattice import (
     Dimension,
     Sampler,
     _checked_labels,
+    _clock_entries,
     _half_phase,
     _phase,
     _quarter_turn,
@@ -254,12 +255,18 @@ def sine_commutator_check(dim: Dimension, m, n) -> float:
                        (rs, -(1j * (2.0 / g0) * sin * (vs / g0)))))
 
 
-def weyl_matrices(dim: Dimension):
-    """Clock/shift pair (g, h): g = diag(1, w, ..., w^{D-1}) = conj(V), h = U^T.
+def _weyl_pair(dim: Dimension):
+    """Clock/shift pair (g, h) as monomials: g = diag(1, w, ..., w^{D-1}) = conj(V), h = U^T.
 
     h g = w g h with w = e^{i gamma0}; both have order D.
     """
-    return build_clock_operator(dim).conj(), build_shift_operator(dim).T
+    j = np.arange(dim.d)
+    return (j, _clock_entries(dim).conj()), ((j - 1) % dim.d, np.ones(dim.d, dtype=complex))
+
+
+def weyl_matrices(dim: Dimension):
+    """The dense clock/shift pair (g, h) of _weyl_pair."""
+    return tuple(_dense((rows[None], vals[None]))[0] for rows, vals in _weyl_pair(dim))
 
 
 def _weyl_j(d: int, pair, m):
@@ -271,7 +278,7 @@ def _weyl_j(d: int, pair, m):
 
 def weyl_j_matrix(dim: Dimension, m) -> np.ndarray:
     """J_m = w^{m1 m2 / 2} g^{m1} h^{m2} with the exact integer half-exponent."""
-    rows, vals = _weyl_j(dim.d, [_monomial(A) for A in weyl_matrices(dim)], m)
+    rows, vals = _weyl_j(dim.d, _weyl_pair(dim), m)
     return _dense((rows[None], vals[None]))[0]
 
 
@@ -284,7 +291,7 @@ def weyl_commutator_check(dim: Dimension, m, n) -> dict:
     conventions are returned.
     """
     d = dim.d
-    pair = [_monomial(A) for A in weyl_matrices(dim)]
+    pair = _weyl_pair(dim)
     Jm, Jn, Jsum = (_weyl_j(d, pair, x) for x in (m, n, (m[0] + n[0], m[1] + n[1])))
     mirror = max(float(_norm(J, _minus(displacement_columns(d, -x[1], -x[0]))))
                  for J, x in ((Jm, m), (Jn, n)))

@@ -10,7 +10,7 @@ class and check sampled window pairs onto them by metaplectic conjugation
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .errors import (
     SingularDeformationError,
     TorusPhaseError,
 )
-from .lattice import (Dimension, Sampler, _checked_labels, _reduce, canonical_window,
-                      lattice_cross, max_abs, random_state)
+from .lattice import (_CHECKED_ENTRIES, Dimension, Sampler, _checked_labels, _reduce,
+                      canonical_window, lattice_cross, max_abs, random_state)
 
 # Each suite imports the layers it checks in its own body, so a single-suite
 # call loads only those; "all" loads every layer.
@@ -55,31 +55,38 @@ _QOSC_FAMILIES = (0,)
 _SL2_FAMILIES = (0, 1)
 
 
-def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
-    """Label arrays (m, m') of the non-collinear window pairs, m outer, m' inner.
-
-    With `samples` below the pair count, that many pairs drawn without
-    replacement, found by their index in that order without listing them all.
-    """
+def _window_pairs(dim: Dimension):
+    """Window labels (D^2, 2), m1 outer, and per label m the count of m' with m x m' != 0 mod D."""
     d = dim.d
     w = canonical_window(dim)
     # window_vectors(dim) as one array, without its D^2 tuples
     vecs = np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1).reshape(-1, 2)
     # D gcd(m1, m2, D) labels m' have m x m' = 0 mod D
-    per_m = d * d - d * np.gcd(np.gcd(vecs[:, 0], vecs[:, 1]), d)
+    return vecs, d * d - d * np.gcd(np.gcd(vecs[:, 0], vecs[:, 1]), d)
+
+
+def _swept_pairs(dim: Dimension, seed: int, samples: int | None):
+    """Label arrays (m, m') of the non-collinear window pairs, m outer, m' inner.
+
+    Each pair is found by its index in that order, without listing them all:
+    every index, or with `samples` below the pair count, that many drawn
+    without replacement.  `samples` defaults to every pair while pairs x D^2
+    stays within _CHECKED_ENTRIES, the bound of the per-label rows, and to
+    _CHECKED_ENTRIES // D^2 pairs above it.
+    """
+    d = dim.d
+    vecs, per_m = _window_pairs(dim)
     total = int(per_m.sum())
-    if samples is None or samples >= total:
-        m = np.repeat(vecs, len(vecs), axis=0)
-        mp = np.tile(vecs, (len(vecs), 1))
-        keep = lattice_cross(m.T, mp.T) % d != 0
-        return m[keep], mp[keep]
-    idx = Sampler(seed).sample(total, samples)
+    samples = _CHECKED_ENTRIES // (d * d) if samples is None else samples
+    idx = np.arange(total) if samples >= total else Sampler(seed).sample(total, samples)
     ends = np.cumsum(per_m)
     outer = np.searchsorted(ends, idx, side="right")
     rank = idx - ends[outer] + per_m[outer]
-    # a row of vecs itself: a row of a filtered copy would keep the whole copy alive
-    mp = [vecs[np.flatnonzero(lattice_cross(vecs[o], vecs.T) % d)[k]] for o, k in zip(outer, rank)]
-    return vecs[outer], np.array(mp, dtype=vecs.dtype).reshape(-1, 2)
+    mp = np.empty((len(idx), 2), dtype=vecs.dtype)
+    for o in set(outer.tolist()):       # the m' of each m once; np.unique would load numpy.ma
+        at = np.flatnonzero(outer == o)
+        mp[at] = vecs[np.flatnonzero(lattice_cross(vecs[o], vecs.T) % d)[rank[at]]]
+    return vecs[outer], mp
 
 
 def _representatives(d: int, families) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +179,12 @@ def _class_note(sweep, pairs) -> str:
     return f"{sweep.built} class representatives, {len(pairs[0])} window pairs by conjugation"
 
 
+def _pair_sample_note(dim: Dimension, pairs) -> str:
+    """How many window pairs a sweep outside odd prime D takes, when not all of them."""
+    n, total = len(pairs[0]), int(_window_pairs(dim)[1].sum())
+    return f"{n} of {total} window pairs, seeded sample" if n < total else ""
+
+
 def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[CheckRow]:
     from .schwinger import (
         eigensystem_residuals,
@@ -215,23 +228,18 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
     from . import deformed
 
     pairs, swept, classes = _sweep_plan(dim, seed, samples, _QOSC_FAMILIES)
-    rows: list[CheckRow] = []
     sweep = deformed.oscillator_sweep(dim, *swept)
     if sweep.built == 0:
-        rows.append(_info("singular_deformation", 0.0,
-                          note=f"every non-collinear pair at D={dim.d} is singular; "
-                               "builder raises as designed"))
-        return rows
+        return [_info("singular_deformation", 0.0,
+                      note=f"every non-collinear pair at D={dim.d} is singular; "
+                           "builder raises as designed")]
     worst = sweep.worst
-    if classes:
-        note = _class_note(sweep, pairs)
-        built = np.ones(len(pairs[0]), dtype=bool)     # every pair builds at odd prime D
-    else:
-        skips = [f"{n} {reason}" for reason, n in sweep.skips.items() if n]
-        note = f"{sweep.built} pairs" + (f", {', '.join(skips)} skipped" if skips else "")
-        built = sweep.built_mask
-    for k in ("number", "q_exponential", "ladder", "raised_number"):
-        rows.append(_res(k, worst[k], note=note))
+    skips = [f"{n} {reason}" for reason, n in sweep.skips.items() if n]
+    note = _class_note(sweep, pairs) if classes else _join(
+        f"{sweep.built} pairs" + (f", {', '.join(skips)} skipped" if skips else ""),
+        _pair_sample_note(dim, pairs))
+    rows = [_res(k, worst[k], note=note)
+            for k in ("number", "q_exponential", "ladder", "raised_number")]
     if classes:
         rows.append(_res("orbit_conjugation", _orbit_conjugation(
             dim, deformed.oscillator_coefficients, pairs, swept), note=note))
@@ -242,45 +250,26 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
     if dim.d % 2 == 1:
         rows.append(_flag("no_lowest_weight", deformed.lowest_weight_sweep(dim, *swept) is None,
                           note="cyclic (no lowest-weight vector) for odd D"))
+    # the per-pair rows read the first five built window pairs; every pair builds at odd prime D
     m, mp = pairs
-    worst_law = worst_amp = lit = lam = 0.0
-    corr_ok, opp, dev = True, np.inf, None
-    for k, i in enumerate(np.flatnonzero(built)[:5]):
-        osc = deformed.build_q_oscillator(dim, m[i], mp[i])
-        if corr_ok:
-            try:
-                corr = deformed.eigenbasis_correspondence(osc)
-            except PhaseMismatchError:
-                if dim.prime:
-                    raise
-                corr_ok = False
-            else:
-                worst_law = max(worst_law, corr.product_law_residual)
-                worst_amp = max(worst_amp, corr.eq_amplitude_residual)
-                lit = max(lit, corr.literal_phase_residual)
-                lam = max(lam, corr.lambda_claim_residual)
-        if k < 3:
-            opp = min(opp, deformed.oscillator_residuals(deformed.build_q_oscillator(
-                dim, m[i], mp[i], eta_override=-osc.eta))["number"])
-        if k == 0:
-            inverse = deformed.build_q_oscillator(dim, mp[i], m[i])
-            dev = max(abs(osc.shift_constant - inverse.shift_constant),
-                      float(np.max(np.abs(np.sort(osc.spectrum) - np.sort(inverse.spectrum)))))
-    if corr_ok:
-        rows.append(_res("correspondence_product_law", worst_law))
-        rows.append(_res("correspondence_amplitude", worst_amp))
-        rows.append(_info("correspondence_literal_phase", lit,
-                          note="componentwise phase claim holds only up to rephasing"))
-        rows.append(_info("correspondence_exponent_claim", lam,
-                          note="matches exactly iff w1 w2 = c mod 2"))
-    else:
-        rows.append(_info("correspondence", 1.0,
-                          note=f"phase laws drift at composite D={dim.d}; reported only"))
+    first = np.arange(min(5, len(m))) if classes else np.flatnonzero(sweep.built_mask)[:5]
+    corr = deformed.oscillator_sweep(dim, m[first], mp[first]).worst
+    rows += [_res("correspondence_product_law", corr["q_exponential"]),
+             _res("correspondence_amplitude", corr["number"]),
+             _info("correspondence_literal_phase", corr["literal_phase"],
+                   note="componentwise phase claim holds only up to rephasing"),
+             _info("correspondence_exponent_claim", corr["exponent_claim"],
+                   note="matches exactly iff w1 w2 = c mod 2")]
+    oscs = [deformed.build_q_oscillator(dim, m[i], mp[i]) for i in first[:3]]
+    opp = min(deformed.oscillator_residuals(replace(
+        o, eta=-o.eta, dp_coef=-o.dp_coef))["number"] for o in oscs)
     rows.append(_flag("opposite_sign_rejected", bool(opp > 1e-3),
                       note=f"flipped-eta residual min {opp:.3e} (must be large)"))
-    if dev is not None:
-        rows.append(_res("inverse_deformation_spectrum", dev,
-                         note="(m, m') and (m', m) share C and spectrum"))
+    inverse = deformed.build_q_oscillator(dim, mp[first[0]], m[first[0]])
+    dev = max(abs(oscs[0].shift_constant - inverse.shift_constant),
+              float(np.max(np.abs(np.sort(oscs[0].spectrum) - np.sort(inverse.spectrum)))))
+    rows.append(_res("inverse_deformation_spectrum", dev,
+                     note="(m, m') and (m', m) share C and spectrum"))
     return rows
 
 
@@ -292,7 +281,8 @@ def suite_sl2(dim: Dimension, seed: int = 0, samples: int | None = None) -> list
     if sweep.built == 0:
         return [_info("deformed_sl2", 1.0,
                       note=f"construction degenerates for every pair at D={dim.d}")]
-    note = _class_note(sweep, pairs) if classes else f"{sweep.built} pairs"
+    note = (_class_note(sweep, pairs) if classes
+            else _join(f"{sweep.built} pairs", _pair_sample_note(dim, pairs)))
     rows = [_res(k, v, note=note) for k, v in sweep.worst.items()]
     if classes:
         rows.append(_res("orbit_conjugation", _orbit_conjugation(
@@ -353,14 +343,18 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     # of the suite, it would fragment the heap
     from . import deformed, limits, numberphase  # noqa: F401
 
+    # each step's kernels and grids go once its rows are written, so the suite
+    # peaks at its largest step
     rng = Sampler(seed)
-    pair = numberphase.build_phase_pair(dim)
     ident = numberphase.identification_suite(dim, rng=rng, n_random=samples)
     # the pair's own relations are the pair suite's first three rows
     rows = [_res(k, ident[key]) for k, key in (("commutation", "weyl_commutation"),
                                                 ("cyclic_number", "cyclic_X"),
                                                 ("cyclic_phase", "cyclic_Z"))]
+    pair = numberphase.build_phase_pair(dim)
     rows += [_res(k, v) for k, v in numberphase.phase_pair_residuals(pair).items()]
+    ph = pair.phase_states
+    del pair
     sampled = _sample_note(dim, "labels")
     rows.extend(_res(f"id_{k}", v, note=sampled if k in _WINDOW_ROWS else "")
                 for k, v in ident.items())
@@ -371,9 +365,11 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     # window); at even D only grid points are safe, and for D >= 4 mirror
     # labels differ by reduction signs, so the kernel is not pointwise
     # hermitian at all.
-    K07 = numberphase.build_action_angle_kernel(dim, 1.0, 0.7)
-    K = K07 if dim.d % 2 == 1 else numberphase.build_action_angle_kernel(dim, 1.0, dim.gamma0)
-    herm = float(np.max(np.abs(K.matrix - K.matrix.conj().T)))
+    K07 = numberphase.build_action_angle_kernel(dim, 1.0, 0.7).matrix
+    K = K07 if dim.d % 2 == 1 else numberphase.build_action_angle_kernel(
+        dim, 1.0, dim.gamma0).matrix
+    herm = float(np.max(np.abs(K - K.conj().T)))
+    del K
     if dim.d % 2 == 1:
         rows.append(_res("kernel_hermitian", herm))
     elif dim.d == 2:
@@ -381,48 +377,51 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
     else:
         rows.append(_info("kernel_hermitian", herm,
                           note="mirror labels carry reduction signs at even D >= 4"))
-    Kc = numberphase.build_action_angle_kernel(dim, 1.0 + dim.d, 0.7 + 2 * np.pi)
-    rows.append(_res("kernel_cyclic", float(np.max(np.abs(K07.matrix - Kc.matrix)))))
+    Kc = numberphase.build_action_angle_kernel(dim, 1.0 + dim.d, 0.7 + 2 * np.pi).matrix
+    rows.append(_res("kernel_cyclic", float(np.max(np.abs(K07 - Kc)))))
+    del K07, Kc
     # a number state is flat in theta on its J row, a phase state in J on its theta column
     n0, L = int(rng.integers(dim.d)), int(rng.integers(dim.d))
     e_n0, flat = (np.arange(dim.d) == n0).astype(complex), 1.0 / (2.0 * np.pi)
-    Wn = numberphase.wigner_number_phase(dim, e_n0)
-    rows.append(_res("number_state_grid", max_abs(Wn.values - flat * e_n0.real[:, None])))
-    Wp = numberphase.wigner_number_phase(dim, pair.phase_states[:, L])
-    rows.append(_res("phase_state_grid", max_abs(Wp.values - flat * (np.arange(dim.d) == L))))
+    rows.append(_res("number_state_grid", max_abs(
+        numberphase.wigner_number_phase(dim, e_n0).values - flat * e_n0.real[:, None])))
+    rows.append(_res("phase_state_grid", max_abs(
+        numberphase.wigner_number_phase(dim, ph[:, L]).values - flat * (np.arange(dim.d) == L))))
     psi = random_state(dim, rng=rng)
-    W = numberphase.wigner_number_phase(dim, psi)
-    rows.append(_res("mass", abs(W.values.sum() * (2 * np.pi / dim.d) - 1.0)))
+    W = numberphase.wigner_number_phase(dim, psi).values
+    rows.append(_res("mass", abs(W.sum() * (2 * np.pi / dim.d) - 1.0)))
     rows.append(_res("marginal_number", float(np.max(np.abs(
-        W.values.sum(axis=1) * dim.gamma0 - np.abs(psi) ** 2)))))
+        W.sum(axis=1) * dim.gamma0 - np.abs(psi) ** 2)))))
     rows.append(_res("marginal_phase", float(np.max(np.abs(
-        W.values.sum(axis=0) - (dim.d / (2 * np.pi)) * np.abs(pair.phase_states.conj().T @ psi) ** 2)))))
+        W.sum(axis=0) - (dim.d / (2 * np.pi)) * np.abs(ph.conj().T @ psi) ** 2)))))
+    del W, ph
     expanded = False
     for m, mp in (((1, 0), (0, 1)), ((2, 1), (1, 1))):
         if lattice_cross(m, mp) % dim.d == 0:
             continue
         try:
-            exp = numberphase.expand_number_function(
-                dim, rng.normal(size=dim.d) + 1j * rng.normal(size=dim.d), m, mp)
+            residual = numberphase.expand_number_function(
+                dim, rng.normal(size=dim.d) + 1j * rng.normal(size=dim.d), m, mp).residual
         except (SingularDeformationError, DegenerateSpectrumError):
             continue
         except PhaseMismatchError:
             if dim.prime:
                 raise
             continue
-        rows.append(_res("expansion_round_trip", exp.residual, note=f"m={m}, m'={mp}"))
+        rows.append(_res("expansion_round_trip", residual, note=f"m={m}, m'={mp}"))
         expanded = True
     if not expanded:
         rows.append(_info("expansion_round_trip", 0.0,
                           note="no non-singular pair available at this D"))
-    even, odd = limits.wigner_even_odd_decomposition(dim, psi)
-    full = numberphase.action_angle_values(dim, psi, half_integer=True)
-    rows.append(_res("even_odd_reconstruction",
-                     float(np.max(np.abs(even.values + odd.values - full)))))
-    rows.append(_res("even_mass", abs(even.values[0::2, :].sum() * (2 * np.pi / dim.d) - 1.0)))
-    rows.append(_res("odd_mass_integer_rows", abs(odd.values[0::2, :].sum() * (2 * np.pi / dim.d))))
-    Wn_e, Wn_o = limits.wigner_even_odd_decomposition(dim, e_n0)
-    rows.append(_res("number_state_odd_vanishes", float(np.max(np.abs(Wn_o.values)))))
+    # wigner_even_odd_decomposition's two parts and the full grid, from one chi
+    even, odd, full = numberphase._action_angle_grids(dim, psi, 2 * dim.d, (0, 1, None))
+    rows.append(_res("even_odd_reconstruction", float(np.max(np.abs(even + odd - full)))))
+    del full
+    rows.append(_res("even_mass", abs(even[0::2, :].sum() * (2 * np.pi / dim.d) - 1.0)))
+    rows.append(_res("odd_mass_integer_rows", abs(odd[0::2, :].sum() * (2 * np.pi / dim.d))))
+    del even, odd
+    rows.append(_res("number_state_odd_vanishes", float(np.max(np.abs(
+        limits.wigner_even_odd_decomposition(dim, e_n0)[1].values)))))
     return rows
 
 

@@ -99,12 +99,28 @@ def _oscillator_stack(dim: Dimension, m, mp, V, eta=None) -> _OscillatorStack:
                             _diag_stack(V, nvals), Q, V, nvals, spectrum)
 
 
+def _in_basis(V, S) -> np.ndarray:
+    """V^dag S V per pair: entry [r', r] is <v_r'| S |v_r>."""
+    return dag(V) @ S @ V
+
+
 def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
     """Per-pair residuals of the oscillator identities (see oscillator_residuals)."""
     dim, A, V, nv = st.dim, st.lowering, st.eigenvectors, st.n_values
     d = dim.d
     Ad = dag(A)
     c = _phase_cross(d, st.cross)[:, None]
+    # the recorded claims from the dense S_m, S_m' and S_{m-m'} and numpy's
+    # exponential, each integer exponent reduced first: g = <v_{r-c}|S_m|v_r>,
+    # f the same for S_m', E = e^{i pi c (2n + D - 1) / 2D} at the exact c, and
+    # mu_r = <v_r|S_{m-m'}|v_r>
+    g, f = (np.take_along_axis(_in_basis(V, schwinger_stack(d, x)),
+                               ((np.arange(d) - c) % d)[:, None, :], axis=1)[:, 0]
+            for x in (st.m, st.mp))
+    mu = np.diagonal(_in_basis(V, schwinger_stack(d, st.m - st.mp)), axis1=1, axis2=2)
+    t = lattice_cross(st.m.T, st.mp.T)[:, None] % (4 * d) * (2 * nv + d - 1) % (4 * d)
+    E = np.exp(1j * np.pi * t / (2 * d))
+    claim = np.exp(1j * np.pi * ((2 * nv - d) * c % (2 * d)) / d)   # e^{i gamma0 (n - D/2) c}
     C_eye = st.shift_constant[:, None, None] * np.eye(d)
     Qdirect = ((-st.eta)[:, None, None] * schwinger_stack(d, -st.m)
                @ schwinger_stack(d, st.mp))
@@ -118,6 +134,8 @@ def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
             A @ Ad - (C_eye + _diag_stack(V, bracket_values(dim, c, nv + 1)))),
         "spectrum_min": st.spectrum.min(axis=1),
         "shift_constant": np.abs(st.shift_constant - 1.0 / np.abs(np.sin(dim.gamma0 * c[:, 0]))),
+        "literal_phase": np.maximum(np.abs(g - E), np.abs(g - np.conj(f))).max(axis=1),
+        "exponent_claim": np.abs(np.conj(mu) - claim).max(axis=1),
     }
 
 
@@ -224,14 +242,22 @@ def oracle_residuals(realization):
 
 # -- eigenbasis checks against the oracle -------------------------------------------
 
+# the oscillator rows recorded beside spectrum_min and never gated: O(1) values
+RECORDED = ("spectrum_min", "literal_phase", "exponent_claim")
+
+
 def assert_sweeps_match_oracle(dim, m, mp, oracle_bound=None):
-    """Same keys and spectrum_min; every other worst residual <= 1e-12 in both forms."""
+    """Same keys and spectrum_min, the recorded claims to 1e-12 of each other;
+    every other worst residual <= 1e-12 in both forms."""
     for algebra, sweep in (("qosc", oscillator_sweep), ("sl2", sl2_sweep)):
         new, old = sweep(dim, m, mp).worst, oracle_sweep(dim, m, mp, algebra)
         assert list(new) == list(old), (dim.d, algebra)
         for key in new:
             if key == "spectrum_min":
                 assert new[key] == old[key], (dim.d, algebra)
+                continue
+            if key in RECORDED:
+                assert abs(new[key] - old[key]) <= 1e-12, (dim.d, key, new[key], old[key])
                 continue
             bound = (oracle_bound or {}).get(key, 1e-12)
             assert new[key] <= 1e-12, (dim.d, algebra, key, new[key])
@@ -264,17 +290,17 @@ def test_unreduced_pairs_match_the_dense_oracle():
 
 def assert_fails_like_the_oracle(realization, residuals):
     new, old = residuals(realization), oracle_residuals(realization)
-    broken = {k for k, v in old.items() if k != "spectrum_min" and v > 0.1}
+    broken = {k for k, v in old.items() if k not in RECORDED and v > 0.1}
     assert broken, old
-    assert {k for k, v in new.items() if k != "spectrum_min" and v > 0.1} == broken, (new, old)
+    assert {k for k, v in new.items() if k not in RECORDED and v > 0.1} == broken, (new, old)
 
 
 @pytest.mark.parametrize("d", [5, 7, 8])
 def test_a_flipped_eta_or_d_prime_phase_fails_like_the_oracle(d):
     dim = make_dimension(d)
     osc = build_q_oscillator(dim, (1, 2), (0, 3))
-    assert_fails_like_the_oracle(
-        build_q_oscillator(dim, osc.m, osc.mp, eta_override=-osc.eta), oscillator_residuals)
+    assert_fails_like_the_oracle(dataclasses.replace(osc, eta=-osc.eta, dp_coef=-osc.dp_coef),
+                                 oscillator_residuals)
     assert_fails_like_the_oracle(dataclasses.replace(osc, dp_coef=osc.dp_coef * np.exp(0.4j)),
                                  oscillator_residuals)
 
@@ -302,7 +328,7 @@ def test_part_a_rejects_a_basis_that_is_not_the_eigenbasis(d):
         V = realization.eigenvectors[:, [1, 0, *range(2, d)]]
         res = residuals(dataclasses.replace(realization, eigenvectors=V))
         for key, value in res.items():
-            if key not in ("spectrum_min", "shift_constant"):
+            if key not in (*RECORDED, "shift_constant"):
                 assert value > 0.1, (key, value)
 
 

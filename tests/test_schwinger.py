@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from torusphase import (
     standard_pair_suite,
     weyl_commutator_check,
     weyl_j_matrix,
+    weyl_matrices,
     window_vectors,
 )
 from torusphase import schwinger
@@ -217,6 +220,31 @@ def test_weyl_form_mirrors_schwinger(d):
     assert rep["mirror"] < 1e-12
     assert rep["minus_form"] < 1e-11
     assert rep["plus_form"] > 1e-2  # the additive form does not close
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 12])
+def test_weyl_pair_is_the_clock_and_shift_entries(d):
+    # the monomial pair of the Weyl checks is conj(V) and U^T entry for entry,
+    # and weyl_matrices is its dense form
+    dim = make_dimension(d)
+    g, h = weyl_matrices(dim)
+    assert np.array_equal(g, build_clock_operator(dim).conj())
+    assert np.array_equal(h, build_shift_operator(dim).T)
+    for (rows, vals), A in zip(schwinger._weyl_pair(dim), (g, h)):
+        ref_rows, ref_vals = schwinger._monomial(A)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(vals, ref_vals)
+
+
+def test_weyl_commutator_check_builds_no_dense_matrix():
+    # it built g and h as D x D arrays and scanned them back, 16 MB each here
+    d = 1024
+    dim = make_dimension(d)
+    weyl_commutator_check(dim, (3, -5), (7, 2))
+    tracemalloc.start()
+    weyl_commutator_check(dim, (3, -5), (7, 2))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < d * d * 16 / 16, peak
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
