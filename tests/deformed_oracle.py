@@ -16,6 +16,10 @@ from torusphase.deformed import QOscillator
 from torusphase.lattice import _phase, _phase_cross
 from torusphase.schwinger import schwinger_stack
 
+# the oscillator rows recorded, never gated: min f(n), and two componentwise
+# phase claims that hold only up to a rephasing of the eigenvectors (O(1) values)
+RECORDED = ("spectrum_min", "literal_phase", "exponent_claim")
+
 
 def dag(A):
     return A.conj().swapaxes(-1, -2)

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coproduct_oracle import kron_coproduct, signed_sigma, unsigned_sigma
-from deformed_oracle import lowering, raising
+from deformed_oracle import RECORDED, lowering, raising
 from torusphase import (
     CollinearVectorsError,
     DegenerateSpectrumError,
@@ -28,10 +28,6 @@ from torusphase import (
 from torusphase import deformed, schwinger, verify
 from torusphase.deformed import lowest_weight_sweep, oscillator_sweep, sl2_sweep
 from torusphase.lattice import _CHECKED_ENTRIES, Sampler, _phase, _phase_cross
-
-
-# the oscillator rows recorded beside spectrum_min and never gated
-RECORDED = ("spectrum_min", "literal_phase", "exponent_claim")
 
 
 def noncollinear_pairs(dim):

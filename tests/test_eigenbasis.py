@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from deformed_oracle import dag, dense_fields
+from deformed_oracle import RECORDED, dag, dense_fields
 from torusphase import (
     build_q_oscillator,
     build_uq_sl2,
@@ -241,10 +241,6 @@ def oracle_residuals(realization):
 
 
 # -- eigenbasis checks against the oracle -------------------------------------------
-
-# the oscillator rows recorded beside spectrum_min and never gated: O(1) values
-RECORDED = ("spectrum_min", "literal_phase", "exponent_claim")
-
 
 def assert_sweeps_match_oracle(dim, m, mp, oracle_bound=None):
     """Same keys and spectrum_min, the recorded claims to 1e-12 of each other;
