@@ -28,7 +28,7 @@ _EXPORTS = {
     "schwinger": (
         "SchwingerEigensystem", "conjugate_pair_suite", "eigensystem_by_recursion",
         "reduce_label", "schwinger_matrix", "sine_commutator_check",
-        "standard_pair_suite", "weyl_commutator_check", "weyl_j_matrix", "weyl_matrices",
+        "standard_pair_suite", "weyl_commutator_check",
     ),
     "deformed": (
         "CoproductReport", "LowestWeightReport", "QOscillator", "TranslationReport",

@@ -163,10 +163,8 @@ def _half_phase(d: int, a, b) -> np.ndarray:
 
 
 def build_shift_operator(dim: Dimension) -> np.ndarray:
-    d = dim.d
-    U = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        U[(k + 1) % d, k] = 1.0
+    U = np.zeros((dim.d, dim.d), dtype=complex)
+    U[(np.arange(dim.d) + 1) % dim.d, np.arange(dim.d)] = 1.0
     return U
 
 

@@ -18,7 +18,6 @@ from .lattice import Dimension, canonical_window, is_prime, max_abs
 from .numberphase import (
     ACTION_ANGLE_NORMALIZATION,
     _action_angle_grids,
-    build_phase_pair,
     wigner_number_phase,
 )
 from .wigner import WignerGrid
@@ -106,8 +105,8 @@ def commutator_limit_check(dim: Dimension, ell: int, r: int = 1) -> dict:
     if not 0 <= ell < d:
         raise ValueError(f"ell must be in 0..{d - 1}")
     n = np.arange(d, dtype=float)      # N is diagonal: N X - X N is an elementwise product
-    # E_phi^ell = |k - ell><k|: its column k is column k - ell + 1 of E_phi
-    El = build_phase_pair(dim).e_phi[:, (np.arange(d) + 1 - ell) % d]
+    # E_phi^ell = |k - ell><k|: its column k is column k - ell of the identity
+    El = np.eye(d, dtype=complex)[:, (np.arange(d) - ell) % d]
     if r == 1:
         Cm = n[:, None] * El - El * n + ell * El
         corner = float(d) if ell else 0.0

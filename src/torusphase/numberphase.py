@@ -70,11 +70,11 @@ def phase_pair_residuals(pair: PhasePair) -> dict:
 
 
 def identification_suite(dim: Dimension, rng=None, n_random: int = 200) -> dict:
-    """Full torus-pair identity suite run through the (E_N, E_phi) pair."""
-    from .schwinger import conjugate_pair_suite
+    """Full torus-pair identity suite through (E_N, E_phi) = (conj(g), h), from its entries."""
+    from .schwinger import _pair_suite, _weyl_pair
 
-    pair = build_phase_pair(dim)
-    return conjugate_pair_suite(dim, pair.e_n, pair.e_phi, rng=rng, n_random=n_random)
+    g, h = _weyl_pair(dim)
+    return _pair_suite(dim, (g[0], g[1].conj()), h, rng, n_random)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ from .lattice import (
     _quarter_turn,
     _reduce,
     _sin_turns,
-    build_clock_operator,
-    build_shift_operator,
     canonical_vector,
     canonical_window,
     lattice_cross,
@@ -85,13 +83,17 @@ def _times(a, b):
     return np.take_along_axis(ra, rb, -1), np.take_along_axis(va, rb, -1) * vb
 
 
-def _power(a, n: int):
-    """A^n, n >= 0, by squaring: O(D log n) per operator."""
-    result = np.broadcast_to(np.arange(a[0].shape[-1]), a[0].shape), np.ones_like(a[1])
-    while n:
-        n, bit = divmod(n, 2)
-        result = _times(result, a) if bit else result
-        a = _times(a, a) if n else a
+def _power(a, n):
+    """A^n by squaring, n >= 0 an int or one per operator: O(D log n) per operator."""
+    n = np.asarray(n)[..., None]
+    shape = np.broadcast_shapes(a[0].shape, n.shape)
+    result = np.broadcast_to(np.arange(shape[-1]), shape), np.ones(shape, dtype=complex)
+    while n.any():
+        n, bit = np.divmod(n, 2)
+        if bit.any():       # a keeps its shape: one operator squares once for every exponent
+            step = _times(result, tuple(np.broadcast_to(x, shape) for x in a))
+            result = tuple(np.where(bit, x, r) for x, r in zip(step, result))
+        a = _times(a, a) if n.any() else a
     return result
 
 
@@ -168,33 +170,37 @@ def _has_closed_form(d: int, m1, m2):
     return np.gcd(np.where(m1 % d == 0, m2, m1), d) == 1
 
 
-def _eigensystem(d: int, m1: int, m2: int):
-    if not _has_closed_form(d, m1, m2):
+def _eigensystem(d: int, m1, m2):
+    """Eigenvalues (..., D) and eigenvectors (..., D, D) of S_m per canonical label of m1, m2."""
+    m1, m2 = np.broadcast_arrays(np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64))
+    if not (ok := _has_closed_form(d, m1, m2)).all():
+        m1, m2 = int(m1[~ok][0]), int(m2[~ok][0])
         raise DegenerateSpectrumError(
             f"label ({m1},{m2}) has a degenerate spectrum at D={d}" if m1 % d == 0
             else f"orbit of label ({m1},{m2}) does not cover Z_{d}")
+    shape, m1, m2 = m1.shape, m1.reshape(-1, 1), m2.reshape(-1, 1)
     lam = (1 - 2 * (m1 * m2 % 2)) * _phase(d, 2 * np.arange(d))
-    vecs = np.zeros((d, d), dtype=complex)
-    if m1 % d == 0:
-        # diagonal element: eigenvector r is the coordinate vector k with
-        # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
-        vecs[np.arange(d), np.arange(d) * m2 % d] = 1.0
-    else:
-        # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
-        # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
-        # e^{i pi E / D} / sqrt(D) with the exact integer
-        # E = m2 sum_{i<j} (2 k_i - m1) + D m1 m2 j - 2 j r  (mod 2D)
-        j = np.arange(d, dtype=np.int64)
-        k = (-j * m1) % d
-        walk = np.concatenate(([0], np.cumsum(2 * k[:-1] - m1) % (2 * d)))
-        e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
-        # rows k_j gathered from a conj-scaled table a block of j at a time:
-        # no D x D temporary beside vecs
-        table = _phase(d, np.arange(2 * d)).conj() / math.sqrt(d)
-        step = max(1, _BLOCK_ENTRIES // d)
-        for lo in range(0, d, step):
-            i = j[lo:lo + step, None]
-            vecs[k[lo:lo + step]] = table[(e[i] - 2 * i * j) % (2 * d)]
+    vecs = np.zeros((len(m1), d, d), dtype=complex)
+    # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
+    # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
+    # e^{i pi E / D} / sqrt(D) with the exact integer
+    # E = m2 sum_{i<j} (2 k_i - m1) + D m1 m2 j - 2 j r  (mod 2D)
+    j, p = np.arange(d, dtype=np.int64), np.arange(len(m1))[:, None]
+    k = (-j * m1) % d
+    walk = np.concatenate((0 * m1, np.cumsum(2 * k[:, :-1] - m1, axis=1) % (2 * d)), axis=1)
+    e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
+    # rows k_j gathered from a conj-scaled table a block of j at a time:
+    # no D x D temporary beside vecs
+    table = _phase(d, np.arange(2 * d)).conj() / math.sqrt(d)
+    step = max(1, _BLOCK_ENTRIES // max(1, d * len(m1)))
+    for lo in range(0, d, step):
+        i = j[lo:lo + step, None]
+        vecs[p, k[:, lo:lo + step]] = table[(e[:, lo:lo + step, None] - 2 * i * j) % (2 * d)]
+    # diagonal element: eigenvector r is the coordinate vector k with
+    # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
+    diag = m1[:, 0] % d == 0
+    vecs[diag] = j[:, None] * m2[diag, :, None] % d == j
+    lam, vecs = lam.reshape(*shape, d), vecs.reshape(*shape, d, d)
     lam.flags.writeable = False
     vecs.flags.writeable = False
     return lam, vecs
@@ -230,29 +236,32 @@ def eigensystem_residuals(dim: Dimension, labels):
     """
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     lam_res, vec_res = np.empty(len(labels)), np.empty(len(labels))
-    for i, m in enumerate(labels.tolist()):
-        sys = eigensystem_by_recursion(dim, m)
-        lam, v = sys.eigenvalues, sys.eigenvectors
-        rows, vals = displacement_columns(dim.d, *sys.m)
+    for blk in label_blocks(len(labels), dim.d):
+        m1, m2, _ = _reduce(dim.d, labels[blk, 0], labels[blk, 1])
+        lam, v = _eigensystem(dim.d, m1, m2)
+        rows, vals = displacement_columns(dim.d, m1, m2)
         Sv = np.empty_like(v)
-        Sv[rows] = vals[:, None] * v
-        err = np.linalg.norm(Sv - v * lam, axis=0)
-        lam_res[i] = (err + np.abs(np.linalg.norm(v, axis=0) - 1)).max()
-        ring = lam[np.argsort(np.angle(lam))]      # nearest on the unit circle: adjacent in angle
-        gap = np.abs(ring - np.roll(ring, 1)).min()
-        vec_res[i] = lam_res[i] / gap if gap > 0 else 1.0
+        Sv[np.arange(len(v))[:, None], rows] = vals[..., None] * v
+        err = np.linalg.norm(Sv - v * lam[:, None], axis=1)
+        lam_res[blk] = (err + np.abs(np.linalg.norm(v, axis=1) - 1)).max(axis=1)
+        # nearest on the unit circle: adjacent in angle
+        ring = np.take_along_axis(lam, np.argsort(np.angle(lam), axis=1), 1)
+        gap = np.abs(ring - np.roll(ring, 1, axis=1)).min(axis=1)
+        vec_res[blk] = np.divide(lam_res[blk], gap, out=np.ones_like(gap), where=gap > 0)
     return lam_res, vec_res
 
 
-def sine_commutator_check(dim: Dimension, m, n) -> float:
-    """Residual of the sine-algebra commutator for D_m = S_m / gamma0, on monomials."""
+def sine_commutator_check(dim: Dimension, m, n) -> np.ndarray:
+    """Residual of the sine-algebra commutator for D_m = S_m / gamma0, on monomials, per
+    pair of labels m, n of shape (..., 2) (0-d for one pair)."""
     g0 = dim.gamma0
-    (rm, vm), (rn, vn), (rs, vs) = (displacement_columns(dim.d, *x) for x in
-                                    (m, n, (m[0] + n[0], m[1] + n[1])))
+    m, n = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (m, n)))
+    (rm, vm), (rn, vn), (rs, vs) = (displacement_columns(dim.d, x[..., 0], x[..., 1])
+                                    for x in (m, n, m + n))
     Dm, Dn = (rm, vm / g0), (rn, vn / g0)
-    sin = _sin_turns(lattice_cross(m, n), dim.d)      # sin(gamma0 m x n / 2)
-    return float(_norm(_times(Dm, Dn), _minus(_times(Dn, Dm)),
-                       (rs, -(1j * (2.0 / g0) * sin * (vs / g0)))))
+    sin = _sin_turns(lattice_cross(m.T, n.T).T, dim.d)[..., None]      # sin(gamma0 m x n / 2)
+    return _norm(_times(Dm, Dn), _minus(_times(Dn, Dm)),
+                 (rs, -(1j * (2.0 / g0) * sin * (vs / g0))))
 
 
 def _weyl_pair(dim: Dimension):
@@ -264,22 +273,11 @@ def _weyl_pair(dim: Dimension):
     return (j, _clock_entries(dim).conj()), ((j - 1) % dim.d, np.ones(dim.d, dtype=complex))
 
 
-def weyl_matrices(dim: Dimension):
-    """The dense clock/shift pair (g, h) of _weyl_pair."""
-    return tuple(_dense((rows[None], vals[None]))[0] for rows, vals in _weyl_pair(dim))
-
-
-def _weyl_j(d: int, pair, m):
-    """J_m as a monomial, from the entries of the monomial pair (g, h)."""
-    g, h = pair
-    rows, vals = _times(_power(g, m[0] % d), _power(h, m[1] % d))
-    return rows, _half_phase(d, m[0], m[1]).conj() * vals
-
-
-def weyl_j_matrix(dim: Dimension, m) -> np.ndarray:
-    """J_m = w^{m1 m2 / 2} g^{m1} h^{m2} with the exact integer half-exponent."""
-    rows, vals = _weyl_j(dim.d, _weyl_pair(dim), m)
-    return _dense((rows[None], vals[None]))[0]
+def _weyl_j(dim: Dimension, m):
+    """J_m as a monomial per label of m (..., 2), from the entries of the monomial pair (g, h)."""
+    d, (g, h), m = dim.d, _weyl_pair(dim), np.asarray(m, dtype=np.int64)
+    rows, vals = _times(_power(g, m[..., 0] % d), _power(h, m[..., 1] % d))
+    return rows, _half_phase(d, m[..., 0], m[..., 1]).conj()[..., None] * vals
 
 
 def weyl_commutator_check(dim: Dimension, m, n) -> dict:
@@ -288,19 +286,19 @@ def weyl_commutator_check(dim: Dimension, m, n) -> dict:
     J_m coincides with S_{(-m2,-m1)} elementwise, so the family satisfies the
     sine algebra with the label mirror applied; the measured commutator is
     [J_m, J_n] = -2i sin(gamma0 m x n / 2) J_{m+n}.  Residuals for both sign
-    conventions are returned.
+    conventions are returned, per pair of labels m, n of shape (..., 2) (0-d for one pair).
     """
     d = dim.d
-    pair = _weyl_pair(dim)
-    Jm, Jn, Jsum = (_weyl_j(d, pair, x) for x in (m, n, (m[0] + n[0], m[1] + n[1])))
-    mirror = max(float(_norm(J, _minus(displacement_columns(d, -x[1], -x[0]))))
-                 for J, x in ((Jm, m), (Jn, n)))
+    m, n = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (m, n)))
+    Jm, Jn, Jsum = zip(*_weyl_j(dim, np.stack([m, n, m + n])))
+    mirror = np.maximum(*(_norm(J, _minus(displacement_columns(d, -x[..., 1], -x[..., 0])))
+                          for J, x in ((Jm, m), (Jn, n))))
     comm = (_times(Jm, Jn), _minus(_times(Jn, Jm)))
-    s = _sin_turns(lattice_cross(m, n), d)
+    s = _sin_turns(lattice_cross(m.T, n.T).T, d)[..., None]
     return {
         "mirror": mirror,
-        "minus_form": float(_norm(*comm, (Jsum[0], 2j * s * Jsum[1]))),
-        "plus_form": float(_norm(*comm, (Jsum[0], -(2j * s * Jsum[1])))),
+        "minus_form": _norm(*comm, (Jsum[0], 2j * s * Jsum[1])),
+        "plus_form": _norm(*comm, (Jsum[0], -(2j * s * Jsum[1]))),
     }
 
 
@@ -353,21 +351,31 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
     label, O(D log D) for S_m^D.  Returns the worst residual per check; a pair
     that is not monomial raises ValueError.
     """
+    return _pair_suite(dim, _monomial(X), _monomial(Z), rng, n_random)
+
+
+def _pair_suite(dim: Dimension, x, z, rng=None, n_random: int = 200) -> dict:
+    """conjugate_pair_suite on the pair's entries: x and z are monomials (rows, vals)."""
     if rng is None:
         rng = Sampler(0)
     d = dim.d
-    x, z = _monomial(X), _monomial(Z)
     eye = np.arange(d)
     res = {
         "weyl_commutation": float(_norm(_times(x, z), _minus(_times((z[0], dim.omega * z[1]), x)))),
         "cyclic_X": float(_norm(_power(x, d), (eye, -1.0))),
         "cyclic_Z": float(_norm(_power(z, d), (eye, -1.0))),
     } | dict.fromkeys(("adjoint", "composition", "power_sign", "trace"), 0.0)
-    # X^a and Z^b, a in [0, D), each by squaring, as D x D (row, phase) arrays
+    step = max(1, _BLOCK_ENTRIES // d)      # labels or table rows per block of (., D) arrays
+    # X^a and Z^b, a in [0, D), as D x D (row, phase) arrays.  Squaring multiplies by
+    # X^(2^h), h the top bit of a, last: row a is row a - 2^h times X^(2^h)
     powers = [(np.empty((d, d), dtype=np.intp), np.empty((d, d), dtype=complex)) for _ in range(2)]
     for (rows, vals), y in zip(powers, (x, z)):
-        for k in range(d):
-            rows[k], vals[k] = _power(y, k)
+        rows[0], vals[0], h = eye, 1.0, 1
+        while h < d:
+            for lo in range(h, min(2 * h, d), step):
+                a = np.arange(lo, min(lo + step, 2 * h, d))
+                rows[a], vals[a] = _times((rows[a - h], vals[a - h]), (y[0][None], y[1][None]))
+            y, h = _times(y, y), 2 * h
     (xr, xv), (zr, zv) = powers
 
     def S(m):
@@ -383,7 +391,6 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
     ab = np.concatenate([canonical_window(dim)[np.stack(np.divmod(k, d), axis=-1)], extra])
     a, b = ab[:, 0], ab[:, 1]
     checked = _checked_labels(dim)
-    step = max(1, _BLOCK_ENTRIES // d)      # labels per block of (labels, D) arrays
     for lo in range(0, len(checked), step):
         m = checked[lo:lo + step]
         rows, vals = Sm = S(m)
@@ -401,7 +408,6 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
 
 
 def standard_pair_suite(dim: Dimension, rng=None, n_random: int = 200) -> dict:
-    """conjugate_pair_suite applied to the fundamental (U, V) pair."""
-    return conjugate_pair_suite(
-        dim, build_shift_operator(dim), build_clock_operator(dim), rng, n_random
-    )
+    """conjugate_pair_suite on the fundamental pair (U, V) = (h^dag, conj(g)), from its entries."""
+    g, h = _weyl_pair(dim)
+    return _pair_suite(dim, _adjoint(h), (g[0], g[1].conj()), rng, n_random)

@@ -199,13 +199,11 @@ def suite_schwinger(dim: Dimension, seed: int = 0, samples: int = 200) -> list[C
     sampled = _sample_note(dim, "labels")
     rows = [_res(k, v, note=sampled if k in _WINDOW_ROWS else "")
             for k, v in standard_pair_suite(dim, rng=rng, n_random=samples).items()]
-    pairs = []
-    for _ in range(min(30, max(4, samples // 8))):
-        m, n = (tuple(int(x) for x in rng.integers(-2 * dim.d, 2 * dim.d, 2)) for _ in range(2))
-        wc = weyl_commutator_check(dim, m, n)
-        pairs.append((sine_commutator_check(dim, m, n), wc["mirror"], wc["minus_form"]))
-    rows.extend(_res(k, v) for k, v in zip(("sine_algebra", "weyl_mirror", "weyl_commutator"),
-                                           np.max(pairs, axis=0)))
+    m, n = rng.integers(-2 * dim.d, 2 * dim.d, (min(30, max(4, samples // 8)), 2, 2)).swapaxes(0, 1)
+    wc = weyl_commutator_check(dim, m, n)
+    rows.extend(_res(k, v.max()) for k, v in (("sine_algebra", sine_commutator_check(dim, m, n)),
+                                              ("weyl_mirror", wc["mirror"]),
+                                              ("weyl_commutator", wc["minus_form"])))
     labels = _checked_labels(dim)
     rows.append(_res("fourier_covariance", fourier_covariance_residuals(dim, labels).max(),
                      note=sampled))

@@ -17,13 +17,26 @@ from numpy.linalg import matrix_power
 from torusphase import build_fourier_operator, build_phase_pair, window_vectors
 from torusphase.lattice import (_checked_labels, _half_phase, _phase, canonical_window,
                                lattice_cross, max_abs)
-from torusphase.schwinger import _worst, eigensystem_by_recursion, label_blocks, schwinger_stack
+from torusphase.schwinger import (_dense, _weyl_pair, _worst, eigensystem_by_recursion,
+                                  label_blocks, schwinger_stack)
 
 
 def pair_schwinger(dim, X, Z, m) -> np.ndarray:
     """S_m built from an arbitrary conjugate pair with X Z = e^{i gamma0} Z X."""
     ph = _half_phase(dim.d, m[0], m[1])
     return ph * (matrix_power(X, m[0] % dim.d) @ matrix_power(Z, m[1] % dim.d))
+
+
+def weyl_matrices(dim):
+    """The dense clock/shift pair (g, h) of schwinger._weyl_pair: conj(V) and U^T."""
+    return tuple(_dense((rows[None], vals[None]))[0] for rows, vals in _weyl_pair(dim))
+
+
+def weyl_j_matrix(dim, m) -> np.ndarray:
+    """J_m = w^{m1 m2 / 2} g^{m1} h^{m2} from matrix powers of the dense pair."""
+    g, h = weyl_matrices(dim)
+    ph = _half_phase(dim.d, m[0], m[1]).conj()
+    return ph * (matrix_power(g, m[0] % dim.d) @ matrix_power(h, m[1] % dim.d))
 
 
 def fourier_covariance(dim, labels) -> np.ndarray:

@@ -108,20 +108,18 @@ def test_checked_labels_are_the_window_below_the_sampling_bound_and_seeded_above
 
 
 def test_a_perturbed_eigenvector_entry_shows_in_the_dense_match_row(monkeypatch):
+    # the row reads the stacked closed forms: perturb label (1, 2) in its stack
     dim = make_dimension(7)
-    exact = schwinger.eigensystem_by_recursion
+    exact = schwinger._eigensystem
 
-    def perturbed(dim, m):
-        sys_ = exact(dim, m)
-        if sys_.m != (1, 2):
-            return sys_
-        vecs = sys_.eigenvectors.copy()
-        vecs[3, 4] += 1e-6
-        return schwinger.SchwingerEigensystem(dim=dim, m=sys_.m, eigenvalues=sys_.eigenvalues,
-                                              eigenvectors=vecs)
+    def perturbed(d, m1, m2):
+        lam, vecs = exact(d, m1, m2)
+        vecs = vecs.copy()
+        vecs[(np.asarray(m1) == 1) & (np.asarray(m2) == 2), 3, 4] += 1e-6
+        return lam, vecs
 
     assert _rows(verify.suite_schwinger(dim))["eigenvector_dense_match"].value < 1e-13
-    monkeypatch.setattr(schwinger, "eigensystem_by_recursion", perturbed)
+    monkeypatch.setattr(schwinger, "_eigensystem", perturbed)
     assert _rows(verify.suite_schwinger(dim))["eigenvector_dense_match"].value > 1e-7
 
 
@@ -162,16 +160,15 @@ def test_power_sign_past_d365_reads_the_rounding_of_the_clock_entries():
 
 def test_a_repeated_closed_form_eigenvalue_reads_one_in_the_vector_row(monkeypatch):
     dim = make_dimension(7)
-    exact = schwinger.eigensystem_by_recursion
+    exact = schwinger._eigensystem
 
-    def repeated(dim, m):
-        sys_ = exact(dim, m)
-        lam = sys_.eigenvalues.copy()
-        lam[1] = lam[0]
-        return schwinger.SchwingerEigensystem(dim=dim, m=sys_.m, eigenvalues=lam,
-                                              eigenvectors=sys_.eigenvectors)
+    def repeated(d, m1, m2):
+        lam, vecs = exact(d, m1, m2)
+        lam = lam.copy()
+        lam[..., 1] = lam[..., 0]
+        return lam, vecs
 
-    monkeypatch.setattr(schwinger, "eigensystem_by_recursion", repeated)
+    monkeypatch.setattr(schwinger, "_eigensystem", repeated)
     lam, vec = schwinger.eigensystem_residuals(dim, [(1, 2)])
     assert vec[0] == 1.0 and lam[0] > 0.1
 

@@ -22,8 +22,6 @@ from torusphase import (
     sine_commutator_check,
     standard_pair_suite,
     weyl_commutator_check,
-    weyl_j_matrix,
-    weyl_matrices,
     window_vectors,
 )
 from torusphase import schwinger
@@ -214,7 +212,7 @@ def test_weyl_form_mirrors_schwinger(d):
     dim = make_dimension(d)
     for m in [(1, 0), (0, 1), (1, 1), (2, 1)]:
         # J_m equals the Schwinger matrix at the swapped, negated label
-        J = weyl_j_matrix(dim, m)
+        J = basis_oracle.weyl_j_matrix(dim, m)
         assert_allclose(J, schwinger_matrix(dim, (-m[1], -m[0])), atol=1e-12)
     rep = weyl_commutator_check(dim, (1, 0), (1, 1))
     assert rep["mirror"] < 1e-12
@@ -225,9 +223,9 @@ def test_weyl_form_mirrors_schwinger(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 12])
 def test_weyl_pair_is_the_clock_and_shift_entries(d):
     # the monomial pair of the Weyl checks is conj(V) and U^T entry for entry,
-    # and weyl_matrices is its dense form
+    # and basis_oracle.weyl_matrices is its dense form
     dim = make_dimension(d)
-    g, h = weyl_matrices(dim)
+    g, h = basis_oracle.weyl_matrices(dim)
     assert np.array_equal(g, build_clock_operator(dim).conj())
     assert np.array_equal(h, build_shift_operator(dim).T)
     for (rows, vals), A in zip(schwinger._weyl_pair(dim), (g, h)):

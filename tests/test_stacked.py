@@ -37,7 +37,8 @@ from torusphase import (
     schwinger_matrix,
     window_vectors,
 )
-from torusphase import deformed, limits, numberphase, schwinger, transforms, verify
+from torusphase import deformed, lattice, limits, numberphase, schwinger, transforms, verify
+from torusphase.lattice import Sampler, _sin_turns
 
 DIMENSIONS = range(2, 14)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -253,6 +254,149 @@ def test_conjugate_pair_suite_equals_the_per_label_loop(d):
         assert_within_oracle(dim, X, Z, rows, pair_suite(dim, X, Z, ref_rng, 60))
         # the same draws in the same order: later draws of a suite do not shift
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _power_loop(a, n: int):
+    """A^n of one monomial by squaring, one int exponent at a time: the stacked _power's steps."""
+    result = np.arange(len(a[0])), np.ones_like(a[1])
+    while n:
+        n, bit = divmod(n, 2)
+        result = schwinger._times(result, a) if bit else result
+        a = schwinger._times(a, a) if n else a
+    return result
+
+
+def _sine_loop(dim, m, n):
+    """sine_commutator_check for one pair of int labels, as the pair-by-pair check made it."""
+    g0, d = dim.gamma0, dim.d
+    (rm, vm), (rn, vn), (rs, vs) = (schwinger.displacement_columns(d, *x) for x in
+                                    (m, n, (m[0] + n[0], m[1] + n[1])))
+    Dm, Dn = (rm, vm / g0), (rn, vn / g0)
+    sin = _sin_turns(lattice_cross(m, n), d)
+    times, minus = schwinger._times, schwinger._minus
+    return float(schwinger._norm(times(Dm, Dn), minus(times(Dn, Dm)),
+                                 (rs, -(1j * (2.0 / g0) * sin * (vs / g0)))))
+
+
+def _weyl_loop(dim, m, n):
+    """weyl_commutator_check for one pair of int labels, each J_m from per-exponent powers."""
+    d, (g, h) = dim.d, schwinger._weyl_pair(dim)
+
+    def J(x):
+        rows, vals = schwinger._times(_power_loop(g, x[0] % d), _power_loop(h, x[1] % d))
+        return rows, lattice._half_phase(d, x[0], x[1]).conj() * vals
+
+    norm, minus, times = schwinger._norm, schwinger._minus, schwinger._times
+    Jm, Jn, Js = J(m), J(n), J((m[0] + n[0], m[1] + n[1]))
+    mirror = max(float(norm(Jx, minus(schwinger.displacement_columns(d, -x[1], -x[0]))))
+                 for Jx, x in ((Jm, m), (Jn, n)))
+    comm = (times(Jm, Jn), minus(times(Jn, Jm)))
+    s = _sin_turns(lattice_cross(m, n), d)
+    return {"mirror": mirror, "minus_form": float(norm(*comm, (Js[0], 2j * s * Js[1]))),
+            "plus_form": float(norm(*comm, (Js[0], -(2j * s * Js[1]))))}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 13, 31])
+def test_power_on_an_exponent_array_equals_the_per_exponent_loop(d):
+    dim = make_dimension(d)
+    labels = np.array([(1, 2), (-3, 5), (d + 1, -2 * d)])
+    ops = schwinger.displacement_columns(d, labels[:, 0], labels[:, 1])
+    exps = np.arange(2 * d + 3)
+    for a in (*schwinger._weyl_pair(dim), (ops[0][0], ops[1][0])):
+        rows, vals = schwinger._power(a, exps)
+        assert rows.shape == vals.shape == (len(exps), d)
+        for k in exps.tolist():
+            ref_rows, ref_vals = _power_loop(a, k)
+            assert np.array_equal(rows[k], ref_rows) and np.array_equal(vals[k], ref_vals)
+    # one exponent per stacked operator, over two leading axes, and one for all
+    per_op = np.array([[0, 1, d], [d + 1, 7, 2 * d - 1]])
+    rows, vals = schwinger._power((np.stack([ops[0]] * 2), np.stack([ops[1]] * 2)), per_op)
+    shared = schwinger._power(ops, d)
+    for i, p in np.ndindex(per_op.shape):
+        ref = _power_loop((ops[0][p], ops[1][p]), int(per_op[i, p]))
+        assert np.array_equal(rows[i, p], ref[0]) and np.array_equal(vals[i, p], ref[1])
+        ref = _power_loop((ops[0][p], ops[1][p]), d)
+        assert np.array_equal(shared[0][p], ref[0]) and np.array_equal(shared[1][p], ref[1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 13, 31])
+def test_pair_suite_power_tables_equal_squaring_each_power(monkeypatch, d):
+    # the S_m of every checked label, as the adjoint row receives them, against
+    # X^a and Z^b each squared on its own: the top-bit table makes the same products
+    dim = make_dimension(d)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    seen, adjoint = [], schwinger._adjoint
+    monkeypatch.setattr(schwinger, "_adjoint", lambda a: seen.append(a) or adjoint(a))
+    conjugate_pair_suite(dim, U, V, rng=Sampler(0), n_random=8)
+    x, z = schwinger._monomial(U), schwinger._monomial(V)
+    rows, vals = (np.concatenate(t) for t in zip(*seen))
+    labels = lattice._checked_labels(dim)
+    assert len(rows) == len(labels)
+    for (m1, m2), r, v in zip(labels.tolist(), rows, vals):
+        ref_rows, ref_vals = schwinger._times(_power_loop(x, m1 % d), _power_loop(z, m2 % d))
+        assert np.array_equal(r, ref_rows)
+        assert np.array_equal(v, lattice._half_phase(d, m1, m2) * ref_vals)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 13])
+def test_eigensystem_on_label_arrays_equals_the_per_label_calls(d):
+    labels = np.array([m for m in window_vectors(make_dimension(d))
+                       if schwinger._has_closed_form(d, *m)])
+    lam, vecs = schwinger._eigensystem(d, labels[:, 0], labels[:, 1])
+    assert lam.shape == (len(labels), d) and vecs.shape == (len(labels), d, d)
+    for i, (m1, m2) in enumerate(labels.tolist()):
+        ref_lam, ref_vecs = schwinger._eigensystem(d, m1, m2)
+        assert ref_lam.shape == (d,) and ref_vecs.shape == (d, d)
+        assert np.array_equal(lam[i], ref_lam) and np.array_equal(vecs[i], ref_vecs)
+    # labels.shape leads both outputs; a degenerate label anywhere refuses the stack
+    half = len(labels) // 2 * 2
+    lam2, vecs2 = schwinger._eigensystem(d, *labels[:half].reshape(2, -1, 2).transpose(2, 0, 1))
+    assert np.array_equal(lam2.reshape(half, d), lam[:half])
+    assert np.array_equal(vecs2.reshape(half, d, d), vecs[:half])
+    with pytest.raises(DegenerateSpectrumError, match=r"label \(0,0\)"):
+        schwinger._eigensystem(d, np.append(labels[:, 0], 0), np.append(labels[:, 1], 0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 9, 13, 31])
+def test_stacked_weyl_and_sine_checks_equal_the_per_pair_loop(d):
+    # the pairs verify's schwinger suite draws, checked as one stack and one pair at a time
+    dim = make_dimension(d)
+    m, n = Sampler(d).integers(-2 * d, 2 * d, (30, 2, 2)).swapaxes(0, 1)
+    sine = schwinger.sine_commutator_check(dim, m, n)
+    weyl = schwinger.weyl_commutator_check(dim, m, n)
+    assert sine.shape == (30,) and all(v.shape == (30,) for v in weyl.values())
+    for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
+        assert sine[i] == _sine_loop(dim, mi, ni)
+        loop = _weyl_loop(dim, mi, ni)
+        assert {k: v[i] for k, v in weyl.items()} == loop
+        one = schwinger.weyl_commutator_check(dim, mi, ni)
+        assert all(v.shape == () for v in one.values()) and one == loop
+        assert schwinger.sine_commutator_check(dim, mi, ni) == sine[i]
+    # labels of shape (..., 2): the leading axes are the pairs'
+    grid = schwinger.sine_commutator_check(dim, m.reshape(5, 6, 2), n.reshape(5, 6, 2))
+    assert np.array_equal(grid, sine.reshape(5, 6))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 13, 31])
+def test_pair_suites_run_on_entries_and_build_no_dense_pair(monkeypatch, d):
+    # both suites built their pair as dense D x D matrices and scanned them back
+    dim = make_dimension(d)
+    U, V = build_shift_operator(dim), build_clock_operator(dim)
+    pair = numberphase.build_phase_pair(dim)
+    dense = [conjugate_pair_suite(dim, X, Z, rng=Sampler(d), n_random=60)
+             for X, Z in ((U, V), (pair.e_n, pair.e_phi))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair suite built a dense operator")
+
+    for module in (lattice, schwinger, numberphase):
+        for name in ("build_shift_operator", "build_clock_operator", "build_phase_pair"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    got = [schwinger.standard_pair_suite(dim, rng=Sampler(d), n_random=60),
+           numberphase.identification_suite(dim, rng=Sampler(d), n_random=60)]
+    for rows, ref in zip(got, dense):
+        assert list(rows) == list(ref)
+        assert all(rows[k] == ref[k] for k in ref), (rows, ref)
 
 
 @pytest.mark.parametrize("d", [13, 31])
