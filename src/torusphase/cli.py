@@ -263,8 +263,10 @@ def gen(d, kind, m, out, fmt):
         extra["m"] = list(m)
         from .schwinger import schwinger_matrix
         mat = schwinger_matrix(dim, m)
-    else:       # the number-phase pair (E_N, E_phi) = (V, U^T)
-        mat = build_shift_operator(dim).T if kind == "phase" else build_clock_operator(dim)
+    else:
+        from .numberphase import build_phase_pair
+        pair = build_phase_pair(dim)
+        mat = pair.e_phi if kind == "phase" else pair.e_n
     if fmt == "json":
         _emit(ser.operator_json(dim, mat, extra=extra), out)
     else:

@@ -51,20 +51,15 @@ def displacement_columns(d: int, m1, m2):
 def schwinger_stack(d: int, labels) -> np.ndarray:
     """Dense S_m per label row (P, D, D), with the entries of schwinger_matrix."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    return _dense(displacement_columns(d, labels[:, 0], labels[:, 1]))
+    rows, vals = displacement_columns(d, labels[:, 0], labels[:, 1])
+    out = np.zeros((len(labels), d, d), dtype=complex)
+    out[np.arange(len(labels))[:, None], rows, np.arange(d)] = vals
+    return out
 
 
 # A monomial operator, one nonzero entry per column, is held as (rows, vals)
 # with A[rows[..., j], j] = vals[..., j]; leading axes stack operators.  Its
 # products, adjoint, trace and comparisons cost O(D) per operator.
-
-def _dense(a) -> np.ndarray:
-    """The dense (P, D, D) matrices of a (P, D) stack of monomials."""
-    rows, vals = a
-    out = np.zeros((*rows.shape, rows.shape[-1]), dtype=complex)
-    out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = vals
-    return out
-
 
 def _monomial(A: np.ndarray):
     """(rows, vals) of a matrix; ValueError names its first column without one
@@ -78,21 +73,24 @@ def _monomial(A: np.ndarray):
 
 
 def _times(a, b):
-    """A B: column j is column rows_B[j] of A times vals_B[j]."""
+    """A B: column j is column rows_B[j] of A times vals_B[j]; one B may multiply a stack of A."""
     (ra, va), (rb, vb) = a, b
+    if rb.ndim == 1:        # one gather of columns shared by every A
+        return ra[..., rb], va[..., rb] * vb
     return np.take_along_axis(ra, rb, -1), np.take_along_axis(va, rb, -1) * vb
 
 
 def _power(a, n):
     """A^n by squaring, n >= 0 an int or one per operator: O(D log n) per operator."""
-    n = np.asarray(n)[..., None]
-    shape = np.broadcast_shapes(a[0].shape, n.shape)
-    result = np.broadcast_to(np.arange(shape[-1]), shape), np.ones(shape, dtype=complex)
+    n = np.asarray(n)
+    shape = np.broadcast_shapes(a[0].shape, n.shape + (1,))
+    result = np.broadcast_to(np.arange(shape[-1]), shape).copy(), np.ones(shape, dtype=complex)
     while n.any():
         n, bit = np.divmod(n, 2)
-        if bit.any():       # a keeps its shape: one operator squares once for every exponent
-            step = _times(result, tuple(np.broadcast_to(x, shape) for x in a))
-            result = tuple(np.where(bit, x, r) for x, r in zip(step, result))
+        # multiply where the bit is set (everywhere: no gather); one operator squares once
+        sel = ... if bit.all() else np.broadcast_to(bit == 1, shape[:-1])
+        b = a if a[0].ndim == 1 else tuple(np.broadcast_to(x, shape)[sel] for x in a)
+        result[0][sel], result[1][sel] = _times(tuple(r[sel] for r in result), b)
         a = _times(a, a) if n.any() else a
     return result
 
@@ -181,11 +179,15 @@ def _eigensystem(d: int, m1, m2):
     shape, m1, m2 = m1.shape, m1.reshape(-1, 1), m2.reshape(-1, 1)
     lam = (1 - 2 * (m1 * m2 % 2)) * _phase(d, 2 * np.arange(d))
     vecs = np.zeros((len(m1), d, d), dtype=complex)
+    j, off = np.arange(d, dtype=np.int64), m1[:, 0] % d != 0
+    # diagonal element: eigenvector r is the coordinate vector k with
+    # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
+    vecs[np.flatnonzero(~off)[:, None], j, j * m2[~off] % d] = 1.0
+    p, m1, m2 = np.flatnonzero(off)[:, None], m1[off], m2[off]
     # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
     # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
     # e^{i pi E / D} / sqrt(D) with the exact integer
     # E = m2 sum_{i<j} (2 k_i - m1) + D m1 m2 j - 2 j r  (mod 2D)
-    j, p = np.arange(d, dtype=np.int64), np.arange(len(m1))[:, None]
     k = (-j * m1) % d
     walk = np.concatenate((0 * m1, np.cumsum(2 * k[:, :-1] - m1, axis=1) % (2 * d)), axis=1)
     e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
@@ -193,13 +195,9 @@ def _eigensystem(d: int, m1, m2):
     # no D x D temporary beside vecs
     table = _phase(d, np.arange(2 * d)).conj() / math.sqrt(d)
     step = max(1, _BLOCK_ENTRIES // max(1, d * len(m1)))
-    for lo in range(0, d, step):
+    for lo in range(0, d if len(m1) else 0, step):      # none for diagonal labels alone
         i = j[lo:lo + step, None]
         vecs[p, k[:, lo:lo + step]] = table[(e[:, lo:lo + step, None] - 2 * i * j) % (2 * d)]
-    # diagonal element: eigenvector r is the coordinate vector k with
-    # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
-    diag = m1[:, 0] % d == 0
-    vecs[diag] = j[:, None] * m2[diag, :, None] % d == j
     lam, vecs = lam.reshape(*shape, d), vecs.reshape(*shape, d, d)
     lam.flags.writeable = False
     vecs.flags.writeable = False
@@ -354,7 +352,7 @@ def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
     return _pair_suite(dim, _monomial(X), _monomial(Z), rng, n_random)
 
 
-def _pair_suite(dim: Dimension, x, z, rng=None, n_random: int = 200) -> dict:
+def _pair_suite(dim: Dimension, x, z, rng, n_random: int) -> dict:
     """conjugate_pair_suite on the pair's entries: x and z are monomials (rows, vals)."""
     if rng is None:
         rng = Sampler(0)
@@ -374,7 +372,7 @@ def _pair_suite(dim: Dimension, x, z, rng=None, n_random: int = 200) -> dict:
         while h < d:
             for lo in range(h, min(2 * h, d), step):
                 a = np.arange(lo, min(lo + step, 2 * h, d))
-                rows[a], vals[a] = _times((rows[a - h], vals[a - h]), (y[0][None], y[1][None]))
+                rows[a], vals[a] = _times((rows[a - h], vals[a - h]), y)
             y, h = _times(y, y), 2 * h
     (xr, xv), (zr, zv) = powers
 

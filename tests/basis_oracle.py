@@ -14,11 +14,12 @@ label.  They serve small D only.
 import numpy as np
 from numpy.linalg import matrix_power
 
-from torusphase import build_fourier_operator, build_phase_pair, window_vectors
+from torusphase import (build_clock_operator, build_fourier_operator, build_phase_pair,
+                        build_shift_operator, window_vectors)
 from torusphase.lattice import (_checked_labels, _half_phase, _phase, canonical_window,
                                lattice_cross, max_abs)
-from torusphase.schwinger import (_dense, _weyl_pair, _worst, eigensystem_by_recursion,
-                                  label_blocks, schwinger_stack)
+from torusphase.schwinger import (_worst, eigensystem_by_recursion, label_blocks,
+                                  schwinger_stack)
 
 
 def pair_schwinger(dim, X, Z, m) -> np.ndarray:
@@ -29,7 +30,7 @@ def pair_schwinger(dim, X, Z, m) -> np.ndarray:
 
 def weyl_matrices(dim):
     """The dense clock/shift pair (g, h) of schwinger._weyl_pair: conj(V) and U^T."""
-    return tuple(_dense((rows[None], vals[None]))[0] for rows, vals in _weyl_pair(dim))
+    return build_clock_operator(dim).conj(), build_shift_operator(dim).T
 
 
 def weyl_j_matrix(dim, m) -> np.ndarray:

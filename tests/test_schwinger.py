@@ -161,15 +161,20 @@ def test_eigensystem_rows_equal_the_one_pass_gather_bit_for_bit(d):
 
     from torusphase.lattice import _phase
 
-    for m1, m2 in ((1, 0), (1, 2), (-3, 7), (d // 2 + 1, 5), (-d - 1, 2 * d + 1)):
-        if not schwinger._has_closed_form(d, m1, m2) or m1 % d == 0:
+    # a diagonal label (m1 = 0 mod D) has coordinate eigenvectors, r = k m2 mod D,
+    # written with no D x D temporary beside vecs either
+    for m1, m2 in ((1, 0), (1, 2), (-3, 7), (d // 2 + 1, 5), (-d - 1, 2 * d + 1), (0, 1), (-d, 2)):
+        if not schwinger._has_closed_form(d, m1, m2):
             continue
         j = np.arange(d, dtype=np.int64)
         k = (-j * m1) % d
         walk = np.concatenate(([0], np.cumsum(2 * k[:-1] - m1) % (2 * d)))
         e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
         ref = np.zeros((d, d), dtype=complex)
-        ref[k] = _phase(d, e[:, None] - 2 * np.outer(j, j)).conj() / math.sqrt(d)
+        if m1 % d == 0:
+            ref[j, j * m2 % d] = 1.0
+        else:
+            ref[k] = _phase(d, e[:, None] - 2 * np.outer(j, j)).conj() / math.sqrt(d)
         tracemalloc.start()
         try:
             _, vecs = schwinger._eigensystem(d, m1, m2)
