@@ -21,24 +21,22 @@ _EXPORTS = {
     ),
     "lattice": (
         "Dimension", "basis_state", "build_clock_operator", "build_fourier_operator",
-        "build_shift_operator", "canonical_component", "canonical_vector", "canonical_window",
-        "is_prime", "lattice_cross", "make_dimension", "max_abs",
-        "random_state", "window_vectors",
+        "build_shift_operator", "canonical_vector", "canonical_window", "is_prime",
+        "lattice_cross", "make_dimension", "max_abs", "random_state", "window_vectors",
     ),
     "schwinger": (
         "SchwingerEigensystem", "conjugate_pair_suite", "eigensystem_by_recursion",
-        "reduce_label", "schwinger_matrix", "sine_commutator_check",
-        "standard_pair_suite", "weyl_commutator_check",
+        "schwinger_matrix", "sine_commutator_check", "standard_pair_suite",
+        "weyl_commutator_check",
     ),
     "deformed": (
-        "CoproductReport", "LowestWeightReport", "QOscillator", "TranslationReport",
-        "UqSl2Realisation", "bracket_values", "build_q_oscillator", "build_uq_sl2",
-        "coproduct_check", "lowest_weight_scan", "oscillator_residuals", "sl2_residuals",
+        "CoproductReport", "QOscillator", "TranslationReport", "bracket_values",
+        "build_q_oscillator", "coproduct_check", "oscillator_residuals",
         "translated_lattice_deformation",
     ),
     "transforms": (
         "MetaplecticOperator", "SymplecticMap", "build_metaplectic", "closure_check",
-        "covariance_report", "fourier_check", "phase_flattening_report", "predicted_phase",
+        "covariance_report", "fourier_check", "phase_flattening_report",
         "random_symplectic", "verify_symplectic",
     ),
     "wigner": (
@@ -52,7 +50,7 @@ _EXPORTS = {
         "wigner_number_phase",
     ),
     "limits": (
-        "ConvergenceReport", "SpectrumProfile", "commutator_limit_check", "fujikawa_index",
+        "ConvergenceReport", "SpectrumProfile", "fujikawa_index",
         "index_report", "limiting_spectrum", "linear_profile", "oscillator_profile",
         "phase_basis_wigner_function", "phase_basis_wigner_limit", "weak_convergence_sweep",
         "wigner_even_odd_decomposition",

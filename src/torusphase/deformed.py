@@ -14,23 +14,24 @@ n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
 
 Both start from one label pass over a list of pairs (_label_pass): it rejects
 collinear pairs and gives every pair the reason its builder refuses it, if
-any, from the label integers alone.  The builders raise that refusal; the
-sweeps skip and count it.  The eigenvectors V of S_w, w = m - m', are built
-where they are used, once per distinct w: a sweep visits its pairs grouped by
-w, block by block, and carries only the last system of a block into the next
-(_Labels.eigenvector_blocks).  Every
-identity is checked on V in two parts: (a) S_m and S_m' act on V one entry
-per column, O(D^2) per pair, and must be weighted shifts v_r -> v_{r-c}
-(_shift_weights); (b) on their weights, where A is a weighted shift and N,
-J3, S_w and both Casimir orderings are diagonal, each identity is a scalar
-identity on D values, whose rounding floor is ~eps |C|, not the eps D |A| |C|
-of dense products.  A per-pair residual function is the sweep's stack of one
-pair, so a sweep's worst is bit-equal to the worst per-pair value.  No dense
-operator is built: a builder returns the coefficients, the closed-form
-eigensystem of S_w and the spectrum, and A = d S_m + d' S_m', N = V diag(n) V^dag
-or S_w as D x D arrays are the tests' oracles, built from those.
-The sign that fixes the sl(2) J3 offset and the oscillator eta is an exact
-integer parity of the labels (_branch_sign), not a measured phase.
+any, from the label integers alone.  The oscillator builder and the one-pair
+sl(2) checks raise that refusal; the sweeps skip and count it.  The
+eigenvectors V of S_w, w = m - m', are built where they are used, once per
+distinct w: a sweep visits its pairs grouped by w, block by block, and
+carries only the last system of a block into the next
+(_Labels.eigenvector_blocks).  Every identity is checked on V in two parts:
+(a) S_m and S_m' act on V one entry per column, O(D^2) per pair, and must be
+weighted shifts v_r -> v_{r-c} (_shift_weights); (b) on their weights, where
+A is a weighted shift and N, J3, S_w and both Casimir orderings are
+diagonal, each identity is a scalar identity on D values, whose rounding
+floor is ~eps |C|, not the eps D |A| |C| of dense products.  Per-pair values
+do not depend on the block, so a sweep of one pair gives that pair's
+residuals and a sweep's worst is bit-equal to the worst of its one-pair
+sweeps.  No dense operator is built: the builder returns the coefficients,
+the closed-form eigensystem of S_w and the spectrum, and A = d S_m + d' S_m',
+N = V diag(n) V^dag or S_w as D x D arrays are the tests' oracles, built
+from those.  The sign that fixes the sl(2) J3 offset and the oscillator eta
+is an exact integer parity of the labels (_branch_sign), not a measured phase.
 """
 from __future__ import annotations
 
@@ -428,25 +429,11 @@ def oscillator_coefficients(dim: Dimension, m, mp):
     return d_coef, dp_coef, np.zeros_like(d_coef)
 
 
-@dataclass(frozen=True)
-class LowestWeightReport:
-    dim: Dimension
-    m: tuple[int, int]
-    mp: tuple[int, int]
-    cross: int
-    has_solution: bool
-    solutions: tuple[int, ...]
-    margin: float            # min_n |C + [n]|; 0 when a solution exists
-    singular: bool           # sin(gamma0 c) = 0 (D = 2), scan done on the scaled profile
-    irreducible: bool
-
-
 def _lowest_weight_profile(dim: Dimension, c):
-    """Per pair: hits (P, D) of C + [n] = 0, the margin, and the singular flag.
+    """Per pair: hits (P, D) of C + [n] = 0.
 
     A singular pair (sin(gamma0 c) = 0) is scanned on the scaled profile with
-    both branch signs of the vanishing denominator; its margin is 0 on a hit,
-    else inf.
+    both branch signs of the vanishing denominator.
     """
     c = _phase_cross(dim.d, c)
     v = np.sin((dim.gamma0 * c)[:, None] * (np.arange(dim.d) + (dim.d - 1) / 2.0))
@@ -454,70 +441,32 @@ def _lowest_weight_profile(dim: Dimension, c):
     s = np.where(singular, 1.0, np.sin(dim.gamma0 * c))[:, None]
     f = np.abs(1.0 / np.abs(s) + v / s)
     scaled_hits = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v)) < _LOWEST_WEIGHT_TOL
-    hits = np.where(singular[:, None], scaled_hits, f < _LOWEST_WEIGHT_TOL)
-    margin = np.where(singular, np.where(scaled_hits.any(axis=1), 0.0, np.inf), f.min(axis=1))
-    return hits, margin, singular
-
-
-def lowest_weight_scan(dim: Dimension, m, mp) -> LowestWeightReport:
-    """Scan for a lowest-weight quantum number n0 with C = -[n0].
-
-    For odd D the scaled profile 1 + sign * sin(gamma0 c (n + (D-1)/2)) never
-    vanishes (the equation 2c(2n + D - 1) = D(2k+1) has no integer solution),
-    so no lowest-weight vector exists and the ladder representation is cyclic.
-    At D = 2 the profile hits zero, a lowest weight exists, and the
-    representation is flagged as not irreducible.
-    """
-    c = int(_pair_labels(dim, m, mp)[2][0])
-    hits, margin, singular = _lowest_weight_profile(dim, np.array([c]))
-    solutions = tuple(int(k) for k in np.flatnonzero(hits[0]))
-    has = len(solutions) > 0
-    return LowestWeightReport(dim, tuple(m), tuple(mp), c, has, solutions,
-                              float(margin[0]), bool(singular[0]), not has)
+    return np.where(singular[:, None], scaled_hits, f < _LOWEST_WEIGHT_TOL)
 
 
 def lowest_weight_sweep(dim: Dimension, m, mp) -> int | None:
-    """Index of the first pair whose lowest_weight_scan has a solution, else None.
+    """Index of the first pair with a lowest weight n0, C + [n0] = 0, else None.
 
-    m and mp are integer label arrays (P, 2).  The profile depends on c
-    reduced into [-D, D) alone, so each distinct reduced c is scanned once.
+    m and mp are integer label arrays (P, 2).  At odd D no pair has one: the
+    scaled profile 1 + sign * sin(gamma0 c (n + (D-1)/2)) never vanishes.  The
+    profile depends on c reduced into [-D, D) alone, so each distinct reduced c
+    is scanned once.
     """
     d = dim.d
     c = _phase_cross(d, _pair_labels(dim, m, mp)[2])
     distinct = np.array(sorted(set(c.tolist())), dtype=np.int64)
     hit = np.zeros(2 * d, dtype=bool)
-    hit[distinct + d] = _lowest_weight_profile(dim, distinct)[0].any(axis=1)
+    hit[distinct + d] = _lowest_weight_profile(dim, distinct).any(axis=1)
     hit = hit[c + d]
     return int(np.argmax(hit)) if hit.any() else None
 
 
-@dataclass(frozen=True)
-class UqSl2Realisation:
-    dim: Dimension
-    m: tuple[int, int]
-    mp: tuple[int, int]
-    cross: int
-    p: complex
-    s_p: complex                  # p^{D/2}
-    d_coef: float                 # d = d', real positive
-    eigenvectors: np.ndarray      # of S_{m-m'} (canonical label), column r
-    n_values: np.ndarray
-    delta: float                  # J3 window offset: 0 or D/(2c), c reduced into [-D, D)
-    j3_values: np.ndarray         # n + delta
-
-    def bracket(self, x) -> np.ndarray:
-        """Deformed bracket sin(gamma0 c x) / sin(gamma0 c / 2)."""
-        return _sl2_bracket(self.dim, self.cross, x)
-
-
-def _sl2_bracket(dim: Dimension, c, x) -> np.ndarray:
-    """sin(gamma0 c x) / sin(gamma0 c / 2); c broadcasts against x."""
-    c = _phase_cross(dim.d, c)
-    return np.sin(dim.gamma0 * c * np.asarray(x, dtype=float)) / _sin_turns(c, dim.d)
-
-
 def _sl2_coefs(dim: Dimension, m, mp):
-    """d = d' and the J3 offset delta per pair (see build_uq_sl2)."""
+    """d = d' = 1/(2 |sin(gamma0 c / 2)|) and the J3 offset delta per pair.
+
+    The branch phi0 = +1 or -1 of S_{m-m'} = s_p p^{J3} (see _branch_sign) is a
+    parity of the labels; the -1 branch shifts the J3 window by delta = D/(2c).
+    """
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
     d_coef = 1.0 / (2.0 * np.abs(_sin_turns(c, d)))
@@ -525,7 +474,7 @@ def _sl2_coefs(dim: Dimension, m, mp):
 
 
 def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
-    """Per-pair residuals of the deformed sl(2) identities (see sl2_residuals).
+    """Per-pair residuals of the deformed sl(2) identities (see sl2_sweep).
 
     On V, with a_r = d (g_r + f_r): A v_r = a_r v_{r-c}, S_w v_r = mu_r v_r
     (_sw_values), and J3 = n + delta and both Casimir orderings are diagonal.
@@ -561,28 +510,8 @@ def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
     })
 
 
-def build_uq_sl2(dim: Dimension, m, mp) -> UqSl2Realisation:
-    """Deformed sl(2) pair A = d (S_m + S_m') on (m, m') with d = d' = 1/(2 |sin(gamma0 c / 2)|).
-
-    J3 is read off from S_{m-m'} = s_p p^{J3}: the branch phi0 = +1 or -1 (see
-    _branch_sign) is an exact parity of the labels; the -1 branch shifts the
-    integer window by delta = D/(2c).
-    """
-    d = dim.d
-    lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
-    d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
-    c = _phase_cross(d, lab.cross)
-    nv = _n_values(d, c)[0]
-    return UqSl2Realisation(
-        dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
-        cross=int(lab.cross[0]), p=_phase(d, 2 * c)[0], s_p=_phase(d, d * c)[0],
-        d_coef=d_coef[0], eigenvectors=lab.system(int(lab.keys[0]))[1], n_values=nv,
-        delta=float(delta[0]), j3_values=nv + delta[0],
-    )
-
-
-def sl2_residuals(o: UqSl2Realisation) -> dict:
-    """Defining identities of the deformed sl(2) realization as residuals.
+def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
+    """Worst residual of each deformed sl(2) identity over every pair (m[i], mp[i]), in blocks.
 
     exponential: S_w = s_p p^{J3}
     intertwine:  A S_w = p S_w A   (and the conjugate with pbar)
@@ -591,20 +520,11 @@ def sl2_residuals(o: UqSl2Realisation) -> dict:
     casimir:     both orderings C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2
                  (A A^dag, + 1/2) agree, equal 1/sin^2(gamma0 c / 2) and
                  commute with A
-    Each is taken on the S_{m-m'} eigenbasis with the pair's own d and delta.
-    """
-    res = _sl2_rows(o.dim, np.array([o.m]), np.array([o.mp]), o.eigenvectors[None],
-                    np.array([o.d_coef]), np.array([o.delta]))
-    return {k: float(v[0]) for k, v in res.items()}
-
-
-def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
-    """Worst sl2_residuals over every pair (m[i], mp[i]), in blocks.
-
-    m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
-    build_uq_sl2 refuses it: a degenerate S_{m-m'} eigensystem, or c not
-    invertible mod D; skips counts these two reasons in that order, the
-    builder's.
+    Each is taken on the S_{m-m'} eigenbasis with the pair's own d and delta
+    (_sl2_coefs).  m and mp are integer label arrays (P, 2).  A pair is skipped
+    exactly where coproduct_check refuses it: a degenerate S_{m-m'}
+    eigensystem, or c not invertible mod D; skips counts these two reasons in
+    that order.
     """
     return _sweep(dim, m, mp, _SL2_REASONS, lambda dim, m, mp, V: _sl2_rows(
         dim, m, mp, V, *_sl2_coefs(dim, m, mp)))
@@ -713,7 +633,7 @@ def translated_lattice_deformation(dim: Dimension, m, mp, r) -> TranslationRepor
     c = int(_pair_labels(dim, m, mp)[2][0])
     w = (m[0] - mp[0], m[1] - mp[1])
     da = lattice_cross(r, w)
-    # the translated pair has area c - da; build_uq_sl2's refusals, collinearity
+    # the translated pair has area c - da; the sl(2) refusals, collinearity
     # among them, raise here
     lab = _built_labels(dim, [(m[0] + r[0], m[1] + r[1])], [(mp[0] + r[0], mp[1] + r[1])],
                         _SL2_REASONS)

@@ -115,10 +115,6 @@ def _reduce(d: int, m1, m2, window: bool = True):
     return r1, r2, 1 - 2 * ((a * (r2 % 2) + b * (r1 % 2) + a * b * (d % 2)) % 2)
 
 
-def canonical_component(dim: Dimension, x: int) -> int:
-    return int(_reduce(dim.d, x, 0)[0])
-
-
 def canonical_vector(dim: Dimension, m) -> tuple[int, int]:
     r1, r2, _ = _reduce(dim.d, m[0], m[1])
     return int(r1), int(r2)

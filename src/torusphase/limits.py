@@ -91,35 +91,6 @@ def weak_convergence_sweep(primes, gamma: float = 1.0, observable: str = "number
                              gamma=float(gamma), residuals=tuple(out), monotone=mono)
 
 
-def commutator_limit_check(dim: Dimension, ell: int, r: int = 1) -> dict:
-    """Number-phase commutation relation with its finite-D boundary term.
-
-    The r-fold nested commutator of N with E_phi^ell equals (-ell)^r E_phi^ell
-    on every matrix column n >= ell; the wraparound columns carry a boundary
-    term whose largest entry is exactly (D - ell)^r (D for the single
-    commutator written as [N, E^ell] + ell E^ell).  Returns the restricted
-    residual, the full-matrix deviation, and its predicted corner size.
-    """
-    d = dim.d
-    ell = int(ell)
-    if not 0 <= ell < d:
-        raise ValueError(f"ell must be in 0..{d - 1}")
-    n = np.arange(d, dtype=float)      # N is diagonal: N X - X N is an elementwise product
-    # E_phi^ell = |k - ell><k|: its column k is column k - ell of the identity
-    El = np.eye(d, dtype=complex)[:, (np.arange(d) - ell) % d]
-    if r == 1:
-        Cm = n[:, None] * El - El * n + ell * El
-        corner = float(d) if ell else 0.0
-        restricted = max_abs(Cm[:, ell:])
-    else:
-        Cm = El
-        for _ in range(r):
-            Cm = n[:, None] * Cm - Cm * n
-        corner = float((d - ell) ** r) if ell else 0.0
-        restricted = max_abs((Cm - (-ell) ** r * El)[:, ell:])
-    return {"restricted": restricted, "full": max_abs(Cm), "corner_predicted": corner}
-
-
 @dataclass(frozen=True)
 class SpectrumProfile:
     """A number-function profile f(n) for n = 0..D-1 plus its formula value at n = D.

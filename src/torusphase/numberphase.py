@@ -113,7 +113,7 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     = Ph C Ph^dag / (2piD), with C[l, l + m1] = e^{i gamma0 m1 J} f(2l + m1) and
     f(t) = sum_m2 e^{-i m2 theta} e^{i pi t m2 / D}, t mod 2D: one length-2D FFT.
     """
-    Ph = build_phase_pair(dim).phase_states
+    Ph = build_fourier_operator(dim).conj()      # the phase states of build_phase_pair
     d, w = dim.d, canonical_window(dim)
     a = np.zeros(2 * d, dtype=complex)
     a[w % (2 * d)] = np.exp(-1j * w * theta)

@@ -132,16 +132,6 @@ def schwinger_matrix(dim: Dimension, m) -> np.ndarray:
     return S
 
 
-def reduce_label(dim: Dimension, m) -> tuple[tuple[int, int], int]:
-    """Canonical-window representative mc of m and the sign with S_m = sign * S_mc.
-
-    The sign is (-1)^(a*mc2 + b*mc1 + a*b*D) for m = mc + (a*D, b*D), from
-    lattice._reduce.
-    """
-    r1, r2, sign = _reduce(dim.d, m[0], m[1])
-    return (int(r1), int(r2)), int(sign)
-
-
 @dataclass(frozen=True)
 class SchwingerEigensystem:
     """Eigensystem of S_m for the canonical representative m.
@@ -209,7 +199,7 @@ def eigensystem_by_recursion(dim: Dimension, m) -> SchwingerEigensystem:
 
     The label is reduced to the canonical window first; the eigenvalues refer
     to the reduced representative (an overall sign relates it to the original
-    operator, see reduce_label).
+    operator: S_m = sign S_mc, the sign from lattice._reduce).
     """
     mc = canonical_vector(dim, m)
     if mc == (0, 0):

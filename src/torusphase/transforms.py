@@ -249,14 +249,6 @@ def translation_covariance_residual(op: MetaplecticOperator) -> float:
     return float(resid.max())
 
 
-def predicted_phase(op: MetaplecticOperator, m) -> complex:
-    """Sign z(m) = +-1 of G S_m G^dag = z(m) S_{R m mod D}: _conjugation, at every D.
-
-    On residues at odd D it is (-1)^{r1 r2 - m1 m2}, the aligned-gauge sign.
-    """
-    return complex(_conjugation(op.dim.d, op.map.s, op.map.t, (int(m[0]), int(m[1])))[2])
-
-
 def closure_check(op1: MetaplecticOperator, op2: MetaplecticOperator) -> tuple[complex, float]:
     """Group law G(R1) G(R2) = z G(R1 R2): returns (z, max|G1 G2 - z G12|).
 

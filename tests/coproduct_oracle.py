@@ -7,7 +7,7 @@ multiplies them, O(D^6): small D only.
 """
 import numpy as np
 
-from deformed_oracle import dag, lowering
+from deformed_oracle import dag, sl2_bracket
 from torusphase.deformed import _sigma_values
 from torusphase.lattice import _phase, _phase_cross, max_abs
 
@@ -26,13 +26,13 @@ def unsigned_sigma(o) -> np.ndarray:
 def kron_coproduct(o, sigma) -> dict:
     """closure, intertwine and intertwine_dag of Delta(A) = A (x) sigma^H + sigma^{-H} (x) A.
 
-    o is a UqSl2Realisation and sigma the values of sigma^{J3} on its
-    eigenvectors; Delta(A^dag) = A^dag (x) sigma^H + sigma^{-H} (x) A^dag.
+    o is a deformed_oracle.sl2_realisation and sigma the values of sigma^{J3}
+    on its eigenvectors; Delta(A^dag) = A^dag (x) sigma^H + sigma^{-H} (x) A^dag.
     """
     dim, V = o.dim, o.eigenvectors
     c = _phase_cross(dim.d, o.cross)
     Sg, Sgm = ((V * x) @ dag(V) for x in (sigma, np.conj(sigma)))
-    A = lowering(o)
+    A = o.lowering
     DX = np.kron(A, Sg) + np.kron(Sgm, A)
     DXd = np.kron(dag(A), Sg) + np.kron(Sgm, dag(A))
     W2 = np.kron(V, V)
@@ -43,7 +43,7 @@ def kron_coproduct(o, sigma) -> dict:
 
     Kw = _phase(dim.d, dim.d * c) * mf(np.exp(-1j * dim.gamma0 * c * H))
     return {
-        "closure": max_abs(DX @ DXd - DXd @ DX + mf(o.bracket(H + dim.d / 2.0))),
+        "closure": max_abs(DX @ DXd - DXd @ DX + mf(sl2_bracket(dim, c, H + dim.d / 2.0))),
         "intertwine": max_abs(DX @ Kw - o.p * Kw @ DX),
         "intertwine_dag": max_abs(DXd @ Kw - np.conj(o.p) * Kw @ DXd),
     }

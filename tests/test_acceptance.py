@@ -11,6 +11,8 @@ import numpy as np
 
 import torusphase as tp
 from basis_oracle import dense_eigensystem_residuals
+from test_limits import _dense_commutator_check
+from torusphase.deformed import lowest_weight_sweep, sl2_sweep
 
 
 def _finish(num: int, failures: list, t0: float, budget: float) -> None:
@@ -85,10 +87,10 @@ def test_criterion_03_deformed_oscillator_family():
             for m in labels:
                 mp = (0, 1) if m != (0, 1) else (1, 0)
                 try:
-                    rep = tp.lowest_weight_scan(dim, m, mp)
-                except (tp.CollinearVectorsError, tp.SingularDeformationError):
+                    first = lowest_weight_sweep(dim, [m], [mp])
+                except tp.CollinearVectorsError:
                     continue
-                if rep.has_solution:
+                if first is not None:
                     failures.append((d, m, "unexpected_lowest_weight"))
     _finish(3, failures, t0, 30.0)
 
@@ -99,8 +101,10 @@ def test_criterion_04_deformed_sl2_realisation():
     for d in (3, 5, 7):
         dim = tp.make_dimension(d)
         for m, mp in (((1, 0), (0, 1)), ((1, 1), (1, -1))):
-            o = tp.build_uq_sl2(dim, m, mp)
-            res = tp.sl2_residuals(o)
+            rep = sl2_sweep(dim, [m], [mp])
+            if rep.built != 1:
+                failures.append((d, m, mp, "not_built"))
+            res = rep.worst
             for name, value in res.items():
                 if value >= 1e-10:
                     failures.append((d, m, mp, name, value))
@@ -233,7 +237,7 @@ def test_criterion_10_large_dimension_limits():
         dim = tp.make_dimension(d)
         for ell in (1, 2, 3):
             for r in (1, 2):
-                rep = tp.commutator_limit_check(dim, ell, r=r)
+                rep = _dense_commutator_check(dim, ell, r)
                 if rep["restricted"] >= 1e-11:
                     failures.append((d, ell, r, "restricted", rep["restricted"]))
     _finish(10, failures, t0, 60.0)

@@ -7,21 +7,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coproduct_oracle import kron_coproduct, signed_sigma, unsigned_sigma
-from deformed_oracle import RECORDED, lowering, raising
+from deformed_oracle import RECORDED, dag, sl2_bracket, sl2_realisation
 from torusphase import (
     CollinearVectorsError,
     DegenerateSpectrumError,
     SingularDeformationError,
     build_q_oscillator,
-    build_uq_sl2,
     coproduct_check,
     eigensystem_by_recursion,
     lattice_cross,
-    lowest_weight_scan,
     make_dimension,
     oscillator_residuals,
     schwinger_matrix,
-    sl2_residuals,
     translated_lattice_deformation,
     window_vectors,
 )
@@ -76,7 +73,7 @@ def test_defining_relations_all_pairs(d):
                                    ((1, 0), (0, -(1 << 31)))])
 def test_labels_from_2_to_the_31_are_refused(m, mp):
     dim = make_dimension(5)
-    for build in (build_q_oscillator, build_uq_sl2):
+    for build in (build_q_oscillator, coproduct_check):
         with pytest.raises(ValueError, match="2\\^31"):
             build(dim, m, mp)
     with pytest.raises(ValueError, match="2\\^31"):
@@ -112,10 +109,7 @@ def test_wrong_sign_choice_breaks_number_relation():
 def test_no_lowest_weight_vector_odd_dimension(d):
     dim = make_dimension(d)
     for m, mp in noncollinear_pairs(dim)[:20]:
-        rep = lowest_weight_scan(dim, m, mp)
-        assert not rep.has_solution
-        assert rep.margin > 0.0
-        assert rep.irreducible
+        assert lowest_weight_sweep(dim, [m], [mp]) is None
 
 
 @pytest.mark.parametrize("d, m, mp", [(31, (-51, -25), (-20, 54)), (211, (-300, 17), (95, -260))])
@@ -188,8 +182,9 @@ def test_recorded_claims_are_the_per_pair_phases(d):
 def test_sl2_defining_relations(d):
     dim = make_dimension(d)
     for m, mp in noncollinear_pairs(dim)[:24]:
-        o = build_uq_sl2(dim, m, mp)
-        r = sl2_residuals(o)
+        rep = sl2_sweep(dim, [m], [mp])
+        assert rep.built == 1, (d, m, mp)
+        r = rep.worst
         for key in ("exponential", "intertwine", "intertwine_dag", "commutator",
                     "ladder", "casimir_forms", "casimir_value", "casimir_central"):
             assert r[key] < 1e-12, (d, m, mp, key, r[key])
@@ -197,14 +192,14 @@ def test_sl2_defining_relations(d):
 
 def test_casimir_is_nonzero_constant():
     dim = make_dimension(5)
-    o = build_uq_sl2(dim, (1, 0), (0, 1))
-    res = sl2_residuals(o)
+    res = sl2_sweep(dim, [(1, 0)], [(0, 1)]).worst
     assert res["casimir_forms"] < 1e-12 and res["casimir_value"] < 1e-12
     # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
-    # from the realization's public fields
-    V, j3, A, Ad = o.eigenvectors, o.j3_values, lowering(o), raising(o)
-    c1 = Ad @ A + (V * o.bracket((j3 + 2.5 - 0.5) / 2.0) ** 2) @ V.conj().T
-    c2 = A @ Ad + (V * o.bracket((j3 + 2.5 + 0.5) / 2.0) ** 2) @ V.conj().T
+    # from the dense realization
+    o = sl2_realisation(dim, (1, 0), (0, 1))
+    V, j3, A, Ad = o.eigenvectors, o.j3_values, o.lowering, dag(o.lowering)
+    c1 = Ad @ A + (V * sl2_bracket(dim, o.cross, (j3 + 2.5 - 0.5) / 2.0) ** 2) @ V.conj().T
+    c2 = A @ Ad + (V * sl2_bracket(dim, o.cross, (j3 + 2.5 + 0.5) / 2.0) ** 2) @ V.conj().T
     const = 1.0 / np.sin(np.pi * o.cross / 5) ** 2
     assert const > 1.0
     assert_allclose(c1, const * np.eye(5), atol=1e-12)
@@ -224,7 +219,7 @@ def test_coproduct_matches_the_kronecker_oracle(d):
     # closure FAILs at even D >= 4 on both forms, with values taken in different bases
     dim = make_dimension(d)
     rep = coproduct_check(dim, (1, 0), (0, 1))
-    o = build_uq_sl2(dim, (1, 0), (0, 1))
+    o = sl2_realisation(dim, (1, 0), (0, 1))
     oracle = kron_coproduct(o, signed_sigma(o))
     assert rep.delta == o.delta and rep.cross == o.cross
     for key, value in oracle.items():
@@ -235,7 +230,7 @@ def test_coproduct_matches_the_kronecker_oracle(d):
 
 
 def test_coproduct_naive_sign_fails(monkeypatch):
-    o = build_uq_sl2(make_dimension(3), (1, 0), (0, 1))
+    o = sl2_realisation(make_dimension(3), (1, 0), (0, 1))
     assert kron_coproduct(o, unsigned_sigma(o))["closure"] > 1e-2
     monkeypatch.setattr(deformed, "_sigma_values",
                         lambda d, c, nv, delta: _phase(2 * d, deformed._j3_turns(c, nv, delta)))
@@ -284,14 +279,14 @@ def test_translated_lattice_shifts_deformation():
     rep = translated_lattice_deformation(dim, (1, 0), (0, 1), (1, 1))
     assert rep.residual < 1e-12
     assert rep.delta_alpha == lattice_cross((1, 1), (1, -1))
-    o = build_uq_sl2(dim, (1, 0), (0, 1))
+    o = sl2_realisation(dim, (1, 0), (0, 1))
     assert_allclose(rep.p_new, o.p * np.exp(1j * dim.gamma0 * rep.delta_alpha), atol=1e-12)
 
 
 def _dense_translated_residual(dim, m, mp, r):
     """max|A S_w - p' S_w A| from the dense A of the translated pair and the dense S_w."""
-    o = build_uq_sl2(dim, (m[0] + r[0], m[1] + r[1]), (mp[0] + r[0], mp[1] + r[1]))
-    A, Sw = lowering(o), schwinger_matrix(dim, np.subtract(m, mp))
+    o = sl2_realisation(dim, (m[0] + r[0], m[1] + r[1]), (mp[0] + r[0], mp[1] + r[1]))
+    A, Sw = o.lowering, schwinger_matrix(dim, np.subtract(m, mp))
     p_new = _phase(dim.d, 2 * (lattice_cross(m, mp) - lattice_cross(r, np.subtract(m, mp))))
     return np.abs(A @ Sw - p_new * Sw @ A).max()
 
@@ -331,13 +326,26 @@ def pair_arrays(dim):
     return (np.array([m for m, _ in pairs]), np.array([mp for _, mp in pairs]))
 
 
-def per_pair_worst(dim, m, mp, build, residuals):
+def oscillator_of_one_pair(dim, a, b):
+    """oscillator_residuals of the builder's output; None where the builder refuses the pair."""
+    try:
+        return oscillator_residuals(build_q_oscillator(dim, a, b))
+    except (SingularDeformationError, DegenerateSpectrumError):
+        return None
+
+
+def sl2_of_one_pair(dim, a, b):
+    """The worst residuals of the one-pair sl(2) sweep; None where it skips the pair."""
+    rep = sl2_sweep(dim, [a], [b])
+    return rep.worst if rep.built else None
+
+
+def per_pair_worst(dim, m, mp, one_pair):
     """Worst residuals, built and skipped counts of a per-pair loop, as suite_* had it."""
     worst, built, skipped = {}, 0, 0
     for a, b in zip(m, mp):
-        try:
-            res = residuals(build(dim, a, b))
-        except (SingularDeformationError, DegenerateSpectrumError):
+        res = one_pair(dim, a, b)
+        if res is None:
             skipped += 1
             continue
         built += 1
@@ -350,10 +358,10 @@ def per_pair_worst(dim, m, mp, build, residuals):
 
 
 def assert_sweeps_match_per_pair(dim, m, mp):
-    for sweep, build, residuals in ((oscillator_sweep, build_q_oscillator, oscillator_residuals),
-                                    (sl2_sweep, build_uq_sl2, sl2_residuals)):
+    for sweep, one_pair in ((oscillator_sweep, oscillator_of_one_pair),
+                            (sl2_sweep, sl2_of_one_pair)):
         rep = sweep(dim, m, mp)
-        worst, built, skipped = per_pair_worst(dim, m, mp, build, residuals)
+        worst, built, skipped = per_pair_worst(dim, m, mp, one_pair)
         assert (rep.built, rep.skipped) == (built, skipped), (dim.d, sweep.__name__)
         assert rep.worst == worst, (dim.d, sweep.__name__)   # bit-equal, same keys
         assert list(rep.worst) == list(worst)
@@ -372,15 +380,15 @@ def test_sweeps_equal_per_pair_loops_on_a_sample():
     assert_sweeps_match_per_pair(dim, m[idx], mp[idx])
 
 
-@pytest.mark.parametrize("sweep, build, residuals, key", [
-    (oscillator_sweep, build_q_oscillator, oscillator_residuals, "number"),
-    (sl2_sweep, build_uq_sl2, sl2_residuals, "casimir_central"),
+@pytest.mark.parametrize("sweep, one_pair, key", [
+    (oscillator_sweep, oscillator_of_one_pair, "number"),
+    (sl2_sweep, sl2_of_one_pair, "casimir_central"),
 ])
-def test_sweep_reaches_every_block_position(sweep, build, residuals, key):
+def test_sweep_reaches_every_block_position(sweep, one_pair, key):
     # the worst pair, moved to each block edge among strictly smaller pairs
     dim = make_dimension(5)
     m, mp = pair_arrays(dim)
-    values = np.array([residuals(build(dim, a, b))[key] for a, b in zip(m, mp)])
+    values = np.array([one_pair(dim, a, b)[key] for a, b in zip(m, mp)])
     top = int(np.argmax(values))
     rest = np.flatnonzero(values < values[top])
     step = schwinger._BLOCK_ENTRIES // dim.d ** 2
@@ -401,25 +409,32 @@ def test_coefficient_uses_scalar_pow():
         assert osc.d_coef == (2.0 * abs(np.sin(dim.gamma0 * reduced))) ** -0.5
 
 
-def test_sweep_skips_what_the_builders_refuse():
-    dim = make_dimension(4)
-    m, mp = pair_arrays(dim)
-    for sweep, build in ((oscillator_sweep, build_q_oscillator), (sl2_sweep, build_uq_sl2)):
-        mask = sweep(dim, m, mp).built_mask
-        for a, b, flag in zip(m, mp, mask):
-            try:
-                build(dim, a, b)
-                refused = False
-            except (SingularDeformationError, DegenerateSpectrumError):
-                refused = True
-            assert flag == (not refused), (sweep.__name__, a, b)
+def scan_lowest_weights(dim, m, mp) -> list:
+    """Per pair: whether C + [n] = 1/|sin gamma0 c| + sin(gamma0 c (n + (D-1)/2)) / sin gamma0 c
+    vanishes at some n, in numpy sines of the exact c.  Where sin gamma0 c = 0
+    (2c = 0 mod D) the scaled profile 1 +- sin(gamma0 c (n + (D-1)/2)) is
+    scanned with both signs."""
+    n = np.arange(dim.d) + (dim.d - 1) / 2.0
+    has = []
+    for a, b in zip(m, mp):
+        c = lattice_cross(a, b)
+        v = np.sin(dim.gamma0 * c * n)
+        if 2 * c % dim.d == 0:
+            profile = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v))
+        else:
+            s = np.sin(dim.gamma0 * c)
+            profile = np.abs(1.0 / abs(s) + v / s)
+        has.append(bool(profile.min() < 1e-9))
+    return has
 
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_lowest_weight_sweep_matches_scan(d):
+    # a lowest weight exists at even D only: at odd D the profile never vanishes
     dim = make_dimension(d)
     m, mp = pair_arrays(dim)
-    has = [lowest_weight_scan(dim, a, b).has_solution for a, b in zip(m, mp)]
+    has = scan_lowest_weights(dim, m, mp)
+    assert any(has) == (d % 2 == 0)
     first = has.index(True) if any(has) else None
     assert lowest_weight_sweep(dim, m, mp) == first
     last = len(has) - 1 - has[::-1].index(True) if any(has) else None
@@ -431,7 +446,6 @@ def test_sweeps_build_no_single_pair(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-pair builder called inside a sweep")
     monkeypatch.setattr(deformed, "build_q_oscillator", refuse)
-    monkeypatch.setattr(deformed, "build_uq_sl2", refuse)
     dim = make_dimension(5)
     m, mp = pair_arrays(dim)
     assert oscillator_sweep(dim, m, mp).built == len(m)
@@ -475,14 +489,14 @@ def test_sweep_holds_one_block_and_few_eigensystems():
     """A sweep keeps no eigensystem beyond its block: each block builds its S_w
     eigenvectors and passes on only the last one, so the traced peak of a sweep
     over ~360 distinct w is at most the peak of a one-block sweep plus four
-    eigensystems, and its worst values are the per-pair builders' worst."""
+    eigensystems, and its worst values are the worst of its one-pair sweeps."""
     d = 31
     dim = make_dimension(d)
     m, mp = np.random.default_rng(8).integers(-2 * d, 2 * d, (2, 600, 2))
     keep = lattice_cross(m.T, mp.T) % d != 0
     m, mp = m[keep], mp[keep]
     assert len(set(map(tuple, ((m - mp) % d).tolist()))) > 300
-    expected = {k: max(sl2_residuals(build_uq_sl2(dim, a, b))[k] for a, b in zip(m, mp))
+    expected = {k: max(sl2_of_one_pair(dim, a, b)[k] for a, b in zip(m, mp))
                 for k in ("exponential", "casimir_central")}
 
     def traced_peak(pairs):
@@ -506,8 +520,8 @@ def test_sweep_holds_one_block_and_few_eigensystems():
 def test_sl2_unreduced_labels_are_as_precise_as_reduced_ones():
     # c = -3254 = 32 mod 62; phases from the unreduced c gave casimir_central 1.03e-9
     dim = make_dimension(31)
-    res = sl2_residuals(build_uq_sl2(dim, (-51, -25), (-20, 54)))
-    assert max(res.values()) < 1e-11, res
+    rep = sl2_sweep(dim, [(-51, -25)], [(-20, 54)])
+    assert rep.built == 1 and max(rep.worst.values()) < 1e-11, rep.worst
     osc = build_q_oscillator(dim, (-51, -25), (-20, 54))
     assert osc.cross == -3254
     assert max(v for k, v in oscillator_residuals(osc).items() if k not in RECORDED) < 1e-11
@@ -516,12 +530,14 @@ def test_sl2_unreduced_labels_are_as_precise_as_reduced_ones():
 def test_sl2_ladder_wraps_inside_an_offset_window():
     # delta = D/(2c) = 31/6: n + delta - delta rounds below n = 30, and the wrap
     # taken from it missed, a ladder residual of ~100
-    o = build_uq_sl2(make_dimension(31), (-24, 51), (7, -15))
-    assert o.delta == 31 / 6
-    assert sl2_residuals(o)["ladder"] < 1e-9
+    dim, m, mp = make_dimension(31), np.array([(-24, 51)]), np.array([(7, -15)])
+    assert deformed.sl2_coefficients(dim, m, mp)[2][0] == 31 / 6
+    rep = sl2_sweep(dim, m, mp)
+    assert rep.built == 1 and rep.worst["ladder"] < 1e-9
 
 
 def refusal_reason(dim, a, b, build=build_q_oscillator):
+    """The refusal of build(dim, a, b) by its error, or None where it builds."""
     try:
         build(dim, a, b)
     except SingularDeformationError:
@@ -554,7 +570,10 @@ def test_oscillator_sweep_counts_skips_by_the_builders_reason(d):
 
 @pytest.mark.parametrize("d", [4, 6, 9, 15])
 def test_sl2_sweep_counts_skips_by_the_builders_reason(d):
-    assert_skips_follow_the_builder(d, sl2_sweep, build_uq_sl2, ("degenerate", "non-invertible"))
+    # the untranslated pair is the sl(2) label pass of one pair, which raises each refusal
+    def untranslated(dim, a, b):
+        return translated_lattice_deformation(dim, a, b, (0, 0))
+    assert_skips_follow_the_builder(d, sl2_sweep, untranslated, ("degenerate", "non-invertible"))
 
 
 def test_branch_sign_is_the_dense_branch_phase():
@@ -575,10 +594,10 @@ def test_branch_sign_is_the_dense_branch_phase():
             dense[x] = v0.conj() @ schwinger_matrix(dim, x) @ v0
         phi0 = np.array([dense[x] for x in map(tuple, w.tolist())]) * (-1.0) ** (c % 2)
         assert np.abs(phi0 - deformed._branch_sign(d, c, w)).max() < 1e-12, d
-        for a, b, phase in list(zip(m, mp, phi0))[-20:]:
+        deltas = deformed.sl2_coefficients(dim, m[-20:], mp[-20:])[2]
+        for a, b, phase, got in zip(m[-20:], mp[-20:], phi0[-20:], deltas):
             reduced = (lattice_cross(a, b) + d) % (2 * d) - d
-            delta = d / (2.0 * reduced) if phase.real < 0 else 0.0
-            assert build_uq_sl2(dim, a, b).delta == delta
+            assert got == (d / (2.0 * reduced) if phase.real < 0 else 0.0), (d, a, b)
 
 
 def test_a_flipped_branch_sign_fails_the_exponential_row(monkeypatch):
@@ -600,7 +619,7 @@ def test_qosc_note_names_each_skip_reason():
 
 @pytest.mark.parametrize("d", [4, 6, 8])
 def test_oscillator_identities_hold_at_even_dimension(d):
-    # eta carries the reduce_label sign of w at even D; without it 28 of the
+    # eta carries the reduction sign of w at even D; without it 28 of the
     # 80 buildable pairs at D = 4 missed by O(1)
     dim = make_dimension(d)
     worst = oscillator_sweep(dim, *pair_arrays(dim)).worst
@@ -694,17 +713,15 @@ def test_each_sl2_representative_family_is_needed(monkeypatch, families):
     assert rows["orbit_conjugation"].value > 0.1
 
 
-@pytest.mark.parametrize("build", [build_q_oscillator, build_uq_sl2],
-                         ids=["q_oscillator", "uq_sl2"])
-def test_a_builder_peaks_at_three_eigenvector_matrices(build):
-    """A builder keeps the eigenvectors V and D-vectors only, and peaks at V and
-    two D x D temporaries of its closed-form entries (building dense A, N, Q
-    and S_w as well peaked at 5 V and kept up to 4 V)."""
+def test_a_builder_peaks_at_three_eigenvector_matrices():
+    """The oscillator builder keeps the eigenvectors V and D-vectors only, and
+    peaks at V and two D x D temporaries of its closed-form entries (building
+    dense A, N, Q and S_w as well peaked at 5 V and kept up to 4 V)."""
     dim = make_dimension(401)
-    build(dim, (1, 0), (0, 1))
+    build_q_oscillator(dim, (1, 0), (0, 1))
     tracemalloc.start()
     try:
-        o = build(dim, (1, 0), (0, 1))
+        o = build_q_oscillator(dim, (1, 0), (0, 1))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,11 +1,11 @@
 """The S_w eigenbasis checks of the deformed algebras against the dense oracle.
 
 The dense section below is the stacked residual code the eigenbasis checks
-replaced, kept unchanged as the reference: every identity as a D x D
-operator, V diag V^dag products and ~16 matmuls per pair.  Its arithmetic
-differs, so the two agree to rounding, not bit for bit: both must stay below
-1e-12 wherever the algebra holds, and both must read O(1) where a
-coefficient, sign or offset is wrong.
+replaced, kept as the reference: every identity as a D x D operator, V diag
+V^dag products and ~16 matmuls per pair, the sl(2) pairs taken from
+deformed_oracle.sl2_stack.  Its arithmetic differs, so the two agree to
+rounding, not bit for bit: both must stay below 1e-12 wherever the algebra
+holds, and both must read O(1) where a coefficient, sign or offset is wrong.
 """
 import dataclasses
 from typing import NamedTuple
@@ -13,20 +13,13 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from deformed_oracle import RECORDED, dag, dense_fields
-from torusphase import (
-    build_q_oscillator,
-    build_uq_sl2,
-    make_dimension,
-    oscillator_residuals,
-    sl2_residuals,
-)
+from deformed_oracle import RECORDED, Sl2Stack, dag, dense_fields, sl2_bracket, sl2_stack
+from torusphase import build_q_oscillator, make_dimension, oscillator_residuals
 from torusphase import deformed, schwinger, verify
 from torusphase.deformed import (
     _branch_sign,
     _inverse_mod,
     _scalar_pow,
-    _sl2_bracket,
     bracket_values,
     oscillator_sweep,
     sl2_sweep,
@@ -49,10 +42,11 @@ def _max_abs_stack(X) -> np.ndarray:
     return np.abs(X).max(axis=(1, 2))
 
 
-def _stack_of_one(cls, obj):
-    """The stack of one pair: a per-pair realization's fields and its dense operators."""
-    fields = vars(obj) | dense_fields(obj)
-    return cls(obj.dim, *(np.asarray(fields[name])[None] for name in cls._fields[1:]))
+def _stack_of_one(osc):
+    """The stack of one pair: an oscillator's fields and its dense operators."""
+    fields = vars(osc) | dense_fields(osc)
+    return _OscillatorStack(osc.dim, *(np.asarray(fields[name])[None]
+                                       for name in _OscillatorStack._fields[1:]))
 
 
 class _OscillatorStack(NamedTuple):
@@ -139,50 +133,18 @@ def _oscillator_stack_residuals(st: _OscillatorStack) -> dict:
     }
 
 
-class _Sl2Stack(NamedTuple):
-    """P deformed sl(2) realizations; each field as in UqSl2Realisation."""
-
-    dim: Dimension
-    cross: np.ndarray
-    p: np.ndarray
-    s_p: np.ndarray
-    d_coef: np.ndarray
-    lowering: np.ndarray
-    intertwiner: np.ndarray
-    eigenvectors: np.ndarray
-    n_values: np.ndarray
-    delta: np.ndarray
-    j3_values: np.ndarray
-
-
-def _sl2_stack(dim: Dimension, m, mp, V) -> _Sl2Stack:
-    """Deformed sl(2) realizations on buildable pairs, with S_{m-m'} eigenvectors V.
-
-    J3 is read off from S_w = s_p p^{J3}: the branch phi0 = <v_0|S_w|v_0>/s_p
-    (see _branch_sign) is +1 (delta = 0) or -1 (delta = D/(2c)).
-    """
-    d = dim.d
-    c = _phase_cross(d, lattice_cross(m.T, mp.T))
-    d_coef = 1.0 / (2.0 * np.abs(np.sin(np.pi * c / d)))
-    A = d_coef[:, None, None] * (schwinger_stack(d, m) + schwinger_stack(d, mp))
-    delta = np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
-    nv = (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
-    return _Sl2Stack(dim, c, np.exp(-1j * dim.gamma0 * c), np.exp(-1j * np.pi * c), d_coef, A,
-                     schwinger_stack(d, m - mp), V, nv, delta, nv + delta[:, None])
-
-
-def _casimir_stack(st: _Sl2Stack, AdA, AAd):
+def _casimir_stack(st: Sl2Stack, AdA, AAd):
     """Both Casimir orderings per pair from A^dag A and A A^dag, and their constant."""
     dim, d, j3 = st.dim, st.dim.d, st.j3_values
     c = _phase_cross(d, st.cross)[:, None]
-    C1 = AdA + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 - 0.5) / 2.0) ** 2)
-    C2 = AAd + _diag_stack(st.eigenvectors, _sl2_bracket(dim, c, (j3 + d / 2.0 + 0.5) / 2.0) ** 2)
+    C1 = AdA + _diag_stack(st.eigenvectors, sl2_bracket(dim, c, (j3 + d / 2.0 - 0.5) / 2.0) ** 2)
+    C2 = AAd + _diag_stack(st.eigenvectors, sl2_bracket(dim, c, (j3 + d / 2.0 + 0.5) / 2.0) ** 2)
     const = 1.0 / _scalar_pow(np.sin(np.pi * c[:, 0] / d), 2)
     return C1, C2, const
 
 
-def _sl2_stack_residuals(st: _Sl2Stack) -> dict:
-    """Per-pair residuals of the deformed sl(2) identities (see sl2_residuals)."""
+def _sl2_stack_residuals(st: Sl2Stack) -> dict:
+    """Per-pair residuals of the deformed sl(2) identities (see sl2_sweep)."""
     dim, d = st.dim, st.dim.d
     A, Sw, V, j3 = st.lowering, st.intertwiner, st.eigenvectors, st.j3_values
     Ad = dag(A)
@@ -198,7 +160,7 @@ def _sl2_stack_residuals(st: _Sl2Stack) -> dict:
         "intertwine": _max_abs_stack(A @ Sw - p * Sw @ A),
         "intertwine_dag": _max_abs_stack(Ad @ Sw - np.conj(p) * Sw @ Ad),
         "commutator": _max_abs_stack(
-            AAd - AdA + _diag_stack(V, _sl2_bracket(dim, c, j3 + d / 2.0))),
+            AAd - AdA + _diag_stack(V, sl2_bracket(dim, c, j3 + d / 2.0))),
         "ladder": _max_abs_stack(A @ _diag_stack(V, j3) - _diag_stack(V, shifted) @ A),
         "casimir_forms": _max_abs_stack(C1 - C2),
         "casimir_value": _max_abs_stack(C1 - const[:, None, None] * np.eye(d)),
@@ -227,17 +189,13 @@ def oracle_sweep(dim, m, mp, algebra):
 
 ORACLE = {
     "qosc": (deformed._OSC_REASONS, _oscillator_stack, _oscillator_stack_residuals),
-    "sl2": (deformed._SL2_REASONS, _sl2_stack, _sl2_stack_residuals),
+    "sl2": (deformed._SL2_REASONS, sl2_stack, _sl2_stack_residuals),
 }
 
 
-def oracle_residuals(realization):
-    """Dense residuals of one builder output, as oscillator_residuals/sl2_residuals had them."""
-    if isinstance(realization, deformed.QOscillator):
-        st = _stack_of_one(_OscillatorStack, realization)
-        return {k: float(v[0]) for k, v in _oscillator_stack_residuals(st).items()}
-    st = _stack_of_one(_Sl2Stack, realization)
-    return {k: float(v[0]) for k, v in _sl2_stack_residuals(st).items()}
+def _one(residuals: dict) -> dict:
+    """The per-pair residuals of a stack of one pair, as floats."""
+    return {k: float(v[0]) for k, v in residuals.items()}
 
 
 # -- eigenbasis checks against the oracle -------------------------------------------
@@ -284,8 +242,8 @@ def test_unreduced_pairs_match_the_dense_oracle():
     assert_sweeps_match_oracle(dim, *regression, bound)
 
 
-def assert_fails_like_the_oracle(realization, residuals):
-    new, old = residuals(realization), oracle_residuals(realization)
+def assert_fails_like_the_oracle(new, old):
+    """The package's residuals of one faulted pair break on the oracle's rows."""
     broken = {k for k, v in old.items() if k not in RECORDED and v > 0.1}
     assert broken, old
     assert {k for k, v in new.items() if k not in RECORDED and v > 0.1} == broken, (new, old)
@@ -295,34 +253,36 @@ def assert_fails_like_the_oracle(realization, residuals):
 def test_a_flipped_eta_or_d_prime_phase_fails_like_the_oracle(d):
     dim = make_dimension(d)
     osc = build_q_oscillator(dim, (1, 2), (0, 3))
-    assert_fails_like_the_oracle(dataclasses.replace(osc, eta=-osc.eta, dp_coef=-osc.dp_coef),
-                                 oscillator_residuals)
-    assert_fails_like_the_oracle(dataclasses.replace(osc, dp_coef=osc.dp_coef * np.exp(0.4j)),
-                                 oscillator_residuals)
+    for wrong in (dataclasses.replace(osc, eta=-osc.eta, dp_coef=-osc.dp_coef),
+                  dataclasses.replace(osc, dp_coef=osc.dp_coef * np.exp(0.4j))):
+        assert_fails_like_the_oracle(oscillator_residuals(wrong),
+                                     _one(_oscillator_stack_residuals(_stack_of_one(wrong))))
 
 
 @pytest.mark.parametrize("d, m, mp", [
     (5, (1, 0), (0, 1)), (5, (1, 2), (-1, 1)), (7, (1, 0), (0, 1)), (7, (2, 3), (1, -1)),
     (8, (1, 0), (0, 1)), (8, (1, 3), (-2, 1)),
 ])
-
-
 def test_a_wrong_j3_offset_fails_like_the_oracle(d, m, mp):
     # each branch of delta (0 or D/2c) swapped for the other
-    o = build_uq_sl2(make_dimension(d), m, mp)
-    delta = 0.0 if o.delta else d / (2.0 * _phase_cross(d, o.cross))
-    assert_fails_like_the_oracle(
-        dataclasses.replace(o, delta=delta, j3_values=o.n_values + delta), sl2_residuals)
+    dim = make_dimension(d)
+    st = sl2_stack(dim, [m], [mp])
+    delta = np.where(st.delta, 0.0, d / (2.0 * _phase_cross(d, st.cross)))
+    d_coef = deformed._sl2_coefs(dim, st.m, st.mp)[0]
+    new = deformed._sl2_rows(dim, st.m, st.mp, st.eigenvectors, d_coef, delta)
+    old = _sl2_stack_residuals(st._replace(delta=delta, j3_values=st.n_values + delta[:, None]))
+    assert_fails_like_the_oracle(_one(new), _one(old))
 
 
 @pytest.mark.parametrize("d", [5, 8])
 def test_part_a_rejects_a_basis_that_is_not_the_eigenbasis(d):
     # two eigenvectors swapped: still orthonormal, no longer a ladder of S_m and S_m'
     dim = make_dimension(d)
-    osc, o = build_q_oscillator(dim, (1, 2), (0, 3)), build_uq_sl2(dim, (1, 2), (0, 3))
-    for realization, residuals in ((osc, oscillator_residuals), (o, sl2_residuals)):
-        V = realization.eigenvectors[:, [1, 0, *range(2, d)]]
-        res = residuals(dataclasses.replace(realization, eigenvectors=V))
+    m, mp = np.array([(1, 2)]), np.array([(0, 3)])
+    osc = build_q_oscillator(dim, m[0], mp[0])
+    V = osc.eigenvectors[:, [1, 0, *range(2, d)]]
+    sl2 = deformed._sl2_rows(dim, m, mp, V[None], *deformed._sl2_coefs(dim, m, mp))
+    for res in (oscillator_residuals(dataclasses.replace(osc, eigenvectors=V)), _one(sl2)):
         for key, value in res.items():
             if key not in (*RECORDED, "shift_constant"):
                 assert value > 0.1, (key, value)

@@ -25,7 +25,6 @@ import torusphase
 from torusphase import (
     build_clock_operator,
     build_shift_operator,
-    build_uq_sl2,
     make_dimension,
     numberphase,
     schwinger,
@@ -34,6 +33,7 @@ from torusphase import (
 )
 from torusphase.lattice import _checked_labels, _checked_points, _phase, _phase_cross, max_abs
 from torusphase.schwinger import schwinger_stack
+from deformed_oracle import sl2_realisation
 
 SMALL = (2, 3, 4, 5, 6, 7, 9, 13)
 TOL = 1e-14
@@ -233,7 +233,7 @@ def test_sl2_outputs_are_the_stacked_forms(d, m, mp):
     # the stacked S_m, S_m' and S_{m-m'} on the realisation's eigenvectors: A is
     # the shift v_r -> v_{r-c} and S_w is s_p p^{J3}
     dim = make_dimension(d)
-    o = build_uq_sl2(dim, m, mp)
+    o = sl2_realisation(dim, m, mp)
     S = schwinger_stack(d, [o.m, o.mp, np.subtract(o.m, o.mp)])
     V, c = o.eigenvectors, _phase_cross(d, o.cross)
     A = V.conj().T @ (o.d_coef * (S[0] + S[1])) @ V

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from torusphase import (
     CaseConditionError,
     build_phase_pair,
-    commutator_limit_check,
     fujikawa_index,
     index_report,
     limiting_spectrum,
@@ -53,7 +52,7 @@ def test_weak_convergence_input_validation():
 def test_restricted_commutator_closes(d):
     dim = make_dimension(d)
     for ell in (1, 2, 3):
-        rep = commutator_limit_check(dim, ell)
+        rep = _dense_commutator_check(dim, ell, 1)
         assert rep["restricted"] < 1e-11, (d, ell)
         # the wrap-around corner term is exactly D, never vanishing
         assert_allclose(rep["full"], rep["corner_predicted"], atol=1e-9)
@@ -61,7 +60,13 @@ def test_restricted_commutator_closes(d):
 
 
 def _dense_commutator_check(dim, ell, r):
-    """commutator_limit_check with dense N and E_phi^ell from matrix_power."""
+    """The r-fold nested commutator of N with E_phi^ell from dense N and matrix_power.
+
+    It equals (-ell)^r E_phi^ell on every column n >= ell; the wraparound
+    columns carry a boundary term whose largest entry is (D - ell)^r (D for the
+    single commutator written as [N, E^ell] + ell E^ell).  Returns the
+    restricted residual, the full-matrix deviation, and its predicted corner.
+    """
     d = dim.d
     Nh = np.diag(np.arange(d, dtype=float))
     El = np.linalg.matrix_power(build_phase_pair(dim).e_phi, ell)
@@ -78,18 +83,20 @@ def _dense_commutator_check(dim, ell, r):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 12, 31])
 def test_commutator_check_is_the_matrix_power_form_bit_for_bit(d):
-    # the l-th shift power is a column gather of E_phi and N X - X N an
-    # elementwise product: every entry is an exact integer, as in the dense form
+    # every entry of the matrix-power form is an exact integer: the restricted
+    # residual is 0 and the full deviation the larger of |-ell|^r and the corner
     dim = make_dimension(d)
     for ell in range(d):
         for r in (1, 2, 3):
-            assert commutator_limit_check(dim, ell, r=r) == _dense_commutator_check(dim, ell, r)
+            rep = _dense_commutator_check(dim, ell, r)
+            full = float(d if r == 1 else max(ell, d - ell) ** r) if ell else 0.0
+            assert (rep["restricted"], rep["full"]) == (0.0, full), (ell, r)
 
 
 def test_repeated_commutator_corner():
     dim = make_dimension(7)
     for r in (2, 3):
-        rep = commutator_limit_check(dim, 2, r=r)
+        rep = _dense_commutator_check(dim, 2, r)
         assert rep["restricted"] < 1e-10
         assert_allclose(rep["corner_predicted"], float((7 - 2) ** r), atol=1e-9)
 

@@ -17,7 +17,6 @@ from torusphase import (
     eigensystem_by_recursion,
     lattice_cross,
     make_dimension,
-    reduce_label,
     schwinger_matrix,
     sine_commutator_check,
     standard_pair_suite,
@@ -25,6 +24,7 @@ from torusphase import (
     window_vectors,
 )
 from torusphase import schwinger
+from torusphase.lattice import _reduce
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
@@ -82,7 +82,7 @@ def test_label_reduction_sign(d):
     rng = np.random.default_rng(5)
     for _ in range(25):
         m = tuple(int(x) for x in rng.integers(-3 * d, 3 * d, size=2))
-        mc, sign = reduce_label(dim, m)
+        *mc, sign = _reduce(d, *m)
         assert all(x in list(range(-(d // 2), d)) for x in mc)
         assert sign in (1.0, -1.0)
         assert_allclose(schwinger_matrix(dim, m),
@@ -95,7 +95,7 @@ def test_label_reduction_sign(d):
     sine, weyl = sine_commutator_check(dim, m, n), weyl_commutator_check(dim, m, n)
     for a, b, e, f in ((8, -8, 3, 5), (-8, 8, -7, 2), (5, 3, -8, -8), (0, 1, -1, 0)):
         ms, ns = (m[0] + a * d, m[1] + b * d), (n[0] + e * d, n[1] + f * d)
-        mc, sign = reduce_label(dim, ms)
+        *mc, sign = _reduce(d, *ms)
         residual = np.abs(schwinger_matrix(dim, ms) - sign * schwinger_matrix(dim, mc)).max()
         assert residual <= 8 * np.finfo(float).eps
         assert sine_commutator_check(dim, ms, ns) <= 4 * sine + 1e-15
@@ -296,7 +296,7 @@ def _dim_and_labels(data, n):
 @given(st.data())
 def test_reduction_sign_law_any_dimension(data):
     dim, (m,) = _dim_and_labels(data, 1)
-    mc, sign = reduce_label(dim, m)
+    *mc, sign = _reduce(dim.d, *m)
     a, b = (m[0] - mc[0]) // dim.d, (m[1] - mc[1]) // dim.d
     assert sign == (-1) ** ((a * mc[1] + b * mc[0] + a * b * dim.d) % 2)
     assert_allclose(schwinger_matrix(dim, m), sign * schwinger_matrix(dim, mc), atol=1e-12)

@@ -21,13 +21,12 @@ from basis_oracle import (
     pair_schwinger,
     pair_suite,
 )
-from deformed_oracle import lowering, number_op
+from deformed_oracle import lowering, number_op, sl2_realisation
 from torusphase import (
     DegenerateSpectrumError,
     build_clock_operator,
     build_q_oscillator,
     build_shift_operator,
-    build_uq_sl2,
     conjugate_pair_suite,
     eigensystem_by_recursion,
     lattice_cross,
@@ -50,8 +49,8 @@ def _oscillator_ops(dim, m, mp):
 
 
 def _sl2_ops(dim, m, mp):
-    o = build_uq_sl2(dim, m, mp)
-    return lowering(o), (o.eigenvectors * o.j3_values) @ o.eigenvectors.conj().T
+    o = sl2_realisation(dim, m, mp)
+    return o.lowering, (o.eigenvectors * o.j3_values) @ o.eigenvectors.conj().T
 
 
 # (representative families, coefficient function of the row, dense operators of the loop)

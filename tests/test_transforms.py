@@ -19,7 +19,6 @@ from torusphase import (
     covariance_report,
     fourier_check,
     make_dimension,
-    predicted_phase,
     random_symplectic,
     schwinger_matrix,
     verify_symplectic,
@@ -204,7 +203,7 @@ def test_every_map_conjugates_labels_by_its_generator_phases(d):
             image = (np.exp(-1j * np.pi * m[0] * m[1] / d)
                      * np.linalg.matrix_power(gu, m[0]) @ np.linalg.matrix_power(gv, m[1]))
             assert np.max(np.abs(conj - image)) < 1e-12, (smap.matrix, m)
-            target = predicted_phase(op, m) * dense[smap.apply(m)]
+            target = transforms._conjugation(d, smap.s, smap.t, m)[2] * dense[smap.apply(m)]
             assert np.max(np.abs(conj - target)) < 1e-12, (smap.matrix, m)
 
 
