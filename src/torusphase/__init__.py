@@ -31,8 +31,7 @@ _EXPORTS = {
     ),
     "deformed": (
         "CoproductReport", "QOscillator", "TranslationReport", "bracket_values",
-        "build_q_oscillator", "coproduct_check", "oscillator_residuals",
-        "translated_lattice_deformation",
+        "build_q_oscillator", "coproduct_check", "translated_lattice_deformation",
     ),
     "transforms": (
         "MetaplecticOperator", "SymplecticMap", "build_metaplectic", "closure_check",

@@ -14,11 +14,11 @@ n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
 
 Both start from one label pass over a list of pairs (_label_pass): it rejects
 collinear pairs and gives every pair the reason its builder refuses it, if
-any, from the label integers alone.  The oscillator builder and the one-pair
-sl(2) checks raise that refusal; the sweeps skip and count it.  The
-eigenvectors V of S_w, w = m - m', are built where they are used, once per
-distinct w: a sweep visits its pairs grouped by w, block by block, and
-carries only the last system of a block into the next
+any, from the label integers alone.  build_q_oscillator, coproduct_check and
+translated_lattice_deformation raise that refusal; the sweeps skip and count
+it.  The eigenvectors V of S_w, w = m - m', are built where they are used,
+once per distinct w: a sweep visits its pairs grouped by w, block by block,
+and carries only the last system of a block into the next
 (_Labels.eigenvector_blocks).  Every identity is checked on V in two parts:
 (a) S_m and S_m' act on V one entry per column, O(D^2) per pair, and must be
 weighted shifts v_r -> v_{r-c} (_shift_weights); (b) on their weights, where
@@ -27,11 +27,12 @@ diagonal, each identity is a scalar identity on D values, whose rounding
 floor is ~eps |C|, not the eps D |A| |C| of dense products.  Per-pair values
 do not depend on the block, so a sweep of one pair gives that pair's
 residuals and a sweep's worst is bit-equal to the worst of its one-pair
-sweeps.  No dense operator is built: the builder returns the coefficients,
-the closed-form eigensystem of S_w and the spectrum, and A = d S_m + d' S_m',
-N = V diag(n) V^dag or S_w as D x D arrays are the tests' oracles, built
-from those.  The sign that fixes the sl(2) J3 offset and the oscillator eta
-is an exact integer parity of the labels (_branch_sign), not a measured phase.
+sweeps.  No dense operator is built: the builder returns label data only
+(the coefficients, the quantum numbers n_r and the spectrum), and
+A = d S_m + d' S_m', N = V diag(n) V^dag or S_w as D x D arrays are the
+tests' oracles, built from those and V.  The sign that fixes the sl(2) J3
+offset and the oscillator eta is an exact integer parity of the labels
+(_branch_sign), not a measured phase.
 """
 from __future__ import annotations
 
@@ -64,7 +65,6 @@ from .schwinger import (
 )
 
 _SINGULAR_TOL = 1e-12
-_LOWEST_WEIGHT_TOL = 1e-9    # |C + [n]| below which n is a lowest weight
 # refusal reasons of each builder, in the order it checks them
 _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
@@ -158,10 +158,11 @@ def _worst(operator, scalars: dict) -> dict:
 class SweepReport:
     """Worst residual per identity over a list of label pairs.
 
-    built_mask flags, in input order, the pairs the per-pair builder builds;
-    the others are skipped, and skips counts them by the first reason found
-    (reason -> count, zero counts included).  worst is empty when no pair is
-    built.
+    worst holds the max over the built pairs per key, and the min for a key
+    ending in _min; it is empty when no pair is built.  built_mask flags, in
+    input order, the pairs the per-pair builder builds; the others are
+    skipped, and skips counts them by the first reason found (reason ->
+    count, zero counts included).
     """
 
     worst: dict
@@ -275,7 +276,7 @@ def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
     worst: dict = {}
     for idx, V in zip(blocks, lab.eigenvector_blocks(blocks)):
         for k, v in residuals(dim, lab.m[idx], lab.mp[idx], V).items():
-            if k == "spectrum_min":
+            if k.endswith("_min"):
                 worst[k] = min(worst.get(k, np.inf), float(v.min()))
             else:
                 worst[k] = max(worst.get(k, 0.0), float(v.max()))
@@ -316,13 +317,8 @@ class QOscillator:
     dp_coef: complex
     shift_constant: float
     c_q: complex                  # Q = c_q q^{-N} = -eta S_{-m} S_m'
-    eigenvectors: np.ndarray      # of S_{m-m'} (canonical label), column r
-    eigenvalues: np.ndarray
-    n_values: np.ndarray          # n(r) = c^{-1} r mod D
+    n_values: np.ndarray          # n(r) = c^{-1} r mod D on the S_{m-m'} eigenvector r
     spectrum: np.ndarray          # f(n), n = 0..D-1
-
-    def bracket(self, n) -> np.ndarray:
-        return bracket_values(self.dim, _phase_cross(self.dim.d, self.cross), n)
 
 
 def _oscillator_coefs(dim: Dimension, m, mp):
@@ -338,7 +334,7 @@ def _oscillator_coefs(dim: Dimension, m, mp):
 
 
 def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
-    """Per-pair residuals of the oscillator identities (see oscillator_residuals).
+    """Per-pair residuals of the oscillator identities (see oscillator_sweep).
 
     On V, with a_r = d g_r + d' f_r: A^dag A is |a_r|^2 and A A^dag is
     |a_{r+c}|^2 on v_r, N is n_r, and -eta S_{-m} S_m' is -eta conj(g_r) f_r.
@@ -351,9 +347,13 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
     k = cc * (2 * nv + d - 1)
     s = np.sin(dim.gamma0 * cc)
     g, f, op = _shift_weights(d, m, mp, V)
-    a2 = np.abs(d_coef[:, None] * g + dp_coef[:, None] * f) ** 2
+    dg, dpf = d_coef[:, None] * g, dp_coef[:, None] * f
+    number = C[:, None] + _sin_turns(k, d) / s
+    a2 = np.abs(dg + dpf) ** 2
     return _worst(op, {
-        "number": a2 - (C[:, None] + _sin_turns(k, d) / s),
+        "number": a2 - number,
+        # the number identity with eta and d' negated, which must fail
+        "opposite_min": np.abs(dg - dpf) ** 2 - number,
         "q_exponential": _phase(d, k).conj() + eta[:, None] * np.conj(g) * f,
         "ladder": nv - (_rolled(nv, -c) + 1) % d,
         # A A^dag = C + [N + 1]: the pair of relations whose difference is the
@@ -377,47 +377,38 @@ def build_q_oscillator(dim: Dimension, m, mp) -> QOscillator:
 
     The coefficient d is real positive with |d| = |d'| = (2|sin(gamma0 c)|)^{-1/2};
     the phase of d' and the sign eta = -phi0 (see _branch_sign; w = m - m') are
-    forced by requiring A^dag A = C + [N] with no extra term.
+    forced by requiring A^dag A = C + [N] with no extra term.  Only label data
+    and D-vectors are returned; the eigenvectors v_r of S_w are those of
+    eigensystem_by_recursion(dim, w).
     """
     d = dim.d
     lab = _built_labels(dim, [m], [mp], _OSC_REASONS)
     eta, d_coef, dp_coef, C = _oscillator_coefs(dim, lab.m, lab.mp)
-    lam, V = lab.system(int(lab.keys[0]))
     c = _phase_cross(d, lab.cross)
     return QOscillator(
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
         cross=int(lab.cross[0]), q=_phase(d, 2 * c)[0], eta=float(eta[0]), d_coef=d_coef[0],
         dp_coef=dp_coef[0], shift_constant=C[0], c_q=_phase(d, c * (d - 1)).conj()[0],
-        eigenvectors=V, eigenvalues=lam, n_values=_n_values(d, c)[0],
+        n_values=_n_values(d, c)[0],
         spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 
-def oscillator_residuals(osc: QOscillator) -> dict:
-    """Defining identities of the oscillator, as max-norm residuals.
+def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
+    """Worst residual of each oscillator identity over every pair (m[i], mp[i]), in blocks.
 
     number: A^dag A = C + [N];   q_exponential: Q equals -eta S_{-m} S_{m'};
     ladder: A N = (N+1 mod D) A;  raised_number: A A^dag = C + [N+1];
-    shift_constant: C = 1/|sin(gamma0 c)|; spectrum_min is min f(n).
-    Each is taken on the S_{m-m'} eigenbasis with the pair's own eta, d, d', C.
-    literal_phase and exponent_claim are recorded, never gated: the
-    componentwise phases g = conj(f) = E of the ladder elements and the
-    exponent of the S_{m-m'} eigenvalues, claims that hold only up to a
-    rephasing of the eigenvectors.
-    """
-    coefs = (np.array([x]) for x in (osc.eta, osc.d_coef, osc.dp_coef, osc.shift_constant))
-    res = _oscillator_rows(osc.dim, np.array([osc.m]), np.array([osc.mp]),
-                           osc.eigenvectors[None], *coefs)
-    return {k: float(v[0]) for k, v in res.items()}
-
-
-def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
-    """Worst oscillator_residuals over every pair (m[i], mp[i]), in blocks.
-
-    m and mp are integer label arrays (P, 2).  A pair is skipped exactly where
-    build_q_oscillator refuses it: |sin(gamma0 c)| < 1e-12, a degenerate
-    S_{m-m'} eigensystem, or c not invertible mod D; skips counts these three
-    reasons in that order, the builder's.  The worst is the max per key,
-    except spectrum_min, which is the min.
+    shift_constant: C = 1/|sin(gamma0 c)|.
+    Each is taken on the S_{m-m'} eigenbasis with the pair's own eta, d, d', C
+    (_oscillator_coefs).  literal_phase and exponent_claim are recorded, never
+    gated: the componentwise phases g = conj(f) = E of the ladder elements and
+    the exponent of the S_{m-m'} eigenvalues, claims that hold only up to a
+    rephasing of the eigenvectors.  spectrum_min is min f(n), and
+    opposite_min the number residual with eta and d' negated, which must be
+    large.  m and mp are integer label arrays (P, 2).  A pair is skipped
+    exactly where build_q_oscillator refuses it: |sin(gamma0 c)| < 1e-12, a
+    degenerate S_{m-m'} eigensystem, or c not invertible mod D; skips counts
+    these three reasons in that order, the builder's.
     """
     return _sweep(dim, m, mp, _OSC_REASONS, lambda dim, m, mp, V: _oscillator_rows(
         dim, m, mp, V, *_oscillator_coefs(dim, m, mp)))
@@ -427,38 +418,6 @@ def oscillator_coefficients(dim: Dimension, m, mp):
     """d, d' and the number offset, 0, of A = d S_m + d' S_m' per pair (P, 2)."""
     _, d_coef, dp_coef, _ = _oscillator_coefs(dim, m, mp)
     return d_coef, dp_coef, np.zeros_like(d_coef)
-
-
-def _lowest_weight_profile(dim: Dimension, c):
-    """Per pair: hits (P, D) of C + [n] = 0.
-
-    A singular pair (sin(gamma0 c) = 0) is scanned on the scaled profile with
-    both branch signs of the vanishing denominator.
-    """
-    c = _phase_cross(dim.d, c)
-    v = np.sin((dim.gamma0 * c)[:, None] * (np.arange(dim.d) + (dim.d - 1) / 2.0))
-    singular = _singular(dim, c)
-    s = np.where(singular, 1.0, np.sin(dim.gamma0 * c))[:, None]
-    f = np.abs(1.0 / np.abs(s) + v / s)
-    scaled_hits = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v)) < _LOWEST_WEIGHT_TOL
-    return np.where(singular[:, None], scaled_hits, f < _LOWEST_WEIGHT_TOL)
-
-
-def lowest_weight_sweep(dim: Dimension, m, mp) -> int | None:
-    """Index of the first pair with a lowest weight n0, C + [n0] = 0, else None.
-
-    m and mp are integer label arrays (P, 2).  At odd D no pair has one: the
-    scaled profile 1 + sign * sin(gamma0 c (n + (D-1)/2)) never vanishes.  The
-    profile depends on c reduced into [-D, D) alone, so each distinct reduced c
-    is scanned once.
-    """
-    d = dim.d
-    c = _phase_cross(d, _pair_labels(dim, m, mp)[2])
-    distinct = np.array(sorted(set(c.tolist())), dtype=np.int64)
-    hit = np.zeros(2 * d, dtype=bool)
-    hit[distinct + d] = _lowest_weight_profile(dim, distinct).any(axis=1)
-    hit = hit[c + d]
-    return int(np.argmax(hit)) if hit.any() else None
 
 
 def _sl2_coefs(dim: Dimension, m, mp):

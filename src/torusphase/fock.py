@@ -18,6 +18,7 @@ import numpy as np
 
 from .deformed import build_q_oscillator
 from .lattice import Dimension, max_abs
+from .schwinger import eigensystem_by_recursion
 
 _OVERLAP_CROSS_CHECK_TOL = 1e-13    # closed-form overlap against the vectors' own
 
@@ -115,12 +116,12 @@ def oscillator_fock_alpha(dim: Dimension) -> float:
 def oscillator_fock_match(dim: Dimension, m=(1, 1), mp=(1, 0)) -> dict:
     """Locate the oscillator number eigenbasis inside a shifted Fock family.
 
-    For D > 2 the oscillator on the default pair is built and each number
-    eigenvector is matched (up to phase) against a column of the
-    alpha = (D-1)/2 mod 1 family; the residual is the worst column-overlap
-    defect.  At D = 2 every non-collinear pair is singular, so only the labels
-    survive: the family is alpha = 1/2 with occupation labels {1/2, 3/2} and
-    vacuum label 1/2.
+    For D > 2 the oscillator on the pair is built, and each of its number
+    eigenvectors, the eigenvectors of S_{m-m'} (eigensystem_by_recursion), is
+    matched (up to phase) against a column of the alpha = (D-1)/2 mod 1
+    family; the residual is the worst column-overlap defect.  At D = 2 every
+    non-collinear pair is singular, so only the labels survive: the family is
+    alpha = 1/2 with occupation labels {1/2, 3/2} and vacuum label 1/2.
     """
     alpha = oscillator_fock_alpha(dim)
     d = dim.d
@@ -129,8 +130,9 @@ def oscillator_fock_match(dim: Dimension, m=(1, 1), mp=(1, 0)) -> dict:
         return {"alpha": alpha, "labels": labels, "vacuum_label": labels[0],
                 "residual": None, "mode": "labels-only"}
     osc = build_q_oscillator(dim, m, mp)
+    V = eigensystem_by_recursion(dim, (osc.m[0] - osc.mp[0], osc.m[1] - osc.mp[1])).eigenvectors
     B = build_shifted_fock(dim, alpha).vectors
-    ov = np.abs(B.conj().T @ osc.eigenvectors)   # rows: shifted index, cols: r
+    ov = np.abs(B.conj().T @ V)   # rows: shifted index, cols: r
     residual = float(abs(np.max(1.0 - ov.max(axis=0))))
     # each shifted column may host at most one eigenvector, and an eigenvector
     # split evenly over two columns (as at even D) sits in neither, however

@@ -1,6 +1,6 @@
-"""Large-dimension diagnostics: weak convergence, commutator boundary terms,
-the telescoping spectral index, limiting oscillator spectra, and the even/odd
-split of the action-angle Wigner function.
+"""Large-dimension diagnostics: weak convergence, the telescoping spectral
+index, limiting oscillator spectra, and the even/odd split of the
+action-angle Wigner function.
 
 Everything here is computed at finite D; the limit is probed only through
 residual sequences over a prime ladder, never by materializing a D = infinity
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseConditionError, NonPrimeDimensionError
-from .lattice import Dimension, canonical_window, is_prime, max_abs
+from .lattice import Dimension, _phase_cross, canonical_window, is_prime, max_abs
 from .numberphase import (
     ACTION_ANGLE_NORMALIZATION,
     _action_angle_grids,
@@ -136,7 +136,8 @@ def oscillator_profile(dim: Dimension, m=(1, 0), mp=(0, 1)) -> SpectrumProfile:
     from .deformed import bracket_values, build_q_oscillator
 
     osc = build_q_oscillator(dim, m, mp)
-    f_end = osc.shift_constant + float(bracket_values(dim, osc.cross, dim.d))
+    c = _phase_cross(dim.d, osc.cross)
+    f_end = osc.shift_constant + float(bracket_values(dim, c, dim.d))
     return SpectrumProfile(dim=dim, case="oscillator", values=osc.spectrum.copy(),
                            f_end=f_end, cross=osc.cross)
 

@@ -194,7 +194,7 @@ def expand_number_function(dim: Dimension, f, m, mp) -> NumberExpansion:
     convention and must clear _EXPANSION_TOL.
     """
     from .deformed import build_q_oscillator
-    from .schwinger import _times, displacement_columns
+    from .schwinger import _times, displacement_columns, eigensystem_by_recursion
 
     fv = np.asarray(f, dtype=complex)
     if fv.shape != (dim.d,):
@@ -213,7 +213,7 @@ def expand_number_function(dim: Dimension, f, m, mp) -> NumberExpansion:
         recon[P[0], j] += ft[(-c * k) % d] * P[1]
         P = _times(P, qN)
     recon /= d
-    v = osc.eigenvectors
+    v = eigensystem_by_recursion(dim, (osc.m[0] - osc.mp[0], osc.m[1] - osc.mp[1])).eigenvectors
     target = (v * fv[osc.n_values]) @ v.conj().T
     residual = max_abs(recon - target)
     if residual > _EXPANSION_TOL:

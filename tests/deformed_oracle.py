@@ -1,7 +1,8 @@
 """Dense operators of the deformed algebras, rebuilt from the package's coefficients.
 
-build_q_oscillator returns coefficients, the closed-form eigensystem of S_w
-(w = m - m') and the spectrum; the sl(2) pair has no builder, only its sweep.
+build_q_oscillator returns coefficients, the quantum numbers and the
+spectrum, and V is the closed-form eigensystem of S_w (w = m - m'); the sl(2)
+pair has no builder, only its sweep.
 The package checks every identity on those in O(D^2) per pair.  The D x D
 operators below are the oracles of those checks:
 
@@ -18,11 +19,12 @@ import numpy as np
 from torusphase import deformed
 from torusphase.deformed import QOscillator, _branch_sign, _inverse_mod
 from torusphase.lattice import Dimension, _phase, _phase_cross, lattice_cross
-from torusphase.schwinger import schwinger_stack
+from torusphase.schwinger import eigensystem_by_recursion, schwinger_stack
 
-# the oscillator rows recorded, never gated: min f(n), and two componentwise
-# phase claims that hold only up to a rephasing of the eigenvectors (O(1) values)
-RECORDED = ("spectrum_min", "literal_phase", "exponent_claim")
+# the oscillator keys that are no residual of an identity: min f(n), the number
+# row with eta and d' negated (which must be large), and two componentwise phase
+# claims that hold only up to a rephasing of the eigenvectors (O(1) values)
+RECORDED = ("spectrum_min", "opposite_min", "literal_phase", "exponent_claim")
 
 
 def dag(A):
@@ -35,23 +37,28 @@ def lowering(osc: QOscillator) -> np.ndarray:
     return osc.d_coef * S[0] + osc.dp_coef * S[1]
 
 
+def eigenvectors(osc: QOscillator) -> np.ndarray:
+    """V: the eigenvectors of S_{m-m'} (canonical label), column r."""
+    return eigensystem_by_recursion(osc.dim, np.subtract(osc.m, osc.mp)).eigenvectors
+
+
 def number_op(osc: QOscillator) -> np.ndarray:
     """N = V diag(n(r)) V^dag."""
-    V = osc.eigenvectors
+    V = eigenvectors(osc)
     return (V * osc.n_values) @ dag(V)
 
 
 def q_exponential(osc: QOscillator) -> np.ndarray:
     """Q = c_q q^{-N} = c_q V diag(e^{i gamma0 c n(r)}) V^dag."""
-    V, d = osc.eigenvectors, osc.dim.d
+    V, d = eigenvectors(osc), osc.dim.d
     return osc.c_q * ((V * _phase(d, 2 * _phase_cross(d, osc.cross) * osc.n_values).conj())
                       @ dag(V))
 
 
 def dense_fields(osc: QOscillator) -> dict:
-    """The dense operators of an oscillator, by the field names they once had."""
+    """The dense operators of an oscillator and V, by the field names they once had."""
     return {"lowering": lowering(osc), "number_op": number_op(osc),
-            "q_exponential": q_exponential(osc)}
+            "q_exponential": q_exponential(osc), "eigenvectors": eigenvectors(osc)}
 
 
 def sl2_bracket(dim: Dimension, c, x) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import torusphase as tp
 from basis_oracle import dense_eigensystem_residuals
 from test_limits import _dense_commutator_check
-from torusphase.deformed import lowest_weight_sweep, sl2_sweep
+from torusphase.deformed import oscillator_sweep, sl2_sweep
 
 
 def _finish(num: int, failures: list, t0: float, budget: float) -> None:
@@ -66,32 +66,27 @@ def test_criterion_03_deformed_oscillator_family():
     for d in (3, 5, 7, 11):
         dim = tp.make_dimension(d)
         labels = _nonzero_window(dim)
-        built = 0
+        built = []
         for m in labels:
             for mp in labels:
                 try:
                     osc = tp.build_q_oscillator(dim, m, mp)
                 except (tp.CollinearVectorsError, tp.SingularDeformationError):
                     continue
-                built += 1
+                built.append((m, mp))
                 c_ref = 1.0 / abs(np.sin(dim.gamma0 * tp.lattice_cross(m, mp)))
                 if abs(osc.shift_constant - c_ref) >= 1e-12:
                     failures.append((d, m, mp, "shift_constant"))
                 if osc.spectrum.min() < 0.0:
                     failures.append((d, m, mp, "negative_spectrum"))
-                if tp.oscillator_residuals(osc)["number"] >= 1e-10:
-                    failures.append((d, m, mp, "number_relation"))
-        if built == 0:
+        if not built:
             failures.append((d, "no_pairs_built"))
-        if d % 2 == 1:
-            for m in labels:
-                mp = (0, 1) if m != (0, 1) else (1, 0)
-                try:
-                    first = lowest_weight_sweep(dim, [m], [mp])
-                except tp.CollinearVectorsError:
-                    continue
-                if first is not None:
-                    failures.append((d, m, "unexpected_lowest_weight"))
+            continue
+        sweep = oscillator_sweep(dim, *np.array(built).swapaxes(0, 1))
+        if sweep.built != len(built) or sweep.worst["number"] >= 1e-10:
+            failures.append((d, "number_relation"))
+        if d % 2 == 1 and sweep.worst["spectrum_min"] < 1e-9:
+            failures.append((d, "unexpected_lowest_weight"))
     _finish(3, failures, t0, 30.0)
 
 

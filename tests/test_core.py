@@ -97,7 +97,6 @@ def test_large_dimension_grid_mass_and_marginals():
 
 # exports no src/ code calls, each kept for a reader outside the package
 UNCALLED_EXPORTS = {
-    "eigensystem_by_recursion": "the README quick start",
     "conjugate_pair_suite": "the dense-pair entry point, the tests' reference",
     "window_vectors": "the label list",
 }

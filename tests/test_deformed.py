@@ -1,4 +1,3 @@
-import dataclasses
 import time
 import tracemalloc
 
@@ -17,13 +16,12 @@ from torusphase import (
     eigensystem_by_recursion,
     lattice_cross,
     make_dimension,
-    oscillator_residuals,
     schwinger_matrix,
     translated_lattice_deformation,
     window_vectors,
 )
 from torusphase import deformed, schwinger, verify
-from torusphase.deformed import lowest_weight_sweep, oscillator_sweep, sl2_sweep
+from torusphase.deformed import bracket_values, oscillator_sweep, sl2_sweep
 from torusphase.lattice import _CHECKED_ENTRIES, Sampler, _phase, _phase_cross
 
 
@@ -57,7 +55,7 @@ def test_defining_relations_all_pairs(d):
     dim = make_dimension(d)
     for m, mp in noncollinear_pairs(dim):
         osc = build_q_oscillator(dim, m, mp)
-        r = oscillator_residuals(osc)
+        r = oscillator_sweep(dim, [m], [mp]).worst
         assert r["number"] < 1e-10, (m, mp)
         assert r["q_exponential"] < 1e-10, (m, mp)
         assert r["ladder"] < 1e-10, (m, mp)
@@ -99,25 +97,31 @@ def test_every_d2_pair_is_singular():
 
 
 def test_wrong_sign_choice_breaks_number_relation():
+    # opposite_min is the number row of the pair's own eta and d' both negated
     dim = make_dimension(5)
-    osc = build_q_oscillator(dim, (1, 0), (0, 1))
-    flipped = dataclasses.replace(osc, eta=-osc.eta, dp_coef=-osc.dp_coef)
-    assert oscillator_residuals(flipped)["number"] > 1e-3
+    m, mp = np.array([(1, 0)]), np.array([(0, 1)])
+    V = eigensystem_by_recursion(dim, (1, -1)).eigenvectors[None]
+    eta, d_coef, dp_coef, C = deformed._oscillator_coefs(dim, m, mp)
+    flipped = deformed._oscillator_rows(dim, m, mp, V, -eta, d_coef, -dp_coef, C)
+    assert flipped["number"][0] == oscillator_sweep(dim, m, mp).worst["opposite_min"] > 1e-3
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_no_lowest_weight_vector_odd_dimension(d):
     dim = make_dimension(d)
-    for m, mp in noncollinear_pairs(dim)[:20]:
-        assert lowest_weight_sweep(dim, [m], [mp]) is None
+    rep = oscillator_sweep(dim, *pair_arrays(dim))
+    assert rep.built == len(noncollinear_pairs(dim))
+    assert rep.worst["spectrum_min"] >= 1e-9
 
 
 @pytest.mark.parametrize("d, m, mp", [(31, (-51, -25), (-20, 54)), (211, (-300, 17), (95, -260))])
 def test_oscillator_bracket_takes_the_reduced_cross(d, m, mp):
     # with the unreduced cross (-3254 and 76385) the sine arguments read
     # 9.4e-12 and 9.9e-10 off the spectrum here
-    o = build_q_oscillator(make_dimension(d), m, mp)
-    assert np.abs(o.spectrum - (o.shift_constant + o.bracket(np.arange(d)))).max() <= 1e-14
+    dim = make_dimension(d)
+    o = build_q_oscillator(dim, m, mp)
+    bracket = bracket_values(dim, _phase_cross(d, o.cross), np.arange(d))
+    assert np.abs(o.spectrum - (o.shift_constant + bracket)).max() <= 1e-14
 
 
 def test_swapped_pair_shares_spectrum():
@@ -139,8 +143,8 @@ def test_eigenbasis_correspondence_exact_laws(d):
     assert max(worst[k] for k in ("number", "q_exponential", "ladder")) < 1e-10
     for a, b in zip(m, mp):
         osc = build_q_oscillator(dim, a, b)
-        g, f, op = (x[0] for x in deformed._shift_weights(d, a[None], b[None],
-                                                          osc.eigenvectors[None]))
+        V = eigensystem_by_recursion(dim, a - b).eigenvectors
+        g, f, op = (x[0] for x in deformed._shift_weights(d, a[None], b[None], V[None]))
         assert op < 1e-12
         # componentwise unimodularity of the two coupling phase sequences
         assert_allclose(np.abs(g), 1.0, atol=1e-12)
@@ -164,13 +168,14 @@ def test_recorded_claims_are_the_per_pair_phases(d):
     claims = []
     for a, b in zip(m[rep.built_mask], mp[rep.built_mask]):
         osc = build_q_oscillator(dim, a, b)
-        g, f, _ = deformed._shift_weights(d, a[None], b[None], osc.eigenvectors[None])
+        V = eigensystem_by_recursion(dim, a - b).eigenvectors
+        g, f, _ = deformed._shift_weights(d, a[None], b[None], V[None])
         lam = deformed._sw_values(d, _phase_cross(d, np.array([osc.cross])), g, f)[0]
         g, f, n = g[0], f[0], osc.n_values
         E = _phase(2 * d, osc.cross * (2 * n + d - 1)).conj()
         claim = (max(np.abs(g - E).max(), np.abs(g - np.conj(f)).max()),
                  np.abs(np.conj(lam) - _phase(d, (2 * n - d) * osc.cross).conj()).max())
-        res = oscillator_residuals(osc)
+        res = oscillator_sweep(dim, a[None], b[None]).worst
         assert (res["literal_phase"], res["exponent_claim"]) == claim
         claims.append(claim)
     assert rep.built > 0
@@ -327,11 +332,9 @@ def pair_arrays(dim):
 
 
 def oscillator_of_one_pair(dim, a, b):
-    """oscillator_residuals of the builder's output; None where the builder refuses the pair."""
-    try:
-        return oscillator_residuals(build_q_oscillator(dim, a, b))
-    except (SingularDeformationError, DegenerateSpectrumError):
-        return None
+    """The worst residuals of the one-pair oscillator sweep; None where it skips the pair."""
+    rep = oscillator_sweep(dim, [a], [b])
+    return rep.worst if rep.built else None
 
 
 def sl2_of_one_pair(dim, a, b):
@@ -350,7 +353,7 @@ def per_pair_worst(dim, m, mp, one_pair):
             continue
         built += 1
         for k, v in res.items():
-            if k == "spectrum_min":
+            if k.endswith("_min"):
                 worst[k] = min(worst.get(k, np.inf), v)
             else:
                 worst[k] = max(worst.get(k, 0.0), v)
@@ -409,37 +412,33 @@ def test_coefficient_uses_scalar_pow():
         assert osc.d_coef == (2.0 * abs(np.sin(dim.gamma0 * reduced))) ** -0.5
 
 
-def scan_lowest_weights(dim, m, mp) -> list:
-    """Per pair: whether C + [n] = 1/|sin gamma0 c| + sin(gamma0 c (n + (D-1)/2)) / sin gamma0 c
-    vanishes at some n, in numpy sines of the exact c.  Where sin gamma0 c = 0
-    (2c = 0 mod D) the scaled profile 1 +- sin(gamma0 c (n + (D-1)/2)) is
-    scanned with both signs."""
+def brute_force_spectrum_min(dim, m, mp) -> float:
+    """min over pairs and n of C + [n], in numpy sines:
+    1/|sin gamma0 c| + sin(gamma0 c (n + (D-1)/2)) / sin gamma0 c, which has
+    period 2D in c, so c is taken into [-D, D) first."""
+    c = (lattice_cross(m.T, mp.T)[:, None] + dim.d) % (2 * dim.d) - dim.d
+    s = np.sin(dim.gamma0 * c)
     n = np.arange(dim.d) + (dim.d - 1) / 2.0
-    has = []
-    for a, b in zip(m, mp):
-        c = lattice_cross(a, b)
-        v = np.sin(dim.gamma0 * c * n)
-        if 2 * c % dim.d == 0:
-            profile = np.minimum(np.abs(1.0 + v), np.abs(1.0 - v))
-        else:
-            s = np.sin(dim.gamma0 * c)
-            profile = np.abs(1.0 / abs(s) + v / s)
-        has.append(bool(profile.min() < 1e-9))
-    return has
+    return float((1.0 / np.abs(s) + np.sin(dim.gamma0 * c * n) / s).min())
 
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_lowest_weight_sweep_matches_scan(d):
-    # a lowest weight exists at even D only: at odd D the profile never vanishes
+    # the sweep's min f(n) over every buildable window pair is the brute-force
+    # minimum: at odd D it stays above the no_lowest_weight bound, and at D = 6
+    # a built pair has a lowest weight, C + [n] = 0, so the flag can fail
     dim = make_dimension(d)
     m, mp = pair_arrays(dim)
-    has = scan_lowest_weights(dim, m, mp)
-    assert any(has) == (d % 2 == 0)
-    first = has.index(True) if any(has) else None
-    assert lowest_weight_sweep(dim, m, mp) == first
-    last = len(has) - 1 - has[::-1].index(True) if any(has) else None
-    rev = lowest_weight_sweep(dim, m[::-1], mp[::-1])
-    assert (None if rev is None else len(has) - 1 - rev) == last
+    rep = oscillator_sweep(dim, m, mp)
+    if d == 2:
+        assert rep.built == 0 and rep.worst == {}
+        return
+    low = rep.worst["spectrum_min"]
+    assert abs(low - brute_force_spectrum_min(dim, m[rep.built_mask], mp[rep.built_mask])) <= 1e-14
+    if d % 2 == 1:
+        assert low >= 1e-9
+    if d == 6:
+        assert low < 1e-9
 
 
 def test_sweeps_build_no_single_pair(monkeypatch):
@@ -468,7 +467,7 @@ def test_sweep_rejects_collinear_pair():
     with pytest.raises(CollinearVectorsError):
         oscillator_sweep(dim, [(1, 0), (1, 2)], [(0, 1), (2, 4)])
     with pytest.raises(CollinearVectorsError):
-        lowest_weight_sweep(dim, [(1, 2)], [(2, 4)])
+        sl2_sweep(dim, [(1, 2)], [(2, 4)])
 
 
 def test_sweep_blocks_stay_small():
@@ -522,9 +521,9 @@ def test_sl2_unreduced_labels_are_as_precise_as_reduced_ones():
     dim = make_dimension(31)
     rep = sl2_sweep(dim, [(-51, -25)], [(-20, 54)])
     assert rep.built == 1 and max(rep.worst.values()) < 1e-11, rep.worst
-    osc = build_q_oscillator(dim, (-51, -25), (-20, 54))
-    assert osc.cross == -3254
-    assert max(v for k, v in oscillator_residuals(osc).items() if k not in RECORDED) < 1e-11
+    assert build_q_oscillator(dim, (-51, -25), (-20, 54)).cross == -3254
+    res = oscillator_sweep(dim, [(-51, -25)], [(-20, 54)]).worst
+    assert max(v for k, v in res.items() if k not in RECORDED) < 1e-11
 
 
 def test_sl2_ladder_wraps_inside_an_offset_window():
@@ -634,7 +633,7 @@ def test_unreduced_labels_take_phases_from_the_reduced_cross_value():
     pairs = (((-51, -25), (-20, 54)), ((11, -25), (-20, -8)))
     a, b = (build_q_oscillator(dim, m, mp) for m, mp in pairs)
     assert a.q == b.q
-    laws = [oscillator_residuals(o)["q_exponential"] for o in (a, b)]
+    laws = [oscillator_sweep(dim, [m], [mp]).worst["q_exponential"] for m, mp in pairs]
     assert laws[0] <= laws[1] < 1e-13
     ta, tb = (translated_lattice_deformation(dim, m, mp, (1, 1)) for m, mp in pairs)
     assert ta.p_new == tb.p_new
@@ -713,18 +712,17 @@ def test_each_sl2_representative_family_is_needed(monkeypatch, families):
     assert rows["orbit_conjugation"].value > 0.1
 
 
-def test_a_builder_peaks_at_three_eigenvector_matrices():
-    """The oscillator builder keeps the eigenvectors V and D-vectors only, and
-    peaks at V and two D x D temporaries of its closed-form entries (building
-    dense A, N, Q and S_w as well peaked at 5 V and kept up to 4 V)."""
-    dim = make_dimension(401)
+def test_the_oscillator_builder_peaks_below_one_dense_matrix():
+    """The oscillator builder returns label data and D-vectors only: at
+    D = 1009 its traced peak stays below one complex D x D array (16.3 MB),
+    where building the S_w eigenvectors as well peaked at 16.5 MB."""
+    d = 1009
+    dim = make_dimension(d)
     build_q_oscillator(dim, (1, 0), (0, 1))
     tracemalloc.start()
     try:
-        o = build_q_oscillator(dim, (1, 0), (0, 1))
-        held, peak = tracemalloc.get_traced_memory()
+        build_q_oscillator(dim, (1, 0), (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    V = o.eigenvectors.nbytes
-    assert peak <= 3.05 * V, (peak, V)
-    assert held <= 1.02 * V, (held, V)
+    assert peak < d * d * 16, peak

@@ -107,6 +107,16 @@ def test_index_vanishes_for_cyclic_profile():
         assert abs(fujikawa_index(prof)) < 1e-14
 
 
+@pytest.mark.parametrize("d, m, mp", [(31, (-51, -25), (-20, 54)),
+                                      (211, (-400, -399), (397, -411)),
+                                      (1009, (3000, -2999), (-2011, 3017))])
+def test_oscillator_profile_wraps_on_unreduced_labels(d, m, mp):
+    # f(D) = f(0) on a cyclic profile; f(D) from the exact cross value read
+    # 1.1e-11, 3.0e-10 and -1.9e-9 off f(0) here
+    prof = oscillator_profile(make_dimension(d), m, mp)
+    assert abs(prof.f_end - prof.values[0]) <= 5e-12
+
+
 def test_index_linear_profile_closed_form():
     for d in (5, 13, 101):
         dim = make_dimension(d)
