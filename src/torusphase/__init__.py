@@ -22,10 +22,10 @@ _EXPORTS = {
     "lattice": (
         "Dimension", "basis_state", "build_clock_operator", "build_fourier_operator",
         "build_shift_operator", "canonical_vector", "canonical_window", "is_prime",
-        "lattice_cross", "make_dimension", "max_abs", "random_state", "window_vectors",
+        "lattice_cross", "make_dimension", "max_abs", "random_state",
     ),
     "schwinger": (
-        "SchwingerEigensystem", "conjugate_pair_suite", "eigensystem_by_recursion",
+        "SchwingerEigensystem", "eigensystem_by_recursion",
         "schwinger_matrix", "sine_commutator_check", "standard_pair_suite",
         "weyl_commutator_check",
     ),

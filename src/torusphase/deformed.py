@@ -9,30 +9,22 @@ exact symplectic area c = m x m':
   number operator N, and spectrum f(n) = C + [n] >= 0 where the shift constant
   C = 1/|sin(gamma0 c)| makes every f(n) admissible.
 
-Both diagonalize along the eigenbasis of S_{m-m'}; the integer bijection
-n = c^{-1} r mod D links eigenvalue index r to oscillator quantum number n.
-
+Both diagonalize along the eigenbasis v_r of S_w, w = m - m'; the integer
+bijection n = c^{-1} r mod D links eigenvalue index r to quantum number n.
 Both start from one label pass over a list of pairs (_label_pass): it rejects
-collinear pairs and gives every pair the reason its builder refuses it, if
-any, from the label integers alone.  build_q_oscillator, coproduct_check and
-translated_lattice_deformation raise that refusal; the sweeps skip and count
-it.  The eigenvectors V of S_w, w = m - m', are built where they are used,
-once per distinct w: a sweep visits its pairs grouped by w, block by block,
-and carries only the last system of a block into the next
-(_Labels.eigenvector_blocks).  Every identity is checked on V in two parts:
-(a) S_m and S_m' act on V one entry per column, O(D^2) per pair, and must be
-weighted shifts v_r -> v_{r-c} (_shift_weights); (b) on their weights, where
-A is a weighted shift and N, J3, S_w and both Casimir orderings are
-diagonal, each identity is a scalar identity on D values, whose rounding
-floor is ~eps |C|, not the eps D |A| |C| of dense products.  Per-pair values
-do not depend on the block, so a sweep of one pair gives that pair's
-residuals and a sweep's worst is bit-equal to the worst of its one-pair
-sweeps.  No dense operator is built: the builder returns label data only
-(the coefficients, the quantum numbers n_r and the spectrum), and
-A = d S_m + d' S_m', N = V diag(n) V^dag or S_w as D x D arrays are the
-tests' oracles, built from those and V.  The sign that fixes the sl(2) J3
-offset and the oscillator eta is an exact integer parity of the labels
-(_branch_sign), not a measured phase.
+collinear pairs and gives every pair the reason its builder refuses it, from
+the label integers alone; the builders raise that refusal, the sweeps skip
+and count it.  Every identity is checked in two parts, and no eigenvector is
+built: (a) S_m and S_m' are weighted shifts v_r -> v_{r-c}, an exact check on
+the integer exponents of their weights, which come from the labels in O(D)
+per pair (_ladder_weights); (b) on the weights, each identity is a scalar
+identity on D values, whose rounding floor is ~eps |C|, not the
+eps D |A| |C| of dense products.  Per-pair values do not depend on the block
+of pairs a sweep takes them in, so a sweep's worst is bit-equal to the worst
+of its one-pair sweeps.  The builder returns label data only; dense A, N and
+S_w, and the eigenvectors, are the tests' oracles.  The sign that fixes the
+sl(2) J3 offset and the oscillator eta is an exact integer parity of the
+labels (_branch_sign), not a measured phase.
 """
 from __future__ import annotations
 
@@ -56,15 +48,18 @@ from .lattice import (
 )
 from .schwinger import (
     _BLOCK_ENTRIES,
+    _column_exponent,
     _eigensystem,
     _has_closed_form,
     _norm,
+    _orbit_exponents,
     _times,
     displacement_columns,
-    label_blocks,
 )
 
 _SINGULAR_TOL = 1e-12
+# entries per (pairs, D) array of a sweep block: ~20% faster than 2^12 at D = 1009
+_SWEEP_ENTRIES = 1 << 14
 # refusal reasons of each builder, in the order it checks them
 _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
@@ -106,51 +101,56 @@ def _n_values(d: int, c) -> np.ndarray:
 
 
 def _rolled(x, shift) -> np.ndarray:
-    """x[p, (r + shift[p]) mod D] for per-pair values x (P, D)."""
-    d = x.shape[1]
-    return np.take_along_axis(x, (np.arange(d) + np.reshape(shift, (-1, 1))) % d, axis=1)
+    """x[p, (r + shift[..., p, 0]) mod D] for per-pair values x (P, D), shifts (..., P, 1).
 
-
-def _shift_weights(d: int, m, mp, V):
-    """Part (a): S_m and S_m' on the S_w eigenbasis V of each pair, w = m - m'.
-
-    With c = m x m', S_w S_m = e^{i gamma0 c} S_m S_w, and the same for S_m',
-    so both lower the eigenvalue index by c: S_m v_r = g_r v_{r-c} and
-    S_m' v_r = f_r v_{r-c}.
-    Returns g and f (P, D), the matrix elements <v_{r-c}|S|v_r>, and the
-    largest entry of S v_r - g_r v_{r-c} over both labels (P,).  Where it
-    vanishes, A = d S_m + d' S_m' is the weighted shift (d g_r + d' f_r) and
-    S_w = e^{i gamma0 c/2} S_m S_m'^dag is diagonal (_sw_values).
+    One flat gather from the rows doubled, D entries from each row's start:
+    no index is reduced mod D entry by entry.
     """
-    P = len(V)
-    vt = np.ascontiguousarray(V.swapaxes(1, 2))        # row r holds v_r
-    lower = (np.arange(d) - lattice_cross(m.T, mp.T)[:, None]) % d
-    labels = [displacement_columns(d, x[:, 0], x[:, 1]) for x in (m, mp)]
-    weights = [np.empty((P, d), dtype=complex) for _ in labels]
-    residual = np.zeros(P)
-    # rows of V in chunks of at most _BLOCK_ENTRIES entries: the temporaries
-    # stay small, where fresh D x D ones cost their page faults at large D
-    step = max(1, _BLOCK_ENTRIES // (P * d))
-    for lo in range(0, d, step):
-        v, lowered = vt[:, lo:lo + step], vt[np.arange(P)[:, None], lower[:, lo:lo + step]]
-        at = (np.arange(P * v.shape[1]) * d).reshape(P, -1, 1)
-        for (rows, vals), wt in zip(labels, weights):
-            sv = np.empty_like(v)
-            sv.reshape(-1)[at + rows[:, None, :]] = vals[:, None, :] * v
-            # <v_{r-c}|S v_r>, summed along the row (pairwise, to ~eps log D)
-            wt[:, lo:lo + step] = (lowered.conj() * sv).sum(axis=-1)
-            err = np.abs(sv - wt[:, lo:lo + step, None] * lowered).max(axis=(1, 2))
-            residual = np.maximum(residual, err)
-    return weights[0], weights[1], residual
+    P, d = x.shape
+    start = np.asarray(shift) % d + 2 * d * np.arange(P)[:, None]
+    return np.concatenate((x, x), axis=1).reshape(-1)[start + np.arange(d)]
+
+
+def _ladder_weights(d: int, m, mp):
+    """S_m and S_m' on the S_w eigenbasis of each pair (w = m - m'), from the labels.
+
+    With c = m x m', S_m v_r = g_r v_{r-c} and S_m' v_r = f_r v_{r-c}.  Returns g
+    and f (P, D), the elements <v_{r-c}|S|v_r>, and per pair (P,) the part (a)
+    flag: 0.0 where both are such weighted shifts, 1.0 where one is not.
+    Off the diagonal (wbar1 a unit, wbar the window representative of w), v_r
+    has the component e^{i pi (E_j - 2 j r) / D} / sqrt(D) at k_j
+    (schwinger._orbit_exponents), and S_m takes column k_j to row k_{j+j'},
+    j' = -m1 / wbar1 mod D.  Read there, g_r = e^{-i pi (X_j - 2 j' r) / D} with
+    X_j = t_j - E_j + E_{j+j'} + 2 (j + j' mod D) c, t_j the exponent of S_m's
+    entry: S_m v_r is a multiple of v_{r-c} for every r exactly where
+    X_j = X_0 mod 2D at every j.  On the diagonal, v_r is the coordinate vector
+    k = r / wbar2 mod D, and S_m must take it to that of r - c.
+    """
+    c = lattice_cross(m.T, mp.T)[:, None] % d
+    w1, w2, _ = (x[:, None] for x in _reduce(d, m[:, 0] - mp[:, 0], m[:, 1] - mp[:, 1]))
+    r, diag = np.arange(d), w1[:, 0] == 0     # r runs over the orbit positions j too
+    k, e = _orbit_exponents(d, w1, w2)
+    x1, x2 = np.stack([m, mp]).transpose(2, 0, 1)[..., None]      # (2, P, 1): m, then m'
+    jp = (-x1 * _inverse_mod(d, w1)) % d
+    # 2 c (j + j' mod D) = 2 c (j + j') mod 2D
+    X = _column_exponent(d, x1, x2, k) - e + _rolled(e, jp) + 2 * c * (r + jp)
+    moved = (X - X[..., :1]) % (2 * d)
+    X = X[..., :1] - 2 * jp * r
+    if diag.any():      # v_r = u_k, k = r / wbar2: S_m takes it to u_{k + m1}, one entry
+        w2inv = _inverse_mod(d, w2[diag])
+        X[:, diag] = _column_exponent(d, x1[:, diag], x2[:, diag], r * w2inv % d)
+        moved[:, diag] = (c[diag] * w2inv + x1[:, diag]) % d
+    g, f = _phase(d, X)
+    return g, f, moved.any(axis=(0, 2)).astype(float)
 
 
 def _sw_values(d: int, c, g, f) -> np.ndarray:
     """Eigenvalues mu_r of S_w on v_r from the weights: e^{i pi c/D} g_{r+c} conj(f_{r+c})."""
-    return _rolled(_phase(d, c).conj()[:, None] * g * np.conj(f), c)
+    return _rolled(_phase(d, c).conj()[:, None] * g * np.conj(f), c[:, None])
 
 
 def _worst(operator, scalars: dict) -> dict:
-    """Per row and pair: the residual of part (a) or the largest scalar one (P, D), the larger."""
+    """Per row and pair: the part (a) flag or the largest scalar residual (P, D), the larger."""
     return {k: np.maximum(operator, np.abs(x).max(axis=1)) for k, x in scalars.items()}
 
 
@@ -172,10 +172,6 @@ class SweepReport:
     @property
     def built(self) -> int:
         return int(self.built_mask.sum())
-
-    @property
-    def skipped(self) -> int:
-        return len(self.built_mask) - self.built
 
 
 def _pair_labels(dim: Dimension, m, mp):
@@ -200,37 +196,15 @@ def _pair_labels(dim: Dimension, m, mp):
 class _Labels(NamedTuple):
     """A checked list of label pairs with the refusal of each."""
 
-    dim: Dimension
     m: np.ndarray
     mp: np.ndarray
     cross: np.ndarray        # exact m x m'
-    keys: np.ndarray         # residue key of w = m - m' per pair
     reasons: tuple           # refusal reasons checked, in the builder's order
     refusal: np.ndarray      # per pair: index of its first reason, len(reasons) if built
 
     @property
     def built(self) -> np.ndarray:
         return self.refusal == len(self.reasons)
-
-    def system(self, key: int):
-        """(eigenvalues, eigenvectors) of S_w for the canonical w of a residue key."""
-        d = self.dim.d
-        return _eigensystem(d, *canonical_vector(self.dim, divmod(key, d)))
-
-    def eigenvector_blocks(self, blocks):
-        """Eigenvectors of S_w per pair (P, D, D), one stack per block of pair indices.
-
-        Each distinct w of a block is built once, and the last one is carried
-        into the next block: over pairs sorted by w, every system is built once.
-        """
-        last_key = last = None
-        for idx in blocks:
-            keys, inverse = np.unique(self.keys[idx], return_inverse=True)
-            keys = keys.tolist()
-            systems = [last if k == last_key else self.system(k)[1] for k in keys]
-            V = np.stack([systems[i] for i in inverse.tolist()])
-            last_key, last = keys[-1], systems[-1]
-            yield V
 
 
 def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
@@ -243,7 +217,7 @@ def _label_pass(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
               "non-invertible": _inverse_mod(d, c) == 0}
     first = np.argmax(np.stack([failed[r] for r in reasons] + [np.ones(len(c), dtype=bool)]),
                       axis=0)
-    return _Labels(dim, m, mp, c, (w[:, 0] % d) * d + w[:, 1] % d, reasons, first)
+    return _Labels(m, mp, c, reasons, first)
 
 
 def _built_labels(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
@@ -252,8 +226,8 @@ def _built_labels(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
     if not lab.built.all():
         i = int(np.argmin(lab.built))
         reason, c = reasons[lab.refusal[i]], int(lab.cross[i])
-        if reason == "degenerate":
-            lab.system(int(lab.keys[i]))     # raises the eigensystem's own error
+        if reason == "degenerate":        # raises the eigensystem's own error
+            _eigensystem(dim.d, *canonical_vector(dim, lab.m[i] - lab.mp[i]))
         if reason == "singular":
             raise SingularDeformationError(
                 f"sin(gamma0 * {c}) = 0 at D={dim.d}; oscillator coefficients diverge")
@@ -265,17 +239,16 @@ def _built_labels(dim: Dimension, m, mp, reasons: tuple) -> _Labels:
 def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
     """Worst residuals over the built pairs, in blocks, and the skips by reason.
 
-    residuals(dim, m, mp, V) gives a dict of per-pair residuals for a block.
+    residuals(dim, m, mp) gives a dict of per-pair residuals for a block of
+    pairs; per-pair values do not depend on their block.
     """
     lab = _label_pass(dim, m, mp, reasons)
     built = np.flatnonzero(lab.built)
-    # pairs grouped by w build each eigensystem once; per-pair values do not
-    # depend on their block
-    built = built[np.argsort(lab.keys[built], kind="stable")]
-    blocks = [built[blk] for blk in label_blocks(len(built), dim.d)]
+    step = max(1, _SWEEP_ENTRIES // dim.d)
     worst: dict = {}
-    for idx, V in zip(blocks, lab.eigenvector_blocks(blocks)):
-        for k, v in residuals(dim, lab.m[idx], lab.mp[idx], V).items():
+    for lo in range(0, len(built), step):
+        idx = built[lo:lo + step]
+        for k, v in residuals(dim, lab.m[idx], lab.mp[idx]).items():
             if k.endswith("_min"):
                 worst[k] = min(worst.get(k, np.inf), float(v.min()))
             else:
@@ -333,20 +306,20 @@ def _oscillator_coefs(dim: Dimension, m, mp):
     return eta, d_coef, np.conj(eta / ((2j * s) * d_coef)), 1.0 / np.abs(s)
 
 
-def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
+def _oscillator_rows(dim: Dimension, m, mp, eta, d_coef, dp_coef, C) -> dict:
     """Per-pair residuals of the oscillator identities (see oscillator_sweep).
 
-    On V, with a_r = d g_r + d' f_r: A^dag A is |a_r|^2 and A A^dag is
-    |a_{r+c}|^2 on v_r, N is n_r, and -eta S_{-m} S_m' is -eta conj(g_r) f_r.
+    On the S_w eigenbasis, with a_r = d g_r + d' f_r (_ladder_weights):
+    A^dag A is |a_r|^2 and A A^dag is |a_{r+c}|^2 on v_r, N is n_r, and
+    -eta S_{-m} S_m' is -eta conj(g_r) f_r.
     [n] = sin(pi k / D) / sin(gamma0 c) with the integer k = c (2n + D - 1).
     """
     d = dim.d
-    cross = lattice_cross(m.T, mp.T)
-    c = _phase_cross(d, cross)
+    c = _phase_cross(d, lattice_cross(m.T, mp.T))
     cc, nv = c[:, None], _n_values(d, c)
     k = cc * (2 * nv + d - 1)
     s = np.sin(dim.gamma0 * cc)
-    g, f, op = _shift_weights(d, m, mp, V)
+    g, f, op = _ladder_weights(d, m, mp)
     dg, dpf = d_coef[:, None] * g, dp_coef[:, None] * f
     number = C[:, None] + _sin_turns(k, d) / s
     a2 = np.abs(dg + dpf) ** 2
@@ -355,20 +328,13 @@ def _oscillator_rows(dim: Dimension, m, mp, V, eta, d_coef, dp_coef, C) -> dict:
         # the number identity with eta and d' negated, which must fail
         "opposite_min": np.abs(dg - dpf) ** 2 - number,
         "q_exponential": _phase(d, k).conj() + eta[:, None] * np.conj(g) * f,
-        "ladder": nv - (_rolled(nv, -c) + 1) % d,
+        "ladder": nv - (_rolled(nv, -cc) + 1) % d,
         # A A^dag = C + [N + 1]: the pair of relations whose difference is the
         # q-commutator; checked via the bracket form directly
-        "raised_number": _rolled(a2, c) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s),
+        "raised_number": _rolled(a2, cc) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s),
     }) | {
         "spectrum_min": (C[:, None] + bracket_values(dim, cc, np.arange(d))).min(axis=1),
         "shift_constant": np.abs(C - 1.0 / np.abs(np.sin(dim.gamma0 * c))),
-        # the recorded claims: g = conj(f) = E, E = e^{i pi c (2n + D - 1) / 2D} of period
-        # 4D in c, so from the exact c; conj(mu_r) = e^{i gamma0 (n - D/2) c}
-        "literal_phase": np.maximum(
-            np.abs(g - _phase(2 * d, (cross % (4 * d))[:, None] * (2 * nv + d - 1)).conj()),
-            np.abs(g - np.conj(f))).max(axis=1),
-        "exponent_claim": np.abs(np.conj(_sw_values(d, c, g, f))
-                                 - _phase(d, (2 * nv - d) * cc).conj()).max(axis=1),
     }
 
 
@@ -400,18 +366,39 @@ def oscillator_sweep(dim: Dimension, m, mp) -> SweepReport:
     ladder: A N = (N+1 mod D) A;  raised_number: A A^dag = C + [N+1];
     shift_constant: C = 1/|sin(gamma0 c)|.
     Each is taken on the S_{m-m'} eigenbasis with the pair's own eta, d, d', C
-    (_oscillator_coefs).  literal_phase and exponent_claim are recorded, never
-    gated: the componentwise phases g = conj(f) = E of the ladder elements and
-    the exponent of the S_{m-m'} eigenvalues, claims that hold only up to a
-    rephasing of the eigenvectors.  spectrum_min is min f(n), and
+    (_oscillator_coefs), on the ladder weights read from the labels in O(D)
+    per pair (_ladder_weights); every row but shift_constant and spectrum_min
+    takes the exact part (a) flag too.  spectrum_min is min f(n), and
     opposite_min the number residual with eta and d' negated, which must be
     large.  m and mp are integer label arrays (P, 2).  A pair is skipped
     exactly where build_q_oscillator refuses it: |sin(gamma0 c)| < 1e-12, a
     degenerate S_{m-m'} eigensystem, or c not invertible mod D; skips counts
     these three reasons in that order, the builder's.
     """
-    return _sweep(dim, m, mp, _OSC_REASONS, lambda dim, m, mp, V: _oscillator_rows(
-        dim, m, mp, V, *_oscillator_coefs(dim, m, mp)))
+    return _sweep(dim, m, mp, _OSC_REASONS, lambda dim, m, mp: _oscillator_rows(
+        dim, m, mp, *_oscillator_coefs(dim, m, mp)))
+
+
+def oscillator_claims(dim: Dimension, m, mp) -> dict:
+    """Worst of the two recorded, never gated claims over the pairs build_q_oscillator builds.
+
+    literal_phase: g = conj(f) = E = e^{i pi c (2n + D - 1) / 2D}, of period 4D in
+    the exact c; exponent_claim: conj(mu_r) = e^{i gamma0 (n - D/2) c}.  Both hold
+    only up to a rephasing of the eigenvectors.
+    """
+    def claims(dim, m, mp):
+        d, cross = dim.d, lattice_cross(m.T, mp.T)
+        c = _phase_cross(d, cross)
+        nv = _n_values(d, c)
+        g, f, _ = _ladder_weights(d, m, mp)
+        return {
+            "literal_phase": np.maximum(
+                np.abs(g - _phase(2 * d, (cross % (4 * d))[:, None] * (2 * nv + d - 1)).conj()),
+                np.abs(g - np.conj(f))).max(axis=1),
+            "exponent_claim": np.abs(np.conj(_sw_values(d, c, g, f))
+                                     - _phase(d, (2 * nv - d) * c[:, None]).conj()).max(axis=1),
+        }
+    return _sweep(dim, m, mp, _OSC_REASONS, claims).worst
 
 
 def oscillator_coefficients(dim: Dimension, m, mp):
@@ -432,11 +419,12 @@ def _sl2_coefs(dim: Dimension, m, mp):
     return d_coef, np.where(_branch_sign(d, c, m - mp) < 0, d / (2.0 * c), 0.0)
 
 
-def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
+def _sl2_rows(dim: Dimension, m, mp, d_coef, delta) -> dict:
     """Per-pair residuals of the deformed sl(2) identities (see sl2_sweep).
 
-    On V, with a_r = d (g_r + f_r): A v_r = a_r v_{r-c}, S_w v_r = mu_r v_r
-    (_sw_values), and J3 = n + delta and both Casimir orderings are diagonal.
+    On the S_w eigenbasis, with a_r = d (g_r + f_r) (_ladder_weights):
+    A v_r = a_r v_{r-c}, S_w v_r = mu_r v_r (_sw_values), and J3 = n + delta
+    and both Casimir orderings are diagonal.
     Each phase and bracket argument is pi k / D or pi k / 2D with
     k = 2c (J3 + D/2) +- c, reduced before the sine.
     """
@@ -445,27 +433,28 @@ def _sl2_rows(dim: Dimension, m, mp, V, d_coef, delta) -> dict:
     cc, nv = c[:, None], _n_values(d, c)
     k = _j3_turns(c, nv, delta) + cc * d
     s = _sin_turns(cc, d)
-    g, f, op = _shift_weights(d, m, mp, V)
+    g, f, op = _ladder_weights(d, m, mp)
     a2 = np.abs(d_coef[:, None] * (g + f)) ** 2
     mu = _sw_values(d, c, g, f)
     p = _phase(d, 2 * cc)
     # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
     c1 = a2 + (_sin_turns(k - cc, 2 * d) / s) ** 2
-    c2 = _rolled(a2, c) + (_sin_turns(k + cc, 2 * d) / s) ** 2
+    a2_up, mu_down = _rolled(a2, cc), _rolled(mu, -cc)
+    c2 = a2_up + (_sin_turns(k + cc, 2 * d) / s) ** 2
     const = 1.0 / _scalar_pow(_sin_turns(c, d), 2)
     return _worst(op, {
         "exponential": mu - _phase(d, k),
-        "intertwine": mu - p * _rolled(mu, -c),
-        "intertwine_dag": _rolled(mu, -c) - np.conj(p) * mu,
-        "commutator": _rolled(a2, c) - a2 + _sin_turns(k, d) / s,
+        "intertwine": mu - p * mu_down,
+        "intertwine_dag": mu_down - np.conj(p) * mu,
+        "commutator": a2_up - a2 + _sin_turns(k, d) / s,
         # J3 v_{r-c} + v_{r-c} = (n_{r-c} + 1 mod D + delta) v_{r-c}: delta cancels
-        "ladder": nv - (_rolled(nv, -c) + 1) % d,
+        "ladder": nv - (_rolled(nv, -cc) + 1) % d,
         "casimir_forms": c1 - c2,
         "casimir_value": c1 - const[:, None],
         # C1 takes one value along the ladder r -> r - c, so it commutes with A
         # and A^dag; the commutator's entries a_r (c1_{r-c} - c1_r) would put
         # the floor at eps |A| |C| ~ eps D^3 instead of eps |C|
-        "casimir_central": c1 - _rolled(c1, -c),
+        "casimir_central": c1 - _rolled(c1, -cc),
     })
 
 
@@ -480,13 +469,14 @@ def sl2_sweep(dim: Dimension, m, mp) -> SweepReport:
                  (A A^dag, + 1/2) agree, equal 1/sin^2(gamma0 c / 2) and
                  commute with A
     Each is taken on the S_{m-m'} eigenbasis with the pair's own d and delta
-    (_sl2_coefs).  m and mp are integer label arrays (P, 2).  A pair is skipped
-    exactly where coproduct_check refuses it: a degenerate S_{m-m'}
-    eigensystem, or c not invertible mod D; skips counts these two reasons in
-    that order.
+    (_sl2_coefs), on the ladder weights read from the labels in O(D) per pair
+    (_ladder_weights), and takes the exact part (a) flag too.  m and mp are
+    integer label arrays (P, 2).  A pair is skipped exactly where
+    coproduct_check refuses it: a degenerate S_{m-m'} eigensystem, or c not
+    invertible mod D; skips counts these two reasons in that order.
     """
-    return _sweep(dim, m, mp, _SL2_REASONS, lambda dim, m, mp, V: _sl2_rows(
-        dim, m, mp, V, *_sl2_coefs(dim, m, mp)))
+    return _sweep(dim, m, mp, _SL2_REASONS, lambda dim, m, mp: _sl2_rows(
+        dim, m, mp, *_sl2_coefs(dim, m, mp)))
 
 
 def sl2_coefficients(dim: Dimension, m, mp):
@@ -519,7 +509,7 @@ class CoproductReport:
 
 
 def coproduct_check(dim: Dimension, m, mp) -> CoproductReport:
-    """Two-copy coupling of the deformed sl(2) realization, checked on V (x) V in O(D^2).
+    """Two-copy coupling of the deformed sl(2) realization, checked on |r, s> in O(D^2).
 
     Delta(A) = A (x) sigma^H + sigma^{-H} (x) A and Delta(A^dag), the same with
     A^dag (not the adjoint of Delta(A)), close on [Delta A, Delta A^dag] =
@@ -527,14 +517,15 @@ def coproduct_check(dim: Dimension, m, mp) -> CoproductReport:
     On |r, s> = v_r (x) v_s, A v_r = a_r v_{r-c}, A^dag v_r = conj(a_{r+c}) v_{r+c},
     and sigma^H, H and K_w are diagonal: each identity is a D x D coefficient
     array per entry it reaches from |r, s>, taken in blocks of rows r, and
-    takes the part (a) residual.
+    takes the part (a) flag.  The weights a_r come from the labels in O(D)
+    (_ladder_weights); no eigenvector is built.
     """
     d = dim.d
     lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
     d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
     c = _phase_cross(d, lab.cross)
     nv = _n_values(d, c)
-    g, f, op = _shift_weights(d, lab.m, lab.mp, lab.system(int(lab.keys[0]))[1][None])
+    g, f, op = _ladder_weights(d, lab.m, lab.mp)
     a = (d_coef[:, None] * (g + f))[0]
     # sigma^J3, and t = 2 c J3: the bracket and K_w are phases of it
     sig, t = _sigma_values(d, c, nv, delta)[0], _j3_turns(c, nv, delta)[0]

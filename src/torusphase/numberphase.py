@@ -113,7 +113,6 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     = Ph C Ph^dag / (2piD), with C[l, l + m1] = e^{i gamma0 m1 J} f(2l + m1) and
     f(t) = sum_m2 e^{-i m2 theta} e^{i pi t m2 / D}, t mod 2D: one length-2D FFT.
     """
-    Ph = build_fourier_operator(dim).conj()      # the phase states of build_phase_pair
     d, w = dim.d, canonical_window(dim)
     a = np.zeros(2 * d, dtype=complex)
     a[w % (2 * d)] = np.exp(-1j * w * theta)
@@ -121,7 +120,12 @@ def action_angle_phase_form(dim: Dimension, J: float, theta: float) -> np.ndarra
     m1, l = w[:, None], np.arange(d)
     C = np.empty((d, d), dtype=complex)
     C[l, (l + m1) % d] = np.exp(1j * dim.gamma0 * m1 * J) * f[(2 * l + m1) % (2 * d)]
-    return Ph @ C @ Ph.conj().T / (2.0 * np.pi * d)
+    # the phase states Ph = conj(F) of build_phase_pair: F is symmetric, so Ph^dag = F
+    # and Ph C = conj(F conj(C)), with at most three D x D arrays alive at once
+    F = build_fourier_operator(dim)
+    PhC = F @ np.conj(C, out=C)
+    del C
+    return np.conj(PhC, out=PhC) @ F / (2.0 * np.pi * d)
 
 
 def kernel_form_residual(dim: Dimension, J: float, theta: float) -> float:

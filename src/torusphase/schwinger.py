@@ -45,7 +45,12 @@ def displacement_columns(d: int, m1, m2):
     m1 = np.asarray(m1, dtype=np.int64)[..., None]
     m2 = np.asarray(m2, dtype=np.int64)[..., None]
     j = np.arange(d)
-    return (j + m1) % d, _phase(d, (m1 % (2 * d)) * (m2 % (2 * d)) + 2 * ((m2 * j) % d))
+    return (j + m1) % d, _phase(d, _column_exponent(d, m1, m2, j))
+
+
+def _column_exponent(d: int, m1, m2, j):
+    """The exponent t < 6 D^2 of S_m's entry e^{-i pi t / D} in column j in [0, D)."""
+    return (m1 % (2 * d)) * (m2 % (2 * d)) + 2 * (m2 % d) * j
 
 
 def schwinger_stack(d: int, labels) -> np.ndarray:
@@ -60,17 +65,6 @@ def schwinger_stack(d: int, labels) -> np.ndarray:
 # A monomial operator, one nonzero entry per column, is held as (rows, vals)
 # with A[rows[..., j], j] = vals[..., j]; leading axes stack operators.  Its
 # products, adjoint, trace and comparisons cost O(D) per operator.
-
-def _monomial(A: np.ndarray):
-    """(rows, vals) of a matrix; ValueError names its first column without one
-    nonzero entry, in a row no other column uses."""
-    nonzero = A != 0
-    rows = nonzero.argmax(axis=0)
-    bad = (nonzero.sum(axis=0) != 1) | (np.bincount(rows, minlength=len(A))[rows] != 1)
-    if bad.any():
-        raise ValueError(f"column {int(bad.argmax())} of the operator is not monomial")
-    return rows, A[rows, np.arange(len(A))]
-
 
 def _times(a, b):
     """A B: column j is column rows_B[j] of A times vals_B[j]; one B may multiply a stack of A."""
@@ -158,6 +152,21 @@ def _has_closed_form(d: int, m1, m2):
     return np.gcd(np.where(m1 % d == 0, m2, m1), d) == 1
 
 
+def _orbit_exponents(d: int, m1, m2):
+    """Orbit k and exponents E (P, D) of labels (P, 1) with m1 a unit mod D.
+
+    Eigenvector r of S_m has the component e^{i pi (E_j - 2 j r) / D} / sqrt(D)
+    at k_j = -j m1 mod D: S_m v = lam[r] v steps the component at k_j to
+    k_{j+1} by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so E is the exact integer
+    E_j = m2 sum_{i<j} (2 k_i - m1) + D m1 m2 j  (mod 2D).
+    """
+    j = np.arange(d, dtype=np.int64)
+    k = (-j * m1) % d
+    # the walk stays below 3 D^2: its product with m2 mod 2D is exact in int64
+    walk = np.concatenate((0 * m1, np.cumsum(2 * k[:, :-1] - m1, axis=1)), axis=1)
+    return k, ((m2 % (2 * d)) * walk + d * ((m1 * m2) % 2) * (j % 2)) % (2 * d)
+
+
 def _eigensystem(d: int, m1, m2):
     """Eigenvalues (..., D) and eigenvectors (..., D, D) of S_m per canonical label of m1, m2."""
     m1, m2 = np.broadcast_arrays(np.asarray(m1, dtype=np.int64), np.asarray(m2, dtype=np.int64))
@@ -173,14 +182,8 @@ def _eigensystem(d: int, m1, m2):
     # diagonal element: eigenvector r is the coordinate vector k with
     # r = k m2 mod D (the half-phase vanishes since m1 = 0 here)
     vecs[np.flatnonzero(~off)[:, None], j, j * m2[~off] % d] = 1.0
-    p, m1, m2 = np.flatnonzero(off)[:, None], m1[off], m2[off]
-    # S_m v = lam[r] v steps the component at k_j = -j m1 mod D to k_{j+1}
-    # by lam[r] e^{i pi m2 (2 k_j - m1) / D}, so the component at k_j is
-    # e^{i pi E / D} / sqrt(D) with the exact integer
-    # E = m2 sum_{i<j} (2 k_i - m1) + D m1 m2 j - 2 j r  (mod 2D)
-    k = (-j * m1) % d
-    walk = np.concatenate((0 * m1, np.cumsum(2 * k[:, :-1] - m1, axis=1) % (2 * d)), axis=1)
-    e = ((m2 % (2 * d)) * walk + d * ((m1 * m2 * j) % 2)) % (2 * d)
+    p = np.flatnonzero(off)[:, None]
+    k, e = _orbit_exponents(d, m1[off], m2[off])
     # rows k_j gathered from a conj-scaled table a block of j at a time:
     # no D x D temporary beside vecs
     table = _phase(d, np.arange(2 * d)).conj() / math.sqrt(d)
@@ -327,23 +330,13 @@ def _worst(res: dict, key: str, values) -> None:
     res[key] = max(res[key], float(np.max(values, initial=0.0)))
 
 
-def conjugate_pair_suite(dim: Dimension, X: np.ndarray, Z: np.ndarray,
-                         rng=None, n_random: int = 200) -> dict:
-    """Full algebra suite for a candidate conjugate pair (X, Z) of monomial matrices.
-
-    Checks the Weyl commutation X Z = e^{i gamma0} Z X, order-D cyclicity, and
-    the adjoint / power / trace identities over the checked window labels and
-    composition over random window and integer labels of the S family built
-    from the pair's powers X^a and Z^b, a, b in [0, D), taken by squaring from
-    the pair's own entries.  Every identity compares monomials: O(D) per
-    label, O(D log D) for S_m^D.  Returns the worst residual per check; a pair
-    that is not monomial raises ValueError.
-    """
-    return _pair_suite(dim, _monomial(X), _monomial(Z), rng, n_random)
-
-
 def _pair_suite(dim: Dimension, x, z, rng, n_random: int) -> dict:
-    """conjugate_pair_suite on the pair's entries: x and z are monomials (rows, vals)."""
+    """Worst residual per check of a conjugate pair given by its entries, monomials (rows, vals).
+
+    Weyl commutation X Z = e^{i gamma0} Z X and order-D cyclicity; adjoint, power
+    and trace over the checked window labels and composition over random labels
+    of the S family from the powers X^a, Z^b; O(D) per label, O(D log D) for S_m^D.
+    """
     if rng is None:
         rng = Sampler(0)
     d = dim.d
@@ -371,7 +364,7 @@ def _pair_suite(dim: Dimension, x, z, rng, n_random: int) -> dict:
         rows, vals = _times((xr[a], xv[a]), (zr[b], zv[b]))
         return rows, _half_phase(d, m[:, 0], m[:, 1])[:, None] * vals
 
-    # pairs (a, b) of window labels by flat index: k is (w[k // D], w[k % D]), as in window_vectors
+    # pairs (a, b) of window labels by flat index: k is (w[k // D], w[k % D]), m1 outer
     k = np.stack([rng.integers(0, d * d, n_random), rng.integers(0, d * d, n_random)], axis=1)
     # one draw per label, as the label-by-label loop made them
     extra = np.array([[rng.integers(-2 * d, 2 * d, 2), rng.integers(-2 * d, 2 * d, 2)]
@@ -396,6 +389,6 @@ def _pair_suite(dim: Dimension, x, z, rng, n_random: int) -> dict:
 
 
 def standard_pair_suite(dim: Dimension, rng=None, n_random: int = 200) -> dict:
-    """conjugate_pair_suite on the fundamental pair (U, V) = (h^dag, conj(g)), from its entries."""
+    """_pair_suite on the fundamental pair (U, V) = (h^dag, conj(g)), from its entries."""
     g, h = _weyl_pair(dim)
     return _pair_suite(dim, _adjoint(h), (g[0], g[1].conj()), rng, n_random)

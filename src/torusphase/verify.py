@@ -59,7 +59,7 @@ def _window_pairs(dim: Dimension):
     """Window labels (D^2, 2), m1 outer, and per label m the count of m' with m x m' != 0 mod D."""
     d = dim.d
     w = canonical_window(dim)
-    # window_vectors(dim) as one array, without its D^2 tuples
+    # every window label, m1 outer, as one array without D^2 tuples
     vecs = np.stack(np.meshgrid(w, w, indexing="ij"), axis=-1).reshape(-1, 2)
     # D gcd(m1, m2, D) labels m' have m x m' = 0 mod D
     return vecs, d * d - d * np.gcd(np.gcd(vecs[:, 0], vecs[:, 1]), d)
@@ -171,7 +171,7 @@ def _sweep_plan(dim: Dimension, seed: int, samples: int | None, families):
     return pairs, _representatives(dim.d, families), True
 
 
-# the conjugate_pair_suite rows taken over the checked window labels
+# the pair suite rows taken over the checked window labels
 _WINDOW_ROWS = ("trace", "adjoint", "power_sign")
 
 
@@ -252,11 +252,12 @@ def suite_qosc(dim: Dimension, seed: int = 0, samples: int | None = None) -> lis
     m, mp = pairs
     first = np.arange(min(5, len(m))) if classes else np.flatnonzero(sweep.built_mask)[:5]
     corr = deformed.oscillator_sweep(dim, m[first], mp[first]).worst
+    claims = deformed.oscillator_claims(dim, m[first], mp[first])
     rows += [_res("correspondence_product_law", corr["q_exponential"]),
              _res("correspondence_amplitude", corr["number"]),
-             _info("correspondence_literal_phase", corr["literal_phase"],
+             _info("correspondence_literal_phase", claims["literal_phase"],
                    note="componentwise phase claim holds only up to rephasing"),
-             _info("correspondence_exponent_claim", corr["exponent_claim"],
+             _info("correspondence_exponent_claim", claims["exponent_claim"],
                    note="matches exactly iff w1 w2 = c mod 2")]
     opp = deformed.oscillator_sweep(dim, m[first[:3]], mp[first[:3]]).worst["opposite_min"]
     rows.append(_flag("opposite_sign_rejected", bool(opp > 1e-3),

@@ -15,11 +15,37 @@ import numpy as np
 from numpy.linalg import matrix_power
 
 from torusphase import (build_clock_operator, build_fourier_operator, build_phase_pair,
-                        build_shift_operator, window_vectors)
+                        build_shift_operator)
 from torusphase.lattice import (_checked_labels, _half_phase, _phase, canonical_window,
                                lattice_cross, max_abs)
-from torusphase.schwinger import (_worst, eigensystem_by_recursion, label_blocks,
+from torusphase.schwinger import (_pair_suite, _worst, eigensystem_by_recursion, label_blocks,
                                   schwinger_stack)
+
+
+def window_vectors(dim):
+    """All lattice vectors with both components in the canonical window, m1 outer."""
+    w = canonical_window(dim).tolist()
+    return [(m1, m2) for m1 in w for m2 in w]
+
+
+def _monomial(A: np.ndarray):
+    """(rows, vals) of a matrix; ValueError names its first column without one
+    nonzero entry, in a row no other column uses."""
+    nonzero = A != 0
+    rows = nonzero.argmax(axis=0)
+    bad = (nonzero.sum(axis=0) != 1) | (np.bincount(rows, minlength=len(A))[rows] != 1)
+    if bad.any():
+        raise ValueError(f"column {int(bad.argmax())} of the operator is not monomial")
+    return rows, A[rows, np.arange(len(A))]
+
+
+def conjugate_pair_suite(dim, X: np.ndarray, Z: np.ndarray, rng=None, n_random: int = 200):
+    """The package's pair suite (schwinger._pair_suite) on a dense candidate pair (X, Z).
+
+    Each matrix is read back as a monomial first: a pair that is not monomial
+    raises ValueError.
+    """
+    return _pair_suite(dim, _monomial(X), _monomial(Z), rng, n_random)
 
 
 def pair_schwinger(dim, X, Z, m) -> np.ndarray:

@@ -3,8 +3,10 @@
 build_q_oscillator returns coefficients, the quantum numbers and the
 spectrum, and V is the closed-form eigensystem of S_w (w = m - m'); the sl(2)
 pair has no builder, only its sweep.
-The package checks every identity on those in O(D^2) per pair.  The D x D
-operators below are the oracles of those checks:
+The package checks every identity on the ladder weights it reads from the
+labels, O(D) per pair.  shift_weights takes the same weights from V by an
+O(D^2) float scan, and the D x D operators below are the oracles of those
+checks:
 
     A = d S_m + d' S_m'          (oscillator; d' = d for sl(2))
     N = V diag(n) V^dag,  Q = c_q V diag(q^{-n}) V^dag,  S_w at the exact label.
@@ -18,13 +20,48 @@ import numpy as np
 
 from torusphase import deformed
 from torusphase.deformed import QOscillator, _branch_sign, _inverse_mod
-from torusphase.lattice import Dimension, _phase, _phase_cross, lattice_cross
-from torusphase.schwinger import eigensystem_by_recursion, schwinger_stack
+from torusphase.lattice import Dimension, _phase, _phase_cross, _reduce, lattice_cross
+from torusphase.schwinger import (_BLOCK_ENTRIES, _eigensystem, displacement_columns,
+                                  eigensystem_by_recursion, schwinger_stack)
 
 # the oscillator keys that are no residual of an identity: min f(n), the number
 # row with eta and d' negated (which must be large), and two componentwise phase
 # claims that hold only up to a rephasing of the eigenvectors (O(1) values)
 RECORDED = ("spectrum_min", "opposite_min", "literal_phase", "exponent_claim")
+
+
+def eigenvector_stack(d: int, m, mp) -> np.ndarray:
+    """V of S_w per pair (P, D, D), w = m - m' at its window representative."""
+    w1, w2, _ = _reduce(d, m[:, 0] - mp[:, 0], m[:, 1] - mp[:, 1])
+    return _eigensystem(d, w1, w2)[1]
+
+
+def shift_weights(d: int, m, mp, V):
+    """Part (a) on dense eigenvectors: S_m and S_m' on the S_w eigenbasis V of each pair.
+
+    Returns g and f (P, D), the matrix elements <v_{r-c}|S|v_r> summed over
+    the row, and the largest entry of S v_r - g_r v_{r-c} over both labels
+    (P,): the float oracle of deformed._ladder_weights, O(D^2) per pair.
+    """
+    P = len(V)
+    vt = np.ascontiguousarray(V.swapaxes(1, 2))        # row r holds v_r
+    lower = (np.arange(d) - lattice_cross(m.T, mp.T)[:, None]) % d
+    labels = [displacement_columns(d, x[:, 0], x[:, 1]) for x in (m, mp)]
+    weights = [np.empty((P, d), dtype=complex) for _ in labels]
+    residual = np.zeros(P)
+    # rows of V in chunks of at most _BLOCK_ENTRIES entries
+    step = max(1, _BLOCK_ENTRIES // (P * d))
+    for lo in range(0, d, step):
+        v, lowered = vt[:, lo:lo + step], vt[np.arange(P)[:, None], lower[:, lo:lo + step]]
+        at = (np.arange(P * v.shape[1]) * d).reshape(P, -1, 1)
+        for (rows, vals), wt in zip(labels, weights):
+            sv = np.empty_like(v)
+            sv.reshape(-1)[at + rows[:, None, :]] = vals[:, None, :] * v
+            # <v_{r-c}|S v_r>, summed along the row (pairwise, to ~eps log D)
+            wt[:, lo:lo + step] = (lowered.conj() * sv).sum(axis=-1)
+            err = np.abs(sv - wt[:, lo:lo + step, None] * lowered).max(axis=(1, 2))
+            residual = np.maximum(residual, err)
+    return weights[0], weights[1], residual
 
 
 def dag(A):
@@ -94,7 +131,7 @@ def sl2_stack(dim: Dimension, m, mp, V=None) -> Sl2Stack:
     """
     if V is None:
         lab = deformed._built_labels(dim, m, mp, deformed._SL2_REASONS)
-        m, mp, V = lab.m, lab.mp, next(lab.eigenvector_blocks([np.arange(len(lab.m))]))
+        m, mp, V = lab.m, lab.mp, eigenvector_stack(dim.d, lab.m, lab.mp)
     d = dim.d
     cross = lattice_cross(m.T, mp.T)
     c = _phase_cross(d, cross)

@@ -9,7 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from torusphase import make_dimension, window_vectors
+from basis_oracle import window_vectors
+from torusphase import make_dimension
 from torusphase.schwinger import schwinger_stack
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import torusphase as tp
-from basis_oracle import dense_eigensystem_residuals
+from basis_oracle import dense_eigensystem_residuals, window_vectors
 from test_limits import _dense_commutator_check
 from torusphase.deformed import oscillator_sweep, sl2_sweep
 
@@ -25,7 +25,7 @@ def _finish(num: int, failures: list, t0: float, budget: float) -> None:
 
 
 def _nonzero_window(dim) -> list:
-    return [tuple(w) for w in tp.window_vectors(dim) if tuple(w) != (0, 0)]
+    return [tuple(w) for w in window_vectors(dim) if tuple(w) != (0, 0)]
 
 
 def test_criterion_01_displacement_algebra():

@@ -537,14 +537,15 @@ def test_verify_schwinger_leaves_numpy_ma_unloaded():
     *(["verify", "--d", "5", "--suite", suite] for suite in verify._DISPATCH),
     ["verify", "--d", "7", "--suite", "fock"],
     ["verify", "--d", "4", "--suite", "all"],
+    ["verify", "--d", "101", "--suite", "transforms"],
     ["wigner", "--d", "13", "--state", "random:5"],
     ["transform", "--d", "31", "--r", "3,5,7,12"],
     ["converge", "--observable", "wigner", "--primes", "11,23"],
     ["gen", "--d", "7", "--kind", "schwinger", "--m", "2,-9"],
 ], ids="-".join)
 def test_seeded_draws_load_neither_numpy_random_nor_openssl(args):
-    # the package draws from lattice.Sampler; numpy.random (and OpenSSL through
-    # secrets and hashlib) loads only for the label sample above D = 64
+    # the package draws from lattice.Sampler, the label sample above D = 64
+    # too, so numpy.random (and OpenSSL through secrets and hashlib) never loads
     rc, _, err, modules = loaded_by(args)
     assert rc in (0, 1), err                  # D = 4 FAILs gated rows
     assert modules & {"numpy.random", "secrets", "_hashlib"} == set()

@@ -95,13 +95,6 @@ def test_large_dimension_grid_mass_and_marginals():
     assert elapsed < 1.0
 
 
-# exports no src/ code calls, each kept for a reader outside the package
-UNCALLED_EXPORTS = {
-    "conjugate_pair_suite": "the dense-pair entry point, the tests' reference",
-    "window_vectors": "the label list",
-}
-
-
 def test_every_export_is_used_inside_the_package():
     # static: an export that only tests reach is a second path to the same
     # answer; each name must appear in src/ beyond its own def or class line
@@ -116,5 +109,4 @@ def test_every_export_is_used_inside_the_package():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     exports = {name for names in torusphase._EXPORTS.values() for name in names}
-    assert set(UNCALLED_EXPORTS) <= exports
-    assert sorted(exports - used - set(UNCALLED_EXPORTS)) == []
+    assert sorted(exports - used) == []

@@ -13,6 +13,7 @@ the same order.  For any other matrix the rule's sign is checked as given.
 import numpy as np
 import pytest
 
+from basis_oracle import window_vectors
 from torusphase import (
     MetaplecticOperator,
     SymplecticMap,
@@ -20,7 +21,6 @@ from torusphase import (
     make_dimension,
     max_abs,
     random_symplectic,
-    window_vectors,
 )
 from torusphase import transforms
 from torusphase.schwinger import displacement_columns

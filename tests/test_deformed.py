@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from basis_oracle import window_vectors
 from coproduct_oracle import kron_coproduct, signed_sigma, unsigned_sigma
 from deformed_oracle import RECORDED, dag, sl2_bracket, sl2_realisation
 from torusphase import (
@@ -18,9 +19,8 @@ from torusphase import (
     make_dimension,
     schwinger_matrix,
     translated_lattice_deformation,
-    window_vectors,
 )
-from torusphase import deformed, schwinger, verify
+from torusphase import deformed, verify
 from torusphase.deformed import bracket_values, oscillator_sweep, sl2_sweep
 from torusphase.lattice import _CHECKED_ENTRIES, Sampler, _phase, _phase_cross
 
@@ -100,9 +100,8 @@ def test_wrong_sign_choice_breaks_number_relation():
     # opposite_min is the number row of the pair's own eta and d' both negated
     dim = make_dimension(5)
     m, mp = np.array([(1, 0)]), np.array([(0, 1)])
-    V = eigensystem_by_recursion(dim, (1, -1)).eigenvectors[None]
     eta, d_coef, dp_coef, C = deformed._oscillator_coefs(dim, m, mp)
-    flipped = deformed._oscillator_rows(dim, m, mp, V, -eta, d_coef, -dp_coef, C)
+    flipped = deformed._oscillator_rows(dim, m, mp, -eta, d_coef, -dp_coef, C)
     assert flipped["number"][0] == oscillator_sweep(dim, m, mp).worst["opposite_min"] > 1e-3
 
 
@@ -143,9 +142,8 @@ def test_eigenbasis_correspondence_exact_laws(d):
     assert max(worst[k] for k in ("number", "q_exponential", "ladder")) < 1e-10
     for a, b in zip(m, mp):
         osc = build_q_oscillator(dim, a, b)
-        V = eigensystem_by_recursion(dim, a - b).eigenvectors
-        g, f, op = (x[0] for x in deformed._shift_weights(d, a[None], b[None], V[None]))
-        assert op < 1e-12
+        g, f, op = (x[0] for x in deformed._ladder_weights(d, a[None], b[None]))
+        assert op == 0.0
         # componentwise unimodularity of the two coupling phase sequences
         assert_allclose(np.abs(g), 1.0, atol=1e-12)
         assert_allclose(np.abs(f), 1.0, atol=1e-12)
@@ -164,23 +162,39 @@ def test_recorded_claims_are_the_per_pair_phases(d):
     dim = make_dimension(d)
     m, mp = verify._swept_pairs(dim, d, 60)
     m, mp = (np.concatenate([x, x + 5 * d * np.array([1, -2])]) for x in (m, mp))
-    rep = oscillator_sweep(dim, m, mp)
+    built = oscillator_sweep(dim, m, mp).built_mask
     claims = []
-    for a, b in zip(m[rep.built_mask], mp[rep.built_mask]):
+    for a, b in zip(m[built], mp[built]):
         osc = build_q_oscillator(dim, a, b)
-        V = eigensystem_by_recursion(dim, a - b).eigenvectors
-        g, f, _ = deformed._shift_weights(d, a[None], b[None], V[None])
+        g, f, _ = deformed._ladder_weights(d, a[None], b[None])
         lam = deformed._sw_values(d, _phase_cross(d, np.array([osc.cross])), g, f)[0]
         g, f, n = g[0], f[0], osc.n_values
         E = _phase(2 * d, osc.cross * (2 * n + d - 1)).conj()
         claim = (max(np.abs(g - E).max(), np.abs(g - np.conj(f)).max()),
                  np.abs(np.conj(lam) - _phase(d, (2 * n - d) * osc.cross).conj()).max())
-        res = oscillator_sweep(dim, a[None], b[None]).worst
+        res = deformed.oscillator_claims(dim, a[None], b[None])
         assert (res["literal_phase"], res["exponent_claim"]) == claim
         claims.append(claim)
-    assert rep.built > 0
+    assert built.sum() > 0
     worst = tuple(np.max(claims, axis=0))
-    assert (rep.worst["literal_phase"], rep.worst["exponent_claim"]) == worst
+    res = deformed.oscillator_claims(dim, m, mp)
+    assert (res["literal_phase"], res["exponent_claim"]) == worst
+    assert set(RECORDED) & set(oscillator_sweep(dim, m, mp).worst) == {"spectrum_min",
+                                                                       "opposite_min"}
+
+
+def test_suite_qosc_takes_the_claims_of_its_correspondence_pairs_only(monkeypatch):
+    # the recorded claims are computed on the five correspondence pairs, not
+    # on every swept pair
+    seen = []
+    claims = deformed.oscillator_claims
+    monkeypatch.setattr(deformed, "oscillator_claims",
+                        lambda dim, m, mp: seen.append(len(m)) or claims(dim, m, mp))
+    for d in (4, 7, 9):
+        seen.clear()
+        rows = {r.name: r for r in verify.suite_qosc(make_dimension(d))}
+        assert seen == [5], (d, seen)
+        assert rows["correspondence_literal_phase"].kind == "info"
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -242,7 +256,7 @@ def test_coproduct_naive_sign_fails(monkeypatch):
     assert coproduct_check(make_dimension(3), (1, 0), (0, 1)).closure > 1e-2
 
 
-_SIGMA, _COLUMNS = deformed._sigma_values, deformed.displacement_columns
+_SIGMA, _EXPONENT = deformed._sigma_values, deformed._column_exponent
 
 
 def _wrong_sigma(*args):
@@ -251,19 +265,18 @@ def _wrong_sigma(*args):
     return x
 
 
-def _wrong_entry(*args):
-    # one entry of S_m, so of A = d (S_m + S_m')
-    rows, vals = _COLUMNS(*args)
-    vals = vals.copy()
-    vals[0, 1] += 1e-6
-    return rows, vals
+def _wrong_exponent(*args):
+    # the exponent of one entry of S_m, so of A = d (S_m + S_m'), off by one
+    t = np.array(_EXPONENT(*args))
+    t[(0,) * (t.ndim - 1) + (1,)] += 1
+    return t
 
 
 # at D = 2 [A, A^dag] = 0 on v_r and the two shifted parts cancel, so the
 # closure does not depend on sigma there, on either form
 @pytest.mark.parametrize("d, name, wrong", [
     (3, "_sigma_values", _wrong_sigma), (7, "_sigma_values", _wrong_sigma),
-    (2, "displacement_columns", _wrong_entry), (7, "displacement_columns", _wrong_entry),
+    (2, "_column_exponent", _wrong_exponent), (7, "_column_exponent", _wrong_exponent),
 ])
 def test_coproduct_closure_shows_a_wrong_sigma_or_a_entry(monkeypatch, d, name, wrong):
     monkeypatch.setattr(deformed, name, wrong)
@@ -277,6 +290,22 @@ def test_coproduct_at_d401_is_quick():
     rep = coproduct_check(dim, (1, 0), (0, 1))
     assert time.perf_counter() - start < 1.0
     assert max(rep.closure, rep.intertwine, rep.intertwine_dag) < 1e-10
+
+
+def test_class_sweeps_at_d1009_take_o_d_per_pair():
+    # the weights come from the labels: each sweep over the class
+    # representatives takes 0.3-0.95 s on a 2-vCPU host, where the O(D^2)
+    # scan of dense eigenvectors took 90-170 s; the bound leaves room for a
+    # slower host, not for an O(D^2) path
+    d = 1009
+    dim = make_dimension(d)
+    for sweep, families in ((oscillator_sweep, verify._QOSC_FAMILIES),
+                            (sl2_sweep, verify._SL2_FAMILIES)):
+        m, mp = verify._representatives(d, families)
+        start = time.perf_counter()
+        report = sweep(dim, m, mp)
+        assert time.perf_counter() - start < 5.0, sweep.__name__
+        assert report.built == len(m) == 2 * len(families) * (d - 1)
 
 
 def test_translated_lattice_shifts_deformation():
@@ -365,7 +394,7 @@ def assert_sweeps_match_per_pair(dim, m, mp):
                             (sl2_sweep, sl2_of_one_pair)):
         rep = sweep(dim, m, mp)
         worst, built, skipped = per_pair_worst(dim, m, mp, one_pair)
-        assert (rep.built, rep.skipped) == (built, skipped), (dim.d, sweep.__name__)
+        assert (rep.built, len(m) - rep.built) == (built, skipped), (dim.d, sweep.__name__)
         assert rep.worst == worst, (dim.d, sweep.__name__)   # bit-equal, same keys
         assert list(rep.worst) == list(worst)
 
@@ -387,14 +416,16 @@ def test_sweeps_equal_per_pair_loops_on_a_sample():
     (oscillator_sweep, oscillator_of_one_pair, "number"),
     (sl2_sweep, sl2_of_one_pair, "casimir_central"),
 ])
-def test_sweep_reaches_every_block_position(sweep, one_pair, key):
-    # the worst pair, moved to each block edge among strictly smaller pairs
+def test_sweep_reaches_every_block_position(monkeypatch, sweep, one_pair, key):
+    # the worst pair, moved to each block edge among strictly smaller pairs,
+    # with blocks of 40 pairs
     dim = make_dimension(5)
     m, mp = pair_arrays(dim)
     values = np.array([one_pair(dim, a, b)[key] for a, b in zip(m, mp)])
     top = int(np.argmax(values))
     rest = np.flatnonzero(values < values[top])
-    step = schwinger._BLOCK_ENTRIES // dim.d ** 2
+    step = 40
+    monkeypatch.setattr(deformed, "_SWEEP_ENTRIES", step * dim.d)
     assert len(rest) > 2 * step
     for pos in (0, step - 1, step, 2 * step - 1, 2 * step, len(rest)):
         order = np.insert(rest, pos, top)
@@ -485,10 +516,10 @@ def test_sweep_blocks_stay_small():
 
 
 def test_sweep_holds_one_block_and_few_eigensystems():
-    """A sweep keeps no eigensystem beyond its block: each block builds its S_w
-    eigenvectors and passes on only the last one, so the traced peak of a sweep
-    over ~360 distinct w is at most the peak of a one-block sweep plus four
-    eigensystems, and its worst values are the worst of its one-pair sweeps."""
+    """A sweep keeps nothing beyond its block of (pairs, D) arrays and builds
+    no eigensystem, so the traced peak of a sweep over ~360 distinct w is at
+    most the peak of a one-block sweep plus four D x D eigensystems' worth,
+    and its worst values are the worst of its one-pair sweeps."""
     d = 31
     dim = make_dimension(d)
     m, mp = np.random.default_rng(8).integers(-2 * d, 2 * d, (2, 600, 2))
@@ -509,7 +540,7 @@ def test_sweep_holds_one_block_and_few_eigensystems():
     # warm every first-call allocation (code objects, numpy internals) of the
     # full sweep, which the one-block run alone would not
     sl2_sweep(dim, m, mp)
-    _, block = traced_peak(max(1, schwinger._BLOCK_ENTRIES // d ** 2))
+    _, block = traced_peak(max(1, deformed._SWEEP_ENTRIES // d))
     report, peak = traced_peak(len(m))
     assert {k: report.worst[k] for k in expected} == expected
     assert report.built == len(m)
@@ -558,7 +589,7 @@ def assert_skips_follow_the_builder(d, sweep, build, reasons):
     found = [refusal_reason(dim, a, b, build) for a, b in zip(m, mp)]
     assert report.built_mask.tolist() == [r is None for r in found]
     assert report.skips == {r: found.count(r) for r in reasons}
-    assert sum(report.skips.values()) == report.skipped
+    assert sum(report.skips.values()) == len(m) - report.built
 
 
 @pytest.mark.parametrize("d", [4, 6, 9, 15])

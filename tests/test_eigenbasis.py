@@ -13,8 +13,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from deformed_oracle import RECORDED, Sl2Stack, dag, dense_fields, sl2_bracket, sl2_stack
-from torusphase import build_q_oscillator, eigensystem_by_recursion, make_dimension
+from deformed_oracle import (RECORDED, Sl2Stack, dag, dense_fields, eigenvector_stack,
+                             shift_weights, sl2_bracket, sl2_stack)
+from torusphase import build_q_oscillator, make_dimension
 from torusphase import deformed, schwinger, verify
 from torusphase.deformed import (
     _branch_sign,
@@ -24,7 +25,7 @@ from torusphase.deformed import (
     oscillator_sweep,
     sl2_sweep,
 )
-from torusphase.lattice import Dimension, _phase_cross, lattice_cross
+from torusphase.lattice import Dimension, _phase_cross, _reduce, lattice_cross
 from torusphase.schwinger import schwinger_stack
 
 EPS = np.finfo(float).eps
@@ -184,7 +185,8 @@ def oracle_sweep(dim, m, mp, algebra):
     worst = {}
     for start in range(0, len(built), step):
         idx = built[start:start + step]
-        st = stack(dim, lab.m[idx], lab.mp[idx], next(lab.eigenvector_blocks([idx])))
+        m_, mp_ = lab.m[idx], lab.mp[idx]
+        st = stack(dim, m_, mp_, eigenvector_stack(dim.d, m_, mp_))
         for k, v in residuals(st).items():
             if k.endswith("_min"):
                 worst[k] = min(worst.get(k, np.inf), float(v.min()))
@@ -207,10 +209,12 @@ def _one(residuals: dict) -> dict:
 # -- eigenbasis checks against the oracle -------------------------------------------
 
 def assert_sweeps_match_oracle(dim, m, mp, oracle_bound=None):
-    """Same keys and spectrum_min, the recorded claims to 1e-12 of each other;
-    every other worst residual <= 1e-12 in both forms."""
+    """Same keys and spectrum_min, the recorded claims (oscillator_claims) to
+    1e-12 of each other; every other worst residual <= 1e-12 in both forms."""
     for algebra, sweep in (("qosc", oscillator_sweep), ("sl2", sl2_sweep)):
         new, old = sweep(dim, m, mp).worst, oracle_sweep(dim, m, mp, algebra)
+        if algebra == "qosc":
+            new |= deformed.oscillator_claims(dim, m, mp)
         assert list(new) == list(old), (dim.d, algebra)
         for key in new:
             if key == "spectrum_min":
@@ -260,10 +264,9 @@ def test_a_flipped_eta_or_d_prime_phase_fails_like_the_oracle(d):
     dim = make_dimension(d)
     osc = build_q_oscillator(dim, (1, 2), (0, 3))
     m, mp = np.array([osc.m]), np.array([osc.mp])
-    V = eigensystem_by_recursion(dim, (1, -1)).eigenvectors[None]
     eta, d_coef, dp_coef, C = deformed._oscillator_coefs(dim, m, mp)
     for wrong_eta, wrong_dp in ((-eta, -dp_coef), (eta, dp_coef * np.exp(0.4j))):
-        new = deformed._oscillator_rows(dim, m, mp, V, wrong_eta, d_coef, wrong_dp, C)
+        new = deformed._oscillator_rows(dim, m, mp, wrong_eta, d_coef, wrong_dp, C)
         wrong = dataclasses.replace(osc, eta=wrong_eta[0], dp_coef=wrong_dp[0])
         assert_fails_like_the_oracle(_one(new),
                                      _one(_oscillator_stack_residuals(_stack_of_one(wrong))))
@@ -279,23 +282,102 @@ def test_a_wrong_j3_offset_fails_like_the_oracle(d, m, mp):
     st = sl2_stack(dim, [m], [mp])
     delta = np.where(st.delta, 0.0, d / (2.0 * _phase_cross(d, st.cross)))
     d_coef = deformed._sl2_coefs(dim, st.m, st.mp)[0]
-    new = deformed._sl2_rows(dim, st.m, st.mp, st.eigenvectors, d_coef, delta)
+    new = deformed._sl2_rows(dim, st.m, st.mp, d_coef, delta)
     old = _sl2_stack_residuals(st._replace(delta=delta, j3_values=st.n_values + delta[:, None]))
     assert_fails_like_the_oracle(_one(new), _one(old))
 
 
+def _perturbed_exponents(monkeypatch, j: int, by: int = 1):
+    """Shift the eigenvector exponent E_j of every off-diagonal S_w by `by`,
+    for the eigenvectors (schwinger._eigensystem) and the ladder weights alike:
+    each v_r keeps unit norm and the v_r stay orthonormal, but they are no
+    longer eigenvectors of S_w, so S_m and S_m' are no longer weighted shifts."""
+    exact = schwinger._orbit_exponents
+
+    def perturbed(d, m1, m2):
+        k, e = exact(d, m1, m2)
+        e = e.copy()
+        e[:, j % d] += by
+        return k, e
+
+    monkeypatch.setattr(schwinger, "_orbit_exponents", perturbed)
+    monkeypatch.setattr(deformed, "_orbit_exponents", perturbed)
+
+
 @pytest.mark.parametrize("d", [5, 8])
-def test_part_a_rejects_a_basis_that_is_not_the_eigenbasis(d):
-    # two eigenvectors swapped: still orthonormal, no longer a ladder of S_m and S_m'
+def test_part_a_rejects_a_basis_that_is_not_the_eigenbasis(monkeypatch, d):
+    # one exponent of the eigenvectors off by one: still orthonormal, no
+    # longer a ladder of S_m and S_m'
     dim = make_dimension(d)
     m, mp = np.array([(1, 2)]), np.array([(0, 3)])
-    V = eigensystem_by_recursion(dim, (1, -1)).eigenvectors[None][:, :, [1, 0, *range(2, d)]]
-    qosc = deformed._oscillator_rows(dim, m, mp, V, *deformed._oscillator_coefs(dim, m, mp))
-    sl2 = deformed._sl2_rows(dim, m, mp, V, *deformed._sl2_coefs(dim, m, mp))
+    _perturbed_exponents(monkeypatch, 2)
+    qosc = deformed._oscillator_rows(dim, m, mp, *deformed._oscillator_coefs(dim, m, mp))
+    sl2 = deformed._sl2_rows(dim, m, mp, *deformed._sl2_coefs(dim, m, mp))
     for res in (_one(qosc), _one(sl2)):
         for key, value in res.items():
             if key not in (*RECORDED, "shift_constant"):
                 assert value > 0.1, (key, value)
+    V = eigenvector_stack(d, m, mp)
+    assert np.abs(dag(V) @ V - np.eye(d)).max() < 1e-14
+    assert shift_weights(d, m, mp, V)[2][0] > 0.1
+
+
+def _built_pairs(dim, m, mp):
+    lab = deformed._label_pass(dim, m, mp, deformed._SL2_REASONS)
+    return lab.m[lab.built], lab.mp[lab.built]
+
+
+def _unreduced_pairs(d, count):
+    m, mp = np.random.default_rng(d).integers(-4 * d, 4 * d, (2, count, 2))
+    keep = lattice_cross(m.T, mp.T) % d != 0
+    return m[keep], mp[keep]
+
+
+def assert_weights_match_the_float_oracle(d, m, mp):
+    """The ladder weights read from the labels against the O(D^2) scan of the
+    eigenvectors, in blocks of 2^16 eigenvector entries: to 1e-14, and part (a)
+    exact in both."""
+    worst, block = 0.0, max(1, (1 << 16) // d ** 2)
+    for lo in range(0, len(m), block):
+        a, b = m[lo:lo + block], mp[lo:lo + block]
+        g, f, flag = deformed._ladder_weights(d, a, b)
+        og, of, residual = shift_weights(d, a, b, eigenvector_stack(d, a, b))
+        assert not flag.any() and residual.max() < 1e-13, (d, residual.max())
+        worst = max(worst, np.abs(g - og).max(), np.abs(f - of).max())
+    assert worst <= 1e-14, (d, worst)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_ladder_weights_match_the_float_oracle_on_every_window_pair(d):
+    dim = make_dimension(d)
+    m, mp = _built_pairs(dim, *verify._swept_pairs(dim, 0, None))
+    assert len(m) > 0
+    assert_weights_match_the_float_oracle(d, m, mp)
+
+
+@pytest.mark.parametrize("d, count", [(31, 400), (101, 100), (211, 40), (1009, 6)])
+def test_ladder_weights_match_the_float_oracle_on_unreduced_pairs(d, count):
+    m, mp = _built_pairs(make_dimension(d), *_unreduced_pairs(d, count))
+    assert len(m) > count // 2
+    assert_weights_match_the_float_oracle(d, m, mp)
+
+
+@pytest.mark.parametrize("d", [5, 7, 9, 16, 31])
+def test_part_a_flags_every_pair_the_float_oracle_flags(monkeypatch, d):
+    # one exponent entry perturbed, at each position j in turn: the exact
+    # check flags a pair wherever the scan of the perturbed eigenvectors finds
+    # S_m or S_m' no longer a weighted shift, and nowhere else
+    dim = make_dimension(d)
+    m, mp = _built_pairs(dim, *_unreduced_pairs(d, 60))
+    for j in range(d):
+        with monkeypatch.context() as patch:
+            _perturbed_exponents(patch, j, by=1 + j % 3)
+            flag = deformed._ladder_weights(d, m, mp)[2]
+            residual = shift_weights(d, m, mp, eigenvector_stack(d, m, mp))[2]
+        assert np.array_equal(flag > 0, residual > 1e-8), (d, j)
+        # a diagonal S_w has no exponent to perturb
+        off = _reduce(d, *(m - mp).T)[0] % d != 0
+        assert np.array_equal(flag > 0, off), (d, j)
 
 
 def test_residual_floor_is_eps_d_squared():

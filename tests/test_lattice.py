@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from basis_oracle import window_vectors
 from torusphase import (
     Dimension,
     basis_state,
@@ -16,7 +17,6 @@ from torusphase import (
     lattice_cross,
     make_dimension,
     random_state,
-    window_vectors,
 )
 from torusphase.lattice import Sampler, _checked_labels, _reduce
 
@@ -221,14 +221,19 @@ def test_sampler_normal_moments():
     assert Sampler(11).normal(size=(3, 5)).shape == (3, 5)
 
 
-def test_checked_labels_above_d64_are_the_numpy_sample():
-    # the large-D label sample is numpy's seeded draw, not the package sampler's
-    pinned = {101: "959a1f07a82e568f50fb967a716cce2fa7833ec6b9a06f23b9911af13205f4f7",
-              365: "ff980c19c0e6b8b607dbfc73a52e2c078e589bcbb2eeba0a074bdcb6a00ca5c9"}
+def test_checked_labels_above_d64_are_the_seeded_sample():
+    # the large-D label sample is the package sampler's draw seeded by D, in
+    # index order; numpy's draw gave other labels (digests 959a1f07... at
+    # D = 101 and ff980c19... at D = 365)
+    pinned = {101: "ae92f4ecf91067e6c1cd74f92e3870f9cf3faa265481f3cd0341b376dab98add",
+              365: "d4b56cae480d12b024e09328ab1a3ff189bfdb61dfd1833d90ed6292ded3d541"}
     for d, digest in pinned.items():
         labels = _checked_labels(make_dimension(d))
         assert labels.dtype == np.int64
         assert hashlib.sha256(labels.tobytes()).hexdigest() == digest, d
+        idx = np.sort(Sampler(d).sample(d * d, len(labels)))
+        w = canonical_window(make_dimension(d))
+        assert np.array_equal(labels, np.stack([w[idx // d], w[idx % d]], axis=1))
 
 
 def test_lattice_cross_is_exact_integer():

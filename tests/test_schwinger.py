@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import basis_oracle
+from basis_oracle import conjugate_pair_suite, window_vectors
 from torusphase import (
     DegenerateSpectrumError,
     build_clock_operator,
     build_fourier_operator,
     build_shift_operator,
-    canonical_vector,
-    conjugate_pair_suite,
     eigensystem_by_recursion,
     lattice_cross,
     make_dimension,
@@ -21,7 +20,6 @@ from torusphase import (
     sine_commutator_check,
     standard_pair_suite,
     weyl_commutator_check,
-    window_vectors,
 )
 from torusphase import schwinger
 from torusphase.lattice import _reduce
@@ -234,7 +232,7 @@ def test_weyl_pair_is_the_clock_and_shift_entries(d):
     assert np.array_equal(g, build_clock_operator(dim).conj())
     assert np.array_equal(h, build_shift_operator(dim).T)
     for (rows, vals), A in zip(schwinger._weyl_pair(dim), (g, h)):
-        ref_rows, ref_vals = schwinger._monomial(A)
+        ref_rows, ref_vals = basis_oracle._monomial(A)
         assert np.array_equal(rows, ref_rows) and np.array_equal(vals, ref_vals)
 
 
@@ -336,30 +334,27 @@ def test_eigensystem_matches_dense_any_dimension(data):
 
 
 @pytest.mark.parametrize("d", [9, 211])
-def test_sweeps_build_each_eigensystem_once(monkeypatch, d):
-    # exhaustive window pairs at composite D = 9, class representatives at D = 211
-    from collections import Counter
-
+def test_sweeps_build_no_eigensystem(monkeypatch, d):
+    # exhaustive window pairs at composite D = 9, class representatives at
+    # D = 211: the ladder weights come from the labels, and no S_w
+    # eigenvector is built on the sweep or coproduct path
     from torusphase import deformed, verify
 
     dim = make_dimension(d)
-    builds = Counter()
 
-    def counted(*key):
-        builds[key] += 1
-        return schwinger._eigensystem(*key)
+    def refuse(*args):
+        raise AssertionError("an eigensystem was built")
 
-    monkeypatch.setattr(deformed, "_eigensystem", counted)
+    monkeypatch.setattr(deformed, "_eigensystem", refuse)
+    monkeypatch.setattr(schwinger, "_eigensystem", refuse)
     for sweep, families in ((deformed.oscillator_sweep, verify._QOSC_FAMILIES),
                             (deformed.sl2_sweep, verify._SL2_FAMILIES)):
         if dim.prime:
             m, mp = verify._representatives(d, families)
         else:
             m, mp = verify._swept_pairs(dim, 0, None)
-        builds.clear()
-        built = sweep(dim, m, mp).built_mask
-        w = {(d, *canonical_vector(dim, x)) for x in (m - mp)[built].tolist()}
-        assert set(builds) == w and set(builds.values()) == {1}, sweep.__name__
+        assert sweep(dim, m, mp).built > 0, sweep.__name__
+    assert deformed.coproduct_check(dim, (1, 0), (0, 1)).intertwine < 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12, 13, 15])

@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import basis_oracle
 from basis_oracle import (
     assert_within_oracle,
+    conjugate_pair_suite,
     dense_eigensystem_residuals,
     dense_match_stack,
     fourier_covariance,
     pair_schwinger,
     pair_suite,
+    window_vectors,
 )
 from deformed_oracle import lowering, number_op, sl2_realisation
 from torusphase import (
@@ -27,14 +30,12 @@ from torusphase import (
     build_clock_operator,
     build_q_oscillator,
     build_shift_operator,
-    conjugate_pair_suite,
     eigensystem_by_recursion,
     lattice_cross,
     make_dimension,
     max_abs,
     random_state,
     schwinger_matrix,
-    window_vectors,
 )
 from torusphase import deformed, lattice, limits, numberphase, schwinger, transforms, verify
 from torusphase.lattice import Sampler, _sin_turns
@@ -327,7 +328,7 @@ def test_pair_suite_power_tables_equal_squaring_each_power(monkeypatch, d):
     seen, adjoint = [], schwinger._adjoint
     monkeypatch.setattr(schwinger, "_adjoint", lambda a: seen.append(a) or adjoint(a))
     conjugate_pair_suite(dim, U, V, rng=Sampler(0), n_random=8)
-    x, z = schwinger._monomial(U), schwinger._monomial(V)
+    x, z = basis_oracle._monomial(U), basis_oracle._monomial(V)
     rows, vals = (np.concatenate(t) for t in zip(*seen))
     labels = lattice._checked_labels(dim)
     assert len(rows) == len(labels)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from basis_oracle import window_vectors
 from torusphase import (
     DegenerateSpectrumError,
     NonSymplecticMapError,
@@ -22,7 +23,6 @@ from torusphase import (
     random_symplectic,
     schwinger_matrix,
     verify_symplectic,
-    window_vectors,
 )
 from torusphase import transforms, verify
 from torusphase.lattice import _checked_labels

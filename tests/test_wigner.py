@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from basis_oracle import window_vectors
 from kernel_oracle import kernel_grid
 from torusphase import (
     NonRealWignerError,
@@ -15,7 +16,6 @@ from torusphase import (
     schwinger_matrix,
     symbol_reconstruct,
     wigner_function,
-    window_vectors,
 )
 
 
