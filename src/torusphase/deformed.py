@@ -58,8 +58,6 @@ from .schwinger import (
 )
 
 _SINGULAR_TOL = 1e-12
-# entries per (pairs, D) array of a sweep block: ~20% faster than 2^12 at D = 1009
-_SWEEP_ENTRIES = 1 << 14
 # refusal reasons of each builder, in the order it checks them
 _OSC_REASONS = ("singular", "degenerate", "non-invertible")
 _SL2_REASONS = ("degenerate", "non-invertible")
@@ -72,7 +70,9 @@ def _singular(dim: Dimension, c):
 
 # -- pairs on the S_w eigenbasis -----------------------------------------------
 # A list of P pairs: labels (P, 2), per-pair scalars (P,) and per-pair value
-# lists (P, D).
+# lists (P, D) in the order of the quantum number n: column n is v_n, the
+# eigenvector r = c n mod D of S_w, so the ladder v_n -> v_{n-1} is a shift by
+# one column for every pair.
 
 def _scalar_pow(x, e: float) -> np.ndarray:
     """x ** e elementwise through libm pow, as for a numpy scalar.
@@ -95,28 +95,13 @@ def _inverse_table(d: int) -> np.ndarray:
     return table
 
 
-def _n_values(d: int, c) -> np.ndarray:
-    """n(r) = c^{-1} r mod D per pair (P, D): the quantum number of eigenvector r."""
-    return (_inverse_mod(d, c)[:, None] * np.arange(d)) % d
-
-
-def _rolled(x, shift) -> np.ndarray:
-    """x[p, (r + shift[..., p, 0]) mod D] for per-pair values x (P, D), shifts (..., P, 1).
-
-    One flat gather from the rows doubled, D entries from each row's start:
-    no index is reduced mod D entry by entry.
-    """
-    P, d = x.shape
-    start = np.asarray(shift) % d + 2 * d * np.arange(P)[:, None]
-    return np.concatenate((x, x), axis=1).reshape(-1)[start + np.arange(d)]
-
-
 def _ladder_weights(d: int, m, mp):
     """S_m and S_m' on the S_w eigenbasis of each pair (w = m - m'), from the labels.
 
     With c = m x m', S_m v_r = g_r v_{r-c} and S_m' v_r = f_r v_{r-c}.  Returns g
-    and f (P, D), the elements <v_{r-c}|S|v_r>, and per pair (P,) the part (a)
-    flag: 0.0 where both are such weighted shifts, 1.0 where one is not.
+    and f (P, D) in the order of n, r = c n mod D (column n holds
+    <v_{r-c}|S|v_r>), and per pair (P,) the part (a) flag: 0.0 where both are
+    such weighted shifts, 1.0 where one is not.
     Off the diagonal (wbar1 a unit, wbar the window representative of w), v_r
     has the component e^{i pi (E_j - 2 j r) / D} / sqrt(D) at k_j
     (schwinger._orbit_exponents), and S_m takes column k_j to row k_{j+j'},
@@ -128,30 +113,33 @@ def _ladder_weights(d: int, m, mp):
     """
     c = lattice_cross(m.T, mp.T)[:, None] % d
     w1, w2, _ = (x[:, None] for x in _reduce(d, m[:, 0] - mp[:, 0], m[:, 1] - mp[:, 1]))
-    r, diag = np.arange(d), w1[:, 0] == 0     # r runs over the orbit positions j too
+    j, diag = np.arange(d), w1[:, 0] == 0
+    r = c * j % d                                # eigenvalue index of column n = j
     k, e = _orbit_exponents(d, w1, w2)
     x1, x2 = np.stack([m, mp]).transpose(2, 0, 1)[..., None]      # (2, P, 1): m, then m'
     jp = (-x1 * _inverse_mod(d, w1)) % d
+    # E_{j+j'} gathered from each row of E doubled, D entries from j'; and
     # 2 c (j + j' mod D) = 2 c (j + j') mod 2D
-    X = _column_exponent(d, x1, x2, k) - e + _rolled(e, jp) + 2 * c * (r + jp)
+    e_up = np.concatenate((e, e), axis=1).reshape(-1)[jp + 2 * d * np.arange(len(e))[:, None] + j]
+    X = _column_exponent(d, x1, x2, k) - e + e_up + 2 * c * (j + jp)
     moved = (X - X[..., :1]) % (2 * d)
     X = X[..., :1] - 2 * jp * r
     if diag.any():      # v_r = u_k, k = r / wbar2: S_m takes it to u_{k + m1}, one entry
         w2inv = _inverse_mod(d, w2[diag])
-        X[:, diag] = _column_exponent(d, x1[:, diag], x2[:, diag], r * w2inv % d)
+        X[:, diag] = _column_exponent(d, x1[:, diag], x2[:, diag], r[diag] * w2inv % d)
         moved[:, diag] = (c[diag] * w2inv + x1[:, diag]) % d
     g, f = _phase(d, X)
     return g, f, moved.any(axis=(0, 2)).astype(float)
 
 
 def _sw_values(d: int, c, g, f) -> np.ndarray:
-    """Eigenvalues mu_r of S_w on v_r from the weights: e^{i pi c/D} g_{r+c} conj(f_{r+c})."""
-    return _rolled(_phase(d, c).conj()[:, None] * g * np.conj(f), c[:, None])
+    """Eigenvalues mu_n of S_w on v_n from the weights: e^{i pi c/D} g_{n+1} conj(f_{n+1})."""
+    return np.roll(_phase(d, c).conj()[:, None] * g * np.conj(f), -1, axis=1)
 
 
 def _worst(operator, scalars: dict) -> dict:
     """Per row and pair: the part (a) flag or the largest scalar residual (P, D), the larger."""
-    return {k: np.maximum(operator, np.abs(x).max(axis=1)) for k, x in scalars.items()}
+    return {k: np.maximum(operator, np.abs(x).max(axis=-1)) for k, x in scalars.items()}
 
 
 @dataclass(frozen=True)
@@ -244,7 +232,7 @@ def _sweep(dim: Dimension, m, mp, reasons: tuple, residuals) -> SweepReport:
     """
     lab = _label_pass(dim, m, mp, reasons)
     built = np.flatnonzero(lab.built)
-    step = max(1, _SWEEP_ENTRIES // dim.d)
+    step = max(1, _BLOCK_ENTRIES // dim.d)      # pairs per block of (pairs, D) arrays
     worst: dict = {}
     for lo in range(0, len(built), step):
         idx = built[lo:lo + step]
@@ -309,15 +297,15 @@ def _oscillator_coefs(dim: Dimension, m, mp):
 def _oscillator_rows(dim: Dimension, m, mp, eta, d_coef, dp_coef, C) -> dict:
     """Per-pair residuals of the oscillator identities (see oscillator_sweep).
 
-    On the S_w eigenbasis, with a_r = d g_r + d' f_r (_ladder_weights):
-    A^dag A is |a_r|^2 and A A^dag is |a_{r+c}|^2 on v_r, N is n_r, and
-    -eta S_{-m} S_m' is -eta conj(g_r) f_r.
+    On the S_w eigenbasis, with a_n = d g_n + d' f_n (_ladder_weights):
+    A^dag A is |a_n|^2 and A A^dag is |a_{n+1}|^2 on v_n, N is n, and
+    -eta S_{-m} S_m' is -eta conj(g_n) f_n.
     [n] = sin(pi k / D) / sin(gamma0 c) with the integer k = c (2n + D - 1).
     """
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
-    cc, nv = c[:, None], _n_values(d, c)
-    k = cc * (2 * nv + d - 1)
+    cc, n = c[:, None], np.arange(d)
+    k = cc * (2 * n + d - 1)
     s = np.sin(dim.gamma0 * cc)
     g, f, op = _ladder_weights(d, m, mp)
     dg, dpf = d_coef[:, None] * g, dp_coef[:, None] * f
@@ -328,10 +316,10 @@ def _oscillator_rows(dim: Dimension, m, mp, eta, d_coef, dp_coef, C) -> dict:
         # the number identity with eta and d' negated, which must fail
         "opposite_min": np.abs(dg - dpf) ** 2 - number,
         "q_exponential": _phase(d, k).conj() + eta[:, None] * np.conj(g) * f,
-        "ladder": nv - (_rolled(nv, -cc) + 1) % d,
+        "ladder": n - (np.roll(n, 1) + 1) % d,
         # A A^dag = C + [N + 1]: the pair of relations whose difference is the
         # q-commutator; checked via the bracket form directly
-        "raised_number": _rolled(a2, cc) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s),
+        "raised_number": np.roll(a2, -1, axis=1) - (C[:, None] + _sin_turns(k + 2 * cc, d) / s),
     }) | {
         "spectrum_min": (C[:, None] + bracket_values(dim, cc, np.arange(d))).min(axis=1),
         "shift_constant": np.abs(C - 1.0 / np.abs(np.sin(dim.gamma0 * c))),
@@ -355,7 +343,7 @@ def build_q_oscillator(dim: Dimension, m, mp) -> QOscillator:
         dim=dim, m=tuple(lab.m[0].tolist()), mp=tuple(lab.mp[0].tolist()),
         cross=int(lab.cross[0]), q=_phase(d, 2 * c)[0], eta=float(eta[0]), d_coef=d_coef[0],
         dp_coef=dp_coef[0], shift_constant=C[0], c_q=_phase(d, c * (d - 1)).conj()[0],
-        n_values=_n_values(d, c)[0],
+        n_values=_inverse_mod(d, c[0]) * np.arange(d) % d,
         spectrum=(C[:, None] + bracket_values(dim, c[:, None], np.arange(d)))[0])
 
 
@@ -388,15 +376,14 @@ def oscillator_claims(dim: Dimension, m, mp) -> dict:
     """
     def claims(dim, m, mp):
         d, cross = dim.d, lattice_cross(m.T, mp.T)
-        c = _phase_cross(d, cross)
-        nv = _n_values(d, c)
+        c, n = _phase_cross(d, cross), np.arange(d)
         g, f, _ = _ladder_weights(d, m, mp)
         return {
             "literal_phase": np.maximum(
-                np.abs(g - _phase(2 * d, (cross % (4 * d))[:, None] * (2 * nv + d - 1)).conj()),
+                np.abs(g - _phase(2 * d, (cross % (4 * d))[:, None] * (2 * n + d - 1)).conj()),
                 np.abs(g - np.conj(f))).max(axis=1),
             "exponent_claim": np.abs(np.conj(_sw_values(d, c, g, f))
-                                     - _phase(d, (2 * nv - d) * c[:, None]).conj()).max(axis=1),
+                                     - _phase(d, (2 * n - d) * c[:, None]).conj()).max(axis=1),
         }
     return _sweep(dim, m, mp, _OSC_REASONS, claims).worst
 
@@ -422,16 +409,16 @@ def _sl2_coefs(dim: Dimension, m, mp):
 def _sl2_rows(dim: Dimension, m, mp, d_coef, delta) -> dict:
     """Per-pair residuals of the deformed sl(2) identities (see sl2_sweep).
 
-    On the S_w eigenbasis, with a_r = d (g_r + f_r) (_ladder_weights):
-    A v_r = a_r v_{r-c}, S_w v_r = mu_r v_r (_sw_values), and J3 = n + delta
+    On the S_w eigenbasis, with a_n = d (g_n + f_n) (_ladder_weights):
+    A v_n = a_n v_{n-1}, S_w v_n = mu_n v_n (_sw_values), and J3 = n + delta
     and both Casimir orderings are diagonal.
     Each phase and bracket argument is pi k / D or pi k / 2D with
     k = 2c (J3 + D/2) +- c, reduced before the sine.
     """
     d = dim.d
     c = _phase_cross(d, lattice_cross(m.T, mp.T))
-    cc, nv = c[:, None], _n_values(d, c)
-    k = _j3_turns(c, nv, delta) + cc * d
+    cc, n = c[:, None], np.arange(d)
+    k = _j3_turns(c, n, delta) + cc * d
     s = _sin_turns(cc, d)
     g, f, op = _ladder_weights(d, m, mp)
     a2 = np.abs(d_coef[:, None] * (g + f)) ** 2
@@ -439,7 +426,7 @@ def _sl2_rows(dim: Dimension, m, mp, d_coef, delta) -> dict:
     p = _phase(d, 2 * cc)
     # C1 = A^dag A + [(J3 + D/2 - 1/2)/2]^2 and C2 = A A^dag + [(J3 + D/2 + 1/2)/2]^2
     c1 = a2 + (_sin_turns(k - cc, 2 * d) / s) ** 2
-    a2_up, mu_down = _rolled(a2, cc), _rolled(mu, -cc)
+    a2_up, mu_down = np.roll(a2, -1, axis=1), np.roll(mu, 1, axis=1)
     c2 = a2_up + (_sin_turns(k + cc, 2 * d) / s) ** 2
     const = 1.0 / _scalar_pow(_sin_turns(c, d), 2)
     return _worst(op, {
@@ -447,14 +434,14 @@ def _sl2_rows(dim: Dimension, m, mp, d_coef, delta) -> dict:
         "intertwine": mu - p * mu_down,
         "intertwine_dag": mu_down - np.conj(p) * mu,
         "commutator": a2_up - a2 + _sin_turns(k, d) / s,
-        # J3 v_{r-c} + v_{r-c} = (n_{r-c} + 1 mod D + delta) v_{r-c}: delta cancels
-        "ladder": nv - (_rolled(nv, -cc) + 1) % d,
+        # J3 v_{n-1} + v_{n-1} = (n - 1 + 1 mod D + delta) v_{n-1}: delta cancels
+        "ladder": n - (np.roll(n, 1) + 1) % d,
         "casimir_forms": c1 - c2,
         "casimir_value": c1 - const[:, None],
-        # C1 takes one value along the ladder r -> r - c, so it commutes with A
+        # C1 takes one value along the ladder n -> n - 1, so it commutes with A
         # and A^dag; the commutator's entries a_r (c1_{r-c} - c1_r) would put
         # the floor at eps |A| |C| ~ eps D^3 instead of eps |C|
-        "casimir_central": c1 - _rolled(c1, -cc),
+        "casimir_central": c1 - np.roll(c1, 1, axis=1),
     })
 
 
@@ -485,17 +472,17 @@ def sl2_coefficients(dim: Dimension, m, mp):
     return d_coef, d_coef, delta
 
 
-def _j3_turns(c, nv, delta) -> np.ndarray:
+def _j3_turns(c, n, delta) -> np.ndarray:
     """2 c J3 = 2 c (n + delta) per pair (P, D), an exact integer: 2 c delta is 0 or D."""
-    return 2 * c[:, None] * nv + np.rint(2 * c[:, None] * delta[:, None]).astype(np.int64)
+    return 2 * c[:, None] * n + np.rint(2 * c[:, None] * delta[:, None]).astype(np.int64)
 
 
-def _sigma_values(d: int, c, nv, delta) -> np.ndarray:
+def _sigma_values(d: int, c, n, delta) -> np.ndarray:
     """sigma^{J3} = (-1)^{n c} e^{-i gamma0 c J3 / 2} per pair (P, D), for the two-copy coupling.
 
     Without the alternating sign the coupled copies fail to close at odd c.
     """
-    return _phase(2 * d, _j3_turns(c, nv, delta) + 2 * d * c[:, None] * nv)
+    return _phase(2 * d, _j3_turns(c, n, delta) + 2 * d * c[:, None] * n)
 
 
 @dataclass(frozen=True)
@@ -514,30 +501,29 @@ def coproduct_check(dim: Dimension, m, mp) -> CoproductReport:
     Delta(A) = A (x) sigma^H + sigma^{-H} (x) A and Delta(A^dag), the same with
     A^dag (not the adjoint of Delta(A)), close on [Delta A, Delta A^dag] =
     -[H + D/2], H = J3 (x) 1 + 1 (x) J3, and intertwine with K_w = s_p p^H.
-    On |r, s> = v_r (x) v_s, A v_r = a_r v_{r-c}, A^dag v_r = conj(a_{r+c}) v_{r+c},
+    On |n, s> = v_n (x) v_s, A v_n = a_n v_{n-1}, A^dag v_n = conj(a_{n+1}) v_{n+1},
     and sigma^H, H and K_w are diagonal: each identity is a D x D coefficient
-    array per entry it reaches from |r, s>, taken in blocks of rows r, and
+    array per entry it reaches from |n, s>, taken in blocks of rows n, and
     takes the part (a) flag.  The weights a_r come from the labels in O(D)
     (_ladder_weights); no eigenvector is built.
     """
     d = dim.d
     lab = _built_labels(dim, [m], [mp], _SL2_REASONS)
     d_coef, delta = _sl2_coefs(dim, lab.m, lab.mp)
-    c = _phase_cross(d, lab.cross)
-    nv = _n_values(d, c)
+    c, n = _phase_cross(d, lab.cross), np.arange(d)
     g, f, op = _ladder_weights(d, lab.m, lab.mp)
     a = (d_coef[:, None] * (g + f))[0]
     # sigma^J3, and t = 2 c J3: the bracket and K_w are phases of it
-    sig, t = _sigma_values(d, c, nv, delta)[0], _j3_turns(c, nv, delta)[0]
+    sig, t = _sigma_values(d, c, n, delta)[0], _j3_turns(c, n, delta)[0]
     c, s = int(c[0]), _sin_turns(c[0], d)
-    up, down = (np.arange(d) + c) % d, (np.arange(d) - c) % d     # r + c, r - c
+    up, down = np.roll(n, -1), np.roll(n, 1)                    # n + 1, n - 1
     b = np.conj(a[up])
-    u = np.abs(b) ** 2 - np.abs(a) ** 2                         # [A, A^dag] on v_r
+    u = np.abs(b) ** 2 - np.abs(a) ** 2                         # [A, A^dag] on v_n
     p, sq = _phase(d, 2 * c), sig ** 2
     worst = dict.fromkeys(("closure", "intertwine", "intertwine_dag"), float(op[0]))
     step = max(1, _BLOCK_ENTRIES // d)
     for lo in range(0, d, step):
-        r = slice(lo, lo + step)                                # rows r of |r, s>, columns s
+        r = slice(lo, lo + step)                                # rows n of |n, s>, columns s
 
         def kw(x, y):
             return _phase(d, x[r, None] + y + c * d)
@@ -546,7 +532,7 @@ def coproduct_check(dim: Dimension, m, mp) -> CoproductReport:
         closure = [u[r, None] * sq + sq[r, None].conj() * u + _sin_turns(t[r, None] + t + c * d, d) / s,
                    br * a * (sig[up][r, None].conj() * sig - sr * sig[down]),
                    ar * b * (sr * sig[up] - sig[down][r, None].conj() * sig)]
-        if 2 * c % d == 0:      # D = 2: |r + c, s - c> and |r - c, s + c> are one entry
+        if d == 2:      # |n + 1, s - 1> and |n - 1, s + 1> are one entry
             closure[1:] = [closure[1] + closure[2]]
         terms = {
             "closure": closure,

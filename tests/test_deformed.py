@@ -147,12 +147,14 @@ def test_eigenbasis_correspondence_exact_laws(d):
         # componentwise unimodularity of the two coupling phase sequences
         assert_allclose(np.abs(g), 1.0, atol=1e-12)
         assert_allclose(np.abs(f), 1.0, atol=1e-12)
-        n = osc.n_values
-        assert_allclose(np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2, osc.spectrum[n], atol=1e-12)
+        # the weights are in the order of n: column n is the eigenvector r = c n
+        n = np.arange(d)
+        assert_allclose(np.abs(osc.d_coef * g + osc.dp_coef * f) ** 2, osc.spectrum, atol=1e-12)
         # g conj(f) = -eta conj(E)^2 with E = e^{i gamma0 c (n + (D-1)/2) / 2}
         law = -osc.eta * np.exp(-1j * np.pi * osc.cross * (2 * n + d - 1) / d)
         assert_allclose(g * np.conj(f), law, atol=1e-12)
-        assert np.array_equal(n[(np.arange(d) + osc.cross) % d], (n + 1) % d)
+        assert np.array_equal(osc.n_values[osc.cross * n % d], n)
+        assert np.array_equal(osc.n_values[(n + osc.cross) % d], (osc.n_values + 1) % d)
 
 
 @pytest.mark.parametrize("d", [3, 4, 6, 8, 9, 31])
@@ -168,7 +170,7 @@ def test_recorded_claims_are_the_per_pair_phases(d):
         osc = build_q_oscillator(dim, a, b)
         g, f, _ = deformed._ladder_weights(d, a[None], b[None])
         lam = deformed._sw_values(d, _phase_cross(d, np.array([osc.cross])), g, f)[0]
-        g, f, n = g[0], f[0], osc.n_values
+        g, f, n = g[0], f[0], np.arange(d)
         E = _phase(2 * d, osc.cross * (2 * n + d - 1)).conj()
         claim = (max(np.abs(g - E).max(), np.abs(g - np.conj(f)).max()),
                  np.abs(np.conj(lam) - _phase(d, (2 * n - d) * osc.cross).conj()).max())
@@ -425,7 +427,7 @@ def test_sweep_reaches_every_block_position(monkeypatch, sweep, one_pair, key):
     top = int(np.argmax(values))
     rest = np.flatnonzero(values < values[top])
     step = 40
-    monkeypatch.setattr(deformed, "_SWEEP_ENTRIES", step * dim.d)
+    monkeypatch.setattr(deformed, "_BLOCK_ENTRIES", step * dim.d)
     assert len(rest) > 2 * step
     for pos in (0, step - 1, step, 2 * step - 1, 2 * step, len(rest)):
         order = np.insert(rest, pos, top)
@@ -540,7 +542,7 @@ def test_sweep_holds_one_block_and_few_eigensystems():
     # warm every first-call allocation (code objects, numpy internals) of the
     # full sweep, which the one-block run alone would not
     sl2_sweep(dim, m, mp)
-    _, block = traced_peak(max(1, deformed._SWEEP_ENTRIES // d))
+    _, block = traced_peak(max(1, deformed._BLOCK_ENTRIES // d))
     report, peak = traced_peak(len(m))
     assert {k: report.worst[k] for k in expected} == expected
     assert report.built == len(m)

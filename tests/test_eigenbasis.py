@@ -336,12 +336,15 @@ def _unreduced_pairs(d, count):
 def assert_weights_match_the_float_oracle(d, m, mp):
     """The ladder weights read from the labels against the O(D^2) scan of the
     eigenvectors, in blocks of 2^16 eigenvector entries: to 1e-14, and part (a)
-    exact in both."""
+    exact in both.  The scan gives them by eigenvector r, the package by the
+    quantum number n, r = c n mod D."""
     worst, block = 0.0, max(1, (1 << 16) // d ** 2)
     for lo in range(0, len(m), block):
         a, b = m[lo:lo + block], mp[lo:lo + block]
         g, f, flag = deformed._ladder_weights(d, a, b)
         og, of, residual = shift_weights(d, a, b, eigenvector_stack(d, a, b))
+        r = lattice_cross(a.T, b.T)[:, None] * np.arange(d) % d
+        og, of = (np.take_along_axis(x, r, axis=1) for x in (og, of))
         assert not flag.any() and residual.max() < 1e-13, (d, residual.max())
         worst = max(worst, np.abs(g - og).max(), np.abs(f - of).max())
     assert worst <= 1e-14, (d, worst)
