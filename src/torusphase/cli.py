@@ -33,9 +33,9 @@ _INF = float("inf")
 # the largest array the command allocates stays within 2^28 bytes (256 MiB)
 # of complex entries.  That array has D entries for the profiles of converge
 # and index (D <= 2^24) and D x D for the rest (D <= 4096): every verify suite
-# among them, since the wigner and transforms suites build kernels one grid
-# point at a time and the schwinger and numberphase suites hold the pair's
-# powers as D monomials.
+# among them: the wigner suite builds kernels one grid point at a time, the
+# transforms suite one D x D unitary per map, and the schwinger and
+# numberphase suites hold the pair's powers as D monomials.
 _MAX_D = {
     "gen": 4096, "wigner": 4096, "spectrum": 4096, "transform": 4096, "verify": 4096,
     "converge": {"number-exp": 1 << 24, "phase-exp": 1 << 24, "wigner": 4096},

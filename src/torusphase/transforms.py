@@ -12,6 +12,8 @@ scalar-only group closure.  At D = 2, z(0,1) = 1 keeps the columnwise gauge,
 which covaries but does not close.  Covariance is checked as
 G S_m = z(m) S_{R m} G entrywise, O(D^2) per label: G S_m and S_{R m} G are
 phased shifts of G, taken a block of labels per array pass, without dense S_m.
+On the generators (1, 0) and (0, 1) that fixes G on every label, so the aligned
+gauge and the Wigner kernel's quarter turn are exact checks on z alone.
 """
 from __future__ import annotations
 
@@ -235,18 +237,31 @@ def covariance_report(op: MetaplecticOperator, labels=None) -> CovarianceReport:
     return CovarianceReport(m, phase, resid, float(resid.max(initial=0.0)))
 
 
-def translation_covariance_residual(op: MetaplecticOperator) -> float:
-    """Exactness of G S_m = (-1)^{r1 r2 - m1 m2} S_r G over residues m (odd D).
+def aligned_gauge_residual(smap: SymplecticMap) -> float:
+    """max|z(m) - (-1)^{r1 r2 - m1 m2}| over the checked residues m, r = R m mod D.
 
-    r = R m mod D; the sign, taken here on its own, is the aligned-gauge claim
-    that T_m = (-1)^{m1 m2} S_m is conjugated to T_r exactly.  m runs over the
-    residues of lattice._checked_labels: all up to D = 64, a seeded sample above.
+    0 iff T_m = (-1)^{m1 m2} S_m is conjugated to T_r exactly (odd D), else 2.
     """
-    m1, m2 = (_checked_labels(op.dim) % op.dim.d).T
-    r1, r2 = op.map.apply((m1, m2))
-    resid = _sweep(op.matrix, op.map, np.stack([m1, m2], axis=1),
-                   1 - 2 * ((r1 * r2 - m1 * m2) % 2))
-    return float(resid.max())
+    d = smap.dim.d
+    m1, m2 = (_checked_labels(smap.dim) % d).T
+    r1, r2, z = _conjugation(d, smap.s, smap.t, (m1, m2))
+    return float(np.abs(z - (1 - 2 * ((r1 * r2 - m1 * m2) % 2))).max())
+
+
+def kernel_turn_residual(dim: Dimension) -> float:
+    """max|z(m) sigma(m) - 1| over the checked labels m: 0 iff F Delta(V) F^dag = Delta(-V2, V1).
+
+    F S_m F^dag = z S_r (R = [[0, -1], [1, 0]], G(R) = F) and S_w = sigma S_r,
+    w and r the window and residue forms of (-m2, m1).  As m x V = (R m) x (R V)
+    and m -> w permutes the window, Delta(V)'s sum turns into Delta(R V)'s term
+    by term iff every z sigma = 1; 2 at even D, whose window the turn leaves.
+    """
+    d = dim.d
+    quarter = SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))
+    m1, m2 = _checked_labels(dim).T
+    z = _conjugation(d, quarter.s, quarter.t, (m1, m2))[2]
+    w1, w2, _ = _reduce(d, -m2, m1)
+    return float(np.abs(z * _reduce(d, w1, w2, window=False)[2] - 1).max())
 
 
 def closure_check(op1: MetaplecticOperator, op2: MetaplecticOperator) -> tuple[complex, float]:
@@ -256,10 +271,11 @@ def closure_check(op1: MetaplecticOperator, op2: MetaplecticOperator) -> tuple[c
     fixes every G, so that entry is nonzero wherever the law holds): no phase
     is fitted; the Clifford phases are exact (Appleby, JMP 46, 052107, 2005).
     """
-    op12 = build_metaplectic(op1.dim, op1.map @ op2.map)
+    r12 = op1.map @ op2.map
+    G12 = metaplectic_stack(op1.dim, [r12.s], [r12.t])[0]
     prod = op1.matrix @ op2.matrix
     z = (1, 1j, -1, -1j)[round(np.angle(prod[0, 0]) / (np.pi / 2)) % 4]
-    return complex(z), max_abs(prod - z * op12.matrix)
+    return complex(z), max_abs(prod - z * G12)
 
 
 def phase_flattening_report(phase) -> dict:
@@ -275,5 +291,6 @@ def phase_flattening_report(phase) -> dict:
 def fourier_check(dim: Dimension) -> float:
     """Residual of G([[0,-1],[1,0]]) against the Fourier operator, with no phase
     fitted: G_00 > 0 and F_00 = 1/sqrt(D) > 0 fix the relative phase to 1."""
-    G = build_metaplectic(dim, SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))).matrix
-    return max_abs(G - build_fourier_operator(dim))
+    quarter = SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))
+    return max_abs(metaplectic_stack(dim, [quarter.s], [quarter.t])[0]
+                   - build_fourier_operator(dim))

@@ -424,56 +424,50 @@ def suite_numberphase(dim: Dimension, seed: int = 0, samples: int = 200) -> list
 
 
 def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[CheckRow]:
-    from . import transforms, wigner
+    from . import transforms
 
     rng = Sampler(seed)
     sampled = _sample_note(dim, "labels")
     rows = [_res("fourier_map", transforms.fourier_check(dim))]
-    ident = transforms.build_metaplectic(
-        dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (0, 1))))
-    rows.append(_res("identity_map", float(np.max(np.abs(ident.matrix - np.eye(dim.d))))))
+    ident = transforms.SymplecticMap.from_rows(dim, ((1, 0), (0, 1)))
+    G = transforms.metaplectic_stack(dim, [ident.s], [ident.t])[0]
+    rows.append(_res("identity_map", float(np.max(np.abs(G - np.eye(dim.d))))))
+    # G on the generators fixes its action, and _conjugation's sign, on every label
+    generators = ((1, 0), (0, 1))
     worst_u = worst_cov = 0.0
     ops = []
-    first_phase = None
     for _ in range(samples):
         op = transforms.build_metaplectic(dim, transforms.random_symplectic(dim, rng=rng))
         worst_u = max(worst_u, op.unitary_residual)
-        report = transforms.covariance_report(op)
-        worst_cov = max(worst_cov, report.worst)
-        first_phase = report.phase if first_phase is None else first_phase
+        worst_cov = max(worst_cov, transforms.covariance_report(op, generators).worst)
         ops.append(op)
     shear = transforms.build_metaplectic(
         dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1))))
-    worst_cov = max(worst_cov, transforms.covariance_report(shear).worst)
+    worst_cov = max(worst_cov, transforms.covariance_report(shear, generators).worst)
     rows.append(_res("unitarity", worst_u, note=f"{samples} random maps"))
     rows.append(_res("covariance", worst_cov,
-                     note=_join("exact conjugation signs", sampled)))
+                     note="generators (1,0), (0,1); exact conjugation signs"))
     if dim.d % 2 == 1:
-        worst_t = max(transforms.translation_covariance_residual(op) for op in ops[:3])
+        worst_t = max(transforms.aligned_gauge_residual(op.map) for op in ops[:3])
         rows.append(_res("translation_covariance", worst_t,
                          note=_join("aligned gauge, exact", sampled)))
-        worst_c = 0.0
-        for _ in range(min(10, samples)):
-            a, b = rng.integers(0, len(ops), 2)
-            _, res = transforms.closure_check(ops[int(a)], ops[int(b)])
-            worst_c = max(worst_c, res)
-        rows.append(_res("group_closure", worst_c, note="up to a scalar"))
+        pairs = [rng.integers(0, len(ops), 2) for _ in range(min(10, samples))]
     else:
-        worst_c = 0.0
-        for op1 in ops[:4]:
-            for op2 in ops[:4]:
-                _, res = transforms.closure_check(op1, op2)
-                worst_c = max(worst_c, res)
-        rows.append(_info("group_closure", worst_c,
-                          note="columnwise gauge at D=2 does not close; reported only"))
-    rot = wigner.kernel_rotation_residual(dim)
+        pairs = [(a, b) for a in range(min(4, samples)) for b in range(min(4, samples))]
+    worst_c = max((transforms.closure_check(ops[int(a)], ops[int(b)])[1] for a, b in pairs),
+                  default=0.0)
+    rows.append(_res("group_closure", worst_c, note="up to a scalar") if dim.d % 2 else
+                _info("group_closure", worst_c,
+                      note="columnwise gauge at D=2 does not close; reported only"))
+    rot = transforms.kernel_turn_residual(dim)
     if dim.d == 2:
         rows.append(_info("kernel_rotation", rot,
                           note="quarter-turn covariance is unavailable at D=2"))
     else:
-        rows.append(_res("kernel_rotation", rot, note=_sample_note(dim, "points")))
+        rows.append(_res("kernel_rotation", rot, note=_join("exact signs", sampled)))
+    first = ops[0].map if ops else ident
     flat = transforms.phase_flattening_report(
-        transforms.covariance_report(ident).phase if first_phase is None else first_phase)
+        transforms._conjugation(dim.d, first.s, first.t, _checked_labels(dim).T)[2])
     rows.append(_info("phase_flattening", flat["max_phase_deviation"],
                       note=_join(f"flattenable={flat['flattenable']} "
                                  "(global phases cannot change conjugation phases)", sampled)))

@@ -152,20 +152,6 @@ def symbol_reconstruct(dim: Dimension, symbol: np.ndarray) -> np.ndarray:
     return _displacement_sum(dim, c[np.ix_(w, w)])
 
 
-def _turn_residual(dim: Dimension, v: np.ndarray, K: np.ndarray) -> float:
-    """max |F Delta(V) F^dag - Delta(-V2, V1)| over points v with kernels K.
-
-    The quarter turn acts forward on the phase-space point, matching the
-    label action F S_m F^-1 = S_{(-m2, m1)}; the turned kernel is built anew.
-    """
-    return max_abs(_quarter_turn(K) - _kernels(dim, np.stack([-v[:, 1] % dim.d, v[:, 0]], 1)))
-
-
-def kernel_rotation_residual(dim: Dimension) -> float:
-    """Worst residual of F Delta(V) F^dag = Delta(-V2, V1) over the checked points."""
-    return max(_turn_residual(dim, v, K) for v, K in _kernel_blocks(dim))
-
-
 def kernel_suite(dim: Dimension) -> dict:
     """Structural kernel identities as max-norm residuals.
 
@@ -185,7 +171,9 @@ def kernel_suite(dim: Dimension) -> dict:
         chi = _trace_chi(d, K[:, (j + w[:, None]) % d, j].conj(), w, w)
         dual = max(dual, max_abs(d * chi.conj() - _phase(
             d, 2 * (w[:, None] * v[:, 1:, None] - w * v[:, :1, None]))))
-        rot = max(rot, _turn_residual(dim, v, K))
+        # the turn acts forward on the point, as F S_m F^-1 = S_{(-m2, m1)} on the labels
+        turned = _kernels(dim, np.stack([-v[:, 1] % d, v[:, 0]], 1))
+        rot = max(rot, max_abs(_quarter_turn(K) - turned))
     # sum_V Delta(V) by linearity: the operator of the unit symbol, over D
     res = {"hermitian": herm, "trace": trace,
            "resolution": max_abs(symbol_reconstruct(dim, np.ones((d, d))) / d - np.eye(d)),

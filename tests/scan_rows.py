@@ -1,15 +1,15 @@
-"""Worst value of every gated qosc and sl2 row on a ladder of D, with its growth law.
+"""Worst value of every gated row of some verify suites on a ladder of D, with its growth law.
 
 A tooling script, not a test (pytest collects only test_*.py).  Run from the
 repository root:
 
-    PYTHONPATH=src python tests/scan_rows.py [D ...]
+    PYTHONPATH=src python tests/scan_rows.py [SUITE ...] [D ...]
 
-The default ladder is D = 211, 401, 709 and 1009.  For each gated ("residual")
-row of `verify --suite qosc` and `--suite sl2` it prints the row's value at
-every D and the exponent p of a least-squares fit value ~ D^p over the D where
-the row is nonzero; a row that reads 0 everywhere has no exponent.  A value
-above the default tolerance 1e-10 is marked with "*".
+The default suites are qosc and sl2, the default ladder D = 211, 401, 709 and
+1009.  For each gated ("residual") row of each `verify --suite SUITE` it prints
+the row's value at every D and the exponent p of a least-squares fit
+value ~ D^p over the D where the row is nonzero; a row that reads 0 everywhere
+has no exponent.  A value above the default tolerance 1e-10 is marked with "*".
 """
 import math
 import sys
@@ -19,6 +19,7 @@ import numpy as np
 
 from torusphase import make_dimension, verify
 
+SUITES = ("qosc", "sl2")
 LADDER = (211, 401, 709, 1009)
 TOL = 1e-10
 
@@ -38,10 +39,10 @@ def growth(ds, values) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def main(ds) -> None:
+def main(suites, ds) -> None:
     header = ["row"] + [f"D={d}" for d in ds] + ["p"]
     print(" | ".join(header))
-    for suite in ("qosc", "sl2"):
+    for suite in suites:
         per_d = []
         for d in ds:
             start = time.perf_counter()
@@ -55,4 +56,6 @@ def main(ds) -> None:
 
 
 if __name__ == "__main__":
-    main([int(a) for a in sys.argv[1:]] or LADDER)
+    args = sys.argv[1:]
+    main([a for a in args if not a.isdigit()] or SUITES,
+         [int(a) for a in args if a.isdigit()] or LADDER)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import torusphase
-from torusphase import cli, verify
+from torusphase import cli, transforms, verify
 from torusphase.cli import main
 
 
@@ -524,6 +524,21 @@ def test_verify_single_suite_imports_only_its_layers():
     assert rc == 0 and out.rstrip().splitlines()[-1].startswith("PASS:")
     assert layers(modules) & {"deformed", "fock", "limits", "numberphase", "transforms",
                               "wigner"} == set()
+
+
+def test_verify_transforms_builds_no_kernel_and_sweeps_only_the_generators(runner):
+    # kernel_rotation and translation_covariance are exact sign checks, and
+    # covariance is swept on the generators (1, 0) and (0, 1) of each map
+    rc, out, _, modules = loaded_by(["verify", "--d", "5", "--suite", "transforms"])
+    assert rc == 0 and out.rstrip().splitlines()[-1].startswith("PASS:")
+    assert "torusphase.wigner" not in modules
+    sizes = []
+    sweep = transforms._sweep
+    runner[1].setattr(transforms, "_sweep",
+                      lambda G, smap, labels, phase: sizes.append(len(labels))
+                      or sweep(G, smap, labels, phase))
+    assert invoke(runner, ["verify", "--d", "5", "--suite", "transforms"]).exit_code == 0
+    assert sizes and max(sizes) <= 2, sizes
 
 
 def test_verify_schwinger_leaves_numpy_ma_unloaded():

@@ -9,6 +9,8 @@ its phases factored differently, and takes z from the exact parity rule
 transforms._conjugation: for a metaplectic G the rule's sign and the measured
 phase, and the residuals, must agree to a few ulps, with the same labels in
 the same order.  For any other matrix the rule's sign is checked as given.
+The suite reads the sweep at the generators only, and takes the aligned-gauge
+signs from the rule alone; the loops here are the reference for both.
 """
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from torusphase import transforms
 from torusphase.schwinger import displacement_columns
 
 TOL = 1e-14
+GENERATORS = ((1, 0), (0, 1))       # the labels of the suite's covariance row
 
 
 def _intertwined(op, labels, block_entries=1 << 16):
@@ -130,6 +133,7 @@ def test_a_matrix_of_another_map_reads_order_one(d):
     off = [rec for rec in records if rec["m"] != (0, 0)]
     assert off and min(rec["residual"] for rec in off) >= 0.5
     assert transforms.covariance_report(op).worst >= 0.5
+    assert transforms.covariance_report(op, GENERATORS).worst >= 0.5
 
 
 @pytest.mark.parametrize("d", [5, 13])
@@ -161,13 +165,49 @@ def test_predicted_phase_is_the_measured_overlap_sign(d):
 
 
 @pytest.mark.parametrize("d", [3, 13, 31])
-def test_translation_residual_equals_the_loop(d):
+def test_exact_translation_signs_read_0_where_the_loop_holds(d):
     dim = make_dimension(d)
     rng = np.random.default_rng(300 + d)
     for smap in (random_symplectic(dim, rng=rng),
                  SymplecticMap.from_rows(dim, ((1, 0), (1, 1)))):
+        loop = _translation_loop(build_metaplectic(dim, smap))
+        assert transforms.aligned_gauge_residual(smap) == 0.0 and loop <= TOL, loop
+
+
+@pytest.mark.parametrize("d", [2, 3, 13, 31])
+def test_generator_covariance_is_the_sweep_at_the_generators(d):
+    # the suite's row: the generators' residuals are the sweep's at those labels
+    dim = make_dimension(d)
+    rng = np.random.default_rng(500 + d)
+    for smap in (random_symplectic(dim, rng=rng),
+                 SymplecticMap.from_rows(dim, ((1, 0), (1, 1)))):
         op = build_metaplectic(dim, smap)
-        assert abs(transforms.translation_covariance_residual(op) - _translation_loop(op)) <= TOL
+        full = transforms.covariance_report(op)
+        gens = transforms.covariance_report(op, GENERATORS)
+        at = [full.labels.tolist().index(list(m)) for m in GENERATORS]
+        assert np.array_equal(gens.residual, full.residual[at])
+        assert np.array_equal(gens.phase, full.phase[at])
+        assert gens.worst <= full.worst
+
+
+@pytest.mark.parametrize("check", [
+    lambda dim: transforms.aligned_gauge_residual(random_symplectic(dim, seed=2)),
+    transforms.kernel_turn_residual,
+], ids=["aligned_gauge", "kernel_turn"])
+@pytest.mark.parametrize("flip", [0, 17, -1])
+def test_one_flipped_conjugation_sign_reads_2(monkeypatch, check, flip):
+    dim = make_dimension(13)
+    real = transforms._conjugation
+
+    def flipped(d, s, t, m):
+        r1, r2, z = real(d, s, t, m)
+        z = z.copy()
+        z[flip] *= -1
+        return r1, r2, z
+
+    assert check(dim) == 0.0
+    monkeypatch.setattr(transforms, "_conjugation", flipped)
+    assert check(dim) == 2.0
 
 
 def test_an_empty_label_list_reads_zero():

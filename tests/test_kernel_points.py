@@ -5,7 +5,8 @@ points at a time (wigner._kernels, one displacement sum each) and the state
 rows on chi grids.  Here the (D, D, D, D) grid of kernel_oracle is the
 reference for those kernels, the FFT quarter turn, the dual traces and the
 resolution sum; fault tests show that a broken kernel or grid shows in the
-row that owns it.
+row that owns it.  The transforms suite's kernel_rotation row takes the turn
+from the conjugation signs alone; the same oracle turn is its reference.
 """
 import os
 import subprocess
@@ -23,6 +24,7 @@ from torusphase import (
     make_dimension,
     schwinger_matrix,
     symbol_reconstruct,
+    transforms,
     wigner,
 )
 
@@ -72,14 +74,29 @@ def test_resolution_sum_matches_the_oracle(d):
     assert _max(total - np.eye(d)) <= TOL
 
 
-@pytest.mark.parametrize("d", SMALL)
-def test_rotation_row_matches_the_oracle_turn(d):
-    dim = make_dimension(d)
+def _oracle_turn(dim) -> float:
+    """max |F Delta(V) F^dag - Delta(-V2, V1)| over the dense kernel grid."""
+    d = dim.d
     K = kernel_grid(dim)
     F = build_fourier_operator(dim)
     v = np.arange(d)
-    oracle = _max(F @ K @ F.conj().T - K[(-v[None, :]) % d, v[:, None]])
-    assert abs(wigner.kernel_rotation_residual(dim) - oracle) <= TOL
+    return _max(F @ K @ F.conj().T - K[(-v[None, :]) % d, v[:, None]])
+
+
+@pytest.mark.parametrize("d", SMALL)
+def test_rotation_row_matches_the_oracle_turn(d):
+    dim = make_dimension(d)
+    assert abs(wigner.kernel_suite(dim)["rotation"] - _oracle_turn(dim)) <= TOL
+
+
+@pytest.mark.parametrize("d", SMALL)
+def test_exact_kernel_turn_reads_0_where_the_oracle_turn_holds(d):
+    # the transforms row from the conjugation signs alone: 0 at odd D, 2 at even D
+    dim = make_dimension(d)
+    exact = transforms.kernel_turn_residual(dim)
+    oracle = _oracle_turn(dim)
+    assert exact == (0.0 if d % 2 else 2.0)
+    assert (exact == 0.0) == (oracle <= TOL), (exact, oracle)
 
 
 def test_a_perturbed_kernel_entry_shows_in_the_hermitian_row(monkeypatch):

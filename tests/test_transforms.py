@@ -267,7 +267,7 @@ def test_suite_transforms_takes_one_covariance_report_per_operator(monkeypatch):
     monkeypatch.setattr(transforms, "covariance_report",
                         lambda op, *a: calls.append(op) or real(op, *a))
     rows = verify.suite_transforms(make_dimension(13), seed=3)
-    # 10 random maps and the shear, each once; phase_flattening reuses the first
+    # 10 random maps and the shear, each once; phase_flattening reads the first's signs
     assert len(calls) == 11
     assert len({id(op) for op in calls}) == 11
     flat = next(r for r in rows if r.name == "phase_flattening")
