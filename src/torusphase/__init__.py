@@ -36,7 +36,7 @@ _EXPORTS = {
     "transforms": (
         "MetaplecticOperator", "SymplecticMap", "build_metaplectic", "closure_check",
         "covariance_report", "fourier_check", "phase_flattening_report",
-        "random_symplectic", "verify_symplectic",
+        "random_symplectic",
     ),
     "wigner": (
         "WignerGrid", "characteristic", "classical_symbol", "kernel_suite",

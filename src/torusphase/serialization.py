@@ -104,8 +104,8 @@ def _angles(dim) -> list[str]:
 
 
 def action_angle_csv(grid, comments=()) -> str:
-    d = grid.dim.d
-    cells = [f"{j},{theta}," for j in range(grid.values.shape[0]) for theta in _angles(grid.dim)]
+    d, theta = grid.dim.d, _angles(grid.dim)
+    cells = [f"{j},{t}," for j in range(grid.values.shape[0]) for t in theta]
     rows = [f"{cell}{w}" for cell, w in zip(cells, _floats(grid.values[:, :d]))]
     return csv_text("J,theta,W", rows, comments)
 

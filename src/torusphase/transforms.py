@@ -54,6 +54,11 @@ class SymplecticMap:
 
     @property
     def determinant(self) -> int:
+        """det R mod D; R is symplectic iff it is 1 mod D.
+
+        For a 2x2 integer R, R^T P R = det(R) P exactly (P the unit cross form),
+        so R preserves the cross product of every label pair mod D iff det R = 1.
+        """
         return (self.s[0] * self.t[1] - self.s[1] * self.t[0]) % self.dim.d
 
     def apply(self, m) -> tuple[int, int]:
@@ -66,15 +71,6 @@ class SymplecticMap:
         d = self.dim.d
         M = (self.matrix @ other.matrix) % d
         return SymplecticMap.from_rows(self.dim, M.tolist())
-
-
-def verify_symplectic(smap: SymplecticMap) -> bool:
-    """True iff det R = 1 mod D.
-
-    For a 2x2 integer R, R^T P R = det(R) P exactly (P the unit cross form),
-    so R preserves the cross product of every label pair mod D iff this holds.
-    """
-    return smap.determinant == 1 % smap.dim.d
 
 
 def random_symplectic(dim: Dimension, rng=None, seed=None) -> SymplecticMap:
@@ -137,10 +133,12 @@ def metaplectic_stack(dim: Dimension, s, t) -> np.ndarray:
     d = dim.d
     s = np.asarray(s, dtype=np.int64).reshape(-1, 2) % d
     t = np.asarray(t, dtype=np.int64).reshape(-1, 2) % d
+    det = (s[:, 0] * t[:, 1] - s[:, 1] * t[:, 0]) % d
+    if np.any(det != 1 % d):
+        i = int(np.argmax(det != 1 % d))
+        raise NonSymplecticMapError(
+            f"det = {det[i]} mod {d}; map {np.stack([s[i], t[i]], 1).tolist()} is not symplectic")
     s1, s2, t1, t2 = (x[:, None] for x in (s[:, 0], s[:, 1], t[:, 0], t[:, 1]))
-    det = s1 * t2 - s2 * t1
-    if np.any(det % d != 1 % d):
-        raise NonSymplecticMapError(f"a map has det != 1 mod {d}; it is not symplectic")
     if not dim.prime:
         raise DegenerateSpectrumError(
             f"D={d} is composite; metaplectic unitaries are built for prime D only"
@@ -160,12 +158,8 @@ def metaplectic_stack(dim: Dimension, s, t) -> np.ndarray:
 def build_metaplectic(dim: Dimension, smap: SymplecticMap) -> MetaplecticOperator:
     """Unitary G with G S_m G^{-1} = z(m) S_{R m} for every m, in closed form.
 
-    The stack of one of metaplectic_stack, after the symplectic check.
+    The stack of one of metaplectic_stack, with its unitarity residual.
     """
-    if not verify_symplectic(smap):
-        raise NonSymplecticMapError(
-            f"det = {smap.determinant} mod {dim.d}; map {smap.matrix.tolist()} is not symplectic"
-        )
     G = metaplectic_stack(dim, [smap.s], [smap.t])[0]
     ures = max_abs(G @ G.conj().T - np.eye(dim.d))
     return MetaplecticOperator(dim=dim, map=smap, matrix=G,

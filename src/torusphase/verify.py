@@ -5,8 +5,8 @@ the caller's tolerance, a row of kind "info" is reported but never gated.
 Structural impossibilities (singular deformations at D=2, quarter-turn
 covariance at D=2) are emitted as info rows with a note instead of failures.
 At odd prime D the qosc and sl2 suites sweep one representative pair per label
-class and check sampled window pairs onto them by metaplectic conjugation
-(see _sweep_plan).
+class and check sampled window pairs onto them by metaplectic conjugation,
+from its exact signs (see _sweep_plan and _orbit_conjugation).
 """
 from __future__ import annotations
 
@@ -107,20 +107,19 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     For a pair (m, m') of area c, R = [m | c^{-1} m'] mod D takes the labels
     x = (1, 0), (0, c), (1, -c) to m, m', w = m - m' mod D.  With
     A = d S_m + d' S_m' and X = N or J3, G_R^dag A G_R = z A_rho (z^4 = 1) and
-    G_R^dag X G_R = X_rho hold for a representative rho of area c mod D exactly
-    when G_R S_x = z_x S_{R x} G_R on those labels, z_x the exact sign of
-    transforms._conjugation (transforms._sweep, O(D^2)), and scalar
-    identities hold: d s_m conj(z_1) = z d_rho s_rho and
+    G_R^dag X G_R = X_rho hold for a representative rho of area c mod D
+    exactly when scalar identities hold, as G_R S_x = z_x S_{R x} G_R with z_x
+    the exact sign of transforms._conjugation (a law of the built G, which the
+    transforms suite checks): d s_m conj(z_1) = z d_rho s_rho and
     d' s_m' conj(z_2) = z d'_rho, with s the exact reduction signs; conj(z_w)
     takes the v_0 eigenvalue of S_(1,-c) onto that of S_(w mod D) (X is
     n(r) = c^{-1} r (+ delta) on eigenvector r of S_w, and any other eigenvalue
     shifts r); and delta = delta_rho.  coefs(dim, m, m') gives d, d' and delta per pair.  The
     value is the least such residual over the representatives, so a pair none
-    matches reads O(1).  No operator but G_R is built, in label blocks.
+    matches reads O(1).  No operator is built.
     """
-    from . import transforms
     from .deformed import _branch_sign
-    from .schwinger import label_blocks
+    from .transforms import _conjugation
 
     d = dim.d
     (m, mp), (rm, rmp) = pairs, reps
@@ -128,18 +127,14 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     rc = lattice_cross(rm.T, rmp.T)
     t = np.array([pow(int(x), -1, d) for x in c], dtype=np.int64)[:, None] * mp % d
     x = np.stack(np.broadcast_arrays(1, 0, 0, c, 1, -c), axis=1).reshape(-1, 3, 2)
-    z, cov = np.empty((len(c), 3)), np.empty((len(c), 3))
-    for blk in label_blocks(len(c), d):
-        for i, G in zip(range(len(c))[blk], transforms.metaplectic_stack(dim, m[blk], t[blk])):
-            smap = transforms.SymplecticMap(dim, tuple((m[i] % d).tolist()), tuple(t[i].tolist()))
-            z[i] = transforms._conjugation(d, smap.s, smap.t, x[i].T)[2]
-            cov[i] = transforms._sweep(G, smap, x[i], z[i])
+    s = m % d
+    z = _conjugation(d, (s[:, :1], s[:, 1:]), (t[:, :1], t[:, 1:]), (x[..., 0], x[..., 1]))[2]
 
     def sign(u, v):    # S_u = sign S_v for labels u = v mod D
         return _reduce(d, *u.T)[2] * _reduce(d, *v.T)[2]
 
     dm, dmp, delta = coefs(dim, m, mp)
-    y = np.stack([dm * sign(m, m % d), dmp * sign(mp, mp % d)], axis=1) * z[:, :2].conj()
+    y = np.stack([dm * sign(m, s), dmp * sign(mp, mp % d)], axis=1) * z[:, :2].conj()
     # _branch_sign(d, 0, y) is the eigenvalue of S_y on v_0 of its window label
     spectrum = np.abs(z[:, 2].conj() * _branch_sign(d, 0, x[:, 2])
                       - _branch_sign(d, 0, (m - mp) % d))
@@ -151,7 +146,7 @@ def _orbit_conjugation(dim: Dimension, coefs, pairs, reps) -> float:
     least = np.full(len(c), np.inf)
     np.minimum.at(least, pi, np.maximum.reduce([np.abs(y[pi] - zz[:, None] * a).max(axis=1),
                                                 np.abs(zz ** 4 - 1), np.abs(delta[pi] - rdelta)]))
-    return float(np.maximum.reduce([cov.max(axis=1), spectrum, least]).max(initial=0.0))
+    return float(np.maximum(spectrum, least).max(initial=0.0))
 
 
 def _sweep_plan(dim: Dimension, seed: int, samples: int | None, families):
@@ -441,9 +436,11 @@ def suite_transforms(dim: Dimension, seed: int = 0, samples: int = 10) -> list[C
         worst_u = max(worst_u, op.unitary_residual)
         worst_cov = max(worst_cov, transforms.covariance_report(op, generators).worst)
         ops.append(op)
-    shear = transforms.build_metaplectic(
-        dim, transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1))))
-    worst_cov = max(worst_cov, transforms.covariance_report(shear, generators).worst)
+    # the shear's G is built without its G G^dag product: unitarity reads the random maps
+    shear = transforms.SymplecticMap.from_rows(dim, ((1, 0), (1, 1)))
+    G = transforms.metaplectic_stack(dim, [shear.s], [shear.t])[0]
+    z = transforms._conjugation(dim.d, shear.s, shear.t, np.transpose(generators))[2]
+    worst_cov = max(worst_cov, float(transforms._sweep(G, shear, generators, z).max()))
     rows.append(_res("unitarity", worst_u, note=f"{samples} random maps"))
     rows.append(_res("covariance", worst_cov,
                      note="generators (1,0), (0,1); exact conjugation signs"))

@@ -198,7 +198,9 @@ def test_orbit_conjugation_reads_a_missing_sl2_family(d, families):
 
 
 @pytest.mark.parametrize("d", [5, 7])
-def test_orbit_conjugation_reads_a_perturbed_metaplectic_entry(monkeypatch, d):
+def test_a_perturbed_metaplectic_entry_fails_the_transforms_rows(monkeypatch, d):
+    # the orbit row reads exact conjugation signs and builds no G; a wrong G
+    # entry is caught by the dense loop and by the transforms suite's rows
     exact = transforms.metaplectic_stack
 
     def perturbed(dim, s, t):
@@ -208,10 +210,26 @@ def test_orbit_conjugation_reads_a_perturbed_metaplectic_entry(monkeypatch, d):
 
     monkeypatch.setattr(transforms, "metaplectic_stack", perturbed)
     dim = make_dimension(d)
-    for families, coefs, operators in ALGEBRAS:
+    for families, _, operators in ALGEBRAS:
         pairs, reps, _ = verify._sweep_plan(dim, d, None, families)
-        assert verify._orbit_conjugation(dim, coefs, pairs, reps) > 1e-4
         assert _orbit_loop(dim, operators, pairs, reps) > 1e-4
+    rows = {r.name: r.value for r in verify.suite_transforms(dim)}
+    assert rows["identity_map"] > 1e-4
+    assert rows["covariance"] > 1e-4
+
+
+@pytest.mark.parametrize("d", [5, 7, 11])
+def test_deformed_suites_build_no_metaplectic_g(monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the deformed suites build no G")
+
+    monkeypatch.setattr(transforms, "metaplectic_stack", refuse)
+    monkeypatch.setattr(transforms, "_sweep", refuse)
+    dim = make_dimension(d)
+    for suite in (verify.suite_qosc, verify.suite_sl2):
+        rows = suite(dim)
+        assert "orbit_conjugation" in {r.name for r in rows}
+        assert all(r.value < 1e-10 for r in rows if r.kind == "residual")
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)

@@ -22,7 +22,6 @@ from torusphase import (
     make_dimension,
     random_symplectic,
     schwinger_matrix,
-    verify_symplectic,
 )
 from torusphase import transforms, verify
 from torusphase.lattice import _checked_labels
@@ -32,15 +31,15 @@ def test_symplectic_map_reduction_and_determinant():
     dim = make_dimension(5)
     smap = SymplecticMap.from_rows(dim, ((0, -1), (1, 0)))
     assert np.array_equal(smap.matrix, [[0, 4], [1, 0]])
-    assert smap.determinant % 5 == 1
-    assert verify_symplectic(smap)
+    assert smap.determinant == 1
     bad = SymplecticMap.from_rows(dim, ((1, 1), (1, 0)))
-    assert not verify_symplectic(bad)
+    assert bad.determinant == 4
 
 
 def test_nonsymplectic_map_rejected():
     dim = make_dimension(5)
-    with pytest.raises(NonSymplecticMapError):
+    # one determinant check, in metaplectic_stack; its message names the map and det
+    with pytest.raises(NonSymplecticMapError, match=r"det = 4 mod 5; map \[\[1, 1\], \[1, 0\]\]"):
         build_metaplectic(dim, SymplecticMap.from_rows(dim, ((1, 1), (1, 0))))
 
 
@@ -117,7 +116,7 @@ def test_random_symplectic_produces_valid_maps(d):
     rng = np.random.default_rng(10)
     for _ in range(40):
         smap = random_symplectic(dim, rng=rng)
-        assert verify_symplectic(smap)
+        assert smap.determinant == 1 % d
         assert smap.s != (0, 0)
 
 
@@ -130,7 +129,7 @@ def test_random_symplectic_at_composite_d(d):
     seen = set()
     for _ in range(500):
         smap = random_symplectic(dim, rng=rng)
-        assert verify_symplectic(smap)
+        assert smap.determinant == 1 % d
         assert math.gcd(smap.s[0], d) == 1 or math.gcd(smap.s[1], d) == 1
         seen.add(math.gcd(smap.s[0], d) == 1)
     assert seen == {True, False}
@@ -261,17 +260,20 @@ def test_large_dimension_build_is_fast():
     assert op.unitary_residual < 1e-12
 
 
-def test_suite_transforms_takes_one_covariance_report_per_operator(monkeypatch):
+def test_suite_transforms_sweeps_each_operator_once(monkeypatch):
     calls = []
-    real = transforms.covariance_report
-    monkeypatch.setattr(transforms, "covariance_report",
-                        lambda op, *a: calls.append(op) or real(op, *a))
-    rows = verify.suite_transforms(make_dimension(13), seed=3)
-    # 10 random maps and the shear, each once; phase_flattening reads the first's signs
+    real = transforms._sweep
+    monkeypatch.setattr(transforms, "_sweep",
+                        lambda G, smap, *a: calls.append((G, smap)) or real(G, smap, *a))
+    dim = make_dimension(13)
+    rows = verify.suite_transforms(dim, seed=3)
+    # 10 random maps and the shear, each once on the generators; phase_flattening
+    # reads the first map's signs
     assert len(calls) == 11
-    assert len({id(op) for op in calls}) == 11
+    assert len({id(G) for G, _ in calls}) == 11
+    assert calls[-1][1].matrix.tolist() == [[1, 0], [1, 1]]
     flat = next(r for r in rows if r.name == "phase_flattening")
-    first = real(calls[0], _checked_labels(make_dimension(13)))
+    first = covariance_report(build_metaplectic(dim, calls[0][1]), _checked_labels(dim))
     assert flat.value == transforms.phase_flattening_report(first.phase)["max_phase_deviation"]
 
 
